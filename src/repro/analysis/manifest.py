@@ -265,6 +265,7 @@ DEFAULT_MANIFEST = Manifest(
         "repro/search/",
         "repro/costmodel/",
         "repro/features/",
+        "repro/nn/",
     ),
     function_acquirers={
         # the lowering layer increments the obs LOWERED counter

@@ -119,8 +119,11 @@ class SymbolBasedAnalyzer:
             symbols, self.device, batch.dtype_bytes.astype(np.float64)
         )
 
+        # not ``peak_for(True)``: it raises on a device without TensorCores
+        # even when no row asks for them.  A TensorCore row there gets peak
+        # 0, i.e. infinite latency, where the scalar path raises.
         peak = np.where(
-            batch.tensorcore, self.device.peak_for(True), self.device.peak_for(False)
+            batch.tensorcore, self.device.tc_peak_flops, self.device.peak_flops
         )
         n = len(batch)
         compute_product = (

@@ -231,8 +231,11 @@ class NNCostModel(CostModel):
         return self._forward(self.featurize_batch(batch))
 
     def _forward(self, features: np.ndarray) -> np.ndarray:
+        return self._score(self._normalize(features))
+
+    def _score(self, normalized: np.ndarray) -> np.ndarray:
         with no_grad():
-            scores = self.net(Tensor(self._normalize(features)))
+            scores = self.net(Tensor(normalized))
         return scores.data.reshape(-1)
 
     def fit(
@@ -272,8 +275,7 @@ class NNCostModel(CostModel):
                     )
                     loss.backward()
                     optimizer.step()
-        final = self.predict(progs)
-        return pairwise_rank_accuracy(final, labels, groups)
+        return pairwise_rank_accuracy(self._score(features), labels, groups)
 
     def get_params(self) -> dict[str, np.ndarray]:
         params = self.net.get_params()

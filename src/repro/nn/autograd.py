@@ -3,13 +3,18 @@
 A deliberately small engine: define-by-run graphs of :class:`Tensor`
 nodes, each storing the numpy payload, an optional gradient, and a
 closure that accumulates gradients into its parents.  Supports the op
-set the cost models need (dense algebra, batched matmul with
-broadcasting, softmax, reductions, shape ops).
+set the cost models need: element-wise algebra, reductions, shape ops,
+and one fused node each for the three hot layers (:func:`linear`,
+:func:`layer_norm`, :func:`attention`).  The cost models train on
+minibatches of a few dozen rows, where a step's time is per-node
+closure and numpy dispatch overhead rather than FLOPs, so a layer that
+is one node with a hand-written backward is what makes training cheap.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from typing import Callable, Iterable
 
@@ -89,9 +94,17 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``.
+
+        ``owned`` says the caller computed ``grad`` freshly and keeps no
+        other reference, so the first contribution is adopted without a
+        copy.  Pass-through gradients (views of a child's ``grad``) must
+        leave it False: a later in-place accumulation would otherwise
+        write into the child's array too.
+        """
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = grad if owned else grad.copy()
         else:
             self.grad += grad
 
@@ -120,40 +133,20 @@ class Tensor:
         other = other if isinstance(other, Tensor) else Tensor(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) + (-self)
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other.data
 
         def backward():
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
+                self._accumulate(_unbroadcast(out.grad * other.data, self.shape), True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
+                other._accumulate(_unbroadcast(out.grad * self.data, other.shape), True)
 
         out = Tensor._make(out_data, (self, other), backward)
         return out
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self * other**-1.0
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) * self**-1.0
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        out_data = self.data**exponent
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -163,78 +156,21 @@ class Tensor:
             g = out.grad
             if self.requires_grad:
                 ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape))
+                self._accumulate(_unbroadcast(ga, self.shape), True)
             if other.requires_grad:
                 gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.shape))
+                other._accumulate(_unbroadcast(gb, other.shape), True)
 
         out = Tensor._make(out_data, (self, other), backward)
         return out
 
-    # ------------------------------------------------------------------
-    # nonlinearities
-    # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
 
         def backward():
             if self.requires_grad:
-                self._accumulate(out.grad * mask)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * (1 - out_data**2))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(np.clip(self.data, -60, 60))
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * out_data)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def log(self) -> "Tensor":
-        out_data = np.log(np.maximum(self.data, 1e-30))
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad / np.maximum(self.data, 1e-30))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60, 60)))
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * out_data * (1 - out_data))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        e = np.exp(shifted)
-        out_data = e / e.sum(axis=axis, keepdims=True)
-
-        def backward():
-            if self.requires_grad:
-                g = out.grad
-                dot = (g * out_data).sum(axis=axis, keepdims=True)
-                self._accumulate(out_data * (g - dot))
+                self._accumulate(out.grad * mask, True)
 
         out = Tensor._make(out_data, (self,), backward)
         return out
@@ -243,21 +179,25 @@ class Tensor:
     # reductions and shape ops
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        return self._reduce(axis, keepdims, 1.0)
+
+    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self._reduce(axis, keepdims, 1.0 / count)
+
+    def _reduce(self, axis, keepdims: bool, scale: float) -> "Tensor":
+        """``scale * sum`` over ``axis`` as one node (scale 1/n is the mean)."""
+        out_data = self.data.sum(axis=axis, keepdims=keepdims) * scale
 
         def backward():
             if self.requires_grad:
                 g = out.grad
                 if axis is not None and not keepdims:
                     g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.shape).copy())
+                self._accumulate(np.broadcast_to(g, self.shape) * scale, True)
 
         out = Tensor._make(out_data, (self,), backward)
         return out
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape: int) -> "Tensor":
         out_data = self.data.reshape(*shape)
@@ -265,18 +205,6 @@ class Tensor:
         def backward():
             if self.requires_grad:
                 self._accumulate(out.grad.reshape(self.shape))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    def transpose(self, *axes: int) -> "Tensor":
-        axes_t = axes or tuple(reversed(range(self.ndim)))
-        out_data = self.data.transpose(axes_t)
-        inverse = np.argsort(axes_t)
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.transpose(inverse))
 
         out = Tensor._make(out_data, (self,), backward)
         return out
@@ -306,6 +234,107 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+
+
+# ----------------------------------------------------------------------
+# fused layer kernels: one graph node per layer, hand-written backward
+# ----------------------------------------------------------------------
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``x @ weight + bias`` over the last axis of ``x`` as one node.
+
+    The forward product and the input gradient keep ``x``'s leading axes
+    (numpy runs ``(N, T, F) @ (F, D)`` as N small GEMMs).  Collapsing
+    them into one 2-D GEMM crosses OpenBLAS's threading threshold, and
+    the helper thread it wakes spins: on a 2-core box that took the
+    socket benchmark's ``job_cpu_s`` from 0.12 to 0.18 s and slowed the
+    job.  Only the weight gradient, which has to reduce over every
+    leading axis anyway, is a single GEMM.
+    """
+    out_data = x.data @ weight.data
+    if bias is not None:
+        out_data += bias.data
+
+    def backward():
+        g = out.grad
+        g_rows = g.reshape(-1, g.shape[-1])
+        if weight.requires_grad:
+            x_rows = x.data.reshape(-1, x.data.shape[-1])
+            weight._accumulate(x_rows.T @ g_rows, True)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g_rows.sum(axis=0), True)
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.T, True)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    out = Tensor._make(out_data, parents, backward)
+    return out
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    centered = x.data - x.data.mean(axis=-1, keepdims=True)
+    rstd = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
+    normalized = centered * rstd
+    out_data = normalized * gamma.data + beta.data
+
+    def backward():
+        g = out.grad
+        lead = tuple(range(g.ndim - 1))
+        if gamma.requires_grad:
+            gamma._accumulate((g * normalized).sum(axis=lead), True)
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=lead), True)
+        if x.requires_grad:
+            gn = g * gamma.data
+            gn -= gn.mean(axis=-1, keepdims=True)
+            gn -= normalized * (gn * normalized).mean(axis=-1, keepdims=True)
+            gn *= rstd
+            x._accumulate(gn, True)
+
+    out = Tensor._make(out_data, (x, gamma, beta), backward)
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled-dot-product attention over (N, T, D) projections.
+
+    Splits the last axis into ``heads`` heads, attends within each, and
+    merges the heads back: ``softmax(q k^T / sqrt(D / heads)) v``.
+    """
+    n, t, d = q.data.shape
+    head_dim = d // heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(a: np.ndarray) -> np.ndarray:  # (N, T, D) -> (N, h, T, hd)
+        return a.reshape(n, t, heads, head_dim).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:  # (N, h, T, hd) -> (N, T, D)
+        return a.transpose(0, 2, 1, 3).reshape(n, t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    attn = qh @ kh.transpose(0, 1, 3, 2)
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out_data = merge(attn @ vh)
+
+    def backward():
+        g = split(out.grad)
+        if v.requires_grad:
+            v._accumulate(merge(attn.transpose(0, 1, 3, 2) @ g), True)
+        if q.requires_grad or k.requires_grad:
+            gs = g @ vh.transpose(0, 1, 3, 2)  # d loss / d attn
+            gs -= (gs * attn).sum(axis=-1, keepdims=True)
+            gs *= attn
+            gs *= scale  # d loss / d (q k^T)
+            if q.requires_grad:
+                q._accumulate(merge(gs @ kh), True)
+            if k.requires_grad:
+                k._accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh), True)
+
+    out = Tensor._make(out_data, (q, k, v), backward)
+    return out
 
 
 def concatenate(tensors: list[Tensor], axis: int = -1) -> Tensor:

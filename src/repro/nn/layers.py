@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from repro.errors import CostModelError
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, attention, layer_norm, linear
 from repro.rng import make_rng
 
 
@@ -92,10 +92,7 @@ class Linear(Module):
         self.bias = Tensor(np.zeros(out_dim), True) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return linear(x, self.weight, self.bias)
 
 
 class ReLU(Module):
@@ -122,11 +119,7 @@ class LayerNorm(Module):
         self._eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        mu = x.mean(axis=-1, keepdims=True)
-        centered = x - mu
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalized = centered * (var + self._eps) ** -0.5
-        return normalized * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self._eps)
 
 
 class MultiHeadSelfAttention(Module):
@@ -136,22 +129,10 @@ class MultiHeadSelfAttention(Module):
         if dim % heads != 0:
             raise CostModelError(f"dim {dim} not divisible by heads {heads}")
         self.heads = heads
-        self.head_dim = dim // heads
         self.wq = Linear(dim, dim, seed=seed)
         self.wk = Linear(dim, dim, seed=seed + 1)
         self.wv = Linear(dim, dim, seed=seed + 2)
         self.wo = Linear(dim, dim, seed=seed + 3)
 
     def forward(self, x: Tensor) -> Tensor:
-        n, t, d = x.shape
-        h, hd = self.heads, self.head_dim
-
-        def split(proj: Tensor) -> Tensor:
-            return proj.reshape(n, t, h, hd).transpose(0, 2, 1, 3)  # (N, h, T, hd)
-
-        q, k, v = split(self.wq(x)), split(self.wk(x)), split(self.wv(x))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(hd))
-        attn = scores.softmax(axis=-1)
-        context = attn @ v  # (N, h, T, hd)
-        merged = context.transpose(0, 2, 1, 3).reshape(n, t, d)
-        return self.wo(merged)
+        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), self.heads))

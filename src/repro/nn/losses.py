@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.autograd import Tensor
+from repro.rng import make_rng
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -87,7 +88,7 @@ def lambdarank_loss(
         idx = np.asarray(idx)
         if len(idx) > max_group:
             if rng is None:
-                rng = np.random.default_rng(0)
+                rng = make_rng(0)
             idx = rng.choice(idx, size=max_group, replace=False)
         lambdas[idx] += lambdarank_lambdas(s[idx], np.asarray(labels)[idx], sigma)
     # gradient of (scores * lambdas).sum() w.r.t. scores is `lambdas`.

@@ -48,9 +48,15 @@ class GradientTaskScheduler:
 
     # ------------------------------------------------------------------
     def select(self, records: RecordLog) -> TuningTask:
-        """Pick the next task (round-robin warm-up, then gradient)."""
-        for task in self.tasks:  # warm-up: every task once
-            if self._state[task.key].rounds == 0:
+        """Pick the next task (round-robin warm-up, then gradient).
+
+        Warm-up gives every task without trials one round.  A task that
+        ``records`` already covers (a warm-started log) needs none:
+        otherwise a chain of one-round jobs, each with a new scheduler,
+        would tune the first task forever.
+        """
+        for task in self.tasks:
+            if self._state[task.key].rounds == 0 and not records.trials(task.key):
                 return task
         best_task, best_grad = self.tasks[0], -math.inf
         for task in self.tasks:

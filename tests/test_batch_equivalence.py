@@ -135,6 +135,16 @@ class TestAnalyzerBatch:
             assert bool(mask[i]) == is_launchable(prog, dev)
             assert batch_scores[i] == analyzer.score(prog)
 
+    def test_scores_match_without_tensorcores(self):
+        """k80 has no TensorCores: the batch path must not ask for their peak."""
+        dev = get_device("k80")
+        analyzer = SymbolBasedAnalyzer(dev)
+        for wl in (ops.matmul(256, 256, 256), ops.conv2d(1, 32, 28, 28, 64, 3)):
+            space, configs = _space_and_configs(wl, False)
+            scores = analyzer.score_batch(lower_batch(space, configs))
+            assert np.isfinite(scores).any()
+            assert scores.tolist() == [analyzer.score(lower(space, c)) for c in configs]
+
     def test_symbols_match(self, matmul_space):
         configs = random_population(matmul_space, make_rng(1), 30)
         batch = lower_batch(matmul_space, configs)

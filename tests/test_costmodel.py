@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.config import TrainConfig
+from repro.core.moa import MomentumAdapter
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel, make_labels
 from repro.costmodel.base import RandomModel
 from repro.errors import CostModelError
+from repro.features.dataflow import DATAFLOW_BLOCKS, DATAFLOW_DIM
+from repro.features.primitives import PRIMITIVE_DIM, PRIMITIVE_SEQ
+from repro.features.statement import STATEMENT_DIM
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
+from repro.nn.losses import pairwise_rank_accuracy
 from repro.schedule import generate_sketch, lower, random_config
+from repro.schedule.batch import CandidateBatch
 
 TRAIN = TrainConfig(epochs=15)
 
@@ -137,6 +146,142 @@ class TestNNModelSpecifics:
         model = RandomModel()
         assert model.fit(progs, lats, keys) == 0.5
         assert model.predict(progs[:5]).shape == (5,)
+
+
+#: Captured at the parent of the commit that fused the training kernels
+#: (composed-primitive forward/backward, per-tensor Adam) by running
+#: ``_golden_fit`` there; the file is data, not a wrapper of today's code.
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "nn_fit_golden.json"
+GOLDEN_ROWS = 48
+GOLDEN_MODELS = {
+    "pacm": (PaCM, (STATEMENT_DIM + DATAFLOW_BLOCKS * DATAFLOW_DIM,)),
+    "mlp": (TenSetMLP, (STATEMENT_DIM,)),
+    "tlp": (TLPModel, (PRIMITIVE_SEQ, PRIMITIVE_DIM)),
+}
+
+
+def _golden_fit(kind):
+    """Twelve optimizer steps on a fixed synthetic batch (no lowering involved)."""
+    cls, row_shape = GOLDEN_MODELS[kind]
+    model = cls(seed=3)
+    rng = make_rng(11)
+    features = rng.normal(size=(GOLDEN_ROWS, *row_shape))
+    latencies = np.exp(rng.normal(size=GOLDEN_ROWS))
+    latencies[5] = np.inf
+    keys = ["a"] * 24 + ["b"] * 24
+    progs = [None] * GOLDEN_ROWS
+    model.featurize = lambda _progs: features
+    accuracy = model.fit(
+        progs, latencies, keys, TrainConfig(epochs=3, batch_size=16), rng=make_rng(5)
+    )
+    params = model.get_params()
+    return {
+        "accuracy": accuracy,
+        "scores": model.predict(progs).tolist(),
+        "param_sums": {name: float(params[name].sum()) for name in sorted(params)},
+    }
+
+
+def _same_params(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+class TestTrainingPath:
+    """The fused kernels and the flat-buffer Adam behind ``NNCostModel.fit``."""
+
+    FIT = TrainConfig(epochs=2)
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
+    def test_fit_reproduces_frozen_golden(self, kind):
+        want = json.loads(GOLDEN_PATH.read_text())[kind]
+        got = _golden_fit(kind)
+        assert got["accuracy"] == want["accuracy"]
+        assert np.allclose(got["scores"], want["scores"], rtol=0, atol=1e-9)
+        assert got["param_sums"].keys() == want["param_sums"].keys()
+        for name, total in want["param_sums"].items():
+            assert abs(got["param_sums"][name] - total) < 1e-9, name
+
+    @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
+    def test_same_seed_fit_twice_is_identical(self, factory, training_data):
+        progs, lats, keys = training_data
+        runs = []
+        for _ in range(2):
+            model = factory(seed=2)
+            acc = model.fit(progs[:80], lats[:80], keys[:80], self.FIT, rng=make_rng(7))
+            runs.append((acc, model.get_params()))
+        assert runs[0][0] == runs[1][0]
+        assert _same_params(runs[0][1], runs[1][1])
+
+    def test_fit_featurizes_once_and_scores_what_predict_scores(self, training_data):
+        progs, lats, keys = training_data
+        model = PaCM(seed=0)
+        calls = []
+        featurize = model.featurize
+        model.featurize = lambda p: calls.append(len(p)) or featurize(p)
+        acc = model.fit(progs, lats, keys, self.FIT, rng=make_rng(0))
+        assert calls == [len(progs)]
+        labels, groups = make_labels(lats, keys)
+        assert acc == pairwise_rank_accuracy(model.predict(progs), labels, groups)
+
+    def test_set_params_between_fits_reaches_fit_and_predict_batch(self, training_data):
+        """The optimizer of the last fit must not keep serving stale views."""
+        progs, lats, keys = training_data
+        batch = CandidateBatch.from_programs(progs[:16])
+        a = PaCM(seed=0)
+        a.fit(progs, lats, keys, self.FIT, rng=make_rng(0))
+        snapshot = a.get_params()
+        at_snapshot = a.predict_batch(batch)
+        a.fit(progs, lats, keys, self.FIT, rng=make_rng(1))
+        assert not np.array_equal(a.predict_batch(batch), at_snapshot)
+        # the earlier snapshot is an independent copy ...
+        b = PaCM(seed=9)
+        b.set_params(snapshot)
+        assert np.array_equal(b.predict_batch(batch), at_snapshot)
+        # ... and loading it back is seen by inference and by the next fit
+        a.set_params(snapshot)
+        assert np.array_equal(a.predict_batch(batch), at_snapshot)
+        a.fit(progs, lats, keys, self.FIT, rng=make_rng(2))
+        b.fit(progs, lats, keys, self.FIT, rng=make_rng(2))
+        assert _same_params(a.get_params(), b.get_params())
+        assert np.array_equal(a.predict_batch(batch), b.predict_batch(batch))
+
+    def test_moa_update_between_fits(self, training_data):
+        """Load Param -> fine-tune -> momentum update, two rounds (Section 4.3)."""
+        progs, lats, keys = training_data
+        batch = CandidateBatch.from_programs(progs[:16])
+        model = PaCM(seed=0)
+        model.fit(progs, lats, keys, self.FIT, rng=make_rng(0))
+        adapter = MomentumAdapter.from_model(model, momentum=0.5)
+        for round_seed in (1, 2):
+            siamese = adapter.siamese_params
+            adapter.load_into(model)
+            assert _same_params(model.get_params(), siamese)
+            loaded = PaCM(seed=4)
+            loaded.set_params(siamese)
+            assert np.array_equal(model.predict_batch(batch), loaded.predict_batch(batch))
+            model.fit(progs, lats, keys, self.FIT, rng=make_rng(round_seed))
+            loaded.fit(progs, lats, keys, self.FIT, rng=make_rng(round_seed))
+            assert _same_params(model.get_params(), loaded.get_params())
+            adapter.update_from(model)
+            # the fold reads a copy: phi_s moved, the model did not
+            assert _same_params(model.get_params(), loaded.get_params())
+            assert adapter.drift(siamese) > 0
+
+    @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
+    def test_save_load_state_bit_exact_after_fit(self, factory, training_data):
+        progs, lats, keys = training_data
+        batch = CandidateBatch.from_programs(progs[:16])
+        model = factory(seed=0)
+        model.fit(progs[:80], lats[:80], keys[:80], self.FIT, rng=make_rng(0))
+        state = model.save_state()
+        saved = {k: v.copy() for k, v in state["params"].items()}
+        restored = factory(seed=6)
+        restored.load_state(state)
+        assert np.array_equal(restored.predict_batch(batch), model.predict_batch(batch))
+        # the state is a copy: training on does not reach into it
+        model.fit(progs[:80], lats[:80], keys[:80], self.FIT, rng=make_rng(1))
+        assert _same_params(state["params"], saved)
+        assert not _same_params(model.get_params(), saved)
 
 
 class TestGBDT:

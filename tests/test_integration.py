@@ -102,6 +102,12 @@ class TestDraftVerifyMechanics:
         )
         assert result.final_latency <= random_best * 1.05
 
+    def test_pruner_tunes_on_a_device_without_tensorcores(self):
+        """The draft model's batch path once asked k80 for its TensorCore peak."""
+        subs = [SubgraphTask(ops.matmul(256, 256, 256), 1)]
+        result = api.tune_subgraphs("pruner", subs, "k80", rounds=2, scale="smoke")
+        assert math.isfinite(result.final_latency) and result.total_trials > 0
+
     def test_tensorcore_integration(self):
         """Section 6.4: fp16 matmuls tune through the WMMA template."""
         subs = [SubgraphTask(ops.matmul(128, 768, 768, dtype="float16"), 2)]

@@ -168,6 +168,26 @@ class TestTaskScheduler:
         sched.notify(t0, records)
         assert sched.select(records).key == two_tasks[1].key
 
+    def test_warmup_skips_a_task_the_seeded_log_covers(self, two_tasks, rng):
+        """A chain of one-round warm-started jobs must reach the second task."""
+        t0, t1 = two_tasks
+        records = RecordLog()
+        prog = lower(t0.space, random_config(t0.space, rng))
+        records.add(TuningRecord(t0.key, prog, 1e-3, 0.0, 0))
+        assert GradientTaskScheduler(two_tasks).select(records).key == t1.key
+
+    def test_warmup_follows_task_order_on_an_empty_log(self, two_tasks, rng):
+        sched = GradientTaskScheduler(two_tasks)
+        records = RecordLog()
+        picked = []
+        for _ in two_tasks:
+            task = sched.select(records)
+            picked.append(task.key)
+            prog = lower(task.space, random_config(task.space, rng))
+            records.add(TuningRecord(task.key, prog, 1e-3, 0.0, 0))
+            sched.notify(task, records)
+        assert picked == [t.key for t in two_tasks]
+
     def test_empty_tasks_rejected(self):
         with pytest.raises(ValueError):
             GradientTaskScheduler([])
