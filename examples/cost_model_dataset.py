@@ -20,7 +20,7 @@ from repro.experiments.common import get_scale
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower
+from repro.schedule import generate_sketch, lower_batch
 
 
 def main() -> None:
@@ -64,7 +64,7 @@ def main() -> None:
     for key, entries in test_set.by_task().items():
         space = generate_sketch(entries[0].prog.workload)
         result = lse.explore(space, make_rng(1))
-        spec_lat[key] = [sim.latency(lower(space, c)) for c in result.spec]
+        spec_lat[key] = sim.latency_batch(lower_batch(space, result.spec)).tolist()
         pool_best = min(e.latency for e in entries if math.isfinite(e.latency))
         spec_best = min(l for l in spec_lat[key] if math.isfinite(l))
         optimal[key] = min(pool_best, spec_best)

@@ -14,9 +14,9 @@ learned cost model later verifies.
 The whole loop is batched: the population lives as a
 :class:`~repro.schedule.batch.ConfigBatch` factor tensor, one
 generation is ``lower_batch`` + ``score_batch`` + array-level
-selection/crossover/mutation, and S_spec is maintained as parallel
-arrays — :class:`~repro.schedule.space.ScheduleConfig` objects are only
-materialized for the final drafted set.
+selection/crossover/mutation, and S_spec is maintained — and handed to
+the verify stage — as parallel arrays; the draft never materializes a
+:class:`~repro.schedule.space.ScheduleConfig`.
 """
 
 from __future__ import annotations
@@ -37,17 +37,15 @@ from repro.schedule.space import ScheduleConfig, ScheduleSpace
 class LSEResult:
     """Outcome of one LSE run.
 
-    ``spec`` is sorted best-first by draft-model fitness; ``n_evals``
-    counts Symbol-based-Analyzer evaluations (for time accounting).
+    ``spec`` is the drafted set as arrays, ranked best-first by
+    draft-model fitness, and ``scores`` the fitness of each of its
+    rows; ``n_evals`` counts Symbol-based-Analyzer evaluations (for
+    time accounting).
     """
 
-    spec: list[ScheduleConfig]
-    fitness: dict[str, float] = field(default_factory=dict)
+    spec: ConfigBatch
+    scores: np.ndarray
     n_evals: int = 0
-
-    def top(self, k: int) -> list[ScheduleConfig]:
-        """Best ``k`` drafted schedules."""
-        return self.spec[:k]
 
 
 @dataclass
@@ -128,17 +126,10 @@ class LatentScheduleExplorer:
         n_evals += len(population)
         spec.merge(population, scores, cfg.spec_size)
 
-        if spec.batch is None:
-            return LSEResult(spec=[], fitness={}, n_evals=n_evals)
+        if spec.batch is None:  # nothing launchable was ever drafted
+            return LSEResult(population.take(np.empty(0, np.int64)), spec.scores, n_evals)
         order = np.argsort(-spec.scores, kind="stable")
-        ranked = spec.batch.take(order)
-        ranked_scores = spec.scores[order]
-        configs = ranked.configs()
-        return LSEResult(
-            spec=configs,
-            fitness={c.key: float(s) for c, s in zip(configs, ranked_scores)},
-            n_evals=n_evals,
-        )
+        return LSEResult(spec.batch.take(order), spec.scores[order], n_evals)
 
     # ------------------------------------------------------------------
     def _evaluate(self, space: ScheduleSpace, population: ConfigBatch) -> np.ndarray:

@@ -16,6 +16,7 @@ from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.partition import dedupe_tasks
 from repro.rng import make_rng, rng_for
+from repro.schedule.batch import lower_batch
 from repro.schedule.lower import lower
 from repro.schedule.sketch import generate_sketch
 from repro.workloads import network_tasks
@@ -62,9 +63,9 @@ def _spec_latencies(
     for sub in subgraphs:
         space = generate_sketch(sub.workload)
         result = lse.explore(space, rng_for("lse-exp", sub.workload.key, seed))
-        spec_lat[sub.workload.key] = [
-            sim.latency(lower(space, c)) for c in result.spec
-        ]
+        spec_lat[sub.workload.key] = sim.latency_batch(
+            lower_batch(space, result.spec)
+        ).tolist()
     return spec_lat
 
 

@@ -1,10 +1,11 @@
-"""Single feature-row cache keyed on (schedule space, config key).
+"""Single feature-row cache keyed on (schedule space, config row).
 
 All feature kinds (statement / dataflow / primitives) share one bounded
-store: per space, per config, per kind, one encoded row.  Replaces the
-three per-program ``lru_cache`` memos that grew without bound across
-tasks; the cache registers a clear hook with :mod:`repro.cache` so the
-tuning service can drop it between jobs.
+store: per space, per config row (``ConfigBatch.row_keys()`` bytes, the
+identity the lowering memo uses too), per kind, one encoded row.
+Replaces the three per-program ``lru_cache`` memos that grew without
+bound across tasks; the cache registers a clear hook with
+:mod:`repro.cache` so the tuning service can drop it between jobs.
 
 The batch encoders consult it through :meth:`FeatureRowCache.fetch`,
 which computes only the missing rows (vectorized) and fills the rest
@@ -28,12 +29,12 @@ DEFAULT_CAPACITY = 1 << 16
 
 
 class FeatureRowCache:
-    """Bounded (space, config key) -> feature-row store, FIFO eviction."""
+    """Bounded (space, config row) -> feature-row store, FIFO eviction."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         self.capacity = capacity
         self._spaces: OrderedDict[
-            ScheduleSpace, OrderedDict[tuple[str, str], np.ndarray]
+            ScheduleSpace, OrderedDict[tuple[str, bytes], np.ndarray]
         ] = OrderedDict()
         self._count = 0
         self._lock = threading.Lock()
@@ -72,7 +73,7 @@ class FeatureRowCache:
         self,
         space: ScheduleSpace,
         kind: str,
-        keys: list[str],
+        keys: list[bytes],
         compute: Callable[[np.ndarray], np.ndarray],
     ) -> np.ndarray:
         """Rows for ``keys`` (in order), computing only the missing ones.

@@ -96,7 +96,7 @@ def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     return FEATURE_ROWS.fetch(
         batch.configs.space,
         "dataflow",
-        batch.keys(),
+        batch.row_keys(),
         lambda missing: _encode(batch.take(missing)),
     )
 

@@ -108,7 +108,7 @@ def primitive_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     return FEATURE_ROWS.fetch(
         cb.space,
         "primitives",
-        batch.keys(),
+        batch.row_keys(),
         lambda missing: _encode_batch(batch.take(missing)),
     )
 

@@ -104,7 +104,7 @@ def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
     return FEATURE_ROWS.fetch(
         batch.configs.space,
         "statement",
-        batch.keys(),
+        batch.row_keys(),
         lambda missing: _encode(batch.take(missing)),
     )
 

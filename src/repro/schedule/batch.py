@@ -184,12 +184,14 @@ class ConfigBatch:
 
     ``factors`` has shape ``(N, n_axes, MAX_PARTS)`` (axis order =
     ``space.splits``, unused part slots padded with 1) and ``unroll`` /
-    ``vector`` / ``splitk`` are ``(N,)`` int vectors.  Materializing
+    ``vector`` / ``splitk`` are ``(N,)`` int vectors.  A candidate's
+    identity on the hot path is the raw bytes of its row
+    (:meth:`row_keys`); materializing
     :class:`~repro.schedule.space.ScheduleConfig` objects is lazy and
     cached — the GA never needs them; only selected candidates do.
     """
 
-    __slots__ = ("space", "factors", "unroll", "vector", "splitk", "_configs", "_keys")
+    __slots__ = ("space", "factors", "unroll", "vector", "splitk", "_configs", "_row_keys")
 
     def __init__(
         self,
@@ -204,15 +206,22 @@ class ConfigBatch:
         self.unroll = unroll
         self.vector = vector
         self.splitk = splitk
-        self._configs: list[ScheduleConfig | None] = [None] * len(unroll)
-        self._keys: list[str] | None = None
+        # None until a config is materialized, so views of batches that
+        # never were (every GA generation) build no per-row lists
+        self._configs: list[ScheduleConfig | None] | None = None
+        self._row_keys: list[bytes] | None = None
 
     # -- construction --------------------------------------------------
     @classmethod
     def from_configs(
         cls, space: ScheduleSpace, configs: list[ScheduleConfig]
     ) -> "ConfigBatch":
-        """Pack config objects into arrays (validating factor counts)."""
+        """Pack config objects into arrays (validating factor counts).
+
+        The objects themselves are not kept: measured seeds join every
+        GA population, and a batch that holds configs makes each view
+        taken of it carry a per-row list.
+        """
         plan = space_plan(space)
         n = len(configs)
         factors = np.ones((n, plan.n_axes, MAX_PARTS), dtype=_I64)
@@ -237,9 +246,7 @@ class ConfigBatch:
             unroll[i] = cfg.unroll
             vector[i] = cfg.vector
             splitk[i] = cfg.splitk
-        batch = cls(space, factors, unroll, vector, splitk)
-        batch._configs = list(configs)
-        return batch
+        return cls(space, factors, unroll, vector, splitk)
 
     @classmethod
     def concat(cls, batches: list["ConfigBatch"]) -> "ConfigBatch":
@@ -254,7 +261,10 @@ class ConfigBatch:
             np.concatenate([b.vector for b in batches]),
             np.concatenate([b.splitk for b in batches]),
         )
-        out._configs = [c for b in batches for c in b._configs]
+        if any(b._configs is not None for b in batches):
+            out._configs = [
+                c for b in batches for c in (b._configs or [None] * len(b))
+            ]
         return out
 
     # -- views ---------------------------------------------------------
@@ -273,7 +283,8 @@ class ConfigBatch:
             self.vector[idx],
             self.splitk[idx],
         )
-        out._configs = [self._configs[int(i)] for i in idx]
+        if self._configs is not None:
+            out._configs = [self._configs[i] for i in idx.tolist()]
         return out
 
     def slice(self, start: int, stop: int) -> "ConfigBatch":
@@ -285,7 +296,8 @@ class ConfigBatch:
             self.vector[start:stop],
             self.splitk[start:stop],
         )
-        out._configs = self._configs[start:stop]
+        if self._configs is not None:
+            out._configs = self._configs[start:stop]
         return out
 
     def row_ids(self) -> np.ndarray:
@@ -293,7 +305,7 @@ class ConfigBatch:
         n = len(self)
         flat = np.concatenate(
             [
-                self.factors.reshape(n, -1),
+                self.factors.reshape(n, math.prod(self.factors.shape[1:])),
                 self.unroll[:, None],
                 self.vector[:, None],
                 self.splitk[:, None],
@@ -302,6 +314,22 @@ class ConfigBatch:
         )
         flat = np.ascontiguousarray(flat)
         return flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1])))[:, 0]
+
+    def row_keys(self) -> list[bytes]:
+        """The candidate identity: each row's :meth:`row_ids` bytes (cached).
+
+        Hashable where the void scalars are not, and one-to-one with
+        :attr:`ScheduleConfig.key` *within a space* (padding slots are
+        always 1) — so everything keyed on it stays keyed per space.
+        """
+        if self._row_keys is None:
+            ids = self.row_ids()
+            width = ids.dtype.itemsize
+            buf = ids.tobytes()
+            self._row_keys = [
+                buf[at : at + width] for at in range(0, len(buf), width)
+            ]
+        return self._row_keys
 
     def unique(self) -> "ConfigBatch":
         """Deduplicate, keeping the first occurrence of each candidate."""
@@ -315,6 +343,8 @@ class ConfigBatch:
 
     def config(self, i: int) -> ScheduleConfig:
         """Materialize the i-th :class:`ScheduleConfig` (cached)."""
+        if self._configs is None:
+            self._configs = [None] * len(self)
         cached = self._configs[i]
         if cached is not None:
             return cached
@@ -335,31 +365,6 @@ class ConfigBatch:
     def configs(self) -> list[ScheduleConfig]:
         """Materialize every config (cached)."""
         return [self.config(i) for i in range(len(self))]
-
-    def keys(self) -> list[str]:
-        """Stable identity strings of every candidate (cached).
-
-        Built straight from the factor arrays — format-identical to
-        :attr:`ScheduleConfig.key` but without materializing config
-        objects for the whole batch.
-        """
-        if self._keys is None:
-            plan = space_plan(self.space)
-            layout = [
-                (plan.axes[a], int(a), int(plan.parts[a]))
-                for a in plan.sorted_axis_order
-            ]
-            keys = []
-            for i in range(len(self)):
-                tiles = ";".join(
-                    f"{name}:{'x'.join(map(str, self.factors[i, a, :parts]))}"
-                    for name, a, parts in layout
-                )
-                keys.append(
-                    f"{tiles}|u{self.unroll[i]}|v{self.vector[i]}|s{self.splitk[i]}"
-                )
-            self._keys = keys
-        return self._keys
 
 
 def validate_batch(space: ScheduleSpace, batch: ConfigBatch) -> None:
@@ -483,12 +488,10 @@ class CandidateBatch:
         """Shared memory per block in bytes, per candidate."""
         return self.smem_elems * self.dtype_bytes
 
-    def keys(self) -> list[str]:
-        """Per-candidate schedule-config identity strings."""
-        if self.configs is not None:
-            return self.configs.keys()
-        assert self.programs is not None
-        return [p.config.key for p in self.programs]
+    def row_keys(self) -> list[bytes]:
+        """Per-candidate identity bytes (the ``lower_batch`` path only)."""
+        assert self.configs is not None
+        return self.configs.row_keys()
 
     def program(self, i: int) -> LoweredProgram:
         """Materialize one candidate as a scalar :class:`LoweredProgram`."""

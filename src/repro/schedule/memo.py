@@ -10,9 +10,10 @@ gathers the hits with one vectorized ``take`` and lowers only the
 missing rows, so a warm round's verify stage does strictly less
 lowering work than a cold one.
 
-Row identity is the raw factor/annotation bytes of the config row (the
-same identity :meth:`ConfigBatch.row_ids` hashes for dedup) — no string
-keys, no config materialization.  The cache is bounded (FIFO over
+Row identity is :meth:`ConfigBatch.row_keys` — the raw factor/annotation
+bytes of the config row, the one candidate identity the feature cache
+and measurement selection share — no string keys, no config
+materialization.  The cache is bounded (FIFO over
 spaces, like :class:`~repro.features.cache.FeatureRowCache`) and
 registers clear + capacity hooks with :mod:`repro.cache`, so the
 service/serve layers can drop or re-size it between jobs.
@@ -32,14 +33,6 @@ from repro.schedule.space import ScheduleConfig, ScheduleSpace
 
 #: Maximum cached rows across all spaces.
 DEFAULT_CAPACITY = 1 << 16
-
-
-def _row_keys(configs: ConfigBatch) -> list[bytes]:
-    """Per-row identity bytes (hashable; ``row_ids`` void scalars are not)."""
-    ids = configs.row_ids()
-    width = ids.dtype.itemsize
-    buf = ids.tobytes()
-    return [buf[i * width : (i + 1) * width] for i in range(len(configs))]
 
 
 @dataclass
@@ -107,7 +100,7 @@ class LoweredRowCache:
         n = len(configs)
         if n == 0:
             return lower_batch(space, configs)
-        keys = _row_keys(configs)
+        keys = configs.row_keys()
         with self._lock:
             arena = self._spaces.get(space)
             if arena is None:

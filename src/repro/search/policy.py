@@ -101,12 +101,16 @@ class SearchPolicy(ABC):
 
     def _select_indices(
         self,
-        keys: list[str],
+        keys: list[bytes],
         scores: np.ndarray,
         records: RecordLog,
         rng: np.random.Generator,
     ) -> list[int]:
         """Pick measurement-batch indices: greedy top + epsilon random.
+
+        ``keys`` are the candidates' ``row_keys()``; rows that repeat in
+        the batch or that ``records`` already holds for this task are
+        never picked.
 
         With ``eps_greedy > 0`` exploration never silently shuts off:
         small measurement rounds used to round the epsilon share down
@@ -125,25 +129,24 @@ class SearchPolicy(ABC):
             n_random = max(0, int(round(k * eps)))
             if eps > 0 and n_random == 0:
                 n_random = 1
-        order = np.argsort(-np.asarray(scores))
+        measured = records.measured_rows(self.task.key, self.task.space)
         picked: list[int] = []
-        seen: set[str] = set()
-        for i in order:
+        seen: set[bytes] = set()
+        for i in np.argsort(-np.asarray(scores)).tolist():
             # bound checked before appending: with n_random == k (the
             # k == 1 exploratory round) no greedy pick may leak in
             if len(picked) >= k - n_random:
                 break
-            key = keys[int(i)]
-            if key in seen or records.already_measured(self.task.key, key):
+            key = keys[i]
+            if key in seen or key in measured:
                 continue
             seen.add(key)
-            picked.append(int(i))
+            picked.append(i)
         if n_random:
             pool = [
                 i
                 for i, key in enumerate(keys)
-                if key not in seen
-                and not records.already_measured(self.task.key, key)
+                if key not in seen and key not in measured
             ]
             if pool:
                 extra = rng.choice(len(pool), size=min(n_random, len(pool)), replace=False)
@@ -158,21 +161,10 @@ class SearchPolicy(ABC):
         rng: np.random.Generator,
     ) -> CandidateBatch | None:
         """Array-native selection: the picked rows as a sub-batch."""
-        picked = self._select_indices(batch.keys(), scores, records, rng)
+        picked = self._select_indices(batch.row_keys(), scores, records, rng)
         if not picked:
             return None
         return batch.take(np.array(picked, dtype=np.int64))
-
-    def _select_top(
-        self,
-        batch: CandidateBatch | ConfigBatch,
-        scores: np.ndarray,
-        records: RecordLog,
-        rng: np.random.Generator,
-    ) -> list[LoweredProgram]:
-        """Scalar selection view (kept for callers that want programs)."""
-        picked = self._select_indices(batch.keys(), scores, records, rng)
-        return [batch.program(i) for i in picked]
 
     def _seeded_population(
         self, records: RecordLog, rng: np.random.Generator
@@ -247,11 +239,11 @@ class AnsorPolicy(SearchPolicy):
         pooled, scores = pooled.take(first), scores[first]
         order = np.argsort(-scores, kind="stable")
         # Every pooled candidate already passed the launchability mask;
-        # selection only needs keys, so the ConfigBatch is enough.  The
+        # selection only needs row keys, so the ConfigBatch is enough.  The
         # picked rows re-lower through the memo — pure arena hits, since
         # each was lowered in a GA generation above.
         ranked = pooled.take(order)
-        picked = self._select_indices(ranked.keys(), scores[order], records, rng)
+        picked = self._select_indices(ranked.row_keys(), scores[order], records, rng)
         if not picked:
             return None
         return lower_batch_memo(

@@ -15,8 +15,11 @@ The inference reduction is charged on the simulated clock, which is
 where the paper's compilation-time savings (Tables 1 and 7) come from.
 
 Both stages run on the batched pipeline: the draft GA operates on
-factor tensors end to end, and the verify stage is one
-``lower_batch`` + ``predict_batch`` call over the drafted set.
+factor tensors end to end and hands S_spec over as a
+:class:`~repro.schedule.batch.ConfigBatch`, and the verify stage is one
+``lower_batch`` + ``predict_batch`` call over the drafted set.  Rows
+are told apart by their bytes (``row_keys()``); config objects exist
+only for the rows the caller turns into records.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class PrunerPolicy(SearchPolicy):
         self.clock.charge_sa(result.n_evals)
 
         parts: list[ConfigBatch] = []
-        if result.spec:
-            parts.append(ConfigBatch.from_configs(space, result.spec))
+        if len(result.spec):
+            parts.append(result.spec)
         n_random = int(round(self.search.random_fraction * self.search.spec_size))
         if n_random:
             parts.append(random_batch(space, rng, n_random))
@@ -80,9 +83,8 @@ class PrunerPolicy(SearchPolicy):
         if len(records) == 0:
             # Cold start (pure online mode): the learned model is not
             # yet trained — rank by draft-model fitness.
-            scores = np.array(
-                [result.fitness.get(key, -1e18) for key in draft.keys()]
-            )
+            fitness = dict(zip(result.spec.row_keys(), result.scores.tolist()))
+            scores = np.array([fitness.get(key, -1e18) for key in draft.row_keys()])
         else:
             self.clock.charge_inference(
                 self.model.feature_kind, self.model.kind, len(draft)

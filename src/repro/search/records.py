@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from repro.schedule.batch import ConfigBatch
 from repro.schedule.lower import LoweredProgram, lower
 from repro.schedule.space import ScheduleConfig, ScheduleSpace
 
@@ -88,15 +90,16 @@ class RecordLog:
     def __init__(self) -> None:
         self._records: list[TuningRecord] = []
         self._best: dict[str, TuningRecord] = {}
-        self._measured_keys: dict[str, set[str]] = {}
+        # task key -> config key -> config, in first-measured order
+        self._measured: dict[str, dict[str, ScheduleConfig]] = {}
+        self._measured_rows: dict[str, set[bytes]] = {}
 
     # ------------------------------------------------------------------
     def add(self, record: TuningRecord) -> None:
         """Record one trial and update per-task bests."""
         self._records.append(record)
-        self._measured_keys.setdefault(record.task_key, set()).add(
-            record.prog.config.key
-        )
+        config = record.prog.config
+        self._measured.setdefault(record.task_key, {}).setdefault(config.key, config)
         best = self._best.get(record.task_key)
         if math.isfinite(record.latency) and (
             best is None or record.latency < best.latency
@@ -158,11 +161,27 @@ class RecordLog:
         return out
 
     def already_measured(self, task_key: str, config_key: str) -> bool:
-        return config_key in self._measured_keys.get(task_key, set())
+        return config_key in self._measured.get(task_key, ())
+
+    def measured_rows(self, task_key: str, space: ScheduleSpace) -> set[bytes]:
+        """Row identities of every config measured for a task (do not mutate).
+
+        The :meth:`ConfigBatch.row_keys` form of :meth:`already_measured`,
+        for selection over whole drafted batches; ``space`` is the task's.
+        Configs logged since the last call — by :meth:`add` or
+        :meth:`seed_from` alike — are packed then, so a round pays for
+        its own ``measure_per_round`` records only.
+        """
+        rows = self._measured_rows.setdefault(task_key, set())
+        configs = self._measured.get(task_key, ())
+        if len(rows) < len(configs):
+            fresh = list(islice(configs.values(), len(rows), None))
+            rows.update(ConfigBatch.from_configs(space, fresh).row_keys())
+        return rows
 
     def trials(self, task_key: str) -> int:
         """Number of trials spent on a task."""
-        return len(self._measured_keys.get(task_key, set()))
+        return len(self._measured.get(task_key, ()))
 
     # ------------------------------------------------------------------
     def training_data(

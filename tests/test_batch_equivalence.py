@@ -195,11 +195,6 @@ class TestFeatureBatch:
                 rows[i], primitive_features(lower(space, cfg))
             )
 
-    def test_batch_keys_match_config_keys(self, matmul_space):
-        """Array-built keys are format-identical to ScheduleConfig.key."""
-        batch = random_batch(matmul_space, make_rng(40), 32)
-        assert batch.keys() == [c.key for c in batch.configs()]
-
     def test_feature_cache_counts_duplicates_once(self, matmul_space):
         from repro.features.cache import FEATURE_ROWS
 
@@ -293,14 +288,14 @@ class TestGAOperatorProperties:
 
     def test_random_batch_unique_and_valid(self, matmul_space):
         batch = random_batch(matmul_space, make_rng(16), 64)
-        keys = batch.keys()
+        keys = batch.row_keys()
         assert len(keys) == len(set(keys)) == 64
         for cfg in batch.configs():
             matmul_space.validate(cfg)
 
     def test_sampling_deterministic(self, matmul_space):
-        a = random_batch(matmul_space, make_rng(17), 32).keys()
-        b = random_batch(matmul_space, make_rng(17), 32).keys()
+        a = random_batch(matmul_space, make_rng(17), 32).row_keys()
+        b = random_batch(matmul_space, make_rng(17), 32).row_keys()
         assert a == b
 
 
@@ -321,8 +316,10 @@ class TestPolicyEquivalence:
         """Same drafted set -> same predictions -> same measured batch.
 
         The mirror repeats the verify stage with the *scalar* entry
-        points (per-program lower / predict / select) on an identical
-        RNG stream; proposals and clock charges must agree exactly.
+        points (per-program lower / predict / select by
+        ``ScheduleConfig.key``, where the policy selects by row bytes)
+        on an identical RNG stream; proposals and clock charges must
+        agree exactly.
         """
         search = SearchConfig(population=32, ga_steps=2, spec_size=24, measure_per_round=6)
         task = self._task(device)
@@ -343,7 +340,7 @@ class TestPolicyEquivalence:
         result = policy.explorer.explore(task.space, rng, seeds=seeds)
         mirror_clock = SimClock()
         mirror_clock.charge_sa(result.n_evals)
-        draft_configs = list(result.spec)
+        draft_configs = result.spec.configs()
         n_random = int(round(search.random_fraction * search.spec_size))
         draft_configs += random_population(task.space, rng, n_random)
         progs = [lower(task.space, c) for c in draft_configs]
@@ -389,6 +386,16 @@ class TestPolicyEquivalence:
         assert runs[0] == runs[1]
 
 
+def _select_top(policy, batch, scores, records, rng):
+    """The picked rows of ``_select_top_batch`` as scalar programs."""
+    picked = policy._select_top_batch(batch, scores, records, rng)
+    return [] if picked is None else [picked.program(i) for i in range(len(picked))]
+
+
+def _config_keys(batch):
+    return [c.key for c in batch.configs.configs()]
+
+
 class TestSelectTopEpsilon:
     def test_small_rounds_keep_one_random_slot(self, a100):
         """eps_greedy > 0 must never round down to zero exploration."""
@@ -403,9 +410,9 @@ class TestSelectTopEpsilon:
         scores = np.arange(len(batch), dtype=float)
         records = RecordLog()
         rng_fixed = make_rng(21)
-        picked = policy._select_top(batch, scores, records, rng_fixed)
+        picked = _select_top(policy, batch, scores, records, rng_fixed)
         assert len(picked) == 4
-        keys = batch.keys()
+        keys = _config_keys(batch)
         by_score = [keys[i] for i in np.argsort(-scores)[:4]]
         picked_keys = [p.config.key for p in picked]
         # one slot went to a random (non-greedy) candidate
@@ -421,8 +428,8 @@ class TestSelectTopEpsilon:
         configs = random_population(task.space, make_rng(22), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
-        picked = policy._select_top(batch, scores, RecordLog(), make_rng(23))
-        keys = batch.keys()
+        picked = _select_top(policy, batch, scores, RecordLog(), make_rng(23))
+        keys = _config_keys(batch)
         assert [p.config.key for p in picked] == [
             keys[i] for i in np.argsort(-scores)[:4]
         ]
@@ -440,11 +447,11 @@ class TestSelectTopEpsilon:
         configs = random_population(task.space, make_rng(24), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
-        keys = batch.keys()
+        keys = _config_keys(batch)
         greedy_top = keys[int(np.argsort(-scores)[0])]
         picks = []
         for seed in range(60):
-            picked = policy._select_top(batch, scores, RecordLog(), make_rng(seed))
+            picked = _select_top(policy, batch, scores, RecordLog(), make_rng(seed))
             assert len(picked) == 1
             picks.append(picked[0].config.key)
         explored = sum(1 for key in picks if key != greedy_top)
@@ -465,10 +472,10 @@ class TestSelectTopEpsilon:
         configs = random_population(task.space, make_rng(26), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
-        keys = batch.keys()
+        keys = _config_keys(batch)
         greedy_top = keys[int(np.argsort(-scores)[0])]
         greedy_picks = sum(
-            policy._select_top(batch, scores, RecordLog(), make_rng(seed))[0].config.key
+            _select_top(policy, batch, scores, RecordLog(), make_rng(seed))[0].config.key
             == greedy_top
             for seed in range(60)
         )
@@ -487,10 +494,10 @@ class TestSelectTopEpsilon:
         configs = random_population(task.space, make_rng(25), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
-        keys = batch.keys()
+        keys = _config_keys(batch)
         greedy_top = keys[int(np.argsort(-scores)[0])]
         picks = {
-            policy._select_top(batch, scores, RecordLog(), make_rng(seed))[0].config.key
+            _select_top(policy, batch, scores, RecordLog(), make_rng(seed))[0].config.key
             for seed in range(20)
         }
         assert len(picks) > 1  # actually random across rngs

@@ -14,7 +14,7 @@ from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower, random_config
+from repro.schedule import generate_sketch, lower, lower_batch, random_config
 from repro.schedule.space import ScheduleConfig
 
 
@@ -83,15 +83,28 @@ class TestLSE:
         wl = ops.matmul(256, 256, 256)
         _, _, lse = self._setup(wl)
         res = lse.explore(generate_sketch(wl), make_rng(0))
-        scores = [res.fitness[c.key] for c in res.spec]
+        scores = res.scores.tolist()
+        assert len(scores) == len(res.spec)
         assert scores == sorted(scores, reverse=True)
+        # each row carries the analyzer's own score of that candidate
+        space = generate_sketch(wl)
+        assert scores == lse.analyzer.score_batch(lower_batch(space, res.spec)).tolist()
 
     def test_spec_contains_only_launchable(self):
         wl = ops.matmul(256, 256, 256)
         dev, _, lse = self._setup(wl)
         space = generate_sketch(wl)
         res = lse.explore(space, make_rng(1))
-        assert all(is_launchable(lower(space, c), dev) for c in res.spec)
+        assert all(is_launchable(lower(space, c), dev) for c in res.spec.configs())
+
+    def test_nothing_launchable_drafts_an_empty_batch(self):
+        wl = ops.matmul(256, 256, 256)
+        _, sa, lse = self._setup(wl, population=16, steps=1)
+        sa.score_batch = lambda batch: np.full(len(batch), -math.inf)
+        res = lse.explore(generate_sketch(wl), make_rng(0))
+        assert len(res.spec) == 0 and len(res.scores) == 0
+        assert res.spec.row_keys() == []
+        assert res.n_evals == 16 * 2
 
     def test_evals_counted(self):
         wl = ops.matmul(256, 256, 256)
@@ -106,7 +119,7 @@ class TestLSE:
         space = generate_sketch(wl)
         sim = GroundTruthSimulator(dev)
         res = lse.explore(space, make_rng(2))
-        best_spec = min(sim.latency(lower(space, c)) for c in res.spec)
+        best_spec = sim.latency_batch(lower_batch(space, res.spec)).min()
         rng = make_rng(3)
         best_rand = min(
             sim.latency(lower(space, random_config(space, rng))) for _ in range(512)
@@ -119,4 +132,5 @@ class TestLSE:
         space = generate_sketch(wl)
         a = lse.explore(space, make_rng(9))
         b = lse.explore(space, make_rng(9))
-        assert [c.key for c in a.spec] == [c.key for c in b.spec]
+        assert a.spec.row_keys() == b.spec.row_keys()
+        assert a.scores.tolist() == b.scores.tolist()

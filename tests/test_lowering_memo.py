@@ -65,9 +65,15 @@ def _space(wl, tc):
     return generate_sketch(wl, tensorcore=tc, allow_splitk=tc)
 
 
+def _config_keys(batch: CandidateBatch) -> list[str]:
+    if batch.configs is not None:
+        return [c.key for c in batch.configs.configs()]
+    return [p.config.key for p in batch.programs]
+
+
 def _assert_rows_equal(got: CandidateBatch, want: CandidateBatch, device="a100"):
     """Row-for-row equality: keys, packed fields, simulated outcome."""
-    assert got.keys() == want.keys()
+    assert _config_keys(got) == _config_keys(want)
     for name in _ROW_FIELDS:
         np.testing.assert_array_equal(
             getattr(got, name), getattr(want, name), err_msg=name
@@ -207,7 +213,8 @@ class TestBatchPlumbing:
         parts = [configs.slice(0, 7), configs.slice(7, 16), configs.slice(16, 20)]
         assert sum(len(p) for p in parts) == 20
         rejoined = ConfigBatch.concat(parts)
-        assert rejoined.keys() == configs.keys()
+        assert rejoined.row_keys() == configs.row_keys()
+        assert rejoined.configs() == configs.configs()
 
     @pytest.mark.parametrize("wl,tc", WORKLOADS)
     def test_candidate_concat_matches_whole(self, wl, tc):

@@ -189,7 +189,7 @@ class TestMeasureBatch:
         )
         assert [r.latency for r in scalar] == batched.latency.tolist()
         assert [r.valid for r in scalar] == batched.valid.tolist()
-        assert [r.prog.config.key for r in scalar] == batched.batch.keys()
+        assert [r.prog.config for r in scalar] == batched.batch.configs.configs()
         np.testing.assert_array_equal(
             batched.throughput(), [r.throughput for r in scalar]
         )

@@ -339,7 +339,7 @@ class TestFeatureCacheAccounting:
         space = generate_sketch(ops.matmul(64, 64, 64))
         cache = FeatureRowCache(capacity=100)
         batch = random_batch(space, make_rng(0), 10)
-        keys = batch.keys()
+        keys = batch.row_keys()
         cache.fetch(space, "stmt", keys, lambda idx: np.zeros((len(idx), 3)))
         stats = cache.stats()
         assert stats == {
