@@ -378,7 +378,10 @@ def run(quick: bool) -> dict:
             for p in (lower(task.space, c) for c in verify_configs)
             if is_launchable(p, task.device)
         ]
-        model.predict(kept)
+        # per-program feature extraction, then one forward pass — the
+        # scalar reference stays one object at a time now that
+        # model.predict packs and encodes its whole list at once
+        model._forward(np.concatenate([model.featurize([p]) for p in kept]))
         return len(kept)
 
     batched_verify()  # warm

@@ -29,7 +29,7 @@ class Finding:
 
     ``path`` is a posix-style path relative to the scan root's parent
     (``repro/obs/registry.py`` when scanning ``src/repro``), ``symbol``
-    the dotted enclosing context (``FeatureRowCache.__len__``) when the
+    the dotted enclosing context (``RowCache.__len__``) when the
     rule knows it.
     """
 

@@ -30,9 +30,7 @@ from repro.analysis.findings import ERROR, Finding
 from repro.analysis.manifest import Manifest
 
 _GENERIC_RAISES = frozenset({"Exception", "BaseException", "RuntimeError"})
-_REGISTER_FNS = frozenset(
-    {"register_cache", "register_lru", "register_bounded", "register_stats"}
-)
+_REGISTER_FNS = frozenset({"register_cache", "register_lru"})
 
 
 def _exception_names(handler_type: ast.expr | None) -> list[str]:
@@ -213,7 +211,7 @@ def _check_caches(module: ModuleInfo, findings: list[Finding]) -> None:
                         message=(
                             f"module-level cache instance {target.id!r} "
                             f"({ctor_name}) is not registered with "
-                            "repro.cache (register_bounded/register_cache)"
+                            "repro.cache (register_cache)"
                         ),
                         symbol=target.id,
                         severity=ERROR,

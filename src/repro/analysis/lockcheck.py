@@ -3,7 +3,7 @@
 Enable with ``pytest -p repro.analysis.lockcheck``.  At configure time
 the plugin wraps every lock the analysis manifest declares — class lock
 attributes (via an ``__init__`` hook, plus the already-constructed
-process-wide instances like ``obs.METRICS`` and the bounded caches) and
+process-wide instances like ``obs.METRICS`` and the two row caches) and
 the module-global locks — in a :class:`_TrackingLock` that records, per
 thread, which tracked locks are held whenever another is acquired.
 

@@ -182,36 +182,11 @@ DEFAULT_MANIFEST = Manifest(
             },
         ),
         SharedClass(
-            module="repro/features/cache.py",
-            name="FeatureRowCache",
-            node="features.cache.FeatureRowCache",
-            locks={
-                "_lock": (
-                    "_spaces",
-                    "_count",
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "capacity",
-                )
-            },
-            helpers={"_evict": "_lock"},
-        ),
-        SharedClass(
-            module="repro/schedule/memo.py",
-            name="LoweredRowCache",
-            node="schedule.memo.LoweredRowCache",
-            locks={
-                "_lock": (
-                    "_spaces",
-                    "_count",
-                    "hits",
-                    "misses",
-                    "evictions",
-                    "capacity",
-                )
-            },
-            helpers={"_evict": "_lock"},
+            module="repro/cache.py",
+            name="RowCache",
+            node="repro.cache.RowCache",
+            locks={"_lock": ("_parts", "_rows", "hits", "misses", "evictions")},
+            helpers={"_partition": "_lock", "_evict": "_lock"},
         ),
         SharedClass(
             module="repro/service/jobs.py",
@@ -226,7 +201,7 @@ DEFAULT_MANIFEST = Manifest(
             module="repro/cache.py",
             name="_GUARD",
             node="repro.cache._GUARD",
-            guards=("_REGISTRY", "_CAPACITY_HOOKS", "_STATS_HOOKS"),
+            guards=("_REGISTRY", "_STATS_HOOKS"),
         ),
         ModuleLock(
             module="repro/service/jobs.py",
@@ -247,18 +222,6 @@ DEFAULT_MANIFEST = Manifest(
             scalar="run",
             twin="run_batch",
         ),
-        ScalarWrapper(
-            module="repro/search/policy.py",
-            cls="SearchPolicy",
-            scalar="propose",
-            twin="propose_batch",
-        ),
-        ScalarWrapper(
-            module="repro/schedule/lower.py",
-            cls=None,
-            scalar="lower",
-            twin="_lower_cached",
-        ),
     ),
     hot_packages=(
         "repro/schedule/",
@@ -274,12 +237,8 @@ DEFAULT_MANIFEST = Manifest(
         # every repro.cache entry point takes the module guard
         "register_cache": ("repro.cache._GUARD",),
         "register_lru": ("repro.cache._GUARD",),
-        "register_bounded": ("repro.cache._GUARD",),
-        "register_stats": ("repro.cache._GUARD",),
         "cache_stats": ("repro.cache._GUARD",),
         "clear_caches": ("repro.cache._GUARD",),
-        "bound_cache": ("repro.cache._GUARD",),
-        "bounded_caches": ("repro.cache._GUARD",),
         "registered_caches": ("repro.cache._GUARD",),
     },
 )

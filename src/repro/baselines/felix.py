@@ -120,11 +120,8 @@ class FelixTuner:
                 optima.append(descended)
                 clock.charge_sa(self.descent_steps * 6)
             optima.sort(key=lambda c: self._cost(space, c))
-            batch = [
-                lower(space, c)
-                for c in optima[: self.measure_per_round]
-                if is_launchable(lower(space, c), self.device)
-            ]
+            lowered = [lower(space, c) for c in optima[: self.measure_per_round]]
+            batch = [p for p in lowered if is_launchable(p, self.device)]
             for res in runner.measure(batch):
                 records.add(
                     TuningRecord(

@@ -1,34 +1,34 @@
-"""Process-wide cache registry.
+"""Process-wide cache registry and the one row cache of the candidate path.
 
 Several hot-path modules memoize pure functions of (space, config):
-lowering, symbol extraction, feature rows, divisor tables.  Before this
-registry each cache was a module-level ``lru_cache`` that grew for the
-life of the process — a long-running multi-job service (``repro.service``)
-accumulates entries for every task it ever touched, pinning workload and
-schedule objects that will never be used again.
-
-Every memo in the repository now registers a *clear hook* here, and the
-service calls :func:`clear_caches` between jobs.  The registry neither
-owns the cached data nor changes lookup semantics; it only makes "drop
-everything cached" a single call.
+lowering, feature rows, divisor tables.  Every memo in the repository
+registers a *clear hook* here, and the service calls
+:func:`clear_caches` between jobs so a long-running multi-job process
+does not pin workload and schedule objects it will never use again.
+The registry neither owns the cached data nor changes lookup semantics;
+it only makes "drop everything cached" a single call, and
+:func:`cache_stats` one place to read every cache's counters
+(``GET /metrics``, the end-to-end benchmark).
 
 Usage::
 
-    from repro.cache import register_cache
+    from repro.cache import register_lru
 
     @lru_cache(maxsize=65536)
     def _expensive(key): ...
-    register_cache("mymod._expensive", _expensive.cache_clear)
+    register_lru("mymod._expensive", _expensive)
 
-or for ``lru_cache`` functions directly::
-
-    _expensive = register_lru("mymod._expensive", _expensive)
+:class:`RowCache` is the cross-round store behind both
+``schedule.memo.LOWERED_ROWS`` and ``features.cache.FEATURE_ROWS``.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Protocol
+from collections import OrderedDict
+from typing import Any, Callable, Hashable, Protocol
+
+import numpy as np
 
 
 class _LruLike(Protocol):  # what functools.lru_cache exposes
@@ -36,16 +36,24 @@ class _LruLike(Protocol):  # what functools.lru_cache exposes
 
 
 _REGISTRY: dict[str, Callable[[], None]] = {}
+_STATS_HOOKS: dict[str, Callable[[], dict]] = {}
 _GUARD = threading.Lock()
 
 
-def register_cache(name: str, clear: Callable[[], None]) -> None:
+def register_cache(
+    name: str, clear: Callable[[], None], stats: Callable[[], dict] | None = None
+) -> None:
     """Register a clear hook under a unique dotted name.
 
-    Re-registering the same name replaces the hook (module reloads).
+    ``stats`` (optional) reports the cache's counters — a dict with any
+    of ``hits`` / ``misses`` / ``evictions`` / ``rows`` — so the cache
+    surfaces a hit rate on ``GET /metrics`` (see :mod:`repro.obs`).
+    Re-registering the same name replaces the hooks (module reloads).
     """
     with _GUARD:
         _REGISTRY[name] = clear
+        if stats is not None:
+            _STATS_HOOKS[name] = stats
 
 
 def register_lru(name: str, fn: _LruLike):
@@ -60,74 +68,11 @@ def registered_caches() -> list[str]:
         return sorted(_REGISTRY)
 
 
-# ----------------------------------------------------------------------
-# capacity bounding — for caches that persist *across* jobs on purpose
-# ----------------------------------------------------------------------
-_CAPACITY_HOOKS: dict[str, Callable[[int], None]] = {}
-_STATS_HOOKS: dict[str, Callable[[], dict]] = {}
-
-
-def register_bounded(
-    name: str,
-    clear: Callable[[], None],
-    set_capacity: Callable[[int], None],
-    stats: Callable[[], dict] | None = None,
-) -> None:
-    """Register a cache that is both clearable and capacity-bounded.
-
-    Persistent cross-round stores (the lowering memo, the feature-row
-    cache) intentionally survive :func:`clear_caches`-free stretches of
-    a job; the service layers use :func:`bound_cache` to cap their
-    memory between jobs instead of always dropping them.
-
-    ``stats`` (optional) reports the cache's counters — a dict with any
-    of ``hits`` / ``misses`` / ``evictions`` / ``rows`` — so every
-    registered cache surfaces a uniform hit rate on ``GET /metrics``
-    (see :mod:`repro.obs`).
-    """
-    register_cache(name, clear)
-    with _GUARD:
-        _CAPACITY_HOOKS[name] = set_capacity
-    if stats is not None:
-        register_stats(name, stats)
-
-
-def register_stats(name: str, stats: Callable[[], dict]) -> None:
-    """Register (or replace) a cache's stats hook under its dotted name."""
-    with _GUARD:
-        _STATS_HOOKS[name] = stats
-
-
 def cache_stats() -> dict[str, dict]:
     """Current counters of every cache with a stats hook, keyed by name."""
     with _GUARD:
         hooks = sorted(_STATS_HOOKS.items())
     return {name: dict(fn()) for name, fn in hooks}
-
-
-def bound_cache(name: str, capacity: int) -> None:
-    """Set the row capacity of a bounded cache.
-
-    Raises ``KeyError`` naming the registered bounded caches when
-    ``name`` is unknown — silently ignoring a typo'd name used to leave
-    the real cache unbounded, which is exactly the footgun this knob
-    exists to prevent.
-    """
-    if capacity < 0:
-        raise ValueError("cache capacity must be >= 0")
-    with _GUARD:
-        hook = _CAPACITY_HOOKS.get(name)
-    if hook is None:
-        raise KeyError(
-            f"unknown bounded cache {name!r}; registered: {bounded_caches()}"
-        )
-    hook(capacity)
-
-
-def bounded_caches() -> list[str]:
-    """Names of every capacity-bounded cache (sorted)."""
-    with _GUARD:
-        return sorted(_CAPACITY_HOOKS)
 
 
 def clear_caches() -> int:
@@ -141,3 +86,140 @@ def clear_caches() -> int:
     for clear in hooks:
         clear()
     return len(hooks)
+
+
+# ----------------------------------------------------------------------
+# the row cache
+# ----------------------------------------------------------------------
+#: Rows a :class:`RowCache` holds before it evicts — the memory guard.
+#: A paper-scale Ansor job ends at ~65.2k lowered rows, just under it.
+MAX_ROWS = 1 << 16
+
+
+class RowCache:
+    """Bounded ``(partition, row key) -> row`` store of computed chunks.
+
+    A partition (a schedule space, or a space and a feature kind) holds
+    an index ``key -> (chunk number, row)`` and the append-only list of
+    the chunks ``compute`` returned for it.  Chunks are whatever the
+    caller's ``take(chunk, index array)`` and ``concat(chunks)`` work
+    on, and are never modified once stored — a fetch that resolved its
+    hits stays correct however the store changes afterwards.
+
+    Over :data:`MAX_ROWS` rows, whole partitions leave, least recently
+    fetched first (per-row eviction would invalidate the row numbers
+    behind it).  The counters survive :meth:`clear`.
+    """
+
+    def __init__(
+        self,
+        take: Callable[[Any, np.ndarray], Any],
+        concat: Callable[[list], Any],
+    ) -> None:
+        self._take = take
+        self._concat = concat
+        # partition -> (key -> (chunk number, row), chunks)
+        self._parts: OrderedDict[Hashable, tuple[dict, list]] = OrderedDict()
+        self._rows = 0
+        self._lock = threading.Lock()
+        self.hits = 0  # rows served from a stored chunk
+        self.misses = 0  # rows handed to compute
+        self.evictions = 0  # rows dropped by the bound
+
+    def __len__(self) -> int:
+        with self._lock:
+            return self._rows
+
+    def clear(self) -> None:
+        """Drop every stored row."""
+        with self._lock:
+            self._parts.clear()
+            self._rows = 0
+
+    def stats(self) -> dict[str, int]:
+        """Counters for hit-rate reporting (``GET /metrics``, benches, CI)."""
+        with self._lock:
+            return {
+                "rows": self._rows,
+                "partitions": len(self._parts),
+                "hits": self.hits,
+                "misses": self.misses,
+                "evictions": self.evictions,
+            }
+
+    def fetch(
+        self,
+        partition: Hashable,
+        keys: list[bytes],
+        compute: Callable[[np.ndarray], Any],
+    ) -> Any:
+        """Rows for ``keys``, in request order, computing only the misses.
+
+        ``compute`` receives the positions (into ``keys``) found in no
+        stored chunk — repeats of an unseen key included — and returns
+        exactly their rows as one chunk; it runs outside the lock.
+        """
+        n = len(keys)
+        if not n:
+            return compute(np.empty(0, dtype=np.int64))
+        miss: list[int] = []
+        by_chunk: dict[int, tuple[list[int], list[int]]] = {}
+        with self._lock:
+            index, chunks = self._partition(partition)
+            for i, key in enumerate(keys):
+                at = index.get(key)
+                if at is None:
+                    miss.append(i)
+                else:
+                    rows, positions = by_chunk.setdefault(at[0], ([], []))
+                    rows.append(at[1])
+                    positions.append(i)
+            self.hits += n - len(miss)
+            self.misses += len(miss)
+        parts = [
+            self._take(chunks[c], np.array(rows, dtype=np.int64))
+            for c, (rows, _) in by_chunk.items()
+        ]
+        if not miss and len(parts) == 1:
+            return parts[0]  # one chunk's rows, taken in request order
+        order = [positions for _, positions in by_chunk.values()]
+        if miss:
+            fresh = compute(np.array(miss, dtype=np.int64))
+            self._store(partition, keys, miss, fresh)
+            parts.append(fresh)
+            order.append(miss)
+        back = np.empty(n, dtype=np.int64)
+        back[np.concatenate(order)] = np.arange(n)
+        return self._take(self._concat(parts), back)
+
+    def _store(
+        self, partition: Hashable, keys: list[bytes], miss: list[int], fresh: Any
+    ) -> None:
+        with self._lock:
+            # Resolved again: a clear() or an eviction while compute ran
+            # detached the partition the lookup saw, and rows indexed
+            # there would be counted but unreachable.
+            index, chunks = self._partition(partition)
+            at, new = len(chunks), 0
+            for row, i in enumerate(miss):
+                if keys[i] not in index:  # a repeated key is stored once
+                    index[keys[i]] = (at, row)
+                    new += 1
+            if new:
+                chunks.append(fresh)
+                self._rows += new
+                self._evict()
+
+    def _partition(self, partition: Hashable) -> tuple[dict, list]:
+        """The partition's (index, chunks), now the most recently used."""
+        part = self._parts.get(partition)
+        if part is None:
+            part = self._parts[partition] = ({}, [])
+        self._parts.move_to_end(partition)
+        return part
+
+    def _evict(self) -> None:
+        while self._rows > MAX_ROWS and self._parts:
+            _, (index, _) = self._parts.popitem(last=False)
+            self._rows -= len(index)
+            self.evictions += len(index)

@@ -28,11 +28,9 @@ lowering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from repro.cache import register_lru
 from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram
 from repro.schedule.space import WMMA_LANE
@@ -86,7 +84,6 @@ def _fragment_alignment(prog: LoweredProgram) -> float:
     return align
 
 
-@lru_cache(maxsize=65536)
 def extract_symbols(prog: LoweredProgram) -> Symbols:
     """Extract the hardware-aware symbol vector from a lowered program."""
     return Symbols(
@@ -100,9 +97,6 @@ def extract_symbols(prog: LoweredProgram) -> Symbols:
         s8_l2_compute=float(prog.flops),
         s9_tc_align=_fragment_alignment(prog),
     )
-
-
-register_lru("core.symbols.extract_symbols", extract_symbols)
 
 
 @dataclass(frozen=True)

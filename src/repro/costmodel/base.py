@@ -80,14 +80,9 @@ class CostModel(ABC):
     def predict(self, progs: list[LoweredProgram]) -> np.ndarray:
         """Scores for a program list (higher = predicted faster)."""
 
+    @abstractmethod
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Scores for a :class:`CandidateBatch` (the policies' hot path).
-
-        Concrete models override this with a fully vectorized
-        implementation; the default materializes programs and defers to
-        :meth:`predict`, which is correct for any model.
-        """
-        return self.predict([batch.program(i) for i in range(len(batch))])
+        """Scores for a :class:`CandidateBatch` (the policies' hot path)."""
 
     @abstractmethod
     def fit(

@@ -16,10 +16,10 @@ Each view has a batched entry point (``*_batch``) consuming a
 :class:`~repro.schedule.batch.CandidateBatch` and returning the stacked
 feature array in one shot; the per-program functions are thin wrappers.
 Rows are memoized in the shared :data:`repro.features.cache.FEATURE_ROWS`
-store, keyed on (schedule space, config key).
+store, keyed on (schedule space, feature kind, config row).
 """
 
-from repro.features.cache import FEATURE_ROWS, FeatureRowCache
+from repro.features.cache import FEATURE_ROWS
 from repro.features.statement import (
     STATEMENT_DIM,
     statement_features,
@@ -51,5 +51,4 @@ __all__ = [
     "primitive_features",
     "primitive_tensor_batch",
     "FEATURE_ROWS",
-    "FeatureRowCache",
 ]

@@ -39,11 +39,8 @@ thin wrappers over the same encoder.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.cache import register_lru
 from repro.features.cache import FEATURE_ROWS
 from repro.schedule.batch import BLOCK_KINDS, CandidateBatch
 from repro.schedule.lower import LoweredProgram
@@ -94,29 +91,15 @@ def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     if batch.configs is None or not len(batch):
         return _encode(batch)
     return FEATURE_ROWS.fetch(
-        batch.configs.space,
-        "dataflow",
+        (batch.configs.space, "dataflow"),
         batch.row_keys(),
         lambda missing: _encode(batch.take(missing)),
     )
 
 
-@lru_cache(maxsize=65536)
-def _program_rows(prog: LoweredProgram) -> np.ndarray:
-    """Memoized per-program sequence (read-only) for the list-based path."""
-    rows = _encode(CandidateBatch.from_programs([prog]))[0]
-    rows.flags.writeable = False
-    return rows
-
-
-register_lru("features.dataflow._program_rows", _program_rows)
-
-
 def dataflow_tensor(progs: list[LoweredProgram]) -> np.ndarray:
     """Batch of dataflow sequences: shape (N, DATAFLOW_BLOCKS, DATAFLOW_DIM)."""
-    if not progs:
-        return np.zeros((0, DATAFLOW_BLOCKS, DATAFLOW_DIM), dtype=np.float64)
-    return np.stack([_program_rows(p) for p in progs])
+    return _encode(CandidateBatch.from_programs(progs))
 
 
 def dataflow_features(prog: LoweredProgram) -> np.ndarray:

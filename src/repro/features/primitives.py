@@ -106,8 +106,7 @@ def primitive_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     if not len(batch):
         return np.zeros((0, PRIMITIVE_SEQ, PRIMITIVE_DIM), dtype=np.float64)
     return FEATURE_ROWS.fetch(
-        cb.space,
-        "primitives",
+        (cb.space, "primitives"),
         batch.row_keys(),
         lambda missing: _encode_batch(batch.take(missing)),
     )

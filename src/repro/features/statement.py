@@ -21,11 +21,8 @@ scalar :func:`statement_features` and list-based
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from repro.cache import register_lru
 from repro.features.cache import FEATURE_ROWS
 from repro.schedule.batch import BK_LOAD, CandidateBatch, TAG_ORDER
 from repro.schedule.lower import LoweredProgram
@@ -102,34 +99,15 @@ def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
     if batch.configs is None or not len(batch):
         return _encode(batch)
     return FEATURE_ROWS.fetch(
-        batch.configs.space,
-        "statement",
+        (batch.configs.space, "statement"),
         batch.row_keys(),
         lambda missing: _encode(batch.take(missing)),
     )
 
 
-@lru_cache(maxsize=65536)
-def _program_row(prog: LoweredProgram) -> np.ndarray:
-    """Memoized per-program row (read-only) for the list-based path.
-
-    Cost-model training re-featurizes the whole accumulated record
-    history every round; this amortizes that across rounds like the
-    seed's per-program cache did.
-    """
-    row = _encode(CandidateBatch.from_programs([prog]))[0]
-    row.flags.writeable = False
-    return row
-
-
-register_lru("features.statement._program_row", _program_row)
-
-
 def statement_matrix(progs: list[LoweredProgram]) -> np.ndarray:
-    """Stack statement features for a program list: (N, STATEMENT_DIM)."""
-    if not progs:
-        return np.zeros((0, STATEMENT_DIM), dtype=np.float64)
-    return np.stack([_program_row(p) for p in progs])
+    """Statement features of a program list: (N, STATEMENT_DIM)."""
+    return _encode(CandidateBatch.from_programs(progs))
 
 
 def statement_features(prog: LoweredProgram) -> np.ndarray:

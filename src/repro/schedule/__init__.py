@@ -20,8 +20,8 @@ constrains thread tiles to WMMA 16x16x16 fragments.
 * :mod:`repro.schedule.batch`  — the structure-of-arrays pipeline:
   :class:`ConfigBatch`, :func:`lower_batch` and :class:`CandidateBatch`
   (packed per-candidate arrays the whole search hot path runs on).
-* :mod:`repro.schedule.memo`   — :class:`LoweredRowCache`, the
-  persistent cross-round lowering memo (:func:`lower_batch_memo`).
+* :mod:`repro.schedule.memo`   — :data:`LOWERED_ROWS`, the persistent
+  cross-round lowering memo (:func:`lower_batch_memo`).
 """
 
 from repro.schedule.space import ScheduleConfig, ScheduleSpace, count_factorizations
@@ -30,7 +30,7 @@ from repro.schedule.sampler import random_config, random_population, sample_fact
 from repro.schedule.mutate import crossover, mutate
 from repro.schedule.lower import DataflowBlock, LoweredProgram, lower, lowered_count
 from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
-from repro.schedule.memo import LOWERED_ROWS, LoweredRowCache, lower_batch_memo
+from repro.schedule.memo import LOWERED_ROWS, lower_batch_memo
 
 __all__ = [
     "ScheduleConfig",
@@ -47,7 +47,6 @@ __all__ = [
     "lower_batch_memo",
     "lowered_count",
     "LoweredProgram",
-    "LoweredRowCache",
     "LOWERED_ROWS",
     "DataflowBlock",
     "ConfigBatch",

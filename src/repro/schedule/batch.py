@@ -30,8 +30,6 @@ and the materializer for the few candidates that actually get measured.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -288,7 +286,7 @@ class ConfigBatch:
         return out
 
     def slice(self, start: int, stop: int) -> "ConfigBatch":
-        """Contiguous view ``[start:stop)`` — no array copies (sharding)."""
+        """Contiguous view ``[start:stop)`` — no array copies."""
         out = ConfigBatch(
             self.space,
             self.factors[start:stop],
@@ -552,7 +550,7 @@ class CandidateBatch:
     # ------------------------------------------------------------------
     @classmethod
     def concat(cls, parts: list["CandidateBatch"]) -> "CandidateBatch":
-        """Stack candidate batches, preserving order (shards, memo arenas).
+        """Stack candidate batches, preserving order (memo chunks).
 
         All parts must share an origin: either every part carries a
         :class:`ConfigBatch` (``lower_batch`` output, same space) or
@@ -709,13 +707,6 @@ def _tc_align_scalar(prog: LoweredProgram) -> float:
 # ----------------------------------------------------------------------
 # vectorized lowering
 # ----------------------------------------------------------------------
-#: Populations at or above this size are sharded across a thread pool;
-#: every lowering op is per-row, so shard boundaries cannot change
-#: values and shard-order concatenation keeps the result deterministic.
-SHARD_MIN_ROWS = 16384
-_SHARD_ROWS = 8192
-
-
 def lower_batch(
     space: ScheduleSpace, configs: ConfigBatch | list[ScheduleConfig]
 ) -> CandidateBatch:
@@ -725,26 +716,11 @@ def lower_batch(
     :func:`repro.schedule.lower.lower` per config (the equivalence suite
     asserts this); raises :class:`~repro.errors.ScheduleError` when a
     candidate lies outside the space, like the scalar path.
-
-    Populations of at least :data:`SHARD_MIN_ROWS` rows are lowered in
-    :data:`_SHARD_ROWS`-row shards on a thread pool (numpy releases the
-    GIL inside array ops) and concatenated in shard order — same arrays,
-    better wall-clock on many-core hosts.
     """
     if not isinstance(configs, ConfigBatch):
         configs = ConfigBatch.from_configs(space, configs)
     validate_batch(space, configs)
     impl = _lower_tiled_batch if space.workload.is_tiled else _lower_flat_batch
-    n = len(configs)
-    if n >= SHARD_MIN_ROWS:
-        shards = [
-            configs.slice(s, min(s + _SHARD_ROWS, n))
-            for s in range(0, n, _SHARD_ROWS)
-        ]
-        workers = max(2, min(len(shards), (os.cpu_count() or 2) - 1))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda shard: impl(space, shard), shards))
-        return CandidateBatch.concat(parts)
     return impl(space, configs)
 
 

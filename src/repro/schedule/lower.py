@@ -19,9 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from repro.cache import register_lru
 from repro.errors import LoweringError
 from repro.ir.ops import Workload
 from repro.obs import LOWERED
@@ -32,7 +30,7 @@ def note_lowered(n: int) -> None:
     """Record that ``n`` programs were lowered (memo-effectiveness stats).
 
     Backed by the ``repro_lowered_rows_total`` counter in the
-    :mod:`repro.obs` registry (scalar cache misses plus batch-lowered
+    :mod:`repro.obs` registry (scalar ``lower`` calls plus batch-lowered
     rows — :mod:`repro.schedule.batch` reports its row counts here), so
     benchmarks, CI smoke checks, and ``GET /metrics`` all read the same
     monotonic total.
@@ -123,19 +121,11 @@ class LoweredProgram:
 
 def lower(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
     """Lower a schedule point; raises LoweringError on inconsistency."""
-    return _lower_cached(space, config)
-
-
-@lru_cache(maxsize=65536)
-def _lower_cached(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:
     space.validate(config)
     note_lowered(1)
     if space.workload.is_tiled:
         return _lower_tiled(space, config)
     return _lower_flat(space, config)
-
-
-register_lru("schedule.lower._lower_cached", _lower_cached)
 
 
 def _lower_tiled(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:

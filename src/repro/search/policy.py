@@ -15,7 +15,7 @@ materialized for the few candidates that reach the measurement batch.
 
 from __future__ import annotations
 
-from abc import ABC
+from abc import ABC, abstractmethod
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from repro.config import SearchConfig
 from repro.core.analyzer import is_launchable_mask
 from repro.costmodel.base import CostModel
 from repro.schedule.batch import CandidateBatch, ConfigBatch
-from repro.schedule.lower import LoweredProgram
 from repro.schedule.memo import lower_batch_memo
 from repro.schedule.mutate import crossover_pairs, mutate_batch
 from repro.schedule.sampler import random_batch
@@ -35,13 +34,7 @@ from repro.timemodel import SimClock
 
 
 class SearchPolicy(ABC):
-    """Proposes candidates to measure for one task, one round at a time.
-
-    Subclasses override :meth:`propose_batch` (the array-native primary
-    entry point the tuner drives) or, for scalar policies,
-    :meth:`propose`; each default implementation adapts to the other,
-    so overriding either one is enough.
-    """
+    """Proposes candidates to measure for one task, one round at a time."""
 
     def __init__(
         self,
@@ -55,6 +48,7 @@ class SearchPolicy(ABC):
         self.search = search or SearchConfig()
         self.clock = clock if clock is not None else SimClock()
 
+    @abstractmethod
     def propose_batch(
         self, records: RecordLog, rng: np.random.Generator
     ) -> CandidateBatch | None:
@@ -63,19 +57,6 @@ class SearchPolicy(ABC):
         None means "nothing to measure" — distinct from an empty batch
         only in that no arrays are materialized for it.
         """
-        progs = self.propose(records, rng)
-        if not progs:
-            return None
-        return CandidateBatch.from_programs(progs)
-
-    def propose(
-        self, records: RecordLog, rng: np.random.Generator
-    ) -> list[LoweredProgram]:
-        """Scalar view of :meth:`propose_batch` (compat entry point)."""
-        batch = self.propose_batch(records, rng)
-        if batch is None:
-            return []
-        return [batch.program(i) for i in range(len(batch))]
 
     # ------------------------------------------------------------------
     # shared helpers
@@ -87,7 +68,7 @@ class SearchPolicy(ABC):
 
         This is the verify-path lowering entry: recurring drafted
         candidates (GA elites, warm-start seeds) hit the
-        :data:`~repro.schedule.memo.LOWERED_ROWS` arena and skip
+        :data:`~repro.schedule.memo.LOWERED_ROWS` memo and skip
         re-lowering entirely.  Telemetry: the span times the (memoized)
         lowering, and the funnel counts rows in (``lowered``) vs
         launchable rows out (``gated``).
@@ -240,7 +221,7 @@ class AnsorPolicy(SearchPolicy):
         order = np.argsort(-scores, kind="stable")
         # Every pooled candidate already passed the launchability mask;
         # selection only needs row keys, so the ConfigBatch is enough.  The
-        # picked rows re-lower through the memo — pure arena hits, since
+        # picked rows re-lower through the memo — pure hits, since
         # each was lowered in a GA generation above.
         ranked = pooled.take(order)
         picked = self._select_indices(ranked.row_keys(), scores[order], records, rng)

@@ -122,12 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runner.add_argument("--lease-ttl", type=_positive_float, default=None)
     runner.add_argument(
-        "--memo-rows",
-        type=_positive_int,
-        default=None,
-        help="row cap for the persistent lowering memo (default 65536)",
-    )
-    runner.add_argument(
         "--max-jobs",
         type=_positive_int,
         default=None,
@@ -214,7 +208,6 @@ def _cmd_runner(args: argparse.Namespace, out) -> int:
         poll=args.poll,
         lease_ttl=args.lease_ttl,
         log=out,
-        memo_rows=args.memo_rows,
         tags=_parse_tags(args.tags),
         auth_token=args.auth_token,
     )

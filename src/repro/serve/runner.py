@@ -26,7 +26,7 @@ import sys
 import threading
 
 from repro import api
-from repro.cache import bound_cache, clear_caches
+from repro.cache import clear_caches
 from repro.obs import CAUGHT
 from repro.errors import SearchError
 from repro.hardware.device import get_device
@@ -70,11 +70,6 @@ class TuningRunner:
         to this runner.  None keeps the runner anonymous/unconstrained.
     auth_token:
         Bearer token for a server started with ``--auth-token``.
-    memo_rows:
-        Row budget for the persistent lowering memo
-        (``schedule.memo.LOWERED_ROWS``) while a job runs; None keeps
-        its default capacity.  Caches are still dropped wholesale
-        between leased jobs.
     """
 
     def __init__(
@@ -85,15 +80,9 @@ class TuningRunner:
         lease_ttl: float | None = None,
         client: ServeClient | None = None,
         log=None,
-        memo_rows: int | None = None,
         tags: dict | None = None,
         auth_token: str | None = None,
     ) -> None:
-        if memo_rows is not None:
-            try:
-                bound_cache("schedule.memo.LOWERED_ROWS", memo_rows)
-            except KeyError as exc:
-                raise SearchError(str(exc)) from None
         self.client = client or ServeClient(server_url, auth_token=auth_token)
         self.runner_id = runner_id or default_runner_id()
         self.poll = poll

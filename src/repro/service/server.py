@@ -18,7 +18,7 @@ import math
 from pathlib import Path
 
 from repro import api
-from repro.cache import bound_cache, clear_caches
+from repro.cache import clear_caches
 from repro.errors import ReproError, SearchError
 from repro.hardware.device import get_device
 from repro.obs import TraceSink
@@ -50,12 +50,6 @@ class TuningService:
         Warm-start cost models from persisted checkpoints and persist
         them back at job completion (on by default).  Records still
         seed either way.
-    memo_rows:
-        Row budget for the persistent lowering memo
-        (``schedule.memo.LOWERED_ROWS``); None keeps its default
-        capacity.  The memo still clears with every other cache when
-        the queue drains — this knob only bounds its footprint while
-        jobs are in flight.
     """
 
     def __init__(
@@ -63,7 +57,6 @@ class TuningService:
         cache_dir: str | Path,
         workers: int = 1,
         model_cache: bool = True,
-        memo_rows: int | None = None,
     ) -> None:
         self.store = RecordStore(cache_dir)
         self.models = ModelStore(cache_dir)
@@ -72,13 +65,6 @@ class TuningService:
         #: carry; ``python -m repro.service status --metrics`` reads it.
         self.traces = TraceSink(self.store.root / "traces")
         self.model_cache = model_cache
-        if memo_rows is not None:
-            try:
-                bound_cache("schedule.memo.LOWERED_ROWS", memo_rows)
-            except KeyError as exc:
-                # the memo failed to register (import-order bug) — a
-                # misconfigured bound must fail loudly, not silently
-                raise SearchError(str(exc)) from None
         self.queue = JobQueue()
         self.pool = WorkerPool(workers)
         self._results: dict[str, TuneResult] = {}

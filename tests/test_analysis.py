@@ -199,10 +199,6 @@ def test_real_tree_lock_graph_edges_and_acyclicity():
             "obs.registry.MetricFamily._lock",
         ),
         (
-            "schedule.memo.LoweredRowCache._lock",
-            "obs.registry.Counter._lock",
-        ),
-        (
             "service.jobs._LEDGER_LOCK",
             "service.jobs.JobQueue._lock",
         ),

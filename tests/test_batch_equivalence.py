@@ -299,6 +299,12 @@ class TestGAOperatorProperties:
         assert a == b
 
 
+def _propose(policy, records, rng):
+    """One round's measurement batch as scalar programs."""
+    batch = policy.propose_batch(records, rng)
+    return [] if batch is None else [batch.program(i) for i in range(len(batch))]
+
+
 class TestPolicyEquivalence:
     """The batched PrunerPolicy verify stage vs a scalar mirror of it."""
 
@@ -307,7 +313,7 @@ class TestPolicyEquivalence:
 
     def _seed_records(self, task, policy, rng):
         records = RecordLog()
-        for i, prog in enumerate(policy.propose(records, rng)):
+        for i, prog in enumerate(_propose(policy, records, rng)):
             records.add(TuningRecord(task.key, prog, 1e-3 * (i + 1), 0.0, 0))
         return records
 
@@ -331,7 +337,7 @@ class TestPolicyEquivalence:
 
         # --- batched proposal ---
         exploration_before = clock.elapsed("exploration")
-        batched = policy.propose(records, make_rng(2))
+        batched = _propose(policy, records, make_rng(2))
         batched_charge = clock.elapsed("exploration") - exploration_before
 
         # --- scalar mirror on an identical RNG stream ---
@@ -380,9 +386,8 @@ class TestPolicyEquivalence:
         runs = []
         for _ in range(2):
             policy = PrunerPolicy(task, RandomModel(seed=1), search=search)
-            runs.append(
-                [p.config.key for p in policy.propose(RecordLog(), make_rng(4))]
-            )
+            batch = policy.propose_batch(RecordLog(), make_rng(4))
+            runs.append([c.key for c in batch.configs.configs()])
         assert runs[0] == runs[1]
 
 
@@ -512,7 +517,7 @@ class TestClearCaches:
         configs = random_population(matmul_space, make_rng(30), 8)
         statement_matrix_batch(lower_batch(matmul_space, configs))
         assert len(FEATURE_ROWS) > 0
-        assert "schedule.lower._lower_cached" in registered_caches()
+        assert "schedule.memo.LOWERED_ROWS" in registered_caches()
         assert "features.cache.FEATURE_ROWS" in registered_caches()
         cleared = clear_caches()
         assert cleared >= 8

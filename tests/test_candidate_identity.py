@@ -32,7 +32,6 @@ from repro.costmodel import GBDTModel
 from repro.hardware.device import get_device
 from repro.ir import ops
 from repro.rng import make_rng
-from repro.schedule import batch as batch_mod
 from repro.schedule import generate_sketch
 from repro.schedule.batch import ConfigBatch, lower_batch
 from repro.schedule.sampler import random_batch
@@ -206,32 +205,23 @@ class TestRowIdentity:
         ]
         assert all(v._configs is None for v in [batch, *views])
 
-    def test_sharded_lowering_keeps_materialised_configs(self, matmul_space, monkeypatch):
-        monkeypatch.setattr(batch_mod, "SHARD_MIN_ROWS", 8)
-        monkeypatch.setattr(batch_mod, "_SHARD_ROWS", 3)
-        batch = random_batch(matmul_space, make_rng(1), 10)
-        held = {i: batch.config(i) for i in (0, 4, 9)}
-        lowered = lower_batch(matmul_space, batch)
-        assert lowered.configs is not batch  # rebuilt from the shards
-        assert lowered.row_keys() == batch.row_keys()
-        for i, cfg in held.items():
-            assert lowered.configs.config(i) is cfg
-
     def test_row_keys_never_cross_spaces(self):
         """Equal bytes in two spaces are still two cache entries."""
         from repro.features.cache import FEATURE_ROWS
         from repro.features.statement import statement_matrix_batch
-        from repro.schedule.memo import LoweredRowCache
+        from repro.schedule.memo import LOWERED_ROWS, lower_batch_memo
 
         a = generate_sketch(ops.matmul(64, 64, 64))
         b = generate_sketch(ops.matmul(64, 64, 64, dtype="float16"))
         batch_a = random_batch(a, make_rng(2), 6)
         batch_b = ConfigBatch(b, batch_a.factors, batch_a.unroll, batch_a.vector, batch_a.splitk)
         assert batch_a.row_keys() == batch_b.row_keys()
-        memo = LoweredRowCache()
-        memo.lower(a, batch_a)
-        memo.lower(b, batch_b)
-        assert (memo.hits, memo.misses) == (0, 12)
+        LOWERED_ROWS.clear()
+        before = LOWERED_ROWS.stats()
+        lower_batch_memo(a, batch_a)
+        lower_batch_memo(b, batch_b)
+        after = LOWERED_ROWS.stats()
+        assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (0, 12)
         FEATURE_ROWS.clear()
         statement_matrix_batch(lower_batch(a, batch_a))
         statement_matrix_batch(lower_batch(b, batch_b))

@@ -1,32 +1,31 @@
 """The persistent lowering memo and the batch plumbing beneath it.
 
-``LoweredRowCache`` must be invisible to its callers: memoized lowering
+``lower_batch_memo`` must be invisible to its callers: memoized lowering
 returns the exact rows ``lower_batch`` would, in request order, no
-matter which rows were cached by earlier rounds.  The suite also pins
-the supporting pieces — ``CandidateBatch.concat`` / ``ConfigBatch.slice``
-(used by the memo arena and the sharded lowering path), the
-``lowered_count`` telemetry the CI warm-memo assertion reads, and the
-capacity hooks the service layers use to bound the memo between jobs.
+matter which rows were cached by earlier rounds.  The store itself
+(``repro.cache.RowCache``) is covered by ``test_row_cache.py``; this
+suite pins what is specific to lowering — simulated outcomes of the
+returned rows, the ``lowered_count`` telemetry the CI warm-memo
+assertion reads — and the supporting ``CandidateBatch.concat`` /
+``ConfigBatch.slice``.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from repro.cache import bound_cache, bounded_caches, clear_caches, registered_caches
+import repro.cache
+from repro.cache import cache_stats, clear_caches, registered_caches
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.schedule import generate_sketch
-from repro.schedule import batch as batch_mod
 from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.lower import lowered_count
-from repro.schedule.memo import (
-    LOWERED_ROWS,
-    LoweredRowCache,
-    lower_batch_memo,
-)
+from repro.schedule.memo import LOWERED_ROWS, lower_batch_memo
 from repro.schedule.sampler import random_batch, random_population
 
 WORKLOADS = [
@@ -89,10 +88,8 @@ def _assert_rows_equal(got: CandidateBatch, want: CandidateBatch, device="a100")
 @pytest.fixture(autouse=True)
 def _fresh_memo():
     LOWERED_ROWS.clear()
-    LOWERED_ROWS.set_capacity(1 << 16)
     yield
     LOWERED_ROWS.clear()
-    LOWERED_ROWS.set_capacity(1 << 16)
 
 
 class TestLoweredRowCache:
@@ -122,73 +119,57 @@ class TestLoweredRowCache:
         _assert_rows_equal(warm, lower_batch(space, round2))
 
     def test_hit_miss_accounting(self, matmul_space):
-        cache = LoweredRowCache()
-        configs = random_batch(matmul_space, make_rng(3), 20)
-        cache.lower(matmul_space, configs)
-        assert cache.stats() == {
-            "rows": 20,
-            "spaces": 1,
-            "hits": 0,
-            "misses": 20,
-            "evictions": 0,
-        }
-        cache.lower(matmul_space, configs)
-        assert cache.stats()["hits"] == 20
-        assert cache.stats()["misses"] == 20
-        assert len(cache) == 20
+        configs = random_batch(matmul_space, make_rng(3), 20).unique()
+        before = LOWERED_ROWS.stats()
+        lower_batch_memo(matmul_space, configs)
+        lower_batch_memo(matmul_space, configs)
+        after = LOWERED_ROWS.stats()
+        assert after["misses"] - before["misses"] == len(configs)
+        assert after["hits"] - before["hits"] == len(configs)
+        assert after["rows"] == len(LOWERED_ROWS) == len(configs)
+        assert after["evictions"] == before["evictions"]
 
     def test_duplicate_rows_cached_once(self, matmul_space):
-        cache = LoweredRowCache()
         configs = random_population(matmul_space, make_rng(4), 8)
         doubled = ConfigBatch.from_configs(matmul_space, configs + configs)
-        out = cache.lower(matmul_space, doubled)
-        assert len(cache) == 8
+        out = lower_batch_memo(matmul_space, doubled)
+        assert len(LOWERED_ROWS) == 8
         _assert_rows_equal(out, lower_batch(matmul_space, doubled))
 
     def test_reordered_fetch_serves_request_order(self, matmul_space):
-        cache = LoweredRowCache()
         configs = random_batch(matmul_space, make_rng(5), 30)
-        cache.lower(matmul_space, configs)
-        perm = make_rng(6).permutation(30)
-        shuffled = configs.take(perm)
-        out = cache.lower(matmul_space, shuffled)
-        assert cache.stats()["misses"] == 30  # the permutation was all hits
+        lower_batch_memo(matmul_space, configs)
+        misses = LOWERED_ROWS.stats()["misses"]
+        shuffled = configs.take(make_rng(6).permutation(30))
+        out = lower_batch_memo(matmul_space, shuffled)
+        assert LOWERED_ROWS.stats()["misses"] == misses  # the permutation was all hits
         _assert_rows_equal(out, lower_batch(matmul_space, shuffled))
 
     def test_capacity_evicts_whole_spaces_fifo(self, matmul_wl, conv_wl):
-        cache = LoweredRowCache(capacity=25)
         s1, s2 = generate_sketch(matmul_wl), generate_sketch(conv_wl)
-        cache.lower(s1, random_batch(s1, make_rng(7), 20))
-        cache.lower(s2, random_batch(s2, make_rng(8), 20))
-        # 40 rows > 25: the older space (s1) was evicted wholesale
-        assert len(cache) == 20
-        assert cache.stats()["spaces"] == 1
-        # evicted rows simply re-lower; results stay correct
-        configs = random_batch(s1, make_rng(7), 20)
-        _assert_rows_equal(cache.lower(s1, configs), lower_batch(s1, configs))
-
-    def test_set_capacity_zero_empties(self, matmul_space):
-        cache = LoweredRowCache()
-        cache.lower(matmul_space, random_batch(matmul_space, make_rng(9), 10))
-        cache.set_capacity(0)
-        assert len(cache) == 0
+        with mock.patch.object(repro.cache, "MAX_ROWS", 25):
+            lower_batch_memo(s1, random_batch(s1, make_rng(7), 20))
+            lower_batch_memo(s2, random_batch(s2, make_rng(8), 20))
+            # 40 rows > 25: the older space (s1) was evicted wholesale
+            assert len(LOWERED_ROWS) == 20
+            assert LOWERED_ROWS.stats()["partitions"] == 1
+            # evicted rows simply re-lower; results stay correct
+            configs = random_batch(s1, make_rng(7), 20)
+            _assert_rows_equal(lower_batch_memo(s1, configs), lower_batch(s1, configs))
 
     def test_empty_batch_passthrough(self, matmul_space):
         out = lower_batch_memo(matmul_space, [])
         assert len(out) == 0
 
     def test_registered_and_boundable(self, matmul_space):
-        assert "schedule.memo.LOWERED_ROWS" in registered_caches()
-        assert "schedule.memo.LOWERED_ROWS" in bounded_caches()
-        assert "features.cache.FEATURE_ROWS" in bounded_caches()
+        """Both row caches answer to their registered names, under one
+        module-level bound (the memory guard; no per-cache knob)."""
+        for name in ("schedule.memo.LOWERED_ROWS", "features.cache.FEATURE_ROWS"):
+            assert name in registered_caches()
+            assert {"hits", "misses", "evictions", "rows"} <= set(cache_stats()[name])
+        assert repro.cache.MAX_ROWS == 1 << 16
         lower_batch_memo(matmul_space, random_batch(matmul_space, make_rng(10), 5))
-        assert len(LOWERED_ROWS) == 5
-        bound_cache("schedule.memo.LOWERED_ROWS", 2)
-        assert len(LOWERED_ROWS) == 0  # whole-space FIFO: 5 > 2 drops the space
-        with pytest.raises(KeyError, match="no.such.cache"):
-            bound_cache("no.such.cache", 4)
-        with pytest.raises(ValueError):
-            bound_cache("schedule.memo.LOWERED_ROWS", -1)
+        assert cache_stats()["schedule.memo.LOWERED_ROWS"]["rows"] == 5
 
     def test_clear_caches_clears_memo(self, matmul_space):
         lower_batch_memo(matmul_space, random_batch(matmul_space, make_rng(11), 6))
@@ -198,16 +179,6 @@ class TestLoweredRowCache:
 
 
 class TestBatchPlumbing:
-    @pytest.mark.parametrize("wl,tc", WORKLOADS)
-    def test_sharded_lowering_bit_identical(self, wl, tc, monkeypatch):
-        """Thread-sharded lower_batch == single-shot lower_batch."""
-        space = _space(wl, tc)
-        configs = random_batch(space, make_rng(12), 64)
-        want = lower_batch(space, configs)
-        monkeypatch.setattr(batch_mod, "SHARD_MIN_ROWS", 16)
-        monkeypatch.setattr(batch_mod, "_SHARD_ROWS", 10)
-        _assert_rows_equal(lower_batch(space, configs), want)
-
     def test_config_slice_round_trip(self, matmul_space):
         configs = random_batch(matmul_space, make_rng(13), 20)
         parts = [configs.slice(0, 7), configs.slice(7, 16), configs.slice(16, 20)]

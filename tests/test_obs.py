@@ -16,7 +16,6 @@ import urllib.request
 import pytest
 
 from repro import api, obs
-from repro.features.cache import FeatureRowCache
 from repro.hardware.device import get_device
 from repro.obs import (
     PROM_CONTENT_TYPE,
@@ -322,38 +321,6 @@ class TestTunerTrace:
         assert obs.ROUNDS.value >= 3
         assert obs.MEASURED.value > 0
         assert obs.FUNNEL.labels(stage="drafted").value > 0
-
-
-# ----------------------------------------------------------------------
-# cache accounting (satellite: set_capacity shrink counts evictions)
-# ----------------------------------------------------------------------
-class TestFeatureCacheAccounting:
-    def test_shrink_counts_evictions(self):
-        import numpy as np
-
-        from repro.ir import ops
-        from repro.rng import make_rng
-        from repro.schedule import generate_sketch
-        from repro.schedule.sampler import random_batch
-
-        space = generate_sketch(ops.matmul(64, 64, 64))
-        cache = FeatureRowCache(capacity=100)
-        batch = random_batch(space, make_rng(0), 10)
-        keys = batch.row_keys()
-        cache.fetch(space, "stmt", keys, lambda idx: np.zeros((len(idx), 3)))
-        stats = cache.stats()
-        assert stats == {
-            "rows": 10,
-            "spaces": 1,
-            "hits": 0,
-            "misses": 10,
-            "evictions": 0,
-        }
-        cache.fetch(space, "stmt", keys, lambda idx: np.zeros((len(idx), 3)))
-        assert cache.stats()["hits"] == 10
-        cache.set_capacity(4)
-        assert cache.stats()["evictions"] == 6
-        assert cache.stats()["rows"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -93,10 +93,6 @@ class TestLoweringInvariants:
         compulsory = wl.input_bytes / wl.dtype_bytes + wl.output_elems
         assert prog.traffic_elems >= compulsory * 0.999
 
-    def test_lowering_is_cached(self, gemm_space):
-        cfg = gemm_config()
-        assert lower(gemm_space, cfg) is lower(gemm_space, cfg)
-
 
 class TestDataflowBlocks:
     def test_block_sequence_matches_multitiling_pattern(self, gemm_space):

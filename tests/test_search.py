@@ -104,6 +104,12 @@ class TestRecordLog:
         assert math.isinf(time_to_reach(curve, 0.5))
 
 
+def _propose(policy, records, rng):
+    """One round's measurement batch as scalar programs."""
+    batch = policy.propose_batch(records, rng)
+    return [] if batch is None else [batch.program(i) for i in range(len(batch))]
+
+
 class TestPolicies:
     @pytest.mark.parametrize("policy_cls", [AnsorPolicy, PrunerPolicy])
     def test_proposals_are_launchable_and_unique(self, policy_cls, two_tasks, a100):
@@ -112,7 +118,7 @@ class TestPolicies:
         task = two_tasks[0]
         policy = policy_cls(task, model, search=SEARCH, clock=clock)
         records = RecordLog()
-        progs = policy.propose(records, make_rng(0))
+        progs = _propose(policy, records, make_rng(0))
         assert 0 < len(progs) <= SEARCH.measure_per_round
         keys = [p.config.key for p in progs]
         assert len(keys) == len(set(keys))
@@ -122,10 +128,10 @@ class TestPolicies:
         task = two_tasks[0]
         policy = PrunerPolicy(task, RandomModel(), search=SEARCH)
         records = RecordLog()
-        first = policy.propose(records, make_rng(0))
+        first = _propose(policy, records, make_rng(0))
         for p in first:
             records.add(TuningRecord(task.key, p, 1e-3, 0.0, 0))
-        second = policy.propose(records, make_rng(1))
+        second = _propose(policy, records, make_rng(1))
         measured = {p.config.key for p in first}
         assert all(p.config.key not in measured for p in second)
 
@@ -141,11 +147,11 @@ class TestPolicies:
             policy = cls(task, model, search=SEARCH, clock=clock)
             records = RecordLog()
             # seed one round so models count as trained
-            for p in policy.propose(records, make_rng(0)):
+            for p in _propose(policy, records, make_rng(0)):
                 records.add(TuningRecord(task.key, p, 1e-3, 0.0, 0))
             model.fit(*records.training_data(), train=TrainConfig(epochs=2))
             clock_before = clock.elapsed(EXPLORATION)
-            policy.propose(records, make_rng(1))
+            policy.propose_batch(records, make_rng(1))
             results[name] = clock.elapsed(EXPLORATION) - clock_before
         assert results["pruner"] < results["ansor"]
 
