@@ -1,9 +1,9 @@
-"""Tuning as a service: job queue, worker pool, persistent warm starts.
+"""Tuning as a service: job engine, in-process runners, persistent warm starts.
 
-Demonstrates the `repro.service` workflow:
+Demonstrates the `repro.serve` workflow without a socket:
 
-1. submit several tuning jobs to a :class:`TuningService`,
-2. drain them with a multi-worker pool (each job deterministic),
+1. submit several tuning jobs to a :class:`JobEngine`,
+2. drain them with two in-process runners (each job deterministic),
 3. read best schedules back from the persistent record store,
 4. resubmit the same workload — the second run warm-starts from the
    cached records and measures (almost) nothing new.
@@ -15,47 +15,49 @@ from __future__ import annotations
 
 import tempfile
 
-from repro.service import TuningService
+from repro.serve import JobEngine, drain
+from repro.serve.protocol import unwire_float
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory(prefix="pruner-cache-") as cache_dir:
-        service = TuningService(cache_dir, workers=2)
+        engine = JobEngine(cache_dir)
 
         # 1. queue a few jobs (higher priority runs first)
         jobs = [
-            service.submit("bert_tiny", device="a100", rounds=8, priority=1),
-            service.submit("bert_tiny", device="t4", rounds=8),
-            service.submit("gpt2", device="a100", rounds=8, top_k_tasks=3),
+            engine.submit("bert_tiny", device="a100", rounds=8, priority=1),
+            engine.submit("bert_tiny", device="t4", rounds=8),
+            engine.submit("gpt2", device="a100", rounds=8, top_k_tasks=3),
         ]
 
-        # 2. run them across the worker pool
+        # 2. run them on two runner threads that lease from the engine
         print(f"running {len(jobs)} jobs on 2 workers ...")
-        states = service.run()
-        for job_id, state in states.items():
-            if state != "done":
-                print(f"  {job_id}: {state} ({service.queue.get(job_id).error})")
+        drain(engine, workers=2)  # runner chatter goes to stderr
+        for job in engine.jobs():
+            if job["state"] != "done":
+                print(f"  {job['job_id']}: {job['state']} ({job['error']})")
                 continue
-            result = service.result(job_id)
+            result = engine.result(job["job_id"])
             print(
-                f"  {job_id}: {state}, {result.fresh_trials} trials measured,"
-                f" final {result.final_latency * 1e6:.1f} us"
+                f"  {job['job_id']}: done, {result['fresh_trials']} trials measured,"
+                f" final {unwire_float(result['final_latency']) * 1e6:.1f} us"
             )
 
         # 3. best schedules survive in the record store
-        summary = service.best_schedule("bert_tiny", device="a100")
+        summary = engine.best_schedule("bert_tiny", device="a100")
         print(f"\nbest schedules for bert_tiny@a100 ({len(summary['tasks'])} tasks):")
         for task_key, entry in sorted(summary["tasks"].items()):
             print(f"  {entry['latency'] * 1e6:8.1f} us  x{entry['weight']}  {task_key}")
 
-        # 4. warm start: same workload again, same cache
-        warm = TuningService(cache_dir, workers=2)
+        # 4. warm start: a new engine over the same cache (a restart)
+        warm = JobEngine(cache_dir)
         job_id = warm.submit("bert_tiny", device="a100", rounds=8, priority=1)
-        warm.run()
+        drain(warm, workers=2)
         result = warm.result(job_id)
         print(
-            f"\nwarm rerun: {result.seeded_trials} trials loaded from cache,"
-            f" {result.fresh_trials} fresh, final {result.final_latency * 1e6:.1f} us"
+            f"\nwarm rerun: {result['seeded_trials']} trials loaded from cache,"
+            f" {result['fresh_trials']} fresh,"
+            f" final {unwire_float(result['final_latency']) * 1e6:.1f} us"
         )
 
 

@@ -172,9 +172,9 @@ DEFAULT_MANIFEST = Manifest(
             locks={"_lock": ("_buckets",)},
         ),
         SharedClass(
-            module="repro/serve/app.py",
-            name="ServeApp",
-            node="serve.app.ServeApp",
+            module="repro/serve/engine.py",
+            name="JobEngine",
+            node="serve.engine.JobEngine",
             locks={
                 "_results_lock": ("_results",),
                 "_store_keys_lock": ("_store_keys",),
@@ -204,9 +204,9 @@ DEFAULT_MANIFEST = Manifest(
             guards=("_REGISTRY", "_STATS_HOOKS"),
         ),
         ModuleLock(
-            module="repro/service/jobs.py",
+            module="repro/service/store.py",
             name="_LEDGER_LOCK",
-            node="service.jobs._LEDGER_LOCK",
+            node="service.store._LEDGER_LOCK",
         ),
     ),
     wrappers=(
@@ -234,6 +234,9 @@ DEFAULT_MANIFEST = Manifest(
         # the lowering layer increments the obs LOWERED counter
         "note_lowered": ("obs.registry.Counter._lock",),
         "lower_batch": ("obs.registry.Counter._lock",),
+        # merge_jsonl calls its ``snapshot`` argument under _LEDGER_LOCK;
+        # JobQueue.save_ledger passes one that reads the queue
+        "snapshot": ("service.jobs.JobQueue._lock",),
         # every repro.cache entry point takes the module guard
         "register_cache": ("repro.cache._GUARD",),
         "register_lru": ("repro.cache._GUARD",),

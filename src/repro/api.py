@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +300,62 @@ def build_tuner(
     )
 
 
+def tune_seeded(
+    method: str,
+    subgraphs: list[SubgraphTask],
+    device: DeviceSpec | str,
+    rounds: int,
+    search: SearchConfig,
+    seeds: Callable[[list[TuningTask]], tuple[list[TuningRecord], dict | None, int]],
+    checkpoint: bool = True,
+    progress: ProgressFn | None = None,
+    should_stop: StopFn | None = None,
+    **kwargs,
+) -> tuple[TuneResult, dict | None, int]:
+    """The warm-started job recipe: tasks, seeds, tune, checkpoint.
+
+    ``seeds(tasks)`` supplies ``(initial records, model state or None,
+    trials that state was trained on)``; the run is capped at ``rounds *
+    measure_per_round`` trials, seeded ones included, so known configs
+    are not re-measured.  Returns ``(result, state, trained_trials)``:
+    ``state`` is :meth:`Tuner.checkpoint` (None with ``checkpoint`` off
+    or nothing worth persisting), ranked by what the model was actually
+    fitted on — not the log size, which includes rows it may never have
+    seen.  The fresh records are ``result.records`` past
+    ``result.seeded_trials``.
+
+    The one implementation behind :func:`tune_subgraphs`'s ``cache_dir``
+    path (seeds from, results to, the stores on disk) and
+    :class:`repro.serve.runner.TuningRunner` (both ride a lease);
+    ``kwargs`` go to :func:`build_tuner`.
+    """
+    if isinstance(device, str):
+        device = get_device(device)
+    tasks = tasks_for(
+        method, subgraphs, device, tensorcore=bool(kwargs.get("tensorcore", False))
+    )
+    initial, model_state, trained_on = seeds(tasks)
+    tuner = build_tuner(
+        method,
+        subgraphs,
+        device,
+        search=search,
+        initial_records=initial,
+        tasks=tasks,
+        initial_model_state=model_state,
+        initial_model_trained_on=trained_on,
+        **kwargs,
+    )
+    result = tuner.tune(
+        rounds,
+        trial_budget=rounds * search.measure_per_round,
+        progress=progress,
+        should_stop=should_stop,
+    )
+    state = tuner.checkpoint() if checkpoint else None
+    return result, state, tuner.model_trained_on
+
+
 def tune_subgraphs(
     method: str,
     subgraphs: list[SubgraphTask],
@@ -308,7 +364,6 @@ def tune_subgraphs(
     scale: str = "lite",
     cache_dir: str | Path | None = None,
     progress: ProgressFn | None = None,
-    should_stop: StopFn | None = None,
     model_cache: bool = True,
     **kwargs,
 ) -> TuneResult:
@@ -324,17 +379,14 @@ def tune_subgraphs(
     after the run (``model_cache=False`` disables just the model half;
     records still seed).
 
-    ``progress`` and ``should_stop`` are forwarded to
-    :meth:`~repro.search.tuner.Tuner.tune`: per-round progress
-    callbacks and cooperative cancellation (the serving layer's job
-    control rides on these).  A stopped run still persists whatever it
-    measured.
+    ``progress`` is forwarded to :meth:`~repro.search.tuner.Tuner.tune`
+    (a callback after every completed round).
     """
     resolve_method(method)
     search = kwargs.pop("search", None) or resolve_scale(scale)
     if cache_dir is None:
         tuner = build_tuner(method, subgraphs, device, search=search, **kwargs)
-        return tuner.tune(rounds, progress=progress, should_stop=should_stop)
+        return tuner.tune(rounds, progress=progress)
 
     from repro.service.models import (
         ModelStore,
@@ -343,57 +395,46 @@ def tune_subgraphs(
     )
     from repro.service.store import RecordStore, store_key_for_tasks
 
-    if isinstance(device, str):
-        device = get_device(device)
-    tasks = tasks_for(
-        method, subgraphs, device, tensorcore=bool(kwargs.get("tensorcore", False))
-    )
     store = RecordStore(cache_dir)
-    key = store_key_for_tasks(tasks, method)
-    initial = store.load_records(key, {t.key: t.space for t in tasks})
     # Checkpoints only serve the online modes: offline/finetune/moa
     # methods require explicit pretrained= parameters, which win over
     # any checkpoint — loading (full base64 decode) and re-saving for
     # them would only churn dead files.
     use_models = model_cache and _mode_for(method) == "online"
     models = ModelStore(cache_dir) if use_models else None
-    initial_state, initial_trained = None, 0
-    if models is not None:
-        # one consistent read: state and its rank must come from the
-        # same file version (and one LRU touch, not two)
-        wire = models.load_wire(key, model_kind(method))
-        if wire is not None:
-            try:
-                initial_state = state_from_wire(wire)
-                initial_trained = wire_trained_trials(wire)
-            except CostModelError:
-                initial_state = None  # malformed on disk: cold start
-    tuner = build_tuner(
+    key = None
+
+    def seeds(tasks):
+        nonlocal key
+        key = store_key_for_tasks(tasks, method)
+        initial = store.load_records(key, {t.key: t.space for t in tasks})
+        if models is not None:
+            # one consistent read: state and its rank must come from the
+            # same file version (and one LRU touch, not two)
+            wire = models.load_wire(key, model_kind(method))
+            if wire is not None:
+                try:
+                    return initial, state_from_wire(wire), wire_trained_trials(wire)
+                except CostModelError:
+                    pass  # malformed on disk: cold start
+        return initial, None, 0
+
+    result, state, trained_on = tune_seeded(
         method,
         subgraphs,
         device,
-        search=search,
-        initial_records=initial,
-        tasks=tasks,
-        initial_model_state=initial_state,
-        initial_model_trained_on=initial_trained,
-        **kwargs,
-    )
-    result = tuner.tune(
         rounds,
-        trial_budget=rounds * search.measure_per_round,
+        search,
+        seeds,
+        checkpoint=models is not None,
         progress=progress,
-        should_stop=should_stop,
+        **kwargs,
     )
     # seeded records sit at the front of the log and are already on
     # disk; persist only the fresh tail
     store.append(key, result.records.records[result.seeded_trials :])
-    if models is not None:
-        state = tuner.checkpoint()
-        if state is not None:
-            # ranked by what the model was actually fitted on — not the
-            # log size, which includes rows the model may never have seen
-            models.save_state(key, state, trained_trials=tuner.model_trained_on)
+    if state is not None:
+        models.save_state(key, state, trained_trials=trained_on)
     return result
 
 

@@ -173,7 +173,7 @@ class TraceSink:
 
         Returns ``{"rounds": n, "jobs": j, "stages": {stage: seconds},
         "funnel": {stage: count}, "total_s": seconds}`` — the data
-        behind ``python -m repro.service status --metrics``.
+        behind ``python -m repro.serve status --metrics``.
         """
         stages: dict[str, float] = {}
         funnel: dict[str, int] = {}

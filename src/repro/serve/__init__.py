@@ -1,11 +1,14 @@
-"""Tuning over the wire: HTTP front end + remote measurement workers.
+"""The job engine, its HTTP face, and the runners that tune for it.
 
-This package turns :class:`~repro.service.server.TuningService` into a
-deployable service.  One *server* process owns the source of truth —
-the job queue, the persistent record store, a crash-safe job ledger —
-and any number of *runner* processes on other machines do the actual
-tuning, leasing jobs over plain HTTP (stdlib only, no third-party
-dependencies on either side).
+One :class:`~repro.serve.engine.JobEngine` owns the source of truth —
+the job queue, leases, the persistent record and model stores, a
+crash-safe job ledger — and :class:`~repro.serve.runner.TuningRunner`s
+do the actual tuning, leasing jobs from it.  In one process the runners
+are threads that call the engine directly (``python -m repro.serve
+tune``); deployed, one *server* process puts the engine behind plain
+HTTP and any number of *runner* processes on other machines lease over
+the socket (stdlib only, no third-party dependencies on either side).
+Same engine, same runner, same protocol either way.
 
 Topology::
 
@@ -20,7 +23,7 @@ Topology::
     |  GET  .../events       POST /lease/{id}/complete  |
     |  DELETE /jobs/{id}     POST /lease/{id}/fail      |
     |  GET  /best, /healthz, /runners, /metrics         |
-    |  JobQueue + RecordStore + ledger + RunnerRegistry |
+    |  JobEngine: queue, leases, stores, ledger, events |
     +---------------------------------------------------+
 
     (optional on every edge: Authorization: Bearer <token>,
@@ -50,15 +53,18 @@ Design notes
   heartbeat ingestion and every lifecycle transition;
   :meth:`ServeClient.events` iterates it end to end.
 
-Modules: :mod:`~repro.serve.http` (stdlib JSON routing),
-:mod:`~repro.serve.protocol` (leases + wire forms),
+Modules: :mod:`~repro.serve.engine` (the job state machine),
+:mod:`~repro.serve.protocol` (leases, events, error type, wire forms),
+:mod:`~repro.serve.runner` (the tuning side + in-process ``drain``),
+:mod:`~repro.serve.http` (stdlib JSON routing),
 :mod:`~repro.serve.app` (endpoint handlers), :mod:`~repro.serve.client`
-(typed SDK), :mod:`~repro.serve.runner` (the fleet side),
-:mod:`~repro.serve.cli` (``python -m repro.serve server|runner``).
+(typed SDK), :mod:`~repro.serve.cli` (``python -m repro.serve
+server|runner|tune|status|export``).
 """
 
 from repro.serve.app import ServeApp
-from repro.serve.client import JobStatus, ServeClient, ServeError
+from repro.serve.client import JobStatus, ServeClient
+from repro.serve.engine import JobEngine
 from repro.serve.http import TokenBucketLimiter, make_server
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -67,10 +73,13 @@ from repro.serve.protocol import (
     LeaseTable,
     RunnerInfo,
     RunnerRegistry,
+    ServeError,
 )
-from repro.serve.runner import TuningRunner
+from repro.serve.runner import TuningRunner, drain
 
 __all__ = [
+    "JobEngine",
+    "drain",
     "ServeApp",
     "ServeClient",
     "ServeError",

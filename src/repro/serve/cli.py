@@ -6,16 +6,33 @@ Commands
     Run the HTTP tuning server over a cache directory.  SIGINT/SIGTERM
     shuts down gracefully: the queue closes, active leases requeue
     their jobs, and the ledger is flushed — a restarted server (or any
-    other sharing the cache dir) carries on where this one stopped.
+    other engine sharing the cache dir) carries on where this one
+    stopped.
 ``runner``
     Run a measurement runner against a server.  SIGINT/SIGTERM stops
     after the current job; a killed runner's lease simply expires and
     its job requeues server-side.
+``tune``
+    No socket: queue one job per ``--network`` (repeatable), drain them
+    — and anything an earlier run left pending in the ledger — with
+    ``--workers`` in-process runners, and print each job's
+    best-schedule summary.  The first SIGINT/SIGTERM drains (in-flight
+    jobs finish, pending ones stay queued in the ledger); a second
+    cancels in-flight jobs at their next round boundary.
+``status``
+    Show the job ledger and per-key record-store statistics of a cache
+    directory, without running anything.
+``export``
+    Dump every persisted record row as JSON (stdout or ``--output``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import json
+import math
+import os
 import signal
 import sys
 import threading
@@ -147,6 +164,43 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="bearer token for a server started with --auth-token",
     )
+
+    tune = sub.add_parser("tune", help="queue tuning jobs and run them in process")
+    tune.add_argument(
+        "--network",
+        action="append",
+        required=True,
+        help="network to tune (repeat to queue several jobs)",
+    )
+    # job-spec values are range-checked by JobEngine.submit, the same
+    # check POST /jobs goes through
+    tune.add_argument("--device", default="a100")
+    tune.add_argument("--method", default="pruner")
+    tune.add_argument("--rounds", type=int, default=8)
+    tune.add_argument("--scale", default="smoke")
+    tune.add_argument("--batch", type=int, default=1)
+    tune.add_argument("--top-k-tasks", type=int, default=None)
+    tune.add_argument("--seed", type=int, default=None)
+    tune.add_argument("--workers", type=_positive_int, default=1)
+    tune.add_argument("--cache-dir", default=DEFAULT_CACHE)
+    tune.add_argument(
+        "--no-checkpoints",
+        action="store_true",
+        help="skip cost-model checkpoint warm starts (records still seed)",
+    )
+
+    status = sub.add_parser("status", help="show job ledger and store stats")
+    status.add_argument("--cache-dir", default=DEFAULT_CACHE)
+    status.add_argument(
+        "--metrics",
+        action="store_true",
+        help="also summarize per-stage timings and the candidate funnel "
+        "from the trace sink (<cache>/traces/)",
+    )
+
+    export = sub.add_parser("export", help="dump persisted records as JSON")
+    export.add_argument("--cache-dir", default=DEFAULT_CACHE)
+    export.add_argument("--output", default=None, help="file path (default: stdout)")
     return parser
 
 
@@ -158,23 +212,26 @@ def _install_stop_handlers(callback) -> None:
 
 def _cmd_server(args: argparse.Namespace, out) -> int:
     from repro.serve.app import ServeApp
+    from repro.serve.engine import JobEngine
     from repro.serve.http import make_server
 
-    app = ServeApp(
+    engine = JobEngine(
         args.cache_dir,
         lease_ttl=args.lease_ttl,
-        verbose=args.verbose,
         checkpoints=not args.no_checkpoints,
+        max_lease_ttl=args.max_lease_ttl,
+    )
+    app = ServeApp(
+        engine,
+        verbose=args.verbose,
         auth_token=args.auth_token,
         rate_limit=args.rate_limit,
         rate_burst=args.rate_burst,
-        max_lease_ttl=args.max_lease_ttl,
     )
     server = make_server(app, args.host, args.port)
     host, port = server.server_address[:2]
     print(
-        f"tuning server on http://{host}:{port}"
-        f" (cache: {app.service.store.root})",
+        f"tuning server on http://{host}:{port} (cache: {engine.store.root})",
         file=out,
         flush=True,
     )
@@ -194,7 +251,7 @@ def _cmd_server(args: argparse.Namespace, out) -> int:
         )
         server.shutdown()
         server.server_close()
-        app.shutdown()
+        engine.shutdown()
         thread.join(timeout=5)
     return 0
 
@@ -219,12 +276,231 @@ def _cmd_runner(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _fmt_latency(latency: float | None) -> str:
+    if latency is None or not math.isfinite(latency):
+        return "n/a"
+    return f"{latency * 1e6:.1f} us"
+
+
+@contextlib.contextmanager
+def _graceful_drain(engine, out):
+    """Turn SIGINT/SIGTERM into a drain instead of an abrupt exit.
+
+    First signal: stop starting new jobs — in-flight jobs run to
+    completion, pending ones stay queued and are in the ledger as
+    requeueable.  Second signal: also cancel in-flight jobs at their
+    next round boundary (their partial records still reach the store).
+    No-op off the main thread (tests drive the CLI from worker threads,
+    where ``signal.signal`` is unavailable).
+    """
+    from repro.service.jobs import JobState
+
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    hits = {"count": 0}
+
+    def handler(signum, frame):
+        hits["count"] += 1
+        if hits["count"] == 1:
+            print(
+                "\nshutdown requested: draining (in-flight jobs finish, "
+                "pending jobs stay queued; signal again to cancel)",
+                file=out,
+            )
+            engine.queue.close()
+        else:
+            print(
+                "\ncancelling in-flight jobs at the next round boundary",
+                file=out,
+            )
+            # only in-flight jobs: pending ones must stay requeueable
+            # in the ledger, not flip to a terminal cancelled state
+            for job in engine.queue.jobs():
+                if job.state is JobState.RUNNING:
+                    engine.cancel(job.job_id)
+
+    previous = {
+        signum: signal.signal(signum, handler)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        yield
+    finally:
+        for signum, old in previous.items():
+            signal.signal(signum, old)
+
+
+def _cmd_tune(args: argparse.Namespace, out) -> int:
+    from repro.serve.engine import JobEngine
+    from repro.serve.protocol import unwire_float
+    from repro.serve.runner import drain
+
+    engine = JobEngine(args.cache_dir, checkpoints=not args.no_checkpoints)
+    for network in args.network:
+        job_id = engine.submit(
+            network,
+            device=args.device,
+            method=args.method,
+            rounds=args.rounds,
+            scale=args.scale,
+            batch=args.batch,
+            top_k_tasks=args.top_k_tasks,
+            seed=args.seed,
+        )
+        print(f"queued {job_id}: {network}@{args.device} ({args.method})", file=out)
+    # what this run will work on: the jobs just queued plus whatever an
+    # earlier, drained or killed, run left pending in the ledger
+    todo = [job.job_id for job in engine.queue.jobs() if job.state.value == "pending"]
+
+    with _graceful_drain(engine, out):
+        drain(engine, args.workers)
+    failed = 0
+    for job_id in todo:
+        job = engine.queue.get(job_id)
+        print(f"\n{job.describe()}", file=out)
+        if job.state.value != "done":
+            failed += 1
+            if job.error:
+                print(f"  error: {job.error}", file=out)
+            continue
+        result = engine.result(job_id)
+        print(
+            f"  trials: {result['total_trials']} total"
+            f" ({result['fresh_trials']} fresh, {result['seeded_trials']} from cache)",
+            file=out,
+        )
+        latency = unwire_float(result["final_latency"])
+        print(f"  final latency: {_fmt_latency(latency)}", file=out)
+        summary = engine.best_schedule(
+            job.network,
+            device=job.device,
+            method=job.method,
+            batch=job.batch,
+            top_k_tasks=job.top_k_tasks,
+        )
+        print("  best schedules:", file=out)
+        for task_key, entry in sorted(summary["tasks"].items()):
+            print(
+                f"    {task_key}  x{entry['weight']}"
+                f"  {_fmt_latency(entry['latency'])}  {entry['config']}",
+                file=out,
+            )
+    print(f"\n{len(todo)} job(s): {engine.status()}", file=out)
+    return 1 if failed else 0
+
+
+def _cmd_status(args: argparse.Namespace, out) -> int:
+    from repro.serve.engine import LEDGER_NAME
+    from repro.service.jobs import JobQueue
+    from repro.service.models import ModelStore
+    from repro.service.store import RecordStore
+
+    store = RecordStore(args.cache_dir)
+    jobs = JobQueue.load_ledger(store.root / LEDGER_NAME)
+    print(f"cache dir: {store.root}", file=out)
+    print(f"jobs recorded: {len(jobs)}", file=out)
+    for job in jobs:
+        print(f"  {job.describe()}", file=out)
+    print("record store:", file=out)
+    stats = store.stats()
+    if not stats:
+        print("  (empty)", file=out)
+    for entry in stats:
+        print(
+            f"  {entry['workload']}@{entry['device']} ({entry['method']}):"
+            f" {entry['records']} records,"
+            f" best {_fmt_latency(entry['best_latency'])}",
+            file=out,
+        )
+    print("model checkpoints:", file=out)
+    checkpoints = ModelStore(args.cache_dir).stats()
+    if not checkpoints:
+        print("  (none)", file=out)
+    for entry in checkpoints:
+        print(
+            f"  {entry['workload']}@{entry['device']} ({entry['method']}):"
+            f" {entry['kind']} trained on {entry['trained_trials']} trials",
+            file=out,
+        )
+    if args.metrics:
+        _print_trace_metrics(store.root, out)
+    return 0
+
+
+def _print_trace_metrics(root, out) -> None:
+    """Aggregate the trace sink into a stage/funnel summary."""
+    from repro.obs import TraceSink
+
+    summary = TraceSink(root / "traces").summarize()
+    print("tuning metrics:", file=out)
+    if not summary["rounds"]:
+        print("  (no traces recorded)", file=out)
+        return
+    print(
+        f"  {summary['rounds']} round(s) across {summary['jobs']} job(s),"
+        f" {summary['total_s']:.3f} s total",
+        file=out,
+    )
+    total = summary["total_s"] or 1.0
+    print("  stage breakdown:", file=out)
+    for stage, seconds in sorted(
+        summary["stages"].items(), key=lambda kv: -kv[1]
+    ):
+        print(
+            f"    {stage:<10} {seconds:9.3f} s  ({100.0 * seconds / total:5.1f}%)",
+            file=out,
+        )
+    if summary["funnel"]:
+        print("  candidate funnel:", file=out)
+        for stage in ("drafted", "lowered", "gated", "measured"):
+            if stage in summary["funnel"]:
+                print(f"    {stage:<10} {summary['funnel'][stage]}", file=out)
+        for stage, count in sorted(summary["funnel"].items()):
+            if stage not in ("drafted", "lowered", "gated", "measured"):
+                print(f"    {stage:<10} {count}", file=out)
+
+
+def _cmd_export(args: argparse.Namespace, out) -> int:
+    from repro.serve.engine import JobEngine
+
+    rows = JobEngine(args.cache_dir).export()
+    payload = json.dumps(rows, indent=2)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(payload + "\n")
+        print(f"wrote {len(rows)} records to {args.output}", file=out)
+    else:
+        print(payload, file=out)
+    return 0
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
     args = _build_parser().parse_args(argv)
-    handlers = {"server": _cmd_server, "runner": _cmd_runner}
+    handlers = {
+        "server": _cmd_server,
+        "runner": _cmd_runner,
+        "tune": _cmd_tune,
+        "status": _cmd_status,
+        "export": _cmd_export,
+    }
     try:
         return handlers[args.command](args, out)
     except ReproError as exc:
         print(f"error: {exc}", file=out)
         return 1
+    except KeyboardInterrupt:
+        # outside the drain window (submission, printing): exit cleanly
+        # with the conventional interrupted status instead of a traceback
+        print("interrupted", file=out)
+        return 130
+    except BrokenPipeError:
+        # stdout consumer (head, less) closed the pipe early; point the
+        # fd at devnull so the interpreter's shutdown flush doesn't hit
+        # the broken pipe again and taint the exit status
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:
+            pass
+        return 0

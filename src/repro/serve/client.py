@@ -28,17 +28,8 @@ import urllib.parse
 import urllib.request
 from dataclasses import dataclass
 
-from repro.errors import ReproError
+from repro.serve.protocol import ServeError
 from repro.service.jobs import TERMINAL_STATES, JobState
-
-
-class ServeError(ReproError):
-    """A non-2xx response from the tuning server."""
-
-    def __init__(self, status: int, message: str, payload: dict | None = None):
-        super().__init__(f"[HTTP {status}] {message}")
-        self.status = status
-        self.payload = payload or {}
 
 
 @dataclass(frozen=True)
@@ -146,8 +137,8 @@ class ServeClient:
         """Queue one tuning job; returns its job id.
 
         ``spec`` takes the same fields as
-        :meth:`repro.service.server.TuningService.submit` (device,
-        method, rounds, scale, batch, top_k_tasks, seed, priority,
+        :meth:`repro.serve.engine.JobEngine.submit` (device, method,
+        rounds, scale, batch, top_k_tasks, seed, priority,
         max_retries).
         """
         _, payload = self._request(

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import CAUGHT
+from repro.serve.protocol import ServeError
 
 #: Request body size cap (covers record uploads from a runner fleet;
 #: anything bigger is a client bug, not tuning data).
@@ -89,7 +90,10 @@ class TokenBucketLimiter:
 
 
 class HttpError(Exception):
-    """An error with an HTTP status; handlers raise it to short-circuit.
+    """A request refused at the HTTP layer (routing, body, access gate,
+    handler-side validation); handlers raise it to short-circuit.  The
+    app's own refusals arrive as :class:`~repro.serve.protocol.
+    ServeError` and are answered the same way.
 
     ``payload`` (optional) is merged into the error response body, so a
     409 can still tell the client what state the job is actually in.
@@ -245,7 +249,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 self._observe(method, route_label, status, t0)
                 return
             raise HttpError(404, f"no route for {method} {path}")
-        except HttpError as exc:
+        except (HttpError, ServeError) as exc:
             self._respond(exc.status, {"error": exc.message, **exc.payload})
             if route_label is not None:
                 self._observe(method, route_label, exc.status, t0)

@@ -27,9 +27,10 @@ full exchange:
 
 This module owns the lease bookkeeping (:class:`LeaseTable`), the
 fleet membership (:class:`RunnerRegistry`), the progress stream fanout
-(:class:`EventBroker`), and the JSON wire forms of results
-(:func:`result_to_wire` / :func:`fresh_rows`); the HTTP surface lives
-in :mod:`repro.serve.app`.
+(:class:`EventBroker`), the protocol's error type (:class:`ServeError`)
+and the JSON wire forms of results (:func:`result_to_wire` /
+:func:`fresh_rows`); :mod:`repro.serve.engine` drives them as one state
+machine and the HTTP surface lives in :mod:`repro.serve.app`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
-from repro.errors import CostModelError
+from repro.errors import CostModelError, ReproError
 from repro.search.tuner import TuneResult
 from repro.service.models import state_from_wire, state_to_wire
 
@@ -51,6 +52,24 @@ PROTOCOL_VERSION = 1
 
 #: Default seconds a runner may go silent before its lease expires.
 DEFAULT_LEASE_TTL = 30.0
+
+
+class ServeError(ReproError):
+    """A request the job engine refused, carrying its HTTP status.
+
+    The one error type of the job protocol: :class:`~repro.serve.engine.
+    JobEngine` raises it in process, the HTTP layer answers it as
+    ``status`` + ``{"error": message, **payload}``, and
+    :class:`~repro.serve.client.ServeClient` raises it again from that
+    response — so a caller handles a refusal the same way with or
+    without a socket in between.
+    """
+
+    def __init__(self, status: int, message: str, payload: dict | None = None):
+        super().__init__(f"[HTTP {status}] {message}")
+        self.status = status
+        self.message = message
+        self.payload = payload or {}
 
 
 def wire_float(value: float) -> float | str:

@@ -1,20 +1,24 @@
-"""Remote measurement runner: lease jobs over HTTP, tune, report back.
+"""Measurement runner: lease jobs, tune, report back.
 
 A runner is the fleet side of the protocol in
-:mod:`repro.serve.protocol`: it polls ``POST /lease`` for work, tunes
-the leased job locally (warm-started from the seed rows the server
-shipped), heartbeats every round with progress — picking up the
+:mod:`repro.serve.protocol`: it polls ``lease`` for work, tunes the
+leased job locally (warm-started from the seed rows and checkpoint the
+lease shipped), heartbeats every round with progress — picking up the
 cancellation flag on the way back — and delivers fresh record rows plus
 a result summary on completion.  A background keep-alive thread beats
 between rounds too, so a long measurement round cannot silently expire
-the lease.
+the lease.  :class:`TuningRunner` is the only code that tunes on behalf
+of a job, over either transport.
 
-Run one per machine (or several per big machine)::
+Over a socket, run one per machine (or several per big machine)::
 
     python -m repro.serve runner --server http://tuner.example:8537
 
+In process, :func:`drain` runs N of them as threads with the
+:class:`~repro.serve.engine.JobEngine` itself as their client.
+
 Crash behavior is the protocol's whole point: a runner that dies
-mid-job simply stops heartbeating, the lease expires, and the server
+mid-job simply stops heartbeating, the lease expires, and the engine
 requeues the job for the next runner — no state to clean up.
 """
 
@@ -24,6 +28,7 @@ import os
 import socket
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 from repro import api
 from repro.cache import clear_caches
@@ -31,8 +36,9 @@ from repro.obs import CAUGHT
 from repro.errors import SearchError
 from repro.hardware.device import get_device
 from repro.search.tuner import TuneResult
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import ServeClient
 from repro.serve.protocol import (
+    ServeError,
     checkpoint_from_wire,
     checkpoint_to_wire,
     fresh_rows,
@@ -50,12 +56,18 @@ def default_runner_id() -> str:
 
 
 class TuningRunner:
-    """Claims jobs from a tuning server and measures them locally.
+    """Claims jobs from a job engine and measures them locally.
 
     Parameters
     ----------
     server_url:
         Base URL of the ``python -m repro.serve server`` process.
+    client:
+        What to lease from instead of ``ServeClient(server_url)``: any
+        object with ``ServeClient``'s ``register`` / ``lease`` /
+        ``heartbeat`` / ``complete`` / ``fail`` — in particular a
+        :class:`~repro.serve.engine.JobEngine`, for an in-process
+        runner (see :func:`drain`).
     runner_id:
         Identity reported with every protocol call (defaults to
         host-pid).
@@ -74,11 +86,11 @@ class TuningRunner:
 
     def __init__(
         self,
-        server_url: str,
+        server_url: str | None = None,
         runner_id: str | None = None,
         poll: float = 0.5,
         lease_ttl: float | None = None,
-        client: ServeClient | None = None,
+        client=None,
         log=None,
         tags: dict | None = None,
         auth_token: str | None = None,
@@ -168,7 +180,7 @@ class TuningRunner:
         model_trained_on = (
             wire_trained_trials(ckpt) if model_state is not None else 0
         )
-        # a --no-checkpoints server drops completion checkpoints, so
+        # a checkpoints=False engine drops completion checkpoints, so
         # don't pay the full-model serialize + upload for it
         ship_checkpoint = bool(leased.get("accepts_checkpoints", True))
         self._say(
@@ -243,43 +255,29 @@ class TuningRunner:
         should_stop,
         ship_checkpoint: bool = True,
     ) -> tuple[TuneResult, dict | None]:
-        """The measuring half of ``TuningService._run_job``, minus the
-        store: warm-start (seed rows + model checkpoint) comes off the
-        wire, fresh rows and the trained checkpoint go back on it.
+        """Run :func:`repro.api.tune_seeded` for a leased job: the warm
+        start (seed rows + model checkpoint) comes off the lease, fresh
+        rows and the trained checkpoint go back on it.
         """
+
+        def seeds(tasks):
+            spaces = {task.key: task.space for task in tasks}
+            return rows_to_records(seed_rows, spaces), model_state, model_trained_on
+
         try:
-            device = get_device(job.device)
-            subgraphs = network_tasks(
-                job.network, batch=job.batch, top_k=job.top_k_tasks
-            )
-            tasks = api.tasks_for(job.method, subgraphs, device)
-            initial = rows_to_records(
-                seed_rows, {task.key: task.space for task in tasks}
-            )
-            search = api.resolve_scale(job.scale)
-            tuner = api.build_tuner(
+            result, state, trained_on = api.tune_seeded(
                 job.method,
-                subgraphs,
-                device,
-                search=search,
-                seed=job.seed,
-                initial_records=initial,
-                tasks=tasks,
-                initial_model_state=model_state,
-                initial_model_trained_on=model_trained_on,
-            )
-            result = tuner.tune(
+                network_tasks(job.network, batch=job.batch, top_k=job.top_k_tasks),
+                get_device(job.device),
                 job.rounds,
-                trial_budget=job.rounds * search.measure_per_round,
+                api.resolve_scale(job.scale),
+                seeds,
+                checkpoint=ship_checkpoint,
                 progress=progress,
                 should_stop=should_stop,
+                seed=job.seed,
             )
-            checkpoint = None
-            if ship_checkpoint:
-                checkpoint = checkpoint_to_wire(
-                    tuner.checkpoint(), trained_trials=tuner.model_trained_on
-                )
-            return result, checkpoint
+            return result, checkpoint_to_wire(state, trained_trials=trained_on)
         finally:
             # one runner process serves many jobs; per-task memo caches
             # must not accumulate across them
@@ -323,3 +321,29 @@ class TuningRunner:
         except (ServeError, OSError) as report_exc:
             self._say(f"could not report failure: {report_exc}")
         return False
+
+
+def drain(engine, workers: int = 1) -> int:
+    """Drain ``engine``'s queue in process; returns jobs completed.
+
+    ``workers`` threads each run a :class:`TuningRunner` whose client is
+    the engine itself, until a lease poll comes back empty.  Every job
+    builds its own tuner, clock and RNGs from its deterministic seed,
+    so jobs with distinct record-store keys do not depend on which
+    worker runs them or in what order — a 4-worker drain reproduces the
+    1-worker result job for job.  (Jobs sharing a store key warm-start
+    from each other's rows, so their results depend on completion
+    order whatever the worker count.)
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    runners = [
+        TuningRunner(client=engine, runner_id=f"{default_runner_id()}-w{i}")
+        for i in range(workers)
+    ]
+    with ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="tune-worker"
+    ) as pool:
+        futures = [pool.submit(r.run_forever, idle_exit=True) for r in runners]
+        # read every result: a crashed worker loop must surface
+        return sum(future.result() for future in futures)

@@ -1,36 +1,30 @@
-"""Tuning-as-a-service layer: persistent records, job queue, workers.
+"""Data primitives of the tuning service: records, checkpoints, jobs.
 
 * :mod:`repro.service.store` — :class:`RecordStore` persists
   :class:`~repro.search.records.TuningRecord` rows as JSON-lines keyed
   by ``(workload key, device, method)``, with dedup, a versioned schema
-  and best-config lookup.
+  and best-config lookup; plus the tolerant JSONL / atomic-rewrite /
+  file-lock helpers every on-disk format here shares.
 * :mod:`repro.service.models` — :class:`ModelStore` persists cost-model
   checkpoints (``save_state``/``load_state`` dicts) beside the records,
   so warm-started runs restore the trained model too.
 * :mod:`repro.service.jobs` — :class:`TuneJob` + a thread-safe priority
   :class:`JobQueue` with pending/running/done/failed states and retry.
-* :mod:`repro.service.workers` — :class:`WorkerPool` shards queued jobs
-  across N workers with deterministic per-job seeds.
-* :mod:`repro.service.server` — the :class:`TuningService` facade
-  (``submit`` / ``run`` / ``status`` / ``result`` / ``best_schedule``):
-  every job warm-starts from cached records and writes new ones back.
-* :mod:`repro.service.cli` — ``python -m repro.service tune/status/export``.
+
+What drives them — the job state machine, its HTTP face, the runners
+and the ``python -m repro.serve`` CLI — lives in :mod:`repro.serve`.
 """
 
 from repro.service.jobs import JobQueue, JobState, TuneJob
 from repro.service.models import ModelStore
-from repro.service.server import TuningService
 from repro.service.store import RecordStore, StoreKey, store_key_for_tasks
-from repro.service.workers import WorkerPool
 
 __all__ = [
     "JobQueue",
     "JobState",
     "TuneJob",
-    "TuningService",
     "ModelStore",
     "RecordStore",
     "StoreKey",
     "store_key_for_tasks",
-    "WorkerPool",
 ]

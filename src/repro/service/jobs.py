@@ -4,9 +4,9 @@ A :class:`TuneJob` is one request to tune a network on a device with a
 method; the :class:`JobQueue` holds jobs in priority order and tracks
 their lifecycle (``pending -> running -> done | failed | cancelled``),
 requeueing failed jobs until their retry budget is spent.  The queue is
-thread-safe: :class:`repro.service.workers.WorkerPool` workers and the
-HTTP serving layer (:mod:`repro.serve`) claim jobs from it
-concurrently.
+thread-safe: in-process runner threads and the HTTP serving layer both
+claim jobs from it concurrently, through
+:class:`repro.serve.engine.JobEngine`.
 
 Cancellation is cooperative: :meth:`JobQueue.cancel` flips a running
 job's ``cancel_requested`` flag, which the tuning loop polls at round
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import threading
 import uuid
 from collections.abc import Iterable
@@ -28,10 +27,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-
-# In-process guard for ledger read-merge-write cycles: the cross-process
-# file_lock is a no-op where fcntl is unavailable, so threads need this.
-_LEDGER_LOCK = threading.Lock()
+from repro.service.store import iter_jsonl, merge_jsonl
 
 
 class JobState(str, Enum):
@@ -176,15 +172,16 @@ class JobQueue:
                 if not job.job_id or job.job_id in self._jobs:
                     continue
                 if job.state is JobState.RUNNING:
-                    if job.cancel_requested:
-                        job.state = JobState.CANCELLED
-                    else:
-                        # same refund as release(): the process dying
-                        # under the claim says nothing about the job,
-                        # so the attempt must not burn retry budget
-                        job.state = JobState.PENDING
-                        job.attempts = max(0, job.attempts - 1)
-                        job.runner_id = None
+                    # same refund as release(): the process dying under
+                    # the claim says nothing about the job, so the
+                    # attempt must not burn retry budget
+                    job.attempts = max(0, job.attempts - 1)
+                    job.runner_id = None
+                    job.state = (
+                        JobState.CANCELLED
+                        if job.cancel_requested
+                        else JobState.PENDING
+                    )
                 self._seq = max(self._seq, job.submit_seq)
                 if job.submit_seq == 0:
                     self._seq += 1
@@ -341,46 +338,18 @@ class JobQueue:
             out[job.state.value] += 1
         return out
 
-    def pending(self) -> int:
-        return self.counts()["pending"]
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._jobs)
 
     # ------------------------------------------------------------------
-    # ledger persistence (so `repro.service status` sees past runs)
+    # ledger persistence (so `repro.serve status` sees past runs)
     # ------------------------------------------------------------------
     def save_ledger(self, path: str | Path) -> None:
-        """Merge every job's current state into a JSON-lines ledger.
-
-        Existing entries are kept (earlier runs stay visible to
-        ``repro.service status``); entries for this queue's job ids are
-        replaced rather than duplicated, so repeated ``run()`` calls do
-        not inflate the ledger.
-        """
-        from repro.service.store import atomic_write_lines, file_lock, iter_jsonl
-
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # concurrent services share the ledger file
-        with _LEDGER_LOCK, file_lock(path):
-            # merge on raw parsed rows, not TuneJob round-trips: rows a
-            # newer version wrote (extra fields, different shapes) must
-            # survive the rewrite even though load_ledger skips them
-            preserved: list[str] = []
-            merged: dict[str, dict] = {}
-            for line, entry in iter_jsonl(path):
-                if entry is not None and isinstance(entry.get("job_id"), str):
-                    merged[entry["job_id"]] = entry
-                else:
-                    preserved.append(line)
-            for job in self.jobs():
-                merged[job.job_id] = job.to_dict()
-            atomic_write_lines(
-                path,
-                preserved + [json.dumps(entry) for entry in merged.values()],
-            )
+        """Merge every job's current state into a JSON-lines ledger
+        (see :func:`~repro.service.store.merge_jsonl`: other runs'
+        entries stay, this queue's are replaced, not duplicated)."""
+        merge_jsonl(Path(path), lambda: [job.to_dict() for job in self.jobs()])
 
     @staticmethod
     def load_ledger(path: str | Path) -> list[TuneJob]:
@@ -389,8 +358,6 @@ class JobQueue:
         Rows this version cannot interpret are skipped here but
         preserved by :meth:`save_ledger`'s rewrite.
         """
-        from repro.service.store import iter_jsonl
-
         jobs = []
         for _, entry in iter_jsonl(Path(path)):
             if entry is None:

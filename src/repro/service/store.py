@@ -13,8 +13,8 @@ PrediPrune exploits by caching verifier outcomes).  The store persists
 * programs are stored as their schedule config and re-lowered on load
   (a lowered program is a pure function of ``(space, config)``).
 
-The store is the persistence layer under :class:`repro.service.server.
-TuningService`; :func:`repro.api.tune_subgraphs` uses it directly for
+The store is the persistence layer under :class:`repro.serve.engine.
+JobEngine`; :func:`repro.api.tune_subgraphs` uses it directly for
 its ``cache_dir=`` fast path.
 """
 
@@ -26,7 +26,7 @@ import json
 import math
 import re
 import threading
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -164,6 +164,43 @@ def file_lock(path: Path):
             yield
         finally:
             fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+# In-process guard for merge_jsonl's read-merge-write cycle: the
+# cross-process file_lock is a no-op where fcntl is unavailable, so
+# threads need this.
+_LEDGER_LOCK = threading.Lock()
+
+
+def merge_jsonl(path: Path, snapshot: Callable[[], Iterable[dict]]) -> None:
+    """Merge ``snapshot()``'s rows into a JSON-lines file keyed by ``job_id``.
+
+    The one writer of the job ledger and the result summaries: entries
+    already on disk are kept (earlier runs and other processes sharing
+    the file stay visible), entries with the same ``job_id`` are
+    replaced rather than duplicated, and the file is rewritten
+    atomically.  The merge works on raw parsed rows, so lines a newer
+    version wrote (extra fields, other shapes, no ``job_id``) survive
+    the rewrite even though this version's readers skip them.
+
+    ``snapshot`` is called with the locks held: of two racing writers
+    the one that writes last must also have looked last, or a stale
+    ``running`` could overwrite a ``done``.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with _LEDGER_LOCK, file_lock(path):
+        preserved: list[str] = []
+        merged: dict[str, dict] = {}
+        for line, entry in iter_jsonl(path):
+            if entry is not None and isinstance(entry.get("job_id"), str):
+                merged[entry["job_id"]] = entry
+            else:
+                preserved.append(line)
+        for row in snapshot():
+            merged[row["job_id"]] = row
+        atomic_write_lines(
+            path, preserved + [json.dumps(entry) for entry in merged.values()]
+        )
 
 
 def rows_to_records(
@@ -387,35 +424,11 @@ class RecordStore:
     # writing
     # ------------------------------------------------------------------
     def append(self, key: StoreKey, records: Iterable[TuningRecord]) -> int:
-        """Persist records, deduplicating against what the file holds.
-
-        Returns the number of rows actually written.
+        """Persist records, deduplicating against what the file holds
+        (:meth:`append_rows` over their serialized form).  Returns the
+        number of rows actually written.
         """
-        records = list(records)
-        if not records:
-            return 0  # fully-warm runs: skip the dedup scan entirely
-        # create the root lazily, on first write: read-only commands
-        # (status/export over a mistyped --cache-dir) must not mkdir
-        self.root.mkdir(parents=True, exist_ok=True)
-        with self._lock, file_lock(self.path_for(key)):
-            path = self.path_for(key)
-            # dedup against every parseable row, whatever its schema
-            # version — a newer-versioned row still owns its identity
-            seen = {
-                (row.get("task_key"), row.get("config_key"))
-                for row in self._iter_parsed(path)
-            }
-            written = 0
-            with path.open("a", encoding="utf-8") as fh:
-                for record in records:
-                    ident = (record.task_key, record.prog.config.key)
-                    if ident in seen:
-                        continue
-                    seen.add(ident)
-                    fh.write(json.dumps(record.to_dict()) + "\n")
-                    written += 1
-            self._register(key)
-            return written
+        return self.append_rows(key, [record.to_dict() for record in records])
 
     def append_rows(self, key: StoreKey, rows: Iterable[dict]) -> int:
         """Persist already-serialized record rows (the wire-ingest path).
@@ -423,9 +436,9 @@ class RecordStore:
         Remote runners ship fresh trials as ``TuningRecord.to_dict``
         rows; persisting them must not require re-lowering every config
         on the server.  Rows missing a ``task_key``/``config_key``
-        identity are dropped, dedup matches :meth:`append`, and rows
-        are stamped with the current schema version if they carry none.
-        Returns the number of rows written.
+        identity are dropped, the rest deduplicate on it against the
+        file, and rows are stamped with the current schema version if
+        they carry none.  Returns the number of rows written.
         """
         rows = [dict(row) for row in rows if isinstance(row, dict)]
         rows = [
@@ -435,10 +448,14 @@ class RecordStore:
             and isinstance(row.get("config_key"), str)
         ]
         if not rows:
-            return 0
+            return 0  # fully-warm runs: skip the dedup scan entirely
+        # create the root lazily, on first write: read-only commands
+        # (status/export over a mistyped --cache-dir) must not mkdir
         self.root.mkdir(parents=True, exist_ok=True)
         with self._lock, file_lock(self.path_for(key)):
             path = self.path_for(key)
+            # dedup against every parseable row, whatever its schema
+            # version — a newer-versioned row still owns its identity
             seen = {
                 (row.get("task_key"), row.get("config_key"))
                 for row in self._iter_parsed(path)
@@ -495,13 +512,6 @@ class RecordStore:
             if version is None:
                 return None
         return row if version == RECORD_SCHEMA_VERSION else None
-
-    @classmethod
-    def _iter_rows(cls, path: Path) -> Iterable[dict]:
-        for row in cls._iter_parsed(path):
-            migrated = cls._migrated(row)
-            if migrated is not None:
-                yield migrated
 
     def upgrade_in_place(self, key: StoreKey) -> int:
         """Rewrite old-schema rows of one file in the current schema.
@@ -716,7 +726,7 @@ class RecordStore:
             return evicted
 
     def stats(self) -> list[dict]:
-        """Per-key summary (for ``repro.service status`` / ``export``)."""
+        """Per-key summary (for ``repro.serve status`` / ``export``)."""
         out = []
         for key in self.keys():
             rows = self.load_rows(key)

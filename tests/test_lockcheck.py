@@ -135,12 +135,12 @@ def _run_pytest(tmp_path, body: str) -> subprocess.CompletedProcess:
 def test_benign_suite_passes_lockcheck(tmp_path):
     proc = _run_pytest(
         tmp_path,
-        "import repro.service.jobs as jobs_mod\n"
-        "from repro.service.jobs import JobQueue\n\n\n"
-        "def test_ledger_then_queue_is_the_sanctioned_order():\n"
-        "    q = JobQueue()\n"
-        "    with jobs_mod._LEDGER_LOCK:\n"
-        "        with q._lock:\n"
+        "from repro.obs import MetricsRegistry\n\n\n"
+        "def test_registry_then_family_is_the_sanctioned_order():\n"
+        "    registry = MetricsRegistry()\n"
+        "    family = registry.counter('jobs_total', 'help', labels=('kind',))\n"
+        "    with registry._lock:\n"
+        "        with family._lock:\n"
         "            pass\n",
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -148,18 +148,18 @@ def test_benign_suite_passes_lockcheck(tmp_path):
 
 
 def test_opposite_order_fails_the_run(tmp_path):
-    # JobQueue._lock -> _LEDGER_LOCK inverts the static edge
-    # service.jobs._LEDGER_LOCK -> service.jobs.JobQueue._lock that
-    # save_ledger takes for real: the union graph has a cycle, so the
-    # session must fail even though the test itself passes.
+    # MetricFamily._lock -> MetricsRegistry._lock inverts the static edge
+    # obs.registry.MetricsRegistry._lock -> obs.registry.MetricFamily._lock
+    # that a metrics scrape takes for real: the union graph has a cycle,
+    # so the session must fail even though the test itself passes.
     proc = _run_pytest(
         tmp_path,
-        "import repro.service.jobs as jobs_mod\n"
-        "from repro.service.jobs import JobQueue\n\n\n"
-        "def test_queue_then_ledger_inverts_save_ledger():\n"
-        "    q = JobQueue()\n"
-        "    with q._lock:\n"
-        "        with jobs_mod._LEDGER_LOCK:\n"
+        "from repro.obs import MetricsRegistry\n\n\n"
+        "def test_family_then_registry_inverts_a_scrape():\n"
+        "    registry = MetricsRegistry()\n"
+        "    family = registry.counter('jobs_total', 'help', labels=('kind',))\n"
+        "    with family._lock:\n"
+        "        with registry._lock:\n"
         "            pass\n",
     )
     assert proc.returncode != 0, proc.stdout + proc.stderr

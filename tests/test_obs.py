@@ -27,6 +27,7 @@ from repro.obs import (
 )
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient
+from repro.serve.engine import JobEngine
 from repro.serve.http import make_server
 from repro.workloads import network_tasks
 
@@ -338,8 +339,9 @@ class FakeClock:
 
 
 class Stack:
-    def __init__(self, cache_dir, **app_kwargs) -> None:
-        self.app = ServeApp(cache_dir, **app_kwargs)
+    def __init__(self, cache_dir, **engine_kwargs) -> None:
+        self.engine = JobEngine(cache_dir, **engine_kwargs)
+        self.app = ServeApp(self.engine)
         self.server = make_server(self.app, "127.0.0.1", 0)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
         self.client = ServeClient(self.url, timeout=10.0)
@@ -356,7 +358,7 @@ class Stack:
         self.server.shutdown()
         self.server.server_close()
         self.thread.join(timeout=5)
-        self.app.shutdown()
+        self.engine.shutdown()
 
 
 @pytest.fixture
@@ -433,7 +435,7 @@ class TestServeMetrics:
             in text
         )
         job_id = leased["job"]["job_id"]
-        rows = stack.app.service.traces.read(job_id)
+        rows = stack.engine.traces.read(job_id)
         assert len(rows) == 1
         assert rows[0]["runner"] == "worker-2"
         assert rows[0]["stages"] == {"draft": 0.2, "measure": 0.1}
@@ -449,7 +451,7 @@ class TestServeMetrics:
         assert 'repro_jobs{state="running"} 0' in text
         # ... and the requeue reached the ledger (crash safety)
         ledger = (
-            stack.app.service.store.root / "jobs.jsonl"
+            stack.engine.store.root / "jobs.jsonl"
         ).read_text()
         assert '"state": "pending"' in ledger or '"pending"' in ledger
 

@@ -24,6 +24,7 @@ import pytest
 
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.engine import JobEngine
 from repro.serve.http import make_server
 from repro.serve.protocol import LeaseTable
 from repro.serve.runner import TuningRunner
@@ -46,10 +47,17 @@ class FakeClock:
 
 
 class Stack:
-    """A ServeApp bound to a real ephemeral-port HTTP server."""
+    """A JobEngine behind a ServeApp on a real ephemeral-port server.
 
-    def __init__(self, cache_dir, **app_kwargs) -> None:
-        self.app = ServeApp(cache_dir, **app_kwargs)
+    Keyword arguments go to whichever of the two declares them.
+    """
+
+    APP_KWARGS = ("verbose", "auth_token", "rate_limit", "rate_burst")
+
+    def __init__(self, cache_dir, **kwargs) -> None:
+        app_kwargs = {k: kwargs.pop(k) for k in self.APP_KWARGS if k in kwargs}
+        self.engine = JobEngine(cache_dir, **kwargs)
+        self.app = ServeApp(self.engine, **app_kwargs)
         self.server = make_server(self.app, "127.0.0.1", 0)
         self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
         self.client = ServeClient(
@@ -63,7 +71,7 @@ class Stack:
         self.server.server_close()
         self.thread.join(timeout=5)
         if shutdown_app:
-            self.app.shutdown()
+            self.engine.shutdown()
 
 
 @pytest.fixture
@@ -317,14 +325,14 @@ class TestEndToEnd:
             checkpoint=checkpoint_to_wire(PaCM().save_state(), trained_trials=10**6),
         )
         assert done["job_id"] == mine  # the lease won
-        app = stack.app
-        other_key = app._store_key_for(app.queue.get(other))
-        mine_key = app._store_key_for(app.queue.get(mine))
-        assert app.service.models.load_wire(other_key, "pacm") is None
-        assert app.service.models.load_wire(mine_key, "pacm") is not None
+        engine = stack.engine
+        other_key = engine._store_key_for(engine.queue.get(other))
+        mine_key = engine._store_key_for(engine.queue.get(mine))
+        assert engine.models.load_wire(other_key, "pacm") is None
+        assert engine.models.load_wire(mine_key, "pacm") is not None
         # the forged trial count was clamped to the evidence on file
         # (no rows shipped), so it cannot freeze the arbitration slot
-        assert app.service.models.trained_trials(mine_key, "pacm") == 0
+        assert engine.models.trained_trials(mine_key, "pacm") == 0
 
     def test_no_checkpoints_server_advertises_it(self, tmp_path):
         """--no-checkpoints: the lease carries neither a checkpoint nor
@@ -365,9 +373,9 @@ class TestEndToEnd:
                     records=rows,
                 )
             assert excinfo.value.status == 410  # lease is gone...
-            app = stack.app
-            key = app._store_key_for(app.queue.get(job_id))
-            assert app.service.store.count(key) == 1  # ...rows still landed
+            engine = stack.engine
+            key = engine._store_key_for(engine.queue.get(job_id))
+            assert engine.store.count(key) == 1  # ...rows still landed
             with pytest.raises(ServeError):
                 client.complete(
                     "lease-that-never-existed",  # e.g. issued pre-restart
@@ -379,9 +387,9 @@ class TestEndToEnd:
                         PaCM().save_state(), trained_trials=5
                     ),
                 )
-            assert app.service.store.count(key) == 2  # rows survive restarts
+            assert engine.store.count(key) == 2  # rows survive restarts
             # ...but an unattributable checkpoint never lands anywhere
-            assert app.service.models.load_wire(key, "pacm") is None
+            assert engine.models.load_wire(key, "pacm") is None
         finally:
             stack.close()
 

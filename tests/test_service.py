@@ -1,10 +1,12 @@
-"""Tests for repro.service: record store, job queue, workers, service."""
+"""Tests for the tuning service: record store, job queue, and the job
+engine drained in process (``repro.serve.engine`` + ``runner.drain``)."""
 
 from __future__ import annotations
 
 import io
 import json
 import math
+import signal
 
 import pytest
 
@@ -14,17 +16,22 @@ from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.schedule import lower, random_config
 from repro.search import RecordLog, TuningRecord, make_tasks
+from repro.serve.cli import _graceful_drain
+from repro.serve.cli import main as cli_main
+from repro.serve.engine import LEDGER_NAME, JobEngine
+from repro.serve.protocol import ServeError, unwire_float, wire_float
+from repro.serve.runner import TuningRunner, drain
 from repro.service import (
     JobQueue,
     JobState,
     RecordStore,
     StoreKey,
     TuneJob,
-    TuningService,
-    WorkerPool,
     store_key_for_tasks,
 )
-from repro.service.cli import main as cli_main
+
+
+SMOKE = dict(rounds=2, scale="smoke", top_k_tasks=1)
 
 
 @pytest.fixture
@@ -246,13 +253,13 @@ class TestScaleValidation:
         with pytest.raises(SearchError, match="valid methods"):
             api.tune_subgraphs("ansr", subs, "a100", scale="smoke")
         with pytest.raises(SearchError, match="valid methods"):
-            TuningService(tmp_path).submit("bert_tiny", method="ansr")
+            JobEngine(tmp_path).submit("bert_tiny", method="ansr")
 
     def test_pretrained_methods_rejected_at_submit(self, tmp_path):
         """Jobs cannot carry pretrained params, so offline/finetune/MoA
-        methods must fail at submit, not inside every worker attempt."""
+        methods must fail at submit, not inside every runner attempt."""
         with pytest.raises(SearchError, match="pretrained"):
-            TuningService(tmp_path).submit("bert_tiny", method="tlp")
+            JobEngine(tmp_path).submit("bert_tiny", method="tlp")
 
 
 class TestSchemaMigration:
@@ -466,119 +473,137 @@ class TestJobQueue:
         assert job.state is JobState.DONE
 
 
-class TestWorkerPool:
-    def test_retries_run_through_pool(self):
-        queue = JobQueue()
-        queue.submit(TuneJob("bert_tiny", max_retries=2))
-        calls = []
+def _drain(engine, workers: int = 1) -> dict[str, str]:
+    """Drain in process; returns job id -> state."""
+    drain(engine, workers)
+    return {job["job_id"]: job["state"] for job in engine.jobs()}
 
-        def flaky(job):
+
+class TestWorkerPool:
+    def test_retries_run_through_pool(self, tmp_path, monkeypatch):
+        """A job whose attempt raises is failed back and re-leased until
+        its retry budget is spent — never stranded, even though the
+        other worker found the queue empty and left long ago."""
+        engine = JobEngine(tmp_path)
+        job_id = engine.submit("bert_tiny", max_retries=2, **SMOKE)
+        calls = []
+        real_tune = TuningRunner._tune
+
+        def flaky(self, job, *args, **kwargs):
             calls.append(job.attempts)
             if len(calls) < 3:
                 raise RuntimeError("transient")
-            return "ok"
+            return real_tune(self, job, *args, **kwargs)
 
-        results = WorkerPool(2).run(queue, flaky)
-        assert list(results.values()) == ["ok"]
-        assert len(calls) == 3
-        assert queue.counts()["done"] == 1
+        monkeypatch.setattr(TuningRunner, "_tune", flaky)
+        assert _drain(engine, workers=2) == {job_id: "done"}
+        assert calls == [1, 2, 3]
+        assert engine.result(job_id)["fresh_trials"] > 0
 
-    def test_rejects_zero_workers(self):
+    def test_rejects_zero_workers(self, tmp_path):
         with pytest.raises(ValueError):
-            WorkerPool(0)
+            drain(JobEngine(tmp_path), 0)
 
 
 class TestWarmStart:
     def test_second_submit_reuses_records(self, tmp_path):
-        """Acceptance: same workload twice through the service, shared
+        """Acceptance: same workload twice through the engine, shared
         cache — run 2 loads run 1's records, is no worse, measures less."""
         spec = dict(device="a100", rounds=3, scale="smoke", top_k_tasks=1)
-        first_service = TuningService(tmp_path, workers=1)
-        first_id = first_service.submit("bert_tiny", **spec)
-        first_service.run()
-        first = first_service.result(first_id)
-        assert first.fresh_trials > 0
-        assert first.seeded_trials == 0
+        first_engine = JobEngine(tmp_path)
+        first_id = first_engine.submit("bert_tiny", **spec)
+        _drain(first_engine)
+        first = first_engine.result(first_id)
+        assert first["fresh_trials"] > 0
+        assert first["seeded_trials"] == 0
 
-        second_service = TuningService(tmp_path, workers=1)
-        second_id = second_service.submit("bert_tiny", **spec)
-        second_service.run()
-        second = second_service.result(second_id)
-        assert second.seeded_trials > 0  # loaded run 1's records
-        assert second.fresh_trials < first.fresh_trials
-        assert second.final_latency <= first.final_latency
-        for key, best in first.best.items():
-            assert second.best[key] <= best
+        second_engine = JobEngine(tmp_path)  # a restart, same cache dir
+        # results.jsonl: the first run's summary survived the restart
+        assert second_engine.result(first_id) == first
+        second_id = second_engine.submit("bert_tiny", **spec)
+        _drain(second_engine)
+        second = second_engine.result(second_id)
+        assert second["seeded_trials"] > 0  # loaded run 1's records
+        assert second["fresh_trials"] < first["fresh_trials"]
+        assert unwire_float(second["final_latency"]) <= unwire_float(
+            first["final_latency"]
+        )
+        for key, best in first["best"].items():
+            assert second["best"][key] <= best
 
     @staticmethod
     def _fresh_trials_to(result, target):
         """Trials measured *in this run* before the curve reached target."""
-        for point in result.curve:
-            if point.latency <= target:
-                return point.trials - result.seeded_trials
+        for point in result["curve"]:
+            if unwire_float(point["latency"]) <= target:
+                return point["trials"] - result["seeded_trials"]
         return math.inf
 
     def test_checkpoint_warm_start_reaches_best_in_fewer_trials(self, tmp_path):
-        """Acceptance: the second service run of the same task loads the
-        stored cost-model checkpoint (no cold retrain from round 0) and
+        """Acceptance: the second run of the same task loads the stored
+        cost-model checkpoint (no cold retrain from round 0) and
         reaches the first run's best latency in strictly fewer measured
         trials."""
         spec = dict(device="a100", rounds=4, scale="smoke", top_k_tasks=1)
-        first_service = TuningService(tmp_path, workers=1)
-        first_id = first_service.submit("bert_tiny", **spec)
-        first_service.run()
-        first = first_service.result(first_id)
-        assert not first.warm_model  # nothing to restore on a cold store
+        first_engine = JobEngine(tmp_path)
+        first_id = first_engine.submit("bert_tiny", **spec)
+        _drain(first_engine)
+        first = first_engine.result(first_id)
+        assert not first["warm_model"]  # nothing to restore on a cold store
         # the trained model was checkpointed at job completion
-        (entry,) = first_service.models.stats()
+        (entry,) = first_engine.models.stats()
         assert entry["kind"] == "pacm"
-        assert entry["trained_trials"] == first.total_trials
+        assert entry["trained_trials"] == first["total_trials"]
 
-        second_service = TuningService(tmp_path, workers=1)
-        second_id = second_service.submit("bert_tiny", **spec)
-        second_service.run()
-        second = second_service.result(second_id)
-        assert second.warm_model  # restored, not retrained from round 0
-        target = first.final_latency
+        second_engine = JobEngine(tmp_path)
+        second_id = second_engine.submit("bert_tiny", **spec)
+        _drain(second_engine)
+        second = second_engine.result(second_id)
+        assert second["warm_model"]  # restored, not retrained from round 0
+        target = unwire_float(first["final_latency"])
         assert self._fresh_trials_to(second, target) < self._fresh_trials_to(
             first, target
         )
 
     def test_no_model_cache_flag_skips_checkpoints(self, tmp_path):
+        """``checkpoints=False`` (``--no-checkpoints``): nothing shipped,
+        nothing stored; records still seed."""
         spec = dict(device="a100", rounds=2, scale="smoke", top_k_tasks=1)
-        service = TuningService(tmp_path, workers=1, model_cache=False)
-        service.submit("bert_tiny", **spec)
-        service.run()
-        assert service.models.stats() == []
-        warm = TuningService(tmp_path, workers=1)  # checkpoints back on
+        engine = JobEngine(tmp_path, checkpoints=False)
+        engine.submit("bert_tiny", **spec)
+        _drain(engine)
+        assert engine.models.stats() == []
+        warm = JobEngine(tmp_path)  # checkpoints back on
         warm_id = warm.submit("bert_tiny", **spec)
-        warm.run()
-        assert not warm.result(warm_id).warm_model  # nothing was stored
+        _drain(warm)
+        result = warm.result(warm_id)
+        assert result["seeded_trials"] > 0
+        assert not result["warm_model"]  # nothing was stored
         assert warm.models.stats() != []  # ...but this run checkpointed
 
 
 class TestMultiWorker:
     def test_four_workers_match_single_process(self, tmp_path):
-        """Acceptance: a 4-worker run completes >= 4 jobs and each job's
-        best latencies match api.tune_network for the same seed."""
+        """Acceptance: a 4-worker drain completes >= 4 jobs and each
+        job's best latencies match api.tune_network for the same seed."""
         specs = [
             ("bert_tiny", "a100"),
             ("bert_tiny", "t4"),
             ("gpt2", "a100"),
             ("gpt2", "t4"),
         ]
-        service = TuningService(tmp_path / "svc", workers=4)
+        engine = JobEngine(tmp_path / "svc")
         ids = {
-            service.submit(
+            engine.submit(
                 network, device=device, rounds=2, scale="smoke", top_k_tasks=1
             ): (network, device)
             for network, device in specs
         }
-        states = service.run()
+        states = _drain(engine, workers=4)
         assert all(state == "done" for state in states.values())
 
         for job_id, (network, device) in ids.items():
-            job = service.queue.get(job_id)
+            job = engine.queue.get(job_id)
             reference = api.tune_network(
                 network,
                 device=device,
@@ -587,21 +612,21 @@ class TestMultiWorker:
                 top_k_tasks=1,
                 seed=job.seed,
             )
-            assert service.result(job_id).best == reference.best
+            assert engine.result(job_id)["best"] == {
+                key: wire_float(value) for key, value in reference.best.items()
+            }
 
 
 class TestServiceFacade:
     def test_status_result_and_best_schedule(self, tmp_path):
-        service = TuningService(tmp_path, workers=2)
-        job_id = service.submit(
-            "bert_tiny", rounds=2, scale="smoke", top_k_tasks=1
-        )
-        assert service.status(job_id)["state"] == "pending"
-        with pytest.raises(SearchError):
-            service.result(job_id)
-        service.run()
-        assert service.status(job_id)["state"] == "done"
-        assert service.status() == {
+        engine = JobEngine(tmp_path)
+        job_id = engine.submit("bert_tiny", **SMOKE)
+        assert engine.status(job_id)["state"] == "pending"
+        with pytest.raises(ServeError, match="pending"):
+            engine.result(job_id)
+        _drain(engine, workers=2)
+        assert engine.status(job_id)["state"] == "done"
+        assert engine.status() == {
             "pending": 0,
             "running": 0,
             "done": 1,
@@ -609,64 +634,88 @@ class TestServiceFacade:
             "cancelled": 0,
         }
 
-        summary = service.best_schedule("bert_tiny", top_k_tasks=1)
+        summary = engine.best_schedule("bert_tiny", top_k_tasks=1)
         assert summary["complete"]
         assert len(summary["tasks"]) == 1
         assert math.isfinite(summary["tuned_latency"])
         # not-yet-tuned workload: incomplete, inf
-        missing = service.best_schedule("bert_tiny", device="t4", top_k_tasks=1)
+        missing = engine.best_schedule("bert_tiny", device="t4", top_k_tasks=1)
         assert not missing["complete"]
         assert math.isinf(missing["tuned_latency"])
 
-        rows = service.export()
+        rows = engine.export()
         assert rows and all(row["store"]["method"] == "pruner" for row in rows)
 
     def test_cancel_pending_job_never_runs(self, tmp_path):
-        service = TuningService(tmp_path)
-        job_id = service.submit("bert_tiny", rounds=2, scale="smoke", top_k_tasks=1)
-        assert service.cancel(job_id) == "cancelled"
-        states = service.run()  # drains nothing: the job is cancelled
+        engine = JobEngine(tmp_path)
+        job_id = engine.submit("bert_tiny", **SMOKE)
+        assert engine.cancel(job_id) is JobState.CANCELLED
+        states = _drain(engine)  # drains nothing: the job is cancelled
         assert states[job_id] == "cancelled"
-        with pytest.raises(SearchError, match="cancelled"):
-            service.result(job_id)
-        with pytest.raises(SearchError, match="unknown job id"):
-            service.cancel("job-0000-nope")
+        with pytest.raises(ServeError, match="cancelled"):
+            engine.result(job_id)
+        with pytest.raises(ServeError, match="unknown job id"):
+            engine.cancel("job-0000-nope")
 
     def test_drain_leaves_pending_in_ledger(self, tmp_path):
-        service = TuningService(tmp_path, workers=1)
-        job_id = service.submit("bert_tiny", rounds=1, scale="smoke", top_k_tasks=1)
-        service.request_drain()
-        states = service.run()  # claims nothing, still flushes the ledger
+        engine = JobEngine(tmp_path)
+        job_id = engine.submit("bert_tiny", rounds=1, scale="smoke", top_k_tasks=1)
+        engine.queue.close()  # what the first SIGINT/SIGTERM does
+        states = _drain(engine)  # leases nothing
         assert states[job_id] == "pending"
-        from repro.service.server import LEDGER_NAME
-
-        (entry,) = JobQueue.load_ledger(service.store.root / LEDGER_NAME)
+        (entry,) = JobQueue.load_ledger(engine.store.root / LEDGER_NAME)
         assert entry.state is JobState.PENDING
+        # ...so the next run over the same cache dir picks it up
+        resumed = JobEngine(tmp_path)
+        assert _drain(resumed) == {job_id: "done"}
+
+    def test_first_signal_drains_second_cancels(self, tmp_path):
+        engine = JobEngine(tmp_path)
+        in_flight = engine.submit("bert_tiny", **SMOKE)
+        queued = engine.submit("gpt2", **SMOKE)
+        assert engine.lease("r1")["job"]["job_id"] == in_flight
+        before = signal.getsignal(signal.SIGTERM)
+        out = io.StringIO()
+        with _graceful_drain(engine, out):
+            signal.raise_signal(signal.SIGTERM)
+            assert "draining" in out.getvalue()
+            assert engine.lease("r2") is None  # no new job starts
+            assert not engine.queue.cancel_requested(in_flight)
+            signal.raise_signal(signal.SIGINT)
+            assert engine.queue.cancel_requested(in_flight)
+        assert signal.getsignal(signal.SIGTERM) is before
+        # the queued job is still requeueable, in memory and in the ledger
+        assert engine.status(queued)["state"] == "pending"
+        states = {
+            job.job_id: job.state
+            for job in JobQueue.load_ledger(engine.store.root / LEDGER_NAME)
+        }
+        assert states == {in_flight: JobState.RUNNING, queued: JobState.PENDING}
 
     def test_submit_rejects_unknown_scale(self, tmp_path):
-        service = TuningService(tmp_path)
+        engine = JobEngine(tmp_path)
         with pytest.raises(SearchError):
-            service.submit("bert_tiny", scale="bogus")
+            engine.submit("bert_tiny", scale="bogus")
 
     def test_unknown_network_rejected_at_submit(self, tmp_path):
         from repro.errors import WorkloadError
 
         with pytest.raises(WorkloadError, match="no_such_network"):
-            TuningService(tmp_path).submit("no_such_network")
+            JobEngine(tmp_path).submit("no_such_network")
 
     def test_failed_job_reported(self, tmp_path, monkeypatch):
-        service = TuningService(tmp_path, workers=1)
-        job_id = service.submit("bert_tiny", rounds=1, max_retries=0)
+        engine = JobEngine(tmp_path)
+        job_id = engine.submit("bert_tiny", rounds=1, max_retries=0)
 
-        def explode(job):
+        def explode(self, job, *args, **kwargs):
             raise RuntimeError("device on fire")
 
-        monkeypatch.setattr(service, "_run_job", explode)
-        states = service.run()
+        monkeypatch.setattr(TuningRunner, "_tune", explode)
+        states = _drain(engine)
         assert states[job_id] == "failed"
-        assert "device on fire" in service.queue.get(job_id).error
-        with pytest.raises(SearchError, match="failed"):
-            service.result(job_id)
+        assert "device on fire" in engine.status(job_id)["error"]
+        with pytest.raises(ServeError, match="failed"):
+            engine.result(job_id)
 
 
 class TestCli:
@@ -704,6 +753,13 @@ class TestCli:
         assert code == 0
         rows = json.loads(export_path.read_text())
         assert rows and all("config_key" in row for row in rows)
+
+    def test_status_and_export_leave_no_directory(self, tmp_path):
+        """Read-only commands over a mistyped --cache-dir must not mkdir."""
+        missing = tmp_path / "typo"
+        for command in ("status", "export"):
+            assert cli_main([command, "--cache-dir", str(missing)], out=io.StringIO()) == 0
+        assert not missing.exists()
 
 
 class TestStoreKey:
