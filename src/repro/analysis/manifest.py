@@ -204,9 +204,9 @@ DEFAULT_MANIFEST = Manifest(
             guards=("_REGISTRY", "_STATS_HOOKS"),
         ),
         ModuleLock(
-            module="repro/service/store.py",
+            module="repro/journal.py",
             name="_LEDGER_LOCK",
-            node="service.store._LEDGER_LOCK",
+            node="repro.journal._LEDGER_LOCK",
         ),
     ),
     wrappers=(

@@ -410,7 +410,7 @@ def tune_subgraphs(
         initial = store.load_records(key, {t.key: t.space for t in tasks})
         if models is not None:
             # one consistent read: state and its rank must come from the
-            # same file version (and one LRU touch, not two)
+            # same file version
             wire = models.load_wire(key, model_kind(method))
             if wire is not None:
                 try:

@@ -23,6 +23,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.journal import append_lines, atomic_write_lines, iter_jsonl
+
 #: Default byte budget for a trace directory (plenty for thousands of
 #: rounds; a round trace line is a few hundred bytes).
 DEFAULT_TRACE_BYTES = 16 << 20
@@ -92,10 +94,12 @@ class TraceSink:
     """Append-only JSONL trace store: one file per job, capped directory.
 
     Writes are cheap (open-append-close, one line) and crash-safe in
-    the JSONL sense — a torn final line is skipped on read.  The byte
-    cap is enforced after every write: whole files rotate out oldest-
+    the JSONL sense — a torn final line is skipped on read and the next
+    write starts on a fresh line (:mod:`repro.journal`).  The byte cap
+    is enforced after every write: whole files rotate out oldest-
     modified first (never the file just written); if the active file
-    alone exceeds the cap, its oldest half is dropped in place.
+    alone exceeds the cap, its oldest half is dropped by an atomic
+    rewrite.  This is the one capped directory of a cache dir.
     """
 
     def __init__(
@@ -117,8 +121,7 @@ class TraceSink:
         line = json.dumps(record)
         with self._lock:
             self.root.mkdir(parents=True, exist_ok=True)
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            append_lines(path, [line])
             self._enforce_cap(keep=path)
 
     def _enforce_cap(self, keep: Path) -> None:
@@ -137,11 +140,8 @@ class TraceSink:
             path.unlink(missing_ok=True)
         if total > self.max_bytes and keep.exists():
             # The active job alone blew the budget: keep its newest half.
-            lines = keep.read_text(encoding="utf-8").splitlines()
-            kept = lines[len(lines) // 2 :]
-            keep.write_text(
-                "\n".join(kept) + ("\n" if kept else ""), encoding="utf-8"
-            )
+            lines = [raw for raw, _ in iter_jsonl(keep)]
+            atomic_write_lines(keep, lines[len(lines) // 2 :])
 
     # ------------------------------------------------------------------
     def jobs(self) -> list[str]:
@@ -152,21 +152,7 @@ class TraceSink:
 
     def read(self, job_id: str) -> list[dict]:
         """Every well-formed trace record of one job, in write order."""
-        path = self._path(job_id)
-        if not path.is_file():
-            return []
-        out: list[dict] = []
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn tail line from a crash mid-write
-            if isinstance(row, dict):
-                out.append(row)
-        return out
+        return [row for _, row in iter_jsonl(self._path(job_id)) if row is not None]
 
     def summarize(self) -> dict:
         """Aggregate stage seconds and funnel counts across all jobs.

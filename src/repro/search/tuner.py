@@ -172,8 +172,9 @@ class Tuner:
         #: fitted at the most recent update this run, floored (for
         #: warm-started models) at the loaded checkpoint's own rank —
         #: the model keeps that inherited evidence even when the record
-        #: store was compacted below it, and the improved model must
-        #: still be able to replace the stored checkpoint.
+        #: store now holds fewer rows than that (an operator deleted or
+        #: trimmed the key's file), and the improved model must still
+        #: be able to replace the stored checkpoint.
         self.model_trained_on = 0
         self._inherited_trained_on = 0
         # Cross-run warm start: restore the model from a persisted

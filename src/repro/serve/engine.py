@@ -26,6 +26,7 @@ from pathlib import Path
 from repro import api
 from repro.errors import ReproError, SearchError
 from repro.hardware.device import get_device
+from repro.journal import iter_jsonl, merge_jsonl
 from repro.obs import MetricsRegistry, TraceSink
 from repro.serve.protocol import (
     DEFAULT_LEASE_TTL,
@@ -40,8 +41,6 @@ from repro.service.models import ModelStore, wire_trained_trials
 from repro.service.store import (
     RecordStore,
     StoreKey,
-    iter_jsonl,
-    merge_jsonl,
     rows_to_records,
     store_key_for_tasks,
 )

@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from repro.service.store import iter_jsonl, merge_jsonl
+from repro.journal import iter_jsonl, merge_jsonl
 
 
 class JobState(str, Enum):
@@ -347,7 +347,7 @@ class JobQueue:
     # ------------------------------------------------------------------
     def save_ledger(self, path: str | Path) -> None:
         """Merge every job's current state into a JSON-lines ledger
-        (see :func:`~repro.service.store.merge_jsonl`: other runs'
+        (see :func:`~repro.journal.merge_jsonl`: other runs'
         entries stay, this queue's are replaced, not duplicated)."""
         merge_jsonl(Path(path), lambda: [job.to_dict() for job in self.jobs()])
 

@@ -14,7 +14,7 @@ Layout — checkpoints share the record store's cache directory::
     <cache_dir>/
         <workload>__<device>__<method>__<digest>.jsonl   # records
         models/
-            index.json                                   # LRU + metadata
+            index.json                                   # per-file metadata
             <workload>__<device>__<method>__<digest>__<kind>.json
 
 One JSON file per ``(store key, model kind)``: the wire form of
@@ -27,6 +27,12 @@ runners warm-start without a shared filesystem.
 Staleness arbitration: a checkpoint only replaces the stored one when
 it was trained on at least as many trials — a stale runner coming back
 late cannot clobber a better-trained model.
+
+A checkpoint file is replaced atomically and never evicted: reads take
+no lock and write nothing, and the directory holds one file per
+``(store key, model kind)`` until an operator deletes it (the index
+tolerates a missing file).  The files and the index go through the
+:mod:`repro.journal` primitives.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import base64
 import binascii
 import json
 import threading
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -42,17 +49,13 @@ import numpy as np
 from repro.cache import register_cache
 from repro.costmodel.base import CostModel
 from repro.errors import CostModelError
-from repro.service.store import (
-    StoreKey,
-    _sanitize,
+from repro.journal import (
     atomic_write_lines,
-    entry_counter,
     file_lock,
     read_json_index,
-    stamp_most_recent,
-    tolerant_count,
-    write_json_index,
+    upsert_json_index,
 )
+from repro.service.store import StoreKey, _sanitize
 
 #: Version of the on-disk / on-wire checkpoint envelope — bump when the
 #: envelope changes incompatibly (the model state inside carries its
@@ -166,6 +169,19 @@ def state_from_wire(wire: dict) -> dict:
         raise CostModelError(f"malformed checkpoint: {exc}") from None
 
 
+def tolerant_count(value) -> int:
+    """A non-negative int out of possibly-damaged JSON (0 otherwise).
+
+    The single damage-tolerance rule for the index's and the
+    envelope's trial counts: shared, hand-editable files must read as
+    "never trained", not raise out of the serving hot path.
+    """
+    try:
+        return max(0, int(value))
+    except (TypeError, ValueError, OverflowError):
+        return 0
+
+
 def wire_trained_trials(wire: dict) -> int:
     """The envelope's trial count (0 when absent or malformed)."""
     return tolerant_count(wire.get("trained_trials", 0))
@@ -188,23 +204,12 @@ class ModelStore:
 
     _LOCKS: dict[Path, threading.Lock] = {}
     _LOCKS_GUARD = threading.Lock()
-    # Per-root stamp memo: a monotonically increasing stamp generation
-    # plus, per filename, [generation at last stamp, skips left].  The
-    # hot serving path (one spec leased over and over) skips the index
-    # lock+parse while (a) no other stamp happened in this process
-    # (generation unchanged — so a touch after another spec's stamp
-    # always re-ranks, keeping in-process LRU exact) and (b) the skip
-    # budget lasts — bounding how long a *cross-process* stamp can go
-    # unobserved, so a served checkpoint's rank lags but never freezes.
-    _LAST_STAMPED: dict[Path, dict] = {}
-    STAMP_SKIP_BUDGET = 32
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.root = Path(cache_dir).expanduser() / self.DIR_NAME
-        self._root_key = self.root.resolve()
         with ModelStore._LOCKS_GUARD:
             self._lock = ModelStore._LOCKS.setdefault(
-                self._root_key, threading.Lock()
+                self.root.resolve(), threading.Lock()
             )
 
     # ------------------------------------------------------------------
@@ -216,76 +221,6 @@ class ModelStore:
 
     def _index_path(self) -> Path:
         return self.root / self.INDEX_NAME
-
-    def _read_index(self) -> dict[str, dict]:
-        return read_json_index(self._index_path())
-
-    def _write_index(self, index: dict[str, dict]) -> None:
-        write_json_index(self._index_path(), index)
-
-    def _register(
-        self, key: StoreKey, kind: str, filename: str, trained_trials: int
-    ) -> None:
-        """Record a checkpoint in the index and stamp it most-recent."""
-        with file_lock(self._index_path()):
-            index = self._read_index()
-            entry = index.get(filename)
-            if not isinstance(entry, dict):  # absent or damaged: replace
-                entry = index[filename] = {}
-            entry.update(
-                workload=key.workload,
-                device=key.device,
-                method=key.method,
-                kind=kind,
-                trained_trials=int(trained_trials),
-            )
-            stamped = stamp_most_recent(index, filename)
-            self._write_index(index)  # metadata changed either way
-            # inside the lock: set after another thread's later stamp
-            # and a stale memo would suppress re-stamping too long
-            self._record_stamp(filename, stamped)
-
-    def _stamp_state(self) -> dict:
-        return ModelStore._LAST_STAMPED.setdefault(
-            self._root_key, {"gen": 0, "files": {}}
-        )
-
-    def _record_stamp(self, filename: str, stamped: bool) -> None:
-        """Refresh the fast-path memo after a stamp attempt (under the
-        index lock).  A real stamp bumps the generation, invalidating
-        every other file's skip window."""
-        state = self._stamp_state()
-        if stamped:
-            state["gen"] += 1
-        state["files"][filename] = [state["gen"], self.STAMP_SKIP_BUDGET]
-
-    def touch(self, key: StoreKey, kind: str) -> None:
-        """Mark a checkpoint just-used (LRU ordering for :meth:`compact`)."""
-        filename = self.path_for(key, kind).name
-        state = self._stamp_state()
-        entry = state["files"].get(filename)
-        if entry is not None and entry[0] == state["gen"] and entry[1] > 0:
-            # still the last stamp this process made, within budget:
-            # the entry holds the unique top counter — skip the I/O
-            entry[1] -= 1
-            return
-        with file_lock(self._index_path()):
-            index = self._read_index()
-            if not isinstance(index.get(filename), dict):
-                # missing (index lost) or damaged entry: repair with
-                # the identity _register writes, not a bare counter —
-                # an on-disk checkpoint must never be orphaned from
-                # stats/compact just because the index was
-                index[filename] = {
-                    "workload": key.workload,
-                    "device": key.device,
-                    "method": key.method,
-                    "kind": kind,
-                }
-            stamped = stamp_most_recent(index, filename)
-            if stamped:
-                self._write_index(index)
-            self._record_stamp(filename, stamped)
 
     # ------------------------------------------------------------------
     # writing
@@ -324,24 +259,19 @@ class ModelStore:
         path = self.path_for(key, kind)
         self.root.mkdir(parents=True, exist_ok=True)
         with self._lock, file_lock(path):
-            existing = self._read_raw(path)
-            if existing is not None and wire_trained_trials(existing) > incoming:
+            if wire_trained_trials(read_json_index(path)) > incoming:
                 return False  # keep the better-trained checkpoint
             atomic_write_lines(path, [json.dumps(wire)])
-            self._register(key, kind, path.name, incoming)
+            upsert_json_index(
+                self._index_path(),
+                path.name,
+                {**asdict(key), "kind": kind, "trained_trials": incoming},
+            )
         return True
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    @staticmethod
-    def _read_raw(path: Path) -> dict | None:
-        try:
-            wire = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return wire if isinstance(wire, dict) else None
-
     def load_wire(self, key: StoreKey, kind: str) -> dict | None:
         """The stored checkpoint envelope, or None.  Treat as read-only:
         the hot serving path memoizes the parsed dict per file version.
@@ -357,14 +287,13 @@ class ModelStore:
         if cached is not None and cached[:2] == (stat.st_mtime_ns, stat.st_size):
             wire = cached[2]
         else:
-            wire = self._read_raw(path)
-            if wire is None:
+            wire = read_json_index(path)
+            if not wire:
                 return None
             with _WIRE_MEMO_LOCK:
                 while len(_WIRE_MEMO) >= _WIRE_MEMO_CAP and memo_key not in _WIRE_MEMO:
                     _WIRE_MEMO.pop(next(iter(_WIRE_MEMO)), None)
                 _WIRE_MEMO[memo_key] = (stat.st_mtime_ns, stat.st_size, wire)
-        self.touch(key, kind)  # warm-start reads drive the LRU ordering
         return wire
 
     def load_state(self, key: StoreKey, kind: str) -> dict | None:
@@ -380,26 +309,22 @@ class ModelStore:
     def trained_trials(self, key: StoreKey, kind: str) -> int:
         """Trials the stored checkpoint was trained on (0 when absent).
 
-        Served from the index — :meth:`_register` persists the count
+        Served from the index — :meth:`save_wire` persists the count
         per entry — so callers that only need the staleness rank skip
-        parsing the full parameter payload (and the LRU touch a
-        :meth:`load_wire` would stamp).
+        parsing the full parameter payload.
         """
         filename = self.path_for(key, kind).name
         if not (self.root / filename).exists():
             return 0
-        entry = self._read_index().get(filename)
+        entry = read_json_index(self._index_path()).get(filename)
         if not isinstance(entry, dict):
             return 0
         return tolerant_count(entry.get("trained_trials", 0))
 
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
     def stats(self) -> list[dict]:
-        """Per-checkpoint summary (for ``repro.service status``)."""
+        """Per-checkpoint summary (for ``repro.serve status``)."""
         out = []
-        for filename, entry in sorted(self._read_index().items()):
+        for filename, entry in sorted(read_json_index(self._index_path()).items()):
             if not isinstance(entry, dict) or not (self.root / filename).exists():
                 continue
             out.append(
@@ -409,57 +334,6 @@ class ModelStore:
                     "method": entry.get("method", ""),
                     "kind": entry.get("kind", ""),
                     "trained_trials": tolerant_count(entry.get("trained_trials", 0)),
-                    "last_used": entry_counter(entry),
                 }
             )
         return out
-
-    def compact(self, max_checkpoints: int) -> int:
-        """LRU eviction: keep at most ``max_checkpoints`` checkpoints.
-
-        Mirrors :meth:`RecordStore.compact`'s policy at file
-        granularity — least-recently-used checkpoints are deleted
-        first.  Each victim is unlinked under its own file lock, after
-        re-checking that its index entry was not refreshed since the
-        snapshot — a concurrent ``save_wire`` (which locks the file,
-        then the index) must never have its just-stored checkpoint
-        deleted, and taking the index lock around the unlink would
-        deadlock against exactly that ordering.  Returns the number of
-        checkpoints evicted.
-        """
-        if max_checkpoints < 0:
-            raise ValueError(f"max_checkpoints must be >= 0, got {max_checkpoints}")
-        with self._lock:
-            with file_lock(self._index_path()):
-                index = self._read_index()
-            known = [
-                (entry_counter(index.get(name)), name)
-                for name in index
-                if (self.root / name).exists()
-            ]
-            if len(known) <= max_checkpoints:
-                return 0
-            known.sort()  # least recent first; ties break on filename
-            evicted: list[str] = []
-            for snapshot_counter, name in known[: len(known) - max_checkpoints]:
-                path = self.root / name
-                with file_lock(path):
-                    # lock-free tolerant read: just the recency re-check
-                    current = read_json_index(self._index_path()).get(name)
-                    if entry_counter(current) != snapshot_counter:
-                        continue  # refreshed since the snapshot: spare it
-                    try:
-                        path.unlink()
-                    except OSError:
-                        continue
-                    evicted.append(name)
-            if evicted:
-                with file_lock(self._index_path()):
-                    index = self._read_index()
-                    for name in evicted:
-                        # a racing save may have resurrected the file;
-                        # its fresh entry must survive
-                        if not (self.root / name).exists():
-                            index.pop(name, None)
-                    self._write_index(index)
-            return len(evicted)

@@ -199,7 +199,7 @@ def test_real_tree_lock_graph_edges_and_acyclicity():
             "obs.registry.MetricFamily._lock",
         ),
         (
-            "service.store._LEDGER_LOCK",
+            "repro.journal._LEDGER_LOCK",
             "service.jobs.JobQueue._lock",
         ),
     }

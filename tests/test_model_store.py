@@ -51,6 +51,11 @@ def training_data():
     return progs, np.array(lats), [wl.key] * len(progs)
 
 
+def _truncate_to_two_lines(path):
+    """An operator trimming a key's record file by hand."""
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:2]))
+
+
 def _fresh(factory):
     """A differently-seeded instance of the same architecture."""
     if factory is GBDTModel:
@@ -325,21 +330,6 @@ class TestModelStore:
         assert store.load_state(key, "pacm")["kind"] == "pacm"
         assert len(store.stats()) == 2
 
-    def test_lru_compact(self, tmp_path, a100):
-        store = ModelStore(tmp_path)
-        keys = []
-        for n in (64, 128, 256):
-            tasks = make_tasks([SubgraphTask(ops.matmul(n, n, n), 1)], a100)
-            key = store_key_for_tasks(tasks, "pruner")
-            keys.append(key)
-            assert store.save(key, TenSetMLP(), trained_trials=n)
-        store.load_wire(keys[0], "mlp")  # refresh the oldest entry
-        assert store.compact(2) == 1
-        assert store.load_wire(keys[0], "mlp") is not None  # recently used
-        assert store.load_wire(keys[1], "mlp") is None  # LRU victim
-        assert store.load_wire(keys[2], "mlp") is not None
-        assert store.compact(2) == 0  # idempotent at the cap
-
     def test_damaged_index_entries_tolerated(self, tmp_path, a100):
         """A hand-damaged index (non-dict entry, garbage counter) must
         degrade gracefully — the lease hot path keeps serving."""
@@ -353,41 +343,23 @@ class TestModelStore:
         entry["last_used"] = "abc"
         entry["trained_trials"] = "abc"
         index_path.write_text(json.dumps(index))
-        assert store.load_wire(key, "mlp") is not None  # touch survives
+        assert store.load_wire(key, "mlp") is not None
         assert store.trained_trials(key, "mlp") == 0  # damaged count -> 0
         (stat,) = store.stats()  # the phantom entry is skipped
         assert stat["trained_trials"] == 0
-        assert store.compact(10) == 0
         # re-registering repairs the damaged counts
         assert store.save(key, TenSetMLP(), trained_trials=7)
         assert store.trained_trials(key, "mlp") == 7
 
-        # a fully non-dict entry is repaired by touch with its identity
+        # a fully non-dict entry is repaired by the next save
         filename = store.path_for(key, "mlp").name
         index = json.loads(index_path.read_text())
         index[filename] = ["damaged"]
         index_path.write_text(json.dumps(index))
-        ModelStore._LAST_STAMPED.clear()  # force touch past the fast path
-        store.touch(key, "mlp")
+        assert store.stats() == []  # skipped, not raised
+        assert store.save(key, TenSetMLP(), trained_trials=8)
         (stat,) = store.stats()
         assert stat["kind"] == "mlp" and stat["device"] == "a100"
-
-    def test_touch_fast_path_staleness_is_bounded(self, tmp_path, a100):
-        """The hot-path stamp skip must expire: a cross-process stamp is
-        observed within STAMP_SKIP_BUDGET touches, so the served
-        checkpoint's LRU rank lags but never freezes."""
-        store = ModelStore(tmp_path)
-        key = self._key(a100)
-        store.save(key, TenSetMLP(), trained_trials=1)
-        # simulate another process stamping the shared index higher
-        index = json.loads(store._index_path().read_text())
-        index["other.json"] = {"kind": "mlp", "last_used": 999}
-        store._index_path().write_text(json.dumps(index))
-        for _ in range(ModelStore.STAMP_SKIP_BUDGET + 1):
-            store.touch(key, "mlp")
-        index = json.loads(store._index_path().read_text())
-        entry = index[store.path_for(key, "mlp").name]
-        assert entry["last_used"] == 1000  # re-stamped above the foreign top
 
     def test_wire_memo_registered_with_cache_registry(self, tmp_path, a100):
         store = ModelStore(tmp_path)
@@ -546,9 +518,10 @@ class TestTunerWarmStart:
         assert store.path_for(key, "pacm").stat().st_mtime_ns == stamp
 
     def test_compacted_records_do_not_freeze_checkpoint(self, tmp_path):
-        """Record compaction shrinks the store below the checkpoint's
-        rank; a warm run extending that model must still replace the
-        stored checkpoint (its rank keeps the inherited evidence)."""
+        """The record file shrinks below the checkpoint's rank (an
+        operator trimmed it); a warm run extending that model must still
+        replace the stored checkpoint (its rank keeps the inherited
+        evidence)."""
         from repro.service.store import RecordStore
 
         first = api.tune_subgraphs(
@@ -560,7 +533,7 @@ class TestTunerWarmStart:
         store = ModelStore(tmp_path)
         rank = store.trained_trials(key, "pacm")
         assert rank == first.total_trials
-        RecordStore(tmp_path).compact(max_rows=2)
+        _truncate_to_two_lines(RecordStore(tmp_path).path_for(key))
         stamp = store.path_for(key, "pacm").stat().st_mtime_ns
         result = api.tune_subgraphs(
             "pruner", self.SUBS, "a100", rounds=3, scale="smoke",
@@ -574,8 +547,8 @@ class TestTunerWarmStart:
 
     def test_gbdt_refit_does_not_inherit_checkpoint_rank(self, tmp_path):
         """GBDT rebuilds its trees on every fit, so a warm run over a
-        compacted store must rank its small refit honestly — the store
-        keeps the genuinely better-trained checkpoint."""
+        trimmed record file must rank its small refit honestly — the
+        store keeps the genuinely better-trained checkpoint."""
         from repro.service.store import RecordStore
 
         first = api.tune_subgraphs(
@@ -587,7 +560,7 @@ class TestTunerWarmStart:
         store = ModelStore(tmp_path)
         rank = store.trained_trials(key, "gbdt")
         assert rank == first.total_trials
-        RecordStore(tmp_path).compact(max_rows=2)
+        _truncate_to_two_lines(RecordStore(tmp_path).path_for(key))
         result = api.tune_subgraphs(
             "ansor", self.SUBS, "a100", rounds=1, scale="smoke",
             cache_dir=tmp_path,

@@ -12,6 +12,7 @@ import re
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -234,6 +235,37 @@ class TestTraceSink:
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"round": 2')  # crash mid-write
         assert [r["round"] for r in sink.read("j")] == [1]
+
+    def test_write_after_torn_tail_starts_a_fresh_line(self, tmp_path):
+        sink = TraceSink(tmp_path / "traces")
+        sink.write("j", {"round": 0})
+        sink.write("j", {"round": 1})
+        with open(sink._path("j"), "a", encoding="utf-8") as fh:
+            fh.write('{"round": 2, "tot')  # crash mid-write: no newline
+        sink.write("j", {"round": 2})
+        sink.write("j", {"round": 3})
+        assert [r["round"] for r in sink.read("j")] == [0, 1, 2, 3]
+
+    def test_cap_trim_is_an_atomic_rewrite(self, tmp_path, monkeypatch):
+        """A crash while the active file's older half is dropped must
+        leave the whole trace, not a truncated file."""
+        sink = TraceSink(tmp_path, max_bytes=10_000)
+        for i in range(8):
+            sink.write("solo", {"round": i, "pad": "y" * 40})
+        sink.max_bytes = 300
+
+        def crash(self, target):
+            raise OSError("crash before the rename")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "replace", crash)
+            with pytest.raises(OSError):
+                sink.write("solo", {"round": 8, "pad": "y" * 40})
+        assert [r["round"] for r in sink.read("solo")] == list(range(9))
+        sink.write("solo", {"round": 9, "pad": "y" * 40})  # the trim lands
+        rounds = [r["round"] for r in sink.read("solo")]
+        assert rounds == list(range(rounds[0], 10)) and rounds[0] > 0
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_job_id_sanitized(self, tmp_path):
         sink = TraceSink(tmp_path / "traces")

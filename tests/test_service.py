@@ -104,8 +104,8 @@ class TestRecordSerialization:
         store = RecordStore(tmp_path)
         key = store_key_for_tasks([matmul_task], "pruner")
         store.append(key, _records(matmul_task, rng, [math.inf, 5e-3, 2e-3]))
-        row = store.best_row(key, matmul_task.key)
-        assert row is not None and float(row["latency"]) == 2e-3
+        rows = store.rows_by_task(key)[matmul_task.key]  # best first
+        assert [float(row["latency"]) for row in rows] == [2e-3, 5e-3]
 
     def test_store_keys_index(self, matmul_task, rng, tmp_path):
         store = RecordStore(tmp_path)
@@ -118,108 +118,19 @@ class TestRecordSerialization:
         assert all(entry["records"] == 1 for entry in stats)
 
 
-class TestCompaction:
-    def _two_task_setup(self, a100, rng):
-        tasks = make_tasks(
-            [
-                SubgraphTask(ops.matmul(128, 128, 128), 2),
-                SubgraphTask(ops.conv2d(1, 16, 14, 14, 32, 3), 1),
-            ],
-            a100,
-        )
-        return tasks
-
-    def test_compact_keeps_per_task_bests(self, a100, rng, tmp_path):
-        (t1, t2) = self._two_task_setup(a100, rng)
-        store = RecordStore(tmp_path)
-        key = store_key_for_tasks([t1, t2], "pruner")
-        store.append(key, _records(t1, rng, [5e-3, 1e-3, 3e-3, math.inf]))
-        store.append(key, _records(t2, rng, [4e-3, 2e-3], start_round=10))
-        assert store.count(key) == 6
-        evicted = store.compact(max_rows=2)
-        assert evicted == 4
-        rows = store.load_rows(key)
-        assert len(rows) == 2  # only the two per-task bests survive
-        bests = store.best_rows(key)
-        assert float(bests[t1.key]["latency"]) == 1e-3
-        assert float(bests[t2.key]["latency"]) == 2e-3
-
-    def test_compact_noop_under_cap(self, matmul_task, rng, tmp_path):
-        store = RecordStore(tmp_path)
-        key = store_key_for_tasks([matmul_task], "pruner")
-        store.append(key, _records(matmul_task, rng, [1e-3, 2e-3]))
-        assert store.compact(max_rows=10) == 0
-        assert store.count(key) == 2
-
-    def test_compact_prefers_recently_used_keys(self, matmul_task, rng, tmp_path):
-        store = RecordStore(tmp_path)
-        key_a = store_key_for_tasks([matmul_task], "pruner")
-        key_b = store_key_for_tasks([matmul_task], "ansor")
-        store.append(key_a, _records(matmul_task, rng, [1e-3, 2e-3, 3e-3]))
-        store.append(key_b, _records(matmul_task, rng, [1e-3, 2e-3, 3e-3]))
-        # reading key_b marks it as more recently used than key_a
-        store.load_records(key_b, {matmul_task.key: matmul_task.space})
-        assert store.last_used(key_b) > store.last_used(key_a)
-        evicted = store.compact(max_rows=4)
-        assert evicted == 2
-        # both keys keep their best; the extra budget went to key_b
-        assert store.count(key_b) > store.count(key_a)
-        assert store.best_row(key_a) is not None
-        assert store.best_row(key_b) is not None
-
-    def test_compact_survives_reload(self, matmul_task, rng, tmp_path):
-        store = RecordStore(tmp_path)
-        key = store_key_for_tasks([matmul_task], "pruner")
-        store.append(key, _records(matmul_task, rng, [3e-3, 1e-3, 2e-3]))
-        store.compact(max_rows=1)
-        fresh = RecordStore(tmp_path)
-        loaded = fresh.load_records(key, {matmul_task.key: matmul_task.space})
-        assert [r.latency for r in loaded] == [1e-3]
-
-    def test_touch_breaks_shared_top_counter(self, matmul_task, rng, tmp_path):
-        """Regression: after a crash-interrupted rewrite several index
-        entries can share the top ``last_used`` counter; touching one of
-        them must stamp it strictly above the others, not early-return."""
-        store = RecordStore(tmp_path)
-        key_a = store_key_for_tasks([matmul_task], "pruner")
-        key_b = store_key_for_tasks([matmul_task], "ansor")
-        store.append(key_a, _records(matmul_task, rng, [1e-3]))
-        store.append(key_b, _records(matmul_task, rng, [1e-3]))
-        # simulate the crash artifact: both entries share the top counter
-        index = store._read_index()
-        for entry in index.values():
-            entry["last_used"] = 5
-        store._write_index(index)
-        store.touch(key_a)
-        assert store.last_used(key_a) == 6  # stamped above the shared top
-        assert store.last_used(key_b) == 5
-        # a second touch of the now-unique top really is a no-op
-        store.touch(key_a)
-        assert store.last_used(key_a) == 6
-
-    def test_touch_repairs_damaged_index_entry(self, matmul_task, rng, tmp_path):
-        """A non-dict index entry must not break keys()/compact: touch
-        replaces it with the full key identity, not a bare counter."""
+class TestIndexRepair:
+    def test_append_repairs_damaged_index_entry(self, matmul_task, rng, tmp_path):
+        """A non-dict index entry must not break keys(): the next append
+        replaces it with the full key identity."""
         store = RecordStore(tmp_path)
         key = store_key_for_tasks([matmul_task], "pruner")
         store.append(key, _records(matmul_task, rng, [1e-3]))
-        index = store._read_index()
-        index[key.filename] = 5  # hand-damaged: not a dict
-        store._write_index(index)
+        index_path = store._index_path()
+        index_path.write_text(json.dumps({key.filename: 5}))  # hand-damaged
         assert store.keys() == []  # damaged entry skipped, not raised
-        store.touch(key)
+        store.append(key, _records(matmul_task, rng, [2e-3]))
         assert store.keys() == [key]  # repaired with the full identity
-        assert store.last_used(key) == 1
-
-    def test_touch_repeated_is_stable(self, matmul_task, rng, tmp_path):
-        store = RecordStore(tmp_path)
-        key = store_key_for_tasks([matmul_task], "pruner")
-        store.append(key, _records(matmul_task, rng, [1e-3]))
-        store.touch(key)
-        stamped = store.last_used(key)
-        assert stamped > 0
-        store.touch(key)  # sole entry already uniquely on top
-        assert store.last_used(key) == stamped
+        assert store.count(key) == 2
 
 
 class TestRecordLogExtend:
@@ -263,44 +174,6 @@ class TestScaleValidation:
 
 
 class TestSchemaMigration:
-    def _v0_row(self, record) -> dict:
-        """What a pre-versioning (v0) writer persisted for this trial."""
-        row = record.to_dict()
-        del row["v"]
-        del row["config_key"]
-        row["time"] = row.pop("latency")
-        row["config"] = dict(row["config"])
-        row["config"]["tiles"] = {
-            axis: factors for axis, factors in row["config"]["tiles"]
-        }
-        return row
-
-    def test_v0_rows_upgrade_in_place_on_open(self, matmul_task, rng, tmp_path):
-        """A v-1 fixture file loads, and the file itself is rewritten in
-        the current schema instead of the rows being silently dropped."""
-        records = _records(matmul_task, rng, [2e-3, 1e-3])
-        store = RecordStore(tmp_path)
-        key = store_key_for_tasks([matmul_task], "pruner")
-        store.root.mkdir(parents=True, exist_ok=True)
-        with store.path_for(key).open("w") as fh:
-            for rec in records:
-                fh.write(json.dumps(self._v0_row(rec)) + "\n")
-
-        loaded = store.load_records(key, {matmul_task.key: matmul_task.space})
-        assert sorted(r.latency for r in loaded) == [1e-3, 2e-3]
-        assert {r.prog.config.key for r in loaded} == {
-            r.prog.config.key for r in records
-        }
-        # the file now holds current-schema rows (the upgrade persisted)
-        on_disk = [
-            json.loads(line)
-            for line in store.path_for(key).read_text().splitlines()
-        ]
-        assert all(row["v"] == 1 for row in on_disk)
-        assert all("config_key" in row and "latency" in row for row in on_disk)
-        # dedup sees upgraded identities: re-appending writes nothing
-        assert store.append(key, records) == 0
-
     def test_unmigratable_and_newer_rows_kept_as_is(
         self, matmul_task, rng, tmp_path
     ):
@@ -310,14 +183,14 @@ class TestSchemaMigration:
         store.root.mkdir(parents=True, exist_ok=True)
         future = rec.to_dict()
         future["v"] = 999
-        broken_v0 = {"time": 1e-3}  # no config: cannot upgrade
+        unversioned = {"time": 1e-3}  # no ``v``: not this schema either
         with store.path_for(key).open("w") as fh:
             fh.write(json.dumps(future) + "\n")
-            fh.write(json.dumps(broken_v0) + "\n")
+            fh.write(json.dumps(unversioned) + "\n")
+        before = store.path_for(key).read_bytes()
         assert store.load_rows(key) == []  # neither is loadable here
-        lines = store.path_for(key).read_text().splitlines()
-        assert len(lines) == 2  # ...but both survive on disk untouched
-        assert json.loads(lines[0])["v"] == 999
+        # ...but both survive on disk untouched: a read never rewrites
+        assert store.path_for(key).read_bytes() == before
 
     def test_append_rows_wire_ingest(self, matmul_task, rng, tmp_path):
         records = _records(matmul_task, rng, [2e-3, 1e-3])
@@ -329,6 +202,23 @@ class TestSchemaMigration:
         assert store.append_rows(key, [{"latency": 1.0}]) == 0  # no identity
         loaded = store.load_records(key, {matmul_task.key: matmul_task.space})
         assert sorted(r.latency for r in loaded) == [1e-3, 2e-3]
+
+
+    def test_append_after_torn_tail_starts_a_fresh_line(
+        self, matmul_task, rng, tmp_path
+    ):
+        """A crash leaves half a row with no newline; the next append
+        must not glue its first row onto it."""
+        rows = [r.to_dict() for r in _records(matmul_task, rng, [4e-3, 3e-3, 2e-3, 1e-3])]
+        store = RecordStore(tmp_path)
+        key = store_key_for_tasks([matmul_task], "pruner")
+        assert store.append_rows(key, rows[:2]) == 2
+        with store.path_for(key).open("a") as fh:
+            fh.write(json.dumps(rows[2])[:40])  # crash mid-write
+        assert store.append_rows(key, rows[2:]) == 2
+        assert store.load_rows(key) == rows
+        # every written row is visible to dedup: nothing is appended twice
+        assert store.append_rows(key, rows) == 0
 
 
 class TestJobQueue:
