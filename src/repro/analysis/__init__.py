@@ -3,7 +3,7 @@
 A draft-then-verify pass for the codebase itself: cheap static rules
 prune whole classes of concurrency and determinism bugs before they
 reach the expensive test/bench/fleet layers (the same shape PrediPrune
-gives the candidate funnel).  Four rule families, all driven by the
+gives the candidate funnel).  Three rule families, all driven by the
 declared facts in :mod:`repro.analysis.manifest`:
 
 * **locks** — unguarded access to declared thread-shared state, helpers
@@ -11,8 +11,6 @@ declared facts in :mod:`repro.analysis.manifest`:
   cycles in the static lock-acquisition graph.
 * **determinism** — wall clocks and unseeded RNGs in the hot-path
   packages (``schedule/``, ``search/``, ``costmodel/``, ``features/``).
-* **drift** — declared scalar entry points must stay thin delegates to
-  their ``*_batch`` twins (the bit-identical contract).
 * **hygiene** — no silent broad excepts, no generic raises at API
   boundaries, every module-level cache registered in :mod:`repro.cache`.
 
@@ -29,16 +27,13 @@ from repro.analysis.engine import (
     Report,
     analyze_paths,
     default_rules,
-    load_baseline,
     load_modules,
-    write_baseline,
 )
 from repro.analysis.findings import ERROR, WARNING, Finding
 from repro.analysis.manifest import (
     DEFAULT_MANIFEST,
     Manifest,
     ModuleLock,
-    ScalarWrapper,
     SharedClass,
 )
 
@@ -51,11 +46,8 @@ __all__ = [
     "ModuleInfo",
     "ModuleLock",
     "Report",
-    "ScalarWrapper",
     "SharedClass",
     "analyze_paths",
     "default_rules",
-    "load_baseline",
     "load_modules",
-    "write_baseline",
 ]

@@ -1,14 +1,13 @@
 """``python -m repro.analysis`` — run the project rules over a tree.
 
 Exit codes: 0 clean, 1 findings, 2 usage/configuration error (bad
-paths, unparseable sources, an illegal baseline).
+paths, unparseable sources, unknown rule families).
 
 Examples::
 
     python -m repro.analysis src/repro
     python -m repro.analysis src/repro --format=json
     python -m repro.analysis src/repro --rules locks,determinism
-    python -m repro.analysis src/repro --write-baseline
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ import argparse
 import json
 import sys
 
-from repro.analysis.engine import (
-    analyze_paths,
-    default_rules,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis.engine import analyze_paths, default_rules
 from repro.errors import AnalysisError
 
 
@@ -44,27 +38,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default="analysis-baseline.json",
-        help="baseline file of accepted fingerprints "
-        "(default: analysis-baseline.json; missing file = empty)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file entirely",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         help="comma list of rule families to run "
         f"(default: all of {','.join(sorted(default_rules()))})",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit "
-        "(lock-* and det-* findings are never written: fix those)",
     )
     return parser
 
@@ -77,35 +54,17 @@ def main(argv: list[str] | None = None) -> int:
         else None
     )
     try:
-        baseline = (
-            set() if args.no_baseline else load_baseline(args.baseline)
-        )
-        report = analyze_paths(args.paths, rules=rules, baseline=baseline)
+        report = analyze_paths(args.paths, rules=rules)
     except AnalysisError as exc:
         print(f"repro.analysis: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        written = write_baseline(args.baseline, report.findings)
-        skipped = len(report.findings) - written
-        print(
-            f"repro.analysis: wrote {written} baseline entries to "
-            f"{args.baseline}"
-            + (f" ({skipped} lock/det findings NOT baselined)" if skipped else "")
-        )
-        return 0 if not skipped else 1
 
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:
         for finding in report.findings:
             print(finding.render())
-        extras = []
-        if report.suppressed:
-            extras.append(f"{report.suppressed} suppressed")
-        if report.baselined:
-            extras.append(f"{report.baselined} baselined")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = f" ({report.suppressed} suppressed)" if report.suppressed else ""
         if report.ok:
             print(f"repro.analysis: clean — {report.files} files{suffix}")
         else:

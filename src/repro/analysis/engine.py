@@ -1,5 +1,4 @@
-"""The analysis engine: source loading, rule dispatch, suppressions,
-and the baseline protocol.
+"""The analysis engine: source loading, rule dispatch and suppressions.
 
 The engine owns everything rule-independent:
 
@@ -8,25 +7,21 @@ The engine owns everything rule-independent:
   each root's *parent*, so scanning ``src/repro`` yields
   ``repro/obs/registry.py`` — the form the manifest matches against).
 * :func:`analyze_paths` runs the rule set, applies inline suppressions
-  (``# repro: ignore[rule-id] reason``) and the checked-in baseline,
-  and returns a :class:`Report`.
-* The baseline file is a JSON list of finding fingerprints.  Lock and
-  determinism findings can never be baselined (``NO_BASELINE_PREFIXES``)
-  — those rules must hold everywhere, always; a baseline entry for one
-  raises :class:`~repro.errors.AnalysisError`.
+  (``# repro: ignore[rule-id] reason``) and returns a :class:`Report`.
 
-Suppression syntax: a ``# repro: ignore[rule-id]`` (or a comma list, or
-``ignore[*]``) comment on the finding's line or the line directly above
-silences it.  A suppression must carry a reason after the bracket —
-reasonless ones produce a ``sup-missing-reason`` finding — and one that
-silences nothing produces ``sup-unused``, so stale annotations rot out.
+The inline marker is the only way to excuse a finding, so every excuse
+sits next to the code it excuses: a ``# repro: ignore[rule-id]`` (or a
+comma list, or ``ignore[*]``) comment on the finding's line or the line
+directly above silences it.  A suppression must carry a reason after
+the bracket — reasonless ones produce a ``sup-missing-reason`` finding —
+and one that silences nothing produces ``sup-unused``, so stale
+annotations rot out.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
@@ -36,9 +31,6 @@ from typing import Callable, Iterable
 from repro.analysis.findings import ERROR, WARNING, Finding
 from repro.analysis.manifest import DEFAULT_MANIFEST, Manifest
 from repro.errors import AnalysisError
-
-#: Rule-id prefixes whose findings may never enter the baseline file.
-NO_BASELINE_PREFIXES = ("lock-", "det-")
 
 _SUPPRESS_RE = re.compile(r"#\s*repro:\s*ignore\[([^\]]*)\]\s*(.*)$")
 
@@ -71,7 +63,6 @@ class Report:
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -88,7 +79,6 @@ class Report:
             "ok": self.ok,
             "files": self.files,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
             "counts": self.counts(),
             "findings": [f.to_dict() for f in self.findings],
         }
@@ -200,68 +190,6 @@ def _apply_suppressions(
 
 
 # ----------------------------------------------------------------------
-# baseline
-# ----------------------------------------------------------------------
-def load_baseline(path: str | Path) -> set[str]:
-    """Fingerprints accepted by the checked-in baseline file.
-
-    Missing file = empty baseline.  Entries for lock-discipline or
-    determinism rules are rejected outright: those finding families may
-    never be grandfathered (fix the race, don't baseline it).
-    """
-    path = Path(path)
-    if not path.exists():
-        return set()
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise AnalysisError(f"baseline {path} is not valid JSON: {exc}") from exc
-    entries = data.get("findings") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise AnalysisError(
-            f"baseline {path} must be {{'version': 1, 'findings': [...]}}"
-        )
-    fingerprints: set[str] = set()
-    for entry in entries:
-        if not isinstance(entry, dict) or "fingerprint" not in entry:
-            raise AnalysisError(
-                f"baseline {path}: every entry needs a 'fingerprint'"
-            )
-        rule = str(entry.get("rule", ""))
-        if rule.startswith(NO_BASELINE_PREFIXES):
-            raise AnalysisError(
-                f"baseline {path}: rule {rule!r} findings may not be "
-                "baselined — lock-discipline and determinism findings "
-                "must be fixed, not grandfathered"
-            )
-        fingerprints.add(str(entry["fingerprint"]))
-    return fingerprints
-
-
-def write_baseline(path: str | Path, findings: Iterable[Finding]) -> int:
-    """Write ``findings`` as the new baseline, skipping un-baselinable rules.
-
-    Returns the number of entries written.
-    """
-    entries = [
-        {
-            "rule": f.rule,
-            "path": f.path,
-            "symbol": f.symbol,
-            "message": f.message,
-            "fingerprint": f.fingerprint,
-        }
-        for f in sorted(findings, key=Finding.sort_key)
-        if not f.rule.startswith(NO_BASELINE_PREFIXES)
-    ]
-    Path(path).write_text(
-        json.dumps({"version": 1, "findings": entries}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return len(entries)
-
-
-# ----------------------------------------------------------------------
 # the run
 # ----------------------------------------------------------------------
 RuleFn = Callable[[list[ModuleInfo], Manifest], list[Finding]]
@@ -269,12 +197,11 @@ RuleFn = Callable[[list[ModuleInfo], Manifest], list[Finding]]
 
 def default_rules() -> dict[str, RuleFn]:
     """The shipped rule families, keyed by family name."""
-    from repro.analysis import determinism, drift, hygiene, locks
+    from repro.analysis import determinism, hygiene, locks
 
     return {
         "locks": locks.check,
         "determinism": determinism.check,
-        "drift": drift.check,
         "hygiene": hygiene.check,
     }
 
@@ -283,13 +210,10 @@ def analyze_paths(
     paths: Iterable[str | Path],
     manifest: Manifest | None = None,
     rules: Iterable[str] | None = None,
-    baseline: set[str] | None = None,
 ) -> Report:
     """Run the analysis over ``paths`` and return the report.
 
-    ``rules`` filters the rule families by name (default: all four);
-    ``baseline`` is a set of accepted fingerprints (see
-    :func:`load_baseline`).
+    ``rules`` filters the rule families by name (default: all three).
     """
     manifest = DEFAULT_MANIFEST if manifest is None else manifest
     modules = load_modules(paths)
@@ -357,18 +281,6 @@ def analyze_paths(
                     severity=WARNING,
                 )
             )
-
-    if baseline:
-        fresh = []
-        for finding in kept:
-            if (
-                finding.fingerprint in baseline
-                and not finding.rule.startswith(NO_BASELINE_PREFIXES)
-            ):
-                report.baselined += 1
-            else:
-                fresh.append(finding)
-        kept = fresh
 
     report.findings = sorted(kept, key=Finding.sort_key)
     return report

@@ -4,15 +4,10 @@ A :class:`Finding` is one defect at one source location.  Findings are
 plain frozen dataclasses so rules stay trivially testable (construct,
 compare, sort) and the CLI can render them as text or JSON without any
 per-rule knowledge.
-
-The ``fingerprint`` is the identity used by the baseline file: it hashes
-the rule, path, enclosing symbol and message — *not* the line number —
-so unrelated edits that shift code up or down do not churn the baseline.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 #: Severity levels, in increasing order of badness.  Both gate the exit
@@ -46,12 +41,6 @@ class Finding:
                 f"severity must be one of {_SEVERITIES}, got {self.severity!r}"
             )
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable baseline identity (line-number independent)."""
-        text = "\x1f".join((self.rule, self.path, self.symbol, self.message))
-        return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
-
     def sort_key(self) -> tuple:
         return (self.path, self.line, self.rule, self.symbol, self.message)
 
@@ -63,7 +52,6 @@ class Finding:
             "line": self.line,
             "symbol": self.symbol,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
     def render(self) -> str:

@@ -1,12 +1,11 @@
 """The analysis manifest: the project facts the rules check against.
 
 Generic linters cannot know *which* classes are thread-shared, *which*
-module globals a lock guards, or *which* scalar entry points promise
-bit-identical delegation to a ``*_batch`` twin — so this module declares
-them.  The manifest is data, not code: adding a newly concurrent class
-means adding one :class:`SharedClass` entry here, and every lock rule
-(static and the runtime :mod:`repro.analysis.lockcheck` companion) picks
-it up.
+module globals a lock guards, or *which* packages form the deterministic
+hot path — so this module declares them.  The manifest is data, not
+code: adding a newly concurrent class means adding one
+:class:`SharedClass` entry here, and every lock rule (static and the
+runtime :mod:`repro.analysis.lockcheck` companion) picks it up.
 
 ``DEFAULT_MANIFEST`` describes the real tree under ``src/repro``; tests
 build small manifests of their own against fixture packages.
@@ -62,29 +61,11 @@ class ModuleLock:
 
 
 @dataclass(frozen=True)
-class ScalarWrapper:
-    """A scalar entry point contractually equivalent to a batch twin.
-
-    The drift rule verifies the scalar side stays a thin delegate: at
-    most ``max_statements`` statements, no loops, and at least one call
-    to ``twin`` — re-implementations are how bit-identical contracts
-    silently rot.
-    """
-
-    module: str
-    cls: str | None
-    scalar: str
-    twin: str
-    max_statements: int = 6
-
-
-@dataclass(frozen=True)
 class Manifest:
     """Everything the project-specific rules know about the codebase."""
 
     shared_classes: tuple[SharedClass, ...] = ()
     module_locks: tuple[ModuleLock, ...] = ()
-    wrappers: tuple[ScalarWrapper, ...] = ()
     #: Path prefixes (posix, relative) where wall clocks and unseeded
     #: RNGs are forbidden — the deterministic draft/verify hot path.
     hot_packages: tuple[str, ...] = ()
@@ -207,20 +188,6 @@ DEFAULT_MANIFEST = Manifest(
             module="repro/journal.py",
             name="_LEDGER_LOCK",
             node="repro.journal._LEDGER_LOCK",
-        ),
-    ),
-    wrappers=(
-        ScalarWrapper(
-            module="repro/hardware/measure.py",
-            cls="MeasureRunner",
-            scalar="measure",
-            twin="measure_batch",
-        ),
-        ScalarWrapper(
-            module="repro/hardware/simulator.py",
-            cls="GroundTruthSimulator",
-            scalar="run",
-            twin="run_batch",
         ),
     ),
     hot_packages=(

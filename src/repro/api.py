@@ -29,14 +29,12 @@ Methods (paper Section 5/6):
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable, Iterable
 from pathlib import Path
 
 import numpy as np
 
-from repro.cache import register_lru
 from repro.config import (
     LITE_SEARCH,
     ONLINE_TRAIN,
@@ -143,7 +141,6 @@ def _model_class(method: str) -> type[CostModel]:
     return PaCM  # every pruner variant verifies with PaCM
 
 
-@functools.lru_cache(maxsize=None)  # KNOWN_METHODS is finite
 def model_kind(method: str) -> str:
     """The cost-model kind a method tunes with.
 
@@ -153,9 +150,6 @@ def model_kind(method: str) -> str:
     A class-attribute read — no model is constructed.
     """
     return _model_class(resolve_method(method)).kind
-
-
-register_lru("api.model_kind", model_kind)
 
 
 def _default_model(method: str, seed: int) -> CostModel:
@@ -233,7 +227,6 @@ def build_tuner(
     pretrained: dict[str, np.ndarray] | None = None,
     tensorcore: bool = False,
     seed: int = 0,
-    include_fixed: bool = True,
     initial_records: Iterable[TuningRecord] | None = None,
     tasks: list[TuningTask] | None = None,
     initial_model_state: dict | None = None,
@@ -282,7 +275,6 @@ def build_tuner(
     policies = {
         t.key: policy_cls(t, model, search=search, clock=clock) for t in tasks
     }
-    fixed = elementwise_latency(subgraphs, device) if include_fixed else 0.0
     return Tuner(
         tasks,
         policies,
@@ -292,7 +284,7 @@ def build_tuner(
         mode=mode,
         adapter=adapter,
         train=train,
-        fixed_latency=fixed,
+        fixed_latency=elementwise_latency(subgraphs, device),
         rng=make_rng(seed + 1),
         initial_records=initial_records,
         initial_model_state=initial_model_state,

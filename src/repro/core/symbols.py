@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram
-from repro.schedule.space import WMMA_LANE
 
 
 @dataclass(frozen=True)
@@ -65,25 +64,6 @@ class Symbols:
         )
 
 
-def _fragment_alignment(prog: LoweredProgram) -> float:
-    """S9: fraction of issued WMMA lanes doing useful work.
-
-    Thread tiles that are exact multiples of the 16-wide fragment edge
-    score 1.0; ragged tiles waste fragment lanes proportionally.
-    """
-    if not prog.tensorcore:
-        return 1.0
-    spatial = [d.name for d in prog.workload.spatial][-2:]
-    tile = prog.config.tile_map
-    align = 1.0
-    for axis in spatial:
-        f = tile[axis]
-        thread_tile = f[2] * f[3] * f[4]
-        waves = -(-thread_tile // WMMA_LANE)  # ceil
-        align *= thread_tile / (waves * WMMA_LANE)
-    return align
-
-
 def extract_symbols(prog: LoweredProgram) -> Symbols:
     """Extract the hardware-aware symbol vector from a lowered program."""
     return Symbols(
@@ -95,7 +75,7 @@ def extract_symbols(prog: LoweredProgram) -> Symbols:
         s6_l2_para=float(prog.grid),
         s7_l2_trans=float(prog.trans_span),
         s8_l2_compute=float(prog.flops),
-        s9_tc_align=_fragment_alignment(prog),
+        s9_tc_align=prog.tc_align,
     )
 
 

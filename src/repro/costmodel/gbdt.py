@@ -32,10 +32,6 @@ class _Node:
     right: int = -1
     value: float = 0.0
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
-
 
 class _Tree:
     """One regression tree (exact greedy splits, depth-limited)."""

@@ -40,9 +40,8 @@ class DatasetError(ReproError):
 
 
 class AnalysisError(ReproError):
-    """Raised for static-analysis misuse: bad manifests, unparseable
-    sources, or baseline files that violate the no-baseline policy for
-    lock-discipline and determinism findings."""
+    """Raised for static-analysis misuse: missing paths, unparseable
+    sources, or unknown rule families."""
 
 
 class TuningFailure(SearchError):

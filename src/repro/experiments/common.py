@@ -10,7 +10,14 @@ from pathlib import Path
 import numpy as np
 
 from repro import api
-from repro.config import SearchConfig, TrainConfig
+from repro.config import (
+    LITE_SEARCH,
+    OFFLINE_TRAIN,
+    ONLINE_TRAIN,
+    SMOKE_SEARCH,
+    SearchConfig,
+    TrainConfig,
+)
 from repro.costmodel import PaCM, TenSetMLP, TLPModel
 from repro.errors import ReproError
 from repro.ir.partition import SubgraphTask
@@ -41,7 +48,7 @@ class Scale:
 SCALES: dict[str, Scale] = {
     "smoke": Scale(
         name="smoke",
-        search=SearchConfig(population=16, ga_steps=2, spec_size=12),
+        search=SMOKE_SEARCH,
         rounds=6,
         tasks_per_network=2,
         dataset_schedules=60,
@@ -51,12 +58,12 @@ SCALES: dict[str, Scale] = {
     ),
     "lite": Scale(
         name="lite",
-        search=SearchConfig(population=64, ga_steps=3, spec_size=48),
+        search=LITE_SEARCH,
         rounds=16,
         tasks_per_network=4,
         dataset_schedules=220,
         pretrain_samples=220,
-        train=TrainConfig(epochs=6),
+        train=ONLINE_TRAIN,
         offline_train=TrainConfig(epochs=40),
     ),
     "full": Scale(
@@ -67,7 +74,7 @@ SCALES: dict[str, Scale] = {
         dataset_schedules=4000,
         pretrain_samples=1000,
         train=TrainConfig(epochs=8),
-        offline_train=TrainConfig(epochs=60),
+        offline_train=OFFLINE_TRAIN,
     ),
 }
 
@@ -130,15 +137,6 @@ def pretrained_params(
     return params
 
 
-_METHOD_MODEL = {
-    "tensetmlp": "mlp",
-    "tlp": "tlp",
-    "pruner-offline": "pacm",
-    "pruner-offline-no-lse": "pacm",
-    "moa-pruner": "pacm",
-    "pruner-finetune": "pacm",
-}
-
 #: cross-platform pre-training platform for MoA (paper: TenSet K80-6M)
 MOA_SOURCE_DEVICE = "k80"
 
@@ -155,7 +153,7 @@ def run_tuning(
 ) -> TuneResult:
     """Run one tuning method end to end, handling pre-training needs."""
     pretrained = None
-    if method in _METHOD_MODEL:
+    if method in api.PRETRAINED_METHODS:
         # MoA / finetune: cross-platform siamese; offline: target platform.
         source = (
             MOA_SOURCE_DEVICE
@@ -163,7 +161,7 @@ def run_tuning(
             else device
         )
         pretrained = pretrained_params(
-            _METHOD_MODEL[method], source, subgraphs, scale, corpus_tag, seed=seed
+            api.model_kind(method), source, subgraphs, scale, corpus_tag, seed=seed
         )
     tuner = api.build_tuner(
         method,

@@ -22,11 +22,9 @@ Sequences are padded to ``PRIMITIVE_SEQ = 12`` tokens.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
-from repro.cache import register_lru
 from repro.features.cache import FEATURE_ROWS
 from repro.schedule.batch import CandidateBatch, space_plan
 from repro.schedule.lower import LoweredProgram
@@ -53,8 +51,8 @@ def _token(type_idx: int, factors: tuple[int, ...]) -> list[float]:
     return vec
 
 
-@lru_cache(maxsize=65536)
-def _primitive_features_cached(prog: LoweredProgram) -> tuple[tuple[float, ...], ...]:
+def primitive_features(prog: LoweredProgram) -> np.ndarray:
+    """Primitive-sequence features: shape ``(PRIMITIVE_SEQ, PRIMITIVE_DIM)``."""
     wl = prog.workload
     spatial = {d.name for d in wl.spatial}
     tokens: list[list[float]] = []
@@ -67,15 +65,7 @@ def _primitive_features_cached(prog: LoweredProgram) -> tuple[tuple[float, ...],
     tokens = tokens[:PRIMITIVE_SEQ]
     pad = [0.0] * PRIMITIVE_DIM
     tokens += [pad] * (PRIMITIVE_SEQ - len(tokens))
-    return tuple(tuple(t) for t in tokens)
-
-
-def primitive_features(prog: LoweredProgram) -> np.ndarray:
-    """Primitive-sequence features: shape ``(PRIMITIVE_SEQ, PRIMITIVE_DIM)``."""
-    return np.asarray(_primitive_features_cached(prog), dtype=np.float64)
-
-
-register_lru("features.primitives._primitive_features_cached", _primitive_features_cached)
+    return np.asarray(tokens, dtype=np.float64)
 
 
 def primitive_tensor(progs: list[LoweredProgram]) -> np.ndarray:

@@ -11,11 +11,11 @@ Wraps the ground-truth simulator with
 The hot path is :meth:`MeasureRunner.measure_batch`, which takes the
 already-packed :class:`~repro.schedule.batch.CandidateBatch` the search
 policies produce and simulates/noises/charges it as arrays — one noise
-draw call, one clock charge.  The scalar :meth:`MeasureRunner.measure`
-is a thin wrapper that packs its program list into a batch; both paths
-consume the RNG identically (``Generator.normal(size=k)`` yields the
-same stream as ``k`` sequential scalar draws), so they are
-bit-equivalent under a fixed seed.
+draw call, one clock charge.  :meth:`MeasureRunner.measure` packs its
+program list into a batch and calls it, so there is one implementation;
+``tests/test_measure_equivalence.py`` pins it bit for bit against a
+per-program reference loop (``Generator.normal(size=k)`` yields the
+same stream as ``k`` sequential scalar draws) and a frozen golden.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ stages, so this package makes the shape of that shift observable:
 
 Overhead is one ``perf_counter`` pair per span and one locked add per
 counter batch — all instrumentation sits at round/batch granularity,
-never per candidate, so the measured floor of
-``benchmarks/bench_throughput.py`` is unaffected.
+never per candidate, so the candidates/s floors of
+``benchmarks/bench_throughput.py`` are unaffected.
 """
 
 from __future__ import annotations

@@ -671,7 +671,7 @@ class CandidateBatch:
             grid=np.array([p.grid for p in progs], dtype=_I64),
             trans_span=np.array([p.trans_span for p in progs], dtype=_I64),
             flops=np.array([p.flops for p in progs], dtype=_F64),
-            tc_align=np.array([_tc_align_scalar(p) for p in progs], dtype=_F64),
+            tc_align=np.array([p.tc_align for p in progs], dtype=_F64),
             unroll=np.array([p.unroll for p in progs], dtype=_I64),
             vector=np.array([p.vector for p in progs], dtype=_I64),
             splitk=np.array([p.splitk for p in progs], dtype=_I64),
@@ -687,21 +687,6 @@ class CandidateBatch:
             ),
             blocks=blocks,
         )
-
-
-def _tc_align_scalar(prog: LoweredProgram) -> float:
-    """S9 fragment alignment of one program (mirror of core.symbols)."""
-    if not prog.tensorcore:
-        return 1.0
-    spatial = [d.name for d in prog.workload.spatial][-2:]
-    tile = prog.config.tile_map
-    align = 1.0
-    for axis in spatial:
-        f = tile[axis]
-        thread_tile = f[2] * f[3] * f[4]
-        waves = -(-thread_tile // WMMA_LANE)
-        align *= thread_tile / (waves * WMMA_LANE)
-    return align
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from repro.errors import LoweringError
 from repro.ir.ops import Workload
 from repro.obs import LOWERED
-from repro.schedule.space import ScheduleConfig, ScheduleSpace
+from repro.schedule.space import WMMA_LANE, ScheduleConfig, ScheduleSpace
 
 
 def note_lowered(n: int) -> None:
@@ -75,7 +75,8 @@ class LoweredProgram:
     All element counts are in *elements* (multiply by ``dtype_bytes``
     for bytes).  ``reg_elems`` / ``smem_elems`` / ``threads`` /
     ``traffic_elems`` / ``grid`` / ``trans_span`` / ``flops`` /
-    ``thread_compute`` correspond to symbols S1/S3/S4/S5/S6/S7/S8/S2.
+    ``thread_compute`` correspond to symbols S1/S3/S4/S5/S6/S7/S8/S2;
+    :attr:`tc_align` is S9.
     """
 
     workload: Workload
@@ -112,6 +113,24 @@ class LoweredProgram:
     def traffic_bytes(self) -> float:
         """Global memory traffic in bytes."""
         return self.traffic_elems * self.workload.dtype_bytes
+
+    @property
+    def tc_align(self) -> float:
+        """S9: fraction of issued WMMA lanes doing useful work.
+
+        Thread tiles that are exact multiples of the 16-wide fragment edge
+        score 1.0; ragged tiles waste fragment lanes proportionally.
+        """
+        if not self.tensorcore:
+            return 1.0
+        tile = self.config.tile_map
+        align = 1.0
+        for dim in self.workload.spatial[-2:]:
+            f = tile[dim.name]
+            thread_tile = f[2] * f[3] * f[4]
+            waves = -(-thread_tile // WMMA_LANE)  # ceil
+            align *= thread_tile / (waves * WMMA_LANE)
+        return align
 
     @property
     def key(self) -> str:

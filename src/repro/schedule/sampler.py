@@ -136,10 +136,3 @@ def sample_factorization(
 ) -> tuple[int, ...]:
     """Sample one ordered factorization of ``extent`` into ``parts`` factors."""
     return tuple(int(f) for f in sample_factorizations(rng, extent, parts, 1)[0])
-
-
-def sample_axis(
-    rng: np.random.Generator, space: ScheduleSpace, split: AxisSplit
-) -> tuple[int, ...]:
-    """Sample factors for one axis, honouring TensorCore constraints."""
-    return tuple(int(f) for f in sample_axis_batch(rng, space, split, 1)[0])

@@ -127,13 +127,6 @@ class ScheduleSpace:
         """All axis splits, spatial first."""
         return self.spatial_splits + self.reduction_splits
 
-    def split_for(self, axis: str) -> AxisSplit:
-        """Find the split decision for a named axis."""
-        for s in self.splits:
-            if s.axis == axis:
-                return s
-        raise ScheduleError(f"axis {axis!r} not in space for {self.workload.name}")
-
     def size(self) -> int:
         """Total number of schedule points (annotations included)."""
         n = 1

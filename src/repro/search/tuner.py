@@ -137,7 +137,6 @@ class Tuner:
         mode: str = "online",
         adapter: MomentumAdapter | None = None,
         train: TrainConfig | None = None,
-        train_every: int = 1,
         fixed_latency: float = 0.0,
         rng: np.random.Generator | None = None,
         initial_records: Iterable[TuningRecord] | None = None,
@@ -158,7 +157,7 @@ class Tuner:
         self.train = train or ONLINE_TRAIN
         # MoA's stable initialisation permits sparser updates (the paper
         # notes MoA "lowers the training frequency", Section 6.3).
-        self.train_every = 2 if (mode == "moa" and train_every == 1) else train_every
+        self.train_every = 2 if mode == "moa" else 1
         self.fixed_latency = fixed_latency
         self.rng = rng if rng is not None else make_rng(0)
         self.records = RecordLog()

@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.manifest import (
-    Manifest,
-    ModuleLock,
-    ScalarWrapper,
-    SharedClass,
-)
+from repro.analysis.manifest import Manifest, ModuleLock, SharedClass
 
 HERE = Path(__file__).resolve().parent
 BADPKG = HERE / "badpkg"
@@ -50,14 +45,6 @@ FIXTURE_MANIFEST = Manifest(
             module="badpkg/cycle.py",
             name="_LOCK_B",
             node="badpkg.cycle._LOCK_B",
-        ),
-    ),
-    wrappers=(
-        ScalarWrapper(
-            module="badpkg/drift.py",
-            cls="Runner",
-            scalar="run",
-            twin="run_batch",
         ),
     ),
     hot_packages=("badpkg/",),

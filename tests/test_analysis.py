@@ -1,6 +1,5 @@
 """Tests for repro.analysis: rules vs golden fixtures, suppressions,
-the baseline protocol, the static lock graph, and the meta-test that
-keeps the real tree clean.
+the static lock graph, and the meta-test that keeps the real tree clean.
 
 The known-bad fixture package lives in ``tests/fixtures/analysis/
 badpkg``; its expected findings are the checked-in golden JSON under
@@ -20,9 +19,8 @@ import pytest
 from repro.analysis import (
     DEFAULT_MANIFEST,
     analyze_paths,
-    load_baseline,
+    default_rules,
     load_modules,
-    write_baseline,
 )
 from repro.analysis.lockcheck import _cycle_in
 from repro.analysis.locks import static_edges
@@ -64,7 +62,6 @@ def test_badpkg_matches_goldens():
         ("unlocked", {"lock-unguarded-write", "lock-unguarded-read"}),
         ("cycle", {"lock-cycle"}),
         ("hot_time", {"det-wall-clock", "det-unseeded-rng"}),
-        ("drift", {"drift-fat-wrapper", "drift-no-delegate"}),
         ("swallow", {"hyg-broad-except"}),
     ],
 )
@@ -136,58 +133,6 @@ def test_docstring_mention_of_syntax_is_not_a_suppression(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# baseline protocol
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_hides_old_hygiene_findings(tmp_path):
-    report = analyze_paths([BADPKG], manifest=FIXTURE_MANIFEST)
-    baseline_path = tmp_path / "baseline.json"
-    written = write_baseline(baseline_path, report.findings)
-    # only the non-lock/det findings land in the file
-    lockdet = [
-        f
-        for f in report.findings
-        if f.rule.startswith(("lock-", "det-"))
-    ]
-    assert written == len(report.findings) - len(lockdet)
-    assert lockdet, "fixture must include lock/det findings"
-
-    rerun = analyze_paths(
-        [BADPKG],
-        manifest=FIXTURE_MANIFEST,
-        baseline=load_baseline(baseline_path),
-    )
-    assert rerun.baselined == written
-    # the lock/det findings are still reported — they can't be hidden
-    assert sorted(f.rule for f in rerun.findings) == sorted(
-        f.rule for f in lockdet
-    )
-
-
-def test_baseline_rejects_lock_and_det_entries(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": 1,
-                "findings": [
-                    {"rule": "lock-unguarded-write", "fingerprint": "aa"}
-                ],
-            }
-        )
-    )
-    with pytest.raises(AnalysisError, match="may not be baselined"):
-        load_baseline(path)
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "nope.json") == set()
-
-
-def test_checked_in_baseline_is_empty():
-    assert load_baseline(REPO / "analysis-baseline.json") == set()
-
-
-# ----------------------------------------------------------------------
 # static lock graph of the real tree
 # ----------------------------------------------------------------------
 def test_real_tree_lock_graph_edges_and_acyclicity():
@@ -217,8 +162,6 @@ def test_manifest_modules_all_exist():
         assert present(spec.module), f"stale manifest module {spec.module}"
     for mlock in DEFAULT_MANIFEST.module_locks:
         assert present(mlock.module), f"stale manifest module {mlock.module}"
-    for wrapper in DEFAULT_MANIFEST.wrappers:
-        assert present(wrapper.module), f"stale manifest module {wrapper.module}"
 
 
 def test_helper_methods_exist_on_declared_classes():
@@ -259,11 +202,11 @@ def test_real_tree_is_clean_via_cli():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
+    assert set(payload) == {"ok", "files", "suppressed", "counts", "findings"}
     assert payload["ok"] is True
     assert payload["findings"] == []
     # acceptance bar: no suppressions hiding lock/det findings anywhere
     assert payload["suppressed"] == 0
-    assert payload["baselined"] == 0
     assert payload["files"] > 100
 
 
@@ -274,9 +217,16 @@ def test_cli_exit_codes(tmp_path):
     bad.mkdir()
     (bad / "mod.py").write_text("def f():\n    try:\n        pass\n"
                                 "    except Exception:\n        pass\n")
-    assert main([str(bad), "--no-baseline"]) == 1  # findings
-    assert main([str(tmp_path / "missing"), "--no-baseline"]) == 2
+    assert main([str(bad)]) == 1  # findings
+    assert main([str(tmp_path / "missing")]) == 2
     assert main([str(bad), "--rules", "nonsense"]) == 2
+    assert main([str(bad), "--rules", "locks,determinism"]) == 0
+    # the inline marker is the one escape hatch: no baseline file, no flags
+    assert sorted(default_rules()) == ["determinism", "hygiene", "locks"]
+    for gone in ("--baseline=x.json", "--no-baseline", "--write-baseline"):
+        with pytest.raises(SystemExit) as exc:
+            main([str(bad), gone])
+        assert exc.value.code == 2
 
 
 def test_analyze_paths_rejects_syntax_errors(tmp_path):

@@ -8,9 +8,19 @@ reason strings, noise draws and clock charges are bit-identical to a
 scalar reference loop across devices and workload classes — including
 invalid programs, splitK overheads, register spill and TensorCore
 fragments.
+
+``run`` is ``run_batch`` of one row, so that comparison alone would pin
+the simulator to itself.  ``fixtures/simulator_golden.json`` holds the
+latencies :func:`simulator_golden` produced on the last commit that
+still carried an independent per-program copy of the simulator math
+(``benchmarks/bench_throughput.py::_scalar_simulate``, which agreed with
+it to 2.4e-16 relative); the file is data, not a mirror of today's code.
 """
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +53,9 @@ DEVICES = ["a100", "t4", "orin", "k80"]
 
 _RESULT_FIELDS = ("latency", "compute_time", "memory_time", "occupancy")
 
+GOLDEN_PATH = Path(__file__).parent / "fixtures" / "simulator_golden.json"
+GOLDEN_ROWS = 24
+
 
 def _batch_and_progs(wl, tensorcore, splitk, n=50, seed=0):
     space = generate_sketch(wl, tensorcore=tensorcore, allow_splitk=splitk)
@@ -50,7 +63,34 @@ def _batch_and_progs(wl, tensorcore, splitk, n=50, seed=0):
     return lower_batch(space, configs), [lower(space, c) for c in configs]
 
 
+def simulator_golden(device: str) -> dict:
+    """Every workload class on one device, as JSON-ready rows.
+
+    Latencies are ``float.hex()`` so the file round-trips exactly.  The
+    TensorCore class is left out on k80, where both paths raise
+    (``test_tensorcore_on_k80_raises_both_paths``).
+    """
+    sim = GroundTruthSimulator(get_device(device))
+    out = {}
+    for param in WORKLOADS:
+        wl, tc, sk = param.values
+        if tc and device == "k80":
+            continue
+        batch, _ = _batch_and_progs(wl, tc, sk, n=GOLDEN_ROWS)
+        res = sim.run_batch(batch)
+        out[param.id] = {
+            "latency": [float(x).hex() for x in res.latency],
+            "valid": res.valid.tolist(),
+            "reason": [res.reason(i) for i in range(len(res))],
+        }
+    return out
+
+
 class TestRunBatch:
+    @pytest.mark.parametrize("device", DEVICES)
+    def test_run_batch_reproduces_frozen_golden(self, device):
+        assert simulator_golden(device) == json.loads(GOLDEN_PATH.read_text())[device]
+
     @pytest.mark.parametrize("device", DEVICES)
     @pytest.mark.parametrize("wl,tc,sk", WORKLOADS)
     def test_bit_identical_to_scalar_run(self, wl, tc, sk, device):
