@@ -189,6 +189,13 @@ DEFAULT_MANIFEST = Manifest(
             name="_LEDGER_LOCK",
             node="repro.journal._LEDGER_LOCK",
         ),
+        # a leaf: single_thread() calls only into ctypes under it
+        ModuleLock(
+            module="repro/blas.py",
+            name="_LOCK",
+            node="repro.blas._LOCK",
+            guards=("_API", "_DEPTH", "_SAVED"),
+        ),
     ),
     hot_packages=(
         "repro/schedule/",

@@ -16,6 +16,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from repro.blas import single_thread
 from repro.config import TrainConfig
 from repro.errors import CostModelError
 from repro.nn.autograd import Tensor, no_grad
@@ -229,7 +230,7 @@ class NNCostModel(CostModel):
         return self._score(self._normalize(features))
 
     def _score(self, normalized: np.ndarray) -> np.ndarray:
-        with no_grad():
+        with single_thread(), no_grad():
             scores = self.net(Tensor(normalized))
         return scores.data.reshape(-1)
 
@@ -253,23 +254,24 @@ class NNCostModel(CostModel):
             weight_decay=train.weight_decay,
             grad_clip=train.grad_clip,
         )
-        for _ in range(train.epochs):
-            for group in groups:
-                perm = rng.permutation(group)
-                for start in range(0, len(perm), train.batch_size):
-                    idx = perm[start : start + train.batch_size]
-                    if len(idx) < 2:
-                        continue
-                    optimizer.zero_grad()
-                    scores = self.net(Tensor(features[idx]))
-                    loss = lambdarank_loss(
-                        scores.reshape(len(idx)),
-                        labels[idx],
-                        [np.arange(len(idx))],
-                        rng=rng,
-                    )
-                    loss.backward()
-                    optimizer.step()
+        with single_thread():
+            for _ in range(train.epochs):
+                for group in groups:
+                    perm = rng.permutation(group)
+                    for start in range(0, len(perm), train.batch_size):
+                        idx = perm[start : start + train.batch_size]
+                        if len(idx) < 2:
+                            continue
+                        optimizer.zero_grad()
+                        scores = self.net(Tensor(features[idx]))
+                        loss = lambdarank_loss(
+                            scores.reshape(len(idx)),
+                            labels[idx],
+                            [np.arange(len(idx))],
+                            rng=rng,
+                        )
+                        loss.backward()
+                        optimizer.step()
         return pairwise_rank_accuracy(self._score(features), labels, groups)
 
     def get_params(self) -> dict[str, np.ndarray]:

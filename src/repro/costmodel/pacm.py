@@ -24,14 +24,9 @@ from repro.errors import CostModelError
 from repro.features.dataflow import (
     DATAFLOW_BLOCKS,
     DATAFLOW_DIM,
-    dataflow_tensor,
     dataflow_tensor_batch,
 )
-from repro.features.statement import (
-    STATEMENT_DIM,
-    statement_matrix,
-    statement_matrix_batch,
-)
+from repro.features.statement import STATEMENT_DIM, statement_matrix_batch
 from repro.schedule.batch import CandidateBatch
 from repro.nn.autograd import Tensor, concatenate
 from repro.nn.layers import (
@@ -45,6 +40,13 @@ from repro.nn.layers import (
 from repro.schedule.lower import LoweredProgram
 
 _DF_FLAT = DATAFLOW_BLOCKS * DATAFLOW_DIM
+
+
+def _hybrid(batch: CandidateBatch) -> np.ndarray:
+    """[statement | flattened dataflow] rows, the layout ``_PaCMNet`` unpacks."""
+    stmt = statement_matrix_batch(batch)
+    df = dataflow_tensor_batch(batch).reshape(len(batch), _DF_FLAT)
+    return np.concatenate([stmt, df], axis=1)
 
 
 class _PaCMNet(Module):
@@ -134,11 +136,9 @@ class PaCM(NNCostModel):
         }
 
     def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
-        stmt = statement_matrix(progs)
-        df = dataflow_tensor(progs).reshape(len(progs), _DF_FLAT)
-        return np.concatenate([stmt, df], axis=1)
+        # packed once; a from_programs batch has no configs, so both
+        # encoders below skip the feature-row cache
+        return _hybrid(CandidateBatch.from_programs(progs))
 
     def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
-        stmt = statement_matrix_batch(batch)
-        df = dataflow_tensor_batch(batch).reshape(len(batch), _DF_FLAT)
-        return np.concatenate([stmt, df], axis=1)
+        return _hybrid(batch)

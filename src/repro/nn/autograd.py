@@ -240,12 +240,13 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """``x @ weight + bias`` over the last axis of ``x`` as one node.
 
     The forward product and the input gradient keep ``x``'s leading axes
-    (numpy runs ``(N, T, F) @ (F, D)`` as N small GEMMs).  Collapsing
-    them into one 2-D GEMM crosses OpenBLAS's threading threshold, and
-    the helper thread it wakes spins: on a 2-core box that took the
-    socket benchmark's ``job_cpu_s`` from 0.12 to 0.18 s and slowed the
-    job.  Only the weight gradient, which has to reduce over every
-    leading axis anyway, is a single GEMM.
+    (numpy runs ``(N, T, F) @ (F, D)`` as N small GEMMs); only the weight
+    gradient, which has to reduce over every leading axis anyway, is a
+    single GEMM.  The shapes pin output bits: collapsed into one 2-D
+    GEMM the input gradient differs by ~7e-15, which would move every
+    frozen golden, and on one BLAS thread (how the cost models call
+    this, see :mod:`repro.blas`) a collapsed 512-row forward is slower,
+    not faster.
     """
     out_data = x.data @ weight.data
     if bias is not None:

@@ -66,9 +66,8 @@ class Adam:
             grads.append(p.grad.reshape(-1))
         np.concatenate(grads, out=g)
         if self.grad_clip > 0:
-            # not ``g @ g``: ddot on the flat gradient crosses OpenBLAS's
-            # threading threshold, and the helper thread it wakes spins
-            # (twice the CPU per fit on a 2-core box, no wall-clock gain)
+            # not ``g @ g``: ddot sums in another order, and this norm
+            # scales every clipped update, so the form pins trained bits
             norm = math.sqrt(np.square(g, out=tmp).sum())
             if norm > self.grad_clip:
                 g *= self.grad_clip / (norm + 1e-12)

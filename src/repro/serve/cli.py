@@ -256,9 +256,26 @@ def _cmd_server(args: argparse.Namespace, out) -> int:
     return 0
 
 
+def _announce_blas() -> None:
+    """One stderr line: is a job one core here, or is the thread cap a no-op?
+
+    Call after :mod:`repro.serve.runner` is imported — that import loads
+    numpy, and with it the BLAS the cap looks for.
+    """
+    from repro.blas import single_thread
+
+    with single_thread() as library:
+        if library:
+            line = f"blas: {library}, capped to 1 thread inside cost-model calls"
+        else:
+            line = "blas: no OpenBLAS found, thread cap inactive"
+    print(line, file=sys.stderr, flush=True)
+
+
 def _cmd_runner(args: argparse.Namespace, out) -> int:
     from repro.serve.runner import TuningRunner
 
+    _announce_blas()
     runner = TuningRunner(
         args.server,
         runner_id=args.runner_id,
@@ -336,6 +353,7 @@ def _cmd_tune(args: argparse.Namespace, out) -> int:
     from repro.serve.protocol import unwire_float
     from repro.serve.runner import drain
 
+    _announce_blas()
     engine = JobEngine(args.cache_dir, checkpoints=not args.no_checkpoints)
     for network in args.network:
         job_id = engine.submit(

@@ -609,7 +609,7 @@ class TestServiceFacade:
 
 
 class TestCli:
-    def test_tune_status_export(self, tmp_path):
+    def test_tune_status_export(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")
         out = io.StringIO()
         code = cli_main(
@@ -630,6 +630,9 @@ class TestCli:
         assert code == 0
         assert "best schedules:" in text
         assert "fresh" in text
+        # start-up says whether the one-thread BLAS cap applies on this numpy
+        banner = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("blas: ")]
+        assert len(banner) == 1 and ("capped to 1 thread" in banner[0] or "inactive" in banner[0])
 
         out = io.StringIO()
         assert cli_main(["status", "--cache-dir", cache], out=out) == 0
