@@ -23,6 +23,12 @@ Inside ``Manifest.hot_packages`` this rule flags:
     (``np.random.default_rng(seed)``, ``Generator``, ``SeedSequence``)
     passes.  ``from random import ...`` / ``from numpy.random import
     ...`` are flagged at the import, where the review happens.
+``det-salted-hash``
+    builtin ``hash(...)`` or a direct ``.__hash__()`` call — for
+    ``str`` and ``bytes`` (and anything containing them) the value is
+    salted per process (``PYTHONHASHSEED``), so a seed or key derived
+    from it differs on every run.  :func:`repro.rng.stable_hash` /
+    ``rng_for`` are the process-independent forms.
 """
 
 from __future__ import annotations
@@ -87,6 +93,61 @@ def _seeded(call: ast.Call) -> bool:
     )
 
 
+def _is_salted_hash(func: ast.expr) -> bool:
+    """``hash(...)`` or ``<anything>.__hash__()``."""
+    if isinstance(func, ast.Name):
+        return func.id == "hash"
+    return isinstance(func, ast.Attribute) and func.attr == "__hash__"
+
+
+def _diagnose(node: ast.AST) -> tuple[str, str] | None:
+    """``(rule, message)`` when ``node`` breaks a determinism rule."""
+    if isinstance(node, ast.ImportFrom):
+        if node.module in ("random", "numpy.random"):
+            return "det-unseeded-rng", (
+                f"`from {node.module} import ...` in a hot-path package "
+                "hides global RNG state; take an explicit "
+                "np.random.Generator (repro.rng.make_rng) instead"
+            )
+        return None
+    if not isinstance(node, ast.Call):
+        return None
+    if _is_salted_hash(node.func):
+        return "det-salted-hash", (
+            "hash() of str/bytes is salted per process (PYTHONHASHSEED); "
+            "derive seeds and keys with repro.rng.stable_hash / rng_for"
+        )
+    dotted = _dotted(node.func)
+    if dotted is None:
+        return None
+    if _is_wall_clock(dotted):
+        return "det-wall-clock", (
+            f"{dotted}() reads the wall clock in a hot-path package; "
+            "inject a clock (clock=time.monotonic param) or use the "
+            "simulated clock"
+        )
+    leaf = _np_random_leaf(dotted)
+    if leaf is not None:
+        if leaf in _SEEDABLE and _seeded(node):
+            return None
+        detail = (
+            f"{dotted}() without a seed"
+            if leaf in _SEEDABLE
+            else f"{dotted}() draws from numpy's global RNG"
+        )
+        return "det-unseeded-rng", (
+            f"{detail}; hot-path code must thread a seeded Generator "
+            "(repro.rng.make_rng / rng_for)"
+        )
+    if dotted.startswith("random."):
+        return "det-unseeded-rng", (
+            f"{dotted}() uses the global random module in a hot-path "
+            "package; thread a seeded Generator (repro.rng.make_rng) "
+            "instead"
+        )
+    return None
+
+
 def check(modules: list[ModuleInfo], manifest: Manifest) -> list[Finding]:
     findings: list[Finding] = []
     for module in modules:
@@ -96,77 +157,14 @@ def check(modules: list[ModuleInfo], manifest: Manifest) -> list[Finding]:
         ):
             continue
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module in ("random", "numpy.random"):
-                    findings.append(
-                        Finding(
-                            rule="det-unseeded-rng",
-                            path=module.rel,
-                            line=node.lineno,
-                            message=(
-                                f"`from {node.module} import ...` in a "
-                                "hot-path package hides global RNG state; "
-                                "take an explicit np.random.Generator "
-                                "(repro.rng.make_rng) instead"
-                            ),
-                            severity=ERROR,
-                        )
-                    )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = _dotted(node.func)
-            if dotted is None:
-                continue
-            if _is_wall_clock(dotted):
+            if (diagnosis := _diagnose(node)) is not None:
+                rule, message = diagnosis
                 findings.append(
                     Finding(
-                        rule="det-wall-clock",
+                        rule=rule,
                         path=module.rel,
                         line=node.lineno,
-                        message=(
-                            f"{dotted}() reads the wall clock in a "
-                            "hot-path package; inject a clock "
-                            "(clock=time.monotonic param) or use the "
-                            "simulated clock"
-                        ),
-                        severity=ERROR,
-                    )
-                )
-                continue
-            leaf = _np_random_leaf(dotted)
-            if leaf is not None:
-                if leaf in _SEEDABLE and _seeded(node):
-                    continue
-                detail = (
-                    f"{dotted}() without a seed"
-                    if leaf in _SEEDABLE
-                    else f"{dotted}() draws from numpy's global RNG"
-                )
-                findings.append(
-                    Finding(
-                        rule="det-unseeded-rng",
-                        path=module.rel,
-                        line=node.lineno,
-                        message=(
-                            f"{detail}; hot-path code must thread a "
-                            "seeded Generator (repro.rng.make_rng / "
-                            "rng_for)"
-                        ),
-                        severity=ERROR,
-                    )
-                )
-            elif dotted.startswith("random."):
-                findings.append(
-                    Finding(
-                        rule="det-unseeded-rng",
-                        path=module.rel,
-                        line=node.lineno,
-                        message=(
-                            f"{dotted}() uses the global random module in "
-                            "a hot-path package; thread a seeded "
-                            "Generator (repro.rng.make_rng) instead"
-                        ),
+                        message=message,
                         severity=ERROR,
                     )
                 )

@@ -124,7 +124,7 @@ DEFAULT_MANIFEST = Manifest(
             module="repro/obs/trace.py",
             name="TraceSink",
             node="obs.trace.TraceSink",
-            locks={"_lock": ()},
+            locks={"_lock": ("_bytes",)},
             helpers={"_enforce_cap": "_lock"},
         ),
         SharedClass(
@@ -184,6 +184,7 @@ DEFAULT_MANIFEST = Manifest(
             node="repro.cache._GUARD",
             guards=("_REGISTRY", "_STATS_HOOKS"),
         ),
+        # serializes append_jsonl's render-then-append (ledger, results)
         ModuleLock(
             module="repro/journal.py",
             name="_LEDGER_LOCK",
@@ -203,14 +204,19 @@ DEFAULT_MANIFEST = Manifest(
         "repro/costmodel/",
         "repro/features/",
         "repro/nn/",
+        "repro/baselines/",
+        "repro/core/",
+        "repro/hardware/",
+        "repro/dataset/",
+        "repro/experiments/",
     ),
     function_acquirers={
         # the lowering layer increments the obs LOWERED counter
         "note_lowered": ("obs.registry.Counter._lock",),
         "lower_batch": ("obs.registry.Counter._lock",),
-        # merge_jsonl calls its ``snapshot`` argument under _LEDGER_LOCK;
-        # JobQueue.save_ledger passes one that reads the queue
-        "snapshot": ("service.jobs.JobQueue._lock",),
+        # append_jsonl calls its ``rows`` argument under _LEDGER_LOCK;
+        # JobQueue.append_ledger passes one that reads the queue
+        "rows": ("service.jobs.JobQueue._lock",),
         # every repro.cache entry point takes the module guard
         "register_cache": ("repro.cache._GUARD",),
         "register_lru": ("repro.cache._GUARD",),

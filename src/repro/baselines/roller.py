@@ -20,7 +20,7 @@ from repro.hardware.device import DeviceSpec
 from repro.hardware.measure import MeasureRunner
 from repro.ir.ops import Workload
 from repro.ir.partition import SubgraphTask
-from repro.rng import make_rng
+from repro.rng import make_rng, rng_for
 from repro.schedule.lower import LoweredProgram, lower
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
@@ -37,12 +37,11 @@ def _aligned(prog: LoweredProgram, device: DeviceSpec) -> bool:
         return False
     if not 64 <= prog.threads_per_block <= 512:
         return False
-    for _, factors in prog.config.tiles:
-        if not all(_is_power_of_two(f) or f == prog.workload.loop_extents().get("", 0) for f in factors):
-            # allow non-pow2 only when the axis extent itself is odd-sized
-            if not all(f == 1 or _is_power_of_two(f) for f in factors[1:]):
-                return False
-    return True
+    # the outermost factor may be anything (it absorbs an odd-sized axis
+    # extent); every inner tile factor must be a power of two
+    return all(
+        _is_power_of_two(f) for _, factors in prog.config.tiles for f in factors[1:]
+    )
 
 
 @dataclass
@@ -78,7 +77,7 @@ class RollerTuner:
         clock = clock or SimClock()
         runner = MeasureRunner(self.device, clock=clock, rng=make_rng(self.seed))
         space = generate_sketch(workload)
-        rng = make_rng((self.seed, workload.key).__str__().__hash__() & 0xFFFF)
+        rng = rng_for("roller", self.seed, workload.key)
 
         candidates: dict[str, LoweredProgram] = {}
         for _ in range(self.enumeration):

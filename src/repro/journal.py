@@ -1,20 +1,21 @@
 """The one persistence primitive: line journals and small JSON objects.
 
 Everything this project keeps on disk is either a *journal* — a
-JSON-lines file that is appended to (records, traces) or merged and
-atomically rewritten (the job ledger, result summaries) — or one small
-JSON object rewritten atomically (the two ``index.json`` files, a
-checkpoint).  This stdlib-only leaf module holds the handful of
-operations those formats share, so each write boundary and each
-damage-tolerance rule exists once:
+JSON-lines file that only ever grows by appended lines (records,
+traces, the job ledger, result summaries) — or one small JSON object
+rewritten atomically (the two ``index.json`` files, a checkpoint).
+This stdlib-only leaf module holds the handful of operations those
+formats share, so each write boundary and each damage-tolerance rule
+exists once:
 
 * :func:`iter_jsonl` — the tolerant JSONL reader,
-* :func:`append_lines` — the only way a journal grows in place,
+* :func:`append_lines` — the only way a journal grows,
+* :func:`append_jsonl` — :func:`append_lines` for files several
+  threads and processes write: rows rendered and appended under
+  :func:`file_lock`, so file order is event order,
 * :func:`atomic_write_lines` — temp file + rename, for rewrites,
 * :func:`read_json_index` / :func:`write_json_index` /
-  :func:`upsert_json_index` — a JSON object file, read tolerantly,
-* :func:`merge_jsonl` — read-merge-by-``job_id``-rewrite under
-  :func:`file_lock`.
+  :func:`upsert_json_index` — a JSON object file, read tolerantly.
 
 Reads never write and never take a lock: appends add whole lines at
 the end, rewrites go through a rename, so a lock-free reader sees a
@@ -63,8 +64,9 @@ def iter_jsonl(path: Path) -> Iterable[tuple[str, dict | None]]:
             yield line, row if isinstance(row, dict) else None
 
 
-def append_lines(path: Path, lines: Iterable[str]) -> None:
-    """Append lines to the end of a journal file, as one write.
+def append_lines(path: Path, lines: Iterable[str]) -> int:
+    """Append lines to the end of a journal file, as one write; returns
+    the bytes written.
 
     A crash mid-append leaves a torn final line with no newline.  The
     next append must not glue its first line onto that tail — the
@@ -74,13 +76,13 @@ def append_lines(path: Path, lines: Iterable[str]) -> None:
     """
     data = "".join(line + "\n" for line in lines).encode(**_TEXT)
     if not data:
-        return
+        return 0
     with path.open("ab+") as fh:
         if fh.tell():
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 data = b"\n" + data
-        fh.write(data)  # append mode: lands at the end wherever we seeked
+        return fh.write(data)  # append mode: lands at the end wherever we seeked
 
 
 def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
@@ -132,8 +134,8 @@ def upsert_json_index(path: Path, name: str, fields: dict) -> None:
 def file_lock(path: Path):
     """Advisory cross-process lock on a sidecar ``<path>.lock`` file.
 
-    Serializes read-merge-write cycles on files shared between
-    processes (record files, the indexes, the job ledger).  No-op where
+    Serializes writers of files shared between processes (record
+    files, the indexes, checkpoints, the job ledger).  No-op where
     ``fcntl`` is unavailable; in-process threads still need their own
     lock.
     """
@@ -149,38 +151,23 @@ def file_lock(path: Path):
             fcntl.flock(fh, fcntl.LOCK_UN)
 
 
-# In-process guard for merge_jsonl's read-merge-write cycle: the
-# cross-process file_lock is a no-op where fcntl is unavailable, so
-# threads need this.
+# In-process guard for append_jsonl: the cross-process file_lock is a
+# no-op where fcntl is unavailable, so threads need this.
 _LEDGER_LOCK = threading.Lock()
 
 
-def merge_jsonl(path: Path, snapshot: Callable[[], Iterable[dict]]) -> None:
-    """Merge ``snapshot()``'s rows into a JSON-lines file keyed by ``job_id``.
+def append_jsonl(path: Path, rows: Callable[[], Iterable[dict]]) -> None:
+    """Append ``rows()`` to a journal that several writers share.
 
-    The one writer of the job ledger and the result summaries: entries
-    already on disk are kept (earlier runs and other processes sharing
-    the file stay visible), entries with the same ``job_id`` are
-    replaced rather than duplicated, and the file is rewritten
-    atomically.  The merge works on raw parsed rows, so lines a newer
-    version wrote (extra fields, other shapes, no ``job_id``) survive
-    the rewrite even though this version's readers skip them.
+    The one writer of the job ledger and the result summaries: each
+    state change appends the changed rows and nothing is re-read, so a
+    write costs the same however long the file has grown.  Readers keep
+    the last complete row per ``job_id``.
 
-    ``snapshot`` is called with the locks held: of two racing writers
-    the one that writes last must also have looked last, or a stale
-    ``running`` could overwrite a ``done``.
+    ``rows`` is called with the locks held: of two racing writers the
+    one that appends last must also have looked last, or a stale
+    ``running`` could land after a ``done``.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     with _LEDGER_LOCK, file_lock(path):
-        preserved: list[str] = []
-        merged: dict[str, dict] = {}
-        for line, entry in iter_jsonl(path):
-            if entry is not None and isinstance(entry.get("job_id"), str):
-                merged[entry["job_id"]] = entry
-            else:
-                preserved.append(line)
-        for row in snapshot():
-            merged[row["job_id"]] = row
-        atomic_write_lines(
-            path, preserved + [json.dumps(entry) for entry in merged.values()]
-        )
+        append_lines(path, [json.dumps(row) for row in rows()])

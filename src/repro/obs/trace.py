@@ -17,6 +17,7 @@ lines — so a long-lived service's trace footprint stays bounded.
 from __future__ import annotations
 
 import json
+import math
 import re
 import threading
 from contextlib import contextmanager
@@ -95,11 +96,16 @@ class TraceSink:
 
     Writes are cheap (open-append-close, one line) and crash-safe in
     the JSONL sense — a torn final line is skipped on read and the next
-    write starts on a fresh line (:mod:`repro.journal`).  The byte cap
-    is enforced after every write: whole files rotate out oldest-
-    modified first (never the file just written); if the active file
-    alone exceeds the cap, its oldest half is dropped by an atomic
-    rewrite.  This is the one capped directory of a cache dir.
+    write starts on a fresh line (:mod:`repro.journal`).  The sink
+    keeps a running byte total of its directory — one scan at the first
+    write, then each append adds its own bytes — and lists the
+    directory again only when that total crosses the cap: whole files
+    rotate out oldest-modified first (never the file just written); if
+    the active file alone exceeds the cap, its oldest half is dropped
+    by an atomic rewrite.  The cap is exact for one writer: bytes
+    another sink or process adds to the same directory are counted at
+    this sink's next scan, not before.  This is the one capped
+    directory of a cache dir.
     """
 
     def __init__(
@@ -110,6 +116,9 @@ class TraceSink:
         self.root = Path(root).expanduser()
         self.max_bytes = max_bytes
         self._lock = threading.Lock()
+        #: bytes under ``root`` as far as this sink knows; over any cap
+        #: until the first write has scanned the directory
+        self._bytes: float = math.inf
 
     def _path(self, job_id: str) -> Path:
         safe = re.sub(r"[^A-Za-z0-9._-]", "_", str(job_id)) or "job"
@@ -121,27 +130,31 @@ class TraceSink:
         line = json.dumps(record)
         with self._lock:
             self.root.mkdir(parents=True, exist_ok=True)
-            append_lines(path, [line])
-            self._enforce_cap(keep=path)
+            self._bytes += append_lines(path, [line])
+            if self._bytes > self.max_bytes:
+                self._enforce_cap(keep=path)
 
     def _enforce_cap(self, keep: Path) -> None:
-        files = sorted(
-            (p for p in self.root.glob("*.jsonl") if p.is_file()),
-            key=lambda p: p.stat().st_mtime,
+        """Rescan the directory and rotate until it fits the cap."""
+        stats = sorted(
+            ((p.stat(), p) for p in self.root.glob("*.jsonl") if p.is_file()),
+            key=lambda entry: entry[0].st_mtime,
         )
-        sizes = {p: p.stat().st_size for p in files}
-        total = sum(sizes.values())
-        for path in files:
-            if total <= self.max_bytes:
+        # a trim that dies below leaves the true total, so the next
+        # write comes back here
+        self._bytes = sum(stat.st_size for stat, _ in stats)
+        for stat, path in stats:
+            if self._bytes <= self.max_bytes:
                 return
             if path == keep:
                 continue
-            total -= sizes[path]
             path.unlink(missing_ok=True)
-        if total > self.max_bytes and keep.exists():
+            self._bytes -= stat.st_size
+        if self._bytes > self.max_bytes and keep.exists():
             # The active job alone blew the budget: keep its newest half.
             lines = [raw for raw, _ in iter_jsonl(keep)]
             atomic_write_lines(keep, lines[len(lines) // 2 :])
+            self._bytes = keep.stat().st_size
 
     # ------------------------------------------------------------------
     def jobs(self) -> list[str]:

@@ -26,7 +26,7 @@ from pathlib import Path
 from repro import api
 from repro.errors import ReproError, SearchError
 from repro.hardware.device import get_device
-from repro.journal import iter_jsonl, merge_jsonl
+from repro.journal import append_jsonl, iter_jsonl
 from repro.obs import MetricsRegistry, TraceSink
 from repro.serve.protocol import (
     DEFAULT_LEASE_TTL,
@@ -115,9 +115,11 @@ class JobEngine:
         Shared root: record and model stores, ``jobs.jsonl`` (ledger),
         ``results.jsonl``, ``traces/``.  All of it is re-read here, so
         a restarted engine carries on; jobs leased when the previous
-        process died requeue as pending.  Nothing is written before the
-        first state change (read-only use over a mistyped path leaves
-        no directory behind).
+        process died requeue as pending.  Afterwards the ledger and the
+        result summaries are only appended to — a state change writes
+        the changed job's row and reads nothing back.  Nothing is
+        written before the first state change (read-only use over a
+        mistyped path leaves no directory behind).
     lease_ttl:
         Seconds a runner may go silent before its lease expires and
         the job requeues.
@@ -193,8 +195,10 @@ class JobEngine:
     def _restore(self) -> None:
         """Reload the ledger and result summaries from the cache dir.
 
-        Jobs that were running when the previous process died requeue
-        as pending (their runners' leases died with it).
+        Both files hold one appended row per state change; the last
+        complete row of a job is its state.  Jobs that were running
+        when the previous process died requeue as pending (their
+        runners' leases died with it).
         """
         self.queue.restore(JobQueue.load_ledger(self.store.root / LEDGER_NAME))
         with self._results_lock:
@@ -204,14 +208,16 @@ class JobEngine:
                 if isinstance(row.get("result"), dict):
                     self._results[row["job_id"]] = row["result"]
 
-    def _save_ledger(self) -> None:
-        self.queue.save_ledger(self.store.root / LEDGER_NAME)
+    def _append_ledger(self, *job_ids: str) -> None:
+        """Append the current rows of the jobs a transition changed."""
+        if job_ids:
+            self.queue.append_ledger(self.store.root / LEDGER_NAME, job_ids)
 
     def _save_result(self, job_id: str, result: dict) -> None:
-        """Persist one result summary (merge-on-write, like the ledger)."""
+        """Persist one result summary (one appended row, like the ledger)."""
         with self._results_lock:
             self._results[job_id] = result
-        merge_jsonl(
+        append_jsonl(
             self.store.root / RESULTS_NAME,
             lambda: [{"job_id": job_id, "result": result}],
         )
@@ -225,9 +231,10 @@ class JobEngine:
         cache dir — picks them straight up.
         """
         self.queue.close()
-        for lease in self.leases.drain():
+        drained = self.leases.drain()
+        for lease in drained:
             self.queue.release(lease.job_id)
-        self._save_ledger()
+        self._append_ledger(*(lease.job_id for lease in drained))
         self.broker.close()  # wake in-flight event long-polls
 
     # ------------------------------------------------------------------
@@ -308,8 +315,7 @@ class JobEngine:
                     "runner": lease.runner_id,
                 },
             )
-        if expired:
-            self._save_ledger()
+        self._append_ledger(*(lease.job_id for lease in expired))
 
     # ------------------------------------------------------------------
     # observability
@@ -413,7 +419,7 @@ class JobEngine:
                 "tuning jobs cannot supply; use api.build_tuner directly"
             )
         job_id = self.queue.submit(job)
-        self._save_ledger()
+        self._append_ledger(job_id)
         self.broker.publish(
             job_id, {"type": "submitted", "state": JobState.PENDING.value}
         )
@@ -458,7 +464,7 @@ class JobEngine:
         """
         self._job(job_id)
         state = self.queue.cancel(job_id)
-        self._save_ledger()
+        self._append_ledger(job_id)
         self.broker.publish(
             job_id,
             {
@@ -622,7 +628,7 @@ class JobEngine:
         except ValueError:
             self.queue.release(job.job_id)  # never strand a claimed job
             raise
-        self._save_ledger()  # the claim (running + runner id) survives a crash
+        self._append_ledger(job.job_id)  # the claim (running + runner id) survives a crash
         self.broker.publish(
             job.job_id,
             {"type": "leased", "state": JobState.RUNNING.value, "runner": runner_id},
@@ -717,7 +723,7 @@ class JobEngine:
         if isinstance(result, dict):
             self._save_result(lease.job_id, result)
         self.queue.mark_done(lease.job_id)
-        self._save_ledger()
+        self._append_ledger(lease.job_id)
         job = self.queue.get(lease.job_id)
         self.broker.publish(
             lease.job_id,
@@ -735,7 +741,7 @@ class JobEngine:
         lease = self._held_lease(lease_id, runner_id, drop=True)
         error = str(error or "runner reported failure")
         self.queue.mark_failed(lease.job_id, error)
-        self._save_ledger()
+        self._append_ledger(lease.job_id)
         job = self.queue.get(lease.job_id)
         # mark_failed may have requeued for a retry — publish the state
         # it actually landed in, so pollers see pending vs failed

@@ -14,6 +14,10 @@ boundaries (``should_stop`` of :meth:`repro.search.tuner.Tuner.tune`);
 a pending job cancels immediately.  :meth:`JobQueue.release` puts a
 leased job back without burning its retry budget — the path a remote
 runner's expired lease takes (see :mod:`repro.serve.protocol`).
+
+The ledger (``jobs.jsonl``) is an append-only journal of those
+transitions: :meth:`JobQueue.append_ledger` adds the changed jobs'
+rows, :meth:`JobQueue.load_ledger` keeps each job's last one.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from repro.journal import iter_jsonl, merge_jsonl
+from repro.journal import append_jsonl, iter_jsonl
 
 
 class JobState(str, Enum):
@@ -345,25 +349,39 @@ class JobQueue:
     # ------------------------------------------------------------------
     # ledger persistence (so `repro.serve status` sees past runs)
     # ------------------------------------------------------------------
-    def save_ledger(self, path: str | Path) -> None:
-        """Merge every job's current state into a JSON-lines ledger
-        (see :func:`~repro.journal.merge_jsonl`: other runs'
-        entries stay, this queue's are replaced, not duplicated)."""
-        merge_jsonl(Path(path), lambda: [job.to_dict() for job in self.jobs()])
+    def append_ledger(self, path: str | Path, job_ids: Iterable[str]) -> None:
+        """Append the named jobs' current rows to a JSON-lines ledger.
+
+        Called after every transition with the job or jobs it changed:
+        the ledger holds one row per transition and is never re-read or
+        rewritten (see :func:`~repro.journal.append_jsonl`), so other
+        runs' and other processes' rows stay where they are.
+        """
+
+        def rows() -> list[dict]:
+            with self._lock:
+                return [self._jobs[job_id].to_dict() for job_id in job_ids]
+
+        append_jsonl(Path(path), rows)
 
     @staticmethod
     def load_ledger(path: str | Path) -> list[TuneJob]:
-        """Read a ledger back (most recent entries last).
+        """Read a ledger back: each job's last complete row, jobs in
+        the order they first appear.
 
-        Rows this version cannot interpret are skipped here but
-        preserved by :meth:`save_ledger`'s rewrite.
+        Rows this version cannot interpret (and a torn tail) are
+        skipped, so a job whose last append was cut short reads as its
+        previous row.  A ledger with one row per job — what versions
+        that rewrote the file left — is the special case where nothing
+        collapses.
         """
-        jobs = []
+        jobs: dict[str, TuneJob] = {}
         for _, entry in iter_jsonl(Path(path)):
             if entry is None:
                 continue
             try:
-                jobs.append(TuneJob.from_dict(entry))
+                job = TuneJob.from_dict(entry)
+                jobs[job.job_id] = job
             except (TypeError, ValueError, KeyError):
                 continue
-        return jobs
+        return list(jobs.values())

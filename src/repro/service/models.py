@@ -46,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.cache import register_cache
 from repro.costmodel.base import CostModel
 from repro.errors import CostModelError
 from repro.journal import (
@@ -61,30 +60,6 @@ from repro.service.store import StoreKey, _sanitize
 #: envelope changes incompatibly (the model state inside carries its
 #: own ``state_v``, see :data:`repro.costmodel.base.MODEL_STATE_VERSION`).
 CHECKPOINT_SCHEMA_VERSION = 1
-
-# Parsed-checkpoint memo for the serving hot path (every lease ships
-# the freshest checkpoint).  One entry per file path holding (mtime,
-# size, parsed dict), so rewriting a checkpoint replaces its entry
-# instead of leaking the superseded parse — a long-lived server process
-# may never call clear_caches().  Bounded as a second line of defence
-# (FIFO eviction; dicts preserve insertion order) and registered with
-# the process-wide cache registry so between-job clears drop it too.
-# Guarded by its own lock: ThreadingHTTPServer handles concurrent
-# leases, and racing evictions must not raise out of load_wire.
-_WIRE_MEMO: dict[str, tuple[int, int, dict]] = {}
-_WIRE_MEMO_CAP = 64
-_WIRE_MEMO_LOCK = threading.Lock()
-
-
-def _clear_wire_memo() -> None:
-    # the registered clear must honor the same lock the eviction loop
-    # holds, or a between-jobs clear_caches() from one worker could
-    # empty the dict under another worker's next(iter(...))
-    with _WIRE_MEMO_LOCK:
-        _WIRE_MEMO.clear()
-
-
-register_cache("service.models.wire_memo", _clear_wire_memo)
 
 
 # ----------------------------------------------------------------------
@@ -273,28 +248,8 @@ class ModelStore:
     # reading
     # ------------------------------------------------------------------
     def load_wire(self, key: StoreKey, kind: str) -> dict | None:
-        """The stored checkpoint envelope, or None.  Treat as read-only:
-        the hot serving path memoizes the parsed dict per file version.
-        """
-        path = self.path_for(key, kind)
-        try:
-            stat = path.stat()
-        except OSError:
-            return None
-        memo_key = str(path)
-        with _WIRE_MEMO_LOCK:
-            cached = _WIRE_MEMO.get(memo_key)
-        if cached is not None and cached[:2] == (stat.st_mtime_ns, stat.st_size):
-            wire = cached[2]
-        else:
-            wire = read_json_index(path)
-            if not wire:
-                return None
-            with _WIRE_MEMO_LOCK:
-                while len(_WIRE_MEMO) >= _WIRE_MEMO_CAP and memo_key not in _WIRE_MEMO:
-                    _WIRE_MEMO.pop(next(iter(_WIRE_MEMO)), None)
-                _WIRE_MEMO[memo_key] = (stat.st_mtime_ns, stat.st_size, wire)
-        return wire
+        """The stored checkpoint envelope, or None."""
+        return read_json_index(self.path_for(key, kind)) or None
 
     def load_state(self, key: StoreKey, kind: str) -> dict | None:
         """Decoded ``load_state`` dict of the stored checkpoint, or None."""

@@ -63,6 +63,7 @@ def test_badpkg_matches_goldens():
         ("cycle", {"lock-cycle"}),
         ("hot_time", {"det-wall-clock", "det-unseeded-rng"}),
         ("swallow", {"hyg-broad-except"}),
+        ("salted_hash", {"det-salted-hash"}),
     ],
 )
 def test_each_snippet_trips_exactly_its_rules(stem, rules):

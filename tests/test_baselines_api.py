@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,34 @@ class TestRoller:
             "pruner", subs, "a100", rounds=10, search=SEARCH, train=TRAIN
         )
         assert result.clock.total < full.clock.total
+
+    def test_same_latency_under_any_hash_seed(self):
+        """The enumeration rng is seeded by a stable hash of (seed,
+        workload key); ``str.__hash__`` is salted per process, so two
+        interpreters must be asked, not two calls in this one."""
+        script = (
+            "from repro.baselines import RollerTuner\n"
+            "from repro.hardware.device import get_device\n"
+            "from repro.ir import ops\n"
+            "from repro.ir.partition import SubgraphTask\n"
+            "subs = [SubgraphTask(ops.matmul(256, 256, 256), 1)]\n"
+            "roller = RollerTuner(get_device('a100'), trials=10, enumeration=256)\n"
+            "print(repr(roller.tune_subgraphs(subs).latency))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        latencies = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for hash_seed in ("1", "2")
+        ]
+        assert latencies[0] == latencies[1]
+        assert math.isfinite(float(latencies[0]))
 
 
 class TestAdatune:

@@ -213,3 +213,47 @@ class TestConcurrentRunners:
         for job in JobQueue.load_ledger(tmp_path / LEDGER_NAME):
             assert job.state is JobState.DONE and job.attempts == 1
             assert restarted.result(job.job_id) == {"by": job.runner_id}
+
+    def test_cancel_racing_complete_leaves_the_last_row_true(self, tmp_path):
+        """Every job gets a ``cancel`` and a ``complete`` from two of 48
+        threads released together at a 10 us switch interval.  Either
+        order is legal (done, or cancelled when the cancel won); what is
+        not is a ledger whose last row for a job is the loser's stale
+        view — rows are rendered after the journal lock is taken, so
+        file order is transition order."""
+        engine = JobEngine(tmp_path)
+        ids = [engine.submit(**VALID, seed=i) for i in range(24)]
+        leases = {}
+        while (leased := engine.lease("r1")) is not None:
+            leases[leased["job"]["job_id"]] = leased["lease_id"]
+        assert sorted(leases) == sorted(ids)
+        go = threading.Barrier(2 * len(ids))
+
+        def race(job_id: str, cancel: bool) -> None:
+            go.wait(timeout=30)
+            if cancel:
+                engine.cancel(job_id)
+            else:
+                engine.complete(leases[job_id], "r1", job_id, {"ok": 1}, [])
+
+        threads = [
+            threading.Thread(target=race, args=(job_id, cancel), daemon=True)
+            for job_id in ids
+            for cancel in (True, False)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        on_disk = {job.job_id: job for job in JobQueue.load_ledger(tmp_path / LEDGER_NAME)}
+        states = set()
+        for job_id in ids:
+            assert on_disk[job_id].to_dict() == engine.queue.get(job_id).to_dict()
+            states.add(on_disk[job_id].state)
+        assert states <= {JobState.DONE, JobState.CANCELLED}

@@ -14,7 +14,10 @@ of what every job's state must be.  After every step:
 * a lease hands out the highest-priority matching pending job, and
   among equal priorities the earliest submitted (``submit_seq``);
 * every job's event stream is gap-free: sequence numbers 1..n, n being
-  the number of transitions the model saw since the last restart.
+  the number of transitions the model saw since the last restart;
+* what reached the disk is the model: a second engine opened on the same
+  cache dir restores every job, in submission order, to the state,
+  attempt count and result a crash at this step would leave.
 """
 
 from __future__ import annotations
@@ -272,6 +275,26 @@ class EngineMachine(RuleBasedStateMachine):
                 assert job.job_id not in self.final
             if job.state.value == "done":  # results.jsonl: restarts included
                 assert self.engine.result(job.job_id) == {"ok": 1}
+
+    @invariant()
+    def reopened_engine_matches_model(self):
+        """The ledger is one appended row per transition; its last row
+        per job must be the job, whichever step the process dies at."""
+        reopened = JobEngine(self.tmp.name, lease_ttl=TTL, clock=self.clock)
+        actual = [
+            (job.job_id, job.state.value, job.attempts, job.cancel_requested)
+            for job in reopened.queue.jobs()
+        ]
+        expected = []
+        for job_id, job in self.jobs.items():
+            crashed = dict(job)
+            self._release(crashed)  # what restore() does to a running job
+            expected.append(
+                (job_id, crashed["state"], crashed["attempts"], crashed["cancel"])
+            )
+            if job["state"] == "done":
+                assert reopened.result(job_id) == {"ok": 1}
+        assert actual == expected  # lists: submission order survives too
 
     @invariant()
     def event_streams_are_gap_free(self):

@@ -24,12 +24,11 @@ from repro.hardware.device import get_device
 from repro.journal import (
     atomic_write_lines,
     iter_jsonl,
-    merge_jsonl,
     read_json_index,
 )
 from repro.obs import TraceSink
 from repro.serve.cli import main as cli_main
-from repro.serve.engine import JobEngine
+from repro.serve.engine import LEDGER_NAME, JobEngine
 from repro.service import JobQueue, ModelStore, RecordStore, StoreKey, TuneJob
 from repro.service.models import state_to_wire
 from repro.workloads import network_tasks
@@ -76,8 +75,8 @@ class TestCrashAtEveryByte:
     def test_atomic_write_interrupted_before_or_after_rename(self, tmp_path):
         """A rewrite that dies before its rename leaves a partial
         ``.tmp`` beside an intact file; after the rename the new content
-        is complete.  Either way the next merge loses nothing."""
-        path = tmp_path / "jobs.jsonl"
+        is complete.  Either way the next rewrite loses nothing."""
+        path = tmp_path / "index.json"
         old = [{"job_id": "a", "n": 1}, {"job_id": "b", "n": 2}]
         new = old + [{"job_id": "c", "n": 3}]
         atomic_write_lines(path, [json.dumps(r) for r in old])
@@ -86,9 +85,60 @@ class TestCrashAtEveryByte:
         for cut in range(len(body) + 1):
             tmp.write_bytes(body[:cut])  # died `cut` bytes into the temp file
             assert _parsed(path) == old, cut
-        merge_jsonl(path, lambda: [{"job_id": "c", "n": 3}])  # the retry
+        atomic_write_lines(path, [json.dumps(r) for r in new])  # the retry
         assert _parsed(path) == new
         assert not tmp.exists()
+
+    def test_ledger_append_truncated_anywhere(self, tmp_path):
+        """Cut the ledger's last append at every byte offset: that job
+        reads as its previous row, the other job is untouched, and the
+        next append starts on a fresh line."""
+        path = tmp_path / "jobs.jsonl"
+        queue = JobQueue()
+        first = queue.submit(TuneJob("bert_tiny"))
+        other = queue.submit(TuneJob("gpt2"))
+        queue.append_ledger(path, [first, other])
+        assert queue.claim(runner_id="r1").job_id == first
+        queue.append_ledger(path, [first])
+        base = path.read_bytes()
+        running = queue.get(first).to_dict()
+        pending = queue.get(other).to_dict()
+        queue.mark_done(first)
+        queue.append_ledger(path, [first])  # the append that gets cut
+        done = queue.get(first).to_dict()
+        tail = path.read_bytes()[len(base):]
+        queue.cancel(other)
+        for cut in range(len(tail) + 1):
+            path.write_bytes(base + tail[:cut])
+            landed = cut >= len(tail) - 1  # the whole row, newline or not
+            expected = [done if landed else running, pending]
+            assert [j.to_dict() for j in JobQueue.load_ledger(path)] == expected, cut
+            queue.append_ledger(path, [other])
+            expected[1] = queue.get(other).to_dict()
+            assert [j.to_dict() for j in JobQueue.load_ledger(path)] == expected, cut
+            assert path.read_bytes().startswith(base + tail[:cut])  # appended to, only
+
+    def test_submit_appends_one_row_and_reads_nothing(self, tmp_path, monkeypatch):
+        """A state change costs one appended row however long the ledger
+        is: nothing parses the 400 jobs already there."""
+        path = tmp_path / LEDGER_NAME
+        queue = JobQueue()
+        ids = [queue.submit(TuneJob("bert_tiny", seed=i)) for i in range(400)]
+        queue.append_ledger(path, ids)
+        engine = JobEngine(tmp_path)
+        assert engine.status()["pending"] == 400
+        before = path.read_bytes()
+
+        def reread(*args, **kwargs):
+            raise AssertionError("a state change re-read a journal")
+
+        for module in ("repro.journal", "repro.service.jobs", "repro.serve.engine"):
+            monkeypatch.setattr(f"{module}.iter_jsonl", reread)
+        job_id = engine.submit("bert_tiny", rounds=1, scale="smoke", top_k_tasks=1)
+        after = path.read_bytes()
+        assert after.startswith(before)
+        (row,) = after[len(before):].splitlines()
+        assert json.loads(row) == engine.queue.get(job_id).to_dict()
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.cache import clear_caches, registered_caches
 from repro.config import TrainConfig
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel
 from repro.costmodel.base import MODEL_STATE_VERSION, RandomModel
@@ -360,15 +359,6 @@ class TestModelStore:
         assert store.save(key, TenSetMLP(), trained_trials=8)
         (stat,) = store.stats()
         assert stat["kind"] == "mlp" and stat["device"] == "a100"
-
-    def test_wire_memo_registered_with_cache_registry(self, tmp_path, a100):
-        store = ModelStore(tmp_path)
-        key = self._key(a100)
-        store.save(key, TenSetMLP(), trained_trials=1)
-        assert store.load_wire(key, "mlp") is not None
-        assert "service.models.wire_memo" in registered_caches()
-        clear_caches()
-        assert store.load_wire(key, "mlp") is not None  # reload after drop
 
 
 class TestTunerWarmStart:

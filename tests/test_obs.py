@@ -8,6 +8,7 @@ tuner, the JSONL trace sink's rotation, and the serve layer's
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 import urllib.error
@@ -291,6 +292,27 @@ class TestTraceSink:
         assert rounds  # something survived
         assert rounds[-1] == 9  # ... and it is the newest tail
         assert rounds == sorted(rounds)
+
+    def test_below_cap_write_lists_no_directory(self, tmp_path, monkeypatch):
+        """The sink scans once, then counts its own appends: only a
+        write that crosses the cap looks at the directory again."""
+        sink = TraceSink(tmp_path / "traces", max_bytes=400)
+        sink.write("a", {"pad": "x" * 100})  # the one unconditional scan
+
+        def listed(*args, **kwargs):
+            raise AssertionError("a below-cap write listed the directory")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Path, "glob", listed)
+            patched.setattr(os, "scandir", listed)
+            patched.setattr(os, "listdir", listed)
+            sink.write("a", {"pad": "x" * 100})
+            sink.write("b", {"pad": "x" * 100})
+            with pytest.raises(AssertionError, match="listed"):
+                sink.write("c", {"pad": "x" * 100})  # crosses 400 bytes
+        sink.write("d", {"pad": "x" * 100})  # the rotation lands
+        files = sink.jobs()
+        assert "d" in files and len(files) < 4
 
     def test_summarize_accepts_both_wire_forms(self, tmp_path):
         sink = TraceSink(tmp_path / "traces")

@@ -686,7 +686,9 @@ class TestCliProcesses:
             server.send_signal(signal.SIGTERM)
             assert server.wait(timeout=15) == 0
             ledger = (cache / "jobs.jsonl").read_text()
-            assert json.loads(ledger.splitlines()[0])["state"] == "done"
+            rows = [json.loads(line) for line in ledger.splitlines()]
+            assert {row["job_id"] for row in rows} == {job_id}
+            assert rows[-1]["state"] == "done"  # the job's last row
         finally:
             for proc in (runner, server):
                 if proc is not None and proc.poll() is None:

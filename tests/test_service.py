@@ -334,7 +334,7 @@ class TestJobQueue:
         for _ in range(2):
             queue.claim()
         queue.mark_done(done_id)
-        queue.save_ledger(tmp_path / "jobs.jsonl")
+        queue.append_ledger(tmp_path / "jobs.jsonl", [j.job_id for j in queue.jobs()])
 
         fresh = JobQueue()
         claimable = fresh.restore(JobQueue.load_ledger(tmp_path / "jobs.jsonl"))
@@ -357,7 +357,7 @@ class TestJobQueue:
         queue = JobQueue()
         queue.submit(TuneJob("bert_tiny", rounds=3))
         queue.mark_done(queue.claim().job_id)
-        queue.save_ledger(tmp_path / "jobs.jsonl")
+        queue.append_ledger(tmp_path / "jobs.jsonl", [j.job_id for j in queue.jobs()])
         (job,) = JobQueue.load_ledger(tmp_path / "jobs.jsonl")
         assert job.network == "bert_tiny"
         assert job.state is JobState.DONE
