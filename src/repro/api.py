@@ -51,7 +51,7 @@ from repro.hardware.measure import MeasureRunner
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
-from repro.schedule.lower import lower
+from repro.schedule.batch import lower_batch
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.search import AnsorPolicy, PrunerPolicy, Tuner, make_tasks
@@ -209,10 +209,8 @@ def elementwise_latency(subgraphs: list[SubgraphTask], device: DeviceSpec) -> fl
         if sub.workload.is_tiled:
             continue
         space = generate_sketch(sub.workload)
-        best = math.inf
-        for _ in range(8):
-            lat = sim.latency(lower(space, random_config(space, rng)))
-            best = min(best, lat)
+        configs = [random_config(space, rng) for _ in range(8)]
+        best = float(sim.latency_batch(lower_batch(space, configs)).min())
         if math.isfinite(best):
             total += best * sub.weight
     return total
@@ -484,10 +482,12 @@ def pretrain_model(
         if not sub.workload.is_tiled:
             continue
         space = generate_sketch(sub.workload)
-        for _ in range(samples_per_task):
-            prog = lower(space, random_config(space, rng))
-            progs.append(prog)
-            lats.append(sim.latency(prog))
-            keys.append(sub.workload.key)
+        # one draw per sample (the rng stream of a per-sample loop), then
+        # one lowering and one simulation for the task
+        configs = [random_config(space, rng) for _ in range(samples_per_task)]
+        batch = lower_batch(space, configs)
+        progs += [batch.program(i) for i in range(len(batch))]
+        lats += sim.latency_batch(batch).tolist()
+        keys += [sub.workload.key] * len(batch)
     model.fit(progs, np.array(lats), keys, train=train or TrainConfig(epochs=40), rng=rng)
     return model.get_params()

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import math
 
-from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable
+import numpy as np
+
+from repro.core.analyzer import SymbolBasedAnalyzer
 from repro.errors import ScheduleError, TuningFailure
 from repro.hardware.device import DeviceSpec
 from repro.hardware.measure import MeasureRunner
 from repro.ir.ops import Workload
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
-from repro.schedule.lower import lower
+from repro.schedule.batch import lower_batch
 from repro.schedule.mutate import _move_factor  # local (gradient-like) move
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
@@ -67,9 +69,9 @@ class FelixTuner:
     def _descend(self, space, config: ScheduleConfig, rng) -> ScheduleConfig:
         """Steepest descent via prime-factor moves between tile levels."""
         current = config
-        current_cost = self._cost(space, current)
+        current_cost = self._costs(space, [current])[0]
         for _ in range(self.descent_steps):
-            best_neighbor, best_cost = None, current_cost
+            moves = []
             for axis, factors in current.tiles:
                 for _try in range(3):
                     moved = current.with_tile(axis, _move_factor(rng, factors))
@@ -77,19 +79,19 @@ class FelixTuner:
                         space.validate(moved)
                     except ScheduleError:  # off-space move: try another
                         continue
-                    cost = self._cost(space, moved)
-                    if cost < best_cost:
-                        best_neighbor, best_cost = moved, cost
-            if best_neighbor is None:
+                    moves.append(moved)
+            if not moves:
+                break
+            costs = self._costs(space, moves)
+            best = int(np.argmin(costs))  # the first of equally cheap moves
+            if not costs[best] < current_cost:
                 break  # local optimum
-            current, current_cost = best_neighbor, best_cost
+            current, current_cost = moves[best], costs[best]
         return current
 
-    def _cost(self, space, config: ScheduleConfig) -> float:
-        prog = lower(space, config)
-        if not is_launchable(prog, self.device):
-            return math.inf
-        return self.analyzer.latency(prog)
+    def _costs(self, space, configs: list[ScheduleConfig]) -> np.ndarray:
+        """Draft-model latency of each config, inf where unlaunchable."""
+        return -self.analyzer.score_batch(lower_batch(space, configs))
 
     # ------------------------------------------------------------------
     def tune(self, subgraphs: list[SubgraphTask], rounds: int):
@@ -119,10 +121,14 @@ class FelixTuner:
                 descended = self._descend(space, start, rng)
                 optima.append(descended)
                 clock.charge_sa(self.descent_steps * 6)
-            optima.sort(key=lambda c: self._cost(space, c))
-            lowered = [lower(space, c) for c in optima[: self.measure_per_round]]
-            batch = [p for p in lowered if is_launchable(p, self.device)]
-            for res in runner.measure(batch):
+            batch = lower_batch(space, optima)
+            costs = -self.analyzer.score_batch(batch)
+            picked = [
+                batch.program(int(i))
+                for i in np.argsort(costs, kind="stable")[: self.measure_per_round]
+                if costs[i] < math.inf  # launchable
+            ]
+            for res in runner.measure(picked):
                 records.add(
                     TuningRecord(
                         task_key=sub.workload.key,

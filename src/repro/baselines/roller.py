@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 
-from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable
+from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable_mask
 from repro.hardware.device import DeviceSpec
 from repro.hardware.measure import MeasureRunner
 from repro.ir.ops import Workload
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng, rng_for
-from repro.schedule.lower import LoweredProgram, lower
+from repro.schedule.batch import CandidateBatch, lower_batch
+from repro.schedule.lower import LoweredProgram
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.timemodel import SimClock
@@ -80,24 +82,26 @@ class RollerTuner:
         rng = rng_for("roller", self.seed, workload.key)
 
         candidates: dict[str, LoweredProgram] = {}
-        for _ in range(self.enumeration):
-            prog = lower(space, random_config(space, rng))
-            if is_launchable(prog, self.device) and _aligned(prog, self.device):
+        for prog in self._launchable(space, rng, self.enumeration):
+            if _aligned(prog, self.device):
                 candidates[prog.config.key] = prog
         pool = list(candidates.values())
         if not pool:  # fall back: drop alignment if rules match nothing
-            pool = [
-                lower(space, random_config(space, rng)) for _ in range(self.trials * 2)
-            ]
-            pool = [p for p in pool if is_launchable(p, self.device)]
+            pool = self._launchable(space, rng, self.trials * 2)
         clock.charge_sa(len(pool))  # rule-model scoring cost
-        scored = sorted(pool, key=self.analyzer.latency)
-        top = scored[: self.trials]
+        latency = self.analyzer.latency_batch(CandidateBatch.from_programs(pool))
+        top = [pool[i] for i in np.argsort(latency, kind="stable")[: self.trials]]
         results = runner.measure(top)
         best = min(
             (r.latency for r in results if r.valid), default=math.inf
         )
         return best, clock
+
+    def _launchable(self, space, rng, n: int) -> list[LoweredProgram]:
+        """``n`` random schedules lowered as one batch; the launchable ones."""
+        batch = lower_batch(space, [random_config(space, rng) for _ in range(n)])
+        keep = np.flatnonzero(is_launchable_mask(batch, self.device))
+        return [batch.program(int(i)) for i in keep]
 
     def tune_subgraphs(self, subgraphs: list[SubgraphTask]) -> RollerResult:
         """Tune every tiled subgraph with ``trials`` measurements each."""

@@ -23,6 +23,7 @@ from repro.hardware.measure import MeasureRunner
 from repro.ir.ops import Workload
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng, rng_for
+from repro.schedule.batch import lower_batch
 from repro.schedule.lower import lower
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
@@ -58,15 +59,15 @@ class TLMTuner:
                 continue
             space = generate_sketch(wl)
             rng = rng_for("tlm-pretrain", wl.key)
-            pool = []
-            for _ in range(self.corpus_size):
-                prog = lower(space, random_config(space, rng))
-                if is_launchable(prog, self.device):
-                    pool.append(prog)
-            pool.sort(key=self.analyzer.latency)
+            configs = [random_config(space, rng) for _ in range(self.corpus_size)]
+            scores = self.analyzer.score_batch(lower_batch(space, configs))
+            # launchable samples, lowest draft latency first (ties in draw order)
+            strongest = [
+                i for i in np.argsort(-scores, kind="stable") if scores[i] > -math.inf
+            ]
             dist: dict[str, list[tuple[int, ...]]] = defaultdict(list)
-            for prog in pool[: self.top_corpus]:
-                for axis, factors in prog.config.tiles:
+            for i in strongest[: self.top_corpus]:
+                for axis, factors in configs[i].tiles:
                     dist[axis].append(factors)
             self._distributions[wl.key] = dict(dist)
 

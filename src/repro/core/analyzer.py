@@ -11,6 +11,12 @@ extraction, no GPU inference.  Given the penalty terms it estimates
 uses it only as the GA fitness during the Latent Schedule Explorer and
 to pick S_spec.  The class exposes ablation switches used by Table 10
 (``w/o P_{l_i,c}`` and ``w/o P_{l_i,m}``).
+
+Eq. 1 is written once, over a :class:`~repro.schedule.batch.
+CandidateBatch` (:meth:`SymbolBasedAnalyzer.latency_batch`); ``latency``
+/ ``score`` of one program pack it as a one-row batch.
+``tests/fixtures/draft_golden.json`` pins latency and score on four
+devices under both switches.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.penalty import compute_penalties, compute_penalties_batch
-from repro.core.symbols import extract_symbols, extract_symbols_batch
+from repro.core.penalty import compute_penalties
+from repro.core.symbols import extract_symbols_batch
 from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram
 
@@ -75,19 +81,7 @@ class SymbolBasedAnalyzer:
 
     def latency(self, prog: LoweredProgram) -> float:
         """Estimated total latency L_total (seconds; ranking-grade only)."""
-        symbols = extract_symbols(prog)
-        pen = compute_penalties(symbols, self.device, prog.workload.dtype_bytes)
-
-        peak = self.device.peak_for(prog.tensorcore)
-        compute_product = pen.compute_product() if self.use_compute_penalty else 1.0
-        memory_product = pen.memory_product() if self.use_memory_penalty else 1.0
-
-        u_p = peak * max(compute_product, 1e-12)
-        u_m = self.device.peak_bw * max(memory_product, 1e-12)
-
-        l_c = symbols.s8_l2_compute / u_p
-        l_m = symbols.s5_l2_traffic * prog.workload.dtype_bytes / u_m
-        return l_c + l_m
+        return float(self.latency_batch(CandidateBatch.from_programs([prog]))[0])
 
     def score(self, prog: LoweredProgram) -> float:
         """Hardware-fitness score (higher is better): negated latency.
@@ -95,53 +89,33 @@ class SymbolBasedAnalyzer:
         Programs that violate hard launch constraints score ``-inf`` so
         that the GA and PriorFilter never keep them.
         """
-        if not is_launchable(prog, self.device):
-            return -math.inf
-        return -self.latency(prog)
+        return float(self.score_batch(CandidateBatch.from_programs([prog]))[0])
 
-    def scores(self, progs: list[LoweredProgram]) -> list[float]:
-        """Batch scores of a program list (delegates to the array path)."""
-        if not progs:
-            return []
-        return self.score_batch(CandidateBatch.from_programs(progs)).tolist()
-
-    # ------------------------------------------------------------------
-    # batched path (one GA generation = a handful of numpy ops)
-    # ------------------------------------------------------------------
     def latency_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized :meth:`latency` over a :class:`CandidateBatch`.
-
-        Same operation order as the scalar formula, so both paths agree
-        bit-for-bit on every candidate.
-        """
+        """L_total of every candidate (one GA generation = a handful of
+        numpy ops)."""
         symbols = extract_symbols_batch(batch)
-        pen = compute_penalties_batch(
-            symbols, self.device, batch.dtype_bytes.astype(np.float64)
-        )
+        pen = compute_penalties(symbols, self.device, batch.dtype_bytes)
 
         # not ``peak_for(True)``: it raises on a device without TensorCores
         # even when no row asks for them.  A TensorCore row there gets peak
-        # 0, i.e. infinite latency, where the scalar path raises.
+        # 0, i.e. infinite latency and a score of -inf.
         peak = np.where(
             batch.tensorcore, self.device.tc_peak_flops, self.device.peak_flops
         )
-        n = len(batch)
-        compute_product = (
-            pen.compute_product() if self.use_compute_penalty else np.ones(n)
-        )
-        memory_product = (
-            pen.memory_product() if self.use_memory_penalty else np.ones(n)
-        )
+        compute_product = pen.compute_product() if self.use_compute_penalty else 1.0
+        memory_product = pen.memory_product() if self.use_memory_penalty else 1.0
 
         u_p = peak * np.maximum(compute_product, 1e-12)
         u_m = self.device.peak_bw * np.maximum(memory_product, 1e-12)
 
-        l_c = symbols.s8_l2_compute / u_p
+        with np.errstate(divide="ignore"):  # the peak-0 rows above
+            l_c = symbols.s8_l2_compute / u_p
         l_m = symbols.s5_l2_traffic * batch.dtype_bytes / u_m
         return l_c + l_m
 
     def score_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Vectorized :meth:`score`: ``-latency``, ``-inf`` if unlaunchable."""
+        """``-latency`` per candidate, ``-inf`` where unlaunchable."""
         scores = -self.latency_batch(batch)
         scores[~is_launchable_mask(batch, self.device)] = -math.inf
         return scores

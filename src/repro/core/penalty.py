@@ -15,17 +15,21 @@ verbatim:
 
 TensorCore programs additionally multiply the compute penalties by the
 fragment-alignment symbol S9.
+
+Each formula is written once, in numpy ufuncs, over values that are
+floats for one program and ``(N,)`` arrays for a batch (see
+:class:`~repro.core.symbols.Symbols`); ``tests/fixtures/
+draft_golden.json`` pins every term.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.symbols import Symbols, SymbolsBatch
+from repro.core.symbols import Symbols
 
 if TYPE_CHECKING:  # runtime-free to avoid a core <-> hardware import cycle
     from repro.hardware.device import DeviceSpec
@@ -33,18 +37,19 @@ if TYPE_CHECKING:  # runtime-free to avoid a core <-> hardware import cycle
 
 @dataclass(frozen=True)
 class Penalties:
-    """Penalty terms for one program on one device."""
+    """Penalty terms on one device: floats for one program, one ``(N,)``
+    array per term for a batch."""
 
-    p_l0_m: float
-    p_l0_c: float
-    p_l1_m: float
-    p_l1_c: float
-    alpha_l1: float
-    p_l2_c: float
-    p_l2_m: float
-    p_tc: float = 1.0
+    p_l0_m: float | np.ndarray
+    p_l0_c: float | np.ndarray
+    p_l1_m: float | np.ndarray
+    p_l1_c: float | np.ndarray
+    alpha_l1: float | np.ndarray
+    p_l2_c: float | np.ndarray
+    p_l2_m: float | np.ndarray
+    p_tc: float | np.ndarray = 1.0
 
-    def density(self) -> float:
+    def density(self) -> float | np.ndarray:
         """P_l0_c folded into a (0, 1] utilization factor.
 
         The paper's ``P_l0_c = 1 + S2/S1`` is unbounded ("the bigger the
@@ -55,87 +60,22 @@ class Penalties:
         """
         return 1.0 - 1.0 / self.p_l0_c
 
-    def compute_product(self) -> float:
+    def compute_product(self) -> float | np.ndarray:
         """Product of the compute-side penalties (drives U_p)."""
         return self.density() * self.p_l1_c * self.alpha_l1 * self.p_l2_c * self.p_tc
 
-    def memory_product(self) -> float:
+    def memory_product(self) -> float | np.ndarray:
         """Product of the memory-side penalties (drives U_m)."""
         return self.p_l0_m * self.p_l1_m * self.p_l2_m
 
 
 def compute_penalties(
-    symbols: Symbols, device: DeviceSpec, dtype_bytes: int = 4
+    symbols: Symbols, device: DeviceSpec, dtype_bytes: int | np.ndarray = 4
 ) -> Penalties:
-    """Evaluate all penalty terms for a symbol vector on ``device``."""
-    s = symbols
+    """Evaluate all penalty terms for symbols on ``device``.
 
-    # --- L0 (registers) ---
-    m_l0 = float(device.max_regs_per_thread)
-    p_l0_m = min(m_l0 / max(1.0, s.s1_l0_alloc), 1.0)
-    p_l0_c = 1.0 + s.s2_l0_compute / max(1.0, s.s1_l0_alloc)
-
-    # --- L1 (shared memory / warps) ---
-    m_l1_elems = device.smem_per_block / dtype_bytes
-    p_l1_m = min(m_l1_elems / max(1.0, s.s3_l1_alloc), 1.0) if s.s3_l1_alloc else 1.0
-    n_l1 = device.warp_size
-    pu_l1 = device.warp_schedulers
-    sch_l1 = math.ceil(s.s4_l1_para / n_l1)
-    p_l1_c = sch_l1 / (math.ceil(sch_l1 / pu_l1) * pu_l1)
-    alpha_l1 = s.s4_l1_para / (sch_l1 * n_l1)
-
-    # --- L2 (global memory / SMs) ---
-    pu_l2 = device.sms
-    p_l2_c = s.s6_l2_para / (math.ceil(s.s6_l2_para / pu_l2) * pu_l2)
-    n_l2 = device.transaction_elems
-    p_l2_m = s.s7_l2_trans / (math.ceil(s.s7_l2_trans / n_l2) * n_l2)
-
-    return Penalties(
-        p_l0_m=p_l0_m,
-        p_l0_c=p_l0_c,
-        p_l1_m=p_l1_m,
-        p_l1_c=p_l1_c,
-        alpha_l1=alpha_l1,
-        p_l2_c=p_l2_c,
-        p_l2_m=p_l2_m,
-        p_tc=s.s9_tc_align,
-    )
-
-
-@dataclass(frozen=True)
-class PenaltiesBatch:
-    """Penalty terms of a whole batch, one ``(N,)`` array per term.
-
-    Same formulas and operation order as :class:`Penalties` so the two
-    paths agree bit-for-bit (the equivalence suite checks this).
+    ``dtype_bytes`` is one width, or one per candidate of a batch.
     """
-
-    p_l0_m: np.ndarray
-    p_l0_c: np.ndarray
-    p_l1_m: np.ndarray
-    p_l1_c: np.ndarray
-    alpha_l1: np.ndarray
-    p_l2_c: np.ndarray
-    p_l2_m: np.ndarray
-    p_tc: np.ndarray
-
-    def density(self) -> np.ndarray:
-        """P_l0_c folded into a (0, 1] utilization factor (see Penalties)."""
-        return 1.0 - 1.0 / self.p_l0_c
-
-    def compute_product(self) -> np.ndarray:
-        """Product of the compute-side penalties (drives U_p)."""
-        return self.density() * self.p_l1_c * self.alpha_l1 * self.p_l2_c * self.p_tc
-
-    def memory_product(self) -> np.ndarray:
-        """Product of the memory-side penalties (drives U_m)."""
-        return self.p_l0_m * self.p_l1_m * self.p_l2_m
-
-
-def compute_penalties_batch(
-    symbols: SymbolsBatch, device: DeviceSpec, dtype_bytes: np.ndarray
-) -> PenaltiesBatch:
-    """Vectorized :func:`compute_penalties` (``dtype_bytes`` per candidate)."""
     s = symbols
 
     # --- L0 (registers) ---
@@ -146,11 +86,8 @@ def compute_penalties_batch(
 
     # --- L1 (shared memory / warps) ---
     m_l1_elems = device.smem_per_block / dtype_bytes
-    p_l1_m = np.where(
-        s.s3_l1_alloc > 0,
-        np.minimum(m_l1_elems / np.maximum(1.0, s.s3_l1_alloc), 1.0),
-        1.0,
-    )
+    # S3 = 0 (nothing staged in shared memory) gives min(m_l1 / 1, 1) = 1
+    p_l1_m = np.minimum(m_l1_elems / np.maximum(1.0, s.s3_l1_alloc), 1.0)
     n_l1 = device.warp_size
     pu_l1 = device.warp_schedulers
     sch_l1 = np.ceil(s.s4_l1_para / n_l1)
@@ -163,7 +100,7 @@ def compute_penalties_batch(
     n_l2 = device.transaction_elems
     p_l2_m = s.s7_l2_trans / (np.ceil(s.s7_l2_trans / n_l2) * n_l2)
 
-    return PenaltiesBatch(
+    return Penalties(
         p_l0_m=p_l0_m,
         p_l0_c=p_l0_c,
         p_l1_m=p_l1_m,

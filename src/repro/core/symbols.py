@@ -20,9 +20,12 @@ For TensorCore programs we add S9 ``TCFragAlign``: how well the
 thread-tile maps onto WMMA 16x16x16 fragments (the symbol the paper
 introduces when integrating Pruner into MetaSchedule, Section 6.4).
 
-Symbols are pure functions of the :class:`~repro.schedule.lower.LoweredProgram`;
-all the products over tile factors (Figure 3) already happened during
-lowering.
+Symbols are pure functions of the lowered candidates; all the products
+over tile factors (Figure 3) already happened during lowering.  There is
+one :class:`Symbols` type: its fields are floats for one program and
+``(N,)`` arrays for a :class:`~repro.schedule.batch.CandidateBatch`, and
+the penalty and latency formulas built on it are written once over
+either.  ``tests/fixtures/draft_golden.json`` pins the values.
 """
 
 from __future__ import annotations
@@ -37,19 +40,20 @@ from repro.schedule.lower import LoweredProgram
 
 @dataclass(frozen=True)
 class Symbols:
-    """The S1..S8 (+S9) symbol vector of one scheduled program."""
+    """The S1..S8 (+S9) symbol vector: floats for one scheduled program,
+    one ``(N,)`` array per symbol for a whole candidate batch."""
 
-    s1_l0_alloc: float
-    s2_l0_compute: float
-    s3_l1_alloc: float
-    s4_l1_para: float
-    s5_l2_traffic: float
-    s6_l2_para: float
-    s7_l2_trans: float
-    s8_l2_compute: float
-    s9_tc_align: float = 1.0  # 1.0 = perfectly fragment-aligned / not TC
+    s1_l0_alloc: float | np.ndarray
+    s2_l0_compute: float | np.ndarray
+    s3_l1_alloc: float | np.ndarray
+    s4_l1_para: float | np.ndarray
+    s5_l2_traffic: float | np.ndarray
+    s6_l2_para: float | np.ndarray
+    s7_l2_trans: float | np.ndarray
+    s8_l2_compute: float | np.ndarray
+    s9_tc_align: float | np.ndarray = 1.0  # 1.0 = perfectly fragment-aligned / not TC
 
-    def as_tuple(self) -> tuple[float, ...]:
+    def as_tuple(self) -> tuple[float | np.ndarray, ...]:
         """Symbols in S1..S9 order."""
         return (
             self.s1_l0_alloc,
@@ -65,56 +69,18 @@ class Symbols:
 
 
 def extract_symbols(prog: LoweredProgram) -> Symbols:
-    """Extract the hardware-aware symbol vector from a lowered program."""
-    return Symbols(
-        s1_l0_alloc=float(prog.reg_elems),
-        s2_l0_compute=float(prog.thread_compute),
-        s3_l1_alloc=float(prog.smem_elems),
-        s4_l1_para=float(prog.threads_per_block),
-        s5_l2_traffic=float(prog.traffic_elems),
-        s6_l2_para=float(prog.grid),
-        s7_l2_trans=float(prog.trans_span),
-        s8_l2_compute=float(prog.flops),
-        s9_tc_align=prog.tc_align,
-    )
+    """The symbol vector of one lowered program, as floats."""
+    batch = extract_symbols_batch(CandidateBatch.from_programs([prog]))
+    return Symbols(*(float(column[0]) for column in batch.as_tuple()))
 
 
-@dataclass(frozen=True)
-class SymbolsBatch:
-    """S1..S9 for a whole candidate batch, one ``(N,)`` array per symbol."""
-
-    s1_l0_alloc: np.ndarray
-    s2_l0_compute: np.ndarray
-    s3_l1_alloc: np.ndarray
-    s4_l1_para: np.ndarray
-    s5_l2_traffic: np.ndarray
-    s6_l2_para: np.ndarray
-    s7_l2_trans: np.ndarray
-    s8_l2_compute: np.ndarray
-    s9_tc_align: np.ndarray
-
-    def row(self, i: int) -> Symbols:
-        """Scalar :class:`Symbols` view of one candidate."""
-        return Symbols(
-            s1_l0_alloc=float(self.s1_l0_alloc[i]),
-            s2_l0_compute=float(self.s2_l0_compute[i]),
-            s3_l1_alloc=float(self.s3_l1_alloc[i]),
-            s4_l1_para=float(self.s4_l1_para[i]),
-            s5_l2_traffic=float(self.s5_l2_traffic[i]),
-            s6_l2_para=float(self.s6_l2_para[i]),
-            s7_l2_trans=float(self.s7_l2_trans[i]),
-            s8_l2_compute=float(self.s8_l2_compute[i]),
-            s9_tc_align=float(self.s9_tc_align[i]),
-        )
-
-
-def extract_symbols_batch(batch: CandidateBatch) -> SymbolsBatch:
-    """Vectorized :func:`extract_symbols` over a :class:`CandidateBatch`.
+def extract_symbols_batch(batch: CandidateBatch) -> Symbols:
+    """The symbol columns of a :class:`CandidateBatch`.
 
     Pure array views — lowering already materialized every product over
     tile factors, so this is only dtype promotion to float64.
     """
-    return SymbolsBatch(
+    return Symbols(
         s1_l0_alloc=batch.reg_elems.astype(np.float64),
         s2_l0_compute=batch.thread_compute.astype(np.float64),
         s3_l1_alloc=batch.smem_elems.astype(np.float64),

@@ -17,7 +17,7 @@ from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.partition import dedupe_tasks
 from repro.rng import make_rng, rng_for
 from repro.schedule.batch import lower_batch
-from repro.schedule.lower import lower
+from repro.schedule.sampler import random_batch
 from repro.schedule.sketch import generate_sketch
 from repro.workloads import network_tasks
 
@@ -150,12 +150,9 @@ def lse_vs_ga_bestk(
             for sub in subgraphs:
                 space = generate_sketch(sub.workload)
                 rng = rng_for("ga-pool", sub.workload.key, size)
-                from repro.schedule.sampler import random_population
-
-                pool = [
-                    sim.latency(lower(space, c))
-                    for c in random_population(space, rng, budget)
-                ]
+                pool = sim.latency_batch(
+                    lower_batch(space, random_batch(space, rng, budget))
+                ).tolist()
                 finite = [v for v in pool if math.isfinite(v)]
                 idx = rng.choice(len(pool), size=min(size, len(pool)), replace=False)
                 rand_spec[sub.workload.key] = [pool[int(i)] for i in idx]

@@ -17,12 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.hardware.device import DeviceSpec
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.ops import Workload
 from repro.rng import rng_for
-from repro.schedule.lower import LoweredProgram, lower
-from repro.schedule.sampler import random_population
+from repro.schedule.batch import lower_batch
+from repro.schedule.lower import LoweredProgram
+from repro.schedule.sampler import random_batch
 from repro.schedule.sketch import generate_sketch
 
 
@@ -127,30 +130,24 @@ class LibrarySurrogate:
         unusual shapes while the library stays near-optimal on classic
         ones (paper Figures 9/11, Tables 6/8).
         """
-        from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable
+        from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable_mask
 
         space = generate_sketch(
             workload, tensorcore=tensorcore, allow_splitk=self.allow_splitk
         )
         rng = rng_for("library", self.device.name, workload.key, tensorcore)
-        population = random_population(space, rng, self.samples * 4)
-        progs = [lower(space, cfg) for cfg in population]
-        aligned = [
-            p
-            for p in progs
-            if is_launchable(p, self.device) and _inventory_aligned(p, self.device)
-        ][: self.samples]
+        batch = lower_batch(space, random_batch(space, rng, self.samples * 4))
+        launchable = np.flatnonzero(is_launchable_mask(batch, self.device)).tolist()
+        progs = {i: batch.program(i) for i in launchable}
+        aligned = [i for i in launchable if _inventory_aligned(progs[i], self.device)]
         if not aligned:  # degenerate shapes: fall back to any kernel
-            aligned = [p for p in progs if is_launchable(p, self.device)][
-                : self.samples
-            ]
-        heuristic = SymbolBasedAnalyzer(self.device)
-        aligned.sort(key=heuristic.latency)
-        shortlist = aligned[: self.shortlist]
+            aligned = launchable
+        heuristic = SymbolBasedAnalyzer(self.device).latency_batch(batch)
+        shortlist = sorted(aligned[: self.samples], key=heuristic.__getitem__)
         best_lat = math.inf
         best_splitk = False
-        for prog in shortlist:
-            lat = self.simulator.latency(prog)
+        for i in shortlist[: self.shortlist]:
+            lat = self.simulator.latency(progs[i])
             if lat < best_lat:
-                best_lat, best_splitk = lat, prog.splitk > 1
+                best_lat, best_splitk = lat, progs[i].splitk > 1
         return best_lat, best_splitk

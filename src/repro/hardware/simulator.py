@@ -53,7 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.cache import register_lru
-from repro.core.penalty import compute_penalties_batch
+from repro.core.penalty import compute_penalties
 from repro.core.symbols import extract_symbols_batch
 from repro.hardware.device import DeviceSpec
 from repro.rng import rng_for
@@ -244,7 +244,7 @@ class GroundTruthSimulator:
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             symbols = extract_symbols_batch(batch)
-            pen = compute_penalties_batch(symbols, d, batch.dtype_bytes)
+            pen = compute_penalties(symbols, d, batch.dtype_bytes)
 
             # -- compute term --
             peak = np.full(n, float(d.peak_flops))

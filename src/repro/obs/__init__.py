@@ -74,10 +74,11 @@ MEASURED = METRICS.counter(
     "Candidates measured by MeasureRunner in this process",
 )
 
-#: Candidate rows lowered (scalar misses + batch rows), mirrored from
-#: the lowering layer — the registry-backed form of ``lowered_count()``.
+#: Candidate rows lowered: every row of every ``lower_batch`` call (memo
+#: hits and unpacked rows are not lowerings) — the registry-backed form
+#: of ``lowered_count()``.
 LOWERED = METRICS.counter(
-    "repro_lowered_rows_total", "Programs lowered in this process"
+    "repro_lowered_rows_total", "Rows lowered by lower_batch in this process"
 )
 
 #: Exceptions swallowed by top-level catch-all handlers (HTTP dispatch,

@@ -14,12 +14,14 @@ constrains thread tiles to WMMA 16x16x16 fragments.
 * :mod:`repro.schedule.sampler` — random initial schedules (batched).
 * :mod:`repro.schedule.mutate` — GA mutation / crossover operators
   (batched, over factor matrices).
-* :mod:`repro.schedule.lower`  — scalar lowering to
-  :class:`LoweredProgram` (tile structure + dataflow blocks used by
-  symbols, features and the device simulator).
-* :mod:`repro.schedule.batch`  — the structure-of-arrays pipeline:
-  :class:`ConfigBatch`, :func:`lower_batch` and :class:`CandidateBatch`
-  (packed per-candidate arrays the whole search hot path runs on).
+* :mod:`repro.schedule.lower`  — :class:`LoweredProgram`, the scalar
+  view of one candidate (tile structure + dataflow blocks used by
+  symbols, features and the device simulator), and :func:`lower`, row 0
+  of a one-row :func:`lower_batch`.
+* :mod:`repro.schedule.batch`  — the structure-of-arrays pipeline and
+  the one lowering: :class:`ConfigBatch`, :func:`lower_batch` and
+  :class:`CandidateBatch` (packed per-candidate arrays the whole search
+  hot path runs on).
 * :mod:`repro.schedule.memo`   — :data:`LOWERED_ROWS`, the persistent
   cross-round lowering memo (:func:`lower_batch_memo`).
 """

@@ -11,20 +11,30 @@ array math:
   ``(N, n_axes, MAX_PARTS)`` plus annotation vectors.  The GA operators
   (:mod:`repro.schedule.sampler`, :mod:`repro.schedule.mutate`) produce
   and consume these directly.
-* :func:`lower_batch` — vectorized lowering: one :class:`CandidateBatch`
-  with packed arrays for threads / grid / smem / registers / traffic /
-  flops plus per-dataflow-block arrays, mirroring
-  :func:`repro.schedule.lower.lower` field for field.
-* :meth:`CandidateBatch.from_programs` — packs already-lowered
+* :func:`lower_batch` — the lowering: one :class:`CandidateBatch` with
+  packed arrays for threads / grid / smem / registers / traffic / flops
+  plus per-dataflow-block arrays.  The only implementation of the tile
+  math of the paper's Figures 3 / 4; :func:`repro.schedule.lower.lower`
+  is row 0 of a one-row call.
+* :meth:`CandidateBatch.program` — unpacks one row into a scalar
+  :class:`~repro.schedule.lower.LoweredProgram` (field copies, no
+  lowering), for the few candidates that get measured and recorded.
+* :meth:`CandidateBatch.from_programs` — the inverse: packs
   :class:`~repro.schedule.lower.LoweredProgram` objects (possibly from
   *different* workloads, e.g. cost-model training data) into the same
-  array layout, so the scalar entry points everywhere else are thin
-  wrappers over the batch implementations.
+  array layout, so the scalar entry points everywhere else are one-row
+  doors onto the batch implementations.
 
-The scalar :func:`~repro.schedule.lower.lower` keeps its independent
-implementation on purpose: it is the reference the equivalence suite
-(``tests/test_batch_equivalence.py``) checks ``lower_batch`` against,
-and the materializer for the few candidates that actually get measured.
+Tile-level conventions follow the paper's Figure 3: spatial factors are
+``[f0 block, f1 thread, f2 vthread, f3, f4]`` (I0..I4) and reduction
+factors ``[k0, k1, k2]``.  Registers per thread include the vthread
+replication (vthreads own private registers in TVM), shared tiles span
+the whole thread block, and global traffic counts one shared-tile load
+per k0 iteration per block.
+
+``tests/fixtures/lowering_golden.json`` pins :func:`lower_batch` to what
+the former per-program implementation produced; packing unpacked rows
+back (``from_programs`` of ``program(i)``) must reproduce the arrays.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 import numpy as np
 
@@ -43,8 +54,8 @@ from repro.schedule.lower import (
     L0,
     L1,
     L2,
+    DataflowBlock,
     LoweredProgram,
-    lower,
     note_lowered,
 )
 from repro.schedule.space import WMMA, WMMA_LANE, ScheduleConfig, ScheduleSpace
@@ -216,6 +227,9 @@ class ConfigBatch:
     ) -> "ConfigBatch":
         """Pack config objects into arrays (validating factor counts).
 
+        A factor or annotation that is not an integer (``64.5``, and
+        ``64.0`` alike) raises :class:`ScheduleError`: written into an
+        int64 array it would be truncated to a config that validates.
         The objects themselves are not kept: measured seeds join every
         GA population, and a batch that holds configs makes each view
         taken of it carry a per-row list.
@@ -234,16 +248,19 @@ class ConfigBatch:
                     f"config axes {sorted(tile_map)} do not match space axes "
                     f"{sorted(plan.axes)}"
                 )
-            for a, name in enumerate(plan.axes):
-                f = tile_map[name]
-                if len(f) != parts[a]:
-                    raise ScheduleError(
-                        f"axis {name!r}: expected {parts[a]} factors, got {len(f)}"
-                    )
-                factors[i, a, : len(f)] = f
-            unroll[i] = cfg.unroll
-            vector[i] = cfg.vector
-            splitk[i] = cfg.splitk
+            try:
+                for a, name in enumerate(plan.axes):
+                    f = tile_map[name]
+                    if len(f) != parts[a]:
+                        raise ScheduleError(
+                            f"axis {name!r}: expected {parts[a]} factors, got {len(f)}"
+                        )
+                    factors[i, a, : len(f)] = [index(x) for x in f]
+                unroll[i] = index(cfg.unroll)
+                vector[i] = index(cfg.vector)
+                splitk[i] = index(cfg.splitk)
+            except TypeError:
+                raise ScheduleError(f"config {cfg.key}: non-integer value") from None
         return cls(space, factors, unroll, vector, splitk)
 
     @classmethod
@@ -335,10 +352,6 @@ class ConfigBatch:
         return self.take(np.sort(first))
 
     # -- materialization ----------------------------------------------
-    def program(self, i: int) -> LoweredProgram:
-        """Scalar-lower the i-th candidate (for the few that get measured)."""
-        return lower(self.space, self.config(i))
-
     def config(self, i: int) -> ScheduleConfig:
         """Materialize the i-th :class:`ScheduleConfig` (cached)."""
         if self._configs is None:
@@ -492,11 +505,37 @@ class CandidateBatch:
         return self.configs.row_keys()
 
     def program(self, i: int) -> LoweredProgram:
-        """Materialize one candidate as a scalar :class:`LoweredProgram`."""
+        """Row ``i`` as a scalar :class:`LoweredProgram` (copies, no lowering)."""
         if self.programs is not None:
             return self.programs[i]
         assert self.configs is not None
-        return lower(self.configs.space, self.configs.config(i))
+        # BlockArrays declares its columns in DataflowBlock's field order
+        block_rows = zip(*(col[i].tolist() for col in vars(self.blocks).values()))
+        return LoweredProgram(
+            workload=self.configs.space.workload,
+            config=self.configs.config(i),
+            tensorcore=bool(self.tensorcore[i]),
+            n_blocks=int(self.n_blocks[i]),
+            threads_per_block=int(self.threads[i]),
+            vthreads=int(self.vthreads[i]),
+            acc_regs=int(self.acc_regs[i]),
+            reg_elems=int(self.reg_elems[i]),
+            thread_compute=float(self.thread_compute[i]),
+            smem_elems=int(self.smem_elems[i]),
+            traffic_elems=float(self.traffic_elems[i]),
+            grid=int(self.grid[i]),
+            trans_span=int(self.trans_span[i]),
+            flops=float(self.flops[i]),
+            tc_align=float(self.tc_align[i]),
+            unroll=int(self.unroll[i]),
+            vector=int(self.vector[i]),
+            splitk=int(self.splitk[i]),
+            blocks=tuple(
+                DataflowBlock(BLOCK_KINDS[kind], *rest)
+                for kind, *rest in block_rows
+                if kind >= 0  # -1 pads rows with fewer blocks
+            ),
+        )
 
     def take(self, idx: np.ndarray) -> "CandidateBatch":
         """Subset (or reorder) every array by an index/mask array."""
@@ -697,10 +736,11 @@ def lower_batch(
 ) -> CandidateBatch:
     """Lower a whole batch of schedule points in a few numpy ops.
 
-    Bit-identical, field for field, to calling
-    :func:`repro.schedule.lower.lower` per config (the equivalence suite
-    asserts this); raises :class:`~repro.errors.ScheduleError` when a
-    candidate lies outside the space, like the scalar path.
+    Rows do not depend on their neighbours: lowering them one at a time
+    or together gives the same bits (the equivalence suite asserts this
+    and compares both to frozen references).  Raises
+    :class:`~repro.errors.ScheduleError` when a candidate lies outside
+    the space.
     """
     if not isinstance(configs, ConfigBatch):
         configs = ConfigBatch.from_configs(space, configs)
@@ -775,7 +815,9 @@ def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
         np.minimum.reduce(shared_span) if shared_span else np.ones(n, dtype=_I64)
     )
 
-    # ----- S9 fragment alignment -----
+    # ----- S9 fragment alignment: fraction of issued WMMA lanes doing useful
+    # work — thread tiles that are multiples of the fragment edge score 1.0,
+    # ragged tiles waste lanes proportionally -----
     tc_align = np.ones(n, dtype=_F64)
     if space.tensorcore:
         for a in plan.tc_matrix_axes:

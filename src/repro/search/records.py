@@ -6,6 +6,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
+from operator import index
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class TuningRecord:
 
         The lowered program itself is *not* serialized — it is a pure
         function of ``(schedule space, config)``, so :meth:`from_dict`
-        re-lowers the config against the task's space.
+        lowers the config against the task's space again.
         """
         config = self.prog.config
         return {
@@ -60,27 +61,45 @@ class TuningRecord:
         }
 
     @staticmethod
-    def from_dict(data: dict, space: ScheduleSpace) -> "TuningRecord":
-        """Rebuild a record by re-lowering its config against ``space``.
+    def config_of(data: dict) -> ScheduleConfig:
+        """The schedule config a row stores.
 
-        Raises :class:`~repro.errors.ScheduleError` /
-        :class:`~repro.errors.LoweringError` if the stored config no
-        longer lies in the space (e.g. the sketch changed between
-        versions) — callers typically skip such rows.
+        Tile factors and annotations must be integers: a float such as
+        ``64.0`` would pass validation (the products still match) and
+        come back under a second config key, ``16.7`` would be cut to
+        16 — both raise :class:`TypeError` here instead.
         """
         cfg = data["config"]
-        config = ScheduleConfig.from_map(
-            {axis: tuple(factors) for axis, factors in cfg["tiles"]},
-            unroll=int(cfg["unroll"]),
-            vector=int(cfg["vector"]),
-            splitk=int(cfg["splitk"]),
+        return ScheduleConfig.from_map(
+            {axis: tuple(map(index, factors)) for axis, factors in cfg["tiles"]},
+            unroll=index(cfg["unroll"]),
+            vector=index(cfg["vector"]),
+            splitk=index(cfg["splitk"]),
         )
+
+    @staticmethod
+    def from_lowered(data: dict, prog: LoweredProgram) -> "TuningRecord":
+        """A row's record, given the program its config lowers to."""
         return TuningRecord(
             task_key=data["task_key"],
-            prog=lower(space, config),
+            prog=prog,
             latency=float(data["latency"]),
             sim_time=float(data["sim_time"]),
             round_index=int(data["round_index"]),
+        )
+
+    @staticmethod
+    def from_dict(data: dict, space: ScheduleSpace) -> "TuningRecord":
+        """Rebuild one record by lowering its config against ``space``.
+
+        Raises :class:`~repro.errors.ScheduleError` if the stored config
+        no longer lies in the space (e.g. the sketch changed between
+        versions) — callers typically skip such rows.  Many rows of one
+        space are cheaper through :func:`repro.service.store.
+        rows_to_records`, which lowers them as one batch.
+        """
+        return TuningRecord.from_lowered(
+            data, lower(space, TuningRecord.config_of(data))
         )
 
 

@@ -15,8 +15,9 @@ PrediPrune exploits by caching verifier outcomes).  The store persists
 * appends deduplicate on ``(task key, config key)``,
 * rows carry a schema version (``v``); rows of any other version stay
   on disk and are skipped on load,
-* programs are stored as their schedule config and re-lowered on load
-  (a lowered program is a pure function of ``(space, config)``).
+* programs are stored as their schedule config and lowered on load, one
+  batch per task (a lowered program is a pure function of ``(space,
+  config)``).
 
 The store is the persistence layer under :class:`repro.serve.engine.
 JobEngine`; :func:`repro.api.tune_subgraphs` uses it directly for
@@ -44,7 +45,9 @@ from repro.journal import (
 )
 from repro.search.records import RECORD_SCHEMA_VERSION, TuningRecord
 from repro.search.task import TuningTask
-from repro.schedule.space import ScheduleSpace
+from repro.schedule.batch import lower_batch
+from repro.schedule.lower import LoweredProgram
+from repro.schedule.space import ScheduleConfig, ScheduleSpace
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -53,27 +56,53 @@ def _sanitize(text: str) -> str:
     return _UNSAFE.sub("_", text).strip("_") or "x"
 
 
+def _lower_rows(
+    space: ScheduleSpace, configs: list[ScheduleConfig]
+) -> list[LoweredProgram | None]:
+    """Programs of ``configs`` in order; None where one no longer lowers."""
+    try:
+        batch = lower_batch(space, configs)
+    except (ScheduleError, LoweringError):
+        if len(configs) == 1:
+            return [None]
+        # a stale config fails its whole batch: go one by one so that it
+        # is skipped alone
+        return [prog for config in configs for prog in _lower_rows(space, [config])]
+    return [batch.program(i) for i in range(len(batch))]
+
+
 def rows_to_records(
     rows: Iterable[dict], spaces: dict[str, ScheduleSpace]
 ) -> list[TuningRecord]:
-    """Reconstruct records from raw rows by re-lowering their configs.
+    """Reconstruct records from raw rows, lowering each task's configs
+    as one batch.
 
-    ``spaces`` maps task key -> schedule space.  Rows for unknown tasks
-    or with configs outside the current space are skipped — the shared
-    tolerant path under :meth:`RecordStore.load_records` and the remote
-    runner's warm-start (seed rows arrive over the wire, not from a
-    file).
+    ``spaces`` maps task key -> schedule space.  Rows for unknown tasks,
+    malformed rows and rows with configs outside the current space are
+    skipped and the rest come back in row order — the shared tolerant
+    path under :meth:`RecordStore.load_records` and the remote runner's
+    warm-start (seed rows arrive over the wire, not from a file).
     """
-    out: list[TuningRecord] = []
-    for row in rows:
-        space = spaces.get(row.get("task_key"))
-        if space is None:
-            continue
-        try:
-            out.append(TuningRecord.from_dict(row, space))
-        except (ScheduleError, LoweringError, KeyError, TypeError, ValueError):
-            continue
-    return out
+    rows = list(rows)
+    by_task: dict[str, list[tuple[int, ScheduleConfig]]] = {}
+    for at, row in enumerate(rows):
+        task_key = row.get("task_key")
+        if task_key in spaces:
+            try:
+                by_task.setdefault(task_key, []).append((at, TuningRecord.config_of(row)))
+            except (KeyError, TypeError, ValueError):
+                continue
+    found: dict[int, TuningRecord] = {}
+    for task_key, group in by_task.items():
+        progs = _lower_rows(spaces[task_key], [config for _, config in group])
+        for (at, _), prog in zip(group, progs):
+            if prog is None:
+                continue
+            try:
+                found[at] = TuningRecord.from_lowered(rows[at], prog)
+            except (KeyError, TypeError, ValueError):
+                continue
+    return [found[at] for at in sorted(found)]
 
 
 @dataclass(frozen=True)

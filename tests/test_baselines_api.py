@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -105,6 +106,17 @@ class TestFelix:
         result = felix.tune(subs, rounds=4)
         assert math.isfinite(result.final_latency)
 
+    def test_seeded_descent_does_not_move(self, subs):
+        """Values of the commit before each descent step's moves were
+        costed as one batch (``lower`` + ``latency`` per move): same rng
+        draws, same first-minimum tie rule, same stable sort of optima."""
+        result = FelixTuner(get_device("a100"), restarts=3, descent_steps=6).tune(
+            subs, rounds=4
+        )
+        assert result.final_latency.hex() == "0x1.fcd4a6d0f3334p-16"
+        assert len(result.records) == 12
+        assert result.clock.total.hex() == "0x1.9379fa97e132bp+3"
+
     def test_raises_on_unsupported(self):
         felix = FelixTuner(get_device("a100"))
         bad = [SubgraphTask(ops.depthwise_conv2d(1, 32, 28, 28, 3), 1)]
@@ -200,6 +212,48 @@ class TestApi:
             )
             result = tuner.tune(2)
             assert result.total_trials > 0, method
+
+    def test_pretraining_set_and_parameters_do_not_move(self, subs):
+        """``pretrain_model`` draws one config per sample and then lowers
+        and simulates a task's samples as one batch: the training set is
+        the one the per-sample loop built (digest of the commit before),
+        and so are the parameters fitted on it (to BLAS rounding)."""
+        from repro.costmodel import TenSetMLP
+
+        model, seen = TenSetMLP(), {}
+        fit = model.fit
+        model.fit = lambda progs, lats, keys, **kw: (
+            seen.update(progs=progs, lats=lats, keys=keys) or fit(progs, lats, keys, **kw)
+        )
+        params = api.pretrain_model(
+            model, subs, "t4", samples_per_task=25, train=TRAIN, seed=0
+        )
+        text = "\n".join(f"{k}#{p.config.key}" for k, p in zip(seen["keys"], seen["progs"]))
+        digest = hashlib.sha256(text.encode() + seen["lats"].tobytes()).hexdigest()
+        assert digest == "f742e819168cc2640211f394e74d292dfc5be39cfd3673918eebf347929a87ad"
+        sums = {
+            "_norm.mu": "0x1.ecfb696be387ap+3",
+            "_norm.sigma": "0x1.1d5dd10ee69b8p+4",
+            "layers.0.bias": "0x1.858b33e2b1b00p-12",
+            "layers.0.weight": "-0x1.3feb34a77f032p+4",
+            "layers.2.bias": "-0x1.564c568f7afe1p-5",
+            "layers.2.weight": "-0x1.0a7030208cbf3p+3",
+            "layers.4.bias": "0x1.7073100e18cd1p-37",
+            "layers.4.weight": "0x1.248f3b21eb1f4p-1",
+        }
+        assert params.keys() == sums.keys()
+        for name, total in sums.items():
+            assert abs(float(params[name].sum()) - float.fromhex(total)) < 1e-9, name
+
+    def test_elementwise_latency_does_not_move(self):
+        """resnet50 has two flat subgraphs; value of the commit before the
+        eight draws a subgraph were lowered and simulated as one batch."""
+        from repro.workloads import network_tasks
+
+        subs = network_tasks("resnet50")
+        assert sum(not s.workload.is_tiled for s in subs) == 2
+        latency = api.elementwise_latency(subs, get_device("a100"))
+        assert latency.hex() == "0x1.478c569886277p-17"
 
     def test_elementwise_latency_positive(self):
         subs = [SubgraphTask(ops.elementwise((1024, 1024)), 3)]

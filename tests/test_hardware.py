@@ -166,6 +166,19 @@ class TestLibrarySurrogate:
         )
         assert with_k.latency(wl) <= without.latency(wl)
 
+    def test_seeded_kernel_selection_does_not_move(self, a100):
+        """Values of the commit before ``_search`` lowered its whole
+        population as one batch (it called ``lower`` per config)."""
+        lib = LibrarySurrogate(a100)
+        assert lib.latency(ops.matmul(512, 512, 512)).hex() == "0x1.4a75957a24e65p-15"
+        assert (
+            lib.latency(ops.conv2d(1, 32, 28, 28, 64, 3)).hex() == "0x1.bc486a0c906c0p-16"
+        )
+        tc = lib.latency(ops.matmul(256, 256, 256, dtype="float16"), tensorcore=True)
+        assert tc.hex() == "0x1.c597caddef0aep-18"
+        long_k = lib.kernel(ops.matmul(64, 64, 4096))
+        assert (long_k.latency.hex(), long_k.used_splitk) == ("0x1.75ad1d62cbaacp-17", True)
+
     def test_cache_hit_returns_same_object(self, a100):
         lib = LibrarySurrogate(a100, samples=16, refine_rounds=0)
         wl = ops.matmul(128, 128, 128)

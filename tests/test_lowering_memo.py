@@ -118,6 +118,24 @@ class TestLoweredRowCache:
         assert delta == 10  # exactly the unseen rows
         _assert_rows_equal(warm, lower_batch(space, round2))
 
+    def test_a_round_lowers_its_candidates_once(self):
+        """One cold ``Tuner.step``: the counter rises by the rows the
+        round lowered, not by those plus one more lowering per measured
+        candidate (recording a trial unpacks its row)."""
+        from repro import api
+        from repro.config import SearchConfig
+        from repro.ir.partition import SubgraphTask
+
+        search = SearchConfig(population=24, ga_steps=2, spec_size=12, measure_per_round=6)
+        tuner = api.build_tuner(
+            "ansor", [SubgraphTask(ops.matmul(128, 128, 128), 1)], "a100", search=search
+        )
+        before = lowered_count()
+        tuner.step()
+        funnel = tuner.last_trace.funnel
+        assert funnel["measured"] == 6 == len(tuner.records)
+        assert lowered_count() - before == funnel["lowered"]
+
     def test_hit_miss_accounting(self, matmul_space):
         configs = random_batch(matmul_space, make_rng(3), 20).unique()
         before = LOWERED_ROWS.stats()

@@ -11,10 +11,13 @@ import signal
 import pytest
 
 from repro import api
-from repro.errors import SearchError
+from repro.errors import ScheduleError, SearchError
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
+from repro.rng import make_rng
 from repro.schedule import lower, random_config
+from repro.schedule.batch import ConfigBatch
+from repro.schedule.lower import lowered_count
 from repro.search import RecordLog, TuningRecord, make_tasks
 from repro.serve.cli import _graceful_drain
 from repro.serve.cli import main as cli_main
@@ -29,6 +32,7 @@ from repro.service import (
     TuneJob,
     store_key_for_tasks,
 )
+from repro.service.store import rows_to_records
 
 
 SMOKE = dict(rounds=2, scale="smoke", top_k_tasks=1)
@@ -116,6 +120,137 @@ class TestRecordSerialization:
         stats = RecordStore(tmp_path).stats()  # fresh instance, from disk
         assert len(stats) == 2
         assert all(entry["records"] == 1 for entry in stats)
+
+
+def _per_row_loop(rows, spaces):
+    """``rows_to_records`` before it lowered a task's rows as one batch."""
+    out = []
+    for row in rows:
+        space = spaces.get(row.get("task_key"))
+        if space is None:
+            continue
+        try:
+            out.append(TuningRecord.from_dict(row, space))
+        except (ScheduleError, KeyError, TypeError, ValueError):
+            continue
+    return out
+
+
+def _with_tiles(row, change):
+    """A copy of ``row`` whose config went through ``change(tiles, config)``."""
+    twin = json.loads(json.dumps(row))
+    change(twin["config"]["tiles"], twin["config"])
+    twin["config_key"] = "edited:" + row["config_key"]  # a second store identity
+    return twin
+
+
+def _floats(tiles, config):
+    tiles[:] = [[axis, [float(f) for f in factors]] for axis, factors in tiles]
+
+
+def _half(tiles, config):
+    tiles[0][1][0] += 0.5
+
+
+def _strings(tiles, config):
+    tiles[:] = [[axis, [str(f) for f in factors]] for axis, factors in tiles]
+
+
+def _unroll(tiles, config):
+    config["unroll"] += 0.7
+
+
+NON_INTEGER_ROWS = [
+    pytest.param(_floats, id="64.0"),
+    pytest.param(_half, id="64.5"),
+    pytest.param(_strings, id="'64'"),
+    pytest.param(_unroll, id="unroll-16.7"),
+]
+
+
+class TestRowsToRecords:
+    @pytest.fixture
+    def two_tasks(self, a100):
+        return make_tasks(
+            [
+                SubgraphTask(ops.matmul(128, 128, 128), 2),
+                SubgraphTask(ops.conv2d(1, 16, 14, 14, 32, 3), 1),
+            ],
+            a100,
+        )
+
+    def _rows(self, tasks, n=50):
+        rng = make_rng(7)
+        rows = []
+        for i in range(n):
+            task = tasks[i % 3 == 0]  # interleaved, two thirds on the first
+            (rec,) = _records(task, rng, [1e-3 * (i + 1)], start_round=i)
+            rows.append(json.loads(json.dumps(rec.to_dict())))
+        return rows
+
+    def test_good_rows_are_lowered_once_a_task(self, two_tasks, monkeypatch):
+        """50 rows of two tasks: two ``lower_batch`` calls, 50 lowered
+        rows (a second, per-record lowering would make it 100)."""
+        from repro.service import store
+
+        rows = self._rows(two_tasks)
+        spaces = {t.key: t.space for t in two_tasks}
+        calls = []
+        real = store.lower_batch
+        monkeypatch.setattr(
+            store,
+            "lower_batch",
+            lambda space, configs: calls.append(len(configs)) or real(space, configs),
+        )
+        before = lowered_count()
+        records = rows_to_records(rows, spaces)
+        assert lowered_count() - before == len(rows) == 50
+        assert sorted(calls) == [17, 33]
+        assert [r.to_dict() for r in records] == rows
+
+    def test_bad_rows_are_skipped_alone_and_order_is_kept(self, two_tasks):
+        """A stale config, an unknown task, a garbage row and a duplicate
+        in the middle: exactly the rows the per-row loop keeps."""
+        rows = self._rows(two_tasks)
+        spaces = {t.key: t.space for t in two_tasks}
+        stale = json.loads(json.dumps(rows[10]))
+        stale["config"]["tiles"][0][1][0] *= 3  # product != extent now
+        unknown = dict(rows[11], task_key="no-such-task")
+        garbage = {"task_key": rows[12]["task_key"], "config": "nope", "latency": "x"}
+        no_latency = {k: v for k, v in rows[13].items() if k != "latency"}
+        rows[20:20] = [stale, unknown, garbage, no_latency, rows[5]]
+        got = rows_to_records(rows, spaces)
+        assert got == _per_row_loop(rows, spaces)
+        assert len(got) == 51  # the 50 and the duplicate
+        assert [r.round_index for r in got[:21]] == list(range(20)) + [5]
+
+    @pytest.mark.parametrize("change", NON_INTEGER_ROWS)
+    def test_non_integer_config_values_skip_the_row(self, matmul_task, rng, change):
+        """``64.0`` used to come back as a second identity of the same
+        schedule (``i:64.0x...``), ``16.7`` as 16, and ``64.5`` was cut
+        to a valid 64 on its way into a batch."""
+        (rec,) = _records(matmul_task, rng, [1e-3])
+        row = json.loads(json.dumps(rec.to_dict()))
+        twin = _with_tiles(row, change)
+        spaces = {matmul_task.key: matmul_task.space}
+        assert rows_to_records([row, twin], spaces) == [rec]
+        with pytest.raises((TypeError, ScheduleError)):
+            TuningRecord.from_dict(twin, matmul_task.space)
+        log = RecordLog()
+        assert log.seed_from(rows_to_records([twin, row, twin], spaces)) == 1
+
+    def test_from_configs_refuses_what_it_would_truncate(self, matmul_space):
+        config = random_config(matmul_space, make_rng(0))
+        (axis, factors), *_ = config.tiles
+        for bad in (
+            config.with_tile(axis, (factors[0] + 0.5, *factors[1:])),
+            config.with_tile(axis, tuple(float(f) for f in factors)),
+            config.with_annotations(unroll=16.7),
+        ):
+            with pytest.raises(ScheduleError):
+                ConfigBatch.from_configs(matmul_space, [bad])
+            with pytest.raises(ScheduleError):
+                lower(matmul_space, bad)
 
 
 class TestIndexRepair:
@@ -420,6 +555,25 @@ class TestWarmStart:
         )
         for key, best in first["best"].items():
             assert second["best"][key] <= best
+
+    @pytest.mark.parametrize("change", NON_INTEGER_ROWS)
+    def test_non_integer_seed_rows_are_not_seeded(self, tmp_path, change):
+        """A stored row whose numbers are not integers rides the lease
+        like any other and is dropped by the runner: the schedule it
+        restates is seeded, and charged to the trial budget, once."""
+        spec = dict(device="a100", rounds=1, scale="smoke", top_k_tasks=1)
+        engine = JobEngine(tmp_path)
+        engine.submit("bert_tiny", **spec)
+        _drain(engine)
+        (key,) = engine.store.keys()
+        rows = engine.store.load_rows(key)
+        assert engine.store.append_rows(key, [_with_tiles(rows[0], change)]) == 1
+
+        again = JobEngine(tmp_path)
+        job_id = again.submit("bert_tiny", **spec)
+        assert len(again.store.load_rows(key)) == len(rows) + 1  # the lease's seed rows
+        _drain(again)
+        assert again.result(job_id)["seeded_trials"] == len(rows)
 
     @staticmethod
     def _fresh_trials_to(result, target):
