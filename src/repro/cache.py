@@ -186,6 +186,8 @@ class RowCache:
         if miss:
             fresh = compute(np.array(miss, dtype=np.int64))
             self._store(partition, keys, miss, fresh)
+            if not parts:
+                return fresh  # nothing hit: compute's chunk is the request
             parts.append(fresh)
             order.append(miss)
         back = np.empty(n, dtype=np.int64)

@@ -9,7 +9,11 @@ Both operators are batched: they take and return
 :class:`~repro.schedule.batch.ConfigBatch` factor tensors and apply
 each mutation kind to its whole sub-group with numpy fancy indexing, so
 a GA generation costs a handful of array ops instead of ``population``
-Python calls.  Mutation kinds (chosen per candidate at random):
+Python calls.  The sub-groups — rows sharing a mutation kind and an
+axis — come from one stable sort of the population
+(:func:`~repro.schedule.sampler.sorted_runs`), not from a mask per
+kind and axis.  Mutation kinds (chosen per candidate at random, applied
+in this order, axes ascending within a kind):
 
 * resample one axis factorization from scratch,
 * swap two factors within an axis,
@@ -28,7 +32,7 @@ import numpy as np
 
 from repro.cache import register_lru
 from repro.schedule.batch import ConfigBatch, space_plan, tensorcore_ok
-from repro.schedule.sampler import sample_axis_batch
+from repro.schedule.sampler import sample_axis_batch, sorted_runs
 from repro.schedule.space import ScheduleConfig, ScheduleSpace
 
 
@@ -45,9 +49,12 @@ register_lru("schedule.mutate._smallest_prime_factor", _smallest_prime_factor)
 
 def _spf_array(values: np.ndarray) -> np.ndarray:
     """Smallest prime factor of each value (values must be > 1)."""
+    order, runs = sorted_runs(values)
+    ranked = np.empty_like(values)
+    for value, start, stop in runs:
+        ranked[start:stop] = _smallest_prime_factor(value)
     out = np.empty_like(values)
-    for v in np.unique(values):
-        out[values == v] = _smallest_prime_factor(int(v))
+    out[order] = ranked
     return out
 
 
@@ -74,14 +81,24 @@ def _move_factor(
     return tuple(out)
 
 
+#: Mutation kinds in the order their draws are made; a candidate's kind
+#: is where its uniform draw falls among ``_KIND_EDGES``.
+_RESAMPLE, _SWAP, _MOVE, _ANNOTATE = range(4)
+_KIND_EDGES = np.array([0.45, 0.65, 0.85])
+
+
 def mutate_batch(
     batch: ConfigBatch, space: ScheduleSpace, rng: np.random.Generator
 ) -> ConfigBatch:
     """Return a mutated copy of every candidate, all still inside ``space``.
 
-    TensorCore candidates whose swap/move broke the fragment constraint
-    are repaired like the scalar operator: revert to the original row
-    and resample one random axis with the constraint-preserving sampler.
+    Rows are grouped by (mutation kind, axis) with one sort
+    (:func:`~repro.schedule.sampler.sorted_runs`) and each group is
+    mutated by array ops, kinds in the order listed in the module
+    docstring and axes ascending within a kind.  TensorCore candidates
+    whose swap/move broke the fragment constraint are repaired like the
+    scalar operator: revert to the original row and resample one random
+    axis with the constraint-preserving sampler.
     """
     plan = space_plan(space)
     splits = space.splits
@@ -91,82 +108,64 @@ def mutate_batch(
     vector = batch.vector.copy()
     splitk = batch.splitk.copy()
 
-    kind = rng.random(n)
-    # One axis choice per candidate; annotation rows simply ignore theirs.
+    def resample(rows: np.ndarray, a: int) -> None:
+        factors[rows, a, : splits[a].parts] = sample_axis_batch(
+            rng, space, splits[a], len(rows)
+        )
+
+    kind = np.searchsorted(_KIND_EDGES, rng.random(n), side="right")
+    # One axis choice per candidate; annotation rows ignore theirs and
+    # form one group behind every (kind, axis) group.
     axis_choice = rng.integers(0, plan.n_axes, size=n)
-
-    # ----- resample one axis from scratch -----
-    g0 = kind < 0.45
-    for a in np.unique(axis_choice[g0]):
-        rows = np.flatnonzero(g0 & (axis_choice == a))
+    axis_choice[kind == _ANNOTATE] = 0
+    order, runs = sorted_runs(kind * plan.n_axes + axis_choice)
+    for key, start, stop in runs:
+        rows = order[start:stop]
+        k, a = divmod(key, plan.n_axes)
         parts = splits[a].parts
-        factors[rows, a, :parts] = sample_axis_batch(rng, space, splits[a], len(rows))
-
-    # ----- swap two factors within an axis (product-preserving) -----
-    g1 = (kind >= 0.45) & (kind < 0.65)
-    for a in np.unique(axis_choice[g1]):
-        parts = splits[a].parts
-        if parts < 2:
-            continue  # nothing to swap
-        rows = np.flatnonzero(g1 & (axis_choice == a))
-        i = rng.integers(0, parts, size=len(rows))
-        j = (i + rng.integers(1, parts, size=len(rows))) % parts
-        fi = factors[rows, a, i].copy()
-        factors[rows, a, i] = factors[rows, a, j]
-        factors[rows, a, j] = fi
-
-    # ----- move a smallest-prime factor between levels -----
-    g2 = (kind >= 0.65) & (kind < 0.85)
-    for a in np.unique(axis_choice[g2]):
-        parts = splits[a].parts
-        if parts < 2:
-            continue  # no destination level exists
-        rows = np.flatnonzero(g2 & (axis_choice == a))
-        sub = factors[rows, a, :parts]
-        donors = sub > 1
-        counts = donors.sum(axis=1)
-        has = counts > 0
-        if not has.any():
-            continue
-        rows = rows[has]
-        sub = sub[has]
-        pick = rng.integers(0, counts[has])  # which donor position (by rank)
-        donor = np.argmax(donors[has].cumsum(axis=1) == (pick + 1)[:, None], axis=1)
-        dest = rng.integers(0, parts - 1, size=len(rows))
-        dest = dest + (dest >= donor)  # uniform over positions != donor
-        p = _spf_array(sub[np.arange(len(rows)), donor])
-        factors[rows, a, donor] //= p
-        factors[rows, a, dest] *= p
-
-    # ----- annotation flips -----
-    g3 = np.flatnonzero(kind >= 0.85)
-    if len(g3):
-        choice = rng.random(len(g3))
-        u_rows = g3[choice < 0.5]
-        unroll[u_rows] = plan.unroll_options[
-            rng.integers(0, len(plan.unroll_options), size=len(u_rows))
-        ]
-        v_rows = g3[(choice >= 0.5) & (choice < 0.8)]
-        vector[v_rows] = plan.vector_options[
-            rng.integers(0, len(plan.vector_options), size=len(v_rows))
-        ]
-        s_rows = g3[choice >= 0.8]
-        splitk[s_rows] = plan.splitk_options[
-            rng.integers(0, len(plan.splitk_options), size=len(s_rows))
-        ]
+        if k == _RESAMPLE:  # one axis from scratch
+            resample(rows, a)
+        elif k == _ANNOTATE:  # flip unroll / vectorize / splitK
+            choice = rng.random(len(rows))
+            for column, options, chosen in (
+                (unroll, plan.unroll_options, choice < 0.5),
+                (vector, plan.vector_options, (choice >= 0.5) & (choice < 0.8)),
+                (splitk, plan.splitk_options, choice >= 0.8),
+            ):
+                flipped = rows[chosen]
+                column[flipped] = options[rng.integers(0, len(options), size=len(flipped))]
+        elif parts < 2:
+            continue  # nothing to swap, no destination level to move to
+        elif k == _SWAP:  # two factors within the axis (product-preserving)
+            i = rng.integers(0, parts, size=len(rows))
+            j = (i + rng.integers(1, parts, size=len(rows))) % parts
+            fi = factors[rows, a, i]
+            factors[rows, a, i] = factors[rows, a, j]
+            factors[rows, a, j] = fi
+        else:  # _MOVE: a smallest-prime factor between levels
+            sub = factors[rows, a, :parts]
+            donors = sub > 1
+            counts = donors.sum(axis=1)
+            has = counts > 0
+            if not has.any():
+                continue
+            rows, sub, donors = rows[has], sub[has], donors[has]
+            pick = rng.integers(0, counts[has])  # which donor position (by rank)
+            donor = np.argmax(donors.cumsum(axis=1) == (pick + 1)[:, None], axis=1)
+            dest = rng.integers(0, parts - 1, size=len(rows))
+            dest = dest + (dest >= donor)  # uniform over positions != donor
+            p = _spf_array(sub[np.arange(len(rows)), donor])
+            factors[rows, a, donor] //= p
+            factors[rows, a, dest] *= p
 
     # ----- TensorCore repair (swap/move can break fragment alignment) -----
     if space.tensorcore:
         bad = np.flatnonzero(~tensorcore_ok(plan, factors))
         if len(bad):
             factors[bad] = batch.factors[bad]  # revert to the valid original
-            repair_axis = rng.integers(0, plan.n_axes, size=len(bad))
-            for a in np.unique(repair_axis):
-                rows = bad[repair_axis == a]
-                parts = splits[a].parts
-                factors[rows, a, :parts] = sample_axis_batch(
-                    rng, space, splits[a], len(rows)
-                )
+            order, runs = sorted_runs(rng.integers(0, plan.n_axes, size=len(bad)))
+            for a, start, stop in runs:
+                resample(bad[order[start:stop]], a)
 
     return ConfigBatch(space, factors, unroll, vector, splitk)
 

@@ -8,7 +8,8 @@ satisfies the fragment constraint by construction.
 
 The implementation is batched: :func:`sample_factorizations` draws a
 whole ``(n, parts)`` factor matrix at once (grouping candidates by
-their remaining quotient so each group is one vectorized divisor draw),
+their remaining quotient — one stable argsort per part, see
+:func:`sorted_runs` — so each group is one vectorized divisor draw),
 and :func:`random_batch` assembles entire populations as
 :class:`~repro.schedule.batch.ConfigBatch` factor tensors.  The scalar
 entry points (:func:`sample_factorization`, :func:`random_config`) are
@@ -42,26 +43,47 @@ def _divisor_array(n: int) -> np.ndarray:
 register_lru("schedule.sampler._divisor_array", _divisor_array)
 
 
+def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """Group rows by key with one stable argsort: ``(order, runs)``.
+
+    Each run ``(key, start, stop)`` says ``order[start:stop]`` are the
+    rows holding ``key``, in ascending row order; runs come in ascending
+    key order.  This is the grouping every GA operator draws by (rows by
+    remaining quotient, by mutation kind and axis, by factor value) —
+    what a loop over the distinct keys with a mask per key computes,
+    without the masks.
+    """
+    order = np.argsort(keys, kind="stable")
+    if not len(keys):
+        return order, []
+    ranked = keys[order]
+    starts = [0, *(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()]
+    return order, list(zip(ranked[starts].tolist(), starts, [*starts[1:], len(keys)]))
+
+
 def sample_factorizations(
     rng: np.random.Generator, extent: int, parts: int, n: int
 ) -> np.ndarray:
     """Sample ``n`` ordered factorizations of ``extent``: shape ``(n, parts)``.
 
     Each row follows the uniform divisor-chain scheme of the scalar
-    sampler; rows sharing a remaining quotient are drawn together in one
-    vectorized choice per distinct quotient value.
+    sampler; rows sharing a remaining quotient are drawn together, one
+    vectorized choice per distinct quotient in ascending order.
     """
     out = np.ones((n, parts), dtype=np.int64)
+    if not n:
+        return out  # no draw: an empty batch must leave the generator where it was
     remaining = np.full(n, extent, dtype=np.int64)
     for p in range(parts - 1):
-        for value in np.unique(remaining):
-            if value == 1:
-                continue  # only divisor is 1; nothing to draw
-            divs = _divisor_array(int(value))
-            mask = remaining == value
-            picks = divs[rng.integers(0, len(divs), size=int(mask.sum()))]
-            out[mask, p] = picks
-            remaining[mask] //= picks
+        # every row starts at ``extent``: the first part is one group as it stands
+        order, runs = sorted_runs(remaining) if p else (slice(None), [(extent, 0, n)])
+        picks = np.ones(n, dtype=np.int64)  # in ``order``; a quotient of 1 draws nothing
+        for value, start, stop in runs:
+            if value > 1:
+                divs = _divisor_array(value)
+                picks[start:stop] = divs[rng.integers(0, len(divs), size=stop - start)]
+        out[order, p] = picks
+        remaining[order] //= picks
     out[:, parts - 1] = remaining
     return out
 

@@ -150,19 +150,26 @@ class SearchPolicy(ABC):
     def _seeded_population(
         self, records: RecordLog, rng: np.random.Generator
     ) -> ConfigBatch:
-        """Initial GA population: random + mutations of measured bests."""
+        """Initial GA population: random + mutations of measured bests.
+
+        Laid out ``[random | seeds | mutated seeds ...]`` and capped at
+        ``population + 4 * len(seeds)`` rows: the random population,
+        every seed once and three mutations of each.  A space too small
+        to give ``population`` distinct random rows leaves room under
+        the cap that further mutations fill, up to ``population // 16``
+        batches; only batches of which a row is kept are drawn.
+        """
         space = self.task.space
         population = random_batch(space, rng, self.search.population)
         seeds = records.best_configs(self.task.key, k=8)
         if not seeds:
             return population
         seed_batch = ConfigBatch.from_configs(space, [p.config for p in seeds])
-        parts = [population, seed_batch]
-        for _ in range(max(1, self.search.population // 16)):
-            parts.append(mutate_batch(seed_batch, space, rng))
-        merged = ConfigBatch.concat(parts)
         cap = self.search.population + len(seeds) * 4
-        return merged.take(np.arange(min(len(merged), cap)))
+        room = cap - len(population) - len(seeds)
+        batches = min(-(-room // len(seeds)), max(1, self.search.population // 16))
+        mutated = [mutate_batch(seed_batch, space, rng) for _ in range(batches)]
+        return ConfigBatch.concat([population, seed_batch, *mutated]).slice(0, cap)
 
 
 class AnsorPolicy(SearchPolicy):

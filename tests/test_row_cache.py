@@ -162,6 +162,36 @@ def test_stored_rows_never_reach_compute(h):
 
 
 @BOTH
+def test_nothing_hit_returns_the_computed_chunk(h):
+    """An all-miss request is what ``compute`` returned — no concat of a
+    one-element list, no identity permutation over every column — and it
+    is counted and stored like any other."""
+    space = _spaces()[0]
+    fetch(h, space, random_batch(space, make_rng(11), 6))  # an earlier chunk
+    new = random_batch(space, make_rng(12), 9)
+    request = ConfigBatch.concat([new, new.take(np.array([3, 3, 0]))])  # repeats
+    computed: list = []
+
+    def compute(miss):
+        computed.append(h.uncached(space, request.take(miss)))
+        return computed[-1]
+
+    before = h.cache.stats()
+    got = h.cache.fetch(h.partition(space), request.row_keys(), compute)
+    assert got is computed[0]
+    assert_same(got, h.uncached(space, request))
+    after = h.cache.stats()
+    assert after["misses"] - before["misses"] == 12
+    assert after["hits"] == before["hits"]
+    assert after["rows"] - before["rows"] == 9 == indexed_keys(h.cache) - 6
+    # stored under the first occurrence of each key, reachable in any order
+    shuffled = request.take(make_rng(13).permutation(12))
+    seen: list = []
+    assert_same(fetch(h, space, shuffled, seen), h.uncached(space, shuffled))
+    assert seen == []
+
+
+@BOTH
 def test_clear_fired_inside_compute(h):
     """The hits were resolved before ``compute`` ran; a ``clear()`` from
     another job must neither corrupt them nor leak the fresh rows."""

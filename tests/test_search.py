@@ -16,6 +16,9 @@ from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
 from repro.schedule import lower, random_config
+from repro.schedule.batch import ConfigBatch, lower_batch
+from repro.schedule.mutate import mutate_batch
+from repro.schedule.sampler import random_batch
 from repro.search import (
     AnsorPolicy,
     GradientTaskScheduler,
@@ -25,7 +28,9 @@ from repro.search import (
     TuningRecord,
     make_tasks,
 )
+from repro.search import policy as policy_module
 from repro.search.records import CurvePoint, time_to_reach
+from repro.search.task import TuningTask
 from repro.timemodel import EXPLORATION, SimClock
 
 SEARCH = SearchConfig(population=24, ga_steps=2, spec_size=16, measure_per_round=5)
@@ -154,6 +159,83 @@ class TestPolicies:
             policy.propose_batch(records, make_rng(1))
             results[name] = clock.elapsed(EXPLORATION) - clock_before
         assert results["pruner"] < results["ansor"]
+
+
+class TestSeededPopulation:
+    """``SearchPolicy._seeded_population`` draws only the mutation
+    batches of which a row survives the cap."""
+
+    @staticmethod
+    def _setup(monkeypatch, a100, workload, population, n_seeds):
+        task = TuningTask.create(workload, a100)
+        records = RecordLog()
+        seeds = lower_batch(task.space, random_batch(task.space, make_rng(50), n_seeds))
+        for i in range(len(seeds)):
+            records.add(TuningRecord(task.key, seeds.program(i), 1e-3 * (i + 1), 0.0, 0))
+        drawn: list[ConfigBatch] = []
+
+        def counting(batch, space, rng):
+            drawn.append(mutate_batch(batch, space, rng))
+            return drawn[-1]
+
+        monkeypatch.setattr(policy_module, "mutate_batch", counting)
+        search = SearchConfig(population=population)
+        got = AnsorPolicy(task, RandomModel(), search=search)._seeded_population(
+            records, make_rng(51)
+        )
+
+        # the loop this replaced: population // 16 batches, then the cap
+        rng = make_rng(51)
+        parts = [random_batch(task.space, rng, population)]
+        if n_seeds:
+            parts.append(seeds.configs)
+            for _ in range(max(1, population // 16)):
+                parts.append(mutate_batch(seeds.configs, task.space, rng))
+        uncapped = ConfigBatch.concat(parts)
+        return got, drawn, uncapped, seeds.configs
+
+    def test_full_population_draws_three_batches(self, monkeypatch, a100):
+        got, drawn, uncapped, seeds = self._setup(
+            monkeypatch, a100, ops.matmul(256, 256, 256), 512, 8
+        )
+        assert len(drawn) == 3
+        assert len(got) == 512 + 8 * 4
+        keys = got.row_keys()
+        assert keys[512:520] == seeds.row_keys()  # best first, as recorded
+        assert keys[520:] == [key for batch in drawn for key in batch.row_keys()]
+        assert keys == uncapped.row_keys()[: len(got)]
+
+    def test_no_seeds_draws_nothing(self, monkeypatch, a100):
+        got, drawn, uncapped, _ = self._setup(
+            monkeypatch, a100, ops.matmul(256, 256, 256), 64, 0
+        )
+        assert drawn == []
+        assert got.row_keys() == uncapped.row_keys()
+
+    def test_short_random_population_still_fills_the_cap(self, monkeypatch, a100):
+        """336 schedules exist: 200 rows of room take 25 batches of 8."""
+        got, drawn, uncapped, _ = self._setup(
+            monkeypatch, a100, ops.elementwise((64, 128), n_inputs=2), 512, 8
+        )
+        assert len(drawn) == 25
+        assert len(got) == 512 + 8 * 4
+        assert got.row_keys() == uncapped.row_keys()[: len(got)]
+
+    def test_never_more_batches_than_before(self, monkeypatch, a100):
+        """54 schedules exist: the cap is out of reach of 32 batches."""
+        got, drawn, uncapped, _ = self._setup(
+            monkeypatch, a100, ops.elementwise((4, 4), n_inputs=2), 512, 8
+        )
+        assert len(drawn) == 512 // 16
+        assert len(got) == 54 + 8 + 32 * 8 < 512 + 8 * 4
+        assert got.row_keys() == uncapped.row_keys()
+
+    def test_small_populations_keep_their_one_or_two_batches(self, monkeypatch, a100):
+        got, drawn, uncapped, _ = self._setup(
+            monkeypatch, a100, ops.matmul(256, 256, 256), 24, 5
+        )
+        assert len(drawn) == 1
+        assert got.row_keys() == uncapped.row_keys()
 
 
 class TestTaskScheduler:
