@@ -1,9 +1,10 @@
-"""Tuning as a service: job engine, in-process runners, persistent warm starts.
+"""Tuning as a service: job engine, an in-process runner, persistent warm starts.
 
 Demonstrates the `repro.serve` workflow without a socket:
 
 1. submit several tuning jobs to a :class:`JobEngine`,
-2. drain them with two in-process runners (each job deterministic),
+2. drain them with the in-process runner (each job deterministic; to
+   use more cores run one runner process per core: `server` + N x `runner`),
 3. read best schedules back from the persistent record store,
 4. resubmit the same workload — the second run warm-starts from the
    cached records and measures (almost) nothing new.
@@ -30,9 +31,9 @@ def main() -> None:
             engine.submit("gpt2", device="a100", rounds=8, top_k_tasks=3),
         ]
 
-        # 2. run them on two runner threads that lease from the engine
-        print(f"running {len(jobs)} jobs on 2 workers ...")
-        drain(engine, workers=2)  # runner chatter goes to stderr
+        # 2. run them on a runner that leases from the engine directly
+        print(f"running {len(jobs)} jobs ...")
+        drain(engine)  # runner chatter goes to stderr
         for job in engine.jobs():
             if job["state"] != "done":
                 print(f"  {job['job_id']}: {job['state']} ({job['error']})")
@@ -52,7 +53,7 @@ def main() -> None:
         # 4. warm start: a new engine over the same cache (a restart)
         warm = JobEngine(cache_dir)
         job_id = warm.submit("bert_tiny", device="a100", rounds=8, priority=1)
-        drain(warm, workers=2)
+        drain(warm)
         result = warm.result(job_id)
         print(
             f"\nwarm rerun: {result['seeded_trials']} trials loaded from cache,"

@@ -29,12 +29,12 @@ class SearchConfig:
     Attributes
     ----------
     population:
-        Evolutionary-search population size per GA step.  Ansor explores
-        roughly ``population * (ga_steps + 1)`` candidates per round with
-        the learned cost model; Pruner explores the same set with the
-        draft model instead.
+        Evolutionary-search population size per GA step.
     ga_steps:
-        Number of genetic-algorithm generations per tuning round.
+        GA steps per tuning round.  Ansor scores ``ga_steps`` generations
+        (their launchable rows) with the learned cost model; Pruner's
+        draft scores ``ga_steps + 1`` whole generations with the draft
+        model — the last step's offspring too, like TVM's ``num_iters + 1``.
     spec_size:
         Size of the drafted candidate set (|S_spec|, paper: 512).
     random_fraction:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,11 @@ def get_scale(scale: str | Scale) -> Scale:
 # ----------------------------------------------------------------------
 _MEM_CACHE: dict[str, dict[str, np.ndarray]] = {}
 
+#: Bump when code under :func:`repro.api.pretrain_model` changes what it
+#: produces (sampling, features, kernels, optimizer): files of another
+#: revision stop being served.  1 = before the key covered the recipe.
+PRETRAIN_REVISION = 2
+
 
 def _cache_path(key: str) -> Path:
     safe = key.replace("/", "_").replace("|", "_").replace("@", "_")
@@ -110,9 +116,13 @@ def pretrained_params(
     """Pre-train (or load cached) cost-model parameters.
 
     ``corpus_tag`` names the corpus so distinct experiments don't share
-    stale caches; the cache key also covers model, device and scale.
+    stale caches; the cache key also covers model, device, scale and
+    what trained the file: sample count, the offline ``TrainConfig`` and
+    :data:`PRETRAIN_REVISION`.
     """
-    key = f"{model_kind}-{device_name}-{corpus_tag}-{scale.name}-s{seed}"
+    recipe = (scale.pretrain_samples, astuple(scale.offline_train), PRETRAIN_REVISION)
+    trained_by = hashlib.sha256(repr(recipe).encode()).hexdigest()[:8]
+    key = f"{model_kind}-{device_name}-{corpus_tag}-{scale.name}-s{seed}-{trained_by}"
     if key in _MEM_CACHE:
         return _MEM_CACHE[key]
     path = _cache_path(key)

@@ -14,6 +14,8 @@ constrains thread tiles to WMMA 16x16x16 fragments.
 * :mod:`repro.schedule.sampler` — random initial schedules (batched).
 * :mod:`repro.schedule.mutate` — GA mutation / crossover operators
   (batched, over factor matrices).
+* :mod:`repro.schedule.evolve` — the evolutionary search minus its
+  fitness: seeded population, generation step, best-first pool.
 * :mod:`repro.schedule.lower`  — :class:`LoweredProgram`, the scalar
   view of one candidate (tile structure + dataflow blocks used by
   symbols, features and the device simulator), and :func:`lower`, row 0

@@ -346,10 +346,14 @@ class ConfigBatch:
             ]
         return self._row_keys
 
+    def first_rows(self) -> np.ndarray:
+        """Index of the first occurrence of each distinct candidate, ascending."""
+        _, first = np.unique(self.row_ids(), return_index=True)
+        return np.sort(first)
+
     def unique(self) -> "ConfigBatch":
         """Deduplicate, keeping the first occurrence of each candidate."""
-        _, first = np.unique(self.row_ids(), return_index=True)
-        return self.take(np.sort(first))
+        return self.take(self.first_rows())
 
     # -- materialization ----------------------------------------------
     def config(self, i: int) -> ScheduleConfig:

@@ -24,8 +24,8 @@ from repro.config import SearchConfig
 from repro.core.analyzer import is_launchable_mask
 from repro.costmodel.base import CostModel
 from repro.schedule.batch import CandidateBatch, ConfigBatch
+from repro.schedule.evolve import BestPool, next_generation, seeded_population
 from repro.schedule.memo import lower_batch_memo
-from repro.schedule.mutate import crossover_pairs, mutate_batch
 from repro.schedule.sampler import random_batch
 from repro.schedule.space import ScheduleConfig
 from repro.search.records import RecordLog
@@ -150,26 +150,10 @@ class SearchPolicy(ABC):
     def _seeded_population(
         self, records: RecordLog, rng: np.random.Generator
     ) -> ConfigBatch:
-        """Initial GA population: random + mutations of measured bests.
-
-        Laid out ``[random | seeds | mutated seeds ...]`` and capped at
-        ``population + 4 * len(seeds)`` rows: the random population,
-        every seed once and three mutations of each.  A space too small
-        to give ``population`` distinct random rows leaves room under
-        the cap that further mutations fill, up to ``population // 16``
-        batches; only batches of which a row is kept are drawn.
-        """
-        space = self.task.space
-        population = random_batch(space, rng, self.search.population)
-        seeds = records.best_configs(self.task.key, k=8)
-        if not seeds:
-            return population
-        seed_batch = ConfigBatch.from_configs(space, [p.config for p in seeds])
-        cap = self.search.population + len(seeds) * 4
-        room = cap - len(population) - len(seeds)
-        batches = min(-(-room // len(seeds)), max(1, self.search.population // 16))
-        mutated = [mutate_batch(seed_batch, space, rng) for _ in range(batches)]
-        return ConfigBatch.concat([population, seed_batch, *mutated]).slice(0, cap)
+        """Initial GA population, seeded from the log's best eight."""
+        seeds = [p.config for p in records.best_configs(self.task.key, k=8)]
+        size = self.search.population
+        return seeded_population(self.task.space, rng, size, seeds, max(1, size // 16))
 
 
 class AnsorPolicy(SearchPolicy):
@@ -178,13 +162,15 @@ class AnsorPolicy(SearchPolicy):
     Every generation runs feature extraction + model inference over the
     full population; all scored candidates accumulate into the selection
     pool.  With the paper's settings this means thousands of model
-    inferences per tuning round.
+    inferences per tuning round.  The GA is the one LSE runs
+    (:mod:`repro.schedule.evolve`); this loop scores ``ga_steps``
+    generations where LSE's scores ``ga_steps + 1``.
     """
 
     def propose_batch(
         self, records: RecordLog, rng: np.random.Generator
     ) -> CandidateBatch | None:
-        space = self.task.space
+        space, search = self.task.space, self.search
         population = self._seeded_population(records, rng)
 
         if len(records) == 0:
@@ -194,16 +180,15 @@ class AnsorPolicy(SearchPolicy):
             scores = rng.random(len(batch))
             return self._select_top_batch(batch, scores, records, rng)
 
-        pool_batches: list[ConfigBatch] = []
-        pool_scores: list[np.ndarray] = []
-        for _ in range(self.search.ga_steps):
+        pool = BestPool()
+        for _ in range(search.ga_steps):
             # Every generation's population enters the funnel: Ansor
             # "drafts" (and scores) far more candidates per round than
             # Pruner — the asymmetry the funnel counters exist to show.
             obs.funnel("drafted", len(population))
             batch = self._lower_valid_batch(population)
             if not len(batch):
-                population = random_batch(space, rng, self.search.population)
+                population = random_batch(space, rng, search.population)
                 continue
             # Ansor applies the learned model to *all* explored candidates.
             self.clock.charge_inference(
@@ -212,61 +197,29 @@ class AnsorPolicy(SearchPolicy):
             with obs.span("score"):
                 scores = self.model.predict_batch(batch)
             assert batch.configs is not None
-            pool_batches.append(batch.configs)
-            pool_scores.append(scores)
-            population = self._evolve(batch.configs, scores, rng)
+            pool.merge(batch.configs, scores)
+            population = next_generation(
+                space,
+                batch.configs,
+                np.argsort(-scores),
+                search.population,
+                search.mutation_prob,
+                rng,
+            )
 
-        if not pool_batches:
+        if not pool:
             return None
-        pooled = ConfigBatch.concat(pool_batches)
-        scores = np.concatenate(pool_scores)
-        # Deduplicate (model scores are deterministic, so first == any)
-        # and rank best-first, like the scalar selection pool did.
-        _, first = np.unique(pooled.row_ids(), return_index=True)
-        first = np.sort(first)
-        pooled, scores = pooled.take(first), scores[first]
-        order = np.argsort(-scores, kind="stable")
         # Every pooled candidate already passed the launchability mask;
         # selection only needs row keys, so the ConfigBatch is enough.  The
         # picked rows re-lower through the memo — pure hits, since
         # each was lowered in a GA generation above.
-        ranked = pooled.take(order)
-        picked = self._select_indices(ranked.row_keys(), scores[order], records, rng)
+        ranked, scores = pool.ranked()
+        picked = self._select_indices(ranked.row_keys(), scores, records, rng)
         if not picked:
             return None
         return lower_batch_memo(
             space, ranked.take(np.array(picked, dtype=np.int64))
         )
-
-    def _evolve(
-        self,
-        population: ConfigBatch,
-        scores: np.ndarray,
-        rng: np.random.Generator,
-    ) -> ConfigBatch:
-        space = self.task.space
-        n = len(population)
-        order = np.argsort(-scores)
-        elite = population.take(order[: max(2, n // 8)])
-        ranks = np.empty(n)
-        ranks[order] = np.arange(n)
-        weights = np.exp(-ranks / max(1.0, n / 4.0))
-        weights /= weights.sum()
-        n_children = max(0, self.search.population - len(elite))
-        if not n_children:
-            return elite
-        parents = rng.choice(n, size=(n_children, 2), p=weights)
-        children = crossover_pairs(population, parents[:, 0], parents[:, 1], space, rng)
-        mutate_mask = rng.random(n_children) < self.search.mutation_prob
-        if mutate_mask.any():
-            mutated = mutate_batch(children.take(mutate_mask), space, rng)
-            keep = children.take(~mutate_mask)
-            merged = ConfigBatch.concat([keep, mutated])
-            restore = np.empty(n_children, dtype=np.int64)
-            restore[np.flatnonzero(~mutate_mask)] = np.arange(len(keep))
-            restore[np.flatnonzero(mutate_mask)] = len(keep) + np.arange(len(mutated))
-            children = merged.take(restore)
-        return ConfigBatch.concat([elite, children])
 
 
 __all__ = ["SearchPolicy", "AnsorPolicy"]

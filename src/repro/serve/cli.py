@@ -14,11 +14,11 @@ Commands
     its job requeues server-side.
 ``tune``
     No socket: queue one job per ``--network`` (repeatable), drain them
-    — and anything an earlier run left pending in the ledger — with
-    ``--workers`` in-process runners, and print each job's
-    best-schedule summary.  The first SIGINT/SIGTERM drains (in-flight
-    jobs finish, pending ones stay queued in the ledger); a second
-    cancels in-flight jobs at their next round boundary.
+    — and anything an earlier run left pending in the ledger — with one
+    in-process runner, and print each job's best-schedule summary.  The
+    first SIGINT/SIGTERM drains (in-flight jobs finish, pending ones
+    stay queued in the ledger); a second cancels in-flight jobs at
+    their next round boundary.
 ``status``
     Show the job ledger and per-key record-store statistics of a cache
     directory, without running anything.
@@ -181,7 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--batch", type=int, default=1)
     tune.add_argument("--top-k-tasks", type=int, default=None)
     tune.add_argument("--seed", type=int, default=None)
-    tune.add_argument("--workers", type=_positive_int, default=1)
     tune.add_argument("--cache-dir", default=DEFAULT_CACHE)
     tune.add_argument(
         "--no-checkpoints",
@@ -372,7 +371,7 @@ def _cmd_tune(args: argparse.Namespace, out) -> int:
     todo = [job.job_id for job in engine.queue.jobs() if job.state.value == "pending"]
 
     with _graceful_drain(engine, out):
-        drain(engine, args.workers)
+        drain(engine)
     failed = 0
     for job_id in todo:
         job = engine.queue.get(job_id)

@@ -14,8 +14,9 @@ Over a socket, run one per machine (or several per big machine)::
 
     python -m repro.serve runner --server http://tuner.example:8537
 
-In process, :func:`drain` runs N of them as threads with the
-:class:`~repro.serve.engine.JobEngine` itself as their client.
+In process, :func:`drain` runs one with the
+:class:`~repro.serve.engine.JobEngine` itself as its client.  A job is
+one core's work, so scale with processes: ``server`` + N x ``runner``.
 
 Crash behavior is the protocol's whole point: a runner that dies
 mid-job simply stops heartbeating, the lease expires, and the engine
@@ -28,7 +29,6 @@ import os
 import socket
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 from repro import api
 from repro.cache import clear_caches
@@ -323,27 +323,11 @@ class TuningRunner:
         return False
 
 
-def drain(engine, workers: int = 1) -> int:
+def drain(engine) -> int:
     """Drain ``engine``'s queue in process; returns jobs completed.
 
-    ``workers`` threads each run a :class:`TuningRunner` whose client is
-    the engine itself, until a lease poll comes back empty.  Every job
-    builds its own tuner, clock and RNGs from its deterministic seed,
-    so jobs with distinct record-store keys do not depend on which
-    worker runs them or in what order — a 4-worker drain reproduces the
-    1-worker result job for job.  (Jobs sharing a store key warm-start
-    from each other's rows, so their results depend on completion
-    order whatever the worker count.)
+    One :class:`TuningRunner` whose client is the engine itself runs
+    until a lease poll comes back empty: job for job what a runner over
+    a socket does, each job seeded from its own spec.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    runners = [
-        TuningRunner(client=engine, runner_id=f"{default_runner_id()}-w{i}")
-        for i in range(workers)
-    ]
-    with ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="tune-worker"
-    ) as pool:
-        futures = [pool.submit(r.run_forever, idle_exit=True) for r in runners]
-        # read every result: a crashed worker loop must surface
-        return sum(future.result() for future in futures)
+    return TuningRunner(client=engine).run_forever(idle_exit=True)

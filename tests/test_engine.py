@@ -22,7 +22,7 @@ import threading
 from pathlib import Path
 
 import pytest
-from test_serve import Stack
+from test_serve import Stack, drain_with_threads
 
 from repro.serve.cli import main as cli_main
 from repro.serve.engine import LEDGER_NAME, RESULTS_NAME, JobEngine
@@ -129,7 +129,7 @@ def _in_process(cache: Path, workers: int) -> list[dict]:
             engine.submit(method=method, rounds=rounds, **GOLDEN["spec"])
             for method, rounds in phase
         ]
-        drain(engine, workers)
+        drain(engine) if workers == 1 else drain_with_threads(engine, workers)
         results += [engine.result(job_id) for job_id in ids]
     return results
 

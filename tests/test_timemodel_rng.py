@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,39 @@ class TestExperimentCommon:
         monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
         path = save_results("unit", {"x": 1, "inf": float("inf")})
         assert path.exists()
+
+    def test_pretrained_cache_key_covers_what_trained_the_file(self, tmp_path, monkeypatch):
+        """A file from another recipe or revision is not served: the
+        ``.npz`` of PR 0 outlived two changes of the training code."""
+        import repro.experiments.common as common
+
+        calls = []
+
+        def fake_pretrain(model, subgraphs, device, samples_per_task, train, seed):
+            calls.append((samples_per_task, train.epochs))
+            return {"w": np.full(2, float(len(calls)))}
+
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        monkeypatch.setattr(common, "_MEM_CACHE", {})
+        monkeypatch.setattr(common.api, "pretrain_model", fake_pretrain)
+        smoke = get_scale("smoke")
+        stale = tmp_path / "cache" / "pacm-k80-unit-smoke-s0.npz"  # the old key
+        stale.parent.mkdir()
+        np.savez(stale, w=np.zeros(2))
+
+        def load(scale):
+            common._MEM_CACHE.clear()  # a new process
+            return common.pretrained_params("pacm", "k80", [], scale, "unit")["w"][0]
+
+        assert load(smoke) == 1.0  # trained, not the stale zeros
+        assert load(smoke) == 1.0 and len(calls) == 1  # served from disk
+        longer = replace(smoke, offline_train=replace(smoke.offline_train, epochs=11))
+        assert load(longer) == 2.0
+        assert load(replace(smoke, pretrain_samples=61)) == 3.0
+        monkeypatch.setattr(common, "PRETRAIN_REVISION", common.PRETRAIN_REVISION + 1)
+        assert load(smoke) == 4.0
+        assert calls == [(60, 10), (60, 11), (61, 10), (60, 10)]
+        assert len(list(stale.parent.glob("*.npz"))) == 5
 
     def test_print_table_smoke(self, capsys):
         print_table("t", ["a", "b"], [["x", 1.5], ["y", float("inf")]])
