@@ -48,7 +48,6 @@ from repro.hardware.measure import MeasureRunner  # noqa: E402
 from repro.ir.ops import matmul  # noqa: E402
 from repro.rng import make_rng  # noqa: E402
 from repro.schedule.batch import lower_batch  # noqa: E402
-from repro.schedule.lower import lower  # noqa: E402
 from repro.schedule.sampler import random_population  # noqa: E402
 from repro.search.task import TuningTask  # noqa: E402
 from repro.timemodel import SimClock  # noqa: E402
@@ -86,11 +85,11 @@ def run(quick: bool) -> dict:
 
     model = PaCM()
     verify_configs = random_population(task.space, make_rng(1), cfg.spec_size)
-    progs = [lower(task.space, c) for c in verify_configs[:32]]
+    train_batch = lower_batch(task.space, verify_configs[:32])
     model.fit(
-        progs,
-        1e-3 * (1.0 + make_rng(2).random(len(progs))),
-        [task.key] * len(progs),
+        model.featurize_batch(train_batch),
+        1e-3 * (1.0 + make_rng(2).random(len(train_batch))),
+        [task.key] * len(train_batch),
         rng=make_rng(3),
     )
 

@@ -42,13 +42,14 @@ def main() -> None:
     print(f"train: {len(train_set)} programs / {len(train_set.task_keys)} tasks; "
           f"test: {len(test_set)} programs")
 
-    progs, lats, keys = train_set.training_data()
+    batch, lats, keys = train_set.training_data()
     for name, model in (
         ("TenSetMLP", TenSetMLP()),
         ("TLP", TLPModel()),
         ("PaCM", PaCM()),
     ):
-        model.fit(progs, lats, keys, train=scale.offline_train, rng=make_rng(0))
+        features = model.featurize_batch(batch)
+        model.fit(features, lats, keys, train=scale.offline_train, rng=make_rng(0))
         top1 = top_k_score(model, test_set, k=1)
         top5 = top_k_score(model, test_set, k=5)
         print(f"{name:10s} top-1={top1:.3f}  top-5={top5:.3f}")

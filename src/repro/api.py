@@ -477,17 +477,19 @@ def pretrain_model(
         device = get_device(device)
     sim = GroundTruthSimulator(device)
     rng = make_rng(seed)
-    progs, lats, keys = [], [], []
+    features, lats, keys = [], [], []
     for sub in subgraphs:
         if not sub.workload.is_tiled:
             continue
         space = generate_sketch(sub.workload)
         # one draw per sample (the rng stream of a per-sample loop), then
-        # one lowering and one simulation for the task
+        # one lowering, one encoding and one simulation for the task
         configs = [random_config(space, rng) for _ in range(samples_per_task)]
         batch = lower_batch(space, configs)
-        progs += [batch.program(i) for i in range(len(batch))]
+        features.append(model.featurize_batch(batch))
         lats += sim.latency_batch(batch).tolist()
         keys += [sub.workload.key] * len(batch)
-    model.fit(progs, np.array(lats), keys, train=train or TrainConfig(epochs=40), rng=rng)
+    if features:
+        train = train or TrainConfig(epochs=40)
+        model.fit(np.concatenate(features), np.array(lats), keys, train=train, rng=rng)
     return model.get_params()

@@ -1,13 +1,16 @@
 """Cost-model interface and shared training machinery.
 
-A cost model maps lowered programs to scores (higher = predicted
-faster).  Only the within-task *ranking* of scores is consumed by the
-search policies and by the Top-k metric, matching how TVM uses learned
-models.
+A cost model maps a :class:`~repro.schedule.batch.CandidateBatch` of
+lowered programs to scores (higher = predicted faster).  Only the
+within-task *ranking* of scores is consumed by the search policies and
+by the Top-k metric, matching how TVM uses learned models.
 
-Training data is (program, measured latency, task key); labels are the
-task-normalized throughputs ``min_latency / latency`` in (0, 1] (0 for
-invalid programs), as in Ansor/TenSet.
+Training data is (feature matrix, measured latencies, task keys): the
+matrix is :meth:`CostModel.featurize_batch` of the measured rows, one
+row each, encoded once by whoever holds them (the tuner encodes each
+measured batch as it lands).  Labels are the task-normalized
+throughputs ``min_latency / latency`` in (0, 1] (0 for invalid
+programs), as in Ansor/TenSet.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from repro.nn.losses import lambdarank_loss, pairwise_rank_accuracy
 from repro.nn.optim import Adam
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
-from repro.schedule.lower import LoweredProgram
 
 
 #: Version of the state dict :meth:`CostModel.save_state` produces —
@@ -78,23 +80,27 @@ class CostModel(ABC):
     fit_extends_state: bool = True
 
     @abstractmethod
-    def predict(self, progs: list[LoweredProgram]) -> np.ndarray:
-        """Scores for a program list (higher = predicted faster)."""
+    def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
+        """The model's input array for a batch, one leading row per candidate."""
 
     @abstractmethod
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Scores for a :class:`CandidateBatch` (the policies' hot path)."""
+        """Scores for a :class:`CandidateBatch` (higher = predicted faster)."""
 
     @abstractmethod
     def fit(
         self,
-        progs: list[LoweredProgram],
+        features: np.ndarray,
         latencies: np.ndarray,
         group_keys: list[str],
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> float:
-        """Train on measured data; returns final pairwise rank accuracy."""
+        """Train on :meth:`featurize_batch` rows and their measured latencies.
+
+        Returns the pairwise rank accuracy of the trained model on the
+        same rows: a training score, not a held-out one.
+        """
 
     # MoA protocol (NN models override via Module)
     def get_params(self) -> dict[str, np.ndarray]:  # pragma: no cover
@@ -178,7 +184,7 @@ class NNCostModel(CostModel):
     """Shared LambdaRank training loop for the neural cost models.
 
     Subclasses provide ``self.net`` (a :class:`~repro.nn.layers.Module`)
-    and :meth:`featurize` returning the network input for a batch.
+    and :meth:`featurize_batch` returning the network input for a batch.
 
     Inputs are standardized with statistics frozen at the first fit;
     the statistics are part of :meth:`get_params` so MoA transfers them
@@ -186,14 +192,6 @@ class NNCostModel(CostModel):
     """
 
     net: Module
-
-    @abstractmethod
-    def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
-        """Network input array for a list of programs."""
-
-    @abstractmethod
-    def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """Network input array straight from a candidate batch's arrays."""
 
     # ------------------------------------------------------------------
     def _norm_stats(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -216,18 +214,12 @@ class NNCostModel(CostModel):
         # nets extrapolate arbitrarily large scores for single outliers.
         return np.clip((features - mu) / sigma, -5.0, 5.0)
 
-    def predict(self, progs: list[LoweredProgram]) -> np.ndarray:
-        if not progs:
-            return np.zeros(0)
-        return self._forward(self.featurize(progs))
-
+    # predict_batch and fit stay defined on this class: the e2e tracer
+    # (benchmarks/e2e/tracing.py) patches them here by name (ROADMAP 1c)
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
         if not len(batch):
             return np.zeros(0)
-        return self._forward(self.featurize_batch(batch))
-
-    def _forward(self, features: np.ndarray) -> np.ndarray:
-        return self._score(self._normalize(features))
+        return self._score(self._normalize(self.featurize_batch(batch)))
 
     def _score(self, normalized: np.ndarray) -> np.ndarray:
         with single_thread(), no_grad():
@@ -236,18 +228,18 @@ class NNCostModel(CostModel):
 
     def fit(
         self,
-        progs: list[LoweredProgram],
+        features: np.ndarray,
         latencies: np.ndarray,
         group_keys: list[str],
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> float:
-        if len(progs) < 2:
+        if len(features) < 2:
             return 0.0
         train = train or TrainConfig()
         rng = rng if rng is not None else make_rng(0)
         labels, groups = make_labels(latencies, group_keys)
-        features = self._normalize(self.featurize(progs), fit=True)
+        features = self._normalize(features, fit=True)
         optimizer = Adam(
             self.net.parameters(),
             lr=train.learning_rate,
@@ -324,11 +316,11 @@ class RandomModel(CostModel):
     def __init__(self, seed: int = 0) -> None:
         self._rng = make_rng(seed)
 
-    def predict(self, progs: list[LoweredProgram]) -> np.ndarray:
-        return self._rng.random(len(progs))
+    def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
+        return np.zeros((len(batch), 0))  # reads nothing
 
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
         return self._rng.random(len(batch))
 
-    def fit(self, progs, latencies, group_keys, train=None, rng=None) -> float:
+    def fit(self, features, latencies, group_keys, train=None, rng=None) -> float:
         return 0.5

@@ -14,14 +14,9 @@ import numpy as np
 from repro.config import TrainConfig
 from repro.costmodel.base import CostModel, make_labels
 from repro.errors import CostModelError
-from repro.features.statement import (
-    STATEMENT_DIM,
-    statement_matrix,
-    statement_matrix_batch,
-)
+from repro.features.statement import STATEMENT_DIM, statement_matrix_batch
 from repro.nn.losses import pairwise_rank_accuracy
 from repro.schedule.batch import CandidateBatch
-from repro.schedule.lower import LoweredProgram
 
 
 @dataclass
@@ -105,7 +100,7 @@ class _Tree:
             )
         return self._packed
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
         """Walk all rows level-by-level (one mask per depth, no Python loop)."""
         feature, threshold, left, right, value = self._pack()
         node = np.zeros(len(x), dtype=np.int64)
@@ -143,20 +138,16 @@ class GBDTModel(CostModel):
         self._trees: list[_Tree] = []
         self._base: float = 0.0
 
-    def predict(self, progs: list[LoweredProgram]) -> np.ndarray:
-        if not progs:
-            return np.zeros(0)
-        return self._predict_features(statement_matrix(progs))
+    def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
+        return statement_matrix_batch(batch)
 
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
         if not len(batch):
             return np.zeros(0)
-        return self._predict_features(statement_matrix_batch(batch))
-
-    def _predict_features(self, x: np.ndarray) -> np.ndarray:
+        x = self.featurize_batch(batch)
         pred = np.full(len(x), self._base)
         for tree in self._trees:
-            pred += self.learning_rate * tree.predict(x)
+            pred += self.learning_rate * tree.evaluate(x)
         return pred
 
     # ------------------------------------------------------------------
@@ -214,14 +205,14 @@ class GBDTModel(CostModel):
                 raise CostModelError(f"GBDT tree {idx} has empty or ragged node arrays")
             for part, arr in arrays.items():
                 # NaN/inf would escape the int casts below as bare
-                # ValueError/OverflowError, or silently skew predict()
+                # ValueError/OverflowError, or silently skew predict_batch()
                 if not np.all(np.isfinite(arr)):
                     raise CostModelError(
                         f"GBDT tree {idx} has non-finite {part} values"
                     )
             (length,) = lengths
             # Split nodes must point at real children *after* themselves:
-            # out-of-range indices crash predict()'s level walk, and a
+            # out-of-range indices crash evaluate()'s level walk, and a
             # cycle (child <= parent) makes its `while True` loop spin
             # forever.  fit-built trees always append children after the
             # parent, so strictly-increasing is the exact invariant.
@@ -262,24 +253,23 @@ class GBDTModel(CostModel):
 
     def fit(
         self,
-        progs: list[LoweredProgram],
+        features: np.ndarray,
         latencies: np.ndarray,
         group_keys: list[str],
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
     ) -> float:
-        if len(progs) < 4:
+        if len(features) < 4:
             return 0.0
         labels, groups = make_labels(latencies, group_keys)
-        x = statement_matrix(progs)
         self._trees = []
         self._base = float(labels.mean())
         residual = labels - self._base
         pred = np.full(len(labels), self._base)
         for _ in range(self.n_trees):
             tree = _Tree(self.max_depth, self.min_samples)
-            tree.fit(x, residual)
-            update = tree.predict(x)
+            tree.fit(features, residual)
+            update = tree.evaluate(features)
             pred += self.learning_rate * update
             residual = labels - pred
             self._trees.append(tree)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.costmodel.base import NNCostModel
-from repro.features.statement import STATEMENT_DIM, statement_matrix, statement_matrix_batch
+from repro.features.statement import STATEMENT_DIM, statement_matrix_batch
 from repro.nn.layers import Linear, ReLU, Sequential
 from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram
@@ -38,8 +38,10 @@ class TenSetMLP(NNCostModel):
     def _arch(self) -> dict:
         return {"hidden": self.hidden, "seed": self.seed}
 
-    def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
-        return statement_matrix(progs)
-
     def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
         return statement_matrix_batch(batch)
+
+    def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
+        # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
+        # ROADMAP 1c); nothing in src calls it
+        return self.featurize_batch(CandidateBatch.from_programs(progs))

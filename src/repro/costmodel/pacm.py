@@ -135,9 +135,10 @@ class PaCM(NNCostModel):
             "seed": self.seed,
         }
 
-    def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
-        # packed once, then both encoders read the same arrays
-        return _hybrid(CandidateBatch.from_programs(progs))
-
     def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
         return _hybrid(batch)
+
+    def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
+        # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
+        # ROADMAP 1c); nothing in src calls it
+        return self.featurize_batch(CandidateBatch.from_programs(progs))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.costmodel.base import NNCostModel
-from repro.features.primitives import PRIMITIVE_DIM, primitive_tensor, primitive_tensor_batch
+from repro.features.primitives import PRIMITIVE_DIM, primitive_tensor_batch
 from repro.schedule.batch import CandidateBatch
 from repro.nn.autograd import Tensor
 from repro.nn.layers import (
@@ -24,7 +24,6 @@ from repro.nn.layers import (
     ReLU,
     Sequential,
 )
-from repro.schedule.lower import LoweredProgram
 
 
 class _TLPNet(Module):
@@ -60,9 +59,6 @@ class TLPModel(NNCostModel):
 
     def _arch(self) -> dict:
         return {"d_model": self.d_model, "seed": self.seed}
-
-    def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
-        return primitive_tensor(progs)
 
     def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
         return primitive_tensor_batch(batch)

@@ -18,6 +18,7 @@ import numpy as np
 from repro.costmodel.base import CostModel
 from repro.dataset.tenset import TensorProgramDataset
 from repro.errors import DatasetError
+from repro.schedule.batch import CandidateBatch
 
 
 def top_k_score(
@@ -37,7 +38,9 @@ def top_k_score(
         if not finite.any():
             continue
         best = lats[finite].min()
-        scores = model.predict([e.prog for e in entries])
+        scores = model.predict_batch(
+            CandidateBatch.from_programs([e.prog for e in entries])
+        )
         picks = np.argsort(-scores)[:k]
         pick_lats = [lats[i] for i in picks if np.isfinite(lats[i])]
         picked = min(pick_lats) if pick_lats else lats[finite].max()

@@ -21,6 +21,7 @@ from repro.hardware.device import DeviceSpec, get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.partition import SubgraphTask, dedupe_tasks
 from repro.rng import rng_for
+from repro.schedule.batch import CandidateBatch
 from repro.schedule.lower import LoweredProgram, lower
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
@@ -79,11 +80,12 @@ class TensorProgramDataset:
         """Subgraph weight per task key."""
         return {e.task_key: e.weight for e in self.entries}
 
-    def training_data(self) -> tuple[list[LoweredProgram], np.ndarray, list[str]]:
-        progs = [e.prog for e in self.entries]
+    def training_data(self) -> tuple[CandidateBatch, np.ndarray, list[str]]:
+        """(packed programs, latencies, task keys); pack once, encode per model."""
+        batch = CandidateBatch.from_programs([e.prog for e in self.entries])
         lats = np.array([e.latency for e in self.entries])
         keys = [e.task_key for e in self.entries]
-        return progs, lats, keys
+        return batch, lats, keys
 
     def subsample(self, n: int, seed: int = 0) -> "TensorProgramDataset":
         """Uniform subsample of ``n`` entries (for data-scaling curves)."""
@@ -93,20 +95,6 @@ class TensorProgramDataset:
         idx = rng.choice(len(self.entries), size=n, replace=False)
         return TensorProgramDataset(
             self.device, [self.entries[int(i)] for i in idx]
-        )
-
-    def split_tasks(self, fraction: float = 0.8, seed: int = 0):
-        """Task-level split into (train, test) datasets."""
-        keys = self.task_keys
-        rng = rng_for("split", self.device.name, seed)
-        rng.shuffle(keys)
-        cut = max(1, int(len(keys) * fraction))
-        train_keys = set(keys[:cut])
-        train = [e for e in self.entries if e.task_key in train_keys]
-        test = [e for e in self.entries if e.task_key not in train_keys]
-        return (
-            TensorProgramDataset(self.device, train),
-            TensorProgramDataset(self.device, test),
         )
 
 

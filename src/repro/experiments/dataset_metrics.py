@@ -207,9 +207,10 @@ def topk_comparison(
             "pacm": PaCM(seed=seed),
         }
         out["scores"][device] = {}
+        batch, lats, keys = train_set.training_data()
         for name, model in models.items():
-            progs, lats, keys = train_set.training_data()
-            model.fit(progs, lats, keys, train=scale.offline_train, rng=make_rng(seed))
+            features = model.featurize_batch(batch)
+            model.fit(features, lats, keys, train=scale.offline_train, rng=make_rng(seed))
             out["scores"][device][name] = {
                 "top1": top_k_score(model, test_set, k=1),
                 "top5": top_k_score(model, test_set, k=5),
@@ -254,8 +255,9 @@ def topk_vs_datasize(
         for frac in fractions:
             subset = train_set.subsample(int(len(train_set) * frac), seed=seed)
             model = factory(seed=seed)
-            progs, lats, keys = subset.training_data()
-            model.fit(progs, lats, keys, train=scale.offline_train, rng=make_rng(seed))
+            batch, lats, keys = subset.training_data()
+            features = model.featurize_batch(batch)
+            model.fit(features, lats, keys, train=scale.offline_train, rng=make_rng(seed))
             curve.append([len(subset), top_k_score(model, test_set, k=1)])
         out["curves"][name] = curve
     return out

@@ -14,7 +14,9 @@ Three views of a scheduled program, mirroring the paper's comparison:
 
 Each view has a batched entry point (``*_batch``) consuming a
 :class:`~repro.schedule.batch.CandidateBatch` and returning the stacked
-feature array in one shot; the per-program functions are thin wrappers.
+feature array in one shot, and a one-row ``*_features`` for a single
+program.  There is no program-list door: callers holding programs pack
+them once with :meth:`CandidateBatch.from_programs`.
 Every row asked for is encoded: no row store sits in front of the
 encoders (a row's features are a pure function of its lowered arrays,
 and the same rows almost never come back across rounds).

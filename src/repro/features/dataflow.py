@@ -32,9 +32,8 @@ diversity the paper contrasts with TLP's sparse one-hots.
 
 Encoding is batched: :func:`dataflow_tensor_batch` turns the packed
 block arrays of a :class:`~repro.schedule.batch.CandidateBatch` into
-one ``(N, 10, 23)`` tensor; the scalar
-:func:`dataflow_features` and list-based :func:`dataflow_tensor` are
-thin wrappers over the same encoder.
+one ``(N, 10, 23)`` tensor; the one-row :func:`dataflow_features`
+packs its program and runs the same encoder.
 """
 
 from __future__ import annotations
@@ -86,11 +85,6 @@ def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     return _encode(batch)
 
 
-def dataflow_tensor(progs: list[LoweredProgram]) -> np.ndarray:
-    """Batch of dataflow sequences: shape (N, DATAFLOW_BLOCKS, DATAFLOW_DIM)."""
-    return _encode(CandidateBatch.from_programs(progs))
-
-
 def dataflow_features(prog: LoweredProgram) -> np.ndarray:
     """Temporal dataflow sequence of shape ``(DATAFLOW_BLOCKS, DATAFLOW_DIM)``."""
-    return dataflow_tensor([prog])[0]
+    return _encode(CandidateBatch.from_programs([prog]))[0]

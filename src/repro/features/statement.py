@@ -13,9 +13,9 @@ count, so instruction-level-parallelism effects are not separable from
 these features alone.
 
 Extraction is batched: :func:`statement_matrix_batch` encodes a whole
-:class:`~repro.schedule.batch.CandidateBatch` as one ``(N, 40)`` array; the
-scalar :func:`statement_features` and list-based
-:func:`statement_matrix` are thin wrappers over the same encoder.
+:class:`~repro.schedule.batch.CandidateBatch` as one ``(N, 40)`` array;
+the one-row :func:`statement_features` packs its program and runs the
+same encoder.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
     return _encode(batch)
 
 
-def statement_matrix(progs: list[LoweredProgram]) -> np.ndarray:
-    """Statement features of a program list: (N, STATEMENT_DIM)."""
-    return _encode(CandidateBatch.from_programs(progs))
-
-
 def statement_features(prog: LoweredProgram) -> np.ndarray:
     """Feature vector of shape ``(STATEMENT_DIM,)`` for one program."""
-    return statement_matrix([prog])[0]
+    return _encode(CandidateBatch.from_programs([prog]))[0]

@@ -130,7 +130,3 @@ class MeasureRunner:
         if not progs:
             return []
         return self.measure_batch(CandidateBatch.from_programs(progs)).to_results()
-
-    def true_latency(self, prog: LoweredProgram) -> float:
-        """Noise-free ground truth (used by dataset generation / metrics)."""
-        return self.simulator.latency(prog)

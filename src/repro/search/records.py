@@ -203,14 +203,12 @@ class RecordLog:
         return len(self._measured.get(task_key, ()))
 
     # ------------------------------------------------------------------
-    def training_data(
-        self,
-    ) -> tuple[list[LoweredProgram], np.ndarray, list[str]]:
-        """(programs, latencies, task keys) for cost-model training."""
-        progs = [r.prog for r in self._records]
+    # the e2e tracer binds this name (benchmarks/e2e/tracing.py, ROADMAP 1c)
+    def training_data(self) -> tuple[np.ndarray, list[str]]:
+        """(latencies, task keys) in log order; the tuner holds the features."""
         lats = np.array([r.latency for r in self._records])
         keys = [r.task_key for r in self._records]
-        return progs, lats, keys
+        return lats, keys
 
 
 @dataclass

@@ -31,6 +31,7 @@ from repro.costmodel.base import CostModel
 from repro.errors import CostModelError
 from repro.hardware.measure import MeasureRunner
 from repro.rng import make_rng
+from repro.schedule.batch import CandidateBatch
 from repro.search.policy import SearchPolicy
 from repro.search.records import CurvePoint, RecordLog, TuningRecord, time_to_reach
 from repro.search.task import TuningTask
@@ -161,6 +162,10 @@ class Tuner:
         self.fixed_latency = fixed_latency
         self.rng = rng if rng is not None else make_rng(0)
         self.records = RecordLog()
+        #: the model's input rows for ``self.records``, each encoded once
+        #: when it lands (offline models never train: none).  Not in the
+        #: log, which is model-agnostic: it is what gets persisted.
+        self._features: list[np.ndarray] = []
         self.scheduler = GradientTaskScheduler(tasks)
         self._round = 0
         #: trace of the most recently completed round (telemetry
@@ -212,12 +217,15 @@ class Tuner:
         # train on discard the seed — a cold start beats ranking round
         # one with an unfitted model.
         if self.seeded_trials > 0 and self.mode != "offline":
+            seeded = [r.prog for r in self.records.records]
+            self._encode(CandidateBatch.from_programs(seeded))
             if self.warm_model and initial_model_trained_on >= len(self.records):
                 pass  # the checkpoint already encodes this evidence
             elif len(self.records) >= MIN_TRAIN_RECORDS:
                 self._update_model()
             elif not self.warm_model and self.mode in ("online", "moa"):
                 self.records = RecordLog()
+                self._features = []
                 self.seeded_trials = 0
 
     # ------------------------------------------------------------------
@@ -311,6 +319,8 @@ class Tuner:
                 with obs.span("measure"):
                     res = self.runner.measure_batch(batch)
                 obs.funnel("measured", len(batch))
+                if self.mode != "offline":
+                    self._encode(batch)
                 sim_time = self.clock.total
                 for i in range(len(batch)):
                     self.records.add(
@@ -350,21 +360,29 @@ class Tuner:
             return None
 
     # ------------------------------------------------------------------
+    def _encode(self, batch: CandidateBatch) -> None:
+        """Append the model's input rows for records just added to the log."""
+        with obs.span("train"):
+            self._features.append(self.model.featurize_batch(batch))
+
     def _update_model(self) -> None:
-        progs, lats, keys = self.records.training_data()
-        if len(progs) < MIN_TRAIN_RECORDS:
+        lats, keys = self.records.training_data()
+        if len(lats) < MIN_TRAIN_RECORDS:
             return
         with obs.span("train"):
+            # one array for fit; later rounds append their chunks after it
+            self._features = [np.concatenate(self._features)]
+            features = self._features[0]
             if self.mode == "moa":
                 assert self.adapter is not None
                 self.adapter.load_into(self.model)  # 1. Load Param
-                self.model.fit(progs, lats, keys, train=self.train, rng=self.rng)
+                self.model.fit(features, lats, keys, train=self.train, rng=self.rng)
                 self.adapter.update_from(self.model)  # 3. Momentum update
             else:  # online / finetune: keep training the live model
-                self.model.fit(progs, lats, keys, train=self.train, rng=self.rng)
+                self.model.fit(features, lats, keys, train=self.train, rng=self.rng)
         self._model_trained = True
-        self.model_trained_on = max(len(progs), self._inherited_trained_on)
-        self.clock.charge_training(self.model.kind, len(progs), self.train.epochs)
+        self.model_trained_on = max(len(lats), self._inherited_trained_on)
+        self.clock.charge_training(self.model.kind, len(lats), self.train.epochs)
 
     def _curve_point(self) -> CurvePoint:
         latency = self.fixed_latency

@@ -220,10 +220,13 @@ class TestApi:
         and so are the parameters fitted on it (to BLAS rounding)."""
         from repro.costmodel import TenSetMLP
 
-        model, seen = TenSetMLP(), {}
-        fit = model.fit
-        model.fit = lambda progs, lats, keys, **kw: (
-            seen.update(progs=progs, lats=lats, keys=keys) or fit(progs, lats, keys, **kw)
+        model, seen = TenSetMLP(), {"progs": []}
+        featurize, fit = model.featurize_batch, model.fit
+        model.featurize_batch = lambda batch: (
+            seen["progs"].extend(map(batch.program, range(len(batch)))) or featurize(batch)
+        )
+        model.fit = lambda features, lats, keys, **kw: (
+            seen.update(lats=lats, keys=keys) or fit(features, lats, keys, **kw)
         )
         params = api.pretrain_model(
             model, subs, "t4", samples_per_task=25, train=TRAIN, seed=0

@@ -511,20 +511,26 @@ class TestCostModelBatch:
         ids=["mlp", "pacm", "tlp", "gbdt"],
     )
     def test_predict_batch_matches_predict(self, model_factory, matmul_space, a100):
+        """``lower_batch`` rows encode and score like the same programs
+        packed one by one: what the program-list ``predict(progs)`` did,
+        and how a mixed-task log is packed for training."""
         space = matmul_space
         configs = random_population(space, make_rng(7), 40)
-        progs = [lower(space, c) for c in configs]
-        model = model_factory()
-        lat = 1e-3 * (1.0 + make_rng(8).random(len(progs)))
-        model.fit(progs, lat, ["t"] * len(progs), rng=make_rng(9))
+        packed = CandidateBatch.from_programs([lower(space, c) for c in configs])
         batch = lower_batch(space, configs)
-        np.testing.assert_array_equal(model.predict_batch(batch), model.predict(progs))
+        model = model_factory()
+        features = model.featurize_batch(packed)
+        np.testing.assert_array_equal(model.featurize_batch(batch), features)
+        lat = 1e-3 * (1.0 + make_rng(8).random(len(configs)))
+        model.fit(features, lat, ["t"] * len(configs), rng=make_rng(9))
+        np.testing.assert_array_equal(model.predict_batch(batch), model.predict_batch(packed))
 
     def test_random_model_draw_counts_align(self, matmul_space):
         configs = random_population(matmul_space, make_rng(0), 10)
         batch = lower_batch(matmul_space, configs)
+        packed = CandidateBatch.from_programs([lower(matmul_space, c) for c in configs])
         a = RandomModel(seed=3).predict_batch(batch)
-        b = RandomModel(seed=3).predict([lower(matmul_space, c) for c in configs])
+        b = RandomModel(seed=3).predict_batch(packed)
         np.testing.assert_array_equal(a, b)
 
 
@@ -608,7 +614,7 @@ class TestPolicyEquivalence:
         """Same drafted set -> same predictions -> same measured batch.
 
         The mirror repeats the verify stage with the *scalar* entry
-        points (per-program lower / predict / select by
+        points (per-program lower, scoring the packed programs, select by
         ``ScheduleConfig.key``, where the policy selects by row bytes)
         on an identical RNG stream; proposals and clock charges must
         agree exactly.
@@ -619,7 +625,8 @@ class TestPolicyEquivalence:
         clock = SimClock()
         policy = PrunerPolicy(task, model, search=search, clock=clock)
         records = self._seed_records(task, policy, make_rng(0))
-        model.fit(*records.training_data(), rng=make_rng(1))
+        logged = CandidateBatch.from_programs([r.prog for r in records.records])
+        model.fit(model.featurize_batch(logged), *records.training_data(), rng=make_rng(1))
 
         # --- batched proposal ---
         exploration_before = clock.elapsed("exploration")
@@ -638,7 +645,7 @@ class TestPolicyEquivalence:
         progs = [lower(task.space, c) for c in draft_configs]
         progs = [p for p in progs if is_launchable(p, task.device)]
         mirror_clock.charge_inference(model.feature_kind, model.kind, len(progs))
-        scores = model.predict(progs)
+        scores = model.predict_batch(CandidateBatch.from_programs(progs))
 
         k = search.measure_per_round
         n_rand = max(0, int(round(k * search.eps_greedy))) or 1

@@ -17,7 +17,7 @@ from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.rng import make_rng
 from repro.schedule import generate_sketch
-from repro.schedule.batch import lower_batch
+from repro.schedule.batch import CandidateBatch, lower_batch
 from repro.schedule.sampler import random_batch
 from repro.workloads import network_tasks
 
@@ -59,12 +59,14 @@ def paper_round():
         keys += [task.workload.key] * len(measured)
     draft = lower_batch(space, random_batch(space, rng, 512))
     assert (len(progs), len(draft)) == (240, 512)
-    return progs, np.array([sim.latency(p) for p in progs]), keys, draft
+    lats = np.array([sim.latency(p) for p in progs])
+    return CandidateBatch.from_programs(progs), lats, keys, draft
 
 
 def _fit_predict(model, paper_round):
-    progs, lats, keys, draft = paper_round
-    accuracy = model.fit(progs, lats, keys, ONLINE_TRAIN, make_rng(1))
+    measured, lats, keys, draft = paper_round
+    features = model.featurize_batch(measured)
+    accuracy = model.fit(features, lats, keys, ONLINE_TRAIN, make_rng(1))
     return accuracy, model.predict_batch(draft), model.get_params()
 
 
@@ -153,11 +155,12 @@ class TestNoLibrary:
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs a second core to waste")
 def test_a_training_loop_uses_one_core(threads, paper_round):
     """The symptom: a spinning OpenBLAS helper made CPU time ~2x wall time."""
-    progs, lats, keys, draft = paper_round
+    measured, lats, keys, draft = paper_round
     model = PaCM(seed=0)
+    features = model.featurize_batch(measured)
     wall, cpu = time.perf_counter(), time.process_time()
     while time.perf_counter() - wall < 1.0:
         model.predict_batch(draft)
-        model.fit(progs, lats, keys, ONLINE_TRAIN, make_rng(1))
+        model.fit(features, lats, keys, ONLINE_TRAIN, make_rng(1))
     ratio = (time.process_time() - cpu) / (time.perf_counter() - wall)
     assert ratio <= 1.5  # ~2.0 without the cap, ~1.0 with it

@@ -82,7 +82,7 @@ def golden_rounds(device: str, lse_rows=_lse_rows) -> dict:
         cold = policy.propose_batch(RecordLog(), make_rng(0))
         records = RecordLog()
         records.extend(_records_for(task, cold, 0))
-        model.fit(*records.training_data(), rng=make_rng(1))
+        model.fit(model.featurize_batch(cold), *records.training_data(), rng=make_rng(1))
         # warm: seeds from the log, learned model ranks the drafted set
         warm = policy.propose_batch(records, make_rng(2))
         # same draw, but the warm picks arrive as persisted records in a
@@ -288,8 +288,9 @@ class TestMaterialisationBudget:
         model = GBDTModel()
         policy = policy_cls(task, model, search=search)
         records = RecordLog()
-        records.extend(_records_for(task, policy.propose_batch(records, make_rng(0)), 0))
-        model.fit(*records.training_data(), rng=make_rng(1))
+        first = policy.propose_batch(records, make_rng(0))
+        records.extend(_records_for(task, first, 0))
+        model.fit(model.featurize_batch(first), *records.training_data(), rng=make_rng(1))
 
         built = []
         from_map = ScheduleConfig.from_map

@@ -29,7 +29,7 @@ TRAIN = TrainConfig(epochs=15)
 
 @pytest.fixture(scope="module")
 def training_data():
-    """Labelled programs from two tasks on the simulated T4."""
+    """Labelled programs from two tasks on the simulated T4, packed once."""
     sim = GroundTruthSimulator(get_device("t4"))
     rng = make_rng(0)
     progs, lats, keys = [], [], []
@@ -40,7 +40,12 @@ def training_data():
             progs.append(p)
             lats.append(sim.latency(p))
             keys.append(wl.key)
-    return progs, np.array(lats), keys
+    return CandidateBatch.from_programs(progs), np.array(lats), keys
+
+
+def _fit(model, batch, lats, keys, *args, **kwargs):
+    """Train ``model`` on a packed batch, the way every caller does."""
+    return model.fit(model.featurize_batch(batch), lats, keys, *args, **kwargs)
 
 
 class TestMakeLabels:
@@ -77,14 +82,14 @@ class TestMakeLabels:
     def test_fit_survives_all_invalid_task(self, training_data):
         """Regression: training data containing an all-invalid task must
         not feed a degenerate group to the LambdaRank loop."""
-        progs, lats, keys = training_data
-        progs = progs[:20] + progs[:4]
+        batch, lats, keys = training_data
+        batch = batch.take(np.r_[0:20, 0:4])
         lats = np.concatenate([lats[:20], [np.inf] * 4])
         keys = keys[:20] + ["all-dead-task"] * 4
         model = TenSetMLP()
-        acc = model.fit(progs, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(2))
+        acc = _fit(model, batch, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(2))
         assert np.isfinite(acc)
-        assert np.all(np.isfinite(model.predict(progs[:5])))
+        assert np.all(np.isfinite(model.predict_batch(batch.take(np.arange(5)))))
 
 
 @pytest.mark.parametrize(
@@ -92,24 +97,30 @@ class TestMakeLabels:
 )
 class TestAllModels:
     def test_fit_predict_roundtrip(self, factory, training_data):
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = factory()
-        acc = model.fit(progs, lats, keys, train=TRAIN, rng=make_rng(1))
+        acc = _fit(model, batch, lats, keys, train=TRAIN, rng=make_rng(1))
         assert acc > 0.6, f"{factory.__name__} failed to learn: acc={acc:.3f}"
-        scores = model.predict(progs[:10])
+        scores = model.predict_batch(batch.take(np.arange(10)))
         assert scores.shape == (10,)
         assert np.all(np.isfinite(scores))
 
     def test_predict_empty(self, factory):
-        assert factory().predict([]).shape == (0,)
+        empty = CandidateBatch.from_programs([])
+        assert factory().predict_batch(empty).shape == (0,)
+
+    def test_featurize_batch_has_one_row_per_candidate(self, factory, training_data):
+        batch, _, _ = training_data
+        features = factory().featurize_batch(batch.take(np.arange(7)))
+        assert features.shape[0] == 7 and features.dtype == np.float64
 
     def test_higher_score_means_faster(self, factory, training_data):
         """Within a task, predicted scores correlate negatively with latency."""
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = factory()
-        model.fit(progs, lats, keys, train=TRAIN, rng=make_rng(1))
+        _fit(model, batch, lats, keys, train=TRAIN, rng=make_rng(1))
         idx = [i for i, k in enumerate(keys) if k == keys[0]]
-        scores = model.predict([progs[i] for i in idx])
+        scores = model.predict_batch(batch.take(np.asarray(idx)))
         finite = [i for i in range(len(idx)) if np.isfinite(lats[idx[i]])]
         corr = np.corrcoef(scores[finite], -np.log(lats[[idx[i] for i in finite]]))[0, 1]
         assert corr > 0.3
@@ -117,17 +128,18 @@ class TestAllModels:
 
 class TestNNModelSpecifics:
     def test_params_roundtrip_preserves_predictions(self, training_data):
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         a = PaCM(seed=0)
-        a.fit(progs, lats, keys, train=TrainConfig(epochs=4), rng=make_rng(0))
+        _fit(a, batch, lats, keys, train=TrainConfig(epochs=4), rng=make_rng(0))
         b = PaCM(seed=5)
         b.set_params(a.get_params())
-        assert np.allclose(a.predict(progs[:8]), b.predict(progs[:8]))
+        head = batch.take(np.arange(8))
+        assert np.allclose(a.predict_batch(head), b.predict_batch(head))
 
     def test_norm_stats_travel_with_params(self, training_data):
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         a = TenSetMLP(seed=0)
-        a.fit(progs, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(0))
+        _fit(a, batch, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(0))
         params = a.get_params()
         assert "_norm.mu" in params and "_norm.sigma" in params
 
@@ -142,10 +154,12 @@ class TestNNModelSpecifics:
         assert no_sf < full and no_df < full
 
     def test_random_model_is_uninformative(self, training_data):
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = RandomModel()
-        assert model.fit(progs, lats, keys) == 0.5
-        assert model.predict(progs[:5]).shape == (5,)
+        features = model.featurize_batch(batch)
+        assert features.shape == (len(batch), 0)  # it reads nothing
+        assert model.fit(features, lats, keys) == 0.5
+        assert model.predict_batch(batch.take(np.arange(5))).shape == (5,)
 
 
 #: Captured at the parent of the commit that fused the training kernels
@@ -169,15 +183,13 @@ def _golden_fit(kind):
     latencies = np.exp(rng.normal(size=GOLDEN_ROWS))
     latencies[5] = np.inf
     keys = ["a"] * 24 + ["b"] * 24
-    progs = [None] * GOLDEN_ROWS
-    model.featurize = lambda _progs: features
     accuracy = model.fit(
-        progs, latencies, keys, TrainConfig(epochs=3, batch_size=16), rng=make_rng(5)
+        features, latencies, keys, TrainConfig(epochs=3, batch_size=16), rng=make_rng(5)
     )
     params = model.get_params()
     return {
         "accuracy": accuracy,
-        "scores": model.predict(progs).tolist(),
+        "scores": model._score(model._normalize(features)).tolist(),
         "param_sums": {name: float(params[name].sum()) for name in sorted(params)},
     }
 
@@ -203,35 +215,40 @@ class TestTrainingPath:
 
     @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
     def test_same_seed_fit_twice_is_identical(self, factory, training_data):
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
+        head = batch.take(np.arange(80))
         runs = []
         for _ in range(2):
             model = factory(seed=2)
-            acc = model.fit(progs[:80], lats[:80], keys[:80], self.FIT, rng=make_rng(7))
+            acc = _fit(model, head, lats[:80], keys[:80], self.FIT, rng=make_rng(7))
             runs.append((acc, model.get_params()))
         assert runs[0][0] == runs[1][0]
         assert _same_params(runs[0][1], runs[1][1])
 
-    def test_fit_featurizes_once_and_scores_what_predict_scores(self, training_data):
-        progs, lats, keys = training_data
+    def test_fit_encodes_nothing_and_scores_what_predict_batch_scores(
+        self, training_data, monkeypatch
+    ):
+        """``fit`` trains on the rows it is handed; its accuracy is the
+        trained model's ranking of those same rows."""
+        batch, lats, keys = training_data
         model = PaCM(seed=0)
-        calls = []
-        featurize = model.featurize
-        model.featurize = lambda p: calls.append(len(p)) or featurize(p)
-        acc = model.fit(progs, lats, keys, self.FIT, rng=make_rng(0))
-        assert calls == [len(progs)]
+        features = model.featurize_batch(batch)
+        with monkeypatch.context() as m:
+            m.setattr(model, "featurize_batch", lambda _: pytest.fail("fit encoded"))
+            acc = model.fit(features, lats, keys, self.FIT, rng=make_rng(0))
         labels, groups = make_labels(lats, keys)
-        assert acc == pairwise_rank_accuracy(model.predict(progs), labels, groups)
+        assert acc == pairwise_rank_accuracy(model.predict_batch(batch), labels, groups)
 
     def test_set_params_between_fits_reaches_fit_and_predict_batch(self, training_data):
         """The optimizer of the last fit must not keep serving stale views."""
-        progs, lats, keys = training_data
-        batch = CandidateBatch.from_programs(progs[:16])
+        train, lats, keys = training_data
+        batch = train.take(np.arange(16))
         a = PaCM(seed=0)
-        a.fit(progs, lats, keys, self.FIT, rng=make_rng(0))
+        features = a.featurize_batch(train)
+        a.fit(features, lats, keys, self.FIT, rng=make_rng(0))
         snapshot = a.get_params()
         at_snapshot = a.predict_batch(batch)
-        a.fit(progs, lats, keys, self.FIT, rng=make_rng(1))
+        a.fit(features, lats, keys, self.FIT, rng=make_rng(1))
         assert not np.array_equal(a.predict_batch(batch), at_snapshot)
         # the earlier snapshot is an independent copy ...
         b = PaCM(seed=9)
@@ -240,17 +257,18 @@ class TestTrainingPath:
         # ... and loading it back is seen by inference and by the next fit
         a.set_params(snapshot)
         assert np.array_equal(a.predict_batch(batch), at_snapshot)
-        a.fit(progs, lats, keys, self.FIT, rng=make_rng(2))
-        b.fit(progs, lats, keys, self.FIT, rng=make_rng(2))
+        a.fit(features, lats, keys, self.FIT, rng=make_rng(2))
+        b.fit(features, lats, keys, self.FIT, rng=make_rng(2))
         assert _same_params(a.get_params(), b.get_params())
         assert np.array_equal(a.predict_batch(batch), b.predict_batch(batch))
 
     def test_moa_update_between_fits(self, training_data):
         """Load Param -> fine-tune -> momentum update, two rounds (Section 4.3)."""
-        progs, lats, keys = training_data
-        batch = CandidateBatch.from_programs(progs[:16])
+        train, lats, keys = training_data
+        batch = train.take(np.arange(16))
         model = PaCM(seed=0)
-        model.fit(progs, lats, keys, self.FIT, rng=make_rng(0))
+        features = model.featurize_batch(train)
+        model.fit(features, lats, keys, self.FIT, rng=make_rng(0))
         adapter = MomentumAdapter.from_model(model, momentum=0.5)
         for round_seed in (1, 2):
             siamese = adapter.siamese_params
@@ -259,8 +277,8 @@ class TestTrainingPath:
             loaded = PaCM(seed=4)
             loaded.set_params(siamese)
             assert np.array_equal(model.predict_batch(batch), loaded.predict_batch(batch))
-            model.fit(progs, lats, keys, self.FIT, rng=make_rng(round_seed))
-            loaded.fit(progs, lats, keys, self.FIT, rng=make_rng(round_seed))
+            model.fit(features, lats, keys, self.FIT, rng=make_rng(round_seed))
+            loaded.fit(features, lats, keys, self.FIT, rng=make_rng(round_seed))
             assert _same_params(model.get_params(), loaded.get_params())
             adapter.update_from(model)
             # the fold reads a copy: phi_s moved, the model did not
@@ -269,31 +287,32 @@ class TestTrainingPath:
 
     @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
     def test_save_load_state_bit_exact_after_fit(self, factory, training_data):
-        progs, lats, keys = training_data
-        batch = CandidateBatch.from_programs(progs[:16])
+        train, lats, keys = training_data
+        batch = train.take(np.arange(16))
         model = factory(seed=0)
-        model.fit(progs[:80], lats[:80], keys[:80], self.FIT, rng=make_rng(0))
+        features = model.featurize_batch(train.take(np.arange(80)))
+        model.fit(features, lats[:80], keys[:80], self.FIT, rng=make_rng(0))
         state = model.save_state()
         saved = {k: v.copy() for k, v in state["params"].items()}
         restored = factory(seed=6)
         restored.load_state(state)
         assert np.array_equal(restored.predict_batch(batch), model.predict_batch(batch))
         # the state is a copy: training on does not reach into it
-        model.fit(progs[:80], lats[:80], keys[:80], self.FIT, rng=make_rng(1))
+        model.fit(features, lats[:80], keys[:80], self.FIT, rng=make_rng(1))
         assert _same_params(state["params"], saved)
         assert not _same_params(model.get_params(), saved)
 
 
 class TestGBDT:
     def test_more_trees_fit_better(self, training_data):
-        progs, lats, keys = training_data
-        small = GBDTModel(n_trees=3).fit(progs, lats, keys)
-        big = GBDTModel(n_trees=40).fit(progs, lats, keys)
+        batch, lats, keys = training_data
+        small = _fit(GBDTModel(n_trees=3), batch, lats, keys)
+        big = _fit(GBDTModel(n_trees=40), batch, lats, keys)
         assert big >= small
 
     def test_tiny_dataset_handled(self, training_data):
-        progs, lats, keys = training_data
-        assert GBDTModel().fit(progs[:2], lats[:2], keys[:2]) == 0.0
+        batch, lats, keys = training_data
+        assert _fit(GBDTModel(), batch.take(np.arange(2)), lats[:2], keys[:2]) == 0.0
 
     def test_no_params_protocol(self):
         with pytest.raises(CostModelError):

@@ -157,10 +157,10 @@ class RowHashModel(CostModel):
         weights = np.resize(self.WEIGHTS, rows.shape[1]) + np.arange(rows.shape[1])
         return ((rows * weights).sum(axis=1) % 999_999_999_989).astype(np.float64)
 
-    def predict(self, progs):
+    def featurize_batch(self, batch):
         raise NotImplementedError
 
-    def fit(self, progs, latencies, group_keys, train=None, rng=None):
+    def fit(self, features, latencies, group_keys, train=None, rng=None):
         raise NotImplementedError
 
 

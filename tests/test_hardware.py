@@ -110,7 +110,7 @@ class TestMeasureRunner:
     def test_noise_is_small_and_multiplicative(self, a100, matmul_space, rng):
         runner = MeasureRunner(a100, noise_sigma=0.02, rng=make_rng(0))
         prog = lower(matmul_space, random_config(matmul_space, rng))
-        true = runner.true_latency(prog)
+        true = runner.simulator.latency(prog)
         results = runner.measure([prog] * 20)
         for r in results:
             assert abs(r.latency / true - 1.0) < 0.15

@@ -20,6 +20,7 @@ from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
 from repro.schedule import generate_sketch, lower, random_config
+from repro.schedule.batch import CandidateBatch
 from repro.search import make_tasks
 from repro.service.models import (
     CHECKPOINT_SCHEMA_VERSION,
@@ -47,7 +48,7 @@ def training_data():
         prog = lower(space, random_config(space, rng))
         progs.append(prog)
         lats.append(sim.latency(prog))
-    return progs, np.array(lats), [wl.key] * len(progs)
+    return CandidateBatch.from_programs(progs), np.array(lats), [wl.key] * len(progs)
 
 
 def _truncate_to_two_lines(path):
@@ -83,26 +84,26 @@ class TestStateRoundTrip:
     def test_bit_identical_predictions_through_wire(self, factory, training_data):
         """get_params -> save_state -> wire -> load_state reproduces the
         trained model's predictions exactly, for all four model kinds."""
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = factory()
-        model.fit(progs, lats, keys, train=TRAIN, rng=make_rng(1))
-        wire = state_to_wire(model.save_state(), trained_trials=len(progs))
+        model.fit(model.featurize_batch(batch), lats, keys, train=TRAIN, rng=make_rng(1))
+        wire = state_to_wire(model.save_state(), trained_trials=len(batch))
         # through real JSON, like the disk file and the lease payload
         wire = json.loads(json.dumps(wire))
-        assert wire_trained_trials(wire) == len(progs)
+        assert wire_trained_trials(wire) == len(batch)
 
         restored = _fresh(factory)
         restored.load_state(state_from_wire(wire))
-        expected = model.predict(progs[:12])
-        got = restored.predict(progs[:12])
+        expected = model.predict_batch(batch.take(np.arange(12)))
+        got = restored.predict_batch(batch.take(np.arange(12)))
         assert np.array_equal(got, expected)  # bit-identical, not approx
 
     def test_untrained_state_round_trips(self, factory, training_data):
-        progs, _, _ = training_data
+        batch, _, _ = training_data
         model = factory()
         restored = _fresh(factory)
         restored.load_state(model.save_state())
-        assert np.array_equal(restored.predict(progs[:4]), model.predict(progs[:4]))
+        assert np.array_equal(restored.predict_batch(batch.take(np.arange(4))), model.predict_batch(batch.take(np.arange(4))))
 
 
 class TestStateRejection:
@@ -143,10 +144,10 @@ class TestStateRejection:
         """A corrupt envelope (empty base, out-of-range children) must
         raise CostModelError — the cold-start contract — and leave the
         trained model fully intact, trees included."""
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = GBDTModel()
-        model.fit(progs, lats, keys, rng=make_rng(3))
-        before = model.predict(progs[:8])
+        model.fit(model.featurize_batch(batch), lats, keys, rng=make_rng(3))
+        before = model.predict_batch(batch.take(np.arange(8)))
         good = model.save_state()
 
         empty_base = dict(good, params=dict(good["params"], _base=np.zeros(0)))
@@ -162,13 +163,13 @@ class TestStateRejection:
         bad_children["params"][name] = poisoned
         with pytest.raises(CostModelError):
             model.load_state(bad_children)  # into the *trained* model
-        assert np.array_equal(model.predict(progs[:8]), before)  # untouched
+        assert np.array_equal(model.predict_batch(batch.take(np.arange(8))), before)  # untouched
 
         cyclic = dict(good, params=dict(good["params"]))
         loop = cyclic["params"][name].copy()
         loop[split_pos] = split_pos  # self-loop: in-range but never terminates
         cyclic["params"][name] = loop
-        with pytest.raises(CostModelError):  # predict() would hang forever
+        with pytest.raises(CostModelError):  # predict_batch() would hang forever
             GBDTModel().load_state(cyclic)
 
         wide = dict(good, params=dict(good["params"]))
@@ -176,7 +177,7 @@ class TestStateRejection:
         feats = wide["params"][feat_name].copy()
         feats[split_pos] = 10**6  # splits on a feature that doesn't exist
         wide["params"][feat_name] = feats
-        with pytest.raises(CostModelError):  # predict() would IndexError
+        with pytest.raises(CostModelError):  # predict_batch() would IndexError
             GBDTModel().load_state(wide)
 
         nan_feat = dict(good, params=dict(good["params"]))
@@ -205,9 +206,9 @@ class TestStateRejection:
     def test_unpaired_norm_stats_rejected(self, training_data):
         """Weights without the sigma they were normalized by must be a
         cold start, not a silently denormalized model."""
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = TenSetMLP(seed=0)
-        model.fit(progs, lats, keys, train=TRAIN, rng=make_rng(1))
+        model.fit(model.featurize_batch(batch), lats, keys, train=TRAIN, rng=make_rng(1))
         state = model.save_state()
         assert "_norm.sigma" in state["params"]
         state["params"] = dict(state["params"])
@@ -228,9 +229,9 @@ class TestStateRejection:
     def test_bad_norm_stats_rejected(self, training_data):
         """Zero or NaN normalization stats must reject as cold start,
         never load and turn every prediction NaN."""
-        progs, lats, keys = training_data
+        batch, lats, keys = training_data
         model = TenSetMLP(seed=0)
-        model.fit(progs, lats, keys, train=TRAIN, rng=make_rng(1))
+        model.fit(model.featurize_batch(batch), lats, keys, train=TRAIN, rng=make_rng(1))
         good = model.save_state()
         for poison in (0.0, np.nan):
             state = dict(good, params=dict(good["params"]))

@@ -17,7 +17,7 @@ from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
 from repro.schedule import evolve as evolve_module
 from repro.schedule import lower, random_config
-from repro.schedule.batch import ConfigBatch, lower_batch
+from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.mutate import mutate_batch
 from repro.schedule.sampler import random_batch
 from repro.search import (
@@ -152,9 +152,11 @@ class TestPolicies:
             policy = cls(task, model, search=SEARCH, clock=clock)
             records = RecordLog()
             # seed one round so models count as trained
-            for p in _propose(policy, records, make_rng(0)):
+            progs = _propose(policy, records, make_rng(0))
+            for p in progs:
                 records.add(TuningRecord(task.key, p, 1e-3, 0.0, 0))
-            model.fit(*records.training_data(), train=TrainConfig(epochs=2))
+            features = model.featurize_batch(CandidateBatch.from_programs(progs))
+            model.fit(features, *records.training_data(), train=TrainConfig(epochs=2))
             clock_before = clock.elapsed(EXPLORATION)
             policy.propose_batch(records, make_rng(1))
             results[name] = clock.elapsed(EXPLORATION) - clock_before
@@ -326,11 +328,11 @@ class TestTuner:
 
         model = PaCM()
         # give the adapter trained-shape params (incl. norm stats)
-        progs = []
         task = two_tasks[0]
         rng = make_rng(2)
         progs = [lower(task.space, random_config(task.space, rng)) for _ in range(8)]
-        model.fit(progs, np.full(8, 1e-3), [task.key] * 8, train=TrainConfig(epochs=1))
+        features = model.featurize_batch(CandidateBatch.from_programs(progs))
+        model.fit(features, np.full(8, 1e-3), [task.key] * 8, train=TrainConfig(epochs=1))
         adapter = MomentumAdapter.from_model(model)
         start = adapter.siamese_params
         tuner = self._build(two_tasks, a100, mode="moa", model=model, adapter=adapter)
@@ -347,3 +349,111 @@ class TestTuner:
         result = tuner.tune(4)
         finite = [p.latency for p in result.curve if math.isfinite(p.latency)]
         assert all(v >= 1.0 for v in finite)
+
+
+class _TrainingSpy:
+    """Counts the rows a model encodes outside ``predict_batch`` (the
+    training rows) and keeps a copy of every matrix ``fit`` receives."""
+
+    def __init__(self, model):
+        self.model = model
+        self.encoded = 0
+        self.fits: list[np.ndarray] = []
+        self._featurize = model.featurize_batch
+        predict, fit = model.predict_batch, model.fit
+        scoring = []
+
+        def featurize_batch(batch):
+            if not scoring:
+                self.encoded += len(batch)
+            return self._featurize(batch)
+
+        def predict_batch(batch):
+            scoring.append(True)
+            try:
+                return predict(batch)
+            finally:
+                scoring.pop()
+
+        def fit_(features, *args, **kwargs):
+            self.fits.append(features.copy())
+            return fit(features, *args, **kwargs)
+
+        model.featurize_batch = featurize_batch
+        model.predict_batch = predict_batch
+        model.fit = fit_
+
+    def oracle(self, records: RecordLog) -> np.ndarray:
+        """The log re-packed and re-encoded whole: what fit used to see."""
+        packed = CandidateBatch.from_programs([r.prog for r in records.records])
+        return self._featurize(packed)
+
+
+class TestTrainingMatrix:
+    """The tuner encodes each measured row once and hands ``fit`` the
+    same matrix that re-encoding the whole log would produce."""
+
+    ROUNDS = 4
+
+    @pytest.fixture(scope="class")
+    def subs(self):
+        from repro.workloads import network_tasks
+
+        return network_tasks("resnet50", top_k=3)
+
+    @pytest.fixture(scope="class")
+    def pretrained(self, subs):
+        from repro import api
+
+        return api.pretrain_model(PaCM(), subs, "a100", samples_per_task=20)
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        from repro import api
+
+        spies = []
+        make = api._default_model
+
+        def default_model(method, seed):
+            model = make(method, seed)
+            spies.append(_TrainingSpy(model))
+            return model
+
+        monkeypatch.setattr(api, "_default_model", default_model)
+        return spies
+
+    def _tune(self, method, subs, **kwargs):
+        from repro import api
+
+        return api.tune_subgraphs(
+            method, subs, "a100", rounds=self.ROUNDS, scale="smoke", **kwargs
+        )
+
+    def _assert_encoded_once(self, spy, records):
+        assert spy.encoded == len(records)
+        assert len(spy.fits) > 1
+        # what re-encoding the log every round would have cost
+        assert sum(map(len, spy.fits)) > len(records)
+        oracle = spy.oracle(records)
+        for features in spy.fits:
+            assert np.array_equal(features, oracle[: len(features)])
+        assert len(spy.fits[-1]) == len(records)
+
+    @pytest.mark.parametrize("method", ["pruner", "ansor", "moa-pruner"])
+    def test_each_row_is_encoded_once(self, method, subs, pretrained, spies):
+        kwargs = {"pretrained": pretrained} if method == "moa-pruner" else {}
+        result = self._tune(method, subs, **kwargs)
+        (spy,) = spies
+        self._assert_encoded_once(spy, result.records)
+
+    def test_a_seeded_log_is_encoded_once(self, subs, spies, tmp_path):
+        self._tune("pruner", subs, cache_dir=tmp_path, model_cache=False)
+        result = self._tune("pruner", subs, cache_dir=tmp_path, model_cache=False, seed=1)
+        assert result.seeded_trials > 0
+        self._assert_encoded_once(spies[1], result.records)
+
+    def test_an_offline_run_encodes_nothing_for_training(self, subs, pretrained, spies):
+        result = self._tune("pruner-offline", subs, pretrained=pretrained)
+        (spy,) = spies
+        assert len(result.records) > 0
+        assert spy.encoded == 0 and spy.fits == []

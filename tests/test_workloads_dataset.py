@@ -136,9 +136,13 @@ class TestDataset:
         assert len(sub) == 20
         assert small_dataset.subsample(10**9) is small_dataset
 
-    def test_split_tasks_disjoint(self, small_dataset):
-        train, test = small_dataset.split_tasks(fraction=0.5)
-        assert set(train.task_keys).isdisjoint(test.task_keys)
+    def test_training_data_packs_every_entry_in_order(self, small_dataset):
+        batch, lats, keys = small_dataset.training_data()
+        entries = small_dataset.entries
+        assert len(batch) == len(lats) == len(keys) == len(entries)
+        assert [batch.program(i) for i in range(len(batch))] == [e.prog for e in entries]
+        assert lats.tolist() == [e.latency for e in entries]
+        assert keys == [e.task_key for e in entries]
 
     def test_rejects_bad_params(self):
         with pytest.raises(DatasetError):
@@ -159,11 +163,11 @@ class TestMetrics:
         ds = generate_for_tasks(get_device("t4"), subs, 60)
 
         class Oracle:
-            def predict(self, progs):
+            def predict_batch(self, batch):
                 from repro.hardware.simulator import GroundTruthSimulator
 
                 sim = GroundTruthSimulator(get_device("t4"))
-                return -np.array([sim.latency(p) for p in progs])
+                return -sim.latency_batch(batch)
 
         assert top_k_score(Oracle(), ds, k=1) == pytest.approx(1.0)
 
@@ -172,9 +176,9 @@ class TestMetrics:
         ds = generate_for_tasks(get_device("t4"), subs, 60)
 
         class Anti:
-            def predict(self, progs):
+            def predict_batch(self, batch):
                 rng = np.random.default_rng(0)
-                return rng.random(len(progs))
+                return rng.random(len(batch))
 
         model = Anti()
         assert top_k_score(model, ds, k=5) >= top_k_score(model, ds, k=1)
@@ -196,8 +200,8 @@ class TestMetrics:
         from repro.dataset.tenset import TensorProgramDataset
 
         class Dummy:
-            def predict(self, progs):
-                return np.zeros(len(progs))
+            def predict_batch(self, batch):
+                return np.zeros(len(batch))
 
         with pytest.raises(DatasetError):
             top_k_score(Dummy(), TensorProgramDataset(get_device("t4"), []), k=1)
