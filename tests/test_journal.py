@@ -29,6 +29,8 @@ from repro.journal import (
 from repro.obs import TraceSink
 from repro.serve.cli import main as cli_main
 from repro.serve.engine import LEDGER_NAME, JobEngine
+from repro.serve.protocol import unwire_float
+from repro.serve.runner import drain
 from repro.service import JobQueue, ModelStore, RecordStore, StoreKey, TuneJob
 from repro.service.models import state_to_wire
 from repro.workloads import network_tasks
@@ -282,18 +284,20 @@ class TestParentCacheDir:
         assert _snapshot(parent_cache) == before  # bytes and mtimes
 
     def test_warm_start_matches_the_parent(self, parent_cache):
-        subs = network_tasks("bert_tiny", batch=1, top_k=1)
-        result = api.tune_subgraphs(
-            "ansor", subs, "a100", rounds=3, scale="smoke", seed=7,
-            cache_dir=parent_cache,
+        """The golden was taken through the old in-process cache path; a
+        job over the same cache dir seeds and checkpoints the same way."""
+        engine = JobEngine(parent_cache)
+        job_id = engine.submit(
+            "bert_tiny", method="ansor", rounds=3, scale="smoke", seed=7, top_k_tasks=1
         )
+        drain(engine)
+        result = engine.result(job_id)
         expected = GOLDEN["warm_start"]
-        assert result.warm_model == expected["warm_model"]
-        assert result.best == expected["best"]
-        assert result.final_latency == expected["final_latency"]
-        assert (result.total_trials, result.fresh_trials, result.seeded_trials) == (
-            expected["total_trials"], expected["fresh_trials"], expected["seeded_trials"],
-        )
+        assert result["warm_model"] == expected["warm_model"]
+        assert result["best"] == expected["best"]
+        assert unwire_float(result["final_latency"]) == expected["final_latency"]
+        trials = ("total_trials", "fresh_trials", "seeded_trials")
+        assert [result[k] for k in trials] == [expected[k] for k in trials]
         (records,) = parent_cache.glob("*ansor*.jsonl")
         original = (FIXTURES / "cache_dir" / records.name).read_bytes()
         assert records.read_bytes().startswith(original)  # appended to, only

@@ -6,9 +6,11 @@ re-encoded the whole record log every round.  Each case tunes the top
 three ResNet-50 subgraphs on the simulated A100 for eight rounds at
 ``lite`` scale and stores the final latency, the simulated clock, and
 every record's config key and latency in log order, floats as
-``float.hex``.  One more case is a two-job warm start through a cache
-directory: the second job seeds from the first job's records and model
-checkpoint, so it pins the tuner's warm-start path too.
+``float.hex``.  One more case is a two-job warm start: two
+:class:`~repro.serve.engine.JobEngine` jobs over one cache directory,
+the second seeded from the first job's records and model checkpoint, so
+it pins the runner's warm-start path too.  Its records are the record
+store's rows in file order after each job.
 
 Together the cases cover a fit inside a tuning loop for PaCM (online,
 MoA, fine-tune and both ablations) and for the boosted trees (Ansor).
@@ -23,6 +25,8 @@ import pytest
 
 from repro import api
 from repro.costmodel import PaCM
+from repro.serve import JobEngine, drain
+from repro.serve.protocol import unwire_float
 from repro.workloads import network_tasks
 
 FIXTURE = Path(__file__).parent / "fixtures" / "tuner_golden.json"
@@ -60,17 +64,26 @@ def method_case(method: str, subs, pretrained) -> dict:
     return _frozen(result)
 
 
-def warm_case(subs, cache_dir) -> dict:
+def warm_case(cache_dir) -> dict:
+    engine = JobEngine(cache_dir)
     out = {}
     for i, (rounds, seed) in enumerate(WARM_JOBS):
-        result = api.tune_subgraphs(
-            "pruner", subs, DEVICE, rounds=rounds, scale="lite", seed=seed,
-            cache_dir=cache_dir,
+        job_id = engine.submit(
+            "resnet50", method="pruner", rounds=rounds, scale="lite", seed=seed,
+            top_k_tasks=3,
         )
+        drain(engine)
+        result = engine.result(job_id)
+        (key,) = engine.store.keys()
         out[f"job{i}"] = {
-            **_frozen(result),
-            "seeded_trials": result.seeded_trials,
-            "warm_model": result.warm_model,
+            "final_latency": unwire_float(result["final_latency"]).hex(),
+            "sim_s": result["curve"][-1]["sim_time"].hex(),
+            "records": [
+                [row["config_key"], float(row["latency"]).hex()]
+                for row in engine.store.load_rows(key)
+            ],
+            "seeded_trials": result["seeded_trials"],
+            "warm_model": result["warm_model"],
         }
     return out
 
@@ -80,7 +93,7 @@ def tuner_golden(cache_dir) -> dict:
     subs = _subgraphs()
     pretrained = _pretrained(subs)
     out = {m: method_case(m, subs, pretrained) for m in METHODS}
-    out["pruner-warm"] = warm_case(subs, cache_dir)
+    out["pruner-warm"] = warm_case(cache_dir)
     return out
 
 
@@ -104,8 +117,8 @@ def test_tuning_run_reproduces_frozen_records(method, subs, pretrained, frozen):
     assert method_case(method, subs, pretrained) == frozen[method]
 
 
-def test_warm_start_reproduces_frozen_records(subs, tmp_path, frozen):
-    got = warm_case(subs, tmp_path)
+def test_warm_start_reproduces_frozen_records(tmp_path, frozen):
+    got = warm_case(tmp_path)
     assert got == frozen["pruner-warm"]
     assert got["job1"]["seeded_trials"] > 0 and got["job1"]["warm_model"]
 
