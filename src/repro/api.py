@@ -30,8 +30,7 @@ Methods (paper Section 5/6):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
-from pathlib import Path
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,7 +44,7 @@ from repro.config import (
 from repro.core.moa import MomentumAdapter
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel
 from repro.costmodel.base import CostModel
-from repro.errors import CostModelError, SearchError
+from repro.errors import SearchError
 from repro.hardware.device import DeviceSpec, get_device
 from repro.hardware.measure import MeasureRunner
 from repro.hardware.simulator import GroundTruthSimulator
@@ -57,7 +56,7 @@ from repro.schedule.sketch import generate_sketch
 from repro.search import AnsorPolicy, PrunerPolicy, Tuner, make_tasks
 from repro.search.records import TuningRecord
 from repro.search.task import TuningTask
-from repro.search.tuner import ProgressFn, StopFn, TuneResult
+from repro.search.tuner import ProgressFn, TuneResult
 from repro.timemodel import SimClock
 from repro.workloads import network_tasks
 
@@ -145,9 +144,9 @@ def model_kind(method: str) -> str:
     """The cost-model kind a method tunes with.
 
     Half of the checkpoint identity (the other half is the record-store
-    key): the serving layer uses it to pick which checkpoint rides a
-    lease, and the cache path uses it to load a compatible warm start.
-    A class-attribute read — no model is constructed.
+    key): the job engine uses it to pick which checkpoint rides a lease
+    and where a returned one is stored.  A class-attribute read — no
+    model is constructed.
     """
     return _model_class(resolve_method(method)).kind
 
@@ -234,8 +233,8 @@ def build_tuner(
 
     ``pretrained`` supplies cost-model parameters for the offline,
     finetune and MoA modes (see :func:`pretrain_model`).
-    ``initial_records`` warm-starts the tuner's record log (the
-    ``cache_dir`` fast path of :func:`tune_subgraphs`).  ``tasks``
+    ``initial_records`` warm-starts the tuner's record log (a job's
+    seed rows, see :class:`repro.serve.runner.TuningRunner`).  ``tasks``
     skips task construction when the caller already built them via
     :func:`tasks_for`.  ``initial_model_state`` warm-starts the cost
     model from a persisted checkpoint (``CostModel.save_state`` dict)
@@ -290,142 +289,27 @@ def build_tuner(
     )
 
 
-def tune_seeded(
-    method: str,
-    subgraphs: list[SubgraphTask],
-    device: DeviceSpec | str,
-    rounds: int,
-    search: SearchConfig,
-    seeds: Callable[[list[TuningTask]], tuple[list[TuningRecord], dict | None, int]],
-    checkpoint: bool = True,
-    progress: ProgressFn | None = None,
-    should_stop: StopFn | None = None,
-    **kwargs,
-) -> tuple[TuneResult, dict | None, int]:
-    """The warm-started job recipe: tasks, seeds, tune, checkpoint.
-
-    ``seeds(tasks)`` supplies ``(initial records, model state or None,
-    trials that state was trained on)``; the run is capped at ``rounds *
-    measure_per_round`` trials, seeded ones included, so known configs
-    are not re-measured.  Returns ``(result, state, trained_trials)``:
-    ``state`` is :meth:`Tuner.checkpoint` (None with ``checkpoint`` off
-    or nothing worth persisting), ranked by what the model was actually
-    fitted on — not the log size, which includes rows it may never have
-    seen.  The fresh records are ``result.records`` past
-    ``result.seeded_trials``.
-
-    The one implementation behind :func:`tune_subgraphs`'s ``cache_dir``
-    path (seeds from, results to, the stores on disk) and
-    :class:`repro.serve.runner.TuningRunner` (both ride a lease);
-    ``kwargs`` go to :func:`build_tuner`.
-    """
-    if isinstance(device, str):
-        device = get_device(device)
-    tasks = tasks_for(
-        method, subgraphs, device, tensorcore=bool(kwargs.get("tensorcore", False))
-    )
-    initial, model_state, trained_on = seeds(tasks)
-    tuner = build_tuner(
-        method,
-        subgraphs,
-        device,
-        search=search,
-        initial_records=initial,
-        tasks=tasks,
-        initial_model_state=model_state,
-        initial_model_trained_on=trained_on,
-        **kwargs,
-    )
-    result = tuner.tune(
-        rounds,
-        trial_budget=rounds * search.measure_per_round,
-        progress=progress,
-        should_stop=should_stop,
-    )
-    state = tuner.checkpoint() if checkpoint else None
-    return result, state, tuner.model_trained_on
-
-
 def tune_subgraphs(
     method: str,
     subgraphs: list[SubgraphTask],
     device: DeviceSpec | str,
     rounds: int = 20,
     scale: str = "lite",
-    cache_dir: str | Path | None = None,
     progress: ProgressFn | None = None,
-    model_cache: bool = True,
     **kwargs,
 ) -> TuneResult:
-    """Tune a set of subgraphs and return the result.
-
-    With ``cache_dir`` set, records persisted by earlier runs of the
-    same ``(workload set, device, method)`` warm-start the tuner — known
-    configs are not re-measured and count toward the run's trial budget
-    (``rounds * measure_per_round``) — and this run's fresh records are
-    written back for the next one.  The cost model warm-starts the same
-    way: the freshest compatible checkpoint under the cache dir is
-    loaded before round 0 and the trained model is checkpointed back
-    after the run (``model_cache=False`` disables just the model half;
-    records still seed).
+    """Tune a set of subgraphs from a cold start and return the result.
 
     ``progress`` is forwarded to :meth:`~repro.search.tuner.Tuner.tune`
-    (a callback after every completed round).
+    (a callback after every completed round); ``kwargs`` go to
+    :func:`build_tuner`.  A warm start from earlier runs' records and
+    checkpoint is a job: :class:`repro.serve.engine.JobEngine` over a
+    cache dir, drained by :func:`repro.serve.runner.drain`.
     """
     resolve_method(method)
     search = kwargs.pop("search", None) or resolve_scale(scale)
-    if cache_dir is None:
-        tuner = build_tuner(method, subgraphs, device, search=search, **kwargs)
-        return tuner.tune(rounds, progress=progress)
-
-    from repro.service.models import (
-        ModelStore,
-        state_from_wire,
-        wire_trained_trials,
-    )
-    from repro.service.store import RecordStore, store_key_for_tasks
-
-    store = RecordStore(cache_dir)
-    # Checkpoints only serve the online modes: offline/finetune/moa
-    # methods require explicit pretrained= parameters, which win over
-    # any checkpoint — loading (full base64 decode) and re-saving for
-    # them would only churn dead files.
-    use_models = model_cache and _mode_for(method) == "online"
-    models = ModelStore(cache_dir) if use_models else None
-    key = None
-
-    def seeds(tasks):
-        nonlocal key
-        key = store_key_for_tasks(tasks, method)
-        initial = store.load_records(key, {t.key: t.space for t in tasks})
-        if models is not None:
-            # one consistent read: state and its rank must come from the
-            # same file version
-            wire = models.load_wire(key, model_kind(method))
-            if wire is not None:
-                try:
-                    return initial, state_from_wire(wire), wire_trained_trials(wire)
-                except CostModelError:
-                    pass  # malformed on disk: cold start
-        return initial, None, 0
-
-    result, state, trained_on = tune_seeded(
-        method,
-        subgraphs,
-        device,
-        rounds,
-        search,
-        seeds,
-        checkpoint=models is not None,
-        progress=progress,
-        **kwargs,
-    )
-    # seeded records sit at the front of the log and are already on
-    # disk; persist only the fresh tail
-    store.append(key, result.records.records[result.seeded_trials :])
-    if state is not None:
-        models.save_state(key, state, trained_trials=trained_on)
-    return result
+    tuner = build_tuner(method, subgraphs, device, search=search, **kwargs)
+    return tuner.tune(rounds, progress=progress)
 
 
 def tune_network(
@@ -436,7 +320,6 @@ def tune_network(
     scale: str = "lite",
     batch: int = 1,
     top_k_tasks: int | None = None,
-    cache_dir: str | Path | None = None,
     **kwargs,
 ) -> TuneResult:
     """End-to-end network tuning (graph partition + multi-task search)."""
@@ -449,13 +332,7 @@ def tune_network(
             net_kwargs[key] = kwargs.pop(key)
     subgraphs = network_tasks(network, batch=batch, top_k=top_k_tasks, **net_kwargs)
     return tune_subgraphs(
-        method,
-        subgraphs,
-        device,
-        rounds=rounds,
-        scale=scale,
-        cache_dir=cache_dir,
-        **kwargs,
+        method, subgraphs, device, rounds=rounds, scale=scale, **kwargs
     )
 
 

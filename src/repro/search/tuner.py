@@ -201,7 +201,7 @@ class Tuner:
                 pass
         # Warm start: seed the log with prior records so policies skip
         # re-measuring known configs and GA seeding starts from the
-        # cached bests (the record-reuse fast path of repro.service).
+        # cached bests (a job's seed rows, shipped on its lease).
         self.seeded_trials = (
             self.records.seed_from(initial_records) if initial_records else 0
         )
@@ -211,11 +211,11 @@ class Tuner:
         # keep even a tiny seed.  A checkpoint-restored model skips the
         # round-0 retrain only when it was trained on at least as much
         # evidence as the seed holds (``initial_model_trained_on``) —
-        # the record store can outgrow a checkpoint when intervening
-        # runs disabled the model cache or had their checkpoints
-        # rejected.  Blank online/moa models with too few records to
-        # train on discard the seed — a cold start beats ranking round
-        # one with an unfitted model.
+        # the record store can outgrow a checkpoint when rows land
+        # without one (an upload whose checkpoint was rejected).  Blank
+        # online/moa models with too few records to train on discard
+        # the seed — a cold start beats ranking round one with an
+        # unfitted model.
         if self.seeded_trials > 0 and self.mode != "offline":
             seeded = [r.prog for r in self.records.records]
             self._encode(CandidateBatch.from_programs(seeded))

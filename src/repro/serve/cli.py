@@ -99,11 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     server.add_argument("--verbose", action="store_true", help="log every request")
     server.add_argument(
-        "--no-checkpoints",
-        action="store_true",
-        help="do not ship or store cost-model checkpoints on the lease wire",
-    )
-    server.add_argument(
         "--auth-token",
         default=None,
         help="require 'Authorization: Bearer <token>' on every endpoint",
@@ -182,11 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--top-k-tasks", type=int, default=None)
     tune.add_argument("--seed", type=int, default=None)
     tune.add_argument("--cache-dir", default=DEFAULT_CACHE)
-    tune.add_argument(
-        "--no-checkpoints",
-        action="store_true",
-        help="skip cost-model checkpoint warm starts (records still seed)",
-    )
 
     status = sub.add_parser("status", help="show job ledger and store stats")
     status.add_argument("--cache-dir", default=DEFAULT_CACHE)
@@ -215,10 +205,7 @@ def _cmd_server(args: argparse.Namespace, out) -> int:
     from repro.serve.http import make_server
 
     engine = JobEngine(
-        args.cache_dir,
-        lease_ttl=args.lease_ttl,
-        checkpoints=not args.no_checkpoints,
-        max_lease_ttl=args.max_lease_ttl,
+        args.cache_dir, lease_ttl=args.lease_ttl, max_lease_ttl=args.max_lease_ttl
     )
     app = ServeApp(
         engine,
@@ -353,7 +340,7 @@ def _cmd_tune(args: argparse.Namespace, out) -> int:
     from repro.serve.runner import drain
 
     _announce_blas()
-    engine = JobEngine(args.cache_dir, checkpoints=not args.no_checkpoints)
+    engine = JobEngine(args.cache_dir)
     for network in args.network:
         job_id = engine.submit(
             network,

@@ -126,9 +126,6 @@ class JobEngine:
     clock:
         Injectable monotonic clock for the lease table and runner
         registry (tests expire leases without sleeping).
-    checkpoints:
-        Ship cost-model checkpoints on leases and store the ones
-        runners return (on by default).  Records seed either way.
     max_lease_ttl:
         Longest TTL a runner may request on a lease (400 above it);
         defaults to 10x ``lease_ttl``.
@@ -139,10 +136,8 @@ class JobEngine:
         cache_dir: str | Path,
         lease_ttl: float | None = None,
         clock=None,
-        checkpoints: bool = True,
         max_lease_ttl: float | None = None,
     ) -> None:
-        self.checkpoints = checkpoints
         self.store = RecordStore(cache_dir)
         self.models = ModelStore(cache_dir)
         #: per-job round traces (JSONL under ``<cache>/traces/``) — the
@@ -595,10 +590,10 @@ class JobEngine:
         """Claim the best tag-compatible job; None when nothing matches.
 
         The payload carries the job spec, the store's seed rows for its
-        workload, the freshest compatible cost-model checkpoint (None
-        on a cold store) and whether completion checkpoints are wanted
-        at all.  ``tags`` (when given) re-registers the runner, so a
-        restarted engine re-learns its fleet within one poll interval.
+        workload and the freshest compatible cost-model checkpoint (None
+        on a cold store).  ``tags`` (when given) re-registers the
+        runner, so a restarted engine re-learns its fleet within one
+        poll interval.
         """
         if ttl is not None:
             # validate before claiming: a grant() failure after claim()
@@ -641,14 +636,11 @@ class JobEngine:
             "seed_rows": self.store.load_rows(key) if key is not None else [],
             # the runner starts verify-stage-accurate at round 0
             "checkpoint": self._checkpoint_for(job, key),
-            # a checkpoints=False engine would drop them, so runners
-            # skip the full-model serialize + upload
-            "accepts_checkpoints": self.checkpoints,
         }
 
     def _checkpoint_for(self, job: TuneJob, key: StoreKey | None) -> dict | None:
         """The checkpoint envelope a lease for ``job`` should carry."""
-        if not self.checkpoints or key is None:
+        if key is None:
             return None
         try:
             kind = api.model_kind(job.method)
@@ -785,7 +777,7 @@ class JobEngine:
         rank) — an inflated count from a buggy or hostile runner must
         not freeze the slot against every future checkpoint.
         """
-        if not self.checkpoints or not isinstance(wire, dict):
+        if not isinstance(wire, dict):
             return False
         target = self._ingest_target(job_id)
         if target is None:

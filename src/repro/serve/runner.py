@@ -173,21 +173,11 @@ class TuningRunner:
         lease_id = leased["lease_id"]
         ttl = float(leased.get("ttl") or 30.0)
         job = self._job_from_wire(leased["job"])
-        seed_rows = leased.get("seed_rows") or []
-        # malformed/incompatible checkpoints decode to None: cold start
-        ckpt = leased.get("checkpoint")
-        model_state = checkpoint_from_wire(ckpt)
-        model_trained_on = (
-            wire_trained_trials(ckpt) if model_state is not None else 0
-        )
-        # a checkpoints=False engine drops completion checkpoints, so
-        # don't pay the full-model serialize + upload for it
-        ship_checkpoint = bool(leased.get("accepts_checkpoints", True))
         self._say(
             f"leased {job.job_id}: {job.network}@{job.device}"
             f" ({job.method}, {job.rounds} rounds,"
-            f" {len(seed_rows)} seed rows,"
-            f" {'warm' if model_state is not None else 'cold'} model)"
+            f" {len(leased.get('seed_rows') or [])} seed rows,"
+            f" {'a' if leased.get('checkpoint') else 'no'} checkpoint)"
         )
 
         cancelled = threading.Event()
@@ -223,12 +213,9 @@ class TuningRunner:
         try:
             result, checkpoint = self._tune(
                 job,
-                seed_rows,
-                model_state,
-                model_trained_on,
+                leased,
                 progress=lambda p: beat(p.to_dict()),
                 should_stop=cancelled.is_set,
-                ship_checkpoint=ship_checkpoint,
             )
         except Exception as exc:  # noqa: BLE001 — report, don't die
             CAUGHT.labels(site="serve.runner").inc()
@@ -246,38 +233,47 @@ class TuningRunner:
         return TuneJob.from_dict({k: v for k, v in data.items() if k in fields})
 
     def _tune(
-        self,
-        job: TuneJob,
-        seed_rows: list,
-        model_state: dict | None,
-        model_trained_on: int,
-        progress,
-        should_stop,
-        ship_checkpoint: bool = True,
+        self, job: TuneJob, leased: dict, progress, should_stop
     ) -> tuple[TuneResult, dict | None]:
-        """Run :func:`repro.api.tune_seeded` for a leased job: the warm
-        start (seed rows + model checkpoint) comes off the lease, fresh
-        rows and the trained checkpoint go back on it.
+        """Tune a leased job: the warm start (seed rows + model
+        checkpoint) comes off the lease, and the result and the trained
+        checkpoint go back.  The run is capped at ``rounds *
+        measure_per_round`` trials, seeded ones included, so known
+        configs are not re-measured.  The checkpoint is ranked by what
+        the model was fitted on, not by the log size.
         """
-
-        def seeds(tasks):
-            spaces = {task.key: task.space for task in tasks}
-            return rows_to_records(seed_rows, spaces), model_state, model_trained_on
-
         try:
-            result, state, trained_on = api.tune_seeded(
+            search = api.resolve_scale(job.scale)
+            device = get_device(job.device)
+            subgraphs = network_tasks(
+                job.network, batch=job.batch, top_k=job.top_k_tasks
+            )
+            tasks = api.tasks_for(job.method, subgraphs, device)
+            spaces = {task.key: task.space for task in tasks}
+            # malformed/incompatible checkpoints decode to None: cold start
+            wire = leased.get("checkpoint")
+            model_state = checkpoint_from_wire(wire)
+            tuner = api.build_tuner(
                 job.method,
-                network_tasks(job.network, batch=job.batch, top_k=job.top_k_tasks),
-                get_device(job.device),
+                subgraphs,
+                device,
+                search=search,
+                seed=job.seed,
+                tasks=tasks,
+                initial_records=rows_to_records(leased.get("seed_rows") or [], spaces),
+                initial_model_state=model_state,
+                initial_model_trained_on=(
+                    wire_trained_trials(wire) if model_state is not None else 0
+                ),
+            )
+            result = tuner.tune(
                 job.rounds,
-                api.resolve_scale(job.scale),
-                seeds,
-                checkpoint=ship_checkpoint,
+                trial_budget=job.rounds * search.measure_per_round,
                 progress=progress,
                 should_stop=should_stop,
-                seed=job.seed,
             )
-            return result, checkpoint_to_wire(state, trained_trials=trained_on)
+            checkpoint = checkpoint_to_wire(tuner.checkpoint(), tuner.model_trained_on)
+            return result, checkpoint
         finally:
             # one runner process serves many jobs; per-task memo caches
             # must not accumulate across them

@@ -46,7 +46,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.costmodel.base import CostModel
 from repro.errors import CostModelError
 from repro.journal import (
     atomic_write_lines,
@@ -200,16 +199,10 @@ class ModelStore:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def save(self, key: StoreKey, model: CostModel, trained_trials: int) -> bool:
-        """Checkpoint a live model; returns True if it was stored."""
-        try:
-            state = model.save_state()
-        except CostModelError:
-            return False  # nothing serializable (e.g. RandomModel)
-        return self.save_state(key, state, trained_trials=trained_trials)
-
     def save_state(self, key: StoreKey, state: dict, trained_trials: int) -> bool:
         """Persist a ``save_state`` dict under ``(key, state kind)``."""
+        # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
+        # ROADMAP 1c); nothing in src calls it
         return self.save_wire(
             key, state["kind"], state_to_wire(state, trained_trials=trained_trials)
         )
@@ -250,16 +243,6 @@ class ModelStore:
     def load_wire(self, key: StoreKey, kind: str) -> dict | None:
         """The stored checkpoint envelope, or None."""
         return read_json_index(self.path_for(key, kind)) or None
-
-    def load_state(self, key: StoreKey, kind: str) -> dict | None:
-        """Decoded ``load_state`` dict of the stored checkpoint, or None."""
-        wire = self.load_wire(key, kind)
-        if wire is None:
-            return None
-        try:
-            return state_from_wire(wire)
-        except CostModelError:
-            return None
 
     def trained_trials(self, key: StoreKey, kind: str) -> int:
         """Trials the stored checkpoint was trained on (0 when absent).

@@ -20,8 +20,8 @@ PrediPrune exploits by caching verifier outcomes).  The store persists
   config)``).
 
 The store is the persistence layer under :class:`repro.serve.engine.
-JobEngine`; :func:`repro.api.tune_subgraphs` uses it directly for
-its ``cache_dir=`` fast path.
+JobEngine`: a lease ships a key's rows as a job's seed rows, and a
+completion appends the rows the job measured.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def rows_to_records(
     ``spaces`` maps task key -> schedule space.  Rows for unknown tasks,
     malformed rows and rows with configs outside the current space are
     skipped and the rest come back in row order — the shared tolerant
-    path under :meth:`RecordStore.load_records` and the remote runner's
-    warm-start (seed rows arrive over the wire, not from a file).
+    path under the runner's warm start (seed rows arrive on the lease,
+    not from a file) and the engine's best-schedule query.
     """
     rows = list(rows)
     by_task: dict[str, list[tuple[int, ScheduleConfig]]] = {}
@@ -167,9 +167,9 @@ class RecordStore:
     INDEX_NAME = "index.json"
 
     # One lock per store root, shared by every RecordStore instance in
-    # the process: concurrent workers each build their own store over
-    # the same cache dir (api.tune_subgraphs does), and per-instance
-    # locks would not serialize their file and index writes.
+    # the process: two engines over the same cache dir each build their
+    # own store, and per-instance locks would not serialize their file
+    # and index writes.
     _LOCKS: dict[Path, threading.Lock] = {}
     _LOCKS_GUARD = threading.Lock()
 
@@ -221,6 +221,8 @@ class RecordStore:
         (:meth:`append_rows` over their serialized form).  Returns the
         number of rows actually written.
         """
+        # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
+        # ROADMAP 1c); nothing in src calls it
         return self.append_rows(key, [record.to_dict() for record in records])
 
     def append_rows(self, key: StoreKey, rows: Iterable[dict]) -> int:
@@ -296,6 +298,8 @@ class RecordStore:
         ``spaces`` maps task key -> schedule space.  Rows for unknown
         tasks or with configs outside the current space are skipped.
         """
+        # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
+        # ROADMAP 1c); nothing in src calls it
         return rows_to_records(self.load_rows(key), spaces)
 
     def rows_by_task(self, key: StoreKey) -> dict[str, list[dict]]:

@@ -88,10 +88,14 @@ def network_tasks(
     ----------
     top_k:
         Keep only the ``top_k`` heaviest tasks (weight x FLOPs) — the
-        scale-reduction knob the experiment harnesses use.
+        scale-reduction knob the experiment harnesses use.  Must be
+        >= 1 (WorkloadError otherwise): a slice by 0 or -1 would name a
+        task set no job can tune.
     tiled_only:
         Drop element-wise / pooling tasks (tuners fuse or skip them).
     """
+    if top_k is not None and top_k < 1:
+        raise WorkloadError(f"top_k must be >= 1, got {top_k}")
     graph = build_network(name, batch=batch, **kwargs)
     tasks = partition_graph(graph)
     if tiled_only:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import api
 from repro.costmodel import TenSetMLP
+from repro.errors import CostModelError
 from repro.hardware.device import get_device
 from repro.journal import (
     atomic_write_lines,
@@ -32,7 +33,7 @@ from repro.serve.engine import LEDGER_NAME, JobEngine
 from repro.serve.protocol import unwire_float
 from repro.serve.runner import drain
 from repro.service import JobQueue, ModelStore, RecordStore, StoreKey, TuneJob
-from repro.service.models import state_to_wire
+from repro.service.models import state_from_wire, state_to_wire
 from repro.workloads import network_tasks
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -237,13 +238,15 @@ class TestGarbageTolerance:
             assert isinstance(read_json_index(models._index_path()), dict)
             wire = models.load_wire(KEY, "mlp")
             assert wire is None or isinstance(wire, dict)
-            assert models.load_state(KEY, "mlp") is None
+            if wire is not None:
+                with pytest.raises(CostModelError):
+                    state_from_wire(wire)
             assert models.trained_trials(KEY, "mlp") >= 0
             assert isinstance(models.stats(), list)
             assert isinstance(RecordStore(tmp).keys(), list)
             # ...and the next save repairs both files
-            assert models.save(KEY, TenSetMLP(), trained_trials=3)
-            assert models.load_state(KEY, "mlp")["kind"] == "mlp"
+            assert models.save_state(KEY, TenSetMLP().save_state(), trained_trials=3)
+            assert state_from_wire(models.load_wire(KEY, "mlp"))["kind"] == "mlp"
             assert models.trained_trials(KEY, "mlp") == 3
 
 

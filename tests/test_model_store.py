@@ -1,5 +1,5 @@
 """Tests for cost-model checkpoints: save/load state, the ModelStore,
-and warm-starting tuners from persisted checkpoints."""
+and warm-starting jobs from persisted checkpoints."""
 
 from __future__ import annotations
 
@@ -22,6 +22,8 @@ from repro.rng import make_rng
 from repro.schedule import generate_sketch, lower, random_config
 from repro.schedule.batch import CandidateBatch
 from repro.search import make_tasks
+from repro.serve import JobEngine, drain
+from repro.serve.protocol import unwire_float
 from repro.service.models import (
     CHECKPOINT_SCHEMA_VERSION,
     ModelStore,
@@ -31,7 +33,8 @@ from repro.service.models import (
     state_to_wire,
     wire_trained_trials,
 )
-from repro.service.store import store_key_for_tasks
+from repro.service.store import RecordStore, store_key_for_tasks
+from repro.workloads import network_tasks
 
 TRAIN = TrainConfig(epochs=2)
 
@@ -284,11 +287,10 @@ class TestModelStore:
         store = ModelStore(tmp_path)
         key = self._key(a100)
         model = PaCM(seed=0)
-        assert store.load_state(key, "pacm") is None
-        assert store.save(key, model, trained_trials=10)
-        state = store.load_state(key, "pacm")
+        assert store.load_wire(key, "pacm") is None
+        assert store.save_state(key, model.save_state(), trained_trials=10)
         restored = PaCM(seed=3)
-        restored.load_state(state)
+        restored.load_state(state_from_wire(store.load_wire(key, "pacm")))
         assert store.trained_trials(key, "pacm") == 10
         params, expected = restored.get_params(), model.get_params()
         assert set(params) == set(expected)
@@ -317,17 +319,13 @@ class TestModelStore:
         wire = state_to_wire(TenSetMLP().save_state(), trained_trials=1)
         assert not store.save_wire(key, "pacm", wire)
 
-    def test_random_model_is_skipped(self, tmp_path, a100):
-        store = ModelStore(tmp_path)
-        assert not store.save(self._key(a100), RandomModel(), trained_trials=5)
-
     def test_kinds_stored_side_by_side(self, tmp_path, a100):
         store = ModelStore(tmp_path)
         key = self._key(a100)
-        assert store.save(key, TenSetMLP(), trained_trials=1)
-        assert store.save(key, PaCM(), trained_trials=2)
-        assert store.load_state(key, "mlp")["kind"] == "mlp"
-        assert store.load_state(key, "pacm")["kind"] == "pacm"
+        assert store.save_state(key, TenSetMLP().save_state(), trained_trials=1)
+        assert store.save_state(key, PaCM().save_state(), trained_trials=2)
+        assert state_from_wire(store.load_wire(key, "mlp"))["kind"] == "mlp"
+        assert state_from_wire(store.load_wire(key, "pacm"))["kind"] == "pacm"
         assert len(store.stats()) == 2
 
     def test_damaged_index_entries_tolerated(self, tmp_path, a100):
@@ -335,7 +333,7 @@ class TestModelStore:
         degrade gracefully — the lease hot path keeps serving."""
         store = ModelStore(tmp_path)
         key = self._key(a100)
-        assert store.save(key, TenSetMLP(), trained_trials=5)
+        assert store.save_state(key, TenSetMLP().save_state(), trained_trials=5)
         index_path = store._index_path()
         index = json.loads(index_path.read_text())
         index["zzz-broken.json"] = ["not", "a", "dict"]
@@ -348,7 +346,7 @@ class TestModelStore:
         (stat,) = store.stats()  # the phantom entry is skipped
         assert stat["trained_trials"] == 0
         # re-registering repairs the damaged counts
-        assert store.save(key, TenSetMLP(), trained_trials=7)
+        assert store.save_state(key, TenSetMLP().save_state(), trained_trials=7)
         assert store.trained_trials(key, "mlp") == 7
 
         # a fully non-dict entry is repaired by the next save
@@ -357,207 +355,147 @@ class TestModelStore:
         index[filename] = ["damaged"]
         index_path.write_text(json.dumps(index))
         assert store.stats() == []  # skipped, not raised
-        assert store.save(key, TenSetMLP(), trained_trials=8)
+        assert store.save_state(key, TenSetMLP().save_state(), trained_trials=8)
         (stat,) = store.stats()
         assert stat["kind"] == "mlp" and stat["device"] == "a100"
 
 
 class TestTunerWarmStart:
-    SUBS = [SubgraphTask(ops.matmul(128, 128, 128), 1)]
+    """Warm starts are jobs: each run is one bert_tiny job through a
+    fresh :class:`JobEngine` over the shared cache dir, so the lease
+    ships the seed rows and checkpoint and the completion stores what
+    the runner trained."""
+
+    @staticmethod
+    def _job(cache, method="pruner", rounds=2) -> dict:
+        engine = JobEngine(cache)
+        job_id = engine.submit(
+            "bert_tiny", method=method, rounds=rounds, scale="smoke", top_k_tasks=1
+        )
+        drain(engine)
+        return engine.result(job_id)
+
+    @staticmethod
+    def _key(method="pruner"):
+        subgraphs = network_tasks("bert_tiny", top_k=1)
+        return store_key_for_tasks(
+            api.tasks_for(method, subgraphs, get_device("a100")), method
+        )
 
     def test_cache_dir_saves_and_reloads_checkpoint(self, tmp_path):
-        """Run 1 checkpoints its trained model; run 2 restores it (no
-        cold retrain from round 0) and still improves monotonically."""
-        first = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=3, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert not first.warm_model  # nothing to restore on a cold store
+        """Job 1 checkpoints its trained model; job 2 restores it (no
+        cold retrain from round 0) and is no worse."""
+        first = self._job(tmp_path, rounds=3)
+        assert not first["warm_model"]  # nothing to restore on a cold store
         store = ModelStore(tmp_path)
-        tasks = api.tasks_for("pruner", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "pruner")
-        assert store.trained_trials(key, "pacm") == first.total_trials
+        assert store.trained_trials(self._key(), "pacm") == first["total_trials"]
 
-        second = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=3, scale="smoke",
-            cache_dir=tmp_path,
+        second = self._job(tmp_path, rounds=3)
+        assert second["warm_model"]
+        assert second["seeded_trials"] > 0
+        assert unwire_float(second["final_latency"]) <= unwire_float(
+            first["final_latency"]
         )
-        assert second.warm_model
-        assert second.seeded_trials > 0
-        assert second.final_latency <= first.final_latency
 
     def test_checkpoint_warm_starts_without_records(self, tmp_path):
-        """The checkpoint alone (records wiped) still warm-starts the
-        model: the second tuner predicts identically to the first's
-        final model before any new measurement."""
-        api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=3, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        for path in tmp_path.glob("*.jsonl"):
-            path.unlink()  # drop the records, keep models/
-        result = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert result.warm_model
-        assert result.seeded_trials == 0
+        """The checkpoint alone (record file deleted) still warm-starts
+        the model."""
+        self._job(tmp_path, rounds=3)
+        RecordStore(tmp_path).path_for(self._key()).unlink()  # keep models/
+        result = self._job(tmp_path, rounds=2)
+        assert result["warm_model"]
+        assert result["seeded_trials"] == 0
 
     def test_untrained_warm_run_does_not_rerank_checkpoint(self, tmp_path):
-        """A warm-started run whose budget is already covered (so the
+        """A warm-started job whose budget is already covered (so the
         model never retrains) must not re-save the checkpoint with an
         inflated trial count — that would make staleness arbitration
         reject genuinely fresher checkpoints later."""
-        first = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
+        first = self._job(tmp_path, rounds=2)
         store = ModelStore(tmp_path)
-        tasks = api.tasks_for("pruner", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "pruner")
+        key = self._key()
         ranked = store.trained_trials(key, "pacm")
         assert ranked > 0
         stamp = store.path_for(key, "pacm").stat().st_mtime_ns
-        second = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert second.warm_model and second.fresh_trials == 0
+        second = self._job(tmp_path, rounds=2)
+        assert second["warm_model"] and second["fresh_trials"] == 0
         assert store.trained_trials(key, "pacm") == ranked  # rank unchanged
         assert store.path_for(key, "pacm").stat().st_mtime_ns == stamp
-        assert first.total_trials == second.total_trials
-
-    def test_model_cache_false_disables_checkpoints(self, tmp_path):
-        api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path, model_cache=False,
-        )
-        assert not (tmp_path / ModelStore.DIR_NAME).exists()
-        # seed a checkpoint, then tune again with the cache off
-        api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        cold = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path, model_cache=False,
-        )
-        assert not cold.warm_model
+        assert first["total_trials"] == second["total_trials"]
 
     def test_incompatible_checkpoint_falls_back_to_cold(self, tmp_path):
         """A checkpoint from a different model kind reads as 'no
         checkpoint', never an error."""
-        api.tune_subgraphs(
-            "ansor", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        tasks = api.tasks_for("ansor", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "ansor")
+        self._job(tmp_path, method="ansor", rounds=2)
         store = ModelStore(tmp_path)
-        # plant a PaCM state where the ansor run expects its GBDT one
+        # plant a PaCM state where the ansor job expects its GBDT one
         masquerade = state_to_wire(PaCM().save_state(), trained_trials=999)
-        store.path_for(key, "gbdt").write_text(json.dumps(masquerade))
-        result = api.tune_subgraphs(
-            "ansor", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert not result.warm_model  # kind mismatch -> cold start, no crash
+        store.path_for(self._key("ansor"), "gbdt").write_text(json.dumps(masquerade))
+        result = self._job(tmp_path, method="ansor", rounds=2)
+        assert not result["warm_model"]  # kind mismatch -> cold start, no crash
 
     def test_warm_model_retrains_when_records_outgrow_checkpoint(self, tmp_path):
         """A checkpoint older than the record store must not freeze the
-        model at round 0: the tuner retrains on the (richer) seed rows
+        model at round 0: the job retrains on the (richer) seed rows
         while still counting as warm-started."""
-        api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        # grow the record store past the checkpoint's training set
-        api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=4, scale="smoke",
-            cache_dir=tmp_path, model_cache=False,
-        )
-        tasks = api.tasks_for("pruner", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "pruner")
+        self._job(tmp_path, rounds=2)
+        key = self._key()
+        # grow the record file past the checkpoint's training set with
+        # rows measured elsewhere, none of which trained it
+        self._job(tmp_path / "elsewhere", rounds=4)
+        rows = RecordStore(tmp_path / "elsewhere").load_rows(key)
+        assert RecordStore(tmp_path).append_rows(key, rows) > 0
         store = ModelStore(tmp_path)
         stale_rank = store.trained_trials(key, "pacm")
-        result = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=4, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert result.warm_model
-        assert result.total_trials > stale_rank
+        result = self._job(tmp_path, rounds=4)
+        assert result["warm_model"]
+        assert result["total_trials"] > stale_rank
         # the round-0 retrain ran and re-ranked the checkpoint over the
         # full seed, not the stale count
-        assert store.trained_trials(key, "pacm") == result.total_trials
+        assert store.trained_trials(key, "pacm") == result["total_trials"]
 
     def test_warm_model_skips_retrain_when_checkpoint_covers_seed(self, tmp_path):
-        """The fully-covered case keeps the cheap path: same run twice,
+        """The fully-covered case keeps the cheap path: same job twice,
         the checkpoint rank equals the seed size, nothing retrains."""
-        api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        tasks = api.tasks_for("pruner", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "pruner")
+        self._job(tmp_path, rounds=2)
         store = ModelStore(tmp_path)
-        stamp = store.path_for(key, "pacm").stat().st_mtime_ns
-        result = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=2, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert result.warm_model and result.fresh_trials == 0
-        assert store.path_for(key, "pacm").stat().st_mtime_ns == stamp
+        stamp = store.path_for(self._key(), "pacm").stat().st_mtime_ns
+        result = self._job(tmp_path, rounds=2)
+        assert result["warm_model"] and result["fresh_trials"] == 0
+        assert store.path_for(self._key(), "pacm").stat().st_mtime_ns == stamp
 
     def test_compacted_records_do_not_freeze_checkpoint(self, tmp_path):
         """The record file shrinks below the checkpoint's rank (an
-        operator trimmed it); a warm run extending that model must still
+        operator trimmed it); a warm job extending that model must still
         replace the stored checkpoint (its rank keeps the inherited
         evidence)."""
-        from repro.service.store import RecordStore
-
-        first = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=3, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        tasks = api.tasks_for("pruner", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "pruner")
+        first = self._job(tmp_path, rounds=3)
+        key = self._key()
         store = ModelStore(tmp_path)
         rank = store.trained_trials(key, "pacm")
-        assert rank == first.total_trials
+        assert rank == first["total_trials"]
         _truncate_to_two_lines(RecordStore(tmp_path).path_for(key))
         stamp = store.path_for(key, "pacm").stat().st_mtime_ns
-        result = api.tune_subgraphs(
-            "pruner", self.SUBS, "a100", rounds=3, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert result.warm_model and result.fresh_trials > 0
+        result = self._job(tmp_path, rounds=3)
+        assert result["warm_model"] and result["fresh_trials"] > 0
         # the retrained-and-extended model replaced the stored file and
         # its rank never regressed below the inherited evidence
         assert store.path_for(key, "pacm").stat().st_mtime_ns != stamp
         assert store.trained_trials(key, "pacm") >= rank
 
     def test_gbdt_refit_does_not_inherit_checkpoint_rank(self, tmp_path):
-        """GBDT rebuilds its trees on every fit, so a warm run over a
+        """GBDT rebuilds its trees on every fit, so a warm job over a
         trimmed record file must rank its small refit honestly — the
         store keeps the genuinely better-trained checkpoint."""
-        from repro.service.store import RecordStore
-
-        first = api.tune_subgraphs(
-            "ansor", self.SUBS, "a100", rounds=3, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        tasks = api.tasks_for("ansor", self.SUBS, get_device("a100"))
-        key = store_key_for_tasks(tasks, "ansor")
+        first = self._job(tmp_path, method="ansor", rounds=3)
+        key = self._key("ansor")
         store = ModelStore(tmp_path)
         rank = store.trained_trials(key, "gbdt")
-        assert rank == first.total_trials
+        assert rank == first["total_trials"]
         _truncate_to_two_lines(RecordStore(tmp_path).path_for(key))
-        result = api.tune_subgraphs(
-            "ansor", self.SUBS, "a100", rounds=1, scale="smoke",
-            cache_dir=tmp_path,
-        )
-        assert result.warm_model
-        assert result.total_trials < rank  # the refit saw less evidence
+        result = self._job(tmp_path, method="ansor", rounds=1)
+        assert result["warm_model"]
+        assert result["total_trials"] < rank  # the refit saw less evidence
         assert store.trained_trials(key, "gbdt") == rank  # old rank kept
 
     def test_model_kind_mapping(self):

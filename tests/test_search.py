@@ -446,9 +446,15 @@ class TestTrainingMatrix:
         (spy,) = spies
         self._assert_encoded_once(spy, result.records)
 
-    def test_a_seeded_log_is_encoded_once(self, subs, spies, tmp_path):
-        self._tune("pruner", subs, cache_dir=tmp_path, model_cache=False)
-        result = self._tune("pruner", subs, cache_dir=tmp_path, model_cache=False, seed=1)
+    def test_a_seeded_log_is_encoded_once(self, subs, spies):
+        from repro import api
+
+        first = self._tune("pruner", subs)
+        tuner = api.build_tuner(
+            "pruner", subs, "a100", search=api.resolve_scale("smoke"), seed=1,
+            initial_records=first.records.records,
+        )
+        result = tuner.tune(self.ROUNDS)
         assert result.seeded_trials > 0
         self._assert_encoded_once(spies[1], result.records)
 

@@ -352,19 +352,6 @@ class TestEndToEnd:
         # (no rows shipped), so it cannot freeze the arbitration slot
         assert engine.models.trained_trials(mine_key, "pacm") == 0
 
-    def test_no_checkpoints_server_advertises_it(self, tmp_path):
-        """--no-checkpoints: the lease carries neither a checkpoint nor
-        the willingness to accept one, so runners skip the upload."""
-        stack = Stack(tmp_path / "cache", checkpoints=False)
-        try:
-            client = stack.client
-            client.submit("bert_tiny", **SPEC)
-            leased = client.lease("r1")
-            assert leased["accepts_checkpoints"] is False
-            assert leased["checkpoint"] is None
-        finally:
-            stack.close()
-
     def test_expired_lease_upload_still_lands_on_the_right_job(self, tmp_path):
         """A complete landing after the lease was reaped is still
         attributed through the retired binding; a lease the table never
@@ -496,6 +483,16 @@ class TestServeBugfixRegressions:
         # the rejected calls neither dropped nor stole the lease
         beat = client.heartbeat(lease_id, "real-runner")
         assert beat["job_id"] == leased["job"]["job_id"]
+
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_best_refuses_a_top_k_no_job_can_have(self, stack, top_k):
+        """Submit refuses ``top_k_tasks < 1``, so /best does too: -1 used
+        to slice off bert_tiny's last task and answer 200 for a store
+        key no job can write."""
+        with pytest.raises(ServeError) as excinfo:
+            stack.client.best("bert_tiny", top_k_tasks=top_k)
+        assert excinfo.value.status == 400
+        assert "top_k must be >= 1" in excinfo.value.message
 
 
 class TestLeaseExpiry:

@@ -606,22 +606,6 @@ class TestWarmStart:
             first, target
         )
 
-    def test_no_model_cache_flag_skips_checkpoints(self, tmp_path):
-        """``checkpoints=False`` (``--no-checkpoints``): nothing shipped,
-        nothing stored; records still seed."""
-        spec = dict(device="a100", rounds=2, scale="smoke", top_k_tasks=1)
-        engine = JobEngine(tmp_path, checkpoints=False)
-        engine.submit("bert_tiny", **spec)
-        _drain(engine)
-        assert engine.models.stats() == []
-        warm = JobEngine(tmp_path)  # checkpoints back on
-        warm_id = warm.submit("bert_tiny", **spec)
-        _drain(warm)
-        result = warm.result(warm_id)
-        assert result["seeded_trials"] > 0
-        assert not result["warm_model"]  # nothing was stored
-        assert warm.models.stats() != []  # ...but this run checkpointed
-
 
 class TestMultiWorker:
     def test_four_workers_match_single_process(self, tmp_path):

@@ -82,6 +82,11 @@ class TestNetworkZoo:
     def test_top_k_truncates(self):
         assert len(network_tasks("resnet50", top_k=3)) == 3
 
+    @pytest.mark.parametrize("top_k", [0, -1])
+    def test_top_k_below_one_raises(self, top_k):
+        with pytest.raises(WorkloadError, match="top_k must be >= 1"):
+            network_tasks("bert_tiny", top_k=top_k)
+
     def test_resnet50_has_conv1(self):
         tasks = network_tasks("resnet50")
         names = [t.workload.name for t in tasks]
