@@ -166,8 +166,8 @@ DEFAULT_MANIFEST = Manifest(
             module="repro/service/jobs.py",
             name="JobQueue",
             node="service.jobs.JobQueue",
-            locks={"_lock": ("_heap", "_jobs", "_seq", "_closed")},
-            helpers={"_push": "_lock"},
+            locks={"_cond": ("_heap", "_jobs", "_seq", "_closed", "_pushes")},
+            helpers={"_push": "_cond"},
         ),
     ),
     module_locks=(
@@ -209,7 +209,7 @@ DEFAULT_MANIFEST = Manifest(
         "lower_batch": ("obs.registry.Counter._lock",),
         # append_jsonl calls its ``rows`` argument under _LEDGER_LOCK;
         # JobQueue.append_ledger passes one that reads the queue
-        "rows": ("service.jobs.JobQueue._lock",),
+        "rows": ("service.jobs.JobQueue._cond",),
         # every repro.cache entry point takes the module guard
         "register_cache": ("repro.cache._GUARD",),
         "register_lru": ("repro.cache._GUARD",),

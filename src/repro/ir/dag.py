@@ -39,10 +39,6 @@ class Graph:
         """Look up a node by id."""
         return self.nodes[node_id]
 
-    def consumers(self, node_id: int) -> list[OpNode]:
-        """All nodes that read the output of ``node_id``."""
-        return [n for n in self.nodes if node_id in n.inputs]
-
     def validate(self) -> None:
         """Check edge references; raise WorkloadError on dangling inputs."""
         ids = {n.node_id for n in self.nodes}

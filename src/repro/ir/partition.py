@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.dag import Graph
+from repro.ir.dag import Graph, OpNode
 from repro.ir.ops import Workload
 
 
@@ -39,6 +39,11 @@ def partition_graph(graph: Graph) -> list[SubgraphTask]:
     """
     graph.validate()
     fused_into: dict[int, int] = {}  # elementwise node -> anchor node
+    # node -> the nodes that read its output, each once, in graph order
+    readers: dict[int, list[OpNode]] = {}
+    for node in graph.nodes:
+        for src in dict.fromkeys(node.inputs):
+            readers.setdefault(src, []).append(node)
 
     for node in graph.nodes:
         if node.is_elementwise:
@@ -46,7 +51,7 @@ def partition_graph(graph: Graph) -> list[SubgraphTask]:
         # Walk the single-consumer element-wise chain below this anchor.
         current = node.node_id
         while True:
-            consumers = graph.consumers(current)
+            consumers = readers.get(current, ())
             if len(consumers) != 1:
                 break
             nxt = consumers[0]

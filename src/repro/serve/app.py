@@ -21,7 +21,7 @@ GET       ``/best``                   best persisted schedule of a workload
 GET       ``/healthz``                liveness + queue/lease counters
 GET       ``/runners``                registered runners + capability tags
 POST      ``/runners/register``       runner protocol: advertise tags
-POST      ``/lease``                  runner protocol: claim a matching job
+POST      ``/lease``                  runner protocol: long-poll for a job
 POST      ``/lease/{id}/heartbeat``   runner protocol: keep-alive + progress
 POST      ``/lease/{id}/complete``    runner protocol: deliver results
 POST      ``/lease/{id}/fail``        runner protocol: report an error
@@ -60,7 +60,8 @@ class ServeApp:
     ----------
     engine:
         The job engine to serve; the caller owns its lifecycle
-        (``engine.shutdown()`` after the HTTP server stops).
+        (``engine.shutdown()`` after the HTTP server stops serving and
+        before ``server_close()``, which waits for blocked long polls).
     auth_token:
         Shared secret; when set, every endpoint requires
         ``Authorization: Bearer <token>`` (enforced in the HTTP layer).
@@ -234,9 +235,12 @@ class ServeApp:
         tags = None
         if "tags" in body:
             tags = {} if body["tags"] is None else body["tags"]
-        leased = self.engine.lease(runner_id, ttl=body.get("ttl"), tags=tags)
+        # a long poll: the engine holds the request up to ``wait`` seconds
+        leased = self.engine.lease(
+            runner_id, ttl=body.get("ttl"), tags=tags, wait=body.get("wait")
+        )
         if leased is None:
-            return 204, None  # nothing matching to do; poll again later
+            return 204, None  # nothing matching came up during the wait
         return 200, leased
 
     def handle_heartbeat(self, match, query, body):

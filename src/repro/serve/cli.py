@@ -130,7 +130,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     runner.add_argument("--runner-id", default=None)
     runner.add_argument(
-        "--poll", type=_positive_float, default=0.5, help="idle poll seconds"
+        "--poll",
+        type=_positive_float,
+        default=0.5,
+        help="longest one lease request waits at the server for a job (default 0.5)",
     )
     runner.add_argument("--lease-ttl", type=_positive_float, default=None)
     runner.add_argument(
@@ -236,8 +239,10 @@ def _cmd_server(args: argparse.Namespace, out) -> int:
             flush=True,
         )
         server.shutdown()
-        server.server_close()
+        # before server_close, which joins the request threads: this
+        # wakes the lease and event long polls they may be blocked in
         engine.shutdown()
+        server.server_close()
         thread.join(timeout=5)
     return 0
 

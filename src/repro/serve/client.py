@@ -260,16 +260,25 @@ class ServeClient:
         runner_id: str,
         ttl: float | None = None,
         tags: dict | None = None,
+        wait: float = 0.0,
     ) -> dict | None:
         """Claim a tag-compatible job; None when nothing matches (204).
 
+        ``wait`` seconds is how long the server may hold the request for
+        a job to arrive (a long poll); 204 comes only once it has passed.
         ``tags`` (when given) re-registers the runner on every poll, so
         a restarted server re-learns the fleet without runner restarts.
         """
-        body = {"runner_id": runner_id, "ttl": ttl}
+        body = {"runner_id": runner_id, "ttl": ttl, "wait": wait}
         if tags is not None:
             body["tags"] = tags
-        status, payload = self._request("POST", "/lease", body=body)
+        status, payload = self._request(
+            "POST",
+            "/lease",
+            body=body,
+            # the transport deadline must outlast the server-side wait
+            timeout=self.timeout + wait,
+        )
         if status == 204 or payload is None:
             return None
         return payload

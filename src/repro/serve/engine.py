@@ -54,6 +54,10 @@ RESULTS_NAME = "results.jsonl"
 #: re-polling free.
 MAX_EVENTS_TIMEOUT = 60.0
 
+#: Longest a :meth:`JobEngine.lease` long poll may wait for a job;
+#: longer requests are clamped the same way.
+MAX_LEASE_WAIT = 60.0
+
 #: The job-spec fields :meth:`JobEngine.submit` accepts, by type.
 #: Integer fields map to ``(minimum or None, whether null is allowed)``.
 _STR_FIELDS = ("network", "device", "method", "scale")
@@ -104,6 +108,21 @@ def _checked_spec(spec: dict) -> dict:
             raise ServeError(400, f"unknown job field {field!r}")
         out[field] = value
     return out
+
+
+def _seconds(name: str, value) -> float:
+    """A request's duration field as a float (400 if not a number).
+
+    Bools, strings and NaN are refused: ``json.loads`` reads ``NaN``,
+    and a NaN compares False against every bound, so it would slip past
+    range checks — a NaN lease TTL would never expire.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ServeError(400, f"{name} must be a number of seconds, got {value!r}")
+    value = float(value)
+    if math.isnan(value):
+        raise ServeError(400, f"{name} must be a number of seconds, got nan")
+    return value
 
 
 class JobEngine:
@@ -585,7 +604,11 @@ class JobEngine:
         }
 
     def lease(
-        self, runner_id: str, ttl: float | None = None, tags: dict | None = None
+        self,
+        runner_id: str,
+        ttl: float | None = None,
+        tags: dict | None = None,
+        wait: float | None = 0.0,
     ) -> dict | None:
         """Claim the best tag-compatible job; None when nothing matches.
 
@@ -594,30 +617,44 @@ class JobEngine:
         on a cold store).  ``tags`` (when given) re-registers the
         runner, so a restarted engine re-learns its fleet within one
         poll interval.
+
+        ``wait`` makes this a long poll: with nothing to claim it blocks
+        up to that many seconds (clamped to :data:`MAX_LEASE_WAIT`) and
+        takes a matching job the moment one is submitted or requeued.
+        It returns None when the wait ends empty or the queue closes.
+        A lease that expires meanwhile is reaped by the end of the wait.
         """
         if ttl is not None:
             # validate before claiming: a grant() failure after claim()
             # would strand the job RUNNING with no lease to expire
-            try:
-                ttl = float(ttl)
-            except (TypeError, ValueError):
-                raise ServeError(400, f"bad lease ttl {ttl!r}") from None
+            ttl = _seconds("lease ttl", ttl)
             if ttl <= 0:
                 raise ServeError(400, f"lease ttl must be > 0, got {ttl}")
             if ttl > self.leases.max_ttl:
                 raise ServeError(
                     400, f"lease ttl {ttl} exceeds server max {self.leases.max_ttl}"
                 )
+        wait = 0.0 if wait is None else _seconds("lease wait", wait)
+        if wait < 0:
+            raise ServeError(400, f"lease wait must be >= 0, got {wait}")
+        # real time, like the event broker: a frozen fake clock must not
+        # turn the wait into a spin
+        deadline = time.monotonic() + min(wait, MAX_LEASE_WAIT)
         if tags is not None:
             self.register(runner_id, tags)
         else:
             self.registry.touch(runner_id)
-        self.reap()
-        job = self.queue.claim(
-            runner_id=runner_id, predicate=self.registry.predicate_for(runner_id)
-        )
-        if job is None:
-            return None  # nothing matching to do; poll again later
+        predicate = self.registry.predicate_for(runner_id)
+        while True:
+            # read before the claim: a job pushed after it ends the wait
+            seen = self.queue.pushes()
+            self.reap()
+            job = self.queue.claim(runner_id=runner_id, predicate=predicate)
+            if job is not None:
+                break
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self.queue.wait_for_push(seen, remaining):
+                return None  # nothing matching to do; poll again later
         try:
             lease = self.leases.grant(job.job_id, runner_id, ttl=ttl)
         except ValueError:

@@ -147,7 +147,7 @@ class LeaseTable:
         the clamp is a second line of defense for direct callers.
         """
         ttl = self.ttl if ttl is None else min(float(ttl), self.max_ttl)
-        if ttl <= 0:
+        if not ttl > 0:  # NaN too: a NaN deadline never passes
             raise ValueError(f"lease ttl must be > 0, got {ttl}")
         lease = Lease(
             lease_id=uuid.uuid4().hex,

@@ -1,11 +1,13 @@
 """Measurement runner: lease jobs, tune, report back.
 
 A runner is the fleet side of the protocol in
-:mod:`repro.serve.protocol`: it polls ``lease`` for work, tunes the
+:mod:`repro.serve.protocol`: it long-polls ``lease`` for work, tunes the
 leased job locally (warm-started from the seed rows and checkpoint the
 lease shipped), heartbeats every round with progress — picking up the
 cancellation flag on the way back — and delivers fresh record rows plus
-a result summary on completion.  A background keep-alive thread beats
+a result summary on completion.  The server holds a lease request until
+a job arrives, so a job submitted to an idle fleet starts at once, not
+at a runner's next poll.  A background keep-alive thread beats
 between rounds too, so a long measurement round cannot silently expire
 the lease.  :class:`TuningRunner` is the only code that tunes on behalf
 of a job, over either transport.
@@ -29,6 +31,7 @@ import os
 import socket
 import sys
 import threading
+import time
 
 from repro import api
 from repro.cache import clear_caches
@@ -72,7 +75,10 @@ class TuningRunner:
         Identity reported with every protocol call (defaults to
         host-pid).
     poll:
-        Seconds to sleep between empty lease polls.
+        Longest one lease request waits at the server for a job (the
+        long poll's ``wait``); an empty answer is followed by the next
+        request at once.  A server that answers sooner, without waiting,
+        is asked no more than once per ``poll``.
     lease_ttl:
         Requested lease duration; None takes the server's default.
     tags:
@@ -117,15 +123,17 @@ class TuningRunner:
         """Lease-and-tune until stopped; returns jobs completed.
 
         ``max_jobs`` bounds the number of jobs this process takes;
-        ``idle_exit`` exits as soon as a lease poll comes back empty
-        (CI and tests: drain the queue, then leave).
+        ``idle_exit`` asks without waiting and exits as soon as a lease
+        comes back empty (CI and tests: drain the queue, then leave).
         """
         self._register()
         completed = 0
+        wait = 0.0 if idle_exit else self.poll
         while not self._stop.is_set():
+            asked = time.monotonic()
             try:
                 leased = self.client.lease(
-                    self.runner_id, ttl=self.lease_ttl, tags=self.tags
+                    self.runner_id, ttl=self.lease_ttl, tags=self.tags, wait=wait
                 )
             except (ServeError, OSError) as exc:
                 self._say(f"lease poll failed: {exc}")
@@ -136,7 +144,10 @@ class TuningRunner:
             if leased is None:
                 if idle_exit:
                     break
-                self._stop.wait(self.poll)
+                # a server that does not hold the request (an older one,
+                # or one draining its queue) answers at once: never poll
+                # it faster than once per ``poll``
+                self._stop.wait(max(0.0, wait - (time.monotonic() - asked)))
                 continue
             if self._run_leased(leased):
                 completed += 1

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import threading
+import time
 import uuid
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
@@ -138,16 +139,19 @@ class JobQueue:
     """Thread-safe priority queue of :class:`TuneJob`."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # one lock for all queue state; as a condition it also wakes
+        # lease long polls (wait_for_push) when a job becomes claimable
+        self._cond = threading.Condition(threading.Lock())
         self._heap: list[_QueueEntry] = []
         self._jobs: dict[str, TuneJob] = {}
         self._seq = 0
         self._closed = False
+        self._pushes = 0  # jobs made claimable so far: the long-poll cursor
 
     # ------------------------------------------------------------------
     def submit(self, job: TuneJob) -> str:
         """Enqueue a job; assigns and returns its job id."""
-        with self._lock:
+        with self._cond:
             if not job.job_id:
                 # unique across processes so ledgers merge cleanly
                 job.job_id = f"job-{len(self._jobs) + 1:04d}-{uuid.uuid4().hex[:6]}"
@@ -171,7 +175,7 @@ class JobQueue:
         jobs now claimable.
         """
         claimable = 0
-        with self._lock:
+        with self._cond:
             for job in jobs:
                 if not job.job_id or job.job_id in self._jobs:
                     continue
@@ -204,6 +208,8 @@ class JobQueue:
         heapq.heappush(
             self._heap, _QueueEntry((-job.priority, job.submit_seq), job.job_id)
         )
+        self._pushes += 1
+        self._cond.notify_all()
 
     def claim(
         self, runner_id: str | None = None, predicate=None
@@ -217,10 +223,10 @@ class JobQueue:
         acquire locks of its own.  Returns None when nothing matches or
         the queue was closed for draining (see :meth:`close`).
         """
-        with self._lock:
+        with self._cond:
             if self._closed:
                 return None
-            skipped: list[TuneJob] = []
+            skipped: list[_QueueEntry] = []
             claimed: TuneJob | None = None
             while self._heap:
                 entry = heapq.heappop(self._heap)
@@ -228,18 +234,46 @@ class JobQueue:
                 if job is None or job.state is not JobState.PENDING:
                     continue  # stale heap entry (job was requeued/finished)
                 if predicate is not None and not predicate(job):
-                    skipped.append(job)  # not this runner's work
+                    skipped.append(entry)  # not this runner's work
                     continue
                 job.state = JobState.RUNNING
                 job.attempts += 1
                 job.runner_id = runner_id
                 claimed = job
                 break
-            # re-push what this caller could not take: submit_seq is
-            # preserved, so the schedule other runners see is unchanged
-            for job in skipped:
-                self._push(job)
+            # put back what this caller could not take, unchanged, so the
+            # schedule other runners see is too; not a push — it must not
+            # wake a waiting lease whose tags just refused it
+            for entry in skipped:
+                heapq.heappush(self._heap, entry)
             return claimed
+
+    def pushes(self) -> int:
+        """How many times a job has become claimable so far.
+
+        Read it *before* a :meth:`claim` that may come back empty, then
+        hand it to :meth:`wait_for_push`: a job pushed in between is not
+        missed.
+        """
+        with self._cond:
+            return self._pushes
+
+    def wait_for_push(self, seen: int, timeout: float) -> bool:
+        """Block until a job is pushed after the ``seen``-th push, or for
+        ``timeout`` seconds; False once the queue is closed.
+
+        A push is a submit, a retry or a released lease.  Jobs a caller's
+        predicate skipped are not pushed again, so a waiter whose tags
+        refuse the queue's jobs sleeps instead of spinning.
+        """
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            while not self._closed and self._pushes <= seen:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._cond.wait(remaining)
+            return not self._closed
 
     def mark_done(self, job_id: str) -> None:
         """Finish a running job: done, or cancelled if a cancel raced it.
@@ -248,7 +282,7 @@ class JobQueue:
         cancel — the caller ran to a stop point and returned a partial
         result, and the requester must see the state they asked for.
         """
-        with self._lock:
+        with self._cond:
             job = self._jobs[job_id]
             job.state = (
                 JobState.CANCELLED if job.cancel_requested else JobState.DONE
@@ -257,7 +291,7 @@ class JobQueue:
 
     def mark_failed(self, job_id: str, error: str) -> None:
         """Record a failure; requeue while the retry budget lasts."""
-        with self._lock:
+        with self._cond:
             job = self._jobs[job_id]
             job.error = error
             if job.cancel_requested:
@@ -275,7 +309,7 @@ class JobQueue:
         silent, which says nothing about the job itself — the claim's
         attempt is refunded.  A pending cancel wins over the requeue.
         """
-        with self._lock:
+        with self._cond:
             job = self._jobs[job_id]
             if job.state is not JobState.RUNNING:
                 return
@@ -296,7 +330,7 @@ class JobQueue:
         ``running`` until the worker reaches that stop point.  Terminal
         jobs are left as they are.
         """
-        with self._lock:
+        with self._cond:
             job = self._jobs[job_id]
             if job.state is JobState.PENDING:
                 job.cancel_requested = True
@@ -307,12 +341,12 @@ class JobQueue:
 
     def cancel_requested(self, job_id: str) -> bool:
         """Whether a cancel was requested (the tuner's should_stop)."""
-        with self._lock:
+        with self._cond:
             return self._jobs[job_id].cancel_requested
 
     def update_progress(self, job_id: str, progress: dict) -> None:
         """Attach the latest per-round progress snapshot to a job."""
-        with self._lock:
+        with self._cond:
             self._jobs[job_id].progress = dict(progress)
 
     def close(self) -> None:
@@ -320,19 +354,21 @@ class JobQueue:
 
         Claims return None afterwards, so workers exit after finishing
         what they already hold, and pending jobs survive into the
-        ledger as requeueable.
+        ledger as requeueable.  Waiting lease polls wake and come back
+        empty.
         """
-        with self._lock:
+        with self._cond:
             self._closed = True
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     def get(self, job_id: str) -> TuneJob:
-        with self._lock:
+        with self._cond:
             return self._jobs[job_id]
 
     def jobs(self) -> list[TuneJob]:
         """All known jobs in submission order."""
-        with self._lock:
+        with self._cond:
             return list(self._jobs.values())
 
     def counts(self) -> dict[str, int]:
@@ -343,7 +379,7 @@ class JobQueue:
         return out
 
     def __len__(self) -> int:
-        with self._lock:
+        with self._cond:
             return len(self._jobs)
 
     # ------------------------------------------------------------------
@@ -359,7 +395,7 @@ class JobQueue:
         """
 
         def rows() -> list[dict]:
-            with self._lock:
+            with self._cond:
                 return [self._jobs[job_id].to_dict() for job_id in job_ids]
 
         append_jsonl(Path(path), rows)

@@ -146,7 +146,7 @@ def test_real_tree_lock_graph_edges_and_acyclicity():
         ),
         (
             "repro.journal._LEDGER_LOCK",
-            "service.jobs.JobQueue._lock",
+            "service.jobs.JobQueue._cond",
         ),
     }
     assert _cycle_in(set(edges)) is None

@@ -1,6 +1,9 @@
 """JobEngine behind its three entrances: direct calls, HTTP, ``tune``.
 
 * Submit validation is one table, checked through all three.
+* A lease is a long poll: ``lease(wait=)`` takes a job submitted or
+  requeued during the wait, wakes on shutdown, does not spin on jobs
+  its tags refuse, and the runner never polls faster than ``poll``.
 * Transport equivalence: the same three jobs (cold pruner, cold ansor,
   then a warm pruner over the first one's rows and checkpoint) drained
   in process with 1 and 4 workers and by a runner over a socket give
@@ -19,10 +22,11 @@ import io
 import json
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
-from test_serve import Stack, drain_with_threads
+from test_serve import FakeClock, Stack, drain_with_threads
 
 from repro.serve.cli import main as cli_main
 from repro.serve.engine import LEDGER_NAME, RESULTS_NAME, JobEngine
@@ -214,6 +218,37 @@ class TestConcurrentRunners:
             assert job.state is JobState.DONE and job.attempts == 1
             assert restarted.result(job.job_id) == {"by": job.runner_id}
 
+    def test_eight_waiting_runners_take_jobs_as_they_are_submitted(self, tmp_path):
+        """The same with long polls: eight runners wait in ``lease`` while
+        jobs are submitted one by one, at a 10 us switch interval; every
+        job is leased exactly once, and the runners leave once idle."""
+        engine = JobEngine(tmp_path)
+        leased_ids: list[str] = []
+
+        def runner(name: str) -> None:
+            while (leased := engine.lease(name, wait=0.5)) is not None:
+                job_id = leased["job"]["job_id"]
+                leased_ids.append(job_id)
+                engine.complete(leased["lease_id"], name, job_id, {"by": name}, [])
+
+        threads = [
+            threading.Thread(target=runner, args=(f"r{i}",), daemon=True)
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            ids = [engine.submit(**VALID, seed=i) for i in range(24)]
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(leased_ids) == sorted(ids)
+        assert engine.status()["done"] == len(ids) and engine.leases.active() == 0
+
     def test_cancel_racing_complete_leaves_the_last_row_true(self, tmp_path):
         """Every job gets a ``cancel`` and a ``complete`` from two of 48
         threads released together at a 10 us switch interval.  Either
@@ -257,3 +292,131 @@ class TestConcurrentRunners:
             assert on_disk[job_id].to_dict() == engine.queue.get(job_id).to_dict()
             states.add(on_disk[job_id].state)
         assert states <= {JobState.DONE, JobState.CANCELLED}
+
+
+#: how long a test gives a lease thread to reach its wait
+SETTLE = 0.2
+
+
+def _lease_in_thread(engine: JobEngine, runner_id: str, **kwargs):
+    """Run ``engine.lease`` on a thread; the returned dict gets the
+    lease (``leased``) and the seconds the call took (``took``)."""
+    outcome: dict = {}
+
+    def run() -> None:
+        start = time.monotonic()
+        outcome["leased"] = engine.lease(runner_id, **kwargs)
+        outcome["took"] = time.monotonic() - start
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestLongPollLease:
+    def test_a_job_submitted_mid_wait_is_taken_at_once(self, tmp_path):
+        engine = JobEngine(tmp_path)
+        thread, outcome = _lease_in_thread(engine, "r1", wait=30.0)
+        time.sleep(SETTLE)
+        job_id = engine.submit(**VALID)
+        thread.join(timeout=10)
+        assert outcome["leased"]["job"]["job_id"] == job_id
+        assert outcome["took"] < 5.0  # the submit ended the wait, not the deadline
+
+    def test_shutdown_wakes_a_waiting_lease(self, tmp_path):
+        engine = JobEngine(tmp_path)
+        thread, outcome = _lease_in_thread(engine, "r1", wait=30.0)
+        time.sleep(SETTLE)
+        engine.shutdown()
+        thread.join(timeout=10)
+        assert outcome["leased"] is None and outcome["took"] < 5.0
+
+    def test_no_wait_on_an_empty_queue_answers_at_once(self, tmp_path):
+        engine = JobEngine(tmp_path)
+        start = time.monotonic()
+        assert engine.lease("r1") is None
+        assert engine.lease("r1", wait=0) is None
+        assert drain(engine) == 0  # idle_exit asks without waiting
+        assert time.monotonic() - start < 0.25
+
+    def test_a_refused_submit_neither_hands_over_nor_spins(self, tmp_path):
+        engine = JobEngine(tmp_path)
+        engine.register("t4-box", {"device": "t4"})
+        claims = []
+        claim = engine.queue.claim
+
+        def counted(**kwargs):
+            claims.append(kwargs["runner_id"])
+            return claim(**kwargs)
+
+        engine.queue.claim = counted
+        thread, outcome = _lease_in_thread(engine, "t4-box", wait=1.0)
+        time.sleep(SETTLE)
+        job_id = engine.submit(**VALID)  # an a100 job: not this runner's
+        thread.join(timeout=10)
+        assert outcome["leased"] is None and outcome["took"] >= 0.9
+        # the first look, the one the submit woke, the one at the deadline
+        assert len(claims) <= 4
+        assert engine.status(job_id)["state"] == "pending"
+
+    def test_a_lease_expiring_mid_wait_is_claimed_by_its_end(self, tmp_path):
+        clock = FakeClock()
+        engine = JobEngine(tmp_path, lease_ttl=30.0, clock=clock)
+        job_id = engine.submit(**VALID)
+        assert engine.lease("doomed")["job"]["job_id"] == job_id
+        thread, outcome = _lease_in_thread(engine, "r2", wait=0.5)
+        time.sleep(SETTLE)
+        clock.advance(31.0)  # the lease lapses; nothing pushes the job back
+        thread.join(timeout=10)
+        assert outcome["leased"]["job"]["job_id"] == job_id
+        assert engine.status(job_id)["runner"] == "r2"
+
+    def test_a_submit_racing_the_claim_is_not_missed(self, tmp_path):
+        """A job pushed after the empty claim, before the wait begins,
+        still ends the wait: the push count was read before the claim."""
+        engine = JobEngine(tmp_path)
+        raced = []
+        claim = engine.queue.claim
+
+        def claim_then_submit(**kwargs):
+            job = claim(**kwargs)
+            if not raced:
+                raced.append(engine.submit(**VALID))
+            return job
+
+        engine.queue.claim = claim_then_submit
+        start = time.monotonic()
+        assert engine.lease("r1", wait=30.0)["job"]["job_id"] == raced[0]
+        assert time.monotonic() - start < 5.0
+
+
+class EmptyLeases:
+    """A client whose every lease comes back empty at once, as from a
+    server that ignores ``wait``; records the ``wait`` of each ask."""
+
+    def __init__(self) -> None:
+        self.waits: list[float] = []
+
+    def lease(self, runner_id, ttl=None, tags=None, wait=0.0):
+        self.waits.append(wait)
+        return None
+
+
+class TestRunnerLongPoll:
+    def test_an_early_empty_answer_does_not_make_the_runner_spin(self):
+        client = EmptyLeases()
+        runner = TuningRunner(client=client, poll=0.05, log=io.StringIO())
+        thread = threading.Thread(target=runner.run_forever, daemon=True)
+        thread.start()
+        time.sleep(0.5)
+        runner.stop()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert set(client.waits) == {0.05}  # the server is asked to hold it
+        assert 3 <= len(client.waits) <= 15  # about one ask per poll
+
+    def test_idle_exit_asks_without_waiting(self):
+        client = EmptyLeases()
+        runner = TuningRunner(client=client, poll=30.0, log=io.StringIO())
+        assert runner.run_forever(idle_exit=True) == 0
+        assert client.waits == [0.0]

@@ -173,8 +173,8 @@ def test_runtime_reacquire_fails_the_run(tmp_path):
         "from repro.service.jobs import JobQueue\n\n\n"
         "def test_nested_reacquire_attempt():\n"
         "    q = JobQueue()\n"
-        "    with q._lock:\n"
-        "        assert not q._lock.acquire(blocking=False)\n",
+        "    with q._cond:\n"
+        "        assert not q._cond.acquire(blocking=False)\n",
     )
     assert proc.returncode != 0, proc.stdout + proc.stderr
     assert "re-acquired" in proc.stdout

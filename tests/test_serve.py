@@ -22,6 +22,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient, ServeError
@@ -32,6 +34,7 @@ from repro.serve.runner import TuningRunner, default_runner_id
 from repro.service.jobs import JobState
 
 SPEC = dict(rounds=2, scale="smoke", top_k_tasks=1)
+NAN, INF = float("nan"), float("inf")
 
 
 class FakeClock:
@@ -147,7 +150,8 @@ class TestHttpLayer:
     def test_bad_lease_ttl_does_not_strand_job(self, stack):
         client = stack.client
         job_id = client.submit("bert_tiny", **SPEC)
-        for bad_ttl in (-5, 0, "soon"):
+        # NaN arrives as JSON (json.loads reads it) and fails no <= bound
+        for bad_ttl in (-5, 0, "soon", "5", True, NAN, INF, -INF):
             with pytest.raises(ServeError) as excinfo:
                 client.lease("r1", ttl=bad_ttl)
             assert excinfo.value.status == 400
@@ -493,6 +497,138 @@ class TestServeBugfixRegressions:
             stack.client.best("bert_tiny", top_k_tasks=top_k)
         assert excinfo.value.status == 400
         assert "top_k must be >= 1" in excinfo.value.message
+
+    def test_bad_lease_wait_is_400_and_claims_nothing(self, stack):
+        job_id = stack.client.submit("bert_tiny", **SPEC)
+        for bad in (NAN, -INF, -0.5, "5", True, []):
+            with pytest.raises(ServeError) as excinfo:
+                stack.client._request(
+                    "POST", "/lease", body={"runner_id": "r1", "wait": bad}
+                )
+            assert excinfo.value.status == 400
+        assert stack.client.status(job_id).state is JobState.PENDING
+
+    def test_nan_ttl_cannot_make_a_lease_that_never_expires(self, tmp_path):
+        """A NaN TTL used to be granted as a NaN deadline, which no clock
+        passes: the job stayed ``running`` after 1e9 s, its runner dead."""
+        clock = FakeClock()
+        engine = JobEngine(tmp_path, clock=clock)
+        job_id = engine.submit("bert_tiny", **SPEC)
+        with pytest.raises(ServeError) as excinfo:
+            engine.lease("r1", ttl=NAN)
+        assert excinfo.value.status == 400
+        with pytest.raises(ValueError):
+            engine.leases.grant(job_id, "r1", ttl=NAN)  # the table refuses it too
+        assert engine.lease("r1", ttl=60.0)["job"]["job_id"] == job_id
+        clock.advance(1e9)
+        engine.reap()
+        assert engine.status(job_id)["state"] == "pending"
+        assert engine.leases.active() == 0
+
+
+class TestLongPollOverHttp:
+    def test_a_waiting_runner_takes_a_job_the_moment_it_is_submitted(self, stack):
+        outcome = {}
+
+        def poll() -> None:
+            start = time.monotonic()
+            outcome["leased"] = stack.client.lease("r1", wait=30.0)
+            outcome["took"] = time.monotonic() - start
+
+        thread = threading.Thread(target=poll, daemon=True)
+        thread.start()
+        time.sleep(0.2)
+        job_id = stack.client.submit("bert_tiny", **SPEC)
+        thread.join(timeout=10)
+        assert outcome["leased"]["job"]["job_id"] == job_id
+        assert outcome["took"] < 5.0
+
+    def test_the_transport_deadline_outlasts_the_wait(self, stack):
+        client = ServeClient(stack.url, timeout=0.5)
+        start = time.monotonic()
+        assert client.lease("r1", wait=1.0) is None  # a 204, not a socket timeout
+        assert time.monotonic() - start >= 0.95
+
+
+def _post(url: str, body: dict) -> int:
+    """POST ``body`` as JSON (``NaN`` / ``Infinity`` included); the status."""
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(body).encode("utf-8"),
+        method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            response.read()
+            return response.status
+    except urllib.error.HTTPError as exc:
+        exc.read()
+        return exc.code
+
+
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_EDGES = st.sampled_from([NAN, INF, -INF, -1, 0, True, False, "5", None, [], {}])
+
+
+def _field(plausible):
+    """Half the time ``plausible``, so that leases do get granted (and
+    refused by tags); else an edge value, else any JSON at all."""
+    return st.one_of(plausible, plausible, _EDGES, _JSON)
+
+
+LEASE_BODIES = st.fixed_dictionaries(
+    {"runner_id": _field(st.text(min_size=1, max_size=12))},
+    optional={
+        "ttl": _field(st.floats(0.5, 200.0)),
+        "wait": _field(st.floats(0.0, 1.0)),
+        "tags": _field(
+            st.fixed_dictionaries({"device": _field(st.sampled_from(["a100", "t4"]))})
+        ),
+    },
+)
+
+
+class TestLeaseFuzz:
+    """Arbitrary JSON in ``POST /lease``: never a 5xx, never a lease
+    that outlives ``max_ttl`` (ROADMAP 4c's slice for this route)."""
+
+    @pytest.fixture(scope="class")
+    def fuzzed(self, tmp_path_factory):
+        clock = FakeClock()
+        with pytest.MonkeyPatch.context() as patch:
+            # a refused or empty poll waits out its (clamped) ``wait``
+            patch.setattr("repro.serve.engine.MAX_LEASE_WAIT", 0.01)
+            stack = Stack(tmp_path_factory.mktemp("fuzz") / "cache", clock=clock)
+            yield stack, clock
+            stack.close()
+
+    @settings(max_examples=150, deadline=None)
+    @given(body=LEASE_BODIES)
+    def test_post_lease_answers_2xx_or_4xx_and_every_grant_expires(
+        self, fuzzed, body
+    ):
+        stack, clock = fuzzed
+        engine = stack.engine
+        if not engine.status()["pending"]:
+            engine.submit("bert_tiny", **SPEC)
+        status = _post(stack.url + "/lease", body)
+        assert status in (200, 204) or 400 <= status < 500, (status, body)
+        granted = engine.leases.active()
+        assert granted == (1 if status == 200 else 0)
+        clock.advance(engine.leases.max_ttl + 1.0)
+        engine.reap()
+        assert engine.leases.active() == 0
+        assert engine.status()["running"] == 0  # every grant was requeued
 
 
 class TestLeaseExpiry:
