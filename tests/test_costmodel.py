@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -167,30 +168,65 @@ class TestNNModelSpecifics:
 #: ``_golden_fit`` there; the file is data, not a wrapper of today's code.
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "nn_fit_golden.json"
 GOLDEN_ROWS = 48
+_HYBRID_ROW = (STATEMENT_DIM + DATAFLOW_BLOCKS * DATAFLOW_DIM,)
 GOLDEN_MODELS = {
-    "pacm": (PaCM, (STATEMENT_DIM + DATAFLOW_BLOCKS * DATAFLOW_DIM,)),
+    "pacm": (PaCM, _HYBRID_ROW),
     "mlp": (TenSetMLP, (STATEMENT_DIM,)),
     "tlp": (TLPModel, (PRIMITIVE_SEQ, PRIMITIVE_DIM)),
 }
+#: The same fit, frozen to the bit: every parameter's bytes as SHA-256
+#: and the scores as ``float.hex``.  Captured on the last commit whose
+#: training built one graph node per layer and op; ``python
+#: tests/test_costmodel.py`` rewrites it, only for a deliberate change
+#: of the training math.
+EXACT_PATH = Path(__file__).parent / "fixtures" / "nn_exact_golden.json"
+EXACT_MODELS = {
+    "pacm": (PaCM, _HYBRID_ROW),
+    "pacm-no-sf": (lambda seed: PaCM(use_statement=False, seed=seed), _HYBRID_ROW),
+    "pacm-no-df": (lambda seed: PaCM(use_dataflow=False, seed=seed), _HYBRID_ROW),
+    "mlp": GOLDEN_MODELS["mlp"],
+    "tlp": GOLDEN_MODELS["tlp"],
+}
 
 
-def _golden_fit(kind):
-    """Twelve optimizer steps on a fixed synthetic batch (no lowering involved)."""
-    cls, row_shape = GOLDEN_MODELS[kind]
-    model = cls(seed=3)
+def _golden_fit(factory, row_shape):
+    """Twelve optimizer steps on a fixed synthetic batch (no lowering involved).
+
+    Returns the trained model, its scores on the batch and the batch's
+    ranking accuracy under those scores.
+    """
+    model = factory(seed=3)
     rng = make_rng(11)
     features = rng.normal(size=(GOLDEN_ROWS, *row_shape))
     latencies = np.exp(rng.normal(size=GOLDEN_ROWS))
     latencies[5] = np.inf
     keys = ["a"] * 24 + ["b"] * 24
-    accuracy = model.fit(
+    model.fit(
         features, latencies, keys, TrainConfig(epochs=3, batch_size=16), rng=make_rng(5)
     )
+    scores = model._score(model._normalize(features))
+    return model, scores, pairwise_rank_accuracy(scores, *make_labels(latencies, keys))
+
+
+def _golden_summary(kind):
+    model, scores, accuracy = _golden_fit(*GOLDEN_MODELS[kind])
     params = model.get_params()
     return {
         "accuracy": accuracy,
-        "scores": model._score(model._normalize(features)).tolist(),
+        "scores": scores.tolist(),
         "param_sums": {name: float(params[name].sum()) for name in sorted(params)},
+    }
+
+
+def exact_case(kind):
+    model, scores, _ = _golden_fit(*EXACT_MODELS[kind])
+    params = model.get_params()
+    return {
+        "scores": [float(s).hex() for s in scores],
+        "params": {
+            name: hashlib.sha256(np.ascontiguousarray(params[name]).tobytes()).hexdigest()
+            for name in sorted(params)
+        },
     }
 
 
@@ -206,12 +242,19 @@ class TestTrainingPath:
     @pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
     def test_fit_reproduces_frozen_golden(self, kind):
         want = json.loads(GOLDEN_PATH.read_text())[kind]
-        got = _golden_fit(kind)
+        got = _golden_summary(kind)
         assert got["accuracy"] == want["accuracy"]
         assert np.allclose(got["scores"], want["scores"], rtol=0, atol=1e-9)
         assert got["param_sums"].keys() == want["param_sums"].keys()
         for name, total in want["param_sums"].items():
             assert abs(got["param_sums"][name] - total) < 1e-9, name
+
+    @pytest.mark.parametrize("kind", list(EXACT_MODELS))
+    def test_fit_reproduces_exact_golden(self, kind):
+        assert exact_case(kind) == json.loads(EXACT_PATH.read_text())[kind]
+
+    def test_exact_golden_has_no_other_cases(self):
+        assert list(json.loads(EXACT_PATH.read_text())) == list(EXACT_MODELS)
 
     @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
     def test_same_seed_fit_twice_is_identical(self, factory, training_data):
@@ -317,3 +360,10 @@ class TestGBDT:
     def test_no_params_protocol(self):
         with pytest.raises(CostModelError):
             GBDTModel().get_params()
+
+
+if __name__ == "__main__":
+    # Rewrites the exact training golden from today's code: only for a
+    # deliberate change of the training math.
+    exact = {kind: exact_case(kind) for kind in EXACT_MODELS}
+    EXACT_PATH.write_text(json.dumps(exact, indent=1) + "\n")
