@@ -24,7 +24,7 @@ from repro.config import TrainConfig
 from repro.errors import CostModelError
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import Module
-from repro.nn.losses import lambdarank_loss, pairwise_rank_accuracy
+from repro.nn.losses import lambdarank_loss
 from repro.nn.optim import Adam
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
@@ -95,12 +95,8 @@ class CostModel(ABC):
         group_keys: list[str],
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
-    ) -> float:
-        """Train on :meth:`featurize_batch` rows and their measured latencies.
-
-        Returns the pairwise rank accuracy of the trained model on the
-        same rows: a training score, not a held-out one.
-        """
+    ) -> None:
+        """Train on :meth:`featurize_batch` rows and their measured latencies."""
 
     # MoA protocol (NN models override via Module)
     def get_params(self) -> dict[str, np.ndarray]:  # pragma: no cover
@@ -233,9 +229,9 @@ class NNCostModel(CostModel):
         group_keys: list[str],
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
-    ) -> float:
+    ) -> None:
         if len(features) < 2:
-            return 0.0
+            return
         train = train or TrainConfig()
         rng = rng if rng is not None else make_rng(0)
         labels, groups = make_labels(latencies, group_keys)
@@ -264,7 +260,6 @@ class NNCostModel(CostModel):
                         )
                         loss.backward()
                         optimizer.step()
-        return pairwise_rank_accuracy(self._score(features), labels, groups)
 
     def get_params(self) -> dict[str, np.ndarray]:
         params = self.net.get_params()
@@ -322,5 +317,5 @@ class RandomModel(CostModel):
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
         return self._rng.random(len(batch))
 
-    def fit(self, features, latencies, group_keys, train=None, rng=None) -> float:
-        return 0.5
+    def fit(self, features, latencies, group_keys, train=None, rng=None) -> None:
+        pass  # nothing to learn

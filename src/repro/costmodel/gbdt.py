@@ -15,7 +15,6 @@ from repro.config import TrainConfig
 from repro.costmodel.base import CostModel, make_labels
 from repro.errors import CostModelError
 from repro.features.statement import STATEMENT_DIM, statement_matrix_batch
-from repro.nn.losses import pairwise_rank_accuracy
 from repro.schedule.batch import CandidateBatch
 
 
@@ -258,10 +257,10 @@ class GBDTModel(CostModel):
         group_keys: list[str],
         train: TrainConfig | None = None,
         rng: np.random.Generator | None = None,
-    ) -> float:
+    ) -> None:
         if len(features) < 4:
-            return 0.0
-        labels, groups = make_labels(latencies, group_keys)
+            return
+        labels, _ = make_labels(latencies, group_keys)
         self._trees = []
         self._base = float(labels.mean())
         residual = labels - self._base
@@ -273,4 +272,3 @@ class GBDTModel(CostModel):
             pred += self.learning_rate * update
             residual = labels - pred
             self._trees.append(tree)
-        return pairwise_rank_accuracy(pred, labels, groups)

@@ -28,7 +28,6 @@ from repro.features.dataflow import (
 )
 from repro.features.statement import STATEMENT_DIM, statement_matrix_batch
 from repro.schedule.batch import CandidateBatch
-from repro.nn.autograd import Tensor, concatenate
 from repro.nn.layers import (
     LayerNorm,
     Linear,
@@ -64,6 +63,7 @@ class _PaCMNet(Module):
             raise CostModelError("PaCM needs at least one feature branch")
         self.use_statement = use_statement
         self.use_dataflow = use_dataflow
+        self.stmt_dim = stmt_dim
         fused = 0
         if use_statement:
             self.stmt_branch = Sequential(
@@ -85,22 +85,35 @@ class _PaCMNet(Module):
             Linear(64, 1, seed=seed + 6),
         )
 
-    def forward(self, x: Tensor) -> Tensor:
-        """x packs [statement | flattened dataflow] per row."""
-        n = x.shape[0]
-        branches: list[Tensor] = []
+    def forward(self, x: np.ndarray, const: bool = False) -> np.ndarray:
+        """x packs [statement | flattened dataflow] per row.
+
+        The rows are features, so both branches take them as constant
+        whatever ``const`` says, and :meth:`backward` returns None.
+        """
+        branches: list[np.ndarray] = []
         if self.use_statement:
-            stmt = Tensor(x.data[:, :STATEMENT_DIM])
-            branches.append(self.stmt_branch(stmt))
+            branches.append(self.stmt_branch.forward(x[:, :STATEMENT_DIM], True))
         if self.use_dataflow:
-            df = Tensor(
-                x.data[:, STATEMENT_DIM:].reshape(n, DATAFLOW_BLOCKS, DATAFLOW_DIM)
-            )
-            h = self.df_embed(df)
-            h = self.df_norm(h + self.df_attn(h))
-            branches.append(h.mean(axis=1))
-        fused = branches[0] if len(branches) == 1 else concatenate(branches, axis=-1)
-        return self.head(fused)
+            df = x[:, STATEMENT_DIM:].reshape(len(x), DATAFLOW_BLOCKS, DATAFLOW_DIM)
+            h = self.df_embed.forward(df, True)
+            h = self.df_norm.forward(h + self.df_attn.forward(h))
+            # the mean pool; .mean() would round differently
+            branches.append(h.sum(axis=1) * (1.0 / DATAFLOW_BLOCKS))
+        fused = branches[0] if len(branches) == 1 else np.concatenate(branches, axis=-1)
+        return self.head.forward(fused)
+
+    def backward(self, g: np.ndarray) -> None:
+        g = self.head.backward(g)
+        if self.use_statement:  # the concat split: statement columns first
+            self.stmt_branch.backward(g[:, : self.stmt_dim])
+            g = g[:, self.stmt_dim :]
+        if self.use_dataflow:
+            # the mean pool, then the residual around the attention block
+            shape = (len(g), DATAFLOW_BLOCKS, g.shape[1])
+            g = np.broadcast_to(g[:, None, :], shape) * (1.0 / DATAFLOW_BLOCKS)
+            g = self.df_norm.backward(g)
+            self.df_embed.backward(self.df_attn.backward(g, residual=g))
 
 
 class PaCM(NNCostModel):

@@ -15,7 +15,6 @@ import numpy as np
 from repro.costmodel.base import NNCostModel
 from repro.features.primitives import PRIMITIVE_DIM, primitive_tensor_batch
 from repro.schedule.batch import CandidateBatch
-from repro.nn.autograd import Tensor
 from repro.nn.layers import (
     LayerNorm,
     Linear,
@@ -39,11 +38,20 @@ class _TLPNet(Module):
             Linear(d_model, 1, seed=seed + 21),
         )
 
-    def forward(self, x: Tensor) -> Tensor:  # (N, T, F)
-        h = self.embed(x)
-        h = self.norm(h + self.attn(h))
-        pooled = h.mean(axis=1)  # (N, d)
-        return self.head(pooled)
+    def forward(self, x: np.ndarray, const: bool = False) -> np.ndarray:  # (N, T, F)
+        h = self.embed.forward(x, const)
+        h = self.norm.forward(h + self.attn.forward(h))
+        self._keep(h.shape)
+        # the mean pool; .mean() would round differently
+        return self.head.forward(h.sum(axis=1) * (1.0 / h.shape[1]))
+
+    def backward(self, g: np.ndarray) -> np.ndarray | None:
+        (shape,) = self._take()
+        g = self.head.backward(g)
+        # the mean pool, then the residual around the attention block
+        g = np.broadcast_to(g[:, None, :], shape) * (1.0 / shape[1])
+        g = self.norm.backward(g)
+        return self.embed.backward(self.attn.backward(g, residual=g))
 
 
 class TLPModel(NNCostModel):

@@ -1,13 +1,15 @@
-"""Minimal numpy neural-network substrate (autograd, layers, optim, losses).
+"""Minimal numpy neural-network substrate (layers, autograd, optim, losses).
 
 The paper's cost models (TenSetMLP, TLP's transformer, PaCM's
-pattern-aware transformer) are small networks; this package provides a
-reverse-mode autograd over numpy arrays plus the layers they need:
-linear, layer-norm, multi-head self-attention, Adam, and the
-LambdaRank ranking loss the paper trains PaCM with (Section 4.2).
+pattern-aware transformer) are small networks; this package provides
+the layers they need -- linear, ReLU, layer-norm, multi-head
+self-attention -- each with a hand-written backward over ndarrays, a
+thin autograd whose graph holds one node per network call plus the
+loss, Adam, and the LambdaRank ranking loss the paper trains PaCM with
+(Section 4.2).
 """
 
-from repro.nn.autograd import Tensor, concatenate, no_grad
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.layers import (
     Linear,
     LayerNorm,
@@ -17,11 +19,10 @@ from repro.nn.layers import (
     Sequential,
 )
 from repro.nn.optim import Adam
-from repro.nn.losses import lambdarank_loss, mse_loss, pairwise_rank_accuracy
+from repro.nn.losses import lambdarank_loss, pairwise_rank_accuracy
 
 __all__ = [
     "Tensor",
-    "concatenate",
     "no_grad",
     "Module",
     "Linear",
@@ -30,7 +31,6 @@ __all__ = [
     "LayerNorm",
     "MultiHeadSelfAttention",
     "Adam",
-    "mse_loss",
     "lambdarank_loss",
     "pairwise_rank_accuracy",
 ]

@@ -1,22 +1,24 @@
-"""Reverse-mode automatic differentiation over numpy arrays.
+"""The graph boundary: a few :class:`Tensor` nodes around whole networks.
 
-A deliberately small engine: define-by-run graphs of :class:`Tensor`
-nodes, each storing the numpy payload, an optional gradient, and a
-closure that accumulates gradients into its parents.  Supports the op
-set the cost models need: element-wise algebra, reductions, shape ops,
-and one fused node each for the three hot layers (:func:`linear`,
-:func:`layer_norm`, :func:`attention`).  The cost models train on
-minibatches of a few dozen rows, where a step's time is per-node
-closure and numpy dispatch overhead rather than FLOPs, so a layer that
-is one node with a hand-written backward is what makes training cheap.
+The cost models train on minibatches of a few dozen rows, where a
+step's time is graph bookkeeping and numpy dispatch rather than FLOPs.
+So the graph is kept to what a training step needs: a network call
+(:meth:`repro.nn.layers.Module.__call__`) is *one* node whose backward
+is the network's own layer-wise backward over plain ndarrays, and the
+loss adds a reshape, a product and a sum.  A step's graph is
+net -> reshape -> mul -> sum.
+
+A node's backward receives its gradient as an argument and closes over
+its parents only, never over its own node, so a finished step leaves no
+reference cycle behind: its activations are freed when the loss goes
+out of scope, not at the next garbage collection.
 """
 
 from __future__ import annotations
 
 import contextlib
-import math
 import threading
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -59,7 +61,7 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad and _grad_enabled()
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple["Tensor", ...] = ()
 
     # ------------------------------------------------------------------
@@ -67,25 +69,24 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, grad={self.requires_grad})"
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _make(data: np.ndarray, parents: Iterable["Tensor"], backward) -> "Tensor":
-        parents = tuple(parents)
+    def _make(
+        data: np.ndarray,
+        parents: tuple["Tensor", ...],
+        backward: Callable[[np.ndarray], None],
+        needs_grad: bool,
+    ) -> "Tensor":
+        """A result node; it joins the graph if ``needs_grad`` and grad is enabled.
+
+        ``backward(g)`` gets the node's gradient and accumulates into
+        ``parents``; it must not reference the node it belongs to.
+        """
         out = Tensor(data)
-        if _grad_enabled() and any(p.requires_grad for p in parents):
+        if needs_grad and _grad_enabled():
             out.requires_grad = True
             out._parents = parents
             out._backward = backward
@@ -106,105 +107,41 @@ class Tensor:
             self.grad += grad
 
     # ------------------------------------------------------------------
-    # arithmetic
+    # the ops a loss needs
     # ------------------------------------------------------------------
-    def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data + other.data
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        out = Tensor._make(out_data, (self, other), backward)
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return self + (-other)
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data * other.data
 
-        def backward():
+        def backward(g):
             if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape), True)
+                self._accumulate(_unbroadcast(g * other.data, self.shape), True)
             if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape), True)
+                other._accumulate(_unbroadcast(g * self.data, other.shape), True)
 
-        out = Tensor._make(out_data, (self, other), backward)
-        return out
+        return Tensor._make(
+            self.data * other.data,
+            (self, other),
+            backward,
+            self.requires_grad or other.requires_grad,
+        )
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        out_data = self.data @ other.data
-
-        def backward():
-            g = out.grad
-            if self.requires_grad:
-                ga = g @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(ga, self.shape), True)
-            if other.requires_grad:
-                gb = np.swapaxes(self.data, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, other.shape), True)
-
-        out = Tensor._make(out_data, (self, other), backward)
-        return out
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        out_data = self.data * mask
-
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad * mask, True)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
-
-    # ------------------------------------------------------------------
-    # reductions and shape ops
-    # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return self._reduce(axis, keepdims, 1.0)
+        def backward(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.shape))
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else self.data.shape[axis]
-        return self._reduce(axis, keepdims, 1.0 / count)
-
-    def _reduce(self, axis, keepdims: bool, scale: float) -> "Tensor":
-        """``scale * sum`` over ``axis`` as one node (scale 1/n is the mean)."""
-        out_data = self.data.sum(axis=axis, keepdims=keepdims) * scale
-
-        def backward():
-            if self.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                self._accumulate(np.broadcast_to(g, self.shape) * scale, True)
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(
+            self.data.sum(axis=axis, keepdims=keepdims), (self,), backward, self.requires_grad
+        )
 
     def reshape(self, *shape: int) -> "Tensor":
-        out_data = self.data.reshape(*shape)
+        def backward(g):
+            self._accumulate(g.reshape(self.shape))
 
-        def backward():
-            if self.requires_grad:
-                self._accumulate(out.grad.reshape(self.shape))
-
-        out = Tensor._make(out_data, (self,), backward)
-        return out
+        return Tensor._make(self.data.reshape(*shape), (self,), backward, self.requires_grad)
 
     # ------------------------------------------------------------------
     # backprop driver
@@ -230,124 +167,4 @@ class Tensor:
         self.grad = np.ones_like(self.data) if grad is None else np.asarray(grad)
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
-                node._backward()
-
-
-# ----------------------------------------------------------------------
-# fused layer kernels: one graph node per layer, hand-written backward
-# ----------------------------------------------------------------------
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``x @ weight + bias`` over the last axis of ``x`` as one node.
-
-    The forward product and the input gradient keep ``x``'s leading axes
-    (numpy runs ``(N, T, F) @ (F, D)`` as N small GEMMs); only the weight
-    gradient, which has to reduce over every leading axis anyway, is a
-    single GEMM.  The shapes pin output bits: collapsed into one 2-D
-    GEMM the input gradient differs by ~7e-15, which would move every
-    frozen golden, and on one BLAS thread (how the cost models call
-    this, see :mod:`repro.blas`) a collapsed 512-row forward is slower,
-    not faster.
-    """
-    out_data = x.data @ weight.data
-    if bias is not None:
-        out_data += bias.data
-
-    def backward():
-        g = out.grad
-        g_rows = g.reshape(-1, g.shape[-1])
-        if weight.requires_grad:
-            x_rows = x.data.reshape(-1, x.data.shape[-1])
-            weight._accumulate(x_rows.T @ g_rows, True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(g_rows.sum(axis=0), True)
-        if x.requires_grad:
-            x._accumulate(g @ weight.data.T, True)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    out = Tensor._make(out_data, parents, backward)
-    return out
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    centered = x.data - x.data.mean(axis=-1, keepdims=True)
-    rstd = ((centered * centered).mean(axis=-1, keepdims=True) + eps) ** -0.5
-    normalized = centered * rstd
-    out_data = normalized * gamma.data + beta.data
-
-    def backward():
-        g = out.grad
-        lead = tuple(range(g.ndim - 1))
-        if gamma.requires_grad:
-            gamma._accumulate((g * normalized).sum(axis=lead), True)
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=lead), True)
-        if x.requires_grad:
-            gn = g * gamma.data
-            gn -= gn.mean(axis=-1, keepdims=True)
-            gn -= normalized * (gn * normalized).mean(axis=-1, keepdims=True)
-            gn *= rstd
-            x._accumulate(gn, True)
-
-    out = Tensor._make(out_data, (x, gamma, beta), backward)
-    return out
-
-
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled-dot-product attention over (N, T, D) projections.
-
-    Splits the last axis into ``heads`` heads, attends within each, and
-    merges the heads back: ``softmax(q k^T / sqrt(D / heads)) v``.
-    """
-    n, t, d = q.data.shape
-    head_dim = d // heads
-    scale = 1.0 / math.sqrt(head_dim)
-
-    def split(a: np.ndarray) -> np.ndarray:  # (N, T, D) -> (N, h, T, hd)
-        return a.reshape(n, t, heads, head_dim).transpose(0, 2, 1, 3)
-
-    def merge(a: np.ndarray) -> np.ndarray:  # (N, h, T, hd) -> (N, T, D)
-        return a.transpose(0, 2, 1, 3).reshape(n, t, d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    attn = qh @ kh.transpose(0, 1, 3, 2)
-    attn *= scale
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    out_data = merge(attn @ vh)
-
-    def backward():
-        g = split(out.grad)
-        if v.requires_grad:
-            v._accumulate(merge(attn.transpose(0, 1, 3, 2) @ g), True)
-        if q.requires_grad or k.requires_grad:
-            gs = g @ vh.transpose(0, 1, 3, 2)  # d loss / d attn
-            gs -= (gs * attn).sum(axis=-1, keepdims=True)
-            gs *= attn
-            gs *= scale  # d loss / d (q k^T)
-            if q.requires_grad:
-                q._accumulate(merge(gs @ kh), True)
-            if k.requires_grad:
-                k._accumulate(merge(gs.transpose(0, 1, 3, 2) @ qh), True)
-
-    out = Tensor._make(out_data, (q, k, v), backward)
-    return out
-
-
-def concatenate(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate tensors along an axis (differentiable)."""
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-
-    def backward():
-        offset = 0
-        for t, size in zip(tensors, sizes):
-            if t.requires_grad:
-                index = [slice(None)] * out.ndim
-                index[axis] = slice(offset, offset + size)
-                t._accumulate(out.grad[tuple(index)])
-            offset += size
-
-    out = Tensor._make(data, tensors, backward)
-    return out
+                node._backward(node.grad)

@@ -1,4 +1,4 @@
-"""Losses: MSE and the LambdaRank ranking loss (paper Section 4.2).
+"""The LambdaRank ranking loss (paper Section 4.2) and its report metric.
 
 PaCM (and our TLP reimplementation) are trained as rankers: within each
 tuning task, only the *ordering* of schedule latencies matters.
@@ -14,12 +14,6 @@ import numpy as np
 
 from repro.nn.autograd import Tensor
 from repro.rng import make_rng
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error against a constant target."""
-    diff = pred - Tensor(np.asarray(target, dtype=np.float64))
-    return (diff * diff).mean()
 
 
 def _dcg_discounts(n: int) -> np.ndarray:

@@ -30,6 +30,7 @@ from repro.core.moa import MomentumAdapter
 from repro.costmodel.base import CostModel
 from repro.errors import CostModelError
 from repro.hardware.measure import MeasureRunner
+from repro.heap import retain_freed_heap
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
 from repro.search.policy import SearchPolicy
@@ -249,6 +250,7 @@ class Tuner:
         found so far (``stopped_early`` is set on the result).  Both
         run on the tuning thread — callbacks that block stall the run.
         """
+        retain_freed_heap()
         curve: list[CurvePoint] = []
         stopped = False
         for i in range(rounds):

@@ -12,9 +12,10 @@ import pytest
 
 from repro import blas
 from repro.config import ONLINE_TRAIN
-from repro.costmodel import PaCM, TenSetMLP
+from repro.costmodel import PaCM, TenSetMLP, make_labels
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
+from repro.nn import pairwise_rank_accuracy
 from repro.rng import make_rng
 from repro.schedule import generate_sketch
 from repro.schedule.batch import CandidateBatch, lower_batch
@@ -65,8 +66,8 @@ def paper_round():
 
 def _fit_predict(model, paper_round):
     measured, lats, keys, draft = paper_round
-    features = model.featurize_batch(measured)
-    accuracy = model.fit(features, lats, keys, ONLINE_TRAIN, make_rng(1))
+    model.fit(model.featurize_batch(measured), lats, keys, ONLINE_TRAIN, make_rng(1))
+    accuracy = pairwise_rank_accuracy(model.predict_batch(measured), *make_labels(lats, keys))
     return accuracy, model.predict_batch(draft), model.get_params()
 
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.config import TrainConfig
 from repro.core.moa import MomentumAdapter
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel, make_labels
@@ -24,6 +27,7 @@ from repro.rng import make_rng
 from repro.nn.losses import pairwise_rank_accuracy
 from repro.schedule import generate_sketch, lower, random_config
 from repro.schedule.batch import CandidateBatch
+from repro.workloads import network_tasks
 
 TRAIN = TrainConfig(epochs=15)
 
@@ -45,8 +49,13 @@ def training_data():
 
 
 def _fit(model, batch, lats, keys, *args, **kwargs):
-    """Train ``model`` on a packed batch, the way every caller does."""
-    return model.fit(model.featurize_batch(batch), lats, keys, *args, **kwargs)
+    """Train ``model`` on a packed batch, the way every caller does.
+
+    Returns the training score: the pairwise rank accuracy of the
+    trained model's ``predict_batch`` over the same rows.
+    """
+    assert model.fit(model.featurize_batch(batch), lats, keys, *args, **kwargs) is None
+    return pairwise_rank_accuracy(model.predict_batch(batch), *make_labels(lats, keys))
 
 
 class TestMakeLabels:
@@ -159,7 +168,7 @@ class TestNNModelSpecifics:
         model = RandomModel()
         features = model.featurize_batch(batch)
         assert features.shape == (len(batch), 0)  # it reads nothing
-        assert model.fit(features, lats, keys) == 0.5
+        assert model.fit(features, lats, keys) is None
         assert model.predict_batch(batch.take(np.arange(5))).shape == (5,)
 
 
@@ -235,7 +244,7 @@ def _same_params(a, b):
 
 
 class TestTrainingPath:
-    """The fused kernels and the flat-buffer Adam behind ``NNCostModel.fit``."""
+    """The layer-wise backward and the flat-buffer Adam behind ``NNCostModel.fit``."""
 
     FIT = TrainConfig(epochs=2)
 
@@ -271,16 +280,16 @@ class TestTrainingPath:
     def test_fit_encodes_nothing_and_scores_what_predict_batch_scores(
         self, training_data, monkeypatch
     ):
-        """``fit`` trains on the rows it is handed; its accuracy is the
-        trained model's ranking of those same rows."""
+        """``fit`` trains on the rows it is handed, which score exactly as
+        ``predict_batch`` scores the batch they encode; it returns nothing."""
         batch, lats, keys = training_data
         model = PaCM(seed=0)
         features = model.featurize_batch(batch)
         with monkeypatch.context() as m:
             m.setattr(model, "featurize_batch", lambda _: pytest.fail("fit encoded"))
-            acc = model.fit(features, lats, keys, self.FIT, rng=make_rng(0))
-        labels, groups = make_labels(lats, keys)
-        assert acc == pairwise_rank_accuracy(model.predict_batch(batch), labels, groups)
+            assert model.fit(features, lats, keys, self.FIT, rng=make_rng(0)) is None
+        scores = model._score(model._normalize(features))
+        assert np.array_equal(scores, model.predict_batch(batch))
 
     def test_set_params_between_fits_reaches_fit_and_predict_batch(self, training_data):
         """The optimizer of the last fit must not keep serving stale views."""
@@ -346,6 +355,52 @@ class TestTrainingPath:
         assert not _same_params(model.get_params(), saved)
 
 
+def _cyclic_garbage(run) -> tuple[int, Counter]:
+    """What ``run()`` leaves in reference cycles, counted with gc off.
+
+    ``run`` goes once first: imports and lazily built tables are not
+    the job's garbage.
+    """
+    run()
+    gc.collect()
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        found = gc.collect()
+        return found, Counter(type(obj).__name__ for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+
+
+class TestNoCyclicGarbage:
+    """A training step's graph is freed by reference counting, so neither a
+    fit nor a whole tuning job leaves work for the garbage collector."""
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_MODELS))
+    def test_fit(self, kind):
+        factory, row_shape = GOLDEN_MODELS[kind]
+        rng = make_rng(0)
+        features = rng.normal(size=(60, *row_shape))
+        latencies = np.exp(rng.normal(size=60))
+        keys = ["a"] * 30 + ["b"] * 30
+
+        def fit():
+            factory(seed=1).fit(features, latencies, keys, TrainConfig(epochs=2), make_rng(1))
+
+        found, kinds = _cyclic_garbage(fit)
+        assert found == 0, kinds
+
+    def test_tuning_job(self):
+        subs = network_tasks("bert_tiny", top_k=1)
+        found, kinds = _cyclic_garbage(
+            lambda: api.tune_subgraphs("pruner", subs, "a100", rounds=3, scale="smoke")
+        )
+        assert found == 0, kinds
+
+
 class TestGBDT:
     def test_more_trees_fit_better(self, training_data):
         batch, lats, keys = training_data
@@ -355,7 +410,10 @@ class TestGBDT:
 
     def test_tiny_dataset_handled(self, training_data):
         batch, lats, keys = training_data
-        assert _fit(GBDTModel(), batch.take(np.arange(2)), lats[:2], keys[:2]) == 0.0
+        model = GBDTModel()
+        _fit(model, batch.take(np.arange(2)), lats[:2], keys[:2])
+        # too few rows to split: no trees, every prediction the 0.0 base
+        assert np.array_equal(model.predict_batch(batch.take(np.arange(3))), np.zeros(3))
 
     def test_no_params_protocol(self):
         with pytest.raises(CostModelError):

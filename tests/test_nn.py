@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.costmodel.pacm import _PaCMNet
+from repro.costmodel.tlp import _TLPNet
+from repro.features.dataflow import DATAFLOW_BLOCKS, DATAFLOW_DIM
+from repro.features.primitives import PRIMITIVE_DIM
+from repro.features.statement import STATEMENT_DIM
 from repro.nn import (
     Adam,
     LayerNorm,
@@ -14,14 +22,11 @@ from repro.nn import (
     ReLU,
     Sequential,
     Tensor,
-    concatenate,
     lambdarank_loss,
-    mse_loss,
     no_grad,
     pairwise_rank_accuracy,
 )
 from repro.errors import CostModelError
-from repro.nn.autograd import attention, layer_norm, linear
 from repro.nn.losses import lambdarank_lambdas
 from repro.rng import make_rng
 
@@ -56,92 +61,69 @@ def check_op(build, shape, seed=0, tol=1e-5):
     assert np.abs(analytic - num).max() / scale < tol
 
 
-def check_kernel(fn, arrays, frozen=(), tol=1e-6):
-    """Central differences against ``backward`` for every unfrozen input.
+def _assert_close(analytic, num, what, tol):
+    assert analytic is not None, what
+    assert analytic.shape == num.shape, what
+    # relative to the largest entry, but at least 1: some gradients are
+    # exactly zero (a key bias moves every logit of a row equally), and
+    # there the difference quotient is all rounding noise
+    scale = max(np.abs(num).max(), 1.0)
+    assert np.abs(analytic - num).max() / scale < tol, what
 
-    ``fn`` maps one Tensor per entry of ``arrays`` (None entries are
-    passed through, e.g. an absent bias) to a Tensor; the loss is its
-    weighted sum, so every output element carries a distinct gradient.
-    Inputs named in ``frozen`` do not require grad and must get none.
+
+def check_layer(layer, x, const=False, tol=1e-6):
+    """Central differences against ``layer.backward`` for x and every parameter.
+
+    The loss is a fixed weighted sum of the output, so every output
+    element carries a distinct gradient.  With ``const`` the layer must
+    hand back no input gradient.
     """
-    weights = None
+    out = layer.forward(x, const)
+    weights = make_rng(99).normal(size=out.shape)
+    gx = layer.backward(weights)
 
-    def loss_of(values):
-        nonlocal weights
-        out = fn(*values)
-        if weights is None:
-            weights = make_rng(99).normal(size=out.shape)
-        return (out * Tensor(weights)).sum()
+    def loss(_):
+        with no_grad():
+            return float((layer.forward(x, const) * weights).sum())
 
-    tensors = [
-        None if a is None else Tensor(a.copy(), requires_grad=i not in frozen)
-        for i, a in enumerate(arrays)
-    ]
-    loss_of(tensors).backward()
-    for i, a in enumerate(arrays):
-        if a is None:
-            continue
-        if i in frozen:
-            assert tensors[i].grad is None
-            continue
+    for name, p in layer.named_parameters():
+        _assert_close(p.grad, numeric_grad(loss, p.data), name, tol)
+    if const:
+        assert gx is None
+    else:
+        _assert_close(gx, numeric_grad(loss, x), "x", tol)
 
-        def at(d, i=i):
-            values = [None if b is None else Tensor(b) for b in arrays]
-            values[i] = Tensor(d)
-            return float(loss_of(values).data)
 
-        num = numeric_grad(at, a.copy())
-        scale = np.abs(num).max() + 1e-9
-        assert tensors[i].grad.shape == a.shape
-        assert np.abs(tensors[i].grad - num).max() / scale < tol, f"input {i}"
+def modules(m: Module):
+    """``m`` and every module below it."""
+    yield m
+    for value in vars(m).values():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, Module):
+                yield from modules(item)
 
 
 class TestAutogradGradients:
-    def test_add_mul(self):
-        check_op(lambda x: ((x + 2.0) * (x * 3.0)).sum(), (3, 4))
-
     def test_matmul(self):
-        w = Tensor(make_rng(1).normal(size=(4, 5)))
-        check_op(lambda x: sq(x @ w).sum(), (3, 4))
+        lin = Linear(4, 5, seed=1, bias=False)
+        check_op(lambda x: sq(lin(x)).sum(), (3, 4))
 
     def test_batched_matmul_broadcast(self):
-        w = Tensor(make_rng(2).normal(size=(6, 7)))
-        check_op(lambda x: sq(x @ w).sum(), (2, 5, 6))
+        lin = Linear(6, 7, seed=2, bias=False)
+        check_op(lambda x: sq(lin(x)).sum(), (2, 5, 6))
 
     def test_relu(self):
-        check_op(lambda x: sq(x.relu()).sum(), (4, 4))
+        check_op(lambda x: sq(ReLU()(x)).sum(), (4, 4))
 
     def test_reshape(self):
         check_op(lambda x: sq(x.reshape(2, 6) * 3.0).sum(), (3, 4))
-
-    def test_mean_keepdims(self):
-        check_op(
-            lambda x: sq(x - x.mean(axis=-1, keepdims=True)).sum(),
-            (3, 4),
-            tol=1e-4,
-        )
-
-    def test_mean_is_one_node(self):
-        x = Tensor(make_rng(0).normal(size=(2, 3, 4)), requires_grad=True)
-        pooled = x.mean(axis=1)
-        assert pooled._parents == (x,)
-        assert np.allclose(pooled.data, x.data.mean(axis=1))
-        check_op(lambda t: sq(t.mean(axis=1)).sum(), (2, 3, 4))
-        check_op(lambda t: sq(t).mean(), (3, 4))
-
-    def test_concatenate(self):
-        check_op(lambda x: sq(concatenate([x, x * 2.0], axis=-1)).sum(), (2, 3))
 
     def test_shared_inputs_accumulate_independently(self):
         """A node feeding two consumers must not share its gradient array
         with a sibling (pass-through gradients are copied on adoption)."""
 
-        def build(x):
-            a, b = x * 2.0, x * 3.0
-            return ((a + b) + sq(b) + x.reshape(12).reshape(3, 4)).sum()
-
-        check_op(build, (3, 4))
-        check_op(lambda x: (x + x).sum(), (3, 4))
+        check_op(lambda x: (sq(x.reshape(12).reshape(3, 4)) * x).sum(), (3, 4))
+        check_op(lambda x: (x * x.sum(axis=1, keepdims=True)).sum(), (3, 4))
 
     def test_layernorm(self):
         ln = LayerNorm(4)
@@ -158,84 +140,176 @@ class TestAutogradGradients:
         assert y._backward is None
         assert not y.requires_grad
 
+    def test_a_node_does_not_reference_itself(self):
+        """The graph of a finished step is freed by reference counting."""
+        net = Sequential(Linear(4, 8, seed=0), ReLU(), Linear(8, 1, seed=1))
+        gc.disable()
+        try:
+            gc.collect()
+            out = net(Tensor(make_rng(0).normal(size=(5, 4))))
+            loss = (out.reshape(5) * Tensor(np.ones(5))).sum()
+            probe = weakref.ref(out.data)
+            loss.backward()
+            del out, loss
+            assert probe() is None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
 
 class TestFusedKernels:
-    """Each hot layer is one graph node with a hand-written backward."""
+    """Each layer's hand-written backward against central differences."""
 
     @pytest.mark.parametrize("lead", [(5,), (3, 4)], ids=["2d", "3d"])
     @pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
     @pytest.mark.parametrize("frozen", [(), (0,)], ids=["grad-x", "const-x"])
     def test_linear(self, lead, bias, frozen):
-        rng = make_rng(0)
-        arrays = [
-            rng.normal(size=(*lead, 6)),
-            rng.normal(size=(6, 3)),
-            rng.normal(size=3) if bias else None,
-        ]
-        check_kernel(linear, arrays, frozen)
+        x = make_rng(0).normal(size=(*lead, 6))
+        check_layer(Linear(6, 3, seed=1, bias=bias), x, const=bool(frozen))
 
     def test_linear_matches_composed_ops(self):
         rng = make_rng(1)
-        x, w, b = rng.normal(size=(2, 4, 6)), rng.normal(size=(6, 3)), rng.normal(size=3)
-        out = linear(Tensor(x), Tensor(w, True), Tensor(b, True))
-        assert np.allclose(out.data, x @ w + b, rtol=0, atol=1e-14)
-        assert len(out._parents) == 3
+        lin = Linear(6, 3, seed=2)
+        lin.bias.data = rng.normal(size=3)
+        x = rng.normal(size=(2, 4, 6))
+        out = lin(Tensor(x))
+        assert np.allclose(out.data, x @ lin.weight.data + lin.bias.data, rtol=0, atol=1e-14)
+        assert out._parents[0].data is x
 
     @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)], ids=["2d", "3d"])
     @pytest.mark.parametrize("frozen", [(), (0,)], ids=["grad-x", "const-x"])
     def test_layer_norm(self, shape, frozen):
         rng = make_rng(2)
-        arrays = [rng.normal(size=shape), rng.normal(size=8), rng.normal(size=8)]
-        check_kernel(lambda x, g, b: layer_norm(x, g, b, 1e-5), arrays, frozen)
+        ln = LayerNorm(8)
+        ln.gamma.data, ln.beta.data = rng.normal(size=8), rng.normal(size=8)
+        check_layer(ln, rng.normal(size=shape), const=bool(frozen))
 
     def test_layer_norm_statistics(self):
         x = make_rng(3).normal(size=(4, 6, 8)) * 3.0 + 2.0
-        out = layer_norm(Tensor(x), Tensor(np.ones(8)), Tensor(np.zeros(8)), 1e-5).data
+        out = LayerNorm(8).forward(x)
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-4)
 
-    @pytest.mark.parametrize("frozen", [(), (0,), (1, 2)], ids=["all", "const-q", "const-kv"])
-    def test_attention(self, frozen):
-        rng = make_rng(4)
-        arrays = [rng.normal(size=(2, 5, 8)) for _ in range(3)]
-        check_kernel(lambda q, k, v: attention(q, k, v, 2), arrays, frozen)
+    @pytest.mark.parametrize("const", [False, True], ids=["all", "const-x"])
+    def test_attention(self, const):
+        x = make_rng(4).normal(size=(2, 5, 8))
+        check_layer(MultiHeadSelfAttention(8, heads=2, seed=3), x, const=const)
+
+    def test_attention_adds_the_residual_gradient(self):
+        """``residual`` joins the input gradient (its order is pinned by the
+        exact training golden) and is not written to."""
+        x = make_rng(4).normal(size=(2, 5, 8))
+        g = make_rng(5).normal(size=(2, 5, 8))
+        attn = MultiHeadSelfAttention(8, heads=2, seed=3)
+        attn.forward(x)
+        alone = attn.backward(g)
+        attn.forward(x)
+        skip = make_rng(6).normal(size=(2, 5, 8))
+        with_skip = attn.backward(g, residual=skip)
+        assert np.allclose(with_skip, skip + alone, rtol=0, atol=1e-12)
+        assert not np.shares_memory(with_skip, skip)
+
+    def test_relu_and_sequential(self):
+        rng = make_rng(6)
+        check_layer(ReLU(), rng.normal(size=(4, 5)))
+        net = Sequential(Linear(5, 7, seed=1), ReLU(), Linear(7, 2, seed=2))
+        for const in (False, True):
+            check_layer(net, rng.normal(size=(4, 5)), const=const)
 
     def test_attention_matches_per_head_softmax(self):
         rng = make_rng(5)
-        q, k, v = (rng.normal(size=(2, 5, 8)) for _ in range(3))
-        out = attention(Tensor(q), Tensor(k), Tensor(v), 2).data
+        x = rng.normal(size=(2, 5, 8))
+        attn = MultiHeadSelfAttention(8, heads=2)
+        for proj in (attn.wq, attn.wk, attn.wv, attn.wo):  # identity projections
+            proj.weight.data = np.eye(8)
+        out = attn.forward(x)
         for n in range(2):
             for h in range(2):
                 cols = slice(4 * h, 4 * h + 4)
-                logits = q[n, :, cols] @ k[n, :, cols].T / 2.0  # sqrt(head_dim)
+                logits = x[n, :, cols] @ x[n, :, cols].T / 2.0  # sqrt(head_dim)
                 weights = np.exp(logits - logits.max(axis=-1, keepdims=True))
                 weights /= weights.sum(axis=-1, keepdims=True)
-                assert np.allclose(out[n, :, cols], weights @ v[n, :, cols], atol=1e-13)
+                assert np.allclose(out[n, :, cols], weights @ x[n, :, cols], atol=1e-13)
 
     def test_no_grad_builds_no_graph(self):
         rng = make_rng(6)
         x = Tensor(rng.normal(size=(2, 5, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
-        g = Tensor(np.ones(8), requires_grad=True)
+        layers = [Linear(8, 8), LayerNorm(8), MultiHeadSelfAttention(8, heads=2)]
         with no_grad():
-            outs = [
-                linear(x, w, g),
-                layer_norm(x, g, g, 1e-5),
-                attention(x, x, x, 2),
-                x.mean(axis=1),
-            ]
+            outs = [layer(x) for layer in layers]
         for out in outs:
             assert not out.requires_grad
             assert out._backward is None and out._parents == ()
+        # ... and leaves no activation on any module
+        assert all(m._saved is None for layer in layers for m in modules(layer))
 
     def test_layers_are_single_nodes(self):
         x = Tensor(make_rng(7).normal(size=(2, 5, 8)))
-        lin, ln, attn = Linear(8, 8), LayerNorm(8), MultiHeadSelfAttention(8, heads=2)
-        assert lin(x)._parents == (x, lin.weight, lin.bias)
-        assert ln(x)._parents == (x, ln.gamma, ln.beta)
-        # q/k/v projections -> attention -> output projection
-        merged = attn(x)._parents[0]
-        assert [p._parents[0] for p in merged._parents] == [x, x, x]
+        net = Sequential(Linear(8, 8), ReLU(), LayerNorm(8), MultiHeadSelfAttention(8, heads=2))
+        for module in (*net.layers, net):
+            out = module(x)
+            assert out._parents == (x,) and out.requires_grad
+        # a constant input gets no gradient; the parameters all do
+        (out * Tensor(np.ones(out.shape))).sum().backward()
+        assert x.grad is None
+        assert all(p.grad is not None for p in net.parameters())
+        assert all(m._saved is None for m in modules(net))
+
+    def test_backward_needs_a_forward_under_grad(self):
+        lin = Linear(3, 2)
+        with no_grad():
+            lin.forward(np.ones((2, 3)))
+        with pytest.raises(CostModelError, match="without a forward"):
+            lin.backward(np.ones((2, 2)))
+
+
+HYBRID_DIM = STATEMENT_DIM + DATAFLOW_BLOCKS * DATAFLOW_DIM
+
+
+def _pacm_net(use_statement, use_dataflow):
+    return _PaCMNet(
+        d_model=8, stmt_dim=8, use_statement=use_statement, use_dataflow=use_dataflow, seed=1
+    )
+
+
+class TestNetBackward:
+    """The cost models' nets: the concat split, the residual and the mean pool."""
+
+    @pytest.mark.parametrize(
+        "branches", [(True, True), (False, True), (True, False)], ids=["full", "no-sf", "no-df"]
+    )
+    def test_pacm(self, branches):
+        x = make_rng(0).normal(size=(3, HYBRID_DIM))
+        # the rows are features: constant whatever the caller says
+        check_layer(_pacm_net(*branches), x, const=True, tol=1e-5)
+        net = _pacm_net(*branches)
+        net.forward(x, const=False)
+        assert net.backward(np.ones((3, 1))) is None
+
+    @pytest.mark.parametrize("const", [False, True], ids=["grad-x", "const-x"])
+    def test_tlp(self, const):
+        x = make_rng(1).normal(size=(2, 4, PRIMITIVE_DIM))
+        check_layer(_TLPNet(d_model=8, seed=2), x, const=const, tol=1e-5)
+
+    @pytest.mark.parametrize("const", [False, True], ids=["grad-x", "const-x"])
+    def test_mlp(self, const):
+        net = Sequential(
+            Linear(STATEMENT_DIM, 8, seed=0), ReLU(), Linear(8, 8, seed=1), ReLU(),
+            Linear(8, 1, seed=2),
+        )
+        check_layer(net, make_rng(2).normal(size=(4, STATEMENT_DIM)), const=const, tol=1e-5)
+
+    @pytest.mark.parametrize(
+        "net",
+        [_pacm_net(True, True), _pacm_net(False, True), _pacm_net(True, False), _TLPNet(8)],
+        ids=["pacm", "pacm-no-sf", "pacm-no-df", "tlp"],
+    )
+    def test_no_grad_keeps_no_activation(self, net):
+        row = (4, PRIMITIVE_DIM) if isinstance(net, _TLPNet) else (HYBRID_DIM,)
+        x = Tensor(make_rng(3).normal(size=(2, *row)))
+        with no_grad():
+            net(x)
+        assert all(m._saved is None for m in modules(net))
 
 
 class TestModule:
@@ -269,10 +343,10 @@ class TestTraining:
         y = x.sum(axis=1, keepdims=True)
         for _ in range(150):
             opt.zero_grad()
-            loss = mse_loss(net(Tensor(x)), y)
-            loss.backward()
+            pred = net(Tensor(x))
+            pred.backward(2.0 * (pred.data - y) / len(x))  # d mean squared error
             opt.step()
-        assert loss.item() < 0.05
+        assert np.mean((pred.data - y) ** 2) < 0.05
 
     def test_grad_clip_limits_norm(self):
         # eps = 1 makes the first Adam step g / (|g| + 1) instead of sign(g),
