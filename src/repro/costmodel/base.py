@@ -208,7 +208,10 @@ class NNCostModel(CostModel):
         # Clip standardized features: unseen tasks can produce values far
         # outside the training range, and unbounded z-scores let ReLU
         # nets extrapolate arbitrarily large scores for single outliers.
-        return np.clip((features - mu) / sigma, -5.0, 5.0)
+        # ``features`` is the caller's; ``z`` is ours to work in.
+        z = features - mu
+        z /= sigma
+        return np.clip(z, -5.0, 5.0, out=z)
 
     # predict_batch and fit stay defined on this class: the e2e tracer
     # (benchmarks/e2e/tracing.py) patches them here by name (ROADMAP 1c)

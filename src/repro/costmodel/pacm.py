@@ -97,9 +97,13 @@ class _PaCMNet(Module):
         if self.use_dataflow:
             df = x[:, STATEMENT_DIM:].reshape(len(x), DATAFLOW_BLOCKS, DATAFLOW_DIM)
             h = self.df_embed.forward(df, True)
-            h = self.df_norm.forward(h + self.df_attn.forward(h))
+            a = self.df_attn.forward(h)  # fresh, and no layer kept it: add in place
+            a += h
+            h = self.df_norm.forward(a)
             # the mean pool; .mean() would round differently
-            branches.append(h.sum(axis=1) * (1.0 / DATAFLOW_BLOCKS))
+            pooled = h.sum(axis=1)
+            pooled *= 1.0 / DATAFLOW_BLOCKS
+            branches.append(pooled)
         fused = branches[0] if len(branches) == 1 else np.concatenate(branches, axis=-1)
         return self.head.forward(fused)
 

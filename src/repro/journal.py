@@ -110,8 +110,13 @@ def read_json_index(path: Path) -> dict:
 
 
 def write_json_index(path: Path, index: dict[str, dict]) -> None:
-    """Atomically rewrite a JSON index file."""
-    atomic_write_lines(path, [json.dumps(index, indent=2, sort_keys=True)])
+    """Atomically rewrite a JSON index file.
+
+    One line, no ``indent``: with ``indent`` set, ``json`` runs its
+    pure-Python encoder, whose nested closures form reference cycles
+    that every index write left for the garbage collector.
+    """
+    atomic_write_lines(path, [json.dumps(index, sort_keys=True)])
 
 
 def upsert_json_index(path: Path, name: str, fields: dict) -> None:

@@ -199,11 +199,13 @@ class LayerNorm(Module):
 
     def forward(self, x: np.ndarray, const: bool = False) -> np.ndarray:
         """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-        centered = x - x.mean(axis=-1, keepdims=True)
-        rstd = ((centered * centered).mean(axis=-1, keepdims=True) + self._eps) ** -0.5
-        normalized = centered * rstd
+        normalized = x - x.mean(axis=-1, keepdims=True)  # centered, for now
+        rstd = ((normalized * normalized).mean(axis=-1, keepdims=True) + self._eps) ** -0.5
+        normalized *= rstd
         self._keep(normalized, rstd, const)
-        return normalized * self.gamma.data + self.beta.data
+        out = normalized * self.gamma.data
+        out += self.beta.data
+        return out
 
     def backward(self, g: np.ndarray) -> np.ndarray | None:
         normalized, rstd, const = self._take()
@@ -231,6 +233,19 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(n, t, heads * head_dim)
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)`` as a running ``np.maximum`` over columns.
+
+    A max is exact in any order, so this is the same value; over the
+    short attention rows (PaCM's 10 dataflow blocks, TLP's 12 tokens) it
+    is a few whole-array calls instead of a reduction that loops per row.
+    """
+    out = a[..., :1].copy()
+    for j in range(1, a.shape[-1]):
+        np.maximum(out, a[..., j : j + 1], out=out)
+    return out
+
+
 class MultiHeadSelfAttention(Module):
     """Multi-head self-attention over (N, T, D) sequences.
 
@@ -255,7 +270,7 @@ class MultiHeadSelfAttention(Module):
         vh = _split_heads(self.wv.forward(x, const), heads)
         attn = qh @ kh.transpose(0, 1, 3, 2)
         attn *= 1.0 / math.sqrt(qh.shape[-1])
-        attn -= attn.max(axis=-1, keepdims=True)
+        attn -= _row_max(attn)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=-1, keepdims=True)
         self._keep(qh, kh, vh, attn)

@@ -188,6 +188,21 @@ register_lru("schedule.batch.space_plan", space_plan)
 # ----------------------------------------------------------------------
 # ConfigBatch: N configs as a factor tensor
 # ----------------------------------------------------------------------
+def _row_index(idx) -> np.ndarray:
+    """An index or boolean-mask array as row indices (``[]`` selects no rows)."""
+    idx = np.asarray(idx)
+    if idx.dtype == bool:
+        return np.flatnonzero(idx)
+    return idx if idx.size else idx.astype(np.intp)  # np.asarray([]) is float64
+
+
+#: Odd multipliers of the row hash :meth:`ConfigBatch.first_rows` groups
+#: by, one per row column (reused cyclically past the 64th).  Constants,
+#: hashed from a fixed seed: they never come from, or advance, a tuning
+#: generator, and no result depends on their values.
+_ROW_HASH_MULTIPLIERS = np.random.SeedSequence(0x5EED).generate_state(64, np.uint64) | 1
+
+
 class ConfigBatch:
     """N schedule configurations of one space, structure-of-arrays.
 
@@ -288,9 +303,7 @@ class ConfigBatch:
 
     def take(self, idx: np.ndarray) -> "ConfigBatch":
         """Subset (or reorder) by an index or boolean-mask array."""
-        idx = np.asarray(idx)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        idx = _row_index(idx)
         out = ConfigBatch(
             self.space,
             self.factors[idx],
@@ -315,10 +328,10 @@ class ConfigBatch:
             out._configs = self._configs[start:stop]
         return out
 
-    def row_ids(self) -> np.ndarray:
-        """Opaque per-candidate identity values (for vectorized dedup)."""
+    def _flat_rows(self) -> np.ndarray:
+        """Each candidate as one contiguous int64 row: factors, then annotations."""
         n = len(self)
-        flat = np.concatenate(
+        return np.concatenate(
             [
                 self.factors.reshape(n, math.prod(self.factors.shape[1:])),
                 self.unroll[:, None],
@@ -327,7 +340,10 @@ class ConfigBatch:
             ],
             axis=1,
         )
-        flat = np.ascontiguousarray(flat)
+
+    def row_ids(self) -> np.ndarray:
+        """Opaque per-candidate identity values (for vectorized dedup)."""
+        flat = self._flat_rows()
         return flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1])))[:, 0]
 
     def row_keys(self) -> list[bytes]:
@@ -347,9 +363,27 @@ class ConfigBatch:
         return self._row_keys
 
     def first_rows(self) -> np.ndarray:
-        """Index of the first occurrence of each distinct candidate, ascending."""
-        _, first = np.unique(self.row_ids(), return_index=True)
-        return np.sort(first)
+        """Index of the first occurrence of each distinct candidate, ascending.
+
+        Rows are grouped by a 64-bit hash (a wrapping dot product with
+        :data:`_ROW_HASH_MULTIPLIERS`) under a stable argsort, so each run
+        of equal hashes starts at its lowest row.  Equal rows hash equal;
+        if a run also holds a row unequal to its neighbour (a collision),
+        the rows are deduplicated by ``np.unique`` over their bytes instead.
+        """
+        flat = self._flat_rows()
+        multipliers = np.resize(_ROW_HASH_MULTIPLIERS, flat.shape[1])
+        hashes = flat.view(np.uint64) @ multipliers
+        order = np.argsort(hashes, kind="stable")
+        ranked = hashes[order]
+        repeat = ranked[1:] == ranked[:-1]
+        if repeat.any() and not np.array_equal(
+            flat[order[1:][repeat]], flat[order[:-1][repeat]]
+        ):
+            _, first = np.unique(self.row_ids(), return_index=True)
+            return np.sort(first)
+        starts = np.concatenate(([True], ~repeat))[: len(order)]  # no rows, no starts
+        return np.sort(order[starts])
 
     def unique(self) -> "ConfigBatch":
         """Deduplicate, keeping the first occurrence of each candidate."""
@@ -543,9 +577,7 @@ class CandidateBatch:
 
     def take(self, idx: np.ndarray) -> "CandidateBatch":
         """Subset (or reorder) every array by an index/mask array."""
-        idx = np.asarray(idx)
-        if idx.dtype == bool:
-            idx = np.flatnonzero(idx)
+        idx = _row_index(idx)
         b = self.blocks
         return CandidateBatch(
             configs=self.configs.take(idx) if self.configs is not None else None,

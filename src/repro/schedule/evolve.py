@@ -75,13 +75,15 @@ def next_generation(
     weights /= weights.sum()
     parents = rng.choice(n, size=(n_children, 2), p=weights)
     children = crossover_pairs(population, parents[:, 0], parents[:, 1], space, rng)
-    mutate_mask = rng.random(n_children) < mutation_prob
-    if mutate_mask.any():
-        stay, mutate = np.flatnonzero(~mutate_mask), np.flatnonzero(mutate_mask)
+    mutate = np.flatnonzero(rng.random(n_children) < mutation_prob)
+    if len(mutate):
         mutated = mutate_batch(children.take(mutate), space, rng)
-        # back in child order, so the generation's layout stays stable
-        moved = ConfigBatch.concat([children.take(stay), mutated])
-        children = moved.take(np.argsort(np.concatenate([stay, mutate])))
+        # the children's arrays are crossover's fresh output: write the
+        # mutated rows back in place, so the generation's layout stays stable
+        children.factors[mutate] = mutated.factors
+        children.unroll[mutate] = mutated.unroll
+        children.vector[mutate] = mutated.vector
+        children.splitk[mutate] = mutated.splitk
     return ConfigBatch.concat([elite, children])
 
 

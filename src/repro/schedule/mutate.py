@@ -127,18 +127,27 @@ def mutate_batch(
             resample(rows, a)
         elif k == _ANNOTATE:  # flip unroll / vectorize / splitK
             choice = rng.random(len(rows))
-            for column, options, chosen in (
-                (unroll, plan.unroll_options, choice < 0.5),
-                (vector, plan.vector_options, (choice >= 0.5) & (choice < 0.8)),
-                (splitk, plan.splitk_options, choice >= 0.8),
-            ):
-                flipped = rows[chosen]
-                column[flipped] = options[rng.integers(0, len(options), size=len(flipped))]
+            flips = (
+                (unroll, plan.unroll_options, rows[choice < 0.5]),
+                (vector, plan.vector_options, rows[(choice >= 0.5) & (choice < 0.8)]),
+                (splitk, plan.splitk_options, rows[choice >= 0.8]),
+            )
+            # each column's option draw, in column order, as one call
+            picks = rng.integers(
+                0, np.repeat([len(o) for _, o, _ in flips], [len(f) for *_, f in flips])
+            )
+            at = 0
+            for column, options, flipped in flips:
+                column[flipped] = options[picks[at : at + len(flipped)]]
+                at += len(flipped)
         elif parts < 2:
             continue  # nothing to swap, no destination level to move to
         elif k == _SWAP:  # two factors within the axis (product-preserving)
-            i = rng.integers(0, parts, size=len(rows))
-            j = (i + rng.integers(1, parts, size=len(rows))) % parts
+            m = len(rows)
+            # ``i``, then the offset to ``j`` in 1 .. parts - 1, as one call
+            draws = rng.integers(0, np.repeat([parts, parts - 1], m))
+            i = draws[:m]
+            j = (i + 1 + draws[m:]) % parts
             fi = factors[rows, a, i]
             factors[rows, a, i] = factors[rows, a, j]
             factors[rows, a, j] = fi
@@ -150,9 +159,11 @@ def mutate_batch(
             if not has.any():
                 continue
             rows, sub, donors = rows[has], sub[has], donors[has]
-            pick = rng.integers(0, counts[has])  # which donor position (by rank)
+            m = len(rows)
+            # which donor position (by rank), then the destination, as one call
+            draws = rng.integers(0, np.concatenate([counts[has], np.full(m, parts - 1)]))
+            pick, dest = draws[:m], draws[m:]
             donor = np.argmax(donors.cumsum(axis=1) == (pick + 1)[:, None], axis=1)
-            dest = rng.integers(0, parts - 1, size=len(rows))
             dest = dest + (dest >= donor)  # uniform over positions != donor
             p = _spf_array(sub[np.arange(len(rows)), donor])
             factors[rows, a, donor] //= p
@@ -187,13 +198,16 @@ def crossover_pairs(
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     m = len(left)
-    from_left = rng.random((m, plan.n_axes)) < 0.5
+    # the axes' coins (row-major), then unroll's, vector's and splitK's: one call
+    from_left = rng.random(m * (plan.n_axes + 3)) < 0.5
+    axes_left = from_left[: m * plan.n_axes].reshape(m, plan.n_axes)
+    unroll_left, vector_left, splitk_left = from_left[m * plan.n_axes :].reshape(3, m)
     factors = np.where(
-        from_left[:, :, None], batch.factors[left], batch.factors[right]
+        axes_left[:, :, None], batch.factors[left], batch.factors[right]
     )
-    unroll = np.where(rng.random(m) < 0.5, batch.unroll[left], batch.unroll[right])
-    vector = np.where(rng.random(m) < 0.5, batch.vector[left], batch.vector[right])
-    splitk = np.where(rng.random(m) < 0.5, batch.splitk[left], batch.splitk[right])
+    unroll = np.where(unroll_left, batch.unroll[left], batch.unroll[right])
+    vector = np.where(vector_left, batch.vector[left], batch.vector[right])
+    splitk = np.where(splitk_left, batch.splitk[left], batch.splitk[right])
     return ConfigBatch(space, factors, unroll, vector, splitk)
 
 

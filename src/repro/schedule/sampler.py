@@ -7,10 +7,10 @@ the WMMA edge is re-attached to the innermost factor, so every sample
 satisfies the fragment constraint by construction.
 
 The implementation is batched: :func:`sample_factorizations` draws a
-whole ``(n, parts)`` factor matrix at once (grouping candidates by
-their remaining quotient — one stable argsort per part, see
-:func:`sorted_runs` — so each group is one vectorized divisor draw),
-and :func:`random_batch` assembles entire populations as
+whole ``(n, parts)`` factor matrix at once (one stable argsort of the
+remaining quotients and one bounded draw per tile level, divisors
+looked up in a padded per-extent table), and :func:`random_batch`
+assembles entire populations as
 :class:`~repro.schedule.batch.ConfigBatch` factor tensors.  The scalar
 entry points (:func:`sample_factorization`, :func:`random_config`) are
 thin wrappers over the batch path with ``n == 1``.
@@ -34,13 +34,31 @@ from repro.schedule.space import (
 )
 
 
-@lru_cache(maxsize=4096)
-def _divisor_array(n: int) -> np.ndarray:
-    """Divisors of ``n`` as an int64 array (memoized)."""
-    return np.asarray(divisors(n), dtype=np.int64)
+@lru_cache(maxsize=1024)
+def _divisor_table(
+    extent: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The divisor chains of ``extent``, padded: ``(quotients, counts, table, after)``.
+
+    A row's remaining quotient is always a divisor of ``extent``, so the
+    sampler tracks it by rank ``r`` in ``quotients`` (the divisors of
+    ``extent``, ascending).  ``table[r, :counts[r]]`` are the divisors of
+    ``quotients[r]`` ascending (padded with 1), and ``after[r, j]`` is the
+    rank of the quotient left once ``table[r, j]`` is taken out.
+    """
+    quotients = np.asarray(divisors(extent), dtype=np.int64)
+    chains = [divisors(q) for q in quotients.tolist()]
+    counts = np.array([len(chain) for chain in chains], dtype=np.int64)
+    table = np.ones((len(chains), int(counts.max())), dtype=np.int64)
+    for r, chain in enumerate(chains):
+        table[r, : len(chain)] = chain
+    after = np.searchsorted(quotients, quotients[:, None] // table)
+    for array in (quotients, counts, table, after):
+        array.flags.writeable = False  # shared by every caller of the memo
+    return quotients, counts, table, after
 
 
-register_lru("schedule.sampler._divisor_array", _divisor_array)
+register_lru("schedule.sampler._divisor_table", _divisor_table)
 
 
 def sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -67,24 +85,26 @@ def sample_factorizations(
     """Sample ``n`` ordered factorizations of ``extent``: shape ``(n, parts)``.
 
     Each row follows the uniform divisor-chain scheme of the scalar
-    sampler; rows sharing a remaining quotient are drawn together, one
-    vectorized choice per distinct quotient in ascending order.
+    sampler.  A tile level is one ``rng.integers`` call with a bound per
+    row (its quotient's divisor count), rows in ascending quotient, then
+    ascending row order: the same values, and the same generator
+    position after, as one call per distinct quotient (numpy draws an
+    array bound element by element; ``tests/test_draw_merging.py``
+    guards this).  A quotient of 1 has one divisor and draws nothing.
     """
     out = np.ones((n, parts), dtype=np.int64)
     if not n:
         return out  # no draw: an empty batch must leave the generator where it was
-    remaining = np.full(n, extent, dtype=np.int64)
+    quotients, counts, table, after = _divisor_table(extent)
+    rank = np.full(n, len(quotients) - 1)  # every row starts at ``extent``
     for p in range(parts - 1):
-        # every row starts at ``extent``: the first part is one group as it stands
-        order, runs = sorted_runs(remaining) if p else (slice(None), [(extent, 0, n)])
-        picks = np.ones(n, dtype=np.int64)  # in ``order``; a quotient of 1 draws nothing
-        for value, start, stop in runs:
-            if value > 1:
-                divs = _divisor_array(value)
-                picks[start:stop] = divs[rng.integers(0, len(divs), size=stop - start)]
-        out[order, p] = picks
-        remaining[order] //= picks
-    out[:, parts - 1] = remaining
+        # the first level is one quotient: the rows are in order as they stand
+        order = np.argsort(rank, kind="stable") if p else slice(None)
+        ranked = rank[order]
+        pick = rng.integers(0, counts[ranked])
+        out[order, p] = table[ranked, pick]
+        rank[order] = after[ranked, pick]
+    out[:, parts - 1] = quotients[rank]
     return out
 
 
@@ -115,9 +135,10 @@ def _draw_batch(
     factors = np.ones((n, plan.n_axes, MAX_PARTS), dtype=np.int64)
     for a, split in enumerate(space.splits):
         factors[:, a, : split.parts] = sample_axis_batch(rng, space, split, n)
-    unroll = plan.unroll_options[rng.integers(0, len(plan.unroll_options), size=n)]
-    vector = plan.vector_options[rng.integers(0, len(plan.vector_options), size=n)]
-    splitk = plan.splitk_options[rng.integers(0, len(plan.splitk_options), size=n)]
+    options = (plan.unroll_options, plan.vector_options, plan.splitk_options)
+    # the three columns' draws in one call (see sample_factorizations)
+    picks = rng.integers(0, np.repeat([len(o) for o in options], n)).reshape(3, n)
+    unroll, vector, splitk = (o[p] for o, p in zip(options, picks))
     return ConfigBatch(space, factors, unroll, vector, splitk)
 
 

@@ -33,7 +33,7 @@ from repro.hardware.device import get_device
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.schedule import generate_sketch
-from repro.schedule.batch import ConfigBatch, lower_batch
+from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.sampler import random_batch
 from repro.schedule.space import ScheduleConfig
 from repro.search import AnsorPolicy, PrunerPolicy, RecordLog, TuningRecord
@@ -226,6 +226,87 @@ class TestRowIdentity:
         clear_caches()
         for name in ("schedule.memo.LOWERED_ROWS", "features.cache.FEATURE_ROWS"):
             assert cache_stats()[name] == {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
+
+
+def _unique_first_rows(batch: ConfigBatch) -> np.ndarray:
+    """First occurrences by ``np.unique`` over the row bytes: the reference."""
+    return np.sort(np.unique(batch.row_ids(), return_index=True)[1])
+
+
+class TestFirstRows:
+    """``first_rows`` groups by a row hash; it must be exactly the
+    ``np.unique`` answer, collisions included."""
+
+    @given(
+        which=st.integers(0, len(_IDENTITY_WORKLOADS) - 1),
+        seed=st.integers(0, 10_000),
+        picks=st.lists(st.integers(0, 31), max_size=80),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_unique_over_planted_duplicates(self, which, seed, picks):
+        wl, tc = _IDENTITY_WORKLOADS[which]
+        space = generate_sketch(wl, tensorcore=tc, allow_splitk=tc)
+        distinct = random_batch(space, make_rng(seed), 32)
+        batch = distinct.take(np.array(picks, dtype=np.int64) % len(distinct))
+        got = batch.first_rows()
+        assert np.array_equal(got, _unique_first_rows(batch))
+        assert got.dtype == np.intp
+
+    def test_empty_batch(self, matmul_space):
+        empty = random_batch(matmul_space, make_rng(0), 4).take(np.zeros(0, dtype=np.intp))
+        got = empty.first_rows()
+        assert got.dtype == np.intp and not len(got)
+        assert np.array_equal(got, _unique_first_rows(empty))
+
+    @pytest.mark.parametrize("duplicated", [False, True])
+    def test_forced_collision_falls_back_to_unique(self, matmul_space, monkeypatch, duplicated):
+        """Every row hashes to 0: one run holding unequal rows, which only
+        the ``np.unique`` fallback (the one place ``row_ids`` is read)
+        answers right.  A run of equal rows needs no fallback."""
+        import repro.schedule.batch as batch_module
+
+        distinct = random_batch(matmul_space, make_rng(3), 12)
+        batch = distinct.take([0, 5, 0, 11, 5, 3, 3, 7])
+        same = distinct.take([4, 4, 4])
+        want = [_unique_first_rows(b) for b in (batch, same)]
+        calls = []
+        row_ids = ConfigBatch.row_ids
+        monkeypatch.setattr(
+            ConfigBatch, "row_ids", lambda self: calls.append(len(self)) or row_ids(self)
+        )
+        monkeypatch.setattr(
+            batch_module, "_ROW_HASH_MULTIPLIERS", np.zeros(64, dtype=np.uint64)
+        )
+        assert np.array_equal(batch.first_rows(), want[0])
+        assert calls == [len(batch)]
+        assert np.array_equal(same.first_rows(), want[1])
+        assert calls == [len(batch)]  # equal rows in a run: no fallback
+        assert want[0].tolist() == [0, 1, 3, 5, 7] and want[1].tolist() == [0]
+
+
+class TestEmptyTake:
+    """``take([])`` selects no rows: ``np.asarray([])`` is float64 and used
+    to fail as an index."""
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=bool)], ids=["list", "bool"])
+    def test_config_batch(self, matmul_space, empty):
+        batch = random_batch(matmul_space, make_rng(0), 4)
+        taken = batch.take(empty)
+        assert len(taken) == 0
+        assert taken.factors.shape == (0, *batch.factors.shape[1:])
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=bool)], ids=["list", "bool"])
+    def test_candidate_batch(self, matmul_space, empty):
+        rows = lower_batch(matmul_space, random_batch(matmul_space, make_rng(0), 4))
+        taken = rows.take(empty)
+        assert len(taken) == 0 and len(taken.configs) == 0
+        assert taken.blocks.kind.shape == (0, rows.blocks.kind.shape[1])
+
+    def test_candidate_batch_from_programs(self, matmul_space):
+        rows = lower_batch(matmul_space, random_batch(matmul_space, make_rng(0), 2))
+        packed = CandidateBatch.from_programs([rows.program(0), rows.program(1)])
+        taken = packed.take([])
+        assert len(taken) == 0 and taken.programs == []
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.rng import make_rng
 from repro.nn.losses import pairwise_rank_accuracy
 from repro.schedule import generate_sketch, lower, random_config
 from repro.schedule.batch import CandidateBatch
+from repro.serve import JobEngine, drain
 from repro.workloads import network_tasks
 
 TRAIN = TrainConfig(epochs=15)
@@ -355,13 +356,13 @@ class TestTrainingPath:
         assert not _same_params(model.get_params(), saved)
 
 
-def _cyclic_garbage(run) -> tuple[int, Counter]:
+def _cyclic_garbage(run, warm=None) -> tuple[int, Counter]:
     """What ``run()`` leaves in reference cycles, counted with gc off.
 
-    ``run`` goes once first: imports and lazily built tables are not
-    the job's garbage.
+    ``warm`` (default: ``run`` itself) goes once first: imports and
+    lazily built tables are not the job's garbage.
     """
-    run()
+    (warm or run)()
     gc.collect()
     gc.disable()
     try:
@@ -397,6 +398,23 @@ class TestNoCyclicGarbage:
         subs = network_tasks("bert_tiny", top_k=1)
         found, kinds = _cyclic_garbage(
             lambda: api.tune_subgraphs("pruner", subs, "a100", rounds=3, scale="smoke")
+        )
+        assert found == 0, kinds
+
+    def test_engine_jobs(self, tmp_path):
+        """Jobs drained through one engine: each rewrites the record and
+        model store indexes, which an indented ``json.dumps`` did through
+        the pure-Python encoder and its closure cycles (six of them, 198
+        objects, over these three jobs)."""
+        engine = JobEngine(tmp_path)
+
+        def jobs(*networks):
+            for network in networks:
+                engine.submit(network, rounds=2, scale="smoke", top_k_tasks=1)
+            drain(engine)
+
+        found, kinds = _cyclic_garbage(
+            lambda: jobs("resnet50", "mobilenet_v2", "vit"), warm=lambda: jobs("bert_tiny")
         )
         assert found == 0, kinds
 
