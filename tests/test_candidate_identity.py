@@ -258,8 +258,7 @@ class TestFirstRows:
         assert got.dtype == np.intp and not len(got)
         assert np.array_equal(got, _unique_first_rows(empty))
 
-    @pytest.mark.parametrize("duplicated", [False, True])
-    def test_forced_collision_falls_back_to_unique(self, matmul_space, monkeypatch, duplicated):
+    def test_forced_collision_falls_back_to_unique(self, matmul_space, monkeypatch):
         """Every row hashes to 0: one run holding unequal rows, which only
         the ``np.unique`` fallback (the one place ``row_ids`` is read)
         answers right.  A run of equal rows needs no fallback."""
