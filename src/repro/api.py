@@ -30,7 +30,6 @@ Methods (paper Section 5/6):
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from repro.schedule.batch import lower_batch
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.search import AnsorPolicy, PrunerPolicy, Tuner, make_tasks
-from repro.search.records import TuningRecord
+from repro.search.records import RecordLog
 from repro.search.task import TuningTask
 from repro.search.tuner import ProgressFn, TuneResult
 from repro.timemodel import SimClock
@@ -224,7 +223,7 @@ def build_tuner(
     pretrained: dict[str, np.ndarray] | None = None,
     tensorcore: bool = False,
     seed: int = 0,
-    initial_records: Iterable[TuningRecord] | None = None,
+    initial_records: RecordLog | None = None,
     tasks: list[TuningTask] | None = None,
     initial_model_state: dict | None = None,
     initial_model_trained_on: int = 0,
@@ -233,7 +232,7 @@ def build_tuner(
 
     ``pretrained`` supplies cost-model parameters for the offline,
     finetune and MoA modes (see :func:`pretrain_model`).
-    ``initial_records`` warm-starts the tuner's record log (a job's
+    ``initial_records`` is a log the tuner adopts as its own (a job's
     seed rows, see :class:`repro.serve.runner.TuningRunner`).  ``tasks``
     skips task construction when the caller already built them via
     :func:`tasks_for`.  ``initial_model_state`` warm-starts the cost

@@ -33,7 +33,7 @@ from repro.schedule.mutate import _move_factor  # local (gradient-like) move
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.schedule.space import ScheduleConfig
-from repro.search.records import CurvePoint
+from repro.search.records import CurvePoint, RecordLog
 from repro.timemodel import SimClock
 
 
@@ -97,7 +97,6 @@ class FelixTuner:
     def tune(self, subgraphs: list[SubgraphTask], rounds: int):
         """Tune supported subgraphs; raises TuningFailure otherwise."""
         from repro.search.tuner import TuneResult  # local import, no cycle
-        from repro.search.records import RecordLog, TuningRecord
 
         tiled = [s for s in subgraphs if s.workload.is_tiled]
         for sub in tiled:
@@ -123,21 +122,11 @@ class FelixTuner:
                 clock.charge_sa(self.descent_steps * 6)
             batch = lower_batch(space, optima)
             costs = -self.analyzer.score_batch(batch)
-            picked = [
-                batch.program(int(i))
-                for i in np.argsort(costs, kind="stable")[: self.measure_per_round]
-                if costs[i] < math.inf  # launchable
-            ]
-            for res in runner.measure(picked):
-                records.add(
-                    TuningRecord(
-                        task_key=sub.workload.key,
-                        prog=res.prog,
-                        latency=res.latency,
-                        sim_time=clock.total,
-                        round_index=round_index,
-                    )
-                )
+            best = np.argsort(costs, kind="stable")[: self.measure_per_round]
+            picked = best[costs[best] < math.inf]  # launchable
+            if len(picked):
+                res = runner.measure_batch(batch.take(picked))
+                records.add(sub.workload.key, res.batch, res.latency, clock.total, round_index)
             total = 0.0
             complete = True
             for s in tiled:

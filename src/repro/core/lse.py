@@ -31,7 +31,7 @@ from repro.config import SearchConfig
 from repro.core.analyzer import SymbolBasedAnalyzer
 from repro.schedule.batch import ConfigBatch, lower_batch
 from repro.schedule.evolve import BestPool, next_generation, seeded_population
-from repro.schedule.space import ScheduleConfig, ScheduleSpace
+from repro.schedule.space import ScheduleSpace
 
 
 @dataclass
@@ -65,7 +65,7 @@ class LatentScheduleExplorer:
         self,
         space: ScheduleSpace,
         rng: np.random.Generator,
-        seeds: list[ScheduleConfig] | None = None,
+        seeds: ConfigBatch | None = None,
     ) -> LSEResult:
         """Run Algorithm 2 and return the drafted candidate set S_spec.
 
@@ -74,7 +74,7 @@ class LatentScheduleExplorer:
         later tuning rounds refine around known-good regions.
         """
         cfg = self.search
-        population = seeded_population(space, rng, cfg.population, seeds or [], 3)
+        population = seeded_population(space, rng, cfg.population, seeds, 3)
         spec = BestPool(cfg.spec_size)
         n_evals = 0
 

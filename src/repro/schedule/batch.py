@@ -18,7 +18,8 @@ array math:
   is row 0 of a one-row call.
 * :meth:`CandidateBatch.program` — unpacks one row into a scalar
   :class:`~repro.schedule.lower.LoweredProgram` (field copies, no
-  lowering), for the few candidates that get measured and recorded.
+  lowering), for callers outside the tuning loop (a task's best record,
+  the scalar one-row doors).
 * :meth:`CandidateBatch.from_programs` — the inverse: packs
   :class:`~repro.schedule.lower.LoweredProgram` objects (possibly from
   *different* workloads, e.g. cost-model training data) into the same
@@ -245,9 +246,9 @@ class ConfigBatch:
         A factor or annotation that is not an integer (``64.5``, and
         ``64.0`` alike) raises :class:`ScheduleError`: written into an
         int64 array it would be truncated to a config that validates.
-        The objects themselves are not kept: measured seeds join every
-        GA population, and a batch that holds configs makes each view
-        taken of it carry a per-row list.
+        So does an integer that does not fit in an int64.
+        The objects themselves are not kept: a batch that holds configs
+        makes each view taken of it carry a per-row list.
         """
         plan = space_plan(space)
         n = len(configs)
@@ -274,8 +275,8 @@ class ConfigBatch:
                 unroll[i] = index(cfg.unroll)
                 vector[i] = index(cfg.vector)
                 splitk[i] = index(cfg.splitk)
-            except TypeError:
-                raise ScheduleError(f"config {cfg.key}: non-integer value") from None
+            except (TypeError, OverflowError):
+                raise ScheduleError(f"config {cfg.key}: non-integer or non-int64 value") from None
         return cls(space, factors, unroll, vector, splitk)
 
     @classmethod

@@ -19,14 +19,14 @@ import numpy as np
 from repro.schedule.batch import CandidateBatch, ConfigBatch
 from repro.schedule.mutate import crossover_pairs, mutate_batch
 from repro.schedule.sampler import random_batch
-from repro.schedule.space import ScheduleConfig, ScheduleSpace
+from repro.schedule.space import ScheduleSpace
 
 
 def seeded_population(
     space: ScheduleSpace,
     rng: np.random.Generator,
     size: int,
-    seeds: list[ScheduleConfig],
+    seeds: ConfigBatch | None,
     max_mutations: int,
 ) -> ConfigBatch:
     """Initial GA population: random + mutations of measured bests.
@@ -41,12 +41,11 @@ def seeded_population(
     population = random_batch(space, rng, size)
     if not seeds:
         return population
-    seed_batch = ConfigBatch.from_configs(space, seeds)
     cap = size + len(seeds) * 4
     room = cap - len(population) - len(seeds)
     batches = min(-(-room // len(seeds)), max_mutations)
-    mutated = [mutate_batch(seed_batch, space, rng) for _ in range(batches)]
-    return ConfigBatch.concat([population, seed_batch, *mutated]).slice(0, cap)
+    mutated = [mutate_batch(seeds, space, rng) for _ in range(batches)]
+    return ConfigBatch.concat([population, seeds, *mutated]).slice(0, cap)
 
 
 def next_generation(

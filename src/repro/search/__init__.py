@@ -2,7 +2,9 @@
 
 * :mod:`repro.search.task` — :class:`TuningTask` binds a workload to a
   device and a generated schedule space.
-* :mod:`repro.search.records` — measured-trial log and tuning curves.
+* :mod:`repro.search.records` — the measured-trial log (:class:`RecordLog`,
+  column chunks of measured batches; :class:`TuningRecord` is only what
+  ``RecordLog.best`` answers) and tuning curves.
 * :mod:`repro.search.policy` — the per-round candidate proposers:
   :class:`AnsorPolicy` (evolutionary search scoring *every* explored
   candidate with the learned model) and

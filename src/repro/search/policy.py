@@ -9,8 +9,8 @@ draft-then-verify policy (:mod:`repro.search.pruner_policy`) eliminates.
 Both policies run on the batched candidate pipeline: populations are
 :class:`~repro.schedule.batch.ConfigBatch` factor tensors, lowering and
 scoring are single array calls (``lower_batch`` / ``predict_batch``),
-and :class:`~repro.schedule.space.ScheduleConfig` objects are only
-materialized for the few candidates that reach the measurement batch.
+GA seeds come from the record log as a ``ConfigBatch``, and no
+:class:`~repro.schedule.space.ScheduleConfig` object is materialized.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ class SearchPolicy(ABC):
             n_random = max(0, int(round(k * eps)))
             if eps > 0 and n_random == 0:
                 n_random = 1
-        measured = records.measured_rows(self.task.key, self.task.space)
+        measured = records.measured_rows(self.task.key)
         picked: list[int] = []
         seen: set[bytes] = set()
         for i in np.argsort(-np.asarray(scores)).tolist():
@@ -150,7 +150,7 @@ class SearchPolicy(ABC):
         self, records: RecordLog, rng: np.random.Generator
     ) -> ConfigBatch:
         """Initial GA population, seeded from the log's best eight."""
-        seeds = [p.config for p in records.best_configs(self.task.key, k=8)]
+        seeds = records.best_configs(self.task.key, k=8)
         size = self.search.population
         return seeded_population(self.task.space, rng, size, seeds, max(1, size // 16))
 

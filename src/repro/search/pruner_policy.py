@@ -18,8 +18,8 @@ Both stages run on the batched pipeline: the draft GA operates on
 factor tensors end to end and hands S_spec over as a
 :class:`~repro.schedule.batch.ConfigBatch`, and the verify stage is one
 ``lower_batch`` + ``predict_batch`` call over the drafted set.  Rows
-are told apart by their bytes (``row_keys()``); config objects exist
-only for the rows the caller turns into records.
+are told apart by their bytes (``row_keys()``), and the picks go into
+the record log as the arrays they are: no config object is built.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class PrunerPolicy(SearchPolicy):
         space = self.task.space
 
         # ----- Draft: LSE under the Symbol-based Analyzer -----
-        seeds = [p.config for p in records.best_configs(self.task.key, k=5)]
+        seeds = records.best_configs(self.task.key, k=5)
         with obs.span("draft"):
             result = self.explorer.explore(space, rng, seeds=seeds)
         self.clock.charge_sa(result.n_evals)

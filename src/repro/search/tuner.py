@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +34,7 @@ from repro.heap import retain_freed_heap
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
 from repro.search.policy import SearchPolicy
-from repro.search.records import CurvePoint, RecordLog, TuningRecord, time_to_reach
+from repro.search.records import CurvePoint, RecordLog, time_to_reach
 from repro.search.task import TuningTask
 from repro.search.task_scheduler import GradientTaskScheduler
 from repro.timemodel import SimClock
@@ -141,7 +141,7 @@ class Tuner:
         train: TrainConfig | None = None,
         fixed_latency: float = 0.0,
         rng: np.random.Generator | None = None,
-        initial_records: Iterable[TuningRecord] | None = None,
+        initial_records: RecordLog | None = None,
         initial_model_state: dict | None = None,
         initial_model_trained_on: int = 0,
     ) -> None:
@@ -162,7 +162,11 @@ class Tuner:
         self.train_every = 2 if mode == "moa" else 1
         self.fixed_latency = fixed_latency
         self.rng = rng if rng is not None else make_rng(0)
-        self.records = RecordLog()
+        # Warm start: adopt a log seeded from prior records so policies
+        # skip re-measuring known configs and GA seeding starts from the
+        # cached bests (a job's seed rows, shipped on its lease).
+        self.records = initial_records if initial_records is not None else RecordLog()
+        self.seeded_trials = len(self.records)
         #: the model's input rows for ``self.records``, each encoded once
         #: when it lands (offline models never train: none).  Not in the
         #: log, which is model-agnostic: it is what gets persisted.
@@ -200,12 +204,6 @@ class Tuner:
                     self._inherited_trained_on = max(0, initial_model_trained_on)
             except CostModelError:
                 pass
-        # Warm start: seed the log with prior records so policies skip
-        # re-measuring known configs and GA seeding starts from the
-        # cached bests (a job's seed rows, shipped on its lease).
-        self.seeded_trials = (
-            self.records.seed_from(initial_records) if initial_records else 0
-        )
         # A non-empty log makes policies take their model-guided branch,
         # so the model must not be blank: train it on the seeded records
         # up front.  Offline/finetune models arrive pre-trained, so they
@@ -218,8 +216,8 @@ class Tuner:
         # the seed — a cold start beats ranking round one with an
         # unfitted model.
         if self.seeded_trials > 0 and self.mode != "offline":
-            seeded = [r.prog for r in self.records.records]
-            self._encode(CandidateBatch.from_programs(seeded))
+            for batch in self.records.batches():
+                self._encode(batch)
             if self.warm_model and initial_model_trained_on >= len(self.records):
                 pass  # the checkpoint already encodes this evidence
             elif len(self.records) >= MIN_TRAIN_RECORDS:
@@ -323,17 +321,7 @@ class Tuner:
                 obs.funnel("measured", len(batch))
                 if self.mode != "offline":
                     self._encode(batch)
-                sim_time = self.clock.total
-                for i in range(len(batch)):
-                    self.records.add(
-                        TuningRecord(
-                            task_key=task.key,
-                            prog=batch.program(i),
-                            latency=float(res.latency[i]),
-                            sim_time=sim_time,
-                            round_index=self._round,
-                        )
-                    )
+                self.records.add(task.key, batch, res.latency, self.clock.total, self._round)
             self.scheduler.notify(task, self.records)
             self._round += 1
             if self.mode != "offline" and self._round % self.train_every == 0:

@@ -528,10 +528,7 @@ def fresh_rows(result: TuneResult) -> list[dict]:
     server's store — shipping them back would only make the server
     re-dedup them.
     """
-    return [
-        record.to_dict()
-        for record in result.records.records[result.seeded_trials :]
-    ]
+    return result.records.rows(result.seeded_trials)
 
 
 def checkpoint_to_wire(state: dict | None, trained_trials: int = 0) -> dict | None:

@@ -1,9 +1,11 @@
 """Data primitives of the tuning service: records, checkpoints, jobs.
 
-* :mod:`repro.service.store` — :class:`RecordStore` persists
-  :class:`~repro.search.records.TuningRecord` rows as JSON-lines keyed
+* :mod:`repro.service.store` — :class:`RecordStore` persists the rows a
+  :class:`~repro.search.records.RecordLog` serializes as JSON-lines keyed
   by ``(workload key, device, method)``: append-only files with dedup,
   a versioned schema and per-task best-first lookup.
+  :func:`~repro.service.store.rows_to_records` turns rows back into a
+  seeded log.
 * :mod:`repro.service.models` — :class:`ModelStore` persists cost-model
   checkpoints (``save_state``/``load_state`` dicts) beside the records,
   so warm-started runs restore the trained model too.

@@ -4,7 +4,8 @@ Every measured trial a tuning run pays for is evidence worth keeping:
 re-running the same workload should start from what is already known
 (the record-reuse idea behind offline cost models such as TLP, and what
 PrediPrune exploits by caching verifier outcomes).  The store persists
-:class:`~repro.search.records.TuningRecord` rows keyed by
+the rows a :class:`~repro.search.records.RecordLog` serializes
+(:meth:`~repro.search.records.RecordLog.rows`), keyed by
 ``(workload key, device, method)``:
 
 * one JSON-lines file per store key, one row per trial,
@@ -15,9 +16,9 @@ PrediPrune exploits by caching verifier outcomes).  The store persists
 * appends deduplicate on ``(task key, config key)``,
 * rows carry a schema version (``v``); rows of any other version stay
   on disk and are skipped on load,
-* programs are stored as their schedule config and lowered on load, one
-  batch per task (a lowered program is a pure function of ``(space,
-  config)``).
+* programs are stored as their schedule config; a warm start lowers
+  them again, one batch per task (a lowered program is a pure function
+  of ``(space, config)``), into a seeded log (:func:`rows_to_records`).
 
 The store is the persistence layer under :class:`repro.serve.engine.
 JobEngine`: a lease ships a key's rows as a job's seed rows, and a
@@ -35,7 +36,6 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.errors import LoweringError, ScheduleError
 from repro.journal import (
     append_lines,
     file_lock,
@@ -43,11 +43,9 @@ from repro.journal import (
     read_json_index,
     upsert_json_index,
 )
-from repro.search.records import RECORD_SCHEMA_VERSION, TuningRecord
+from repro.search.records import RECORD_SCHEMA_VERSION, RecordLog
 from repro.search.task import TuningTask
-from repro.schedule.batch import lower_batch
-from repro.schedule.lower import LoweredProgram
-from repro.schedule.space import ScheduleConfig, ScheduleSpace
+from repro.schedule.space import ScheduleSpace
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -56,53 +54,17 @@ def _sanitize(text: str) -> str:
     return _UNSAFE.sub("_", text).strip("_") or "x"
 
 
-def _lower_rows(
-    space: ScheduleSpace, configs: list[ScheduleConfig]
-) -> list[LoweredProgram | None]:
-    """Programs of ``configs`` in order; None where one no longer lowers."""
-    try:
-        batch = lower_batch(space, configs)
-    except (ScheduleError, LoweringError):
-        if len(configs) == 1:
-            return [None]
-        # a stale config fails its whole batch: go one by one so that it
-        # is skipped alone
-        return [prog for config in configs for prog in _lower_rows(space, [config])]
-    return [batch.program(i) for i in range(len(batch))]
-
-
 def rows_to_records(
-    rows: Iterable[dict], spaces: dict[str, ScheduleSpace]
-) -> list[TuningRecord]:
-    """Reconstruct records from raw rows, lowering each task's configs
-    as one batch.
-
-    ``spaces`` maps task key -> schedule space.  Rows for unknown tasks,
-    malformed rows and rows with configs outside the current space are
-    skipped and the rest come back in row order — the shared tolerant
-    path under the runner's warm start (seed rows arrive on the lease,
-    not from a file) and the engine's best-schedule query.
+    rows: Iterable[object], spaces: dict[str, ScheduleSpace]
+) -> RecordLog:
+    """A :class:`RecordLog` seeded from raw rows (:meth:`RecordLog.seed_from`),
+    so its ``len()`` counts the rows accepted: the shared tolerant path
+    under the runner's warm start (seed rows arrive on the lease, not
+    from a file) and the engine's best-schedule query.
     """
-    rows = list(rows)
-    by_task: dict[str, list[tuple[int, ScheduleConfig]]] = {}
-    for at, row in enumerate(rows):
-        task_key = row.get("task_key")
-        if task_key in spaces:
-            try:
-                by_task.setdefault(task_key, []).append((at, TuningRecord.config_of(row)))
-            except (KeyError, TypeError, ValueError):
-                continue
-    found: dict[int, TuningRecord] = {}
-    for task_key, group in by_task.items():
-        progs = _lower_rows(spaces[task_key], [config for _, config in group])
-        for (at, _), prog in zip(group, progs):
-            if prog is None:
-                continue
-            try:
-                found[at] = TuningRecord.from_lowered(rows[at], prog)
-            except (KeyError, TypeError, ValueError):
-                continue
-    return [found[at] for at in sorted(found)]
+    log = RecordLog()
+    log.seed_from(rows, spaces)
+    return log
 
 
 @dataclass(frozen=True)
@@ -216,19 +178,19 @@ class RecordStore:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def append(self, key: StoreKey, records: Iterable[TuningRecord]) -> int:
-        """Persist records, deduplicating against what the file holds
-        (:meth:`append_rows` over their serialized form).  Returns the
-        number of rows actually written.
+    def append(self, key: StoreKey, records: RecordLog) -> int:
+        """Persist a log's rows, deduplicating against what the file
+        holds (:meth:`append_rows` over :meth:`RecordLog.rows`).  Returns
+        the number of rows actually written.
         """
         # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
         # ROADMAP 1c); nothing in src calls it
-        return self.append_rows(key, [record.to_dict() for record in records])
+        return self.append_rows(key, records.rows())
 
     def append_rows(self, key: StoreKey, rows: Iterable[dict]) -> int:
         """Persist already-serialized record rows (the wire-ingest path).
 
-        Remote runners ship fresh trials as ``TuningRecord.to_dict``
+        Remote runners ship fresh trials as :meth:`RecordLog.rows`
         rows; persisting them must not require re-lowering every config
         on the server.  Rows missing a ``task_key``/``config_key``
         identity are dropped, the rest deduplicate on it against the
@@ -292,8 +254,8 @@ class RecordStore:
 
     def load_records(
         self, key: StoreKey, spaces: dict[str, ScheduleSpace]
-    ) -> list[TuningRecord]:
-        """Reconstruct records by re-lowering configs against ``spaces``.
+    ) -> RecordLog:
+        """A log of one key's rows, re-lowered against ``spaces``.
 
         ``spaces`` maps task key -> schedule space.  Rows for unknown
         tasks or with configs outside the current space are skipped.

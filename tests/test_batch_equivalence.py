@@ -64,7 +64,7 @@ from repro.schedule import generate_sketch, lower
 from repro.schedule.batch import BLOCK_KINDS, CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.sampler import random_batch, random_population
 from repro.schedule.mutate import crossover_pairs, mutate_batch
-from repro.search import PrunerPolicy, RecordLog, TuningRecord
+from repro.search import PrunerPolicy, RecordLog
 from repro.search.task import TuningTask
 from repro.timemodel import SimClock
 
@@ -604,10 +604,12 @@ class TestPolicyEquivalence:
         return TuningTask.create(ops.matmul(256, 256, 256), get_device(device))
 
     def _seed_records(self, task, policy, rng):
+        """A log of one proposed round (latencies rise with the row), and
+        that round's batch."""
         records = RecordLog()
-        for i, prog in enumerate(_propose(policy, records, rng)):
-            records.add(TuningRecord(task.key, prog, 1e-3 * (i + 1), 0.0, 0))
-        return records
+        batch = policy.propose_batch(records, rng)
+        records.add(task.key, batch, 1e-3 * np.arange(1, len(batch) + 1), 0.0, 0)
+        return records, batch
 
     @pytest.mark.parametrize("device", ["a100", "orin"])
     def test_pruner_proposals_match_scalar_mirror(self, device):
@@ -624,9 +626,9 @@ class TestPolicyEquivalence:
         model = GBDTModel()
         clock = SimClock()
         policy = PrunerPolicy(task, model, search=search, clock=clock)
-        records = self._seed_records(task, policy, make_rng(0))
-        logged = CandidateBatch.from_programs([r.prog for r in records.records])
+        records, logged = self._seed_records(task, policy, make_rng(0))
         model.fit(model.featurize_batch(logged), *records.training_data(), rng=make_rng(1))
+        logged_keys = {logged.program(i).config.key for i in range(len(logged))}
 
         # --- batched proposal ---
         exploration_before = clock.elapsed("exploration")
@@ -635,8 +637,11 @@ class TestPolicyEquivalence:
 
         # --- scalar mirror on an identical RNG stream ---
         rng = make_rng(2)
-        seeds = [p.config for p in records.best_configs(task.key, k=5)]
-        result = policy.explorer.explore(task.space, rng, seeds=seeds)
+        # the log's five best: its first five rows, latencies rise with the row
+        seeds = [logged.program(i).config for i in range(min(5, len(logged)))]
+        result = policy.explorer.explore(
+            task.space, rng, seeds=ConfigBatch.from_configs(task.space, seeds)
+        )
         mirror_clock = SimClock()
         mirror_clock.charge_sa(result.n_evals)
         draft_configs = result.spec.configs()
@@ -653,7 +658,7 @@ class TestPolicyEquivalence:
         picked, seen = [], set()
         for i in order:
             key = progs[int(i)].config.key
-            if key in seen or records.already_measured(task.key, key):
+            if key in seen or key in logged_keys:
                 continue
             seen.add(key)
             picked.append(progs[int(i)])
@@ -662,8 +667,7 @@ class TestPolicyEquivalence:
         pool = [
             p
             for p in progs
-            if p.config.key not in seen
-            and not records.already_measured(task.key, p.config.key)
+            if p.config.key not in seen and p.config.key not in logged_keys
         ]
         if n_rand and pool:
             extra = rng.choice(len(pool), size=min(n_rand, len(pool)), replace=False)

@@ -6,15 +6,15 @@ the rows that become records.  This suite pins three things:
 
 * **goldens** — the ranked LSE draft and the rows each policy picks
   (cold start, warm, and with the top predictions already measured
-  through ``seed_from``) equal ``fixtures/handoff_golden.json``, which
+  through ``seed_from``'s serialized rows) equal ``fixtures/handoff_golden.json``, which
   was captured by running :func:`golden_rounds` on the commit *before*
   the handoff moved to arrays (config objects + key strings end to
   end).  The file is data, not a mirror of today's code.
 * **identity** — ``row_keys`` is a bijection with ``ScheduleConfig.key``
   inside a space, and ``take`` / ``concat`` / ``slice`` (including the
   sharded lowering path) keep configs that were already materialised.
-* **materialisation budget** — a paper-scale round builds config
-  objects only for the rows it hands to measurement.
+* **materialisation budget** — a paper-scale round, logged, builds no
+  config object at all.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from repro.schedule import generate_sketch
 from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.sampler import random_batch
 from repro.schedule.space import ScheduleConfig
-from repro.search import AnsorPolicy, PrunerPolicy, RecordLog, TuningRecord
+from repro.search import AnsorPolicy, PrunerPolicy, RecordLog
 from repro.search.task import TuningTask
 
 GOLDEN_PATH = Path(__file__).parent / "fixtures" / "handoff_golden.json"
@@ -58,13 +58,12 @@ def _lse_rows(result) -> dict:
     }
 
 
-def _records_for(task, batch, round_index: int) -> list[TuningRecord]:
-    return [
-        TuningRecord(
-            task.key, batch.program(i), 1e-3 * (i + 1 + round_index), 0.0, round_index
-        )
-        for i in range(len(batch))
-    ]
+def _log(task, batch, round_index: int, log: RecordLog | None = None) -> RecordLog:
+    """``log`` (or a new one) with ``batch`` measured at made-up latencies."""
+    log = RecordLog() if log is None else log
+    latency = 1e-3 * (np.arange(len(batch)) + 1 + round_index)
+    log.add(task.key, batch, latency, 0.0, round_index)
+    return log
 
 
 def golden_rounds(device: str, lse_rows=_lse_rows) -> dict:
@@ -80,15 +79,16 @@ def golden_rounds(device: str, lse_rows=_lse_rows) -> dict:
         policy = policy_cls(task, model, search=GOLDEN_SEARCH)
         # cold start: empty log, no trained model
         cold = policy.propose_batch(RecordLog(), make_rng(0))
-        records = RecordLog()
-        records.extend(_records_for(task, cold, 0))
+        records = _log(task, cold, 0)
         model.fit(model.featurize_batch(cold), *records.training_data(), rng=make_rng(1))
         # warm: seeds from the log, learned model ranks the drafted set
         warm = policy.propose_batch(records, make_rng(2))
         # same draw, but the warm picks arrive as persisted records in a
         # log this policy has never seen: selection must walk past them
         reseeded = RecordLog()
-        reseeded.seed_from(records.records + _records_for(task, warm, 1))
+        reseeded.seed_from(
+            records.rows() + _log(task, warm, 1).rows(), {task.key: task.space}
+        )
         skipped = policy.propose_batch(reseeded, make_rng(2))
         out[name] = {
             "cold": _picked_keys(cold),
@@ -96,7 +96,7 @@ def golden_rounds(device: str, lse_rows=_lse_rows) -> dict:
             "top_measured": _picked_keys(skipped),
         }
         if name == "pruner":
-            seeds = [p.config for p in records.best_configs(task.key, k=5)]
+            seeds = records.best_configs(task.key, k=5)
             out["lse"] = lse_rows(policy.explorer.explore(task.space, make_rng(3)))
             out["lse_seeded"] = lse_rows(
                 policy.explorer.explore(task.space, make_rng(4), seeds=seeds)
@@ -319,19 +319,17 @@ class TestMeasuredRows:
         task = self._task()
         batch = lower_batch(task.space, random_batch(task.space, make_rng(0), 9))
         rows = batch.row_keys()
-        records = _records_for(task, batch, 0)
+        stored = _log(task, batch, 0).rows()
         log = RecordLog()
-        assert log.measured_rows(task.key, task.space) == set()
-        log.extend(records[:3])
-        assert log.measured_rows(task.key, task.space) == set(rows[:3])
-        assert log.seed_from(records[2:6]) == 3  # one overlaps what is logged
-        log.add(records[7])
-        assert log.measured_rows(task.key, task.space) == set(rows[:6]) | {rows[7]}
-        assert log.measured_rows("another-task", task.space) == set()
+        assert log.measured_rows(task.key) == set()
+        _log(task, batch.take(np.arange(3)), 0, log)
+        assert log.measured_rows(task.key) == set(rows[:3])
+        # one overlaps what is logged
+        assert log.seed_from(stored[2:6], {task.key: task.space}) == 3
+        _log(task, batch.take([7]), 0, log)
+        assert log.measured_rows(task.key) == set(rows[:6]) | {rows[7]}
+        assert log.measured_rows("another-task") == set()
         assert log.trials(task.key) == 7 and log.trials("another-task") == 0
-        assert log.already_measured(task.key, records[7].prog.config.key)
-        assert not log.already_measured(task.key, records[8].prog.config.key)
-        assert not log.already_measured("another-task", records[0].prog.config.key)
 
     def test_selection_skips_rows_of_whichever_log_it_is_handed(self):
         """One policy, two logs: membership comes from the log, not the policy."""
@@ -340,10 +338,9 @@ class TestMeasuredRows:
         policy = PrunerPolicy(task, GBDTModel(), search=search)
         batch = policy._lower_valid_batch(random_batch(task.space, make_rng(3), 12))
         scores = -np.arange(len(batch), dtype=float)  # row 0 ranks first
-        records = _records_for(task, batch, 0)
-        first, second = RecordLog(), RecordLog()
-        first.extend(records[:2])
-        second.seed_from(records[1:4])
+        first = _log(task, batch.take(np.arange(2)), 0)
+        second = RecordLog()
+        second.seed_from(_log(task, batch, 0).rows()[1:4], {task.key: task.space})
         keys = _picked_keys(batch)
         rounds = (
             (first, keys[2:5]),
@@ -367,9 +364,8 @@ class TestMaterialisationBudget:
         task = TuningTask.create(ops.matmul(256, 256, 256), get_device("a100"))
         model = GBDTModel()
         policy = policy_cls(task, model, search=search)
-        records = RecordLog()
-        first = policy.propose_batch(records, make_rng(0))
-        records.extend(_records_for(task, first, 0))
+        first = policy.propose_batch(RecordLog(), make_rng(0))
+        records = _log(task, first, 0)
         model.fit(model.featurize_batch(first), *records.training_data(), rng=make_rng(1))
 
         built = []
@@ -381,6 +377,5 @@ class TestMaterialisationBudget:
         )
         picked = policy.propose_batch(records, make_rng(2))
         assert len(picked) == search.measure_per_round
-        _records_for(task, picked, 1)  # what Tuner.step materialises
-        n_seeds = 8  # the most either policy seeds its GA with
-        assert len(built) <= search.measure_per_round + n_seeds
+        _log(task, picked, 1, records)  # what Tuner.step does with it
+        assert built == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -417,6 +418,31 @@ class TestNoCyclicGarbage:
             lambda: jobs("resnet50", "mobilenet_v2", "vit"), warm=lambda: jobs("bert_tiny")
         )
         assert found == 0, kinds
+
+    def test_a_dropped_result_frees_its_batches_and_parameters(self, monkeypatch):
+        """With gc off, dropping a finished job's result frees every batch
+        its record log held and the cost model's parameter arrays:
+        reference counting alone lets go of what a job measured."""
+        models = []
+        make = api._default_model
+        monkeypatch.setattr(
+            api, "_default_model", lambda *args: models.append(make(*args)) or models[-1]
+        )
+        subs = network_tasks("bert_tiny", top_k=1)
+        gc.collect()
+        gc.disable()
+        try:
+            result = api.tune_subgraphs("pruner", subs, "a100", rounds=3, scale="smoke")
+            (model,) = models
+            held = [weakref.ref(batch) for batch in result.records.batches()]
+            held += [weakref.ref(t.data) for t in model.net.parameters()]
+            assert len(held) > len(result.records.batches()) > 0
+            del result, model
+            models.clear()
+            alive = [ref() for ref in held if ref() is not None]
+            assert alive == []
+        finally:
+            gc.enable()
 
 
 class TestGBDT:

@@ -118,7 +118,7 @@ def test_max_mutations_is_the_only_difference_between_the_two_callers(
     monkeypatch.setattr(
         evolve, "mutate_batch", lambda *args: calls.append(1) or real(*args)
     )
-    seeds_ = random_batch(space, make_rng(1), 5).configs()
+    seeds_ = random_batch(space, make_rng(1), 5)
     got = seeded_population(space, make_rng(2), population, seeds_, max_mutations)
     assert len(calls) == want
     assert len(got) == population + 5 * (1 + want)

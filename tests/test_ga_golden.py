@@ -42,7 +42,7 @@ from repro.schedule.mutate import crossover_pairs, mutate_batch
 from repro.schedule.sampler import random_batch, sample_factorizations
 from repro.search.policy import AnsorPolicy
 from repro.search.pruner_policy import PrunerPolicy
-from repro.search.records import RecordLog, TuningRecord
+from repro.search.records import RecordLog
 from repro.search.task import TuningTask
 from repro.timemodel import SimClock
 
@@ -136,7 +136,7 @@ def ga_case(case: str) -> dict:
 
     search = SearchConfig(population=max(8, min(n, 96)), ga_steps=3, spec_size=48)
     explorer = LatentScheduleExplorer(SymbolBasedAnalyzer(get_device("a100")), search)
-    seeds = [population.config(i) for i in range(min(5, len(population)))]
+    seeds = population.slice(0, 5)
     result = explorer.explore(space, rng, seeds=seeds)
     out["explore.n_evals"] = result.n_evals
     out["explore.scores"] = _frozen(result.scores[:, None], rng)
@@ -173,8 +173,7 @@ def policy_case(case: str) -> dict:
     warm = RecordLog()
     measured = lower_batch(task.space, random_batch(task.space, make_rng(seed + 100), WARM_ROWS))
     assert len(measured) == WARM_ROWS
-    for i in range(WARM_ROWS):
-        warm.add(TuningRecord(task.key, measured.program(i), 1e-3 * (i + 1), 0.0, 0))
+    warm.add(task.key, measured, 1e-3 * np.arange(1, WARM_ROWS + 1), 0.0, 0)
     out = {}
     for name, policy_cls in (("ansor", AnsorPolicy), ("pruner", PrunerPolicy)):
         for state, records in (("cold", RecordLog()), ("warm", warm)):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.config import SearchConfig, TrainConfig
 from repro.core.analyzer import is_launchable
 from repro.costmodel import GBDTModel, PaCM
 from repro.costmodel.base import RandomModel
+from repro.hardware.device import get_device
 from repro.hardware.measure import MeasureRunner
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
@@ -20,13 +24,13 @@ from repro.schedule import lower, random_config
 from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.mutate import mutate_batch
 from repro.schedule.sampler import random_batch
+from repro.schedule.space import ScheduleConfig
 from repro.search import (
     AnsorPolicy,
     GradientTaskScheduler,
     PrunerPolicy,
     RecordLog,
     Tuner,
-    TuningRecord,
     make_tasks,
 )
 from repro.search.records import CurvePoint, time_to_reach
@@ -66,47 +70,209 @@ class TestTuningTask:
         assert ta.key != tb.key
 
 
-class TestRecordLog:
-    def _rec(self, task, latency, rng, round_index=0):
-        prog = lower(task.space, random_config(task.space, rng))
-        return TuningRecord(task.key, prog, latency, 0.0, round_index)
+def _one_row(task, rng):
+    """A one-row lowered batch of a random config of ``task``."""
+    return lower_batch(task.space, [random_config(task.space, rng)])
 
+
+class TestRecordLog:
     def test_best_tracking(self, two_tasks, rng):
         log = RecordLog()
         task = two_tasks[0]
-        log.add(self._rec(task, 2e-3, rng))
-        log.add(self._rec(task, 1e-3, rng))
-        log.add(self._rec(task, 5e-3, rng))
+        for latency in (2e-3, 1e-3, 5e-3):
+            log.add(task.key, _one_row(task, rng), latency, 0.0, 0)
         assert log.best_latency(task.key) == 1e-3
+        assert log.best(task.key).latency == 1e-3
 
     def test_invalid_records_never_best(self, two_tasks, rng):
         log = RecordLog()
         task = two_tasks[0]
-        log.add(self._rec(task, math.inf, rng))
+        log.add(task.key, _one_row(task, rng), math.inf, 0.0, 0)
         assert log.best(task.key) is None
-        log.add(self._rec(task, 1e-3, rng))
+        log.add(task.key, _one_row(task, rng), 1e-3, 0.0, 0)
         assert log.best_latency(task.key) == 1e-3
 
     def test_already_measured(self, two_tasks, rng):
         log = RecordLog()
         task = two_tasks[0]
-        rec = self._rec(task, 1e-3, rng)
-        log.add(rec)
-        assert log.already_measured(task.key, rec.prog.config.key)
-        assert not log.already_measured(task.key, "other")
+        batch = _one_row(task, rng)
+        log.add(task.key, batch, 1e-3, 0.0, 0)
+        assert log.measured_rows(task.key) == set(batch.row_keys())
+        assert log.measured_rows(two_tasks[1].key) == set()
+        assert log.trials(task.key) == 1
 
     def test_best_configs_sorted_and_deduped(self, two_tasks, rng):
         log = RecordLog()
         task = two_tasks[0]
-        for lat in (3e-3, 1e-3, 2e-3):
-            log.add(self._rec(task, lat, rng))
+        batch = lower_batch(task.space, random_batch(task.space, rng, 3))
+        log.add(task.key, batch, [3e-3, 1e-3, 2e-3], 0.0, 0)
+        log.add(task.key, batch.take([1]), 5e-4, 1.0, 1)  # re-measured faster
         bests = log.best_configs(task.key, k=2)
-        assert len(bests) == 2
+        assert bests.row_keys() == [batch.row_keys()[1], batch.row_keys()[2]]
+        assert log.best_configs(two_tasks[1].key) is None
 
     def test_time_to_reach(self):
         curve = [CurvePoint(10, 5, 3.0), CurvePoint(20, 10, 2.0), CurvePoint(30, 15, 1.0)]
         assert time_to_reach(curve, 2.5) == 20
         assert math.isinf(time_to_reach(curve, 0.5))
+
+
+def _row_of(task_key: str, prog, latency: float, sim_time: float, round_index: int) -> dict:
+    """A record row as the store has always written it."""
+    config = prog.config
+    return {
+        "v": 1,
+        "task_key": task_key,
+        "workload_key": prog.workload.key,
+        "config": {
+            "tiles": [[axis, list(factors)] for axis, factors in config.tiles],
+            "unroll": config.unroll,
+            "vector": config.vector,
+            "splitk": config.splitk,
+        },
+        "config_key": config.key,
+        "latency": latency if math.isfinite(latency) else repr(latency),
+        "sim_time": sim_time,
+        "round_index": round_index,
+    }
+
+
+class _ReferenceLog:
+    """The record log as a list of scalar records: Python ``sort``,
+    dedup on ``ScheduleConfig.key``."""
+
+    def __init__(self) -> None:
+        self.records: list[tuple] = []  # (task key, program, latency, sim time, round)
+        self.measured: dict[str, dict[str, object]] = {}  # task -> config key -> config
+
+    def add(self, task_key, prog, latency, sim_time, round_index) -> None:
+        self.records.append((task_key, prog, latency, sim_time, round_index))
+        self.measured.setdefault(task_key, {}).setdefault(prog.config.key, prog.config)
+
+    def seed_from(self, rows, spaces) -> int:
+        added = 0
+        for row in rows:
+            if not isinstance(row, dict) or row.get("task_key") not in spaces:
+                continue
+            task_key, cfg = row["task_key"], row["config"]
+            config = ScheduleConfig.from_map(
+                {axis: tuple(factors) for axis, factors in cfg["tiles"]},
+                unroll=cfg["unroll"], vector=cfg["vector"], splitk=cfg["splitk"],
+            )
+            if config.key in self.measured.get(task_key, {}):
+                continue
+            prog = lower(spaces[task_key], config)
+            self.add(
+                task_key, prog, float(row["latency"]), float(row["sim_time"]),
+                int(row["round_index"]),
+            )
+            added += 1
+        return added
+
+    def best(self, task_key):
+        best = None
+        for record in self.records:
+            if record[0] == task_key and math.isfinite(record[2]):
+                if best is None or record[2] < best[2]:
+                    best = record
+        return best
+
+    def best_configs(self, task_key, k) -> list[str]:
+        finite = [r for r in self.records if r[0] == task_key and math.isfinite(r[2])]
+        finite.sort(key=lambda r: r[2])
+        keys: list[str] = []
+        for r in finite:
+            if r[1].config.key not in keys and len(keys) < k:
+                keys.append(r[1].config.key)
+        return keys
+
+    def rows(self, start: int) -> list[dict]:
+        return [_row_of(*record) for record in self.records[start:]]
+
+
+_POOL_SIZE = 6
+#: latencies a trial may take: ties and invalid ones included
+_LATENCIES = (1e-3, 2e-3, 2e-3, 3e-3, math.inf)
+
+
+@pytest.fixture(scope="module")
+def reference_pools():
+    tasks = make_tasks(
+        [SubgraphTask(ops.matmul(64, 64, 64), 1), SubgraphTask(ops.conv2d(1, 8, 14, 14, 8, 3), 1)],
+        get_device("a100"),
+    )
+    pools = [lower_batch(t.space, random_batch(t.space, make_rng(9), _POOL_SIZE)) for t in tasks]
+    assert all(len(pool.configs.unique()) == _POOL_SIZE for pool in pools)
+    return tasks, pools
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "seed"]),
+        st.integers(0, 1),  # task
+        st.lists(  # (pool row, latency choice) per logged row
+            st.tuples(st.integers(0, _POOL_SIZE - 1), st.integers(0, len(_LATENCIES) - 1)),
+            min_size=1,
+            max_size=5,
+        ),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestRecordLogAgainstReference:
+    """The column log answers every query as the list of records did."""
+
+    @given(ops_=_OPS, other_task=st.booleans())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_queries_match_a_list_of_records(self, reference_pools, ops_, other_task):
+        tasks, pools = reference_pools
+        spaces = {t.key: t.space for t in tasks}
+        log, ref = RecordLog(), _ReferenceLog()
+        for step, (op, t, picks) in enumerate(ops_):
+            task, pool = tasks[t], pools[t]
+            rows = np.array([row for row, _ in picks])
+            latency = [_LATENCIES[choice] for _, choice in picks]
+            if op == "add":
+                log.add(task.key, pool.take(rows), latency, float(step), step)
+                for row, lat in zip(rows, latency):
+                    ref.add(task.key, pool.program(int(row)), lat, float(step), step)
+            else:
+                # seed rows interleave the two tasks and carry junk
+                wire = []
+                for row, lat in zip(rows, latency):
+                    wire.append(_row_of(task.key, pool.program(int(row)), lat, float(step), step))
+                    if other_task:
+                        other = tasks[1 - t]
+                        prog = pools[1 - t].program(int(row))
+                        wire.append(_row_of(other.key, prog, lat, 0.5, step))
+                wire += ["not a row", {"task_key": "no-such-task"}]
+                wire = json.loads(json.dumps(wire))
+                assert log.seed_from(wire, spaces) == ref.seed_from(wire, spaces)
+
+        assert len(log) == len(ref.records)
+        lats, keys = log.training_data()
+        assert lats.tolist() == [r[2] for r in ref.records]
+        assert keys == [r[0] for r in ref.records]
+        for start in (0, len(ref.records) // 2, len(ref.records)):
+            assert json.dumps(log.rows(start)) == json.dumps(ref.rows(start))
+        for task in tasks:
+            want = ref.best(task.key)
+            got = log.best(task.key)
+            if want is None:
+                assert got is None and log.best_latency(task.key) == math.inf
+            else:
+                assert (got.prog, got.latency, got.sim_time, got.round_index) == want[1:]
+                assert log.best_latency(task.key) == want[2]
+            assert log.trials(task.key) == len(ref.measured.get(task.key, {}))
+            configs = list(ref.measured.get(task.key, {}).values())
+            want_rows = ConfigBatch.from_configs(task.space, configs).row_keys()
+            assert log.measured_rows(task.key) == set(want_rows)
+            for k in (1, 3, 8):
+                seeds = log.best_configs(task.key, k)
+                got_keys = [] if seeds is None else [c.key for c in seeds.configs()]
+                assert got_keys == ref.best_configs(task.key, k)
 
 
 def _propose(policy, records, rng):
@@ -133,11 +299,10 @@ class TestPolicies:
         task = two_tasks[0]
         policy = PrunerPolicy(task, RandomModel(), search=SEARCH)
         records = RecordLog()
-        first = _propose(policy, records, make_rng(0))
-        for p in first:
-            records.add(TuningRecord(task.key, p, 1e-3, 0.0, 0))
+        batch = policy.propose_batch(records, make_rng(0))
+        records.add(task.key, batch, 1e-3, 0.0, 0)
         second = _propose(policy, records, make_rng(1))
-        measured = {p.config.key for p in first}
+        measured = {batch.program(i).config.key for i in range(len(batch))}
         assert all(p.config.key not in measured for p in second)
 
     def test_ansor_charges_more_exploration_than_pruner(self, two_tasks):
@@ -152,10 +317,9 @@ class TestPolicies:
             policy = cls(task, model, search=SEARCH, clock=clock)
             records = RecordLog()
             # seed one round so models count as trained
-            progs = _propose(policy, records, make_rng(0))
-            for p in progs:
-                records.add(TuningRecord(task.key, p, 1e-3, 0.0, 0))
-            features = model.featurize_batch(CandidateBatch.from_programs(progs))
+            batch = policy.propose_batch(records, make_rng(0))
+            records.add(task.key, batch, 1e-3, 0.0, 0)
+            features = model.featurize_batch(batch)
             model.fit(features, *records.training_data(), train=TrainConfig(epochs=2))
             clock_before = clock.elapsed(EXPLORATION)
             policy.propose_batch(records, make_rng(1))
@@ -173,8 +337,7 @@ class TestSeededPopulation:
         task = TuningTask.create(workload, a100)
         records = RecordLog()
         seeds = lower_batch(task.space, random_batch(task.space, make_rng(50), n_seeds))
-        for i in range(len(seeds)):
-            records.add(TuningRecord(task.key, seeds.program(i), 1e-3 * (i + 1), 0.0, 0))
+        records.add(task.key, seeds, 1e-3 * np.arange(1, len(seeds) + 1), 0.0, 0)
         drawn: list[ConfigBatch] = []
 
         def counting(batch, space, rng):
@@ -254,8 +417,7 @@ class TestTaskScheduler:
         sched = GradientTaskScheduler(two_tasks)
         records = RecordLog()
         t0 = two_tasks[0]
-        prog = lower(t0.space, random_config(t0.space, rng))
-        records.add(TuningRecord(t0.key, prog, 1e-3, 0.0, 0))
+        records.add(t0.key, _one_row(t0, rng), 1e-3, 0.0, 0)
         sched.notify(t0, records)
         assert sched.select(records).key == two_tasks[1].key
 
@@ -263,8 +425,7 @@ class TestTaskScheduler:
         """A chain of one-round warm-started jobs must reach the second task."""
         t0, t1 = two_tasks
         records = RecordLog()
-        prog = lower(t0.space, random_config(t0.space, rng))
-        records.add(TuningRecord(t0.key, prog, 1e-3, 0.0, 0))
+        records.add(t0.key, _one_row(t0, rng), 1e-3, 0.0, 0)
         assert GradientTaskScheduler(two_tasks).select(records).key == t1.key
 
     def test_warmup_follows_task_order_on_an_empty_log(self, two_tasks, rng):
@@ -274,8 +435,7 @@ class TestTaskScheduler:
         for _ in two_tasks:
             task = sched.select(records)
             picked.append(task.key)
-            prog = lower(task.space, random_config(task.space, rng))
-            records.add(TuningRecord(task.key, prog, 1e-3, 0.0, 0))
+            records.add(task.key, _one_row(task, rng), 1e-3, 0.0, 0)
             sched.notify(task, records)
         assert picked == [t.key for t in two_tasks]
 
@@ -385,7 +545,9 @@ class _TrainingSpy:
 
     def oracle(self, records: RecordLog) -> np.ndarray:
         """The log re-packed and re-encoded whole: what fit used to see."""
-        packed = CandidateBatch.from_programs([r.prog for r in records.records])
+        packed = CandidateBatch.from_programs(
+            [b.program(i) for b in records.batches() for i in range(len(b))]
+        )
         return self._featurize(packed)
 
 
@@ -448,11 +610,16 @@ class TestTrainingMatrix:
 
     def test_a_seeded_log_is_encoded_once(self, subs, spies):
         from repro import api
+        from repro.service.store import rows_to_records
 
         first = self._tune("pruner", subs)
+        tasks = api.tasks_for("pruner", subs, get_device("a100"))
         tuner = api.build_tuner(
             "pruner", subs, "a100", search=api.resolve_scale("smoke"), seed=1,
-            initial_records=first.records.records,
+            tasks=tasks,
+            initial_records=rows_to_records(
+                first.records.rows(), {t.key: t.space for t in tasks}
+            ),
         )
         result = tuner.tune(self.ROUNDS)
         assert result.seeded_trials > 0

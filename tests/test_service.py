@@ -8,18 +8,23 @@ import json
 import math
 import signal
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_serve import drain_with_threads
 
 from repro import api
 from repro.errors import ScheduleError, SearchError
+from repro.hardware.device import get_device
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
 from repro.schedule import lower, random_config
-from repro.schedule.batch import ConfigBatch
+from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.lower import lowered_count
-from repro.search import RecordLog, TuningRecord, make_tasks
+from repro.schedule.space import ScheduleConfig
+from repro.search import RecordLog, make_tasks
 from repro.serve.cli import _graceful_drain
 from repro.serve.cli import main as cli_main
 from repro.serve.engine import LEDGER_NAME, JobEngine
@@ -45,28 +50,29 @@ def matmul_task(a100):
     return task
 
 
-def _records(task, rng, latencies, start_round=0):
-    out = []
-    for i, latency in enumerate(latencies):
-        prog = lower(task.space, random_config(task.space, rng))
-        out.append(
-            TuningRecord(task.key, prog, latency, float(i), start_round + i)
-        )
-    return out
+def _records(task, rng, latencies, start_round=0) -> RecordLog:
+    """A log of one measured random config of ``task`` per latency."""
+    n = len(latencies)
+    batch = lower_batch(task.space, [random_config(task.space, rng) for _ in range(n)])
+    log = RecordLog()
+    log.add(task.key, batch, latencies, np.arange(n, dtype=float), start_round + np.arange(n))
+    return log
 
 
 class TestRecordSerialization:
     def test_dict_round_trip_exact(self, matmul_task, rng):
-        (rec,) = _records(matmul_task, rng, [1.2345678901234567e-4])
-        back = TuningRecord.from_dict(rec.to_dict(), matmul_task.space)
-        assert back == rec  # frozen dataclasses: exact field equality
+        log = _records(matmul_task, rng, [1.2345678901234567e-4])
+        back = rows_to_records(log.rows(), {matmul_task.key: matmul_task.space})
+        assert back.rows() == log.rows()
+        # frozen dataclasses: exact field equality, program included
+        assert back.best(matmul_task.key) == log.best(matmul_task.key)
 
     def test_inf_latency_round_trips(self, matmul_task, rng):
-        (rec,) = _records(matmul_task, rng, [math.inf])
-        data = json.loads(json.dumps(rec.to_dict()))  # through real JSON
-        back = TuningRecord.from_dict(data, matmul_task.space)
-        assert math.isinf(back.latency)
-        assert back == rec
+        log = _records(matmul_task, rng, [math.inf])
+        data = json.loads(json.dumps(log.rows()))  # through real JSON
+        back = rows_to_records(data, {matmul_task.key: matmul_task.space})
+        assert math.isinf(back.training_data()[0][0])
+        assert back.rows() == log.rows() == data
 
     def test_store_round_trip_preserves_bests_and_dedup(
         self, matmul_task, rng, tmp_path
@@ -81,13 +87,11 @@ class TestRecordSerialization:
         assert store.count(key) == len(records)
 
         loaded = store.load_records(key, {matmul_task.key: matmul_task.space})
-        assert sorted(r.latency for r in loaded) == sorted(latencies)
-
-        log = RecordLog()
-        log.extend(loaded)
-        assert log.best_latency(matmul_task.key) == 1e-3
-        for rec in records:
-            assert log.already_measured(matmul_task.key, rec.prog.config.key)
+        assert sorted(loaded.training_data()[0]) == sorted(latencies)
+        assert loaded.best_latency(matmul_task.key) == 1e-3
+        assert loaded.measured_rows(matmul_task.key) == records.measured_rows(
+            matmul_task.key
+        )
 
     def test_unknown_task_and_newer_schema_rows_skipped(
         self, matmul_task, rng, tmp_path
@@ -97,13 +101,13 @@ class TestRecordSerialization:
         key = store_key_for_tasks([matmul_task], "pruner")
         store.append(key, records)
         with store.path_for(key).open("a") as fh:
-            future = records[0].to_dict()
+            (future,) = records.rows()
             future["v"] = 999
             fh.write(json.dumps(future) + "\n")
             fh.write("not json at all\n")
         loaded = store.load_records(key, {matmul_task.key: matmul_task.space})
         assert len(loaded) == 1
-        assert store.load_records(key, {}) == []
+        assert len(store.load_records(key, {})) == 0
 
     def test_best_row_ignores_invalid(self, matmul_task, rng, tmp_path):
         store = RecordStore(tmp_path)
@@ -121,20 +125,6 @@ class TestRecordSerialization:
         stats = RecordStore(tmp_path).stats()  # fresh instance, from disk
         assert len(stats) == 2
         assert all(entry["records"] == 1 for entry in stats)
-
-
-def _per_row_loop(rows, spaces):
-    """``rows_to_records`` before it lowered a task's rows as one batch."""
-    out = []
-    for row in rows:
-        space = spaces.get(row.get("task_key"))
-        if space is None:
-            continue
-        try:
-            out.append(TuningRecord.from_dict(row, space))
-        except (ScheduleError, KeyError, TypeError, ValueError):
-            continue
-    return out
 
 
 def _with_tiles(row, change):
@@ -161,11 +151,23 @@ def _unroll(tiles, config):
     config["unroll"] += 0.7
 
 
+def _true_factor(tiles, config):
+    factors = next(factors for _, factors in tiles if 1 in factors)
+    factors[factors.index(1)] = True  # index(True) == 1
+
+
+def _true_splitk(tiles, config):
+    assert config["splitk"] == 1
+    config["splitk"] = True
+
+
 NON_INTEGER_ROWS = [
     pytest.param(_floats, id="64.0"),
     pytest.param(_half, id="64.5"),
     pytest.param(_strings, id="'64'"),
     pytest.param(_unroll, id="unroll-16.7"),
+    pytest.param(_true_factor, id="factor-true"),
+    pytest.param(_true_splitk, id="splitk-true"),
 ]
 
 
@@ -185,60 +187,61 @@ class TestRowsToRecords:
         rows = []
         for i in range(n):
             task = tasks[i % 3 == 0]  # interleaved, two thirds on the first
-            (rec,) = _records(task, rng, [1e-3 * (i + 1)], start_round=i)
-            rows.append(json.loads(json.dumps(rec.to_dict())))
+            (row,) = _records(task, rng, [1e-3 * (i + 1)], start_round=i).rows()
+            row["sim_time"] = float(i)
+            rows.append(json.loads(json.dumps(row)))
         return rows
 
     def test_good_rows_are_lowered_once_a_task(self, two_tasks, monkeypatch):
         """50 rows of two tasks: two ``lower_batch`` calls, 50 lowered
         rows (a second, per-record lowering would make it 100)."""
-        from repro.service import store
+        from repro.search import records
 
         rows = self._rows(two_tasks)
         spaces = {t.key: t.space for t in two_tasks}
         calls = []
-        real = store.lower_batch
+        real = records.lower_batch
         monkeypatch.setattr(
-            store,
+            records,
             "lower_batch",
             lambda space, configs: calls.append(len(configs)) or real(space, configs),
         )
         before = lowered_count()
-        records = rows_to_records(rows, spaces)
+        log = rows_to_records(rows, spaces)
         assert lowered_count() - before == len(rows) == 50
         assert sorted(calls) == [17, 33]
-        assert [r.to_dict() for r in records] == rows
+        assert log.rows() == rows
+        # one chunk per consecutive same-task run of rows
+        assert len(log.batches()) == 2 * len(range(0, 50, 3))
 
     def test_bad_rows_are_skipped_alone_and_order_is_kept(self, two_tasks):
-        """A stale config, an unknown task, a garbage row and a duplicate
-        in the middle: exactly the rows the per-row loop keeps."""
+        """A stale config, an unknown task, garbage rows and a duplicate
+        in the middle: exactly the good rows are kept, in order."""
         rows = self._rows(two_tasks)
+        good = list(rows)
         spaces = {t.key: t.space for t in two_tasks}
         stale = json.loads(json.dumps(rows[10]))
         stale["config"]["tiles"][0][1][0] *= 3  # product != extent now
         unknown = dict(rows[11], task_key="no-such-task")
         garbage = {"task_key": rows[12]["task_key"], "config": "nope", "latency": "x"}
         no_latency = {k: v for k, v in rows[13].items() if k != "latency"}
-        rows[20:20] = [stale, unknown, garbage, no_latency, rows[5]]
+        rows[20:20] = [stale, unknown, garbage, no_latency, rows[5], "not a row", None]
         got = rows_to_records(rows, spaces)
-        assert got == _per_row_loop(rows, spaces)
-        assert len(got) == 51  # the 50 and the duplicate
-        assert [r.round_index for r in got[:21]] == list(range(20)) + [5]
+        assert len(got) == 50  # the duplicate is logged once
+        assert got.rows() == good
 
     @pytest.mark.parametrize("change", NON_INTEGER_ROWS)
     def test_non_integer_config_values_skip_the_row(self, matmul_task, rng, change):
         """``64.0`` used to come back as a second identity of the same
         schedule (``i:64.0x...``), ``16.7`` as 16, and ``64.5`` was cut
-        to a valid 64 on its way into a batch."""
-        (rec,) = _records(matmul_task, rng, [1e-3])
-        row = json.loads(json.dumps(rec.to_dict()))
+        to a valid 64 on its way into a batch; JSON ``true`` passed as
+        the integer 1."""
+        (row,) = json.loads(json.dumps(_records(matmul_task, rng, [1e-3]).rows()))
         twin = _with_tiles(row, change)
         spaces = {matmul_task.key: matmul_task.space}
-        assert rows_to_records([row, twin], spaces) == [rec]
-        with pytest.raises((TypeError, ScheduleError)):
-            TuningRecord.from_dict(twin, matmul_task.space)
-        log = RecordLog()
-        assert log.seed_from(rows_to_records([twin, row, twin], spaces)) == 1
+        assert rows_to_records([row, twin], spaces).rows() == [row]
+        assert len(rows_to_records([twin], spaces)) == 0
+        assert RecordLog().seed_from([twin, row, twin], spaces) == 1
 
     def test_from_configs_refuses_what_it_would_truncate(self, matmul_space):
         config = random_config(matmul_space, make_rng(0))
@@ -247,11 +250,136 @@ class TestRowsToRecords:
             config.with_tile(axis, (factors[0] + 0.5, *factors[1:])),
             config.with_tile(axis, tuple(float(f) for f in factors)),
             config.with_annotations(unroll=16.7),
+            config.with_annotations(unroll=2**64),  # no int64 holds it
         ):
             with pytest.raises(ScheduleError):
                 ConfigBatch.from_configs(matmul_space, [bad])
             with pytest.raises(ScheduleError):
                 lower(matmul_space, bad)
+
+
+#: Any JSON value, numbers a float or an int64 cannot hold included.
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+#: What a config integer of a damaged row may read.
+_NUMBER = st.one_of(
+    st.booleans(),
+    st.integers(-3, 64),
+    st.just(2**64),
+    st.floats(),
+    st.text("0123456789.", max_size=3),
+    _JSON,
+)
+
+
+@st.composite
+def _seed_row(draw, base_rows):
+    """A seed row off the wire: junk, or a stored row with a few edits."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    row = json.loads(json.dumps(draw(st.sampled_from(base_rows))))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "field", "factor", "annotation", "latency", "swap"]))
+        cfg = row.get("config")
+        tiles = cfg.get("tiles") if isinstance(cfg, dict) else None
+        if edit == "drop" and row:
+            del row[draw(st.sampled_from(sorted(row)))]
+        elif edit == "field":
+            row[draw(st.sampled_from(sorted(base_rows[0])))] = draw(_JSON)
+        elif edit in ("factor", "swap") and isinstance(tiles, list) and tiles:
+            entry = draw(st.sampled_from(tiles))
+            if isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list):
+                factors = entry[1]
+                if edit == "swap":  # the product holds: still a config of the space
+                    factors.reverse()
+                elif factors:
+                    factors[draw(st.integers(0, len(factors) - 1))] = draw(_NUMBER)
+        elif edit == "annotation" and isinstance(cfg, dict):
+            cfg[draw(st.sampled_from(["unroll", "vector", "splitk"]))] = draw(_NUMBER)
+        elif edit == "latency":
+            row["latency"] = draw(st.sampled_from(["inf", "nan", "-inf", "1e-3", 1e-3, math.inf]))
+    return row
+
+
+def _accepted_config(row, spaces):
+    """The config a seed row holds, when the row is well formed: every
+    config value a JSON integer that repacks to itself in an int64, a
+    config of the task's space, and numeric latency / time / round."""
+    if not isinstance(row, dict) or not isinstance(row.get("task_key"), str):
+        return None
+    space = spaces.get(row["task_key"])
+    if space is None:
+        return None
+    try:
+        cfg = row["config"]
+        tiles = {axis: tuple(factors) for axis, factors in cfg["tiles"]}
+        values = [v for factors in tiles.values() for v in factors]
+        values += [cfg["unroll"], cfg["vector"], cfg["splitk"]]
+        float(row["latency"]), float(row["sim_time"])
+        values.append(int(row["round_index"]))
+        config = ScheduleConfig.from_map(
+            tiles, unroll=cfg["unroll"], vector=cfg["vector"], splitk=cfg["splitk"]
+        )
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    if not all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
+        return None
+    try:
+        space.validate(config)
+    except ScheduleError:
+        return None
+    return config
+
+
+class TestSeedRowFuzz:
+    """Seed rows arrive off the wire (a lease's ``seed_rows``): any JSON."""
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        tasks = make_tasks(
+            [
+                SubgraphTask(ops.matmul(64, 64, 64), 2),
+                SubgraphTask(ops.conv2d(1, 8, 14, 14, 8, 3), 1),
+            ],
+            get_device("a100"),
+        )
+        rng = make_rng(11)
+        base = [row for t in tasks for row in _records(t, rng, [1e-3, math.inf, 2e-3]).rows()]
+        return {t.key: t.space for t in tasks}, json.loads(json.dumps(base))
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_never_raises_and_keeps_exactly_the_well_formed_rows(self, world, data):
+        spaces, base = world
+        rows = data.draw(st.lists(_seed_row(base), max_size=8))
+        log = rows_to_records(rows, spaces)
+        want, seen = [], set()
+        for row in rows:
+            config = _accepted_config(row, spaces)
+            if config is not None and (row["task_key"], config.key) not in seen:
+                seen.add((row["task_key"], config.key))
+                want.append((row["task_key"], config.key))
+        assert [(r["task_key"], r["config_key"]) for r in log.rows()] == want
+        assert len(log) == len(want)
+
+    def test_non_dict_entries_are_skipped(self, world):
+        """Found by the fuzz: a string among the seed rows raised
+        ``AttributeError`` (``row.get``), an unhashable task key
+        ``TypeError``."""
+        spaces, base = world
+        rows = ["not a row", None, 7, [base[0]], {"task_key": ["x"]}, base[0]]
+        assert [r["config_key"] for r in rows_to_records(rows, spaces).rows()] == [
+            base[0]["config_key"]
+        ]
 
 
 class TestIndexRepair:
@@ -270,18 +398,19 @@ class TestIndexRepair:
 
 
 class TestRecordLogExtend:
-    def test_extend_accepts_any_iterable(self, matmul_task, rng):
-        records = _records(matmul_task, rng, [2e-3, 1e-3])
+    def test_seed_from_accepts_any_iterable(self, matmul_task, rng):
+        rows = _records(matmul_task, rng, [2e-3, 1e-3]).rows()
         log = RecordLog()
-        log.extend(iter(records))  # a generator, not a list
+        log.seed_from(iter(rows), {matmul_task.key: matmul_task.space})  # not a list
         assert len(log) == 2
         assert log.best_latency(matmul_task.key) == 1e-3
 
     def test_seed_from_dedups(self, matmul_task, rng):
-        records = _records(matmul_task, rng, [2e-3, 1e-3])
+        rows = _records(matmul_task, rng, [2e-3, 1e-3]).rows()
+        spaces = {matmul_task.key: matmul_task.space}
         log = RecordLog()
-        assert log.seed_from(records) == 2
-        assert log.seed_from(records) == 0
+        assert log.seed_from(rows, spaces) == 2
+        assert log.seed_from(rows, spaces) == 0
         assert len(log) == 2
 
 
@@ -313,11 +442,10 @@ class TestSchemaMigration:
     def test_unmigratable_and_newer_rows_kept_as_is(
         self, matmul_task, rng, tmp_path
     ):
-        (rec,) = _records(matmul_task, rng, [1e-3])
+        (future,) = _records(matmul_task, rng, [1e-3]).rows()
         store = RecordStore(tmp_path)
         key = store_key_for_tasks([matmul_task], "pruner")
         store.root.mkdir(parents=True, exist_ok=True)
-        future = rec.to_dict()
         future["v"] = 999
         unversioned = {"time": 1e-3}  # no ``v``: not this schema either
         with store.path_for(key).open("w") as fh:
@@ -329,15 +457,14 @@ class TestSchemaMigration:
         assert store.path_for(key).read_bytes() == before
 
     def test_append_rows_wire_ingest(self, matmul_task, rng, tmp_path):
-        records = _records(matmul_task, rng, [2e-3, 1e-3])
-        rows = [r.to_dict() for r in records]
+        rows = _records(matmul_task, rng, [2e-3, 1e-3]).rows()
         store = RecordStore(tmp_path)
         key = store_key_for_tasks([matmul_task], "pruner")
         assert store.append_rows(key, rows) == 2
         assert store.append_rows(key, rows) == 0  # dedup on identity
         assert store.append_rows(key, [{"latency": 1.0}]) == 0  # no identity
         loaded = store.load_records(key, {matmul_task.key: matmul_task.space})
-        assert sorted(r.latency for r in loaded) == [1e-3, 2e-3]
+        assert sorted(loaded.training_data()[0]) == [1e-3, 2e-3]
 
 
     def test_append_after_torn_tail_starts_a_fresh_line(
@@ -345,7 +472,7 @@ class TestSchemaMigration:
     ):
         """A crash leaves half a row with no newline; the next append
         must not glue its first row onto it."""
-        rows = [r.to_dict() for r in _records(matmul_task, rng, [4e-3, 3e-3, 2e-3, 1e-3])]
+        rows = _records(matmul_task, rng, [4e-3, 3e-3, 2e-3, 1e-3]).rows()
         store = RecordStore(tmp_path)
         key = store_key_for_tasks([matmul_task], "pruner")
         assert store.append_rows(key, rows[:2]) == 2
@@ -605,6 +732,34 @@ class TestWarmStart:
         assert self._fresh_trials_to(second, target) < self._fresh_trials_to(
             first, target
         )
+
+
+class TestNoScalarProgram:
+    """Between the lease and the result a candidate stays a row of a batch:
+    no scalar program is unpacked from one, and none is packed back."""
+
+    @pytest.fixture(autouse=True)
+    def forbid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scalar program on the tuning loop")
+
+        monkeypatch.setattr(CandidateBatch, "program", refuse)
+        monkeypatch.setattr(CandidateBatch, "from_programs", refuse)
+
+    def test_tuning_job(self):
+        subs = [SubgraphTask(ops.matmul(128, 128, 128), 2)]
+        result = api.tune_subgraphs("pruner", subs, "a100", rounds=3, scale="smoke")
+        assert result.fresh_trials > 0
+
+    def test_two_job_warm_start(self, tmp_path):
+        engine = JobEngine(tmp_path)
+        spec = dict(rounds=2, scale="smoke", top_k_tasks=1)
+        engine.submit("bert_tiny", **spec)
+        drain(engine)
+        job_id = engine.submit("bert_tiny", **spec)
+        drain(engine)
+        result = engine.result(job_id)
+        assert result["seeded_trials"] > 0 and result["warm_model"]
 
 
 class TestMultiWorker:

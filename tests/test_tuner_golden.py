@@ -51,7 +51,8 @@ def _frozen(result) -> dict:
         "final_latency": result.final_latency.hex(),
         "sim_s": result.clock.total.hex(),
         "records": [
-            [r.prog.config.key, r.latency.hex()] for r in result.records.records
+            [row["config_key"], float(row["latency"]).hex()]
+            for row in result.records.rows()
         ],
     }
 
