@@ -153,6 +153,12 @@ DEFAULT_MANIFEST = Manifest(
             locks={"_lock": ("_buckets",)},
         ),
         SharedClass(
+            module="repro/serve/http.py",
+            name="JsonHTTPServer",
+            node="serve.http.JsonHTTPServer",
+            locks={"_lock": ("_connections",)},
+        ),
+        SharedClass(
             module="repro/serve/engine.py",
             name="JobEngine",
             node="serve.engine.JobEngine",

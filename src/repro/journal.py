@@ -15,7 +15,8 @@ exists once:
   :func:`file_lock`, so file order is event order,
 * :func:`atomic_write_lines` — temp file + rename, for rewrites,
 * :func:`read_json_index` / :func:`write_json_index` /
-  :func:`upsert_json_index` — a JSON object file, read tolerantly.
+  :func:`upsert_json_index` — a JSON object file, read tolerantly,
+* :func:`file_digest` — a file's content address.
 
 Reads never write and never take a lock: appends add whole lines at
 the end, rewrites go through a rename, so a lock-free reader sees a
@@ -25,6 +26,7 @@ prefix of complete lines plus at most one torn tail, which it skips.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 import threading
@@ -107,6 +109,18 @@ def read_json_index(path: Path) -> dict:
     except (OSError, ValueError):
         return {}
     return index if isinstance(index, dict) else {}
+
+
+def file_digest(path: Path) -> str | None:
+    """SHA-256 hex digest of a file's bytes (None when it cannot be read).
+
+    Names exactly what a rewrite left on disk, so two parties can agree
+    they hold the same object without shipping it.
+    """
+    try:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    except OSError:
+        return None
 
 
 def write_json_index(path: Path, index: dict[str, dict]) -> None:

@@ -237,7 +237,11 @@ class ServeApp:
             tags = {} if body["tags"] is None else body["tags"]
         # a long poll: the engine holds the request up to ``wait`` seconds
         leased = self.engine.lease(
-            runner_id, ttl=body.get("ttl"), tags=tags, wait=body.get("wait")
+            runner_id,
+            ttl=body.get("ttl"),
+            tags=tags,
+            wait=body.get("wait"),
+            have=body.get("have"),
         )
         if leased is None:
             return 204, None  # nothing matching came up during the wait

@@ -1,4 +1,4 @@
-"""Typed Python SDK for the tuning server (stdlib ``urllib`` only).
+"""Typed Python SDK for the tuning server (stdlib ``http.client`` only).
 
     from repro.serve.client import ServeClient
 
@@ -16,20 +16,58 @@ The same class is the runner side of the worker protocol
 ``auth_token`` (when the server requires one) rides every request as
 ``Authorization: Bearer``.  Server-reported errors raise
 :class:`ServeError` carrying the HTTP status; transport failures raise
-the underlying ``OSError``.
+``OSError``.
+
+Each calling thread keeps one HTTP/1.1 connection to the server and
+sends all its requests over it.  A request is sent at most once: before
+reusing a connection the client checks, without waiting, whether the
+server has closed it, and if so connects afresh *before* writing.  Any
+failure once the request is written raises ``OSError`` and is never
+retried — the server may already have acted on it.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import select
+import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
 
 from repro.serve.protocol import ServeError
 from repro.service.jobs import TERMINAL_STATES, JobState
+
+
+#: Seconds a connection may sit idle and still be reused.  A firewall or
+#: NAT that forgets an idle connection does so silently, and a request
+#: written into it fails after the write (a runner's ``complete`` after
+#: a long job); a fresh connection costs well under a millisecond.
+MAX_IDLE_S = 30.0
+
+
+class _Connection(http.client.HTTPConnection):
+    """A kept-alive connection that closes its socket when dropped — with
+    the thread that owned it, or with its client."""
+
+    idle_since = 0.0  # time.monotonic() when its last response was read
+
+    def __del__(self) -> None:
+        self.close()
+
+
+def _dropped(sock) -> bool:
+    """True when an idle kept-alive socket cannot carry a request.
+
+    An idle connection has nothing to read, so a readable socket means
+    the server closed (or reset) it, or sent bytes nobody asked for.
+    """
+    try:
+        readable, _, _ = select.select([sock], [], [], 0.0)
+    except (OSError, ValueError):  # closed, or a descriptor select cannot watch
+        return True
+    return bool(readable)
 
 
 @dataclass(frozen=True)
@@ -79,8 +117,30 @@ class ServeClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
         self.auth_token = auth_token or None
+        parts = urllib.parse.urlsplit(self.base_url)
+        if parts.scheme != "http" or not parts.hostname:
+            raise ValueError(
+                f"ServeClient needs an http://host[:port] URL, got {base_url!r}"
+            )
+        self._address = (parts.hostname, parts.port or 80)
+        self._prefix = parts.path
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
+    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+        """This thread's connection, fit to write one request on."""
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = _Connection(*self._address, timeout=timeout)
+        elif conn.sock is not None and (
+            time.monotonic() - conn.idle_since > MAX_IDLE_S or _dropped(conn.sock)
+        ):
+            conn.close()  # reconnect now, before writing, never after
+        conn.timeout = timeout  # the next connect's
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        return conn
+
     def _request(
         self,
         method: str,
@@ -89,33 +149,37 @@ class ServeClient:
         query: dict | None = None,
         timeout: float | None = None,
     ) -> tuple[int, dict | None]:
-        url = self.base_url + path
+        target = self._prefix + path
         if query:
             pairs = {k: str(v) for k, v in query.items() if v is not None}
-            url += "?" + urllib.parse.urlencode(pairs)
+            target += "?" + urllib.parse.urlencode(pairs)
         data = None if body is None else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"} if data else {}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
-        request = urllib.request.Request(
-            url, data=data, method=method, headers=headers
-        )
-        timeout = self.timeout if timeout is None else timeout
+        conn = self._connection(self.timeout if timeout is None else timeout)
         try:
-            with urllib.request.urlopen(request, timeout=timeout) as response:
-                raw = response.read()
-                status = response.status
-        except urllib.error.HTTPError as exc:
-            payload = self._parse(exc.read())
+            conn.request(method, target, body=data, headers=headers)
+            response = conn.getresponse()
+            raw = response.read()
+            conn.idle_since = time.monotonic()
+        except http.client.HTTPException as exc:
+            conn.close()  # a half-used connection is never reused
+            raise ConnectionError(f"bad HTTP response: {exc!r}") from None
+        except BaseException:
+            conn.close()
+            raise
+        if response.status >= 400:
+            payload = self._parse(raw)
             message = (
-                payload.get("error", exc.reason)
+                payload.get("error", response.reason)
                 if isinstance(payload, dict)
-                else str(exc.reason)
+                else str(response.reason)
             )
             raise ServeError(
-                exc.code, message, payload if isinstance(payload, dict) else None
-            ) from None
-        return status, self._parse(raw)
+                response.status, message, payload if isinstance(payload, dict) else None
+            )
+        return response.status, self._parse(raw)
 
     @staticmethod
     def _parse(raw: bytes) -> dict | None:
@@ -261,6 +325,7 @@ class ServeClient:
         ttl: float | None = None,
         tags: dict | None = None,
         wait: float = 0.0,
+        have: str | None = None,
     ) -> dict | None:
         """Claim a tag-compatible job; None when nothing matches (204).
 
@@ -268,10 +333,15 @@ class ServeClient:
         a job to arrive (a long poll); 204 comes only once it has passed.
         ``tags`` (when given) re-registers the runner on every poll, so
         a restarted server re-learns the fleet without runner restarts.
+        ``have`` names the checkpoint the runner holds (the digest
+        :meth:`complete` returned); when it is still the stored one, the
+        lease's ``checkpoint`` is ``{"ref", "trained_trials"}``.
         """
         body = {"runner_id": runner_id, "ttl": ttl, "wait": wait}
         if tags is not None:
             body["tags"] = tags
+        if have is not None:
+            body["have"] = have
         status, payload = self._request(
             "POST",
             "/lease",
@@ -304,7 +374,9 @@ class ServeClient:
         checkpoint: dict | None = None,
     ) -> dict:
         """Deliver a finished job: result summary, fresh record rows and
-        (optionally) the trained cost-model checkpoint envelope."""
+        (optionally) the trained cost-model checkpoint envelope.  The
+        answer's ``checkpoint_digest`` names the checkpoint the server
+        stored from it (None when it kept another)."""
         body = {
             "runner_id": runner_id,
             "job_id": job_id,

@@ -609,12 +609,16 @@ class JobEngine:
         ttl: float | None = None,
         tags: dict | None = None,
         wait: float | None = 0.0,
+        have: str | None = None,
     ) -> dict | None:
         """Claim the best tag-compatible job; None when nothing matches.
 
         The payload carries the job spec, the store's seed rows for its
         workload and the freshest compatible cost-model checkpoint (None
-        on a cold store).  ``tags`` (when given) re-registers the
+        on a cold store).  ``have`` names the checkpoint the runner
+        holds (the digest :meth:`complete` returned): when it is the
+        stored one, the payload carries ``{"ref", "trained_trials"}``
+        instead of the envelope.  ``tags`` (when given) re-registers the
         runner, so a restarted engine re-learns its fleet within one
         poll interval.
 
@@ -637,6 +641,8 @@ class JobEngine:
         wait = 0.0 if wait is None else _seconds("lease wait", wait)
         if wait < 0:
             raise ServeError(400, f"lease wait must be >= 0, got {wait}")
+        if have is not None and not isinstance(have, str):
+            raise ServeError(400, f"lease 'have' must be a digest string, got {have!r}")
         # real time, like the event broker: a frozen fake clock must not
         # turn the wait into a spin
         deadline = time.monotonic() + min(wait, MAX_LEASE_WAIT)
@@ -672,18 +678,21 @@ class JobEngine:
             "job": job.to_dict(),
             "seed_rows": self.store.load_rows(key) if key is not None else [],
             # the runner starts verify-stage-accurate at round 0
-            "checkpoint": self._checkpoint_for(job, key),
+            "checkpoint": self._checkpoint_for(job, key, have),
         }
 
-    def _checkpoint_for(self, job: TuneJob, key: StoreKey | None) -> dict | None:
-        """The checkpoint envelope a lease for ``job`` should carry."""
+    def _checkpoint_for(
+        self, job: TuneJob, key: StoreKey | None, have: str | None
+    ) -> dict | None:
+        """The checkpoint a lease for ``job`` should carry: the envelope,
+        or a reference when the runner already holds it."""
         if key is None:
             return None
         try:
             kind = api.model_kind(job.method)
         except ReproError:
             return None
-        return self.models.load_wire(key, kind)
+        return self.models.load_wire(key, kind, have=have)
 
     def _held_lease(self, lease_id: str, runner_id: str, drop: bool = False):
         """Heartbeat/complete/fail preamble: validate the caller's hold."""
@@ -725,7 +734,12 @@ class JobEngine:
         records: list[dict],
         checkpoint: dict | None = None,
     ) -> dict:
-        """Deliver a finished job: result summary, fresh rows, checkpoint."""
+        """Deliver a finished job: result summary, fresh rows, checkpoint.
+
+        The answer's ``checkpoint_digest`` names the checkpoint stored
+        from this upload (None when none was), for the runner's next
+        lease to name as ``have``.
+        """
         if not isinstance(records, list):
             raise ServeError(400, "'records' must be a list of record rows")
         # Measured rows — and the model trained on them — are evidence
@@ -741,11 +755,11 @@ class JobEngine:
         # re-lower at load, so a misdirected row is inert — but the
         # checkpoint is dropped: it would load cleanly under any key
         # of the same model kind and poison future warm starts.
-        ingested, checkpoint_stored = 0, False
+        ingested, digest = 0, None
         bound = self.leases.binding(lease_id)
         if bound is not None and bound[1] == runner_id:
             ingested = self._ingest_rows(bound[0], records)
-            checkpoint_stored = self._ingest_checkpoint(bound[0], checkpoint)
+            digest = self._ingest_checkpoint(bound[0], checkpoint)
         elif bound is None:
             ingested = self._ingest_rows(job_id, records)
         lease = self._held_lease(lease_id, runner_id, drop=True)
@@ -762,7 +776,8 @@ class JobEngine:
             "job_id": lease.job_id,
             "state": job.state.value,
             "records_ingested": ingested,
-            "checkpoint_stored": checkpoint_stored,
+            "checkpoint_stored": digest is not None,
+            "checkpoint_digest": digest,
         }
 
     def fail(self, lease_id: str, runner_id: str, error: str) -> dict:
@@ -803,8 +818,9 @@ class JobEngine:
             return 0
         return self.store.append_rows(target[1], records)
 
-    def _ingest_checkpoint(self, job_id, wire) -> bool:
-        """Store a runner's returned checkpoint under the job's key.
+    def _ingest_checkpoint(self, job_id, wire) -> str | None:
+        """Store a runner's returned checkpoint under the job's key; the
+        stored file's digest, or None when nothing was stored.
 
         The ModelStore arbitrates staleness: a checkpoint trained on
         fewer trials than the stored one is dropped, so a slow runner
@@ -815,15 +831,15 @@ class JobEngine:
         not freeze the slot against every future checkpoint.
         """
         if not isinstance(wire, dict):
-            return False
+            return None
         target = self._ingest_target(job_id)
         if target is None:
-            return False
+            return None
         job, key = target
         try:
             kind = api.model_kind(job.method)
         except ReproError:
-            return False
+            return None
         cap = max(
             # fresh rows land before this; raw line count is a cheap
             # upper bound — no need to re-parse the store per completion

@@ -6,8 +6,14 @@ a list of ``(method, compiled path regex, handler)`` triples, where a
 handler takes ``(match, query, body)`` and returns ``(status, payload)``
 (payload is JSON-serialized; named regex groups carry path parameters).
 :func:`make_server` binds an app to a :class:`ThreadingHTTPServer`, so
-each request runs on its own thread — the app owns all shared state and
-its locking.
+each connection runs on its own thread — the app owns all shared state
+and its locking.  Connections are HTTP/1.1 keep-alive with
+``TCP_NODELAY`` set: without it, Nagle's algorithm holds back the
+response body (written after the headers) until the client's delayed
+ACK, some 40 ms a request.  A reply sent before the request's body was
+read (a malformed or oversized ``Content-Length``, a chunked body)
+closes the connection, since the unread bytes would parse as the next
+request.
 
 Two optional app attributes gate every request before routing:
 
@@ -27,6 +33,7 @@ from __future__ import annotations
 import hmac
 import json
 import re
+import socket
 import threading
 import time
 import urllib.parse
@@ -135,6 +142,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     app = None  # bound by make_server
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"  # keep-alive (Content-Length always set)
+    disable_nagle_algorithm = True  # headers and body are separate writes
 
     # ------------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002 — stdlib name
@@ -142,10 +150,22 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        if self.headers.get("Transfer-Encoding"):
+            self.close_connection = True  # the body is never read
+            raise HttpError(411, "request bodies need a Content-Length")
+        declared = self.headers.get("Content-Length")
+        if declared is None:
+            return {}
+        declared = declared.strip()
+        if not (declared.isascii() and declared.isdigit()):
+            # the body's end is unknown: the connection cannot be resynchronized
+            self.close_connection = True
+            raise HttpError(400, f"malformed Content-Length {declared!r}")
+        length = int(declared)
+        if length == 0:
             return {}
         if length > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body must not parse as a request
             raise HttpError(413, f"body too large ({length} bytes)")
         raw = self.rfile.read(length)
         try:
@@ -197,6 +217,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         if data:
             self.wfile.write(data)
@@ -272,13 +294,49 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         self._dispatch("DELETE")
 
 
-def make_server(app, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
+class JsonHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that ends its kept-alive connections on close.
+
+    A handler thread serves one connection until the client closes it,
+    so :meth:`server_close` shuts the read side of every open
+    connection: idle ones end at once, and one mid-request still sends
+    its reply first.  A client's next request then reconnects instead of
+    reaching a handler of the closed server.
+    """
+
+    daemon_threads = True  # in-flight handlers must not block exit
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._lock = threading.Lock()
+        self._connections: set[socket.socket] = set()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the handler closed it meanwhile
+
+
+def make_server(app, host: str = "127.0.0.1", port: int = 0) -> JsonHTTPServer:
     """A threading HTTP server bound to ``app`` (port 0 = ephemeral).
 
     The caller owns the lifecycle: ``serve_forever()`` (usually on a
     background thread), then ``shutdown()`` + ``server_close()``.
     """
     handler = type("BoundJsonHandler", (JsonRequestHandler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True  # in-flight handlers must not block exit
-    return server
+    return JsonHTTPServer((host, port), handler)

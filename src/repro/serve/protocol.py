@@ -14,7 +14,8 @@ full exchange:
 2. ``POST /lease`` — the runner asks for work; the server pops the
    highest-priority *tag-compatible* job, grants a lease, and ships
    the job spec plus warm-start seed rows from the record store and
-   the freshest compatible cost-model checkpoint from the model store.
+   the freshest compatible cost-model checkpoint from the model store
+   — as a reference to its digest when the runner's ``have`` names it.
 3. ``POST /lease/{id}/heartbeat`` — keep-alive, carrying the latest
    per-round progress *to* the server and the job's cancellation flag
    *back* (cancellation piggybacks on the beat — no extra channel).
@@ -22,8 +23,8 @@ full exchange:
    through the :class:`EventBroker`.
 4. ``POST /lease/{id}/complete`` / ``.../fail`` — terminal: fresh
    record rows, a result summary, and the runner's trained model
-   checkpoint (stored server-side under staleness arbitration), or
-   the error.
+   checkpoint (stored server-side under staleness arbitration; the
+   answer names the stored file's digest), or the error.
 
 This module owns the lease bookkeeping (:class:`LeaseTable`), the
 fleet membership (:class:`RunnerRegistry`), the progress stream fanout

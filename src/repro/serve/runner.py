@@ -3,14 +3,25 @@
 A runner is the fleet side of the protocol in
 :mod:`repro.serve.protocol`: it long-polls ``lease`` for work, tunes the
 leased job locally (warm-started from the seed rows and checkpoint the
-lease shipped), heartbeats every round with progress — picking up the
-cancellation flag on the way back — and delivers fresh record rows plus
-a result summary on completion.  The server holds a lease request until
-a job arrives, so a job submitted to an idle fleet starts at once, not
-at a runner's next poll.  A background keep-alive thread beats
-between rounds too, so a long measurement round cannot silently expire
-the lease.  :class:`TuningRunner` is the only code that tunes on behalf
-of a job, over either transport.
+lease shipped), reports every round's progress in a heartbeat — picking
+up the cancellation flag on the way back — and delivers fresh record
+rows plus a result summary on completion.  The server holds a lease
+request until a job arrives, so a job submitted to an idle fleet starts
+at once, not at a runner's next poll.  :class:`TuningRunner` is the only
+code that tunes on behalf of a job, over either transport.
+
+Heartbeats leave from a keeper thread, never the tuning thread: it
+sends each round's progress in order, beats every ``ttl / 3`` seconds
+when no round has ended (so a long measurement round cannot silently
+expire the lease), and has sent everything queued before the job is
+completed or failed.  A cancel is therefore seen one round later than
+a blocking beat would see it: the job stops within two rounds.
+
+Between jobs a runner keeps two things: the last spec's subgraphs
+(consecutive jobs of one spec skip rebuilding the network graph) and
+the checkpoint it last delivered, if the server stored it.  The next
+lease names that checkpoint's digest as ``have``; when it is still the
+stored one the server sends a reference instead of the envelope.
 
 Over a socket, run one per machine (or several per big machine)::
 
@@ -28,6 +39,7 @@ requeues the job for the next runner — no state to clean up.
 from __future__ import annotations
 
 import os
+import queue
 import socket
 import sys
 import threading
@@ -108,6 +120,12 @@ class TuningRunner:
         self.tags = tags or None
         self._stop = threading.Event()
         self._log = log if log is not None else sys.stderr
+        #: ``((network, batch, top_k_tasks), subgraphs)`` of the last job
+        self._subgraphs: tuple[tuple, list] | None = None
+        #: ``(digest, model state)`` of the checkpoint the server stored
+        #: from this runner's last delivery; load_state copies every
+        #: array, so the state stays as delivered across jobs
+        self._held: tuple[str, dict] | None = None
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
@@ -131,9 +149,11 @@ class TuningRunner:
         wait = 0.0 if idle_exit else self.poll
         while not self._stop.is_set():
             asked = time.monotonic()
+            held = {} if self._held is None else {"have": self._held[0]}
             try:
                 leased = self.client.lease(
-                    self.runner_id, ttl=self.lease_ttl, tags=self.tags, wait=wait
+                    self.runner_id, ttl=self.lease_ttl, tags=self.tags, wait=wait,
+                    **held,
                 )
             except (ServeError, OSError) as exc:
                 self._say(f"lease poll failed: {exc}")
@@ -211,31 +231,39 @@ class TuningRunner:
             if response.get("cancel"):
                 cancelled.set()
 
-        # Keep-alive between rounds: a single long round must not look
-        # like a dead runner.
-        beat_stop = threading.Event()
+        # Round progress queues here and leaves from the keeper, in
+        # order; None ends the keeper once everything before it is sent.
+        beats: queue.SimpleQueue = queue.SimpleQueue()
 
         def beat_loop() -> None:
-            while not beat_stop.wait(max(ttl / 3.0, 0.05)):
-                beat()
+            while True:
+                try:
+                    progress = beats.get(timeout=max(ttl / 3.0, 0.05))
+                except queue.Empty:
+                    beat()  # a long round must not look like a dead runner
+                    continue
+                if progress is None:
+                    return
+                beat(progress)
 
         keeper = threading.Thread(target=beat_loop, daemon=True)
         keeper.start()
         try:
-            result, checkpoint = self._tune(
+            outcome = self._tune(
                 job,
                 leased,
-                progress=lambda p: beat(p.to_dict()),
+                progress=lambda p: beats.put(p.to_dict()),
                 should_stop=cancelled.is_set,
             )
         except Exception as exc:  # noqa: BLE001 — report, don't die
             CAUGHT.labels(site="serve.runner").inc()
-            beat_stop.set()
-            keeper.join(timeout=ttl)
-            return self._deliver_failure(lease_id, job, exc)
-        beat_stop.set()
-        keeper.join(timeout=ttl)
-        return self._deliver_result(lease_id, job, result, checkpoint)
+            outcome = exc
+        finally:
+            beats.put(None)
+            keeper.join()
+        if isinstance(outcome, Exception):
+            return self._deliver_failure(lease_id, job, outcome)
+        return self._deliver_result(lease_id, job, *outcome)
 
     @staticmethod
     def _job_from_wire(data: dict) -> TuneJob:
@@ -245,25 +273,26 @@ class TuningRunner:
 
     def _tune(
         self, job: TuneJob, leased: dict, progress, should_stop
-    ) -> tuple[TuneResult, dict | None]:
+    ) -> tuple[TuneResult, dict | None, dict | None]:
         """Tune a leased job: the warm start (seed rows + model
-        checkpoint) comes off the lease, and the result and the trained
-        checkpoint go back.  The run is capped at ``rounds *
-        measure_per_round`` trials, seeded ones included, so known
-        configs are not re-measured.  The checkpoint is ranked by what
-        the model was fitted on, not by the log size.
+        checkpoint) comes off the lease; the result, the trained model
+        state and its checkpoint envelope go back.  The run is capped at
+        ``rounds * measure_per_round`` trials, seeded ones included, so
+        known configs are not re-measured.  The checkpoint is ranked by
+        what the model was fitted on, not by the log size.
         """
         try:
             search = api.resolve_scale(job.scale)
             device = get_device(job.device)
-            subgraphs = network_tasks(
-                job.network, batch=job.batch, top_k=job.top_k_tasks
-            )
+            spec = (job.network, job.batch, job.top_k_tasks)
+            if self._subgraphs is None or self._subgraphs[0] != spec:
+                built = network_tasks(job.network, batch=job.batch, top_k=job.top_k_tasks)
+                self._subgraphs = (spec, built)
+            subgraphs = self._subgraphs[1]
             tasks = api.tasks_for(job.method, subgraphs, device)
             spaces = {task.key: task.space for task in tasks}
-            # malformed/incompatible checkpoints decode to None: cold start
             wire = leased.get("checkpoint")
-            model_state = checkpoint_from_wire(wire)
+            model_state = self._model_state(wire)
             tuner = api.build_tuner(
                 job.method,
                 subgraphs,
@@ -283,19 +312,32 @@ class TuningRunner:
                 progress=progress,
                 should_stop=should_stop,
             )
-            checkpoint = checkpoint_to_wire(tuner.checkpoint(), tuner.model_trained_on)
-            return result, checkpoint
+            state = tuner.checkpoint()
+            return result, state, checkpoint_to_wire(state, tuner.model_trained_on)
         finally:
             # one runner process serves many jobs; per-task memo caches
             # must not accumulate across them
             clear_caches()
+
+    def _model_state(self, wire) -> dict | None:
+        """The model state a lease's ``checkpoint`` field carries.
+
+        A reference names the state this runner holds.  Absent,
+        malformed or incompatible envelopes — and a reference to a state
+        this runner does not hold — are a cold start, never an error.
+        """
+        if isinstance(wire, dict) and "ref" in wire:
+            held = self._held
+            return held[1] if held is not None and held[0] == wire["ref"] else None
+        return checkpoint_from_wire(wire)
 
     def _deliver_result(
         self,
         lease_id: str,
         job: TuneJob,
         result: TuneResult,
-        checkpoint: dict | None = None,
+        state: dict | None,
+        checkpoint: dict | None,
     ) -> bool:
         try:
             response = self.client.complete(
@@ -313,6 +355,10 @@ class TuningRunner:
         except OSError as exc:
             self._say(f"could not deliver {job.job_id}: {exc}")
             return False
+        if checkpoint is not None:
+            # hold what the server stored; when it kept another, hold nothing
+            digest = response.get("checkpoint_digest")
+            self._held = (digest, state) if isinstance(digest, str) else None
         self._say(
             f"finished {job.job_id} [{response.get('state', '?')}]"
             f" ({result.fresh_trials} fresh trials,"

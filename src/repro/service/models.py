@@ -22,7 +22,9 @@ One JSON file per ``(store key, model kind)``: the wire form of
 their raw bytes, so round trips are bit-identical) plus a checkpoint
 schema version and the number of trials the model was trained on.  The
 same wire form ships over the ``repro.serve`` lease payload, so remote
-runners warm-start without a shared filesystem.
+runners warm-start without a shared filesystem.  A stored checkpoint is
+named by the SHA-256 of its file (:func:`repro.journal.file_digest`):
+a runner that already holds those bytes gets a reference instead.
 
 Staleness arbitration: a checkpoint only replaces the stored one when
 it was trained on at least as many trials — a stale runner coming back
@@ -49,6 +51,7 @@ import numpy as np
 from repro.errors import CostModelError
 from repro.journal import (
     atomic_write_lines,
+    file_digest,
     file_lock,
     read_json_index,
     upsert_json_index,
@@ -199,7 +202,9 @@ class ModelStore:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def save_state(self, key: StoreKey, state: dict, trained_trials: int) -> bool:
+    def save_state(
+        self, key: StoreKey, state: dict, trained_trials: int
+    ) -> str | None:
         """Persist a ``save_state`` dict under ``(key, state kind)``."""
         # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
         # ROADMAP 1c); nothing in src calls it
@@ -207,42 +212,53 @@ class ModelStore:
             key, state["kind"], state_to_wire(state, trained_trials=trained_trials)
         )
 
-    def save_wire(self, key: StoreKey, kind: str, wire: dict) -> bool:
+    def save_wire(self, key: StoreKey, kind: str, wire: dict) -> str | None:
         """Persist an already-encoded checkpoint envelope (wire ingest).
 
         Validates the envelope fully (a remote runner's payload is not
         trusted), requires its kind to match ``kind``, and applies
         staleness arbitration: an envelope trained on fewer trials than
-        the stored one is dropped.  Returns True when stored.
+        the stored one is dropped.  Returns the stored file's digest, or
+        None when nothing was stored.
         """
         if not isinstance(wire, dict):
-            return False
+            return None
         try:
             state = state_from_wire(wire)
         except CostModelError:
-            return False
+            return None
         if state.get("kind") != kind:
-            return False
+            return None
         incoming = wire_trained_trials(wire)
         path = self.path_for(key, kind)
         self.root.mkdir(parents=True, exist_ok=True)
         with self._lock, file_lock(path):
             if wire_trained_trials(read_json_index(path)) > incoming:
-                return False  # keep the better-trained checkpoint
+                return None  # keep the better-trained checkpoint
             atomic_write_lines(path, [json.dumps(wire)])
             upsert_json_index(
                 self._index_path(),
                 path.name,
                 {**asdict(key), "kind": kind, "trained_trials": incoming},
             )
-        return True
+            return file_digest(path)
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
-    def load_wire(self, key: StoreKey, kind: str) -> dict | None:
-        """The stored checkpoint envelope, or None."""
-        return read_json_index(self.path_for(key, kind)) or None
+    def load_wire(
+        self, key: StoreKey, kind: str, have: str | None = None
+    ) -> dict | None:
+        """The stored checkpoint envelope, or None.
+
+        When ``have`` is the stored file's digest, the caller already
+        holds these bytes: the answer is the reference ``{"ref": have,
+        "trained_trials": n}`` instead, and the file is never parsed.
+        """
+        path = self.path_for(key, kind)
+        if have is not None and file_digest(path) == have:
+            return {"ref": have, "trained_trials": self.trained_trials(key, kind)}
+        return read_json_index(path) or None
 
     def trained_trials(self, key: StoreKey, kind: str) -> int:
         """Trials the stored checkpoint was trained on (0 when absent).
