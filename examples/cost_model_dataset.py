@@ -10,6 +10,8 @@ quality (Eq. 3) of LSE's drafted candidate sets.
 
 import math
 
+import numpy as np
+
 from repro.config import SearchConfig
 from repro.core.analyzer import SymbolBasedAnalyzer
 from repro.core.lse import LatentScheduleExplorer
@@ -20,7 +22,7 @@ from repro.experiments.common import get_scale
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower_batch
+from repro.schedule import lower_batch
 
 
 def main() -> None:
@@ -42,13 +44,12 @@ def main() -> None:
     print(f"train: {len(train_set)} programs / {len(train_set.task_keys)} tasks; "
           f"test: {len(test_set)} programs")
 
-    batch, lats, keys = train_set.training_data()
     for name, model in (
         ("TenSetMLP", TenSetMLP()),
         ("TLP", TLPModel()),
         ("PaCM", PaCM()),
     ):
-        features = model.featurize_batch(batch)
+        features, lats, keys = train_set.training_data(model)
         model.fit(features, lats, keys, train=scale.offline_train, rng=make_rng(0))
         top1 = top_k_score(model, test_set, k=1)
         top5 = top_k_score(model, test_set, k=5)
@@ -62,14 +63,14 @@ def main() -> None:
         SearchConfig(population=64, ga_steps=3, spec_size=48),
     )
     spec_lat, optimal, weights = {}, {}, {}
-    for key, entries in test_set.by_task().items():
-        space = generate_sketch(entries[0].prog.workload)
+    for task in test_set.tasks:
+        key, space = task.task_key, task.batch.configs.space
         result = lse.explore(space, make_rng(1))
         spec_lat[key] = sim.latency_batch(lower_batch(space, result.spec)).tolist()
-        pool_best = min(e.latency for e in entries if math.isfinite(e.latency))
+        pool_best = task.latency[np.isfinite(task.latency)].min()
         spec_best = min(l for l in spec_lat[key] if math.isfinite(l))
         optimal[key] = min(pool_best, spec_best)
-        weights[key] = entries[0].weight
+        weights[key] = task.weight
     for k in (1, 5):
         print(f"LSE Best-{k} = {best_k_score(spec_lat, optimal, weights, k=k):.3f}")
 

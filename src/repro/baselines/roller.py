@@ -18,32 +18,15 @@ import numpy as np
 
 from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable_mask
 from repro.hardware.device import DeviceSpec
+from repro.hardware.library import aligned_mask
 from repro.hardware.measure import MeasureRunner
 from repro.ir.ops import Workload
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng, rng_for
 from repro.schedule.batch import CandidateBatch, lower_batch
-from repro.schedule.lower import LoweredProgram
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.timemodel import SimClock
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _aligned(prog: LoweredProgram, device: DeviceSpec) -> bool:
-    """Roller's alignment rules: warp-aligned threads, pow2 tiles."""
-    if prog.threads_per_block % device.warp_size != 0:
-        return False
-    if not 64 <= prog.threads_per_block <= 512:
-        return False
-    # the outermost factor may be anything (it absorbs an odd-sized axis
-    # extent); every inner tile factor must be a power of two
-    return all(
-        _is_power_of_two(f) for _, factors in prog.config.tiles for f in factors[1:]
-    )
 
 
 @dataclass
@@ -81,27 +64,24 @@ class RollerTuner:
         space = generate_sketch(workload)
         rng = rng_for("roller", self.seed, workload.key)
 
-        candidates: dict[str, LoweredProgram] = {}
-        for prog in self._launchable(space, rng, self.enumeration):
-            if _aligned(prog, self.device):
-                candidates[prog.config.key] = prog
-        pool = list(candidates.values())
-        if not pool:  # fall back: drop alignment if rules match nothing
-            pool = self._launchable(space, rng, self.trials * 2)
+        batch = self._enumerate(space, rng, self.enumeration)
+        # Roller's rules: warp-aligned threads, power-of-two tiles
+        aligned = is_launchable_mask(batch, self.device) & aligned_mask(batch, self.device)
+        pool = batch.take(aligned)
+        pool = pool.take(pool.configs.first_rows())
+        if not len(pool):  # fall back: drop alignment if rules match nothing
+            batch = self._enumerate(space, rng, self.trials * 2)
+            pool = batch.take(is_launchable_mask(batch, self.device))
         clock.charge_sa(len(pool))  # rule-model scoring cost
-        latency = self.analyzer.latency_batch(CandidateBatch.from_programs(pool))
-        top = [pool[i] for i in np.argsort(latency, kind="stable")[: self.trials]]
-        results = runner.measure(top)
-        best = min(
-            (r.latency for r in results if r.valid), default=math.inf
-        )
-        return best, clock
+        latency = self.analyzer.latency_batch(pool)
+        top = np.argsort(latency, kind="stable")[: self.trials]
+        measured = runner.measure_batch(pool.take(top))
+        return float(measured.latency[measured.valid].min(initial=math.inf)), clock
 
-    def _launchable(self, space, rng, n: int) -> list[LoweredProgram]:
-        """``n`` random schedules lowered as one batch; the launchable ones."""
-        batch = lower_batch(space, [random_config(space, rng) for _ in range(n)])
-        keep = np.flatnonzero(is_launchable_mask(batch, self.device))
-        return [batch.program(int(i)) for i in keep]
+    @staticmethod
+    def _enumerate(space, rng, n: int) -> CandidateBatch:
+        """``n`` random schedules lowered as one batch."""
+        return lower_batch(space, [random_config(space, rng) for _ in range(n)])
 
     def tune_subgraphs(self, subgraphs: list[SubgraphTask]) -> RollerResult:
         """Tune every tiled subgraph with ``trials`` measurements each."""

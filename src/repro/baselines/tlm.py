@@ -16,15 +16,14 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable
-from repro.errors import ReproError, TuningFailure
+from repro.core.analyzer import SymbolBasedAnalyzer, distinct_launchable
+from repro.errors import TuningFailure
 from repro.hardware.device import DeviceSpec
 from repro.hardware.measure import MeasureRunner
 from repro.ir.ops import Workload
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng, rng_for
 from repro.schedule.batch import lower_batch
-from repro.schedule.lower import lower
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.schedule.space import ScheduleConfig
@@ -97,24 +96,17 @@ class TLMTuner:
         runner = MeasureRunner(self.device, clock=clock, rng=make_rng(self.seed))
         space = generate_sketch(workload)
         rng = make_rng(self.seed + 1)
-        batch = []
-        seen: set[str] = set()
-        attempts = 0
-        while len(batch) < trials and attempts < trials * 10:
-            attempts += 1
-            cfg = self._sample(workload, rng)
-            if cfg.key in seen:
-                continue
-            try:
-                prog = lower(space, cfg)
-            except ReproError:  # unlowerable sample: skip, keep drawing
-                continue
-            if is_launchable(prog, self.device):
-                seen.add(cfg.key)
-                batch.append(prog)
-        results = runner.measure(batch)
-        best = min((r.latency for r in results if r.valid), default=math.inf)
-        return best, clock
+        # every draw is the space's own factors and default annotation
+        # menus (see pretrain), so each chunk lowers whole
+        batch = distinct_launchable(
+            space,
+            self.device,
+            lambda k: [self._sample(workload, rng) for _ in range(k)],
+            want=trials,
+            cap=trials * 10,
+        )
+        measured = runner.measure_batch(batch)
+        return float(measured.latency[measured.valid].min(initial=math.inf)), clock
 
     def tune_subgraphs(
         self, subgraphs: list[SubgraphTask], trials_per_task: int = 50

@@ -14,7 +14,7 @@ to pick S_spec.  The class exposes ablation switches used by Table 10
 
 Eq. 1 is written once, over a :class:`~repro.schedule.batch.
 CandidateBatch` (:meth:`SymbolBasedAnalyzer.latency_batch`); ``latency``
-/ ``score`` of one program pack it as a one-row batch.
+/ ``score`` of one program read its one-row batch, ``prog.row``.
 ``tests/fixtures/draft_golden.json`` pins latency and score on four
 devices under both switches.
 """
@@ -22,6 +22,7 @@ devices under both switches.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from typing import TYPE_CHECKING
@@ -30,8 +31,9 @@ import numpy as np
 
 from repro.core.penalty import compute_penalties
 from repro.core.symbols import extract_symbols_batch
-from repro.schedule.batch import CandidateBatch
+from repro.schedule.batch import CandidateBatch, lower_batch
 from repro.schedule.lower import LoweredProgram
+from repro.schedule.space import ScheduleConfig, ScheduleSpace
 
 if TYPE_CHECKING:  # runtime-free to avoid a core <-> hardware import cycle
     from repro.hardware.device import DeviceSpec
@@ -61,6 +63,44 @@ def is_launchable_mask(batch: CandidateBatch, device: "DeviceSpec") -> np.ndarra
     )
 
 
+#: Fewest configs :func:`distinct_launchable` draws and lowers at once.
+_MIN_DRAW = 32
+
+
+def distinct_launchable(
+    space: ScheduleSpace,
+    device: "DeviceSpec",
+    draw: Callable[[int], list[ScheduleConfig]],
+    want: int,
+    cap: int,
+) -> CandidateBatch:
+    """Up to ``want`` distinct launchable rows of a config stream, in draw order.
+
+    ``draw(k)`` returns the stream's next ``k`` configs.  Rows are
+    accepted in draw order, skipping a row not launchable or already
+    accepted, until ``want`` are accepted or ``cap`` configs are drawn:
+    what drawing, lowering and checking one config at a time accepts.
+    Each chunk is lowered in one call, and the last may draw past the
+    stop point — callers own the generator behind ``draw`` and never
+    draw from it again.
+    """
+    chunks = [lower_batch(space, [])]
+    seen: set[bytes] = set()
+    accepted = drawn = 0
+    while accepted < want and drawn < cap:
+        k = min(cap - drawn, max(want - accepted, _MIN_DRAW))
+        batch = lower_batch(space, draw(k))
+        drawn += k
+        rows = np.flatnonzero(is_launchable_mask(batch, device))
+        rows = rows[batch.configs.take(rows).first_rows()]
+        keys = batch.row_keys()
+        fresh = [i for i in rows.tolist() if keys[i] not in seen][: want - accepted]
+        seen.update(keys[i] for i in fresh)
+        chunks.append(batch.take(fresh))
+        accepted += len(fresh)
+    return CandidateBatch.concat(chunks)
+
+
 @dataclass
 class SymbolBasedAnalyzer:
     """Draft model: maps a lowered program to an estimated cost.
@@ -81,7 +121,7 @@ class SymbolBasedAnalyzer:
 
     def latency(self, prog: LoweredProgram) -> float:
         """Estimated total latency L_total (seconds; ranking-grade only)."""
-        return float(self.latency_batch(CandidateBatch.from_programs([prog]))[0])
+        return float(self.latency_batch(prog.row)[0])
 
     def score(self, prog: LoweredProgram) -> float:
         """Hardware-fitness score (higher is better): negated latency.
@@ -89,7 +129,7 @@ class SymbolBasedAnalyzer:
         Programs that violate hard launch constraints score ``-inf`` so
         that the GA and PriorFilter never keep them.
         """
-        return float(self.score_batch(CandidateBatch.from_programs([prog]))[0])
+        return float(self.score_batch(prog.row)[0])
 
     def latency_batch(self, batch: CandidateBatch) -> np.ndarray:
         """L_total of every candidate (one GA generation = a handful of

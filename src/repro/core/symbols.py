@@ -70,7 +70,7 @@ class Symbols:
 
 def extract_symbols(prog: LoweredProgram) -> Symbols:
     """The symbol vector of one lowered program, as floats."""
-    batch = extract_symbols_batch(CandidateBatch.from_programs([prog]))
+    batch = extract_symbols_batch(prog.row)
     return Symbols(*(float(column[0]) for column in batch.as_tuple()))
 
 

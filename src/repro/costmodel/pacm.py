@@ -158,4 +158,4 @@ class PaCM(NNCostModel):
     def featurize(self, progs: list[LoweredProgram]) -> np.ndarray:
         # only the e2e tracer binds this name (benchmarks/e2e/tracing.py,
         # ROADMAP 1c); nothing in src calls it
-        return self.featurize_batch(CandidateBatch.from_programs(progs))
+        return np.concatenate([self.featurize_batch(p.row) for p in progs])

@@ -1,10 +1,10 @@
 """TenSet-like dataset generation and the paper's dataset metrics."""
 
-from repro.dataset.tenset import DatasetEntry, TensorProgramDataset, tenset_dataset
+from repro.dataset.tenset import TaskRows, TensorProgramDataset, tenset_dataset
 from repro.dataset.metrics import best_k_score, top_k_score
 
 __all__ = [
-    "DatasetEntry",
+    "TaskRows",
     "TensorProgramDataset",
     "tenset_dataset",
     "top_k_score",

@@ -18,7 +18,6 @@ import numpy as np
 from repro.costmodel.base import CostModel
 from repro.dataset.tenset import TensorProgramDataset
 from repro.errors import DatasetError
-from repro.schedule.batch import CandidateBatch
 
 
 def top_k_score(
@@ -27,25 +26,21 @@ def top_k_score(
     """Top-k accuracy of a cost model on a dataset (Eq. 2)."""
     if k < 1:
         raise DatasetError("k must be >= 1")
-    groups = dataset.by_task()
-    if not groups:
+    if not dataset.tasks:
         raise DatasetError("empty dataset")
     numer = denom = 0.0
-    for entries in groups.values():
-        weight = entries[0].weight
-        lats = np.array([e.latency for e in entries])
+    for task in dataset.tasks:
+        lats = task.latency
         finite = np.isfinite(lats)
         if not finite.any():
             continue
         best = lats[finite].min()
-        scores = model.predict_batch(
-            CandidateBatch.from_programs([e.prog for e in entries])
-        )
-        picks = np.argsort(-scores)[:k]
-        pick_lats = [lats[i] for i in picks if np.isfinite(lats[i])]
-        picked = min(pick_lats) if pick_lats else lats[finite].max()
-        numer += best * weight
-        denom += picked * weight
+        scores = model.predict_batch(task.batch)
+        picks = lats[np.argsort(-scores)[:k]]
+        picks = picks[np.isfinite(picks)]
+        picked = picks.min() if len(picks) else lats[finite].max()
+        numer += best * task.weight
+        denom += picked * task.weight
     return numer / denom
 
 

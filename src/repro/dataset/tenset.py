@@ -16,13 +16,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.analyzer import distinct_launchable
+from repro.costmodel.base import CostModel
 from repro.errors import DatasetError
 from repro.hardware.device import DeviceSpec, get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.partition import SubgraphTask, dedupe_tasks
 from repro.rng import rng_for
 from repro.schedule.batch import CandidateBatch
-from repro.schedule.lower import LoweredProgram, lower
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
 from repro.workloads import network_tasks
@@ -42,60 +43,77 @@ TRAIN_NETWORKS = (
 )
 
 
-@dataclass(frozen=True)
-class DatasetEntry:
-    """One labelled tensor program."""
+@dataclass(frozen=True, eq=False)
+class TaskRows:
+    """One subgraph's labelled programs, as columns."""
 
-    prog: LoweredProgram
-    latency: float  # noise-free ground-truth seconds
     task_key: str  # workload key
     weight: int  # subgraph occurrence weight (w_i of Eq. 2)
+    batch: CandidateBatch  # lowered rows, with ``.configs``
+    latency: np.ndarray  # (N,) noise-free ground-truth seconds
+
+    def __len__(self) -> int:
+        return len(self.batch)
 
 
 @dataclass
 class TensorProgramDataset:
-    """A labelled corpus of (program, latency) pairs on one device."""
+    """A labelled corpus of (program, latency) rows on one device.
+
+    ``tasks`` holds one :class:`TaskRows` per subgraph, in order of first
+    appearance.  The corpus's row order is the tasks' rows in turn,
+    unless ``order`` permutes them: row ``j`` is row ``order[j]`` of
+    the tasks' rows in turn (a :meth:`subsample` keeps its draw order).
+    """
 
     device: DeviceSpec
-    entries: list[DatasetEntry] = field(default_factory=list)
+    tasks: list[TaskRows] = field(default_factory=list)
+    order: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(len(t) for t in self.tasks)
 
     @property
     def task_keys(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in self.entries:
-            seen.setdefault(e.task_key)
-        return list(seen)
-
-    def by_task(self) -> dict[str, list[DatasetEntry]]:
-        groups: dict[str, list[DatasetEntry]] = {}
-        for e in self.entries:
-            groups.setdefault(e.task_key, []).append(e)
-        return groups
+        return [t.task_key for t in self.tasks]
 
     def weights(self) -> dict[str, int]:
         """Subgraph weight per task key."""
-        return {e.task_key: e.weight for e in self.entries}
+        return {t.task_key: t.weight for t in self.tasks}
 
-    def training_data(self) -> tuple[CandidateBatch, np.ndarray, list[str]]:
-        """(packed programs, latencies, task keys); pack once, encode per model."""
-        batch = CandidateBatch.from_programs([e.prog for e in self.entries])
-        lats = np.array([e.latency for e in self.entries])
-        keys = [e.task_key for e in self.entries]
-        return batch, lats, keys
+    def training_data(self, model: CostModel) -> tuple[np.ndarray, np.ndarray, list[str]]:
+        """(``model``'s features, latencies, task keys) of every row, in row order."""
+        features = np.concatenate([model.featurize_batch(t.batch) for t in self.tasks])
+        lats = np.concatenate([t.latency for t in self.tasks])
+        keys = [t.task_key for t in self.tasks for _ in range(len(t))]
+        if self.order is None:
+            return features, lats, keys
+        return features[self.order], lats[self.order], [keys[i] for i in self.order]
 
     def subsample(self, n: int, seed: int = 0) -> "TensorProgramDataset":
-        """Uniform subsample of ``n`` entries (for data-scaling curves)."""
-        if n >= len(self.entries):
+        """Uniform subsample of ``n`` rows (for data-scaling curves), in draw order."""
+        if n >= len(self):
             return self
         rng = rng_for("subsample", self.device.name, n, seed)
-        idx = rng.choice(len(self.entries), size=n, replace=False)
-        return TensorProgramDataset(
-            self.device, [self.entries[int(i)] for i in idx]
-        )
+        idx = rng.choice(len(self), size=n, replace=False)
+        drawn = idx if self.order is None else self.order[idx]
+        # row -> (task, row within the task), and each task's first draw
+        starts = np.cumsum([0] + [len(t) for t in self.tasks])
+        task_of = np.searchsorted(starts, drawn, side="right") - 1
+        firsts = np.unique(task_of, return_index=True)[1]
+        tasks, order = [], np.empty(n, dtype=np.intp)
+        at = 0
+        for t in task_of[np.sort(firsts)].tolist():
+            mine = np.flatnonzero(task_of == t)
+            local = drawn[mine] - starts[t]
+            task = self.tasks[t]
+            tasks.append(
+                TaskRows(task.task_key, task.weight, task.batch.take(local), task.latency[local])
+            )
+            order[mine] = np.arange(at, at + len(mine))
+            at += len(mine)
+        return TensorProgramDataset(self.device, tasks, order)
 
 
 def generate_for_tasks(
@@ -106,40 +124,33 @@ def generate_for_tasks(
 ) -> TensorProgramDataset:
     """Measure ``schedules_per_task`` random schedules per tiled subgraph.
 
-    Programs that violate static launch constraints are skipped, as in
-    TenSet: unbuildable schedules never produce measurement records.
+    Each subgraph draws one :func:`random_config` per sample from its own
+    generator, keeps distinct launchable schedules in draw order and
+    gives up after ``schedules_per_task * 8`` draws.  Programs that
+    violate static launch constraints are skipped, as in TenSet:
+    unbuildable schedules never produce measurement records.
     """
-    from repro.core.analyzer import is_launchable
-
     if schedules_per_task < 1:
         raise DatasetError("schedules_per_task must be >= 1")
     sim = GroundTruthSimulator(device)
-    entries: list[DatasetEntry] = []
+    tasks: list[TaskRows] = []
     for sub in subgraphs:
         if not sub.workload.is_tiled:
             continue
         space = generate_sketch(sub.workload)
         rng = rng_for("tenset", device.name, sub.workload.key, seed)
-        seen: set[str] = set()
-        attempts = 0
-        while len(seen) < schedules_per_task and attempts < schedules_per_task * 8:
-            attempts += 1
-            cfg = random_config(space, rng)
-            if cfg.key in seen:
-                continue
-            prog = lower(space, cfg)
-            if not is_launchable(prog, device):
-                continue
-            seen.add(cfg.key)
-            entries.append(
-                DatasetEntry(
-                    prog=prog,
-                    latency=sim.latency(prog),
-                    task_key=sub.workload.key,
-                    weight=sub.weight,
-                )
+        batch = distinct_launchable(
+            space,
+            device,
+            lambda k: [random_config(space, rng) for _ in range(k)],
+            want=schedules_per_task,
+            cap=schedules_per_task * 8,
+        )
+        if len(batch):
+            tasks.append(
+                TaskRows(sub.workload.key, sub.weight, batch, sim.latency_batch(batch))
             )
-    return TensorProgramDataset(device, entries)
+    return TensorProgramDataset(device, tasks)
 
 
 def tenset_dataset(

@@ -10,7 +10,7 @@ from repro.core.analyzer import SymbolBasedAnalyzer
 from repro.core.lse import LatentScheduleExplorer
 from repro.costmodel import PaCM, TenSetMLP, TLPModel
 from repro.dataset import best_k_score, tenset_dataset, top_k_score
-from repro.dataset.tenset import TEST_NETWORKS, TRAIN_NETWORKS, TensorProgramDataset
+from repro.dataset.tenset import TEST_NETWORKS, TRAIN_NETWORKS
 from repro.experiments.common import Scale, get_scale
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
@@ -207,10 +207,12 @@ def topk_comparison(
             "pacm": PaCM(seed=seed),
         }
         out["scores"][device] = {}
-        batch, lats, keys = train_set.training_data()
         for name, model in models.items():
-            features = model.featurize_batch(batch)
-            model.fit(features, lats, keys, train=scale.offline_train, rng=make_rng(seed))
+            model.fit(
+                *train_set.training_data(model),
+                train=scale.offline_train,
+                rng=make_rng(seed),
+            )
             out["scores"][device][name] = {
                 "top1": top_k_score(model, test_set, k=1),
                 "top5": top_k_score(model, test_set, k=5),
@@ -255,9 +257,11 @@ def topk_vs_datasize(
         for frac in fractions:
             subset = train_set.subsample(int(len(train_set) * frac), seed=seed)
             model = factory(seed=seed)
-            batch, lats, keys = subset.training_data()
-            features = model.featurize_batch(batch)
-            model.fit(features, lats, keys, train=scale.offline_train, rng=make_rng(seed))
+            model.fit(
+                *subset.training_data(model),
+                train=scale.offline_train,
+                rng=make_rng(seed),
+            )
             curve.append([len(subset), top_k_score(model, test_set, k=1)])
         out["curves"][name] = curve
     return out

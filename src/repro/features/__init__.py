@@ -14,9 +14,13 @@ Three views of a scheduled program, mirroring the paper's comparison:
 
 Each view has a batched entry point (``*_batch``) consuming a
 :class:`~repro.schedule.batch.CandidateBatch` and returning the stacked
-feature array in one shot, and a one-row ``*_features`` for a single
-program.  There is no program-list door: callers holding programs pack
-them once with :meth:`CandidateBatch.from_programs`.
+feature array in one shot.  The one-row ``statement_features`` /
+``dataflow_features`` of a program run the same encoder on its
+one-row batch, ``prog.row``; ``primitive_features`` is the per-program
+reference ``primitive_tensor_batch`` is tested against.  There is no
+program-list door: callers hold lowered rows (:func:`~repro.schedule.
+batch.lower_batch` output, or takes and concatenations of it), one
+batch per space.
 Every row asked for is encoded: no row store sits in front of the
 encoders (a row's features are a pure function of its lowered arrays,
 and the same rows almost never come back across rounds).

@@ -33,7 +33,7 @@ diversity the paper contrasts with TLP's sparse one-hots.
 Encoding is batched: :func:`dataflow_tensor_batch` turns the packed
 block arrays of a :class:`~repro.schedule.batch.CandidateBatch` into
 one ``(N, 10, 23)`` tensor; the one-row :func:`dataflow_features`
-packs its program and runs the same encoder.
+runs the same encoder on its program's row.
 """
 
 from __future__ import annotations
@@ -61,14 +61,13 @@ def _encode(batch: CandidateBatch) -> np.ndarray:
     b = min(b_total, DATAFLOW_BLOCKS)
     out = np.zeros((n, DATAFLOW_BLOCKS, DATAFLOW_DIM), dtype=np.float64)
     kind = bl.kind[:, :b]
-    valid = kind >= 0
     enc = out[:, :b, :]
     enc[..., 0] = _lg(bl.compute[:, :b])
     for code in range(len(_KINDS)):
         enc[..., 1 + code] = kind == code
     for i, level in enumerate(_LEVELS):
-        enc[..., 7 + i] = valid & (bl.src[:, :b] == level)
-        enc[..., 11 + i] = valid & (bl.dst[:, :b] == level)
+        enc[..., 7 + i] = bl.src[:, :b] == level
+        enc[..., 11 + i] = bl.dst[:, :b] == level
     enc[..., 15] = _lg(bl.traffic[:, :b] * bl.dtype_bytes[:, :b])
     enc[..., 16] = _lg(bl.alloc[:, :b])
     enc[..., 17] = _lg(bl.reuse[:, :b])
@@ -87,4 +86,4 @@ def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
 
 def dataflow_features(prog: LoweredProgram) -> np.ndarray:
     """Temporal dataflow sequence of shape ``(DATAFLOW_BLOCKS, DATAFLOW_DIM)``."""
-    return _encode(CandidateBatch.from_programs([prog]))[0]
+    return _encode(prog.row)[0]

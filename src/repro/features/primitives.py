@@ -67,11 +67,6 @@ def primitive_features(prog: LoweredProgram) -> np.ndarray:
     return np.asarray(tokens, dtype=np.float64)
 
 
-def primitive_tensor(progs: list[LoweredProgram]) -> np.ndarray:
-    """Batch of primitive sequences: (N, PRIMITIVE_SEQ, PRIMITIVE_DIM)."""
-    return np.stack([primitive_features(p) for p in progs])
-
-
 def _bucket_array(values: np.ndarray) -> np.ndarray:
     """Vectorized :func:`_bucket` (log2 bucket, clamped)."""
     safe = np.maximum(values, 1)
@@ -81,21 +76,17 @@ def _bucket_array(values: np.ndarray) -> np.ndarray:
 
 
 def primitive_tensor_batch(batch: CandidateBatch) -> np.ndarray:
-    """Vectorized primitive sequences for a single-space candidate batch.
+    """Primitive sequences of a batch: ``(N, PRIMITIVE_SEQ, PRIMITIVE_DIM)``.
 
-    Requires the batch to carry its :class:`ConfigBatch` (the
-    ``lower_batch`` path); mixed-workload program lists go through the
-    scalar :func:`primitive_tensor`.
+    Reads the batch's :class:`~repro.schedule.batch.ConfigBatch`; the
+    one-program :func:`primitive_features` is the reference it is
+    tested against.
     """
-    if batch.configs is None:
-        assert batch.programs is not None
-        return primitive_tensor(batch.programs)
     return _encode_batch(batch)
 
 
 def _encode_batch(batch: CandidateBatch) -> np.ndarray:
     cb = batch.configs
-    assert cb is not None
     plan = space_plan(cb.space)
     n = len(batch)
     rows = np.arange(n)
@@ -127,12 +118,12 @@ def _encode_batch(batch: CandidateBatch) -> np.ndarray:
     return out
 
 
-def sparsity(progs: list[LoweredProgram]) -> float:
+def sparsity(batch: CandidateBatch) -> float:
     """Fraction of feature positions that differ across a batch.
 
     Reproduces the paper's GEMM observation (~1.4% of TLP feature values
     vary between schedules of the same workload).
     """
-    batch = primitive_tensor(progs)
-    varying = (batch.std(axis=0) > 0).sum()
-    return float(varying) / float(batch[0].size)
+    tokens = primitive_tensor_batch(batch)
+    varying = (tokens.std(axis=0) > 0).sum()
+    return float(varying) / float(tokens[0].size)

@@ -14,7 +14,7 @@ these features alone.
 
 Extraction is batched: :func:`statement_matrix_batch` encodes a whole
 :class:`~repro.schedule.batch.CandidateBatch` as one ``(N, 40)`` array;
-the one-row :func:`statement_features` packs its program and runs the
+the one-row :func:`statement_features` reads its program's row and runs the
 same encoder.
 """
 
@@ -95,4 +95,4 @@ def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
 
 def statement_features(prog: LoweredProgram) -> np.ndarray:
     """Feature vector of shape ``(STATEMENT_DIM,)`` for one program."""
-    return _encode(CandidateBatch.from_programs([prog]))[0]
+    return _encode(prog.row)[0]

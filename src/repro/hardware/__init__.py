@@ -7,7 +7,7 @@ an analytical latency model with a device-specific learnable residual
 
 from repro.hardware.device import DeviceSpec, get_device, list_devices
 from repro.hardware.simulator import GroundTruthSimulator, SimulationResult
-from repro.hardware.measure import MeasureResult, MeasureRunner
+from repro.hardware.measure import MeasureRunner
 from repro.hardware.library import LibrarySurrogate
 
 __all__ = [
@@ -17,6 +17,5 @@ __all__ = [
     "GroundTruthSimulator",
     "SimulationResult",
     "MeasureRunner",
-    "MeasureResult",
     "LibrarySurrogate",
 ]

@@ -23,29 +23,30 @@ from repro.hardware.device import DeviceSpec
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir.ops import Workload
 from repro.rng import rng_for
-from repro.schedule.batch import lower_batch
-from repro.schedule.lower import LoweredProgram
+from repro.schedule.batch import CandidateBatch, lower_batch
 from repro.schedule.sampler import random_batch
 from repro.schedule.sketch import generate_sketch
 
 
-def _pow2(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def aligned_mask(batch: CandidateBatch, device: DeviceSpec) -> np.ndarray:
+    """Rows with warp-aligned, power-of-two tiles: a boolean mask.
 
-
-def _inventory_aligned(prog: LoweredProgram, device: DeviceSpec) -> bool:
-    """Library kernel inventories only contain warp-aligned, power-of-two
-    tile shapes; odd hand-rolled tiles a compiler could emit are not
-    stocked.  This is why libraries dominate large regular GEMMs but can
-    trail tuned code on small or irregular shapes (paper Figs. 9/11)."""
-    if prog.threads_per_block % device.warp_size != 0:
-        return False
-    if not 64 <= prog.threads_per_block <= 512:
-        return False
-    for _, factors in prog.config.tiles:
-        if not all(f == 1 or _pow2(f) for f in factors[1:]):
-            return False
-    return True
+    Threads per block are a warp multiple in [64, 512], and every tile
+    factor but an axis's outermost (which absorbs an odd-sized extent)
+    is a power of two; padded factor slots are 1, so they pass.  Library
+    kernel inventories stock only such shapes — odd hand-rolled tiles a
+    compiler could emit are not — which is why libraries dominate large
+    regular GEMMs but can trail tuned code on small or irregular shapes
+    (paper Figs. 9/11).  Roller enumerates the same rTiles.
+    """
+    threads = batch.threads
+    inner = batch.configs.factors[:, :, 1:]
+    return (
+        (threads % device.warp_size == 0)
+        & (threads >= 64)
+        & (threads <= 512)
+        & ((inner > 0) & (inner & (inner - 1) == 0)).all(axis=(1, 2))
+    )
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,15 @@ class LibrarySurrogate:
         )
         rng = rng_for("library", self.device.name, workload.key, tensorcore)
         batch = lower_batch(space, random_batch(space, rng, self.samples * 4))
-        launchable = np.flatnonzero(is_launchable_mask(batch, self.device)).tolist()
-        progs = {i: batch.program(i) for i in launchable}
-        aligned = [i for i in launchable if _inventory_aligned(progs[i], self.device)]
-        if not aligned:  # degenerate shapes: fall back to any kernel
+        launchable = is_launchable_mask(batch, self.device)
+        aligned = launchable & aligned_mask(batch, self.device)
+        if not aligned.any():  # degenerate shapes: fall back to any kernel
             aligned = launchable
+        stocked = np.flatnonzero(aligned)[: self.samples]
         heuristic = SymbolBasedAnalyzer(self.device).latency_batch(batch)
-        shortlist = sorted(aligned[: self.samples], key=heuristic.__getitem__)
-        best_lat = math.inf
-        best_splitk = False
-        for i in shortlist[: self.shortlist]:
-            lat = self.simulator.latency(progs[i])
-            if lat < best_lat:
-                best_lat, best_splitk = lat, progs[i].splitk > 1
-        return best_lat, best_splitk
+        shortlist = stocked[np.argsort(heuristic[stocked], kind="stable")][: self.shortlist]
+        latency = self.simulator.latency_batch(batch.take(shortlist))
+        if latency.min(initial=math.inf) == math.inf:  # nothing valid to dispatch
+            return math.inf, False
+        best = int(np.argmin(latency))
+        return float(latency[best]), bool(batch.splitk[shortlist[best]] > 1)

@@ -8,11 +8,10 @@ Wraps the ground-truth simulator with
   :class:`~repro.timemodel.SimClock` — the "Measurement" row of the
   paper's Table 1.
 
-The hot path is :meth:`MeasureRunner.measure_batch`, which takes the
-already-packed :class:`~repro.schedule.batch.CandidateBatch` the search
-policies produce and simulates/noises/charges it as arrays — one noise
-draw call, one clock charge.  :meth:`MeasureRunner.measure` packs its
-program list into a batch and calls it, so there is one implementation;
+The one entry point is :meth:`MeasureRunner.measure_batch`, which takes
+the lowered :class:`~repro.schedule.batch.CandidateBatch` a search
+policy or baseline produces and simulates/noises/charges it as arrays —
+one noise draw call, one clock charge.
 ``tests/test_measure_equivalence.py`` pins it bit for bit against a
 per-program reference loop (``Generator.normal(size=k)`` yields the
 same stream as ``k`` sequential scalar draws) and a frozen golden.
@@ -20,7 +19,6 @@ same stream as ``k`` sequential scalar draws) and a frozen golden.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,24 +28,7 @@ from repro.hardware.device import DeviceSpec
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
-from repro.schedule.lower import LoweredProgram
 from repro.timemodel import SimClock
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    """One measured trial."""
-
-    prog: LoweredProgram
-    latency: float  # seconds, noise included; inf for invalid programs
-    valid: bool
-
-    @property
-    def throughput(self) -> float:
-        """FLOP/s achieved (0 for invalid programs)."""
-        if not self.valid or not math.isfinite(self.latency):
-            return 0.0
-        return self.prog.flops / self.latency
 
 
 @dataclass
@@ -55,9 +36,7 @@ class MeasureResultBatch:
     """One round of measured trials, structure-of-arrays.
 
     ``latency`` includes measurement noise (inf for invalid programs);
-    ``batch`` is the measured candidates themselves, so consumers can
-    materialize :class:`~repro.schedule.lower.LoweredProgram` objects
-    for exactly the rows they keep.
+    ``batch`` is the measured candidates themselves.
     """
 
     batch: CandidateBatch
@@ -73,18 +52,6 @@ class MeasureResultBatch:
         ok = self.valid & np.isfinite(self.latency)
         out[ok] = self.batch.flops[ok] / self.latency[ok]
         return out
-
-    def result(self, i: int) -> MeasureResult:
-        """Scalar :class:`MeasureResult` view of trial ``i``."""
-        return MeasureResult(
-            prog=self.batch.program(i),
-            latency=float(self.latency[i]),
-            valid=bool(self.valid[i]),
-        )
-
-    def to_results(self) -> list[MeasureResult]:
-        """Materialize every trial as a scalar :class:`MeasureResult`."""
-        return [self.result(i) for i in range(len(self))]
 
 
 class MeasureRunner:
@@ -124,9 +91,3 @@ class MeasureRunner:
         self.count += n
         obs.MEASURED.inc(n)
         return MeasureResultBatch(batch=batch, latency=latency, valid=sim.valid)
-
-    def measure(self, progs: list[LoweredProgram]) -> list[MeasureResult]:
-        """Measure a list of programs (wrapper over :meth:`measure_batch`)."""
-        if not progs:
-            return []
-        return self.measure_batch(CandidateBatch.from_programs(progs)).to_results()

@@ -185,7 +185,7 @@ def residual_features_batch(batch: CandidateBatch) -> np.ndarray:
 
 def residual_features(prog: LoweredProgram) -> np.ndarray:
     """Structural feature vector of one program (one-row batch view)."""
-    return residual_features_batch(CandidateBatch.from_programs([prog]))[0]
+    return residual_features_batch(prog.row)[0]
 
 
 class GroundTruthSimulator:
@@ -197,7 +197,7 @@ class GroundTruthSimulator:
     # ------------------------------------------------------------------
     def run(self, prog: LoweredProgram) -> SimulationResult:
         """Simulate one program; deterministic for a given (device, program)."""
-        return self.run_batch(CandidateBatch.from_programs([prog])).row(0)
+        return self.run_batch(prog.row).row(0)
 
     def run_batch(self, batch: CandidateBatch) -> SimulationResultBatch:
         """Simulate a whole batch in a few numpy ops.

@@ -18,13 +18,13 @@ array math:
   is row 0 of a one-row call.
 * :meth:`CandidateBatch.program` — unpacks one row into a scalar
   :class:`~repro.schedule.lower.LoweredProgram` (field copies, no
-  lowering), for callers outside the tuning loop (a task's best record,
-  the scalar one-row doors).
-* :meth:`CandidateBatch.from_programs` — the inverse: packs
-  :class:`~repro.schedule.lower.LoweredProgram` objects (possibly from
-  *different* workloads, e.g. cost-model training data) into the same
-  array layout, so the scalar entry points everywhere else are one-row
-  doors onto the batch implementations.
+  lowering) that keeps its one-row batch as ``row``, for callers outside
+  the tuning loop (a task's best record, the scalar one-row doors).
+
+:func:`lower_batch` is the only origin of a :class:`CandidateBatch`:
+every other batch is a :meth:`~CandidateBatch.take` or
+:meth:`~CandidateBatch.concat` of its output, so every batch carries the
+:class:`ConfigBatch` it was lowered from.
 
 Tile-level conventions follow the paper's Figure 3: spatial factors are
 ``[f0 block, f1 thread, f2 vthread, f3, f4]`` (I0..I4) and reduction
@@ -34,14 +34,14 @@ the whole thread block, and global traffic counts one shared-tile load
 per k0 iteration per block.
 
 ``tests/fixtures/lowering_golden.json`` pins :func:`lower_batch` to what
-the former per-program implementation produced; packing unpacked rows
-back (``from_programs`` of ``program(i)``) must reproduce the arrays.
+the former per-program implementation produced; concatenating unpacked
+rows back (the ``row`` of each ``program(i)``) must reproduce the arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import index
 
@@ -72,7 +72,6 @@ TAG_ORDER = ("matmul", "conv2d", "depthwise", "conv2d_transpose", "pool", "eleme
 #: :mod:`repro.features.dataflow` (init/load/fragment/compute/store/stream).
 BLOCK_KINDS = ("init", "load", "fragment", "compute", "store", "stream")
 BK_INIT, BK_LOAD, BK_FRAGMENT, BK_COMPUTE, BK_STORE, BK_STREAM = range(6)
-_KIND_CODE = {name: code for code, name in enumerate(BLOCK_KINDS)}
 
 _I64 = np.int64
 _F64 = np.float64
@@ -468,13 +467,13 @@ def tensorcore_ok(plan: SpacePlan, factors: np.ndarray) -> np.ndarray:
 class BlockArrays:
     """Dataflow blocks of a batch, packed column-wise.
 
-    ``kind`` / ``src`` / ``dst`` are ``(N, B)`` int arrays (``kind ==
-    -1`` marks padding past a program's real blocks); the float arrays
+    ``kind`` / ``src`` / ``dst`` are ``(N, B)`` int arrays (``B`` is
+    fixed by the space: every row has the same blocks); the float arrays
     carry the per-block quantities of
     :class:`~repro.schedule.lower.DataflowBlock`.
     """
 
-    kind: np.ndarray  # (N, B) codes into BLOCK_KINDS, -1 = padding
+    kind: np.ndarray  # (N, B) codes into BLOCK_KINDS
     src: np.ndarray  # (N, B)
     dst: np.ndarray  # (N, B)
     traffic: np.ndarray  # (N, B) elements
@@ -492,14 +491,12 @@ class CandidateBatch:
 
     Field names mirror :class:`~repro.schedule.lower.LoweredProgram`
     (``threads`` ~ ``threads_per_block``, ``grid`` ~ ``grid``, ...); all
-    per-candidate quantities are ``(N,)`` arrays.  Built either by
-    :func:`lower_batch` (vectorized, from a :class:`ConfigBatch`) or by
-    :meth:`from_programs` (packing existing scalar programs — possibly
-    of mixed workloads, e.g. cost-model training data).
+    per-candidate quantities are ``(N,)`` arrays.  Built by
+    :func:`lower_batch` from a :class:`ConfigBatch` of one space, or
+    taken / concatenated from such batches.
     """
 
-    configs: ConfigBatch | None  # present on the lower_batch path
-    programs: list[LoweredProgram] | None  # present on the from_programs path
+    configs: ConfigBatch
     tensorcore: np.ndarray  # (N,) bool
     # grid / block structure
     n_blocks: np.ndarray
@@ -539,15 +536,16 @@ class CandidateBatch:
         return self.smem_elems * self.dtype_bytes
 
     def row_keys(self) -> list[bytes]:
-        """Per-candidate identity bytes (the ``lower_batch`` path only)."""
-        assert self.configs is not None
+        """Per-candidate identity bytes."""
         return self.configs.row_keys()
 
     def program(self, i: int) -> LoweredProgram:
-        """Row ``i`` as a scalar :class:`LoweredProgram` (copies, no lowering)."""
-        if self.programs is not None:
-            return self.programs[i]
-        assert self.configs is not None
+        """Row ``i`` as a scalar :class:`LoweredProgram` (copies, no lowering).
+
+        The program keeps row ``i`` as a one-row batch in ``row`` — the
+        batch itself when it has one row, as :func:`~repro.schedule.lower.
+        lower`'s does — which its one-program doors read.
+        """
         # BlockArrays declares its columns in DataflowBlock's field order
         block_rows = zip(*(col[i].tolist() for col in vars(self.blocks).values()))
         return LoweredProgram(
@@ -572,197 +570,42 @@ class CandidateBatch:
             blocks=tuple(
                 DataflowBlock(BLOCK_KINDS[kind], *rest)
                 for kind, *rest in block_rows
-                if kind >= 0  # -1 pads rows with fewer blocks
             ),
+            row=self if len(self) == 1 else self.take([i]),
         )
 
     def take(self, idx: np.ndarray) -> "CandidateBatch":
         """Subset (or reorder) every array by an index/mask array."""
         idx = _row_index(idx)
-        b = self.blocks
         return CandidateBatch(
-            configs=self.configs.take(idx) if self.configs is not None else None,
-            programs=(
-                [self.programs[int(i)] for i in idx]
-                if self.programs is not None
-                else None
-            ),
-            tensorcore=self.tensorcore[idx],
-            n_blocks=self.n_blocks[idx],
-            threads=self.threads[idx],
-            vthreads=self.vthreads[idx],
-            acc_regs=self.acc_regs[idx],
-            reg_elems=self.reg_elems[idx],
-            thread_compute=self.thread_compute[idx],
-            smem_elems=self.smem_elems[idx],
-            traffic_elems=self.traffic_elems[idx],
-            grid=self.grid[idx],
-            trans_span=self.trans_span[idx],
-            flops=self.flops[idx],
-            tc_align=self.tc_align[idx],
-            unroll=self.unroll[idx],
-            vector=self.vector[idx],
-            splitk=self.splitk[idx],
-            dtype_bytes=self.dtype_bytes[idx],
-            output_elems=self.output_elems[idx],
-            arith_intensity=self.arith_intensity[idx],
-            n_fused=self.n_fused[idx],
-            n_reduction=self.n_reduction[idx],
-            tag_code=self.tag_code[idx],
-            blocks=BlockArrays(
-                kind=b.kind[idx],
-                src=b.src[idx],
-                dst=b.dst[idx],
-                traffic=b.traffic[idx],
-                alloc=b.alloc[idx],
-                reuse=b.reuse[idx],
-                span=b.span[idx],
-                compute=b.compute[idx],
-                vector=b.vector[idx],
-                dtype_bytes=b.dtype_bytes[idx],
-            ),
+            self.configs.take(idx),
+            *(getattr(self, name)[idx] for name in _COLUMNS),
+            BlockArrays(*(getattr(self.blocks, name)[idx] for name in _BLOCK_COLUMNS)),
         )
 
-    # ------------------------------------------------------------------
     @classmethod
     def concat(cls, parts: list["CandidateBatch"]) -> "CandidateBatch":
-        """Stack candidate batches, preserving order.
-
-        All parts must share an origin: either every part carries a
-        :class:`ConfigBatch` (``lower_batch`` output, same space) or
-        every part carries a program list (``from_programs`` output).
-        Block arrays are padded to the widest part with the same fill
-        values :meth:`from_programs` uses (``kind = -1``, zeros), so
-        concatenation commutes with packing.
-        """
+        """Stack candidate batches of one space, preserving order."""
         if not parts:
             raise ScheduleError("cannot concatenate zero candidate batches")
         if len(parts) == 1:
             return parts[0]
-        if all(p.configs is not None for p in parts):
-            configs = ConfigBatch.concat([p.configs for p in parts])
-            programs = None
-        elif all(p.programs is not None for p in parts):
-            configs = None
-            programs = [q for p in parts for q in p.programs]
-        else:
-            raise ScheduleError("cannot concatenate mixed-origin candidate batches")
-        width = max(p.blocks.kind.shape[1] for p in parts)
-
-        def cat_blocks(field: str, fill) -> np.ndarray:
-            arrs = []
-            for p in parts:
-                a = getattr(p.blocks, field)
-                if a.shape[1] < width:
-                    pad = np.full(
-                        (a.shape[0], width - a.shape[1]), fill, dtype=a.dtype
-                    )
-                    a = np.concatenate([a, pad], axis=1)
-                arrs.append(a)
-            return np.concatenate(arrs, axis=0)
-
-        def cat(field: str) -> np.ndarray:
-            return np.concatenate([getattr(p, field) for p in parts])
-
         return cls(
-            configs=configs,
-            programs=programs,
-            tensorcore=cat("tensorcore"),
-            n_blocks=cat("n_blocks"),
-            threads=cat("threads"),
-            vthreads=cat("vthreads"),
-            acc_regs=cat("acc_regs"),
-            reg_elems=cat("reg_elems"),
-            thread_compute=cat("thread_compute"),
-            smem_elems=cat("smem_elems"),
-            traffic_elems=cat("traffic_elems"),
-            grid=cat("grid"),
-            trans_span=cat("trans_span"),
-            flops=cat("flops"),
-            tc_align=cat("tc_align"),
-            unroll=cat("unroll"),
-            vector=cat("vector"),
-            splitk=cat("splitk"),
-            dtype_bytes=cat("dtype_bytes"),
-            output_elems=cat("output_elems"),
-            arith_intensity=cat("arith_intensity"),
-            n_fused=cat("n_fused"),
-            n_reduction=cat("n_reduction"),
-            tag_code=cat("tag_code"),
-            blocks=BlockArrays(
-                kind=cat_blocks("kind", -1),
-                src=cat_blocks("src", 0),
-                dst=cat_blocks("dst", 0),
-                traffic=cat_blocks("traffic", 0.0),
-                alloc=cat_blocks("alloc", 0.0),
-                reuse=cat_blocks("reuse", 0.0),
-                span=cat_blocks("span", 0),
-                compute=cat_blocks("compute", 0.0),
-                vector=cat_blocks("vector", 0),
-                dtype_bytes=cat_blocks("dtype_bytes", 0),
+            ConfigBatch.concat([p.configs for p in parts]),
+            *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
+            BlockArrays(
+                *(
+                    np.concatenate([getattr(p.blocks, name) for p in parts])
+                    for name in _BLOCK_COLUMNS
+                )
             ),
         )
 
-    @classmethod
-    def from_programs(cls, progs: list[LoweredProgram]) -> "CandidateBatch":
-        """Pack scalar programs (mixed workloads allowed) into arrays."""
-        n = len(progs)
-        max_blocks = max((len(p.blocks) for p in progs), default=0)
-        blocks = BlockArrays(
-            kind=np.full((n, max_blocks), -1, dtype=_I64),
-            src=np.zeros((n, max_blocks), dtype=_I64),
-            dst=np.zeros((n, max_blocks), dtype=_I64),
-            traffic=np.zeros((n, max_blocks), dtype=_F64),
-            alloc=np.zeros((n, max_blocks), dtype=_F64),
-            reuse=np.zeros((n, max_blocks), dtype=_F64),
-            span=np.zeros((n, max_blocks), dtype=_I64),
-            compute=np.zeros((n, max_blocks), dtype=_F64),
-            vector=np.zeros((n, max_blocks), dtype=_I64),
-            dtype_bytes=np.zeros((n, max_blocks), dtype=_I64),
-        )
-        for i, p in enumerate(progs):
-            for b, blk in enumerate(p.blocks):
-                blocks.kind[i, b] = _KIND_CODE[blk.kind]
-                blocks.src[i, b] = blk.src_level
-                blocks.dst[i, b] = blk.dst_level
-                blocks.traffic[i, b] = blk.traffic_elems
-                blocks.alloc[i, b] = blk.alloc_elems
-                blocks.reuse[i, b] = blk.reuse
-                blocks.span[i, b] = blk.innermost_span
-                blocks.compute[i, b] = blk.compute_ops
-                blocks.vector[i, b] = blk.vector
-                blocks.dtype_bytes[i, b] = blk.dtype_bytes
-        return cls(
-            configs=None,
-            programs=list(progs),
-            tensorcore=np.array([p.tensorcore for p in progs], dtype=bool),
-            n_blocks=np.array([p.n_blocks for p in progs], dtype=_I64),
-            threads=np.array([p.threads_per_block for p in progs], dtype=_I64),
-            vthreads=np.array([p.vthreads for p in progs], dtype=_I64),
-            acc_regs=np.array([p.acc_regs for p in progs], dtype=_I64),
-            reg_elems=np.array([p.reg_elems for p in progs], dtype=_I64),
-            thread_compute=np.array([p.thread_compute for p in progs], dtype=_F64),
-            smem_elems=np.array([p.smem_elems for p in progs], dtype=_I64),
-            traffic_elems=np.array([p.traffic_elems for p in progs], dtype=_F64),
-            grid=np.array([p.grid for p in progs], dtype=_I64),
-            trans_span=np.array([p.trans_span for p in progs], dtype=_I64),
-            flops=np.array([p.flops for p in progs], dtype=_F64),
-            tc_align=np.array([p.tc_align for p in progs], dtype=_F64),
-            unroll=np.array([p.unroll for p in progs], dtype=_I64),
-            vector=np.array([p.vector for p in progs], dtype=_I64),
-            splitk=np.array([p.splitk for p in progs], dtype=_I64),
-            dtype_bytes=np.array([p.workload.dtype_bytes for p in progs], dtype=_I64),
-            output_elems=np.array([p.workload.output_elems for p in progs], dtype=_I64),
-            arith_intensity=np.array(
-                [p.workload.arithmetic_intensity() for p in progs], dtype=_F64
-            ),
-            n_fused=np.array([len(p.workload.fused_ops) for p in progs], dtype=_I64),
-            n_reduction=np.array([len(p.workload.reduction) for p in progs], dtype=_I64),
-            tag_code=np.array(
-                [TAG_ORDER.index(p.workload.tag) for p in progs], dtype=_I64
-            ),
-            blocks=blocks,
-        )
+
+#: The per-row arrays of a batch in field order: every field of
+#: :class:`CandidateBatch` between ``configs`` and ``blocks``.
+_COLUMNS = tuple(f.name for f in fields(CandidateBatch))[1:-1]
+_BLOCK_COLUMNS = tuple(f.name for f in fields(BlockArrays))
 
 
 # ----------------------------------------------------------------------
@@ -922,7 +765,6 @@ def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
 
     return CandidateBatch(
         configs=cb,
-        programs=None,
         tensorcore=np.full(n, space.tensorcore, dtype=bool),
         n_blocks=n_blocks,
         threads=threads,
@@ -980,7 +822,6 @@ def _lower_flat_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
     )
     return CandidateBatch(
         configs=cb,
-        programs=None,
         tensorcore=np.zeros(n, dtype=bool),
         n_blocks=n_blocks,
         threads=threads,

@@ -11,18 +11,25 @@ The tile math of the paper's Figures 3 / 4 lives once, in
 :func:`repro.schedule.batch.lower_batch`; a program is one row of the
 :class:`~repro.schedule.batch.CandidateBatch` it returns
 (:meth:`~repro.schedule.batch.CandidateBatch.program` unpacks it) and
-:func:`lower` is row 0 of a one-row batch.  ``tests/fixtures/
-lowering_golden.json`` holds what the former per-program implementation
-produced; both entry points are compared to it.
+:func:`lower` is row 0 of a one-row batch.  A program keeps that row as
+:attr:`LoweredProgram.row`, so the one-program doors (draft score,
+symbols, features, simulator) read it instead of packing the program
+again.  ``tests/fixtures/lowering_golden.json`` holds what the former
+per-program implementation produced; both entry points are compared to
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.ir.ops import Workload
 from repro.obs import LOWERED
 from repro.schedule.space import ScheduleConfig, ScheduleSpace
+
+if TYPE_CHECKING:  # batch.py imports this module's dataclasses
+    from repro.schedule.batch import CandidateBatch
 
 
 def note_lowered(n: int) -> None:
@@ -105,6 +112,8 @@ class LoweredProgram:
     splitk: int
     # dataflow blocks for PaCM features
     blocks: tuple[DataflowBlock, ...] = field(default_factory=tuple)
+    # the one-row batch this program was unpacked from (not part of its identity)
+    row: "CandidateBatch | None" = field(default=None, compare=False, repr=False)
 
     @property
     def smem_bytes(self) -> int:

@@ -124,6 +124,8 @@ def state_from_wire(wire: dict) -> dict:
 
     Raises :class:`~repro.errors.CostModelError` for malformed or
     newer-versioned envelopes — callers treat that as "no checkpoint".
+    A JSON number too big for an int (``1e999`` reads as inf) is
+    malformed too.
     """
     try:
         if int(wire.get("ckpt_v", -1)) != CHECKPOINT_SCHEMA_VERSION:
@@ -142,7 +144,9 @@ def state_from_wire(wire: dict) -> dict:
         }
     except CostModelError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError, binascii.Error) as exc:
+    except (
+        KeyError, TypeError, ValueError, OverflowError, AttributeError, binascii.Error
+    ) as exc:
         raise CostModelError(f"malformed checkpoint: {exc}") from None
 
 

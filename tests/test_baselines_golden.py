@@ -66,8 +66,11 @@ def _corpus(device: str):
 
 def _rows(dataset) -> tuple[list[str], list[float]]:
     """Every row's ``task#config`` key and latency, in corpus order."""
-    keys = [f"{e.task_key}#{e.prog.config.key}" for e in dataset.entries]
-    return keys, [e.latency for e in dataset.entries]
+    keys, lats = [], []
+    for task in dataset.tasks:
+        keys += [f"{task.task_key}#{c.key}" for c in task.batch.configs.configs()]
+        lats += task.latency.tolist()
+    return keys, lats
 
 
 def corpus_case(dataset) -> dict:
@@ -84,10 +87,7 @@ def topk_case(dataset) -> dict:
     for part, train_set in halves.items():
         for name, factory in MODELS.items():
             model = factory(seed=0)
-            batch, lats, keys = train_set.training_data()
-            model.fit(
-                model.featurize_batch(batch), lats, keys, train=TRAIN, rng=make_rng(0)
-            )
+            model.fit(*train_set.training_data(model), train=TRAIN, rng=make_rng(0))
             out[f"{part}/{name}"] = [
                 top_k_score(model, dataset, k=k).hex() for k in (1, 5)
             ]
@@ -128,7 +128,7 @@ def library_case() -> dict:
 def sparsity_case() -> str:
     space = generate_sketch(ops.matmul(256, 256, 256))
     batch = lower_batch(space, random_batch(space, make_rng(0), 64))
-    return sparsity([batch.program(i) for i in range(len(batch))]).hex()
+    return sparsity(batch).hex()
 
 
 def baselines_golden() -> dict:

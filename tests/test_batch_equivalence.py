@@ -23,12 +23,14 @@ them instead:
   there, ``test_tensorcore_without_tensorcores_scores_minus_inf`` pins
   what is kept.
 * **Properties** that need no reference: unpacking a batch into
-  programs and packing them again gives the same arrays, and rows do not
-  depend on their neighbours (``TestRowsAreIndependent``).
-* **Independent comparisons** that remain: the feature encoders against
-  ``from_programs`` of unpacked rows, ``predict`` against
-  ``predict_batch``, the GA operators against ``ScheduleSpace.validate``,
-  and the Pruner policy against a per-program mirror of its verify stage.
+  programs and concatenating their rows again gives the same arrays,
+  rows do not depend on their neighbours (``TestRowsAreIndependent``),
+  and every one-program door reads its program's own row
+  (``TestScalarDoors``).
+* **Independent comparisons** that remain: the feature encoders and
+  ``predict_batch`` against programs lowered one by one, the GA
+  operators against ``ScheduleSpace.validate``, and the Pruner policy
+  against a per-program mirror of its verify stage.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ from repro.features.dataflow import dataflow_features, dataflow_tensor_batch
 from repro.features.primitives import primitive_features, primitive_tensor_batch
 from repro.features.statement import statement_features, statement_matrix_batch
 from repro.hardware.device import get_device
+from repro.hardware.simulator import (
+    GroundTruthSimulator,
+    residual_features,
+    residual_features_batch,
+)
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.schedule import generate_sketch, lower
@@ -441,13 +448,14 @@ class TestRowsAreIndependent:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
     @settings(max_examples=12, deadline=None)
     def test_unpack_then_pack_is_identity(self, wl, tc, seed, n):
-        """``program(i)`` loses nothing ``from_programs`` needs."""
+        """``program(i)`` keeps its row: concatenated, the rows are the batch."""
         space, configs = _space_and_configs(wl, tc, n, seed, splitk=True)
         batch = lower_batch(space, configs)
         progs = [batch.program(i) for i in range(len(batch))]
         assert [p.config for p in progs] == configs
         assert all(p.workload is space.workload for p in progs)
-        _assert_same_arrays(CandidateBatch.from_programs(progs), batch)
+        assert all(len(p.row) == 1 for p in progs)
+        _assert_same_arrays(CandidateBatch.concat([p.row for p in progs]), batch)
 
     @pytest.mark.parametrize("wl,tc", ALL_CLASSES)
     def test_rows_do_not_depend_on_their_neighbours(self, wl, tc):
@@ -470,6 +478,40 @@ class TestRowsAreIndependent:
                 np.concatenate([analyzer.score_batch(piece) for piece in pieces]),
                 scores[order],
             )
+
+
+class TestScalarDoors:
+    """Each one-program door reads its program's own row of the batch."""
+
+    @pytest.mark.parametrize("wl,tc", ALL_CLASSES)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), device=st.sampled_from(DEVICES))
+    @settings(max_examples=8, deadline=None)
+    def test_door_of_program_i_is_row_i(self, wl, tc, seed, n, device):
+        if tc and device == "k80":  # no TensorCore peak: both paths raise
+            return
+        space, configs = _space_and_configs(wl, tc, n, seed, splitk=True)
+        batch = lower_batch(space, configs)
+        dev = get_device(device)
+        analyzer, sim = SymbolBasedAnalyzer(dev), GroundTruthSimulator(dev)
+        pacm, mlp = PaCM(), TenSetMLP()
+        symbols = extract_symbols_batch(batch).as_tuple()
+        doors = {
+            "latency": (analyzer.latency, analyzer.latency_batch(batch)),
+            "score": (analyzer.score, analyzer.score_batch(batch)),
+            "statement": (statement_features, statement_matrix_batch(batch)),
+            "dataflow": (dataflow_features, dataflow_tensor_batch(batch)),
+            "residual": (residual_features, residual_features_batch(batch)),
+            "sim.latency": (sim.latency, sim.latency_batch(batch)),
+            "PaCM.featurize": (lambda p: pacm.featurize([p])[0], pacm.featurize_batch(batch)),
+            "TenSetMLP.featurize": (lambda p: mlp.featurize([p])[0], mlp.featurize_batch(batch)),
+        }
+        run = sim.run_batch(batch)
+        for i in range(len(batch)):
+            prog = batch.program(i)
+            for name, (door, rows) in doors.items():
+                np.testing.assert_array_equal(door(prog), rows[i], err_msg=name)
+            assert extract_symbols(prog).as_tuple() == tuple(float(c[i]) for c in symbols)
+            assert sim.run(prog) == run.row(i)
 
 
 class TestFeatureBatch:
@@ -512,11 +554,10 @@ class TestCostModelBatch:
     )
     def test_predict_batch_matches_predict(self, model_factory, matmul_space, a100):
         """``lower_batch`` rows encode and score like the same programs
-        packed one by one: what the program-list ``predict(progs)`` did,
-        and how a mixed-task log is packed for training."""
+        lowered one by one, their one-row batches concatenated."""
         space = matmul_space
         configs = random_population(space, make_rng(7), 40)
-        packed = CandidateBatch.from_programs([lower(space, c) for c in configs])
+        packed = CandidateBatch.concat([lower(space, c).row for c in configs])
         batch = lower_batch(space, configs)
         model = model_factory()
         features = model.featurize_batch(packed)
@@ -528,7 +569,7 @@ class TestCostModelBatch:
     def test_random_model_draw_counts_align(self, matmul_space):
         configs = random_population(matmul_space, make_rng(0), 10)
         batch = lower_batch(matmul_space, configs)
-        packed = CandidateBatch.from_programs([lower(matmul_space, c) for c in configs])
+        packed = CandidateBatch.concat([lower(matmul_space, c).row for c in configs])
         a = RandomModel(seed=3).predict_batch(batch)
         b = RandomModel(seed=3).predict_batch(packed)
         np.testing.assert_array_equal(a, b)
@@ -650,7 +691,7 @@ class TestPolicyEquivalence:
         progs = [lower(task.space, c) for c in draft_configs]
         progs = [p for p in progs if is_launchable(p, task.device)]
         mirror_clock.charge_inference(model.feature_kind, model.kind, len(progs))
-        scores = model.predict_batch(CandidateBatch.from_programs(progs))
+        scores = model.predict_batch(CandidateBatch.concat([p.row for p in progs]))
 
         k = search.measure_per_round
         n_rand = max(0, int(round(k * search.eps_greedy))) or 1

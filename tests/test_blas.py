@@ -18,7 +18,7 @@ from repro.hardware.simulator import GroundTruthSimulator
 from repro.nn import pairwise_rank_accuracy
 from repro.rng import make_rng
 from repro.schedule import generate_sketch
-from repro.schedule.batch import CandidateBatch, lower_batch
+from repro.schedule.batch import lower_batch
 from repro.schedule.sampler import random_batch
 from repro.workloads import network_tasks
 
@@ -52,22 +52,23 @@ def paper_round():
     tasks: 24 rounds x 10 trials = 240 measured records, and a 512-row draft."""
     sim = GroundTruthSimulator(get_device("a100"))
     rng = make_rng(0)
-    progs, keys = [], []
+    measured, keys = [], []
     for task in network_tasks("resnet50", top_k=6):
         space = generate_sketch(task.workload)
-        measured = lower_batch(space, random_batch(space, rng, 40))
-        progs += [measured.program(i) for i in range(len(measured))]
-        keys += [task.workload.key] * len(measured)
+        measured.append(lower_batch(space, random_batch(space, rng, 40)))
+        keys += [task.workload.key] * len(measured[-1])
     draft = lower_batch(space, random_batch(space, rng, 512))
-    assert (len(progs), len(draft)) == (240, 512)
-    lats = np.array([sim.latency(p) for p in progs])
-    return CandidateBatch.from_programs(progs), lats, keys, draft
+    assert (len(keys), len(draft)) == (240, 512)
+    lats = np.concatenate([sim.latency_batch(batch) for batch in measured])
+    return measured, lats, keys, draft
 
 
 def _fit_predict(model, paper_round):
     measured, lats, keys, draft = paper_round
-    model.fit(model.featurize_batch(measured), lats, keys, ONLINE_TRAIN, make_rng(1))
-    accuracy = pairwise_rank_accuracy(model.predict_batch(measured), *make_labels(lats, keys))
+    features = np.concatenate([model.featurize_batch(batch) for batch in measured])
+    model.fit(features, lats, keys, ONLINE_TRAIN, make_rng(1))
+    scores = np.concatenate([model.predict_batch(batch) for batch in measured])
+    accuracy = pairwise_rank_accuracy(scores, *make_labels(lats, keys))
     return accuracy, model.predict_batch(draft), model.get_params()
 
 
@@ -158,7 +159,7 @@ def test_a_training_loop_uses_one_core(threads, paper_round):
     """The symptom: a spinning OpenBLAS helper made CPU time ~2x wall time."""
     measured, lats, keys, draft = paper_round
     model = PaCM(seed=0)
-    features = model.featurize_batch(measured)
+    features = np.concatenate([model.featurize_batch(batch) for batch in measured])
     wall, cpu = time.perf_counter(), time.process_time()
     while time.perf_counter() - wall < 1.0:
         model.predict_batch(draft)

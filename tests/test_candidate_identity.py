@@ -302,10 +302,11 @@ class TestEmptyTake:
         assert taken.blocks.kind.shape == (0, rows.blocks.kind.shape[1])
 
     def test_candidate_batch_from_programs(self, matmul_space):
+        """Programs' rows packed back together take no rows just the same."""
         rows = lower_batch(matmul_space, random_batch(matmul_space, make_rng(0), 2))
-        packed = CandidateBatch.from_programs([rows.program(0), rows.program(1)])
+        packed = CandidateBatch.concat([rows.program(0).row, rows.program(1).row])
         taken = packed.take([])
-        assert len(taken) == 0 and taken.programs == []
+        assert len(taken) == 0 and taken.configs.configs() == []
 
 
 # ----------------------------------------------------------------------

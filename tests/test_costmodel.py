@@ -26,8 +26,7 @@ from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.nn.losses import pairwise_rank_accuracy
-from repro.schedule import generate_sketch, lower, random_config
-from repro.schedule.batch import CandidateBatch
+from repro.schedule import generate_sketch, lower_batch, random_config
 from repro.serve import JobEngine, drain
 from repro.workloads import network_tasks
 
@@ -36,28 +35,36 @@ TRAIN = TrainConfig(epochs=15)
 
 @pytest.fixture(scope="module")
 def training_data():
-    """Labelled programs from two tasks on the simulated T4, packed once."""
+    """Labelled programs from two tasks on the simulated T4: one lowered
+    batch per task (the first holds rows ``0:120``), latencies and task
+    keys of both in turn."""
     sim = GroundTruthSimulator(get_device("t4"))
     rng = make_rng(0)
-    progs, lats, keys = [], [], []
+    batches = []
     for wl in (ops.matmul(256, 256, 256), ops.conv2d(1, 32, 28, 28, 64, 3)):
         space = generate_sketch(wl)
-        for _ in range(120):
-            p = lower(space, random_config(space, rng))
-            progs.append(p)
-            lats.append(sim.latency(p))
-            keys.append(wl.key)
-    return CandidateBatch.from_programs(progs), np.array(lats), keys
+        batches.append(lower_batch(space, [random_config(space, rng) for _ in range(120)]))
+    lats = np.concatenate([sim.latency_batch(b) for b in batches])
+    keys = [b.configs.space.workload.key for b in batches for _ in range(len(b))]
+    return batches, lats, keys
 
 
-def _fit(model, batch, lats, keys, *args, **kwargs):
-    """Train ``model`` on a packed batch, the way every caller does.
+def _features(model, batches):
+    return np.concatenate([model.featurize_batch(b) for b in batches])
+
+
+def _scores(model, batches):
+    return np.concatenate([model.predict_batch(b) for b in batches])
+
+
+def _fit(model, batches, lats, keys, *args, **kwargs):
+    """Train ``model`` on the rows of ``batches`` in turn, the way every caller does.
 
     Returns the training score: the pairwise rank accuracy of the
     trained model's ``predict_batch`` over the same rows.
     """
-    assert model.fit(model.featurize_batch(batch), lats, keys, *args, **kwargs) is None
-    return pairwise_rank_accuracy(model.predict_batch(batch), *make_labels(lats, keys))
+    assert model.fit(_features(model, batches), lats, keys, *args, **kwargs) is None
+    return pairwise_rank_accuracy(_scores(model, batches), *make_labels(lats, keys))
 
 
 class TestMakeLabels:
@@ -94,12 +101,12 @@ class TestMakeLabels:
     def test_fit_survives_all_invalid_task(self, training_data):
         """Regression: training data containing an all-invalid task must
         not feed a degenerate group to the LambdaRank loop."""
-        batch, lats, keys = training_data
+        (batch, _), lats, keys = training_data
         batch = batch.take(np.r_[0:20, 0:4])
         lats = np.concatenate([lats[:20], [np.inf] * 4])
         keys = keys[:20] + ["all-dead-task"] * 4
         model = TenSetMLP()
-        acc = _fit(model, batch, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(2))
+        acc = _fit(model, [batch], lats, keys, train=TrainConfig(epochs=2), rng=make_rng(2))
         assert np.isfinite(acc)
         assert np.all(np.isfinite(model.predict_batch(batch.take(np.arange(5)))))
 
@@ -109,30 +116,30 @@ class TestMakeLabels:
 )
 class TestAllModels:
     def test_fit_predict_roundtrip(self, factory, training_data):
-        batch, lats, keys = training_data
+        batches, lats, keys = training_data
         model = factory()
-        acc = _fit(model, batch, lats, keys, train=TRAIN, rng=make_rng(1))
+        acc = _fit(model, batches, lats, keys, train=TRAIN, rng=make_rng(1))
         assert acc > 0.6, f"{factory.__name__} failed to learn: acc={acc:.3f}"
-        scores = model.predict_batch(batch.take(np.arange(10)))
+        scores = model.predict_batch(batches[0].take(np.arange(10)))
         assert scores.shape == (10,)
         assert np.all(np.isfinite(scores))
 
     def test_predict_empty(self, factory):
-        empty = CandidateBatch.from_programs([])
+        empty = lower_batch(generate_sketch(ops.matmul(64, 64, 64)), [])
         assert factory().predict_batch(empty).shape == (0,)
 
     def test_featurize_batch_has_one_row_per_candidate(self, factory, training_data):
-        batch, _, _ = training_data
+        (batch, _), _, _ = training_data
         features = factory().featurize_batch(batch.take(np.arange(7)))
         assert features.shape[0] == 7 and features.dtype == np.float64
 
     def test_higher_score_means_faster(self, factory, training_data):
         """Within a task, predicted scores correlate negatively with latency."""
-        batch, lats, keys = training_data
+        batches, lats, keys = training_data
         model = factory()
-        _fit(model, batch, lats, keys, train=TRAIN, rng=make_rng(1))
+        _fit(model, batches, lats, keys, train=TRAIN, rng=make_rng(1))
         idx = [i for i, k in enumerate(keys) if k == keys[0]]
-        scores = model.predict_batch(batch.take(np.asarray(idx)))
+        scores = model.predict_batch(batches[0].take(np.asarray(idx)))
         finite = [i for i in range(len(idx)) if np.isfinite(lats[idx[i]])]
         corr = np.corrcoef(scores[finite], -np.log(lats[[idx[i] for i in finite]]))[0, 1]
         assert corr > 0.3
@@ -140,18 +147,18 @@ class TestAllModels:
 
 class TestNNModelSpecifics:
     def test_params_roundtrip_preserves_predictions(self, training_data):
-        batch, lats, keys = training_data
+        batches, lats, keys = training_data
         a = PaCM(seed=0)
-        _fit(a, batch, lats, keys, train=TrainConfig(epochs=4), rng=make_rng(0))
+        _fit(a, batches, lats, keys, train=TrainConfig(epochs=4), rng=make_rng(0))
         b = PaCM(seed=5)
         b.set_params(a.get_params())
-        head = batch.take(np.arange(8))
+        head = batches[0].take(np.arange(8))
         assert np.allclose(a.predict_batch(head), b.predict_batch(head))
 
     def test_norm_stats_travel_with_params(self, training_data):
-        batch, lats, keys = training_data
+        batches, lats, keys = training_data
         a = TenSetMLP(seed=0)
-        _fit(a, batch, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(0))
+        _fit(a, batches, lats, keys, train=TrainConfig(epochs=2), rng=make_rng(0))
         params = a.get_params()
         assert "_norm.mu" in params and "_norm.sigma" in params
 
@@ -166,12 +173,12 @@ class TestNNModelSpecifics:
         assert no_sf < full and no_df < full
 
     def test_random_model_is_uninformative(self, training_data):
-        batch, lats, keys = training_data
+        batches, lats, keys = training_data
         model = RandomModel()
-        features = model.featurize_batch(batch)
-        assert features.shape == (len(batch), 0)  # it reads nothing
+        features = _features(model, batches)
+        assert features.shape == (len(lats), 0)  # it reads nothing
         assert model.fit(features, lats, keys) is None
-        assert model.predict_batch(batch.take(np.arange(5))).shape == (5,)
+        assert model.predict_batch(batches[0].take(np.arange(5))).shape == (5,)
 
 
 #: Captured at the parent of the commit that fused the training kernels
@@ -269,12 +276,12 @@ class TestTrainingPath:
 
     @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
     def test_same_seed_fit_twice_is_identical(self, factory, training_data):
-        batch, lats, keys = training_data
+        (batch, _), lats, keys = training_data
         head = batch.take(np.arange(80))
         runs = []
         for _ in range(2):
             model = factory(seed=2)
-            acc = _fit(model, head, lats[:80], keys[:80], self.FIT, rng=make_rng(7))
+            acc = _fit(model, [head], lats[:80], keys[:80], self.FIT, rng=make_rng(7))
             runs.append((acc, model.get_params()))
         assert runs[0][0] == runs[1][0]
         assert _same_params(runs[0][1], runs[1][1])
@@ -284,21 +291,21 @@ class TestTrainingPath:
     ):
         """``fit`` trains on the rows it is handed, which score exactly as
         ``predict_batch`` scores the batch they encode; it returns nothing."""
-        batch, lats, keys = training_data
+        batches, lats, keys = training_data
         model = PaCM(seed=0)
-        features = model.featurize_batch(batch)
+        features = _features(model, batches)
         with monkeypatch.context() as m:
             m.setattr(model, "featurize_batch", lambda _: pytest.fail("fit encoded"))
             assert model.fit(features, lats, keys, self.FIT, rng=make_rng(0)) is None
         scores = model._score(model._normalize(features))
-        assert np.array_equal(scores, model.predict_batch(batch))
+        assert np.array_equal(scores, _scores(model, batches))
 
     def test_set_params_between_fits_reaches_fit_and_predict_batch(self, training_data):
         """The optimizer of the last fit must not keep serving stale views."""
         train, lats, keys = training_data
-        batch = train.take(np.arange(16))
+        batch = train[0].take(np.arange(16))
         a = PaCM(seed=0)
-        features = a.featurize_batch(train)
+        features = _features(a, train)
         a.fit(features, lats, keys, self.FIT, rng=make_rng(0))
         snapshot = a.get_params()
         at_snapshot = a.predict_batch(batch)
@@ -319,9 +326,9 @@ class TestTrainingPath:
     def test_moa_update_between_fits(self, training_data):
         """Load Param -> fine-tune -> momentum update, two rounds (Section 4.3)."""
         train, lats, keys = training_data
-        batch = train.take(np.arange(16))
+        batch = train[0].take(np.arange(16))
         model = PaCM(seed=0)
-        features = model.featurize_batch(train)
+        features = _features(model, train)
         model.fit(features, lats, keys, self.FIT, rng=make_rng(0))
         adapter = MomentumAdapter.from_model(model, momentum=0.5)
         for round_seed in (1, 2):
@@ -341,7 +348,7 @@ class TestTrainingPath:
 
     @pytest.mark.parametrize("factory", [PaCM, TenSetMLP, TLPModel], ids=lambda f: f.__name__)
     def test_save_load_state_bit_exact_after_fit(self, factory, training_data):
-        train, lats, keys = training_data
+        (train, _), lats, keys = training_data
         batch = train.take(np.arange(16))
         model = factory(seed=0)
         features = model.featurize_batch(train.take(np.arange(80)))
@@ -447,15 +454,15 @@ class TestNoCyclicGarbage:
 
 class TestGBDT:
     def test_more_trees_fit_better(self, training_data):
-        batch, lats, keys = training_data
-        small = _fit(GBDTModel(n_trees=3), batch, lats, keys)
-        big = _fit(GBDTModel(n_trees=40), batch, lats, keys)
+        batches, lats, keys = training_data
+        small = _fit(GBDTModel(n_trees=3), batches, lats, keys)
+        big = _fit(GBDTModel(n_trees=40), batches, lats, keys)
         assert big >= small
 
     def test_tiny_dataset_handled(self, training_data):
-        batch, lats, keys = training_data
+        (batch, _), lats, keys = training_data
         model = GBDTModel()
-        _fit(model, batch.take(np.arange(2)), lats[:2], keys[:2])
+        _fit(model, [batch.take(np.arange(2))], lats[:2], keys[:2])
         # too few rows to split: no trees, every prediction the 0.0 base
         assert np.array_equal(model.predict_batch(batch.take(np.arange(3))), np.zeros(3))
 

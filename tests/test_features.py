@@ -19,7 +19,7 @@ from repro.features import (
 from repro.features.primitives import sparsity
 from repro.ir import ops
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower, random_config
+from repro.schedule import generate_sketch, lower, lower_batch, random_config
 
 
 def _progs(wl, n=20, seed=0):
@@ -112,8 +112,10 @@ class TestPrimitiveFeatures:
     def test_sparsity_is_low(self):
         """Paper Section 2.3: only a small share of TLP feature values
         varies between schedules of the same workload."""
-        progs = _progs(ops.matmul(512, 512, 512), n=60)
-        assert sparsity(progs) < 0.35
+        space = generate_sketch(ops.matmul(512, 512, 512))
+        rng = make_rng(0)
+        batch = lower_batch(space, [random_config(space, rng) for _ in range(60)])
+        assert sparsity(batch) < 0.35
 
     @given(seed=st.integers(min_value=0, max_value=50))
     @settings(max_examples=25, deadline=None)

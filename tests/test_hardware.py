@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import DeviceError
@@ -13,7 +14,7 @@ from repro.hardware.measure import MeasureRunner
 from repro.hardware.simulator import GroundTruthSimulator, residual_features
 from repro.ir import ops
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower, random_config
+from repro.schedule import generate_sketch, lower, lower_batch, random_config
 from repro.timemodel import MEASUREMENT, SimClock
 
 
@@ -111,15 +112,14 @@ class TestMeasureRunner:
         runner = MeasureRunner(a100, noise_sigma=0.02, rng=make_rng(0))
         prog = lower(matmul_space, random_config(matmul_space, rng))
         true = runner.simulator.latency(prog)
-        results = runner.measure([prog] * 20)
-        for r in results:
-            assert abs(r.latency / true - 1.0) < 0.15
+        results = runner.measure_batch(prog.row.take([0] * 20))
+        assert np.all(np.abs(results.latency / true - 1.0) < 0.15)
 
     def test_charges_measurement_time(self, a100, matmul_space, rng):
         clock = SimClock()
         runner = MeasureRunner(a100, clock=clock)
         prog = lower(matmul_space, random_config(matmul_space, rng))
-        runner.measure([prog] * 5)
+        runner.measure_batch(prog.row.take([0] * 5))
         assert clock.elapsed(MEASUREMENT) > 0
         assert runner.count == 5
 
@@ -131,8 +131,9 @@ class TestMeasureRunner:
             {"i": (1, 64, 1, 1, 64), "j": (1, 64, 1, 64, 1), "k": (1, 1, 64)}
         )
         runner = MeasureRunner(a100)
-        (result,) = runner.measure([lower(space, cfg)])
-        assert not result.valid and result.throughput == 0.0
+        result = runner.measure_batch(lower_batch(space, [cfg]))
+        assert not result.valid[0] and result.throughput()[0] == 0.0
+        assert result.latency[0] == math.inf
 
 
 class TestLibrarySurrogate:

@@ -63,9 +63,7 @@ def _space(wl, tc):
 
 
 def _config_keys(batch: CandidateBatch) -> list[str]:
-    if batch.configs is not None:
-        return [c.key for c in batch.configs.configs()]
-    return [p.config.key for p in batch.programs]
+    return [c.key for c in batch.configs.configs()]
 
 
 def _assert_rows_equal(got: CandidateBatch, want: CandidateBatch, device="a100"):
@@ -188,24 +186,12 @@ class TestBatchPlumbing:
         _assert_rows_equal(CandidateBatch.concat(parts), whole)
 
     def test_concat_from_programs_parts(self, matmul_space):
+        """Programs' rows concatenated in two parts, or all at once: the batch."""
         configs = random_population(matmul_space, make_rng(15), 12)
         batch = lower_batch(matmul_space, configs)
-        progs = [batch.program(i) for i in range(len(batch))]
+        rows = [batch.program(i).row for i in range(len(batch))]
         joined = CandidateBatch.concat(
-            [
-                CandidateBatch.from_programs(progs[:5]),
-                CandidateBatch.from_programs(progs[5:]),
-            ]
+            [CandidateBatch.concat(rows[:5]), CandidateBatch.concat(rows[5:])]
         )
-        _assert_rows_equal(joined, CandidateBatch.from_programs(progs))
-
-    def test_concat_mixed_origin_rejected(self, matmul_space):
-        from repro.errors import ScheduleError
-
-        configs = random_population(matmul_space, make_rng(16), 4)
-        lowered = lower_batch(matmul_space, configs)
-        packed = CandidateBatch.from_programs(
-            [lowered.program(i) for i in range(2)]
-        )
-        with pytest.raises(ScheduleError):
-            CandidateBatch.concat([lowered, packed])
+        _assert_rows_equal(joined, CandidateBatch.concat(rows))
+        _assert_rows_equal(joined, batch)

@@ -1,8 +1,8 @@
 """Equivalence suite: the batched measurement path vs the scalar one.
 
 ``GroundTruthSimulator.run_batch`` and ``MeasureRunner.measure_batch``
-are the hot measurement path; the scalar ``run`` / ``measure`` entry
-points are thin wrappers over one-row (or n-row) batches.  These tests
+are the one measurement path; the scalar ``run`` reads its program's
+one-row batch.  These tests
 pin the contract that batching changes *nothing*: latencies, validity,
 reason strings, noise draws and clock charges are bit-identical to a
 scalar reference loop across devices and workload classes — including
@@ -146,11 +146,11 @@ class TestRunBatch:
 
     @pytest.mark.parametrize("wl,tc,sk", WORKLOADS)
     def test_from_programs_roundtrip(self, wl, tc, sk, a100_sim):
-        """A batch re-packed from materialized programs simulates the
-        same as the lower_batch-built one."""
+        """A batch re-packed from programs lowered one by one (their rows,
+        concatenated) simulates the same as the lower_batch-built one."""
         batch, progs = _batch_and_progs(wl, tc, sk, n=25)
         direct = a100_sim.run_batch(batch)
-        packed = a100_sim.run_batch(CandidateBatch.from_programs(progs))
+        packed = a100_sim.run_batch(CandidateBatch.concat([p.row for p in progs]))
         np.testing.assert_array_equal(direct.latency, packed.latency)
         np.testing.assert_array_equal(direct.valid, packed.valid)
 
@@ -199,6 +199,9 @@ class TestMeasureBatch:
         want_lat, want_valid, want_clock = self._scalar_reference(dev, progs, seed=7)
         np.testing.assert_array_equal(out.latency, want_lat)
         np.testing.assert_array_equal(out.valid, want_valid)
+        np.testing.assert_array_equal(
+            out.throughput(), np.where(want_valid, batch.flops / want_lat, 0.0)
+        )
         assert clock.total == pytest.approx(want_clock.total, rel=1e-12, abs=0.0)
         assert runner.count == len(progs)
 
@@ -219,37 +222,9 @@ class TestMeasureBatch:
         ) * c.measure_overhead
         assert clock.elapsed("measurement") == expected
 
-    def test_scalar_measure_wraps_batch(self, a100, matmul_space):
-        """measure(list) is measure_batch + to_results, same RNG use."""
-        configs = random_population(matmul_space, make_rng(9), 40)
-        progs = [lower(matmul_space, c) for c in configs]
-        scalar = MeasureRunner(a100, clock=SimClock(), rng=make_rng(5)).measure(progs)
-        batched = MeasureRunner(a100, clock=SimClock(), rng=make_rng(5)).measure_batch(
-            lower_batch(matmul_space, configs)
-        )
-        assert [r.latency for r in scalar] == batched.latency.tolist()
-        assert [r.valid for r in scalar] == batched.valid.tolist()
-        assert [r.prog.config for r in scalar] == batched.batch.configs.configs()
-        np.testing.assert_array_equal(
-            batched.throughput(), [r.throughput for r in scalar]
-        )
-
-    def test_empty_measure_is_free(self, a100):
+    def test_empty_measure_is_free(self, a100, matmul_space):
         clock = SimClock()
         runner = MeasureRunner(a100, clock=clock)
-        assert runner.measure([]) == []
+        assert len(runner.measure_batch(lower_batch(matmul_space, []))) == 0
         assert clock.total == 0.0
         assert runner.count == 0
-
-    def test_result_views_round_trip(self, a100, matmul_space):
-        configs = random_population(matmul_space, make_rng(13), 10)
-        out = MeasureRunner(a100, rng=make_rng(13)).measure_batch(
-            lower_batch(matmul_space, configs)
-        )
-        results = out.to_results()
-        assert len(results) == len(out) == 10
-        for i, res in enumerate(results):
-            single = out.result(i)
-            assert single.latency == res.latency
-            assert single.valid == res.valid
-            assert single.prog.config.key == res.prog.config.key

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import api
 from repro.config import TrainConfig
@@ -19,11 +21,10 @@ from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
-from repro.schedule import generate_sketch, lower, random_config
-from repro.schedule.batch import CandidateBatch
+from repro.schedule import generate_sketch, lower_batch, random_config
 from repro.search import make_tasks
 from repro.serve import JobEngine, drain
-from repro.serve.protocol import unwire_float
+from repro.serve.protocol import checkpoint_from_wire, unwire_float
 from repro.service.models import (
     CHECKPOINT_SCHEMA_VERSION,
     ModelStore,
@@ -46,12 +47,8 @@ def training_data():
     rng = make_rng(0)
     wl = ops.matmul(128, 128, 128)
     space = generate_sketch(wl)
-    progs, lats = [], []
-    for _ in range(40):
-        prog = lower(space, random_config(space, rng))
-        progs.append(prog)
-        lats.append(sim.latency(prog))
-    return CandidateBatch.from_programs(progs), np.array(lats), [wl.key] * len(progs)
+    batch = lower_batch(space, [random_config(space, rng) for _ in range(40)])
+    return batch, sim.latency_batch(batch), [wl.key] * len(batch)
 
 
 def _truncate_to_two_lines(path):
@@ -276,6 +273,93 @@ class TestStateRejection:
             model.net.set_params(bad)
         after = model.get_params()
         assert all(np.array_equal(after[k], before[k]) for k in before)
+
+
+#: Any value a JSON body can hold (``1e999`` parses as inf, so floats
+#: include the infinities; NaN too, which Python's json also reads).
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _envelope() -> dict:
+    return json.loads(json.dumps(state_to_wire(TenSetMLP(seed=0).save_state(), 1)))
+
+
+def _paths(value, at=()):
+    """Every path into a JSON value (dict keys and list indices)."""
+    yield at
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, inner in items:
+        yield from _paths(inner, (*at, key))
+
+
+def _replace(value, path, new):
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replace(value[path[0]], path[1:], new)
+    return out
+
+
+def _decodes_or_refuses(wire) -> None:
+    """A state, or CostModelError — nothing else out of either decoder."""
+    try:
+        assert isinstance(state_from_wire(wire), dict)
+    except CostModelError:
+        assert checkpoint_from_wire(wire) is None
+    else:
+        assert isinstance(checkpoint_from_wire(wire), dict)
+
+
+class TestWireFuzz:
+    """Checkpoint envelopes arrive off the wire (a lease, a completion): any JSON."""
+
+    @pytest.mark.parametrize("field", ["ckpt_v", "state_v", "shape"])
+    def test_huge_number_is_malformed_not_overflow(self, field):
+        """Found by hand: ``int(1e999)`` raised OverflowError out of the decode."""
+        wire = _envelope()
+        path = ("params", next(iter(wire["params"])), "shape", 0) if field == "shape" else (field,)
+        hostile = _replace(wire, path, json.loads("1e999"))
+        with pytest.raises(CostModelError):
+            state_from_wire(hostile)
+        assert checkpoint_from_wire(hostile) is None
+
+    @given(value=JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value(self, value):
+        _decodes_or_refuses(value)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_one_damaged_field_of_a_real_envelope(self, data):
+        wire = _envelope()
+        path = data.draw(st.sampled_from(list(_paths(wire))))
+        _decodes_or_refuses(_replace(wire, path, data.draw(JSON_VALUES)))
+
+    def test_complete_with_huge_number_checkpoint_finishes_the_job(self, tmp_path):
+        """``complete`` used to raise after ingesting the rows, leaving the
+        job running with its lease held (a 500 over HTTP)."""
+        engine = JobEngine(tmp_path)
+        job_id = engine.submit("bert_tiny", rounds=1, scale="smoke", top_k_tasks=1)
+        leased = engine.lease("r1")
+        rows = [{"task_key": "t", "config_key": f"c{i}", "latency": 1e-3} for i in range(3)]
+        hostile = _replace(_envelope(), ("state_v",), json.loads("1e999"))
+        done = engine.complete(
+            leased["lease_id"], "r1", job_id, {"final_latency": 1.0}, rows, checkpoint=hostile
+        )
+        assert done["checkpoint_stored"] is False and done["state"] == "done"
+        assert engine.queue.get(job_id).state.value == "done"
 
 
 class TestModelStore:

@@ -21,7 +21,7 @@ from repro.ir.partition import SubgraphTask
 from repro.rng import make_rng
 from repro.schedule import evolve as evolve_module
 from repro.schedule import lower, random_config
-from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
+from repro.schedule.batch import ConfigBatch, lower_batch
 from repro.schedule.mutate import mutate_batch
 from repro.schedule.sampler import random_batch
 from repro.schedule.space import ScheduleConfig
@@ -490,8 +490,8 @@ class TestTuner:
         # give the adapter trained-shape params (incl. norm stats)
         task = two_tasks[0]
         rng = make_rng(2)
-        progs = [lower(task.space, random_config(task.space, rng)) for _ in range(8)]
-        features = model.featurize_batch(CandidateBatch.from_programs(progs))
+        rows = lower_batch(task.space, [random_config(task.space, rng) for _ in range(8)])
+        features = model.featurize_batch(rows)
         model.fit(features, np.full(8, 1e-3), [task.key] * 8, train=TrainConfig(epochs=1))
         adapter = MomentumAdapter.from_model(model)
         start = adapter.siamese_params
@@ -544,11 +544,14 @@ class _TrainingSpy:
         model.fit = fit_
 
     def oracle(self, records: RecordLog) -> np.ndarray:
-        """The log re-packed and re-encoded whole: what fit used to see."""
-        packed = CandidateBatch.from_programs(
-            [b.program(i) for b in records.batches() for i in range(len(b))]
+        """The log re-encoded row by row: what fit used to see."""
+        return np.concatenate(
+            [
+                self._featurize(b.program(i).row)
+                for b in records.batches()
+                for i in range(len(b))
+            ]
         )
-        return self._featurize(packed)
 
 
 class TestTrainingMatrix:

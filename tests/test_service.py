@@ -736,7 +736,7 @@ class TestWarmStart:
 
 class TestNoScalarProgram:
     """Between the lease and the result a candidate stays a row of a batch:
-    no scalar program is unpacked from one, and none is packed back."""
+    no scalar program is unpacked from one."""
 
     @pytest.fixture(autouse=True)
     def forbid(self, monkeypatch):
@@ -744,7 +744,6 @@ class TestNoScalarProgram:
             raise AssertionError("a scalar program on the tuning loop")
 
         monkeypatch.setattr(CandidateBatch, "program", refuse)
-        monkeypatch.setattr(CandidateBatch, "from_programs", refuse)
 
     def test_tuning_job(self):
         subs = [SubgraphTask(ops.matmul(128, 128, 128), 2)]

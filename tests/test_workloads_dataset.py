@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from repro.dataset import best_k_score, tenset_dataset, top_k_score
+from repro.core.analyzer import is_launchable_mask
+from repro.costmodel import TenSetMLP
+from repro.costmodel.base import RandomModel
+from repro.dataset import best_k_score, top_k_score
 from repro.dataset.tenset import generate_for_tasks
 from repro.errors import DatasetError, WorkloadError
 from repro.hardware.device import get_device
 from repro.ir import GraphBuilder, ops, partition_graph
 from repro.ir.partition import SubgraphTask, dedupe_tasks
+from repro.rng import rng_for
 from repro.workloads import (
     build_network,
     list_networks,
@@ -134,20 +136,38 @@ class TestDataset:
         assert len(small_dataset) > 60
 
     def test_all_entries_launchable_and_finite(self, small_dataset):
-        assert all(math.isfinite(e.latency) for e in small_dataset.entries)
+        device = get_device("t4")
+        for task in small_dataset.tasks:
+            assert np.isfinite(task.latency).all()
+            assert is_launchable_mask(task.batch, device).all()
+            assert len(task.batch.configs.unique()) == len(task)
 
     def test_subsample(self, small_dataset):
         sub = small_dataset.subsample(20)
         assert len(sub) == 20
         assert small_dataset.subsample(10**9) is small_dataset
 
+    def test_subsample_keeps_draw_order(self, small_dataset):
+        """A subsample's rows come in the order it drew them; each task's
+        rows are taken from the parent's."""
+        sub = small_dataset.subsample(30, seed=4)
+        _, lats, keys = small_dataset.training_data(RandomModel())
+        idx = rng_for("subsample", "t4", 30, 4).choice(len(small_dataset), 30, replace=False)
+        _, sub_lats, sub_keys = sub.training_data(RandomModel())
+        assert sub_lats.tolist() == lats[idx].tolist()
+        assert sub_keys == [keys[i] for i in idx]
+        assert sub.task_keys == list(dict.fromkeys(sub_keys))
+
     def test_training_data_packs_every_entry_in_order(self, small_dataset):
-        batch, lats, keys = small_dataset.training_data()
-        entries = small_dataset.entries
-        assert len(batch) == len(lats) == len(keys) == len(entries)
-        assert [batch.program(i) for i in range(len(batch))] == [e.prog for e in entries]
-        assert lats.tolist() == [e.latency for e in entries]
-        assert keys == [e.task_key for e in entries]
+        model = TenSetMLP()
+        features, lats, keys = small_dataset.training_data(model)
+        tasks = small_dataset.tasks
+        assert len(features) == len(lats) == len(keys) == len(small_dataset)
+        np.testing.assert_array_equal(
+            features, np.concatenate([model.featurize_batch(t.batch) for t in tasks])
+        )
+        assert lats.tolist() == [v for t in tasks for v in t.latency.tolist()]
+        assert keys == [t.task_key for t in tasks for _ in range(len(t))]
 
     def test_rejects_bad_params(self):
         with pytest.raises(DatasetError):
@@ -157,9 +177,7 @@ class TestDataset:
         subs = [SubgraphTask(ops.matmul(64, 64, 64), 1)]
         a = generate_for_tasks(get_device("t4"), subs, 20, seed=3)
         b = generate_for_tasks(get_device("t4"), subs, 20, seed=3)
-        assert [e.prog.config.key for e in a.entries] == [
-            e.prog.config.key for e in b.entries
-        ]
+        assert [t.batch.row_keys() for t in a.tasks] == [t.batch.row_keys() for t in b.tasks]
 
 
 class TestMetrics:
