@@ -12,7 +12,10 @@
   captured AT THE PARENT COMMIT (1778dc7) by draining the same jobs
   through its ``TuningService`` (workers=1 and 4) and through its
   ``ServeApp`` + ``TuningRunner`` — three runs that agreed byte for
-  byte there, so any drift here is this change's doing.
+  byte there, so any drift here is this change's doing.  Its
+  ``checkpoint_content`` pins what each stored checkpoint holds whatever
+  its file format (see :func:`_content`), captured at 111c4b7 from the
+  v1 JSON envelopes; the ``models/`` file digests pin the bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from test_serve import FakeClock, Stack, drain_with_threads
 
@@ -33,6 +37,7 @@ from repro.serve.engine import LEDGER_NAME, RESULTS_NAME, JobEngine
 from repro.serve.protocol import ServeError
 from repro.serve.runner import TuningRunner, drain
 from repro.service.jobs import JobQueue, JobState
+from repro.service.models import state_from_wire, wire_trained_trials
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "transport_golden.json").read_text()
@@ -125,6 +130,33 @@ def _digest(cache: Path) -> dict[str, str]:
     }
 
 
+def _decoded(path: Path) -> tuple[dict, int]:
+    """A stored checkpoint's model state and trial count."""
+    wire = json.loads(path.read_text())
+    return state_from_wire(wire), wire_trained_trials(wire)
+
+
+def _content(cache: Path) -> dict[str, str]:
+    """Per stored checkpoint, a SHA-256 over what it holds, not how it is
+    encoded: the header fields but the format version, then each array's
+    name, dtype, shape and raw bytes, in name order."""
+    out = {}
+    for path in sorted((cache / "models").glob("*.json")):
+        if path.name == "index.json":
+            continue
+        state, trained = _decoded(path)
+        fields = {k: state[k] for k in ("state_v", "kind", "feature_kind", "arch")}
+        digest = hashlib.sha256(
+            json.dumps({**fields, "trained_trials": trained}, sort_keys=True).encode()
+        )
+        for name in sorted(state["params"]):
+            arr = np.ascontiguousarray(state["params"][name])
+            digest.update(json.dumps([name, arr.dtype.str, list(arr.shape)]).encode())
+            digest.update(arr.tobytes())
+        out[str(path.relative_to(cache))] = digest.hexdigest()
+    return out
+
+
 def _in_process(cache: Path, workers: int) -> list[dict]:
     results = []
     for phase in GOLDEN["phases"]:
@@ -170,6 +202,7 @@ class TestTransportEquivalence:
         assert json.loads(json.dumps(results)) == results
         assert results == GOLDEN["results"]
         assert _digest(cache) == GOLDEN["files"]
+        assert _content(cache) == GOLDEN["checkpoint_content"]
         # the warm job really was warm, or the golden pins nothing
         assert results[2]["warm_model"] and results[2]["seeded_trials"] == 30
 

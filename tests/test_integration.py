@@ -7,7 +7,9 @@ the reproduction keeps telling the same story as the paper.
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,16 @@ class TestHeadlineClaims:
     def test_all_tasks_got_valid_schedules(self, results):
         for result in results.values():
             assert all(math.isfinite(v) for v in result.best.values())
+
+    def test_every_fig7_geomean_speedup_exceeds_one(self):
+        """Figure 7: every Pruner variant reaches each baseline's best
+        sooner.  The numbers are ``fixtures/paper_golden.json``, which
+        ``test_paper_golden.py`` keeps equal to today's runs."""
+        golden = Path(__file__).parent / "fixtures" / "paper_golden.json"
+        geomean = json.loads(golden.read_text())["geomean"]
+        assert len(geomean) == 4
+        for pair, value in geomean.items():
+            assert float.fromhex(value) > 1.0, pair
 
 
 class TestCrossPlatform:
