@@ -2,8 +2,8 @@
 
 Everything this project keeps on disk is either a *journal* — a
 JSON-lines file that only ever grows by appended lines (records,
-traces, the job ledger, result summaries) — or one small JSON object
-rewritten atomically (the two ``index.json`` files, a checkpoint).
+traces, the job ledger, result summaries) — or one file rewritten
+atomically (the two ``index.json`` files, a checkpoint blob).
 This stdlib-only leaf module holds the handful of operations those
 formats share, so each write boundary and each damage-tolerance rule
 exists once:
@@ -13,10 +13,10 @@ exists once:
 * :func:`append_jsonl` — :func:`append_lines` for files several
   threads and processes write: rows rendered and appended under
   :func:`file_lock`, so file order is event order,
-* :func:`atomic_write_lines` — temp file + rename, for rewrites,
+* :func:`atomic_write_bytes` / :func:`atomic_write_lines` — temp file
+  + rename, for rewrites,
 * :func:`read_json_index` / :func:`write_json_index` /
-  :func:`upsert_json_index` — a JSON object file, read tolerantly,
-* :func:`file_digest` — a file's content address.
+  :func:`upsert_json_index` — a JSON object file, read tolerantly.
 
 Reads never write and never take a lock: appends add whole lines at
 the end, rewrites go through a rename, so a lock-free reader sees a
@@ -26,7 +26,6 @@ prefix of complete lines plus at most one torn tail, which it skips.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import os
 import threading
@@ -87,21 +86,24 @@ def append_lines(path: Path, lines: Iterable[str]) -> int:
         return fh.write(data)  # append mode: lands at the end wherever we seeked
 
 
-def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
-    """Write lines via a temp file + rename so lock-free readers never
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write a file via a temp file + rename so lock-free readers never
     see a torn file and a crash mid-write loses nothing."""
     tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("w", **_TEXT) as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    tmp.write_bytes(data)
     tmp.replace(path)
+
+
+def atomic_write_lines(path: Path, lines: Iterable[str]) -> None:
+    """:func:`atomic_write_bytes` of text lines."""
+    atomic_write_bytes(path, "".join(line + "\n" for line in lines).encode(**_TEXT))
 
 
 def read_json_index(path: Path) -> dict:
     """A JSON object file as a dict (empty on absence or damage).
 
-    The single tolerant JSON-object reader, under both stores' indexes
-    and the checkpoint files: shared, hand-editable files must read as
+    The single tolerant JSON-object reader, under both stores'
+    indexes: shared, hand-editable files must read as
     "nothing there", not raise out of the serving hot path.
     """
     try:
@@ -109,18 +111,6 @@ def read_json_index(path: Path) -> dict:
     except (OSError, ValueError):
         return {}
     return index if isinstance(index, dict) else {}
-
-
-def file_digest(path: Path) -> str | None:
-    """SHA-256 hex digest of a file's bytes (None when it cannot be read).
-
-    Names exactly what a rewrite left on disk, so two parties can agree
-    they hold the same object without shipping it.
-    """
-    try:
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    except OSError:
-        return None
 
 
 def write_json_index(path: Path, index: dict[str, dict]) -> None:

@@ -23,7 +23,7 @@ GET       ``/runners``                registered runners + capability tags
 POST      ``/runners/register``       runner protocol: advertise tags
 POST      ``/lease``                  runner protocol: long-poll for a job
 POST      ``/lease/{id}/heartbeat``   runner protocol: keep-alive + progress
-POST      ``/lease/{id}/complete``    runner protocol: deliver results
+POST      ``/lease/{id}/complete``    runner protocol: deliver results (framed)
 POST      ``/lease/{id}/fail``        runner protocol: report an error
 ========  ==========================  =====================================
 
@@ -254,6 +254,9 @@ class ServeApp:
         )
 
     def handle_complete(self, match, query, body):
+        """A framed body's bytes are the checkpoint blob; a JSON-only body
+        (an older runner's, whose ``checkpoint`` field is an envelope)
+        delivers rows and result but stores no checkpoint."""
         runner_id = self._require_runner_id(body)
         return 200, self.engine.complete(
             match.group("lease_id"),
@@ -261,7 +264,7 @@ class ServeApp:
             body.get("job_id"),
             body.get("result"),
             body.get("records") or [],
-            checkpoint=body.get("checkpoint"),
+            blob=body.get("blob"),
         )
 
     def handle_fail(self, match, query, body):

@@ -36,7 +36,7 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import FRAMED_CONTENT_TYPE, ServeError
 from repro.service.jobs import TERMINAL_STATES, JobState
 
 
@@ -148,13 +148,18 @@ class ServeClient:
         body: dict | None = None,
         query: dict | None = None,
         timeout: float | None = None,
+        blob: bytes | None = None,
     ) -> tuple[int, dict | None]:
+        """One request; ``blob`` frames raw bytes after the JSON ``body``."""
         target = self._prefix + path
         if query:
             pairs = {k: str(v) for k, v in query.items() if v is not None}
             target += "?" + urllib.parse.urlencode(pairs)
         data = None if body is None else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"} if data else {}
+        if blob is not None:
+            data = b"".join([data or b"{}", b"\n", blob])
+            headers = {"Content-Type": FRAMED_CONTENT_TYPE}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"
         conn = self._connection(self.timeout if timeout is None else timeout)
@@ -371,22 +376,21 @@ class ServeClient:
         job_id: str,
         result: dict,
         records: list[dict],
-        checkpoint: dict | None = None,
+        blob: bytes | None = None,
     ) -> dict:
         """Deliver a finished job: result summary, fresh record rows and
-        (optionally) the trained cost-model checkpoint envelope.  The
-        answer's ``checkpoint_digest`` names the checkpoint the server
-        stored from it (None when it kept another)."""
+        (optionally) the trained cost-model checkpoint blob, sent raw
+        after the JSON part.  The answer's ``checkpoint_digest`` is the
+        SHA-256 of the blob when the server stored it (None when it kept
+        another)."""
         body = {
             "runner_id": runner_id,
             "job_id": job_id,
             "result": result,
             "records": records,
         }
-        if checkpoint is not None:
-            body["checkpoint"] = checkpoint
         _, payload = self._request(
-            "POST", f"/lease/{lease_id}/complete", body=body
+            "POST", f"/lease/{lease_id}/complete", body=body, blob=blob
         )
         return payload or {}
 

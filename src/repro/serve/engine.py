@@ -37,7 +37,7 @@ from repro.serve.protocol import (
     ServeError,
 )
 from repro.service.jobs import TERMINAL_STATES, JobQueue, JobState, TuneJob
-from repro.service.models import ModelStore, wire_trained_trials
+from repro.service.models import ModelStore
 from repro.service.store import (
     RecordStore,
     StoreKey,
@@ -614,11 +614,11 @@ class JobEngine:
         """Claim the best tag-compatible job; None when nothing matches.
 
         The payload carries the job spec, the store's seed rows for its
-        workload and the freshest compatible cost-model checkpoint (None
-        on a cold store).  ``have`` names the checkpoint the runner
-        holds (the digest :meth:`complete` returned): when it is the
-        stored one, the payload carries ``{"ref", "trained_trials"}``
-        instead of the envelope.  ``tags`` (when given) re-registers the
+        workload and the freshest compatible cost-model checkpoint: the
+        stored file as one base64 string (None on a cold store).
+        ``have`` names the checkpoint the runner holds (the digest
+        :meth:`complete` returned): when it is the stored one, the
+        payload carries ``{"ref", "trained_trials"}`` instead.  ``tags`` (when given) re-registers the
         runner, so a restarted engine re-learns its fleet within one
         poll interval.
 
@@ -683,9 +683,9 @@ class JobEngine:
 
     def _checkpoint_for(
         self, job: TuneJob, key: StoreKey | None, have: str | None
-    ) -> dict | None:
-        """The checkpoint a lease for ``job`` should carry: the envelope,
-        or a reference when the runner already holds it."""
+    ) -> dict | str | None:
+        """The checkpoint a lease for ``job`` should carry: the stored
+        file in base64, or a reference when the runner already holds it."""
         if key is None:
             return None
         try:
@@ -732,13 +732,15 @@ class JobEngine:
         job_id: str,
         result: dict,
         records: list[dict],
-        checkpoint: dict | None = None,
+        blob: bytes | None = None,
     ) -> dict:
-        """Deliver a finished job: result summary, fresh rows, checkpoint.
+        """Deliver a finished job: result summary, fresh rows, checkpoint
+        blob.
 
-        The answer's ``checkpoint_digest`` names the checkpoint stored
-        from this upload (None when none was), for the runner's next
-        lease to name as ``have``.
+        The answer's ``checkpoint_digest`` is the SHA-256 of the bytes
+        stored from this upload (None when none were), for the runner's
+        next lease to name as ``have``.  Anything but bytes in ``blob``
+        is no checkpoint.
         """
         if not isinstance(records, list):
             raise ServeError(400, "'records' must be a list of record rows")
@@ -759,7 +761,7 @@ class JobEngine:
         bound = self.leases.binding(lease_id)
         if bound is not None and bound[1] == runner_id:
             ingested = self._ingest_rows(bound[0], records)
-            digest = self._ingest_checkpoint(bound[0], checkpoint)
+            digest = self._ingest_checkpoint(bound[0], blob)
         elif bound is None:
             ingested = self._ingest_rows(job_id, records)
         lease = self._held_lease(lease_id, runner_id, drop=True)
@@ -818,9 +820,9 @@ class JobEngine:
             return 0
         return self.store.append_rows(target[1], records)
 
-    def _ingest_checkpoint(self, job_id, wire) -> str | None:
-        """Store a runner's returned checkpoint under the job's key; the
-        stored file's digest, or None when nothing was stored.
+    def _ingest_checkpoint(self, job_id, blob) -> str | None:
+        """Store a runner's returned checkpoint blob under the job's key;
+        the stored bytes' digest, or None when nothing was stored.
 
         The ModelStore arbitrates staleness: a checkpoint trained on
         fewer trials than the stored one is dropped, so a slow runner
@@ -830,7 +832,7 @@ class JobEngine:
         rank) — an inflated count from a buggy or hostile runner must
         not freeze the slot against every future checkpoint.
         """
-        if not isinstance(wire, dict):
+        if not isinstance(blob, (bytes, bytearray)):
             return None
         target = self._ingest_target(job_id)
         if target is None:
@@ -846,6 +848,4 @@ class JobEngine:
             self.store.approx_rows(key),
             self.models.trained_trials(key, kind),
         )
-        if wire_trained_trials(wire) > cap:
-            wire = dict(wire, trained_trials=cap)
-        return self.models.save_wire(key, kind, wire)
+        return self.models.save_wire(key, kind, blob, max_trials=cap)

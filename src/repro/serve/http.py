@@ -13,7 +13,9 @@ response body (written after the headers) until the client's delayed
 ACK, some 40 ms a request.  A reply sent before the request's body was
 read (a malformed or oversized ``Content-Length``, a chunked body)
 closes the connection, since the unread bytes would parse as the next
-request.
+request.  A body of type :data:`~repro.serve.protocol.FRAMED_CONTENT_TYPE`
+is a JSON object line, ``\n``, then raw bytes: the handler gets the
+object with those bytes under its ``"blob"`` key.
 
 Two optional app attributes gate every request before routing:
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs import CAUGHT
-from repro.serve.protocol import ServeError
+from repro.serve.protocol import FRAMED_CONTENT_TYPE, ServeError
 
 #: Request body size cap (covers record uploads from a runner fleet;
 #: anything bigger is a client bug, not tuning data).
@@ -137,7 +139,8 @@ def _route_label(handler) -> str:
 
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Dispatches requests against ``self.app.routes``; speaks JSON only."""
+    """Dispatches requests against ``self.app.routes``; speaks JSON (and
+    reads framed bodies)."""
 
     app = None  # bound by make_server
     server_version = "repro-serve"
@@ -168,12 +171,20 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True  # the unread body must not parse as a request
             raise HttpError(413, f"body too large ({length} bytes)")
         raw = self.rfile.read(length)
+        blob = None
+        if self.headers.get_content_type() == FRAMED_CONTENT_TYPE:
+            end = raw.find(b"\n")
+            if end < 0:
+                raise HttpError(400, "a framed body is a JSON line, '\\n', then bytes")
+            raw, blob = raw[:end], raw[end + 1 :]
         try:
             body = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise HttpError(400, f"request body is not JSON: {exc}") from None
         if not isinstance(body, dict):
             raise HttpError(400, "request body must be a JSON object")
+        if blob is not None:
+            body["blob"] = blob
         return body
 
     def _count_rejection(self, name: str, help_text: str) -> None:

@@ -14,8 +14,9 @@ full exchange:
 2. ``POST /lease`` — the runner asks for work; the server pops the
    highest-priority *tag-compatible* job, grants a lease, and ships
    the job spec plus warm-start seed rows from the record store and
-   the freshest compatible cost-model checkpoint from the model store
-   — as a reference to its digest when the runner's ``have`` names it.
+   the freshest compatible cost-model checkpoint from the model store:
+   the stored file as one base64 string, or ``{"ref",
+   "trained_trials"}`` when the runner's ``have`` names its digest.
 3. ``POST /lease/{id}/heartbeat`` — keep-alive, carrying the latest
    per-round progress *to* the server and the job's cancellation flag
    *back* (cancellation piggybacks on the beat — no extra channel).
@@ -23,8 +24,14 @@ full exchange:
    through the :class:`EventBroker`.
 4. ``POST /lease/{id}/complete`` / ``.../fail`` — terminal: fresh
    record rows, a result summary, and the runner's trained model
-   checkpoint (stored server-side under staleness arbitration; the
-   answer names the stored file's digest), or the error.
+   checkpoint, or the error.  A ``complete`` that carries a checkpoint
+   is *framed* (:data:`FRAMED_CONTENT_TYPE`): one JSON object line
+   (runner id, job id, result, records), ``\n``, then the checkpoint
+   blob of :func:`repro.service.models.state_to_wire` as raw bytes —
+   no base64, no JSON escaping.  The server stores those bytes as they
+   are under staleness arbitration, and the answer's
+   ``checkpoint_digest`` is their SHA-256, which the runner can check
+   against its own.
 
 This module owns the lease bookkeeping (:class:`LeaseTable`), the
 fleet membership (:class:`RunnerRegistry`), the progress stream fanout
@@ -36,6 +43,7 @@ machine and the HTTP surface lives in :mod:`repro.serve.app`.
 
 from __future__ import annotations
 
+import base64
 import math
 import threading
 import time
@@ -48,8 +56,15 @@ from repro.search.tuner import TuneResult
 from repro.service.models import state_from_wire, state_to_wire
 
 #: Version of the runner wire protocol, echoed by ``GET /healthz`` —
-#: bump when a message shape changes incompatibly.
-PROTOCOL_VERSION = 1
+#: bump when a message shape changes incompatibly.  2: checkpoints
+#: travel as blobs (a base64 string on the lease, raw bytes in a framed
+#: ``complete``).
+PROTOCOL_VERSION = 2
+
+#: Content type of a framed request body: one JSON object line, ``\n``,
+#: then raw bytes, which the handler sees under the object's ``"blob"``
+#: key (JSON never yields bytes, so a handler tells them apart by type).
+FRAMED_CONTENT_TYPE = "application/x-repro-framed"
 
 #: Default seconds a runner may go silent before its lease expires.
 DEFAULT_LEASE_TTL = 30.0
@@ -532,12 +547,11 @@ def fresh_rows(result: TuneResult) -> list[dict]:
     return result.records.rows(result.seeded_trials)
 
 
-def checkpoint_to_wire(state: dict | None, trained_trials: int = 0) -> dict | None:
-    """Checkpoint envelope for a ``CostModel.save_state`` dict (or None).
+def checkpoint_to_wire(state: dict | None, trained_trials: int = 0) -> bytes | None:
+    """The checkpoint blob of a ``CostModel.save_state`` dict (or None).
 
-    The same JSON-safe form the :class:`~repro.service.models.ModelStore`
-    persists: the server ships it on the lease and stores what the
-    runner returns — no shared filesystem needed.
+    The bytes the :class:`~repro.service.models.ModelStore` persists: a
+    runner builds them once and uploads them as they are.
     """
     if state is None:
         return None
@@ -545,14 +559,16 @@ def checkpoint_to_wire(state: dict | None, trained_trials: int = 0) -> dict | No
 
 
 def checkpoint_from_wire(data: object) -> dict | None:
-    """Tolerant decode of a lease payload's checkpoint field.
+    """Tolerant decode of a lease's ``checkpoint``: the stored file as
+    one base64 string.
 
-    None for absent, malformed, or incompatible envelopes — a runner
-    treats all of those as a cold start, never an error.
+    The decoded state (with its ``trained_trials``), or None for
+    anything absent, malformed or incompatible — a runner treats all of
+    those as a cold start, never an error.
     """
-    if not isinstance(data, dict):
+    if not isinstance(data, str):
         return None
     try:
-        return state_from_wire(data)
-    except CostModelError:
+        return state_from_wire(base64.b64decode(data, validate=True))
+    except (ValueError, CostModelError):  # binascii.Error is a ValueError
         return None

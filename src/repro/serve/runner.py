@@ -19,9 +19,12 @@ a blocking beat would see it: the job stops within two rounds.
 
 Between jobs a runner keeps two things: the last spec's subgraphs
 (consecutive jobs of one spec skip rebuilding the network graph) and
-the checkpoint it last delivered, if the server stored it.  The next
-lease names that checkpoint's digest as ``have``; when it is still the
-stored one the server sends a reference instead of the envelope.
+the checkpoint it last delivered, if the server stored it.  A runner
+builds its checkpoint blob once and uploads it raw; the server stores
+those bytes, so the digest it answers with is the SHA-256 the runner
+computes locally, and only then does the runner hold the checkpoint.
+The next lease names that digest as ``have``; when it is still the
+stored one the server sends a reference instead of the file.
 
 Over a socket, run one per machine (or several per big machine)::
 
@@ -38,6 +41,7 @@ requeues the job for the next runner — no state to clean up.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import queue
 import socket
@@ -60,7 +64,6 @@ from repro.serve.protocol import (
     result_to_wire,
 )
 from repro.service.jobs import TuneJob
-from repro.service.models import wire_trained_trials
 from repro.service.store import rows_to_records
 from repro.workloads import network_tasks
 
@@ -123,8 +126,9 @@ class TuningRunner:
         #: ``((network, batch, top_k_tasks), subgraphs)`` of the last job
         self._subgraphs: tuple[tuple, list] | None = None
         #: ``(digest, model state)`` of the checkpoint the server stored
-        #: from this runner's last delivery; load_state copies every
-        #: array, so the state stays as delivered across jobs
+        #: from this runner's last delivery, the state with its
+        #: ``trained_trials`` like a decoded one; load_state copies
+        #: every array, so the state stays as delivered across jobs
         self._held: tuple[str, dict] | None = None
 
     # ------------------------------------------------------------------
@@ -273,13 +277,14 @@ class TuningRunner:
 
     def _tune(
         self, job: TuneJob, leased: dict, progress, should_stop
-    ) -> tuple[TuneResult, dict | None, dict | None]:
+    ) -> tuple[TuneResult, dict | None, bytes | None]:
         """Tune a leased job: the warm start (seed rows + model
         checkpoint) comes off the lease; the result, the trained model
-        state and its checkpoint envelope go back.  The run is capped at
-        ``rounds * measure_per_round`` trials, seeded ones included, so
-        known configs are not re-measured.  The checkpoint is ranked by
-        what the model was fitted on, not by the log size.
+        state (with its ``trained_trials``) and its checkpoint blob go
+        back.  The run is capped at ``rounds * measure_per_round``
+        trials, seeded ones included, so known configs are not
+        re-measured.  The checkpoint is ranked by what the model was
+        fitted on, not by the log size.
         """
         try:
             search = api.resolve_scale(job.scale)
@@ -291,8 +296,7 @@ class TuningRunner:
             subgraphs = self._subgraphs[1]
             tasks = api.tasks_for(job.method, subgraphs, device)
             spaces = {task.key: task.space for task in tasks}
-            wire = leased.get("checkpoint")
-            model_state = self._model_state(wire)
+            model_state = self._model_state(leased.get("checkpoint"))
             tuner = api.build_tuner(
                 job.method,
                 subgraphs,
@@ -303,7 +307,7 @@ class TuningRunner:
                 initial_records=rows_to_records(leased.get("seed_rows") or [], spaces),
                 initial_model_state=model_state,
                 initial_model_trained_on=(
-                    wire_trained_trials(wire) if model_state is not None else 0
+                    model_state["trained_trials"] if model_state is not None else 0
                 ),
             )
             result = tuner.tune(
@@ -313,7 +317,11 @@ class TuningRunner:
                 should_stop=should_stop,
             )
             state = tuner.checkpoint()
-            return result, state, checkpoint_to_wire(state, tuner.model_trained_on)
+            if state is None:
+                return result, None, None
+            trained = tuner.model_trained_on
+            blob = checkpoint_to_wire(state, trained)
+            return result, {**state, "trained_trials": trained}, blob
         finally:
             # one runner process serves many jobs; per-task memo caches
             # must not accumulate across them
@@ -322,13 +330,15 @@ class TuningRunner:
     def _model_state(self, wire) -> dict | None:
         """The model state a lease's ``checkpoint`` field carries.
 
-        A reference names the state this runner holds.  Absent,
-        malformed or incompatible envelopes — and a reference to a state
-        this runner does not hold — are a cold start, never an error.
+        A reference names the state this runner holds.  Anything that
+        does not decode — and a reference to a state this runner does
+        not hold — is a cold start, never an error.
         """
-        if isinstance(wire, dict) and "ref" in wire:
-            held = self._held
-            return held[1] if held is not None and held[0] == wire["ref"] else None
+        if isinstance(wire, dict):
+            held, ref = self._held, wire.get("ref")
+            if held is not None and isinstance(ref, str) and held[0] == ref:
+                return held[1]
+            return None
         return checkpoint_from_wire(wire)
 
     def _deliver_result(
@@ -337,7 +347,7 @@ class TuningRunner:
         job: TuneJob,
         result: TuneResult,
         state: dict | None,
-        checkpoint: dict | None,
+        blob: bytes | None,
     ) -> bool:
         try:
             response = self.client.complete(
@@ -346,7 +356,7 @@ class TuningRunner:
                 job.job_id,
                 result_to_wire(result),
                 fresh_rows(result),
-                checkpoint=checkpoint,
+                blob=blob,
             )
         except ServeError as exc:
             # 410: lease expired mid-run — records were still ingested
@@ -355,10 +365,11 @@ class TuningRunner:
         except OSError as exc:
             self._say(f"could not deliver {job.job_id}: {exc}")
             return False
-        if checkpoint is not None:
-            # hold what the server stored; when it kept another, hold nothing
-            digest = response.get("checkpoint_digest")
-            self._held = (digest, state) if isinstance(digest, str) else None
+        if blob is not None:
+            # hold what the server stored: these very bytes, or nothing
+            digest = hashlib.sha256(blob).hexdigest()
+            stored = response.get("checkpoint_digest") == digest
+            self._held = (digest, state) if stored else None
         self._say(
             f"finished {job.job_id} [{response.get('state', '?')}]"
             f" ({result.fresh_trials} fresh trials,"

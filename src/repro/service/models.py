@@ -17,18 +17,24 @@ Layout — checkpoints share the record store's cache directory::
             index.json                                   # per-file metadata
             <workload>__<device>__<method>__<digest>__<kind>.json
 
-One JSON file per ``(store key, model kind)``: the wire form of
-:meth:`repro.costmodel.base.CostModel.save_state` (arrays as base64 of
-their raw bytes, so round trips are bit-identical) plus a checkpoint
-schema version and the number of trials the model was trained on.  The
-same wire form ships over the ``repro.serve`` lease payload, so remote
-runners warm-start without a shared filesystem.  A stored checkpoint is
-named by the SHA-256 of its file (:func:`repro.journal.file_digest`):
-a runner that already holds those bytes gets a reference instead.
+One file per ``(store key, model kind)``, holding a *checkpoint blob*
+(:func:`state_to_wire`) of a :meth:`repro.costmodel.base.CostModel.
+save_state` dict: one JSON header line — ``ckpt_v`` (2), ``state_v``,
+``kind``, ``feature_kind``, ``arch``, ``trained_trials`` and one
+``[name, dtype, shape]`` per array — then every array's raw
+little-endian bytes in header order, so a round trip is bit-identical.
+The runner builds the blob once and uploads it as it is; the store
+checks it and writes those very bytes, so a stored checkpoint is named
+by the SHA-256 of the uploaded bytes, which is also the file's.  A
+runner that already holds those bytes leases a reference instead.
+Version 1 files (one JSON envelope line, arrays as base64) still read:
+:func:`state_from_wire` is the one decoder, for the store, the lease
+and the in-process drain alike.
 
 Staleness arbitration: a checkpoint only replaces the stored one when
 it was trained on at least as many trials — a stale runner coming back
-late cannot clobber a better-trained model.
+late cannot clobber a better-trained model.  The stored count is read
+from the file's header line, never from its arrays.
 
 A checkpoint file is replaced atomically and never evicted: reads take
 no lock and write nothing, and the directory holds one file per
@@ -41,7 +47,9 @@ from __future__ import annotations
 
 import base64
 import binascii
+import hashlib
 import json
+import math
 import threading
 from dataclasses import asdict
 from pathlib import Path
@@ -50,93 +58,170 @@ import numpy as np
 
 from repro.errors import CostModelError
 from repro.journal import (
-    atomic_write_lines,
-    file_digest,
+    atomic_write_bytes,
     file_lock,
     read_json_index,
     upsert_json_index,
 )
 from repro.service.store import StoreKey, _sanitize
 
-#: Version of the on-disk / on-wire checkpoint envelope — bump when the
-#: envelope changes incompatibly (the model state inside carries its
-#: own ``state_v``, see :data:`repro.costmodel.base.MODEL_STATE_VERSION`).
-CHECKPOINT_SCHEMA_VERSION = 1
+#: Version of the checkpoint blob — bump when its layout changes
+#: incompatibly (the model state inside carries its own ``state_v``,
+#: see :data:`repro.costmodel.base.MODEL_STATE_VERSION`).  Version 1,
+#: the JSON envelope, is still read.
+CHECKPOINT_SCHEMA_VERSION = 2
+
+#: Errors a damaged header or array table raises on its way through
+#: ``json`` and numpy; each means "malformed checkpoint".
+_MALFORMED = (
+    KeyError, TypeError, ValueError, OverflowError, AttributeError, RecursionError
+)
 
 
 # ----------------------------------------------------------------------
-# wire encoding (JSON-safe, bit-exact)
+# the checkpoint blob (bit-exact, never re-encoded)
 # ----------------------------------------------------------------------
-def encode_array(arr: np.ndarray) -> dict:
-    """JSON-safe array: dtype + shape + base64 of the raw bytes."""
-    arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": arr.dtype.str,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
-
-
-def decode_array(data: dict) -> np.ndarray:
-    """Inverse of :func:`encode_array` (bit-identical).
-
-    Only numeric dtypes decode: model parameters are always numbers,
-    and a non-numeric array (e.g. unicode) smuggled through an
-    envelope would pass every name/shape check downstream only to
-    raise TypeError mid-tuning — escaping the CostModelError-means-
-    cold-start contract.
-    """
-    dtype = np.dtype(data["dtype"])
-    if dtype.kind not in "fiub":  # float, signed/unsigned int, bool
-        raise CostModelError(f"non-numeric checkpoint array dtype {dtype}")
-    raw = base64.b64decode(data["data"])
-    arr = np.frombuffer(raw, dtype=dtype)
-    arr = arr.reshape([int(d) for d in data["shape"]]).copy()
-    # trained parameters are always finite; NaN/inf only arrive via
-    # corruption and would crash (or silently poison) models later
-    if dtype.kind == "f" and not np.all(np.isfinite(arr)):
-        raise CostModelError("non-finite values in checkpoint array")
-    return arr
-
-
-def state_to_wire(state: dict, trained_trials: int = 0) -> dict:
-    """Checkpoint envelope for a ``save_state`` dict.
+def state_to_wire(state: dict, trained_trials: int = 0) -> bytes:
+    """The checkpoint blob of a ``save_state`` dict.
 
     ``trained_trials`` — how many measured trials the model was fitted
     on — drives staleness arbitration in :meth:`ModelStore.save_wire`.
     """
-    return {
+    arrays = []
+    for name, value in state["params"].items():
+        arr = np.asarray(value)
+        arrays.append((name, arr.astype(arr.dtype.newbyteorder("<"), order="C", copy=False)))
+    header = {
         "ckpt_v": CHECKPOINT_SCHEMA_VERSION,
         "state_v": int(state["state_v"]),
         "kind": state["kind"],
         "feature_kind": state["feature_kind"],
         "arch": dict(state["arch"]),
         "trained_trials": int(trained_trials),
-        "params": {
-            name: encode_array(np.asarray(value))
-            for name, value in state["params"].items()
-        },
+        "arrays": [[name, arr.dtype.str, list(arr.shape)] for name, arr in arrays],
     }
+    line = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return b"".join([line, b"\n", *(arr.data for _, arr in arrays)])
 
 
-def state_from_wire(wire: dict) -> dict:
-    """Decode a checkpoint envelope back into a ``load_state`` dict.
+def state_from_wire(wire) -> dict:
+    """Decode a checkpoint blob into a ``load_state`` dict.
 
-    Raises :class:`~repro.errors.CostModelError` for malformed or
-    newer-versioned envelopes — callers treat that as "no checkpoint".
-    A JSON number too big for an int (``1e999`` reads as inf) is
-    malformed too.
+    The one decoder: a version 2 blob or a version 1 JSON envelope,
+    as bytes.  The dict also carries the blob's ``trained_trials``
+    (``load_state`` ignores it).  Arrays are read-only views of
+    ``wire``.  Anything else — a wrong or newer version, a damaged
+    header, a byte count that does not add up, a non-numeric dtype,
+    NaN or inf in a float array — raises
+    :class:`~repro.errors.CostModelError`, which callers treat as "no
+    checkpoint".
     """
+    if not isinstance(wire, (bytes, bytearray, memoryview)):
+        raise CostModelError(f"a checkpoint is bytes, not {type(wire).__name__}")
+    blob = bytes(wire)
+    end = blob.find(b"\n")
+    end = len(blob) if end < 0 else end
     try:
-        if int(wire.get("ckpt_v", -1)) != CHECKPOINT_SCHEMA_VERSION:
-            raise CostModelError(
-                f"unsupported checkpoint version {wire.get('ckpt_v')!r}"
-            )
+        header = json.loads(blob[:end])
+        if not isinstance(header, dict):
+            raise CostModelError("checkpoint header is not a JSON object")
+        version = header.get("ckpt_v")
+        if version == 1 and type(version) is int:
+            if blob[end:].strip():
+                raise CostModelError("version 1 checkpoint has more than one line")
+            return _state_from_v1(header)
+        if version != CHECKPOINT_SCHEMA_VERSION or type(version) is not int:
+            raise CostModelError(f"unsupported checkpoint version {version!r}")
+        params = _arrays(header["arrays"], blob, end + 1)
+        state = {
+            "state_v": _count(header["state_v"]),
+            "kind": header["kind"],
+            "feature_kind": header["feature_kind"],
+            "arch": header["arch"],
+            "trained_trials": _count(header["trained_trials"]),
+            "params": params,
+        }
+    except CostModelError:
+        raise
+    except _MALFORMED as exc:
+        raise CostModelError(f"malformed checkpoint: {exc!r}") from None
+    if not (
+        isinstance(state["kind"], str)
+        and isinstance(state["feature_kind"], str)
+        and isinstance(state["arch"], dict)
+    ):
+        raise CostModelError("malformed checkpoint header")
+    return state
+
+
+def _count(value) -> int:
+    """A header count: a non-negative JSON integer (not a bool)."""
+    if type(value) is not int or value < 0:
+        raise CostModelError(f"checkpoint count {value!r} is not a non-negative int")
+    return value
+
+
+def _arrays(table: list, blob: bytes, offset: int) -> dict[str, np.ndarray]:
+    """The arrays a header's ``[name, dtype, shape]`` table lays out from
+    ``offset`` on, which must end exactly at the blob's end."""
+    if not isinstance(table, list):
+        raise CostModelError("checkpoint array table is not a list")
+    params: dict[str, np.ndarray] = {}
+    for entry in table:
+        if not isinstance(entry, list) or len(entry) != 3:
+            raise CostModelError(f"bad checkpoint array entry {entry!r}")
+        name, dtype, shape = entry
+        if not isinstance(name, str) or name in params:
+            raise CostModelError(f"bad or repeated checkpoint array name {name!r}")
+        if not isinstance(dtype, str):
+            raise CostModelError(f"bad checkpoint array dtype {dtype!r}")
+        dtype = np.dtype(dtype)
+        # model parameters are numbers: a non-numeric array (e.g.
+        # unicode) would pass every name/shape check downstream only to
+        # raise TypeError mid-tuning, escaping the cold-start contract
+        if dtype.kind not in "fiub" or dtype.str[0] == ">":
+            raise CostModelError(f"non-numeric or big-endian checkpoint dtype {dtype}")
+        if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape
+        ):
+            raise CostModelError(f"bad checkpoint array shape {shape!r}")
+        count = math.prod(shape)
+        if offset + count * dtype.itemsize > len(blob):
+            raise CostModelError("checkpoint is shorter than its array table")
+        arr = np.frombuffer(blob, dtype, count=count, offset=offset).reshape(shape)
+        offset += count * dtype.itemsize
+        # trained parameters are always finite; NaN/inf only arrive via
+        # corruption and would crash (or silently poison) models later
+        if dtype.kind == "f" and not np.isfinite(arr).all():
+            raise CostModelError(f"non-finite values in checkpoint array {name!r}")
+        params[name] = arr
+    if offset != len(blob):
+        raise CostModelError("checkpoint is longer than its array table")
+    return params
+
+
+def decode_array(data: dict) -> np.ndarray:
+    """One version 1 envelope array: dtype + shape + base64 of the bytes."""
+    dtype = np.dtype(data["dtype"])
+    if dtype.kind not in "fiub":  # float, signed/unsigned int, bool
+        raise CostModelError(f"non-numeric checkpoint array dtype {dtype}")
+    raw = base64.b64decode(data["data"])
+    arr = np.frombuffer(raw, dtype=dtype)
+    arr = arr.reshape([int(d) for d in data["shape"]]).copy()
+    if dtype.kind == "f" and not np.all(np.isfinite(arr)):
+        raise CostModelError("non-finite values in checkpoint array")
+    return arr
+
+
+def _state_from_v1(wire: dict) -> dict:
+    """A version 1 envelope's state (files written before version 2)."""
+    try:
         return {
             "state_v": int(wire["state_v"]),
             "kind": wire["kind"],
             "feature_kind": wire["feature_kind"],
             "arch": dict(wire["arch"]),
+            "trained_trials": tolerant_count(wire.get("trained_trials", 0)),
             "params": {
                 name: decode_array(encoded)
                 for name, encoded in wire["params"].items()
@@ -144,17 +229,15 @@ def state_from_wire(wire: dict) -> dict:
         }
     except CostModelError:
         raise
-    except (
-        KeyError, TypeError, ValueError, OverflowError, AttributeError, binascii.Error
-    ) as exc:
-        raise CostModelError(f"malformed checkpoint: {exc}") from None
+    except (*_MALFORMED, binascii.Error) as exc:
+        raise CostModelError(f"malformed checkpoint: {exc!r}") from None
 
 
 def tolerant_count(value) -> int:
     """A non-negative int out of possibly-damaged JSON (0 otherwise).
 
-    The single damage-tolerance rule for the index's and the
-    envelope's trial counts: shared, hand-editable files must read as
+    The single damage-tolerance rule for the index's and a stored
+    header's trial counts: shared, hand-editable files must read as
     "never trained", not raise out of the serving hot path.
     """
     try:
@@ -163,9 +246,23 @@ def tolerant_count(value) -> int:
         return 0
 
 
-def wire_trained_trials(wire: dict) -> int:
-    """The envelope's trial count (0 when absent or malformed)."""
-    return tolerant_count(wire.get("trained_trials", 0))
+def _with_trials(blob: bytes, trained_trials: int) -> bytes:
+    """``blob`` with its header's trial count replaced (arrays untouched)."""
+    end = blob.find(b"\n")
+    end = len(blob) if end < 0 else end
+    header = dict(json.loads(blob[:end]), trained_trials=trained_trials)
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + blob[end:]
+
+
+def _stored_trials(path: Path) -> int:
+    """The trial count in a stored checkpoint's header line (0 when the
+    file is absent or damaged)."""
+    try:
+        with path.open("rb") as fh:
+            header = json.loads(fh.readline())
+    except (OSError, ValueError, RecursionError):
+        return 0
+    return tolerant_count(header.get("trained_trials")) if isinstance(header, dict) else 0
 
 
 # ----------------------------------------------------------------------
@@ -216,53 +313,65 @@ class ModelStore:
             key, state["kind"], state_to_wire(state, trained_trials=trained_trials)
         )
 
-    def save_wire(self, key: StoreKey, kind: str, wire: dict) -> str | None:
-        """Persist an already-encoded checkpoint envelope (wire ingest).
+    def save_wire(
+        self, key: StoreKey, kind: str, wire: bytes, max_trials: int | None = None
+    ) -> str | None:
+        """Persist a checkpoint blob as it is (wire ingest).
 
-        Validates the envelope fully (a remote runner's payload is not
-        trusted), requires its kind to match ``kind``, and applies
-        staleness arbitration: an envelope trained on fewer trials than
-        the stored one is dropped.  Returns the stored file's digest, or
-        None when nothing was stored.
+        Checks the blob fully (a remote runner's upload is not trusted)
+        and requires its kind to match ``kind``.  A trial count above
+        ``max_trials`` is lowered to it, which rewrites the header line
+        only.  Staleness arbitration drops a blob trained on fewer
+        trials than the stored one.  Returns the SHA-256 of the bytes
+        written — the upload's own digest unless its count was lowered
+        — or None when nothing was stored.
         """
-        if not isinstance(wire, dict):
-            return None
         try:
             state = state_from_wire(wire)
         except CostModelError:
             return None
-        if state.get("kind") != kind:
+        if state["kind"] != kind:
             return None
-        incoming = wire_trained_trials(wire)
+        incoming = state["trained_trials"]
+        blob = bytes(wire)
+        if max_trials is not None and incoming > max_trials:
+            incoming = max(0, max_trials)
+            blob = _with_trials(blob, incoming)
         path = self.path_for(key, kind)
         self.root.mkdir(parents=True, exist_ok=True)
         with self._lock, file_lock(path):
-            if wire_trained_trials(read_json_index(path)) > incoming:
+            if _stored_trials(path) > incoming:
                 return None  # keep the better-trained checkpoint
-            atomic_write_lines(path, [json.dumps(wire)])
+            atomic_write_bytes(path, blob)
             upsert_json_index(
                 self._index_path(),
                 path.name,
                 {**asdict(key), "kind": kind, "trained_trials": incoming},
             )
-            return file_digest(path)
+        return hashlib.sha256(blob).hexdigest()
 
     # ------------------------------------------------------------------
     # reading
     # ------------------------------------------------------------------
     def load_wire(
         self, key: StoreKey, kind: str, have: str | None = None
-    ) -> dict | None:
-        """The stored checkpoint envelope, or None.
+    ) -> dict | str | None:
+        """The stored checkpoint as a lease carries it, or None.
 
-        When ``have`` is the stored file's digest, the caller already
-        holds these bytes: the answer is the reference ``{"ref": have,
-        "trained_trials": n}`` instead, and the file is never parsed.
+        That is the file's bytes as one base64 string — unchecked: the
+        runner decodes it and cold-starts on damage.  When ``have`` is
+        the file's SHA-256, the caller already holds these bytes and the
+        answer is the reference ``{"ref": have, "trained_trials": n}``.
         """
-        path = self.path_for(key, kind)
-        if have is not None and file_digest(path) == have:
+        try:
+            blob = self.path_for(key, kind).read_bytes()
+        except OSError:
+            return None
+        if not blob:
+            return None
+        if have is not None and hashlib.sha256(blob).hexdigest() == have:
             return {"ref": have, "trained_trials": self.trained_trials(key, kind)}
-        return read_json_index(path) or None
+        return base64.b64encode(blob).decode("ascii")
 
     def trained_trials(self, key: StoreKey, kind: str) -> int:
         """Trials the stored checkpoint was trained on (0 when absent).

@@ -15,7 +15,8 @@
   byte there, so any drift here is this change's doing.  Its
   ``checkpoint_content`` pins what each stored checkpoint holds whatever
   its file format (see :func:`_content`), captured at 111c4b7 from the
-  v1 JSON envelopes; the ``models/`` file digests pin the bytes.
+  v1 JSON envelopes; the ``models/`` file digests pin the bytes, and
+  were re-frozen when the files became v2 checkpoint blobs.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.serve.engine import LEDGER_NAME, RESULTS_NAME, JobEngine
 from repro.serve.protocol import ServeError
 from repro.serve.runner import TuningRunner, drain
 from repro.service.jobs import JobQueue, JobState
-from repro.service.models import state_from_wire, wire_trained_trials
+from repro.service.models import state_from_wire
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "fixtures" / "transport_golden.json").read_text()
@@ -132,8 +133,8 @@ def _digest(cache: Path) -> dict[str, str]:
 
 def _decoded(path: Path) -> tuple[dict, int]:
     """A stored checkpoint's model state and trial count."""
-    wire = json.loads(path.read_text())
-    return state_from_wire(wire), wire_trained_trials(wire)
+    state = state_from_wire(path.read_bytes())
+    return state, state["trained_trials"]
 
 
 def _content(cache: Path) -> dict[str, str]:

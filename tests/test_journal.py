@@ -30,7 +30,7 @@ from repro.journal import (
 from repro.obs import TraceSink
 from repro.serve.cli import main as cli_main
 from repro.serve.engine import LEDGER_NAME, JobEngine
-from repro.serve.protocol import unwire_float
+from repro.serve.protocol import checkpoint_from_wire, unwire_float
 from repro.serve.runner import drain
 from repro.service import JobQueue, ModelStore, RecordStore, StoreKey, TuneJob
 from repro.service.models import state_from_wire, state_to_wire
@@ -237,16 +237,17 @@ class TestGarbageTolerance:
             (Path(tmp) / RecordStore.INDEX_NAME).write_bytes(body)
             assert isinstance(read_json_index(models._index_path()), dict)
             wire = models.load_wire(KEY, "mlp")
-            assert wire is None or isinstance(wire, dict)
-            if wire is not None:
+            assert wire is None or isinstance(wire, str)  # the file, shipped as is
+            assert checkpoint_from_wire(wire) is None  # ...and a cold start
+            if body:
                 with pytest.raises(CostModelError):
-                    state_from_wire(wire)
+                    state_from_wire(body)
             assert models.trained_trials(KEY, "mlp") >= 0
             assert isinstance(models.stats(), list)
             assert isinstance(RecordStore(tmp).keys(), list)
             # ...and the next save repairs both files
             assert models.save_state(KEY, TenSetMLP().save_state(), trained_trials=3)
-            assert state_from_wire(models.load_wire(KEY, "mlp"))["kind"] == "mlp"
+            assert checkpoint_from_wire(models.load_wire(KEY, "mlp"))["kind"] == "mlp"
             assert models.trained_trials(KEY, "mlp") == 3
 
 

@@ -4,6 +4,7 @@ and warm-starting jobs from persisted checkpoints."""
 from __future__ import annotations
 
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -28,11 +29,8 @@ from repro.serve.protocol import checkpoint_from_wire, unwire_float
 from repro.service.models import (
     CHECKPOINT_SCHEMA_VERSION,
     ModelStore,
-    decode_array,
-    encode_array,
     state_from_wire,
     state_to_wire,
-    wire_trained_trials,
 )
 from repro.service.store import RecordStore, store_key_for_tasks
 from repro.workloads import network_tasks
@@ -63,18 +61,81 @@ def _fresh(factory):
     return factory(seed=7)
 
 
+def v1_envelope(state: dict, trained_trials: int) -> bytes:
+    """A version 1 checkpoint file (one JSON envelope line, arrays as
+    base64), as releases before the blob format wrote them."""
+    params = {
+        name: {
+            "dtype": np.asarray(arr).dtype.str,
+            "shape": list(np.shape(arr)),
+            "data": base64.b64encode(np.ascontiguousarray(arr).tobytes()).decode(),
+        }
+        for name, arr in state["params"].items()
+    }
+    envelope = {
+        "ckpt_v": 1,
+        "state_v": state["state_v"],
+        "kind": state["kind"],
+        "feature_kind": state["feature_kind"],
+        "arch": state["arch"],
+        "trained_trials": trained_trials,
+        "params": params,
+    }
+    return (json.dumps(envelope) + "\n").encode()
+
+
+def _as_lease(blob: bytes) -> str:
+    """A stored file as a lease carries it."""
+    return base64.b64encode(blob).decode("ascii")
+
+
 class TestArrayEncoding:
+    ARRAYS = {
+        "ratios": np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
+        "extremes": np.array([1e-300, np.pi, -0.0]),
+        "ints": np.arange(5, dtype=np.int64),
+        "empty": np.zeros((0, 3)),
+        "flags": np.array([True, False, True]),
+        "scalar": np.array(2.5, dtype=np.float32),
+        "big_endian": np.arange(4, dtype=">f8"),
+    }
+
     def test_bit_identical_round_trip(self):
-        for arr in (
-            np.arange(12, dtype=np.float64).reshape(3, 4) / 7.0,
-            np.array([1e-300, np.pi, -0.0]),
-            np.arange(5, dtype=np.int64),
-            np.zeros((0, 3)),
-        ):
-            back = decode_array(json.loads(json.dumps(encode_array(arr))))
-            assert back.dtype == arr.dtype
-            assert back.shape == arr.shape
-            assert np.array_equal(back, arr)
+        state = {
+            "state_v": MODEL_STATE_VERSION,
+            "kind": "mlp",
+            "feature_kind": "statement",
+            "arch": {"hidden": 8},
+            "params": self.ARRAYS,
+        }
+        blob = state_to_wire(state, trained_trials=3)
+        back = state_from_wire(blob)
+        assert back["trained_trials"] == 3
+        assert list(back["params"]) == list(self.ARRAYS)  # header order
+        for name, arr in self.ARRAYS.items():
+            got = back["params"][name]
+            assert got.dtype == arr.dtype.newbyteorder("<")  # stored little-endian
+            assert got.shape == arr.shape
+            assert got.tobytes() == arr.astype(got.dtype).tobytes()  # -0.0 too
+
+    def test_the_blob_is_a_header_line_then_the_raw_bytes(self):
+        state = TenSetMLP(seed=0).save_state()
+        blob = state_to_wire(state, trained_trials=7)
+        line, tail = blob.split(b"\n", 1)
+        header = json.loads(line)
+        assert header["ckpt_v"] == CHECKPOINT_SCHEMA_VERSION == 2
+        assert header["trained_trials"] == 7
+        assert [name for name, _, _ in header["arrays"]] == list(state["params"])
+        assert tail == b"".join(arr.tobytes() for arr in state["params"].values())
+
+    def test_a_version_1_envelope_decodes_to_the_same_state(self):
+        state = PaCM(seed=3).save_state()
+        old = state_from_wire(v1_envelope(state, 9))
+        new = state_from_wire(state_to_wire(state, 9))
+        assert {k: v for k, v in old.items() if k != "params"} == {
+            k: v for k, v in new.items() if k != "params"
+        }
+        assert all(np.array_equal(old["params"][k], new["params"][k]) for k in state["params"])
 
 
 @pytest.mark.parametrize(
@@ -88,12 +149,12 @@ class TestStateRoundTrip:
         model = factory()
         model.fit(model.featurize_batch(batch), lats, keys, train=TRAIN, rng=make_rng(1))
         wire = state_to_wire(model.save_state(), trained_trials=len(batch))
-        # through real JSON, like the disk file and the lease payload
-        wire = json.loads(json.dumps(wire))
-        assert wire_trained_trials(wire) == len(batch)
+        # through the lease's base64 string, like a remote runner
+        state = checkpoint_from_wire(_as_lease(wire))
+        assert state["trained_trials"] == len(batch)
 
         restored = _fresh(factory)
-        restored.load_state(state_from_wire(wire))
+        restored.load_state(state)
         expected = model.predict_batch(batch.take(np.arange(12)))
         got = restored.predict_batch(batch.take(np.arange(12)))
         assert np.array_equal(got, expected)  # bit-identical, not approx
@@ -198,10 +259,15 @@ class TestStateRejection:
             state_from_wire(wire)
 
     def test_malformed_wire(self):
-        with pytest.raises(CostModelError):
-            state_from_wire({"ckpt_v": CHECKPOINT_SCHEMA_VERSION + 1})
-        with pytest.raises(CostModelError):
-            state_from_wire({"ckpt_v": CHECKPOINT_SCHEMA_VERSION})  # no fields
+        for header in (
+            {"ckpt_v": CHECKPOINT_SCHEMA_VERSION + 1},
+            {"ckpt_v": CHECKPOINT_SCHEMA_VERSION},  # no fields
+            {"ckpt_v": 1},  # no fields, version 1
+        ):
+            with pytest.raises(CostModelError):
+                state_from_wire(json.dumps(header).encode() + b"\n")
+        with pytest.raises(CostModelError):  # a parsed envelope is not bytes
+            state_from_wire(json.loads(v1_envelope(TenSetMLP().save_state(), 1)))
 
     def test_unpaired_norm_stats_rejected(self, training_data):
         """Weights without the sigma they were normalized by must be a
@@ -250,17 +316,18 @@ class TestStateRejection:
     def test_non_numeric_array_dtype_rejected(self):
         """A unicode-dtype weight array must die at decode (CostModelError,
         i.e. cold start) — not pass shape checks and TypeError mid-tuning."""
-        wire = state_to_wire(TenSetMLP(seed=0).save_state(), trained_trials=1)
-        name = next(iter(wire["params"]))
-        shape = wire["params"][name]["shape"]
-        hostile = np.full(shape, "x", dtype="<U1")
-        wire["params"][name] = {
-            "dtype": hostile.dtype.str,
-            "shape": shape,
-            "data": base64.b64encode(hostile.tobytes()).decode(),
-        }
+        state = TenSetMLP(seed=0).save_state()
+        name = next(iter(state["params"]))
+        # same byte count as the float64 weights: only the dtype is wrong
+        header, tail = _header(state_to_wire(state, trained_trials=1))
+        assert header["arrays"][0][:2] == [name, "<f8"]
+        header["arrays"][0][1] = "<U2"
         with pytest.raises(CostModelError):
-            state_from_wire(wire)
+            state_from_wire(_with_header(header, tail))
+        shape = state["params"][name].shape
+        hostile = dict(state, params={**state["params"], name: np.full(shape, "x", dtype="<U1")})
+        with pytest.raises(CostModelError):
+            state_from_wire(v1_envelope(hostile, 1))
 
     def test_partial_load_never_corrupts(self):
         """A rejected params dict must leave the model untouched."""
@@ -289,8 +356,34 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _envelope() -> dict:
-    return json.loads(json.dumps(state_to_wire(TenSetMLP(seed=0).save_state(), 1)))
+def _blob(factory=TenSetMLP, trained_trials: int = 1) -> bytes:
+    return state_to_wire(factory(seed=0).save_state(), trained_trials)
+
+
+def _header(blob: bytes) -> tuple[dict, bytes]:
+    """A blob's parsed header line and the raw bytes after it."""
+    line, tail = blob.split(b"\n", 1)
+    return json.loads(line), tail
+
+
+def _with_header(header, tail: bytes) -> bytes:
+    return json.dumps(header).encode() + b"\n" + tail
+
+
+def _with_nan(blob: bytes, which: int, at: int) -> bytes:
+    """``blob`` with a NaN written over one element of one float array."""
+    header, tail = _header(blob)
+    floats, offset = [], 0
+    for _, dtype, shape in header["arrays"]:
+        dtype, count = np.dtype(dtype), int(np.prod(shape))
+        if dtype.kind == "f" and count:
+            floats.append((offset, dtype, count))
+        offset += count * dtype.itemsize
+    start, dtype, count = floats[which % len(floats)]
+    pos = start + (at % count) * dtype.itemsize
+    raw = bytearray(tail)
+    raw[pos : pos + dtype.itemsize] = np.array(np.nan, dtype).tobytes()
+    return blob[: len(blob) - len(tail)] + bytes(raw)
 
 
 def _paths(value, at=()):
@@ -312,40 +405,106 @@ def _replace(value, path, new):
     return out
 
 
-def _decodes_or_refuses(wire) -> None:
-    """A state, or CostModelError — nothing else out of either decoder."""
+def _decodes_or_refuses(blob: bytes) -> None:
+    """A state, or CostModelError — nothing else out of either decoder,
+    and the lease's base64 form decodes the same way."""
     try:
-        assert isinstance(state_from_wire(wire), dict)
+        assert isinstance(state_from_wire(blob), dict)
     except CostModelError:
-        assert checkpoint_from_wire(wire) is None
+        assert checkpoint_from_wire(_as_lease(blob)) is None
     else:
-        assert isinstance(checkpoint_from_wire(wire), dict)
+        assert isinstance(checkpoint_from_wire(_as_lease(blob)), dict)
+
+
+def _refused(blob: bytes) -> None:
+    with pytest.raises(CostModelError):
+        state_from_wire(blob)
+    assert checkpoint_from_wire(_as_lease(blob)) is None
+
+
+#: A real blob, damaged so that no decoder may accept it: arbitrary
+#: bytes, a truncation or extension by k bytes, or a NaN in a float array.
+def _damaged(blob: bytes):
+    return st.one_of(
+        st.binary(max_size=300),
+        st.integers(1, len(blob)).map(lambda k: blob[:-k]),
+        st.binary(min_size=1, max_size=16).map(lambda extra: blob + extra),
+        st.tuples(st.integers(0, 99), st.integers(0, 10**6)).map(
+            lambda pick: _with_nan(blob, *pick)
+        ),
+    )
+
+
+#: (header path, value): hostile header values, each one malformed.
+HOSTILE_HEADERS = {
+    "ckpt_v_1e999": (("ckpt_v",), float("inf")),
+    "ckpt_v_true": (("ckpt_v",), True),
+    "state_v_1e999": (("state_v",), float("inf")),
+    "state_v_negative": (("state_v",), -1),
+    "trained_trials_bool": (("trained_trials",), True),
+    "trained_trials_negative": (("trained_trials",), -5),
+    "shape_1e999": (("arrays", 0, 2, 0), float("inf")),
+    "shape_negative": (("arrays", 0, 2, 0), -1),
+    "shape_bool": (("arrays", 0, 2, 0), True),
+    "shape_huge": (("arrays", 0, 2), [0, 2**70]),
+    "dtype_unicode": (("arrays", 0, 1), "<U4"),
+    "dtype_object": (("arrays", 0, 1), "O"),
+    "dtype_big_endian": (("arrays", 0, 1), ">f8"),
+    "dtype_junk": (("arrays", 0, 1), "not a dtype"),
+    "duplicate_names": (("arrays", 1, 0), "__first__"),
+    "arrays_not_a_list": (("arrays",), {"w": ["<f8", [1]]}),
+    "entry_too_short": (("arrays", 0), ["w", "<f8"]),
+    "kind_not_a_string": (("kind",), 7),
+    "arch_not_an_object": (("arch",), [1, 2]),
+}
 
 
 class TestWireFuzz:
-    """Checkpoint envelopes arrive off the wire (a lease, a completion): any JSON."""
+    """Checkpoints arrive off the wire (a completion's blob, a lease's
+    base64 string): any bytes, any JSON in the header."""
 
     @pytest.mark.parametrize("field", ["ckpt_v", "state_v", "shape"])
     def test_huge_number_is_malformed_not_overflow(self, field):
         """Found by hand: ``int(1e999)`` raised OverflowError out of the decode."""
-        wire = _envelope()
-        path = ("params", next(iter(wire["params"])), "shape", 0) if field == "shape" else (field,)
-        hostile = _replace(wire, path, json.loads("1e999"))
-        with pytest.raises(CostModelError):
-            state_from_wire(hostile)
-        assert checkpoint_from_wire(hostile) is None
+        header, tail = _header(_blob())
+        path = ("arrays", 0, 2, 0) if field == "shape" else (field,)
+        hostile = _replace(header, path, json.loads("1e999"))
+        _refused(_with_header(hostile, tail))
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_HEADERS))
+    def test_hostile_header_value_is_refused(self, case):
+        header, tail = _header(_blob())
+        path, value = HOSTILE_HEADERS[case]
+        if value == "__first__":
+            value = header["arrays"][0][0]
+        _refused(_with_header(_replace(header, path, value), tail))
 
     @given(value=JSON_VALUES)
     @settings(max_examples=150, deadline=None)
     def test_any_json_value(self, value):
-        _decodes_or_refuses(value)
+        with pytest.raises(CostModelError):
+            state_from_wire(value)  # only bytes decode
+        decoded = checkpoint_from_wire(value)
+        assert decoded is None or isinstance(decoded, dict)
+        _decodes_or_refuses(json.dumps(value).encode())
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_one_damaged_field_of_a_real_envelope(self, data):
-        wire = _envelope()
-        path = data.draw(st.sampled_from(list(_paths(wire))))
-        _decodes_or_refuses(_replace(wire, path, data.draw(JSON_VALUES)))
+        header, tail = _header(_blob())
+        path = data.draw(st.sampled_from(list(_paths(header))))
+        _decodes_or_refuses(_with_header(_replace(header, path, data.draw(JSON_VALUES)), tail))
+
+    @given(blob=_damaged(_blob()))
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_bytes_are_refused(self, blob):
+        _refused(blob)
+
+    def test_a_version_1_envelope_with_one_damaged_field(self):
+        envelope = json.loads(v1_envelope(TenSetMLP(seed=0).save_state(), 1))
+        for path in _paths(envelope):
+            for value in (None, json.loads("1e999"), "x", [], {}):
+                _decodes_or_refuses((json.dumps(_replace(envelope, path, value)) + "\n").encode())
 
     def test_complete_with_huge_number_checkpoint_finishes_the_job(self, tmp_path):
         """``complete`` used to raise after ingesting the rows, leaving the
@@ -354,12 +513,90 @@ class TestWireFuzz:
         job_id = engine.submit("bert_tiny", rounds=1, scale="smoke", top_k_tasks=1)
         leased = engine.lease("r1")
         rows = [{"task_key": "t", "config_key": f"c{i}", "latency": 1e-3} for i in range(3)]
-        hostile = _replace(_envelope(), ("state_v",), json.loads("1e999"))
+        header, tail = _header(_blob(PaCM))
+        hostile = _with_header(_replace(header, ("state_v",), json.loads("1e999")), tail)
         done = engine.complete(
-            leased["lease_id"], "r1", job_id, {"final_latency": 1.0}, rows, checkpoint=hostile
+            leased["lease_id"], "r1", job_id, {"final_latency": 1.0}, rows, blob=hostile
         )
         assert done["checkpoint_stored"] is False and done["state"] == "done"
         assert engine.queue.get(job_id).state.value == "done"
+
+    def test_a_damaged_upload_leaves_the_stored_checkpoint_alone(self, tmp_path):
+        """Through ``JobEngine.complete``: every damaged blob (and a valid
+        one of the wrong kind, or a parsed envelope) ends its job done,
+        stores nothing, and the stored checkpoint keeps its bytes and
+        digest."""
+        engine = JobEngine(tmp_path)
+        rows = [{"task_key": "t", "config_key": f"c{i}", "latency": 1e-3} for i in range(3)]
+        good = _blob(PaCM, trained_trials=3)
+
+        def deliver(blob):
+            job_id = engine.submit("bert_tiny", rounds=1, scale="smoke", top_k_tasks=1)
+            leased = engine.lease("r1")
+            done = engine.complete(
+                leased["lease_id"], "r1", job_id, {"final_latency": 1.0}, rows, blob=blob
+            )
+            assert done["state"] == "done"
+            assert engine.queue.get(job_id).state.value == "done"
+            return done
+
+        first = deliver(good)
+        assert first["checkpoint_digest"] == hashlib.sha256(good).hexdigest()
+        key = engine._store_key_for(engine.queue.get(first["job_id"]))
+        path = engine.models.path_for(key, "pacm")
+        assert path.read_bytes() == good
+
+        def refused(blob):
+            done = deliver(blob)
+            assert done["checkpoint_stored"] is False
+            assert done["checkpoint_digest"] is None
+            assert path.read_bytes() == good
+            assert engine.models.load_wire(key, "pacm", have=first["checkpoint_digest"]) == {
+                "ref": first["checkpoint_digest"],
+                "trained_trials": 3,
+            }
+
+        refused(_blob(TenSetMLP, trained_trials=3))  # valid, but not this job's kind
+        refused(json.loads(v1_envelope(PaCM(seed=0).save_state(), 3)))  # not bytes
+
+        @given(blob=_damaged(good))
+        @settings(max_examples=40, deadline=None)
+        def any_damage(blob):
+            refused(blob)
+
+        any_damage()
+
+    def test_a_lease_checkpoint_decodes_or_cold_starts(self):
+        """``TuningRunner._model_state`` over any lease ``checkpoint``
+        value: a state, or None (a cold start), never an exception."""
+        from repro.serve.runner import TuningRunner
+
+        state = TenSetMLP(seed=0).save_state()
+        runner = TuningRunner(client=object())
+        runner._held = ("d" * 64, {**state, "trained_trials": 4})
+        assert runner._model_state({"ref": "d" * 64})["trained_trials"] == 4
+        assert runner._model_state(_as_lease(state_to_wire(state, 6)))["trained_trials"] == 6
+        assert runner._model_state(_as_lease(v1_envelope(state, 2)))["trained_trials"] == 2
+        for junk in (
+            None,
+            {"ref": 5},
+            {"ref": "e" * 64},
+            {"ref": ["d" * 64]},
+            {"blob": "!!"},
+            "!!",
+            _as_lease(b"junk"),
+            _as_lease(_blob()[:-1]),
+            json.loads(v1_envelope(state, 2)),  # an envelope, not the file
+        ):
+            assert runner._model_state(junk) is None, junk
+
+        @given(value=JSON_VALUES)
+        @settings(max_examples=150, deadline=None)
+        def any_value(value):
+            decoded = runner._model_state(value)
+            assert decoded is None or isinstance(decoded, dict)
+
+        any_value()
 
 
 class TestModelStore:
@@ -374,7 +611,7 @@ class TestModelStore:
         assert store.load_wire(key, "pacm") is None
         assert store.save_state(key, model.save_state(), trained_trials=10)
         restored = PaCM(seed=3)
-        restored.load_state(state_from_wire(store.load_wire(key, "pacm")))
+        restored.load_state(checkpoint_from_wire(store.load_wire(key, "pacm")))
         assert store.trained_trials(key, "pacm") == 10
         params, expected = restored.get_params(), model.get_params()
         assert set(params) == set(expected)
@@ -403,13 +640,49 @@ class TestModelStore:
         wire = state_to_wire(TenSetMLP().save_state(), trained_trials=1)
         assert not store.save_wire(key, "pacm", wire)
 
+    def test_the_stored_file_is_the_uploaded_bytes(self, tmp_path, a100):
+        store = ModelStore(tmp_path)
+        key = self._key(a100)
+        blob = state_to_wire(TenSetMLP(seed=1).save_state(), trained_trials=5)
+        digest = store.save_wire(key, "mlp", blob)
+        assert digest == hashlib.sha256(blob).hexdigest()
+        assert store.path_for(key, "mlp").read_bytes() == blob
+        assert store.load_wire(key, "mlp") == _as_lease(blob)
+        assert store.load_wire(key, "mlp", have=digest) == {"ref": digest, "trained_trials": 5}
+
+    def test_a_version_1_file_reads_and_ranks(self, tmp_path, a100):
+        """A checkpoint file written before the blob format is leased as
+        it is, decodes, and its header's count still arbitrates."""
+        store = ModelStore(tmp_path)
+        key = self._key(a100)
+        store.root.mkdir()
+        state = TenSetMLP(seed=1).save_state()
+        store.path_for(key, "mlp").write_bytes(v1_envelope(state, 50))
+        assert checkpoint_from_wire(store.load_wire(key, "mlp"))["trained_trials"] == 50
+        assert not store.save_wire(key, "mlp", state_to_wire(state, 10))  # stale
+        blob = state_to_wire(state, 60)
+        assert store.save_wire(key, "mlp", blob) == hashlib.sha256(blob).hexdigest()
+        assert store.path_for(key, "mlp").read_bytes() == blob
+
+    def test_an_inflated_count_is_lowered_in_the_header_only(self, tmp_path, a100):
+        store = ModelStore(tmp_path)
+        key = self._key(a100)
+        blob = state_to_wire(TenSetMLP(seed=1).save_state(), trained_trials=10**6)
+        digest = store.save_wire(key, "mlp", blob, max_trials=12)
+        stored = store.path_for(key, "mlp").read_bytes()
+        assert digest == hashlib.sha256(stored).hexdigest() != hashlib.sha256(blob).hexdigest()
+        (header, tail), (sent, sent_tail) = _header(stored), _header(blob)
+        assert tail == sent_tail  # the arrays' bytes as uploaded
+        assert header == {**sent, "trained_trials": 12}
+        assert store.trained_trials(key, "mlp") == 12
+
     def test_kinds_stored_side_by_side(self, tmp_path, a100):
         store = ModelStore(tmp_path)
         key = self._key(a100)
         assert store.save_state(key, TenSetMLP().save_state(), trained_trials=1)
         assert store.save_state(key, PaCM().save_state(), trained_trials=2)
-        assert state_from_wire(store.load_wire(key, "mlp"))["kind"] == "mlp"
-        assert state_from_wire(store.load_wire(key, "pacm"))["kind"] == "pacm"
+        assert checkpoint_from_wire(store.load_wire(key, "mlp"))["kind"] == "mlp"
+        assert checkpoint_from_wire(store.load_wire(key, "pacm"))["kind"] == "pacm"
         assert len(store.stats()) == 2
 
     def test_damaged_index_entries_tolerated(self, tmp_path, a100):
@@ -514,7 +787,7 @@ class TestTunerWarmStart:
         store = ModelStore(tmp_path)
         # plant a PaCM state where the ansor job expects its GBDT one
         masquerade = state_to_wire(PaCM().save_state(), trained_trials=999)
-        store.path_for(self._key("ansor"), "gbdt").write_text(json.dumps(masquerade))
+        store.path_for(self._key("ansor"), "gbdt").write_bytes(masquerade)
         result = self._job(tmp_path, method="ansor", rounds=2)
         assert not result["warm_model"]  # kind mismatch -> cold start, no crash
 

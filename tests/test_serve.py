@@ -297,7 +297,7 @@ class TestEndToEnd:
             job_id,
             result={"final_latency": 1.0},
             records=rows,
-            checkpoint=checkpoint_to_wire(trained.save_state(), trained_trials=12),
+            blob=checkpoint_to_wire(trained.save_state(), trained_trials=12),
         )
         assert done["checkpoint_stored"] is True
         assert done["records_ingested"] == 12
@@ -322,7 +322,7 @@ class TestEndToEnd:
             second_id,
             result={"final_latency": 1.0},
             records=[],
-            checkpoint=checkpoint_to_wire(PaCM(seed=9).save_state(), trained_trials=3),
+            blob=checkpoint_to_wire(PaCM(seed=9).save_state(), trained_trials=3),
         )
         assert done["checkpoint_stored"] is False
 
@@ -344,7 +344,7 @@ class TestEndToEnd:
             other,  # forged: a job this runner never held
             result={"final_latency": 1.0},
             records=[],
-            checkpoint=checkpoint_to_wire(PaCM().save_state(), trained_trials=10**6),
+            blob=checkpoint_to_wire(PaCM().save_state(), trained_trials=10**6),
         )
         assert done["job_id"] == mine  # the lease won
         engine = stack.engine
@@ -392,7 +392,7 @@ class TestEndToEnd:
                     job_id,
                     result={},
                     records=[{"task_key": "t", "config_key": "c1", "latency": 1e-3}],
-                    checkpoint=checkpoint_to_wire(
+                    blob=checkpoint_to_wire(
                         PaCM().save_state(), trained_trials=5
                     ),
                 )

@@ -8,10 +8,14 @@ the client).
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import io
+import json
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -54,7 +58,8 @@ class Recording:
 
     ``announce=False`` drops ``have`` from lease requests, as a runner
     that predates checkpoint references would; ``on_progress`` sees each
-    round report before it is sent.
+    round report before it is sent.  Every ``complete``'s blob and
+    answer are recorded too.
     """
 
     def __init__(self, inner, announce: bool = True, on_progress=None) -> None:
@@ -62,6 +67,8 @@ class Recording:
         self.announce = announce
         self.on_progress = on_progress
         self.leases: list[dict] = []
+        #: (checkpoint blob, answer) of every ``complete``
+        self.uploads: list[tuple[bytes | None, dict]] = []
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -73,6 +80,11 @@ class Recording:
         if leased is not None:
             self.leases.append(leased)
         return leased
+
+    def complete(self, *args, **kwargs):
+        response = self.inner.complete(*args, **kwargs)
+        self.uploads.append((kwargs.get("blob"), response))
+        return response
 
     def heartbeat(self, lease_id, runner_id, progress=None):
         if progress is not None and self.on_progress is not None:
@@ -173,12 +185,57 @@ class TestWhatARunnerKeeps:
         old_results, old_checkpoints = outcomes[False]
         assert old_checkpoints[0] is None
         for checkpoint in old_checkpoints[1:]:
-            assert "params" in checkpoint  # the whole envelope, as before
+            assert isinstance(checkpoint, str)  # the whole file, as before
         assert results[1]["warm_model"] and results[2]["warm_model"]
         assert results == old_results
 
 
-def trained_checkpoint(trained_trials: int = 12) -> dict:
+    def test_the_digest_names_the_uploaded_bytes_and_the_stored_file(
+        self, tmp_path, transport, monkeypatch
+    ):
+        """The runner's local SHA-256 of its upload is the answer's
+        ``checkpoint_digest`` and the digest of the file in ``models/``;
+        the server received those very bytes, nothing base64-encoded a
+        thing, and the chain's later leases are references."""
+        encoded = []
+        b64encode = base64.b64encode
+        monkeypatch.setattr(
+            base64, "b64encode", lambda data, *a: encoded.append(len(data)) or b64encode(data, *a)
+        )
+        with serving(tmp_path, transport) as (engine, client):
+            received = []
+            complete = engine.complete
+
+            def spy(*args, **kwargs):
+                received.append(kwargs.get("blob"))
+                return complete(*args, **kwargs)
+
+            monkeypatch.setattr(engine, "complete", spy)
+            for rounds in (1, 2, 3):
+                engine.submit("bert_tiny", rounds=rounds, **SMOKE)
+            recording = Recording(client)
+            assert run_all(recording) == 3
+            tasks = api.tasks_for("pruner", network_tasks("bert_tiny", top_k=1), get_device("a100"))
+            path = engine.models.path_for(store_key_for_tasks(tasks, "pruner"), "pacm")
+            on_disk = hashlib.sha256(path.read_bytes()).hexdigest()
+        blobs = [blob for blob, _ in recording.uploads]
+        digests = [answer["checkpoint_digest"] for _, answer in recording.uploads]
+        assert all(isinstance(blob, bytes) for blob in blobs)
+        assert received == blobs  # the bytes the engine got are the bytes sent
+        assert digests == [hashlib.sha256(blob).hexdigest() for blob in blobs]
+        assert digests[-1] == on_disk
+        refs = [leased["checkpoint"] for leased in recording.leases[1:]]
+        assert [ref["ref"] for ref in refs] == digests[:-1]
+        assert encoded == []  # no base64 on the upload (nor on a reference lease)
+        for blob in blobs:  # after the header line: the arrays' raw bytes
+            header, tail = blob.split(b"\n", 1)
+            arrays = json.loads(header)["arrays"]
+            assert len(tail) == sum(
+                int(np.prod(shape)) * np.dtype(dtype).itemsize for _, dtype, shape in arrays
+            )
+
+
+def trained_checkpoint(trained_trials: int = 12) -> bytes:
     return checkpoint_to_wire(PaCM(seed=5).save_state(), trained_trials=trained_trials)
 
 
@@ -197,11 +254,11 @@ class TestLeaseHave:
             leased = client.lease("r1")
             done = client.complete(
                 leased["lease_id"], "r1", first, {"final_latency": 1.0}, rows(12),
-                checkpoint=trained_checkpoint(),
+                blob=trained_checkpoint(),
             )
             digest = done["checkpoint_digest"]
             assert done["checkpoint_stored"] is True
-            assert isinstance(digest, str) and len(digest) == 64
+            assert digest == hashlib.sha256(trained_checkpoint()).hexdigest()
 
             answers = {}
             for label, have in (("none", None), ("stale", "0" * 64), ("held", digest)):
@@ -210,7 +267,7 @@ class TestLeaseHave:
                 answers[label] = client.lease("r1", **kwargs)["checkpoint"]
         assert answers["held"] == {"ref": digest, "trained_trials": 12}
         assert answers["none"] == answers["stale"]
-        assert answers["none"]["params"] == trained_checkpoint()["params"]
+        assert base64.b64decode(answers["none"]) == trained_checkpoint()
 
     def test_a_rejected_checkpoint_returns_no_digest(self, tmp_path, transport):
         with serving(tmp_path, transport) as (engine, client):
@@ -220,7 +277,7 @@ class TestLeaseHave:
                 leased = client.lease("r1")
                 done = client.complete(
                     leased["lease_id"], "r1", job_id, {"final_latency": 1.0},
-                    rows(12), checkpoint=trained_checkpoint(trained_trials),
+                    rows(12), blob=trained_checkpoint(trained_trials),
                 )
                 digests.append(done["checkpoint_digest"])
         assert isinstance(digests[0], str)

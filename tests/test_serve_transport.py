@@ -1,5 +1,7 @@
 """The serve transport: kept-alive connections, at-most-once requests,
-and HTTP framing errors that must not wedge a connection.
+HTTP framing errors that must not wedge a connection, and the framed
+``complete`` (a JSON line, then the checkpoint blob) under malformed
+bodies.
 
 Connections are counted on the server side, by wrapping the server's
 ``process_request`` (one call per accepted connection).
@@ -7,16 +9,24 @@ Connections are counted on the server side, by wrapping the server's
 
 from __future__ import annotations
 
+import hashlib
+import http.client
+import json
 import socket
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.costmodel import PaCM
 from repro.serve import client as client_module
 from repro.serve.app import ServeApp
 from repro.serve.client import ServeClient
 from repro.serve.engine import JobEngine
 from repro.serve.http import MAX_BODY_BYTES, make_server
+from repro.serve.protocol import FRAMED_CONTENT_TYPE
+from repro.service.models import state_to_wire
 
 from test_serve import SPEC, Stack
 
@@ -262,3 +272,141 @@ class TestFraming:
         reply = exchange(port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
         assert reply.startswith(b"HTTP/1.1 200 ")
         assert reply.endswith(b"<still open>")
+
+
+# ----------------------------------------------------------------------
+# the framed ``complete``: a JSON line, then the checkpoint blob
+# ----------------------------------------------------------------------
+def _rows(job_id: str) -> list[dict]:
+    """Three record rows no other job ships (so all of them land)."""
+    return [{"task_key": "t", "config_key": f"{job_id}-{i}", "latency": 1e-3} for i in range(3)]
+
+
+def _framed(header: dict, blob: bytes) -> bytes:
+    return json.dumps(header).encode() + b"\n" + blob
+
+
+class TestFramedComplete:
+    """Malformed ``POST /lease/{id}/complete`` bodies over one kept-alive
+    connection: each answers 4xx, or 200 with ``checkpoint_stored:
+    false``, never 5xx — and the connection then still serves
+    ``GET /healthz``."""
+
+    @pytest.fixture(scope="class")
+    def stack(self, tmp_path_factory):
+        # one server for the class: every case leases its own job
+        s = Stack(tmp_path_factory.mktemp("framed") / "cache")
+        yield s
+        s.close()
+
+    @pytest.fixture
+    def conn(self, stack):
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", stack.server.server_address[1], timeout=10.0
+        )
+        yield conn
+        conn.close()
+
+    @staticmethod
+    def _lease(stack) -> tuple[str, str]:
+        job_id = stack.engine.submit("bert_tiny", **SPEC)
+        return job_id, stack.engine.lease("r1")["lease_id"]
+
+    @staticmethod
+    def _header(job_id: str) -> dict:
+        return {
+            "runner_id": "r1",
+            "job_id": job_id,
+            "result": {"final_latency": 1.0},
+            "records": _rows(job_id),
+        }
+
+    @staticmethod
+    def _post(conn, lease_id: str, body: bytes, content_type=FRAMED_CONTENT_TYPE):
+        conn.request(
+            "POST", f"/lease/{lease_id}/complete", body=body,
+            headers={"Content-Type": content_type},
+        )
+        response = conn.getresponse()
+        return response.status, json.loads(response.read() or b"null")
+
+    @staticmethod
+    def _still_serves(conn, sock) -> None:
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        response.read()
+        assert conn.sock is sock  # the same kept-alive connection
+
+    def _check(self, stack, conn, body_for, content_type=FRAMED_CONTENT_TYPE):
+        job_id, lease_id = self._lease(stack)
+        if conn.sock is None:
+            conn.connect()
+        sock = conn.sock
+        status, payload = self._post(conn, lease_id, body_for(job_id), content_type)
+        assert status < 500, payload
+        if status == 200:
+            assert payload["checkpoint_stored"] is False
+            assert payload["checkpoint_digest"] is None
+            assert payload["records_ingested"] == 3
+        else:
+            assert 400 <= status < 500
+        self._still_serves(conn, sock)
+        return status, payload
+
+    def test_a_good_blob_is_stored_under_its_own_digest(self, stack, conn):
+        blob = state_to_wire(PaCM(seed=5).save_state(), trained_trials=3)
+        job_id, lease_id = self._lease(stack)
+        status, payload = self._post(conn, lease_id, _framed(self._header(job_id), blob))
+        assert status == 200 and payload["checkpoint_stored"] is True
+        assert payload["checkpoint_digest"] == hashlib.sha256(blob).hexdigest()
+
+    @pytest.mark.parametrize(
+        "head",
+        [b"{not json", b"[1, 2]", b"\xff\xfe{}", b'"a string"', b"", b"[" * 100_000],
+        ids=["not-json", "not-an-object", "not-utf8", "a-string", "empty", "deeply-nested"],
+    )
+    def test_a_bad_header_line_is_400(self, stack, conn, head):
+        blob = state_to_wire(PaCM(seed=5).save_state(), trained_trials=3)
+        status, _ = self._check(stack, conn, lambda job_id: head + b"\n" + blob)
+        assert status == 400
+
+    def test_a_missing_separator_is_400(self, stack, conn):
+        status, payload = self._check(
+            stack, conn, lambda job_id: json.dumps(self._header(job_id)).encode()
+        )
+        assert status == 400 and "framed" in payload["error"]
+
+    def test_a_missing_runner_id_is_400(self, stack, conn):
+        blob = state_to_wire(PaCM(seed=5).save_state(), trained_trials=3)
+        status, _ = self._check(stack, conn, lambda job_id: _framed({"job_id": job_id}, blob))
+        assert status == 400
+
+    @pytest.mark.parametrize("k", [1, 8, 1000])
+    def test_a_body_shorter_than_its_framed_parts(self, stack, conn, k):
+        blob = state_to_wire(PaCM(seed=5).save_state(), trained_trials=3)
+        status, _ = self._check(stack, conn, lambda job_id: _framed(self._header(job_id), blob)[:-k])
+        assert status == 200
+
+    @pytest.mark.parametrize("extra", [b"\0", b"\n", b"x" * 1000])
+    def test_a_body_longer_than_its_framed_parts(self, stack, conn, extra):
+        blob = state_to_wire(PaCM(seed=5).save_state(), trained_trials=3)
+        status, _ = self._check(stack, conn, lambda job_id: _framed(self._header(job_id), blob) + extra)
+        assert status == 200
+
+    @given(junk=st.binary(max_size=200))
+    @settings(max_examples=30, deadline=None, suppress_health_check=list(HealthCheck))
+    def test_a_valid_header_with_a_junk_blob(self, stack, conn, junk):
+        status, _ = self._check(stack, conn, lambda job_id: _framed(self._header(job_id), junk))
+        assert status == 200
+
+    def test_an_older_runners_all_json_body_lands_rows_and_result_only(self, stack, conn):
+        envelope = {"ckpt_v": 1, "state_v": 1, "kind": "pacm", "params": {}}
+        result = {"final_latency": 1.0}
+
+        def body(job_id):
+            return json.dumps({**self._header(job_id), "checkpoint": envelope}).encode()
+
+        status, payload = self._check(stack, conn, body, content_type="application/json")
+        assert status == 200
+        assert stack.engine.result(payload["job_id"]) == result
