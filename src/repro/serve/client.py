@@ -158,7 +158,7 @@ class ServeClient:
         data = None if body is None else json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"} if data else {}
         if blob is not None:
-            data = b"".join([data or b"{}", b"\n", blob])
+            data = b"".join([data, b"\n", blob])
             headers = {"Content-Type": FRAMED_CONTENT_TYPE}
         if self.auth_token:
             headers["Authorization"] = f"Bearer {self.auth_token}"

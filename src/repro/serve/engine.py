@@ -618,9 +618,9 @@ class JobEngine:
         stored file as one base64 string (None on a cold store).
         ``have`` names the checkpoint the runner holds (the digest
         :meth:`complete` returned): when it is the stored one, the
-        payload carries ``{"ref", "trained_trials"}`` instead.  ``tags`` (when given) re-registers the
-        runner, so a restarted engine re-learns its fleet within one
-        poll interval.
+        payload carries ``{"ref", "trained_trials"}`` instead.  ``tags``
+        (when given) re-registers the runner, so a restarted engine
+        re-learns its fleet within one poll interval.
 
         ``wait`` makes this a long poll: with nothing to claim it blocks
         up to that many seconds (clamped to :data:`MAX_LEASE_WAIT`) and
@@ -832,7 +832,7 @@ class JobEngine:
         rank) — an inflated count from a buggy or hostile runner must
         not freeze the slot against every future checkpoint.
         """
-        if not isinstance(blob, (bytes, bytearray)):
+        if not isinstance(blob, bytes):
             return None
         target = self._ingest_target(job_id)
         if target is None:

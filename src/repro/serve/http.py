@@ -173,10 +173,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         blob = None
         if self.headers.get_content_type() == FRAMED_CONTENT_TYPE:
-            end = raw.find(b"\n")
-            if end < 0:
+            raw, newline, blob = raw.partition(b"\n")
+            if not newline:
                 raise HttpError(400, "a framed body is a JSON line, '\\n', then bytes")
-            raw, blob = raw[:end], raw[end + 1 :]
         try:
             body = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:

@@ -30,7 +30,7 @@ full exchange:
    blob of :func:`repro.service.models.state_to_wire` as raw bytes —
    no base64, no JSON escaping.  The server stores those bytes as they
    are under staleness arbitration, and the answer's
-   ``checkpoint_digest`` is their SHA-256, which the runner can check
+   ``checkpoint_digest`` is their SHA-256, which the runner checks
    against its own.
 
 This module owns the lease bookkeeping (:class:`LeaseTable`), the

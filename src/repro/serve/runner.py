@@ -316,12 +316,10 @@ class TuningRunner:
                 progress=progress,
                 should_stop=should_stop,
             )
-            state = tuner.checkpoint()
-            if state is None:
-                return result, None, None
-            trained = tuner.model_trained_on
-            blob = checkpoint_to_wire(state, trained)
-            return result, {**state, "trained_trials": trained}, blob
+            state, trained = tuner.checkpoint(), tuner.model_trained_on
+            if state is not None:
+                state = {**state, "trained_trials": trained}
+            return result, state, checkpoint_to_wire(state, trained)
         finally:
             # one runner process serves many jobs; per-task memo caches
             # must not accumulate across them

@@ -109,37 +109,34 @@ def state_from_wire(wire) -> dict:
 
     The one decoder: a version 2 blob or a version 1 JSON envelope,
     as bytes.  The dict also carries the blob's ``trained_trials``
-    (``load_state`` ignores it).  Arrays are read-only views of
-    ``wire``.  Anything else — a wrong or newer version, a damaged
+    (``load_state`` ignores it); its arrays are read-only views of one
+    buffer.  Anything else — a wrong or newer version, a damaged
     header, a byte count that does not add up, a non-numeric dtype,
     NaN or inf in a float array — raises
     :class:`~repro.errors.CostModelError`, which callers treat as "no
     checkpoint".
     """
-    if not isinstance(wire, (bytes, bytearray, memoryview)):
+    if not isinstance(wire, bytes):
         raise CostModelError(f"a checkpoint is bytes, not {type(wire).__name__}")
-    blob = bytes(wire)
-    end = blob.find(b"\n")
-    end = len(blob) if end < 0 else end
+    line, _, body = wire.partition(b"\n")
     try:
-        header = json.loads(blob[:end])
+        header = json.loads(line)
         if not isinstance(header, dict):
             raise CostModelError("checkpoint header is not a JSON object")
         version = header.get("ckpt_v")
         if version == 1 and type(version) is int:
-            if blob[end:].strip():
+            if body.strip():
                 raise CostModelError("version 1 checkpoint has more than one line")
             return _state_from_v1(header)
         if version != CHECKPOINT_SCHEMA_VERSION or type(version) is not int:
             raise CostModelError(f"unsupported checkpoint version {version!r}")
-        params = _arrays(header["arrays"], blob, end + 1)
         state = {
             "state_v": _count(header["state_v"]),
             "kind": header["kind"],
             "feature_kind": header["feature_kind"],
             "arch": header["arch"],
             "trained_trials": _count(header["trained_trials"]),
-            "params": params,
+            "params": _arrays(header["arrays"], body),
         }
     except CostModelError:
         raise
@@ -161,12 +158,13 @@ def _count(value) -> int:
     return value
 
 
-def _arrays(table: list, blob: bytes, offset: int) -> dict[str, np.ndarray]:
-    """The arrays a header's ``[name, dtype, shape]`` table lays out from
-    ``offset`` on, which must end exactly at the blob's end."""
+def _arrays(table: list, body: bytes) -> dict[str, np.ndarray]:
+    """The arrays a header's ``[name, dtype, shape]`` table lays out in
+    ``body``, which they must fill exactly."""
     if not isinstance(table, list):
         raise CostModelError("checkpoint array table is not a list")
     params: dict[str, np.ndarray] = {}
+    offset = 0
     for entry in table:
         if not isinstance(entry, list) or len(entry) != 3:
             raise CostModelError(f"bad checkpoint array entry {entry!r}")
@@ -186,21 +184,21 @@ def _arrays(table: list, blob: bytes, offset: int) -> dict[str, np.ndarray]:
         ):
             raise CostModelError(f"bad checkpoint array shape {shape!r}")
         count = math.prod(shape)
-        if offset + count * dtype.itemsize > len(blob):
+        if offset + count * dtype.itemsize > len(body):
             raise CostModelError("checkpoint is shorter than its array table")
-        arr = np.frombuffer(blob, dtype, count=count, offset=offset).reshape(shape)
+        arr = np.frombuffer(body, dtype, count=count, offset=offset).reshape(shape)
         offset += count * dtype.itemsize
         # trained parameters are always finite; NaN/inf only arrive via
         # corruption and would crash (or silently poison) models later
         if dtype.kind == "f" and not np.isfinite(arr).all():
             raise CostModelError(f"non-finite values in checkpoint array {name!r}")
         params[name] = arr
-    if offset != len(blob):
+    if offset != len(body):
         raise CostModelError("checkpoint is longer than its array table")
     return params
 
 
-def decode_array(data: dict) -> np.ndarray:
+def _v1_array(data: dict) -> np.ndarray:
     """One version 1 envelope array: dtype + shape + base64 of the bytes."""
     dtype = np.dtype(data["dtype"])
     if dtype.kind not in "fiub":  # float, signed/unsigned int, bool
@@ -223,7 +221,7 @@ def _state_from_v1(wire: dict) -> dict:
             "arch": dict(wire["arch"]),
             "trained_trials": tolerant_count(wire.get("trained_trials", 0)),
             "params": {
-                name: decode_array(encoded)
+                name: _v1_array(encoded)
                 for name, encoded in wire["params"].items()
             },
         }
@@ -248,10 +246,9 @@ def tolerant_count(value) -> int:
 
 def _with_trials(blob: bytes, trained_trials: int) -> bytes:
     """``blob`` with its header's trial count replaced (arrays untouched)."""
-    end = blob.find(b"\n")
-    end = len(blob) if end < 0 else end
-    header = dict(json.loads(blob[:end]), trained_trials=trained_trials)
-    return json.dumps(header, separators=(",", ":")).encode("utf-8") + blob[end:]
+    line, newline, body = blob.partition(b"\n")
+    header = {**json.loads(line), "trained_trials": trained_trials}
+    return json.dumps(header, separators=(",", ":")).encode("utf-8") + newline + body
 
 
 def _stored_trials(path: Path) -> int:
@@ -332,8 +329,7 @@ class ModelStore:
             return None
         if state["kind"] != kind:
             return None
-        incoming = state["trained_trials"]
-        blob = bytes(wire)
+        incoming, blob = state["trained_trials"], wire
         if max_trials is not None and incoming > max_trials:
             incoming = max(0, max_trials)
             blob = _with_trials(blob, incoming)
