@@ -267,6 +267,16 @@ class TestFraming:
         assert reply.count(b"HTTP/1.1 ") == 1
         assert not reply.endswith(b"<still open>")
 
+    def test_a_deeply_nested_json_body_is_400_not_500(self, stack):
+        """Found by the framed-``complete`` fuzz: ``json.loads`` raises
+        RecursionError on deep nesting, which used to answer 500."""
+        port = stack.server.server_address[1]
+        body = b"[" * 100_000
+        head = f"POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n"
+        reply = exchange(port, head.encode("ascii") + body)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.endswith(b"<still open>")  # the body was read: still in sync
+
     def test_a_good_request_keeps_the_connection_open(self, stack):
         port = stack.server.server_address[1]
         reply = exchange(port, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
