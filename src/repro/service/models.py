@@ -22,8 +22,9 @@ One file per ``(store key, model kind)``, holding a *checkpoint blob*
 save_state` dict: one JSON header line — ``ckpt_v`` (2), ``state_v``,
 ``kind``, ``feature_kind``, ``arch``, ``trained_trials`` and one
 ``[name, dtype, shape]`` per array — then every array's raw
-little-endian bytes in header order, so a round trip is bit-identical.
-The runner builds the blob once and uploads it as it is; the store
+little-endian bytes in header order, so a round trip is bit-identical
+(the files keep version 1's ``.json`` name; only the header line is
+JSON).  The runner builds the blob once and uploads it as it is; the store
 checks it and writes those very bytes, so a stored checkpoint is named
 by the SHA-256 of the uploaded bytes, which is also the file's.  A
 runner that already holds those bytes leases a reference instead.
