@@ -1,15 +1,18 @@
-"""Figure 7's search-time speedups against a frozen file.
+"""Figure 7's search-time speedups and Table 12 against a frozen file.
 
 ``fixtures/paper_golden.json`` was written by :func:`paper_golden` from a
 cold pre-training cache.  It holds, floats as ``float.hex``,
-:func:`repro.experiments.e2e.search_time_speedups` at the ``smoke``
+:func:`repro.experiments.e2e.search_time_speedups` and
+:func:`repro.experiments.ablation.online_ablation` at the ``smoke``
 scale on bert_tiny and resnet50:
 
 * ``speedups`` — per network, how much sooner Pruner / MoA-Pruner /
   offline Pruner reach each baseline's final latency;
 * ``geomean`` — those speedups' geometric mean per pair;
 * ``runs`` — every tuning run behind them (``<corpus tag>/<method>``):
-  its final latency and ``clock.total``.
+  its final latency and ``clock.total``;
+* ``table12`` — per network, each online ablation variant's final
+  latency in ms (values only: the directions are not claims here).
 
 ``PYTHONPATH=src python tests/test_paper_golden.py`` rewrites it — only
 for a deliberate change of what a tuning run measures.
@@ -23,7 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
-from repro.experiments import common, e2e
+from repro.experiments import ablation, common, e2e
 
 FIXTURE = Path(__file__).parent / "fixtures" / "paper_golden.json"
 SCALE = "smoke"
@@ -55,6 +58,7 @@ def paper_golden() -> dict:
 
     with _cold_cache(), mock.patch.object(e2e, "run_tuning", recorded):
         out = e2e.search_time_speedups(SCALE, NETWORKS)
+        table12 = ablation.online_ablation(SCALE, NETWORKS[::-1])
     return {
         "speedups": {
             net: {pair: value.hex() for pair, value in pairs.items()}
@@ -62,6 +66,10 @@ def paper_golden() -> dict:
         },
         "geomean": {pair: value.hex() for pair, value in out["geomean"].items()},
         "runs": runs,
+        "table12": {
+            net: {label: value.hex() for label, value in row.items()}
+            for net, row in table12["latency_ms"].items()
+        },
     }
 
 
