@@ -26,6 +26,7 @@ delegating to the batch path with ``n == 1``.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -36,26 +37,26 @@ from repro.schedule.sampler import sample_axis_batch, sorted_runs
 from repro.schedule.space import ScheduleConfig, ScheduleSpace
 
 
-@lru_cache(maxsize=16384)
-def _smallest_prime_factor(n: int) -> int:
-    p = 2
-    while n % p != 0:
-        p += 1
-    return p
+@lru_cache(maxsize=8)
+def _spf_table(size: int) -> np.ndarray:
+    """Smallest prime factor of every ``n < size`` (0 and 1 map to themselves)."""
+    spf = np.arange(size)
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if spf[p] == p:
+            # multiples already claimed by a smaller prime keep it
+            block = spf[p * p :: p]
+            np.minimum(block, p, out=block)
+    return spf
 
 
-register_lru("schedule.mutate._smallest_prime_factor", _smallest_prime_factor)
+register_lru("schedule.mutate._spf_table", _spf_table)
 
 
 def _spf_array(values: np.ndarray) -> np.ndarray:
-    """Smallest prime factor of each value (values must be > 1)."""
-    order, runs = sorted_runs(values)
-    ranked = np.empty_like(values)
-    for value, start, stop in runs:
-        ranked[start:stop] = _smallest_prime_factor(value)
-    out = np.empty_like(values)
-    out[order] = ranked
-    return out
+    """Smallest prime factor of each value (values must be >= 1)."""
+    # power-of-two table sizes: a handful of tables serve every space
+    size = max(1024, 1 << int(values.max()).bit_length())
+    return _spf_table(size)[values]
 
 
 def _move_factor(
@@ -74,7 +75,7 @@ def _move_factor(
         return factors
     i = int(rng.choice(donors))
     j = int(rng.choice([p for p in range(len(factors)) if p != i]))
-    p = _smallest_prime_factor(factors[i])
+    p = int(_spf_array(np.asarray(factors))[i])
     out = list(factors)
     out[i] //= p
     out[j] *= p
