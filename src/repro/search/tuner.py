@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -177,6 +178,8 @@ class Tuner:
         #: consumers read it right after ``step()``).
         self.last_trace: obs.RoundTrace | None = None
         self._model_trained = False
+        #: task key -> row count the live model was last fitted on
+        self._fitted_counts: dict[str, int] = {}
         #: staleness rank a checkpoint of this model deserves: records
         #: fitted at the most recent update this run, floored (for
         #: warm-started models) at the loaded checkpoint's own rank —
@@ -356,9 +359,24 @@ class Tuner:
             self._features.append(self.model.featurize_batch(batch))
 
     def _update_model(self) -> None:
+        """Fit the cost model on the log and charge the clock for it.
+
+        Where the weights carry over from one fit to the next (``online``
+        and ``finetune`` modes, ``model.fit_extends_state``), ``fit`` gets
+        only the rows of the tasks whose row count changed since this
+        tuner last fitted: LambdaRank ranks each task as its own group,
+        so an unchanged group has nothing new to teach.  The first fit
+        trains every group, and a round that changed no group fits
+        nothing.  GBDT refits from scratch and MoA resets the target to
+        the siamese parameters first, so both keep getting the whole log.
+        The clock is charged for the rows ``fit`` got; the checkpoint
+        rank stays the whole log's row count.
+        """
         lats, keys = self.records.training_data()
-        if len(lats) < MIN_TRAIN_RECORDS:
+        logged = len(lats)
+        if logged < MIN_TRAIN_RECORDS:
             return
+        counts = Counter(keys)
         with obs.span("train"):
             # one array for fit; later rounds append their chunks after it
             self._features = [np.concatenate(self._features)]
@@ -369,9 +387,18 @@ class Tuner:
                 self.model.fit(features, lats, keys, train=self.train, rng=self.rng)
                 self.adapter.update_from(self.model)  # 3. Momentum update
             else:  # online / finetune: keep training the live model
+                if self.model.fit_extends_state:
+                    changed = {k for k, n in counts.items() if self._fitted_counts.get(k) != n}
+                    if not changed:
+                        return
+                    if len(changed) < len(counts):
+                        rows = np.fromiter((k in changed for k in keys), bool, len(keys))
+                        features, lats = features[rows], lats[rows]
+                        keys = [k for k in keys if k in changed]
                 self.model.fit(features, lats, keys, train=self.train, rng=self.rng)
+        self._fitted_counts = counts
         self._model_trained = True
-        self.model_trained_on = max(len(lats), self._inherited_trained_on)
+        self.model_trained_on = max(logged, self._inherited_trained_on)
         self.clock.charge_training(self.model.kind, len(lats), self.train.epochs)
 
     def _curve_point(self) -> CurvePoint:

@@ -513,12 +513,15 @@ class TestTuner:
 
 class _TrainingSpy:
     """Counts the rows a model encodes outside ``predict_batch`` (the
-    training rows) and keeps a copy of every matrix ``fit`` receives."""
+    training rows), keeps a copy of every ``fit``'s arguments, and the
+    log length of every ``RecordLog.training_data`` call (``logged``,
+    filled by the ``spies`` fixture)."""
 
     def __init__(self, model):
         self.model = model
         self.encoded = 0
-        self.fits: list[np.ndarray] = []
+        self.fits: list[tuple[np.ndarray, np.ndarray, list[str]]] = []
+        self.logged: list[int] = []
         self._featurize = model.featurize_batch
         predict, fit = model.predict_batch, model.fit
         scoring = []
@@ -535,9 +538,9 @@ class _TrainingSpy:
             finally:
                 scoring.pop()
 
-        def fit_(features, *args, **kwargs):
-            self.fits.append(features.copy())
-            return fit(features, *args, **kwargs)
+        def fit_(features, latencies, keys, *args, **kwargs):
+            self.fits.append((features.copy(), np.array(latencies), list(keys)))
+            return fit(features, latencies, keys, *args, **kwargs)
 
         model.featurize_batch = featurize_batch
         model.predict_batch = predict_batch
@@ -555,8 +558,11 @@ class _TrainingSpy:
 
 
 class TestTrainingMatrix:
-    """The tuner encodes each measured row once and hands ``fit`` the
-    same matrix that re-encoding the whole log would produce."""
+    """The tuner encodes each measured row once.  Where the weights carry
+    over between fits (online / finetune NN models), ``fit`` gets the
+    rows of exactly the tasks whose row count changed since the last
+    fit, in log order, and the first fit gets the whole log; GBDT and
+    MoA get the whole log every time."""
 
     ROUNDS = 4
 
@@ -578,13 +584,20 @@ class TestTrainingMatrix:
 
         spies = []
         make = api._default_model
+        training_data = RecordLog.training_data
 
         def default_model(method, seed):
             model = make(method, seed)
             spies.append(_TrainingSpy(model))
             return model
 
+        def logged_training_data(log):
+            lats, keys = training_data(log)
+            spies[-1].logged.append(len(lats))
+            return lats, keys
+
         monkeypatch.setattr(api, "_default_model", default_model)
+        monkeypatch.setattr(RecordLog, "training_data", logged_training_data)
         return spies
 
     def _tune(self, method, subs, **kwargs):
@@ -594,22 +607,47 @@ class TestTrainingMatrix:
             method, subs, "a100", rounds=self.ROUNDS, scale="smoke", **kwargs
         )
 
-    def _assert_encoded_once(self, spy, records):
-        assert spy.encoded == len(records)
-        assert len(spy.fits) > 1
-        # what re-encoding the log every round would have cost
-        assert sum(map(len, spy.fits)) > len(records)
-        oracle = spy.oracle(records)
-        for features in spy.fits:
-            assert np.array_equal(features, oracle[: len(features)])
-        assert len(spy.fits[-1]) == len(records)
+    def _assert_fits(self, spy, records, whole_log):
+        """Replay every ``training_data`` call against the final log."""
+        from collections import Counter
 
-    @pytest.mark.parametrize("method", ["pruner", "ansor", "moa-pruner"])
+        from repro.search.tuner import MIN_TRAIN_RECORDS
+
+        logged = list(spy.logged)
+        lats, keys = records.training_data()
+        keys = np.array(keys)
+        oracle = spy.oracle(records)
+        assert spy.encoded == len(records)
+        expected, fitted = [], {}  # (log length, rows fit must get) per fit
+        for n in logged:
+            counts = Counter(keys[:n].tolist())
+            changed = [k for k, c in counts.items() if whole_log or fitted.get(k) != c]
+            if n < MIN_TRAIN_RECORDS or not changed:
+                continue  # nothing new: no fit
+            expected.append((n, np.flatnonzero(np.isin(keys[:n], changed))))
+            fitted = counts
+        assert len(spy.fits) == len(expected) > 1
+        for (features, fit_lats, fit_keys), (_, rows) in zip(spy.fits, expected):
+            assert np.array_equal(features, oracle[rows])
+            assert np.array_equal(fit_lats, lats[rows])
+            assert fit_keys == keys[rows].tolist()
+        # the first fit trains every group
+        assert len(spy.fits[0][0]) == expected[0][0]
+        trained = sum(len(features) for features, _, _ in spy.fits)
+        if whole_log:
+            assert trained == sum(n for n, _ in expected)
+        else:  # the saving is real: some fit left an unchanged group out
+            assert trained < sum(n for n, _ in expected)
+
+    @pytest.mark.parametrize("method", ["pruner", "pruner-finetune", "ansor", "moa-pruner"])
     def test_each_row_is_encoded_once(self, method, subs, pretrained, spies):
-        kwargs = {"pretrained": pretrained} if method == "moa-pruner" else {}
+        from repro import api
+
+        kwargs = {"pretrained": pretrained} if method in api.PRETRAINED_METHODS else {}
         result = self._tune(method, subs, **kwargs)
         (spy,) = spies
-        self._assert_encoded_once(spy, result.records)
+        # GBDT refits from scratch; MoA resets to the siamese before a fit
+        self._assert_fits(spy, result.records, whole_log=method in ("ansor", "moa-pruner"))
 
     def test_a_seeded_log_is_encoded_once(self, subs, spies):
         from repro import api
@@ -626,7 +664,30 @@ class TestTrainingMatrix:
         )
         result = tuner.tune(self.ROUNDS)
         assert result.seeded_trials > 0
-        self._assert_encoded_once(spies[1], result.records)
+        self._assert_fits(spies[1], result.records, whole_log=False)
+
+    def test_the_clock_charges_what_fit_got(self, subs, spies):
+        """Training is charged per row passed to ``fit`` x epochs; a round
+        with no new rows neither fits nor charges; the checkpoint rank
+        stays the whole log."""
+        from repro import api
+        from repro.timemodel import TRAINING
+
+        tuner = api.build_tuner("pruner", subs, "a100", search=api.resolve_scale("smoke"))
+        result = tuner.tune(self.ROUNDS)
+        (spy,) = spies
+        per_row = tuner.clock.costs.model_train[tuner.model.kind]
+        charged = sum(per_row * len(features) * tuner.train.epochs for features, _, _ in spy.fits)
+        assert tuner.clock.breakdown()[TRAINING] == charged > 0
+        assert len(spy.fits[-1][0]) < len(result.records)
+        assert tuner.model_trained_on == len(result.records)
+
+        fits = len(spy.fits)
+        tuner.step(max_trials=0)  # a round that measures nothing
+        assert len(tuner.records) == len(result.records)
+        assert len(spy.fits) == fits
+        assert tuner.clock.breakdown()[TRAINING] == charged
+        assert tuner.model_trained_on == len(result.records)
 
     def test_an_offline_run_encodes_nothing_for_training(self, subs, pretrained, spies):
         result = self._tune("pruner-offline", subs, pretrained=pretrained)
