@@ -46,6 +46,7 @@ def _spf_table(size: int) -> np.ndarray:
             # multiples already claimed by a smaller prime keep it
             block = spf[p * p :: p]
             np.minimum(block, p, out=block)
+    spf.flags.writeable = False  # shared by every caller
     return spf
 
 

@@ -388,7 +388,8 @@ class Tuner:
                 self.adapter.update_from(self.model)  # 3. Momentum update
             else:  # online / finetune: keep training the live model
                 if self.model.fit_extends_state:
-                    changed = {k for k, n in counts.items() if self._fitted_counts.get(k) != n}
+                    fitted = self._fitted_counts
+                    changed = {k for k, n in counts.items() if fitted.get(k) != n}
                     if not changed:
                         return
                     if len(changed) < len(counts):

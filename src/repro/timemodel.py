@@ -125,7 +125,12 @@ class SimClock:
         self.charge(EXPLORATION, self.costs.sa_eval * n_programs)
 
     def charge_training(self, model_kind: str, n_samples: int, epochs: int) -> None:
-        """Charge an online/offline training run."""
+        """Charge a training run for what it trained.
+
+        ``n_samples`` is the rows handed to ``fit``, not the log size:
+        an online Pruner round passes only the tasks that gained rows
+        (:meth:`repro.search.tuner.Tuner._update_model`).
+        """
         self.charge(TRAINING, self.costs.model_train[model_kind] * n_samples * epochs)
 
     def charge_measurement(self, latencies_s: list[float]) -> None:

@@ -677,7 +677,8 @@ class TestTrainingMatrix:
         result = tuner.tune(self.ROUNDS)
         (spy,) = spies
         per_row = tuner.clock.costs.model_train[tuner.model.kind]
-        charged = sum(per_row * len(features) * tuner.train.epochs for features, _, _ in spy.fits)
+        epochs = tuner.train.epochs
+        charged = sum(per_row * len(features) * epochs for features, _, _ in spy.fits)
         assert tuner.clock.breakdown()[TRAINING] == charged > 0
         assert len(spy.fits[-1][0]) < len(result.records)
         assert tuner.model_trained_on == len(result.records)
