@@ -1,10 +1,13 @@
-"""Figure 7's search-time speedups and Table 12 against a frozen file.
+"""Figure 7, Figure 14 and Tables 10, 12 and 13 against a frozen file.
 
 ``fixtures/paper_golden.json`` was written by :func:`paper_golden` from a
-cold pre-training cache.  It holds, floats as ``float.hex``,
-:func:`repro.experiments.e2e.search_time_speedups` and
-:func:`repro.experiments.ablation.online_ablation` at the ``smoke``
-scale on bert_tiny and resnet50:
+cold pre-training cache.  It holds, floats as ``float.hex``, at the
+``smoke`` scale, :func:`repro.experiments.e2e.search_time_speedups` and
+:func:`repro.experiments.ablation.online_ablation` /
+:func:`~repro.experiments.ablation.offline_ablation` on bert_tiny and
+resnet50, plus :func:`repro.experiments.dataset_metrics.lse_penalty_ablation`
+and :func:`~repro.experiments.dataset_metrics.lse_vs_ga_bestk` at their
+default arguments:
 
 * ``speedups`` — per network, how much sooner Pruner / MoA-Pruner /
   offline Pruner reach each baseline's final latency;
@@ -12,7 +15,15 @@ scale on bert_tiny and resnet50:
 * ``runs`` — every tuning run behind them (``<corpus tag>/<method>``):
   its final latency and ``clock.total``;
 * ``table12`` — per network, each online ablation variant's final
-  latency in ms (values only: the directions are not claims here).
+  latency in ms;
+* ``table10`` — per penalty variant and spec size, Best-1 of the
+  drafted set;
+* ``table13`` — per network, offline Pruner with and without LSE:
+  final latency in ms and compile cost in minutes;
+* ``fig14`` — Best-k of LSE-drafted sets and of random GA subsets.
+
+Values only: the directions are not claims here (at ``smoke`` several
+do not hold); they are checked at ``lite`` in ``benchmarks/bench_paper.py``.
 
 ``PYTHONPATH=src python tests/test_paper_golden.py`` rewrites it — only
 for a deliberate change of what a tuning run measures.
@@ -26,7 +37,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
-from repro.experiments import ablation, common, e2e
+from repro.experiments import ablation, common, dataset_metrics, e2e
 
 FIXTURE = Path(__file__).parent / "fixtures" / "paper_golden.json"
 SCALE = "smoke"
@@ -59,6 +70,9 @@ def paper_golden() -> dict:
     with _cold_cache(), mock.patch.object(e2e, "run_tuning", recorded):
         out = e2e.search_time_speedups(SCALE, NETWORKS)
         table12 = ablation.online_ablation(SCALE, ("resnet50", "bert_tiny"))
+        table10 = dataset_metrics.lse_penalty_ablation(SCALE)
+        table13 = ablation.offline_ablation(SCALE, ("resnet50", "bert_tiny"))
+        fig14 = dataset_metrics.lse_vs_ga_bestk(SCALE)
     return {
         "speedups": {
             net: {pair: value.hex() for pair, value in pairs.items()}
@@ -70,6 +84,18 @@ def paper_golden() -> dict:
             net: {label: value.hex() for label, value in row.items()}
             for net, row in table12["latency_ms"].items()
         },
+        "table10": {
+            name: {str(size): value.hex() for size, value in row.items()}
+            for name, row in table10["best1"].items()
+        },
+        "table13": {
+            net: {
+                variant: {field: value.hex() for field, value in cell.items()}
+                for variant, cell in row.items()
+            }
+            for net, row in table13["rows"].items()
+        },
+        "fig14": {case: value.hex() for case, value in fig14["scores"].items()},
     }
 
 
