@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Every benchmark regenerates one paper table/figure at the ``lite`` scale
-(see DESIGN.md §3 for the index), prints the measured rows next to the
-paper's numbers, saves a JSON summary under ``benchmarks/results/`` and
-asserts the qualitative *shape* (who wins, roughly by how much) — not
-absolute values.
+``bench_paper.py`` regenerates the paper's tables and figures at the
+``lite`` scale (``repro.experiments.paper`` indexes them), prints the
+measured rows next to the paper's numbers, saves a JSON summary under
+``benchmarks/results/`` and asserts the qualitative *shape* (who wins,
+roughly by how much), not absolute values.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Quickstart::
     result = api.tune_network("resnet50", device="a100",
                               method="moa-pruner", rounds=16)
 
-See README.md for the architecture overview and DESIGN.md for the
-paper-to-module mapping.
+See README.md for the architecture overview and module layout, and
+``repro.experiments.paper`` for the paper's figures and tables.
 """
 
 from repro.config import SearchConfig, TrainConfig

@@ -1,9 +1,11 @@
 """Experiment harnesses: one module per paper table/figure.
 
 Every public function returns a plain dict (JSON-serializable summary)
-and accepts a ``scale`` argument (``smoke`` / ``lite`` / ``full``); the
-benchmarks run ``lite``.  See DESIGN.md §3 for the experiment index and
-EXPERIMENTS.md for paper-vs-measured results.
+of what it measured and accepts a ``scale`` argument (``smoke`` /
+``lite`` / ``full``).  The paper's own numbers live in
+:mod:`repro.experiments.paper`, keyed as those dicts are;
+``benchmarks/bench_paper.py`` runs every experiment at ``lite`` and sets
+the two side by side.
 """
 
 from repro.experiments.common import Scale, get_scale, print_table, save_results

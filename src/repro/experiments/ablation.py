@@ -7,27 +7,6 @@ import math
 from repro.experiments.common import Scale, get_scale, run_tuning
 from repro.workloads import network_tasks
 
-#: paper Table 12 (online tuning latency, ms)
-PAPER_TABLE12 = {
-    "resnet50": {
-        "ansor": 2.019,
-        "w/o LSE": 1.995,
-        "w/o S.F.": 1.863,
-        "w/o T.D.F": 1.930,
-        "w/o MoA": 1.828,
-        "w/ O-F": 1.812,
-        "moa-pruner": 1.782,
-    },
-}
-
-#: paper Table 13 (offline mode: perf ms / cost min)
-PAPER_TABLE13 = {
-    "resnet50": {"w/o LSE": (1.491, 111), "pruner-offline": (1.444, 89)},
-    "inception_v3": {"w/o LSE": (2.831, 113), "pruner-offline": (2.687, 91)},
-    "bert_base": {"w/o LSE": (3.88, 115), "pruner-offline": (3.639, 96)},
-    "bert_tiny": {"w/o LSE": (1.432, 112), "pruner-offline": (1.326, 91)},
-}
-
 ONLINE_VARIANTS = {
     "ansor": "ansor",
     "w/o LSE": "pruner-no-lse",
@@ -46,7 +25,7 @@ def online_ablation(
 ) -> dict:
     """Table 12: remove LSE / S.F. / T.D.F. / MoA, or use plain online FT."""
     scale = get_scale(scale)
-    out: dict = {"scale": scale.name, "paper": PAPER_TABLE12, "latency_ms": {}}
+    out: dict = {"scale": scale.name, "latency_ms": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         row = {}
@@ -70,7 +49,7 @@ def offline_ablation(
     per-candidate feature extraction + model inference.
     """
     scale = get_scale(scale)
-    out: dict = {"scale": scale.name, "paper": PAPER_TABLE13, "rows": {}}
+    out: dict = {"scale": scale.name, "rows": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         tag = f"t13-{net}"

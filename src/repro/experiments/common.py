@@ -218,6 +218,11 @@ def print_table(title: str, headers: list[str], rows: list[list]) -> None:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (list, tuple)):
+        items = [_fmt(v) for v in value]
+        if len(items) > 6:
+            items = items[:2] + ["..."] + items[-2:]
+        return "[" + ", ".join(items) + "]"
     if isinstance(value, float):
         if math.isinf(value):
             return "X"
@@ -237,6 +242,19 @@ def normalized_performance(latencies: dict[str, float]) -> dict[str, float]:
         k: (best / v if math.isfinite(v) and v > 0 else 0.0)
         for k, v in latencies.items()
     }
+
+
+def geomean(values) -> float:
+    """Geometric mean of speedups; NaN if any is NaN or there are none.
+
+    A NaN speedup is a miss (:func:`speedup_to_reach`): the fast method
+    never reached the target, so no average over the rest stands for
+    the whole set.
+    """
+    values = list(values)
+    if not values or any(math.isnan(v) for v in values):
+        return float("nan")
+    return float(math.exp(sum(math.log(max(v, 1e-9)) for v in values) / len(values)))
 
 
 def speedup_to_reach(result_fast: TuneResult, result_slow: TuneResult) -> float:

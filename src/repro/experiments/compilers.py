@@ -19,16 +19,6 @@ from repro.workloads import network_tasks
 #: networks whose subgraphs TLM saw during pre-training (others fail)
 TLM_CORPUS_NETWORKS = ("resnet50", "inception_v3", "bert_tiny", "llama")
 
-#: paper Fig. 8 average speedups of MoA-Pruner over each compiler
-PAPER_FIG8 = {"tlm": 1.37, "felix": 1.85, "adatune": 2.77}
-
-#: paper Table 6 (ms, TITAN V)
-PAPER_TABLE6 = {
-    "resnet50_bs1": {"pytorch": 7.01, "roller": 4.72, "ansor": 2.245, "moa-pruner": 1.886},
-    "resnet50_bs128": {"pytorch": 126.02, "roller": 136.15, "ansor": 115.52, "moa-pruner": 101.01},
-    "bert_large_bs1": {"pytorch": 26.5, "roller": 18.04, "ansor": 21.658, "moa-pruner": 17.533},
-}
-
 
 def versus_more_compilers(
     scale: str | Scale = "lite",
@@ -54,7 +44,7 @@ def versus_more_compilers(
     for net in TLM_CORPUS_NETWORKS:
         tlm.pretrain(network_tasks(net, top_k=scale.tasks_per_network))
 
-    out: dict = {"scale": scale.name, "paper": PAPER_FIG8, "normalized": {}, "latency_ms": {}}
+    out: dict = {"scale": scale.name, "normalized": {}, "latency_ms": {}}
     speedup_lists: dict[str, list[float]] = {}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
@@ -102,7 +92,7 @@ def versus_roller(
     """Table 6: Roller (50 trials/subgraph) vs PyTorch / Ansor / Pruner."""
     scale = get_scale(scale)
     dev = get_device(device)
-    out: dict = {"scale": scale.name, "paper": PAPER_TABLE6, "rows": {}}
+    out: dict = {"scale": scale.name, "rows": {}}
     for net, batch in cases:
         name = f"{net}_bs{batch}"
         subs = network_tasks(net, batch=batch, top_k=scale.tasks_per_network)

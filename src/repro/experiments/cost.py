@@ -5,22 +5,6 @@ from __future__ import annotations
 from repro.experiments.common import Scale, get_scale, run_tuning
 from repro.workloads import network_tasks
 
-#: paper Table 1 (minutes, Ansor 2,000 trials on Jetson Orin)
-PAPER_TABLE1 = {
-    "resnet50": {"exploration": 35.0, "training": 5.4, "measurement": 44.4},
-    "detr": {"exploration": 30.31, "training": 5.6, "measurement": 50.61},
-    "inception_v3": {"exploration": 41.8, "training": 5.5, "measurement": 49.4},
-}
-
-#: paper Table 7 (compilation minutes, 2,000 trials, TITAN V)
-PAPER_TABLE7 = {
-    "resnet50": {"ansor": 124.63, "pruner": 102.03, "moa-pruner": 91.67},
-    "inception_v3": {"ansor": 123.15, "pruner": 96.57, "moa-pruner": 90.08},
-    "vit": {"ansor": 99.38, "pruner": 93.47, "moa-pruner": 82.27},
-    "deeplabv3_r50": {"ansor": 120.4, "pruner": 100.92, "moa-pruner": 91.25},
-    "bert_base": {"ansor": 117.35, "pruner": 102.95, "moa-pruner": 89.35},
-}
-
 
 def tuning_cost_breakdown(
     scale: str | Scale = "lite",
@@ -29,7 +13,7 @@ def tuning_cost_breakdown(
 ) -> dict:
     """Table 1: Ansor's exploration / training / measurement split."""
     scale = get_scale(scale)
-    out: dict = {"paper": PAPER_TABLE1, "measured": {}, "scale": scale.name}
+    out: dict = {"measured": {}, "scale": scale.name}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         result = run_tuning("ansor", subs, device, scale, corpus_tag=f"t1-{net}")
@@ -49,13 +33,9 @@ def compilation_time(
     device: str = "titanv",
     methods: tuple[str, ...] = ("ansor", "pruner", "moa-pruner"),
 ) -> dict:
-    """Table 7: total compilation time per method.
-
-    The paper's headline ratios: Pruner at 84.1% and MoA-Pruner at
-    75.3% of Ansor's compile time.
-    """
+    """Table 7: total compilation time per method, and its ratio to Ansor's."""
     scale = get_scale(scale)
-    out: dict = {"paper": PAPER_TABLE7, "measured": {}, "ratios": {}, "scale": scale.name}
+    out: dict = {"measured": {}, "ratios": {}, "scale": scale.name}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         per_method = {}

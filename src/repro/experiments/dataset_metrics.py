@@ -21,19 +21,6 @@ from repro.schedule.sampler import random_batch
 from repro.schedule.sketch import generate_sketch
 from repro.workloads import network_tasks
 
-#: paper Table 10 (Best-1 of S_spec on TenSet T4)
-PAPER_TABLE10 = {
-    "w/o P_c": {50: 0.685, 128: 0.783, 256: 0.842, 512: 0.880},
-    "w/o P_m": {50: 0.757, 128: 0.838, 256: 0.886, 512: 0.930},
-    "LSE": {50: 0.914, 128: 0.968, 256: 0.986, 512: 0.995},
-}
-
-#: paper Table 11 (Top-k on TenSet T4 / K80)
-PAPER_TABLE11 = {
-    "t4": {"tensetmlp": (0.859, 0.941), "tlp": (0.862, 0.935), "pacm": (0.892, 0.962)},
-    "k80": {"tensetmlp": (0.878, 0.958), "tlp": (0.880, 0.947), "pacm": (0.897, 0.969)},
-}
-
 
 def _test_subgraphs(scale: Scale, networks: tuple[str, ...]):
     subs = []
@@ -109,7 +96,7 @@ def lse_penalty_ablation(
                     if finite:
                         optimal[key] = min(optimal.get(key, math.inf), min(finite))
 
-    out: dict = {"scale": scale.name, "paper": PAPER_TABLE10, "best1": {}}
+    out: dict = {"scale": scale.name, "best1": {}}
     for name in variants:
         out["best1"][name] = {
             size: sum(
@@ -185,7 +172,7 @@ def topk_comparison(
     networks' subgraphs — a cross-task generalization measurement.
     """
     scale = get_scale(scale)
-    out: dict = {"scale": scale.name, "paper": PAPER_TABLE11, "scores": {}}
+    out: dict = {"scale": scale.name, "scores": {}}
     for device in devices:
         train_set = tenset_dataset(
             device,

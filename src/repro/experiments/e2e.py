@@ -6,6 +6,7 @@ import math
 
 from repro.experiments.common import (
     Scale,
+    geomean,
     get_scale,
     run_tuning,
     speedup_to_reach,
@@ -15,14 +16,13 @@ from repro.workloads import network_tasks
 
 ONLINE_METHODS = ("ansor", "pruner", "moa-pruner")
 OFFLINE_METHODS = ("tensetmlp", "tlp", "pruner-offline")
-
-#: paper Fig. 6/7 headline speedups (online vs Ansor; offline vs baselines)
-PAPER_SPEEDUPS = {
-    "pruner_vs_ansor": 2.6,
-    "moa_pruner_vs_ansor": 4.82,
-    "pruner_vs_tensetmlp": 4.75,
-    "pruner_vs_tlp": 4.05,
-}
+#: Figure 7's (fast method, baseline) pairs
+SPEEDUP_PAIRS = (
+    ("pruner", "ansor"),
+    ("moa-pruner", "ansor"),
+    ("pruner-offline", "tensetmlp"),
+    ("pruner-offline", "tlp"),
+)
 
 
 def _curve_points(result: TuneResult) -> list[list[float]]:
@@ -64,10 +64,11 @@ def search_time_speedups(
 
     For every network, runs the baseline to completion and measures how
     much faster Pruner / MoA-Pruner reach the baseline's final latency.
+    A network where the fast method never gets there is listed under
+    ``missed`` for that pair, and the pair's geomean is NaN.
     """
     scale = get_scale(scale)
-    out: dict = {"scale": scale.name, "paper": PAPER_SPEEDUPS, "speedups": {}}
-    sums: dict[str, list[float]] = {}
+    out: dict = {"scale": scale.name, "speedups": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         tag = f"f7-{net}"
@@ -81,22 +82,16 @@ def search_time_speedups(
             "moa-pruner": run_tuning("moa-pruner", subs, device, scale, tag),
             "pruner-offline": run_tuning("pruner-offline", subs, device, scale, tag),
         }
-        per_net = {}
-        for pair in (
-            ("pruner", "ansor"),
-            ("moa-pruner", "ansor"),
-            ("pruner-offline", "tensetmlp"),
-            ("pruner-offline", "tlp"),
-        ):
-            s = speedup_to_reach(fast[pair[0]], baselines[pair[1]])
-            per_net[f"{pair[0]}_vs_{pair[1]}"] = s
-            if not math.isnan(s):
-                sums.setdefault(f"{pair[0]}_vs_{pair[1]}", []).append(s)
-        out["speedups"][net] = per_net
-    out["geomean"] = {
-        k: float(math.exp(sum(math.log(max(v, 1e-9)) for v in vals) / len(vals)))
-        for k, vals in sums.items()
-    }
+        out["speedups"][net] = {
+            f"{method}_vs_{base}": speedup_to_reach(fast[method], baselines[base])
+            for method, base in SPEEDUP_PAIRS
+        }
+    out["geomean"], out["missed"] = {}, {}
+    for method, base in SPEEDUP_PAIRS:
+        pair = f"{method}_vs_{base}"
+        values = [out["speedups"][net][pair] for net in networks]
+        out["geomean"][pair] = geomean(values)
+        out["missed"][pair] = [net for net, v in zip(networks, values) if math.isnan(v)]
     return out
 
 

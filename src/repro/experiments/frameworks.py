@@ -17,12 +17,6 @@ from repro.hardware.device import get_device
 from repro.ir.partition import dedupe_tasks
 from repro.workloads import llama_decode_tasks, network_tasks
 
-#: paper Fig. 9 average speedups of Pruner over each framework
-PAPER_FIG9 = {"pytorch": 1.95, "triton": 2.27, "tensorrt": 1.21}
-
-#: paper Fig. 10: MoA-Pruner speedups over Ansor / Felix on Llama decode
-PAPER_FIG10 = {"ansor": 1.28, "felix": 1.57}
-
 
 def versus_frameworks(
     scale: str | Scale = "lite",
@@ -39,7 +33,7 @@ def versus_frameworks(
     """Figure 9: normalized performance vs PyTorch / Triton / TensorRT."""
     scale = get_scale(scale)
     dev = get_device(device)
-    out: dict = {"scale": scale.name, "paper": PAPER_FIG9, "normalized": {}, "latency_ms": {}}
+    out: dict = {"scale": scale.name, "normalized": {}, "latency_ms": {}}
     speedups: dict[str, list[float]] = {}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
@@ -74,7 +68,6 @@ def llama_long_context(
     dev = get_device(device)
     out: dict = {
         "scale": scale.name,
-        "paper": PAPER_FIG10,
         "normalized": {},
         "latency_ms": {},
         "curves": {},

@@ -7,10 +7,10 @@ import math
 from repro.baselines.frameworks import framework_latency, framework_op_latency
 from repro.experiments.common import (
     Scale,
+    geomean,
     get_scale,
     normalized_performance,
     run_tuning,
-    speedup_to_reach,
 )
 from repro.hardware.device import get_device
 from repro.hardware.library import LibrarySurrogate
@@ -19,22 +19,6 @@ from repro.ir.partition import SubgraphTask, dedupe_tasks
 from repro.workloads import llama_decode_tasks, network_tasks
 
 TC_MODELS = ("bert_tiny", "bert_base", "gpt2", "llama", "opt_1_3b", "mistral_7b")
-
-#: paper Fig. 12 / Table 9 headlines
-PAPER_TC = {
-    "pruner_vs_metaschedule_perf": 1.22,
-    "pruner_vs_pytorch": 1.23,
-    "pruner_vs_triton": 1.30,
-    "search_speedup_vs_metaschedule": 4.08,
-}
-
-#: paper Table 8 (GPT-2 linear ops, us, A100 TensorCore, bs=1, ctx=128)
-PAPER_TABLE8 = {
-    "1": {"shape": "(128,2304,768)", "cudalib": 13.17, "splitk": False, "pruner": 11.63},
-    "2": {"shape": "(128,768,768)", "cudalib": 10.96, "splitk": True, "pruner": 9.53},
-    "3": {"shape": "(128,3072,768)", "cudalib": 14.01, "splitk": False, "pruner": 12.84},
-    "4": {"shape": "(128,768,3072)", "cudalib": 18.96, "splitk": True, "pruner": 23.46},
-}
 
 
 def versus_metaschedule(
@@ -46,7 +30,7 @@ def versus_metaschedule(
     """Figure 12: fp16 LLM inference on TensorCore, bs 1 and 4."""
     scale = get_scale(scale)
     dev = get_device(device)
-    out: dict = {"scale": scale.name, "paper": PAPER_TC, "normalized": {}, "latency_ms": {}}
+    out: dict = {"scale": scale.name, "normalized": {}, "latency_ms": {}}
     ratio_ms: list[float] = []
     for batch in batches:
         for net in models:
@@ -86,8 +70,7 @@ def search_speedup(
     scale = get_scale(scale)
     if scale.name == "full":
         tolerance = 0.0
-    out: dict = {"scale": scale.name, "paper": 4.08, "speedups": {}}
-    values = []
+    out: dict = {"scale": scale.name, "speedups": {}}
     for batch in batches:
         for net in models:
             subs = network_tasks(net, batch=batch, dtype="float16",
@@ -99,13 +82,7 @@ def search_speedup(
             t = pr.time_to(target)
             s = ms.clock.total / t if math.isfinite(t) and t > 0 else float("nan")
             out["speedups"][f"{net}/bs{batch}"] = s
-            if not math.isnan(s):
-                values.append(s)
-    out["geomean"] = (
-        float(math.exp(sum(math.log(max(v, 1e-9)) for v in values) / len(values)))
-        if values
-        else float("nan")
-    )
+    out["geomean"] = geomean(out["speedups"].values())
     return out
 
 
@@ -124,7 +101,7 @@ def gpt2_linear_ops(scale: str | Scale = "lite", device: str = "a100") -> dict:
         "4": (128, 768, 3072),
     }
     lib = LibrarySurrogate(dev, quality=0.92)
-    out: dict = {"scale": scale.name, "paper": PAPER_TABLE8, "rows": {}}
+    out: dict = {"scale": scale.name, "rows": {}}
     for op_id, (m, n, k) in shapes.items():
         wl = ops.matmul(m, n, k, dtype="float16")
         kernel = lib.kernel(wl, tensorcore=True)

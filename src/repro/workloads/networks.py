@@ -4,7 +4,7 @@ Each builder returns a :class:`~repro.ir.dag.Graph`.  CNN backbones are
 encoded at their true layer shapes (ResNet-50 / WideResNet-50 /
 MobileNet-V2 / DCGAN exactly; Inception-V3, DenseNet-121 and DeepLabV3
 as faithful representative subsets — deduplication makes the task sets
-equivalent for tuning purposes, see DESIGN.md).  Transformers follow
+equivalent for tuning purposes).  Transformers follow
 Table 4's configurations.
 
 Conventions: NCHW convs, fp32 by default; language models accept

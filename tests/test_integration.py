@@ -10,11 +10,14 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
 from repro import api
 from repro.config import SearchConfig, TrainConfig
+from repro.experiments import e2e
 from repro.experiments.common import get_scale, pretrained_params, run_tuning
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
@@ -67,13 +70,41 @@ class TestHeadlineClaims:
 
     def test_every_fig7_geomean_speedup_exceeds_one(self):
         """Figure 7: every Pruner variant reaches each baseline's best
-        sooner.  The numbers are ``fixtures/paper_golden.json``, which
-        ``test_paper_golden.py`` keeps equal to today's runs."""
-        golden = Path(__file__).parent / "fixtures" / "paper_golden.json"
-        geomean = json.loads(golden.read_text())["geomean"]
+        sooner, on every network.  The numbers are
+        ``fixtures/paper_golden.json``, which ``test_paper_golden.py``
+        keeps equal to today's runs."""
+        golden = json.loads(
+            (Path(__file__).parent / "fixtures" / "paper_golden.json").read_text()
+        )
+        geomean = golden["geomean"]
         assert len(geomean) == 4
         for pair, value in geomean.items():
             assert float.fromhex(value) > 1.0, pair
+        for net, pairs in golden["speedups"].items():
+            for pair, value in pairs.items():
+                assert math.isfinite(float.fromhex(value)), (net, pair)
+
+    def test_a_missed_target_fails_the_fig7_geomean(self):
+        """A network where the fast method never reaches the baseline's
+        final latency is a miss: listed, and the pair's geomean is NaN
+        rather than a mean over the networks that did reach it."""
+
+        def fake_run(method, subgraphs, device, scale, corpus_tag, **kwargs):
+            never = method == "pruner" and corpus_tag == "f7-vit"
+            return SimpleNamespace(
+                final_latency=1.0,
+                clock=SimpleNamespace(total=100.0),
+                time_to=lambda target: math.inf if never else 50.0,
+            )
+
+        with mock.patch.object(e2e, "run_tuning", fake_run), mock.patch.object(
+            e2e, "network_tasks", lambda net, top_k: []
+        ):
+            out = e2e.search_time_speedups("smoke", ("resnet50", "vit"))
+        assert math.isnan(out["geomean"]["pruner_vs_ansor"])
+        assert out["missed"]["pruner_vs_ansor"] == ["vit"]
+        assert out["geomean"]["moa-pruner_vs_ansor"] == pytest.approx(2.0)
+        assert out["missed"]["moa-pruner_vs_ansor"] == []
 
 
 class TestCrossPlatform:
