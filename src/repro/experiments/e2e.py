@@ -16,13 +16,6 @@ from repro.workloads import network_tasks
 
 ONLINE_METHODS = ("ansor", "pruner", "moa-pruner")
 OFFLINE_METHODS = ("tensetmlp", "tlp", "pruner-offline")
-#: Figure 7's (fast method, baseline) pairs
-SPEEDUP_PAIRS = (
-    ("pruner", "ansor"),
-    ("moa-pruner", "ansor"),
-    ("pruner-offline", "tensetmlp"),
-    ("pruner-offline", "tlp"),
-)
 
 
 def _curve_points(result: TuneResult) -> list[list[float]]:
@@ -68,6 +61,12 @@ def search_time_speedups(
     ``missed`` for that pair, and the pair's geomean is NaN.
     """
     scale = get_scale(scale)
+    pairs = (
+        ("pruner", "ansor"),
+        ("moa-pruner", "ansor"),
+        ("pruner-offline", "tensetmlp"),
+        ("pruner-offline", "tlp"),
+    )
     out: dict = {"scale": scale.name, "speedups": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
@@ -84,10 +83,10 @@ def search_time_speedups(
         }
         out["speedups"][net] = {
             f"{method}_vs_{base}": speedup_to_reach(fast[method], baselines[base])
-            for method, base in SPEEDUP_PAIRS
+            for method, base in pairs
         }
     out["geomean"], out["missed"] = {}, {}
-    for method, base in SPEEDUP_PAIRS:
+    for method, base in pairs:
         pair = f"{method}_vs_{base}"
         values = [out["speedups"][net][pair] for net in networks]
         out["geomean"][pair] = geomean(values)

@@ -1,9 +1,9 @@
 """The paper's numbers, in one place.
 
 :data:`PAPER` maps each figure or table id (``fig07``, ``table12``, ...)
-to a :class:`PaperEntry`: where the paper states it, the shape it
-claims, and its numbers keyed exactly as the matching experiment's
-result dict, so a number and its reproduction sit at the same key path
+to a :class:`PaperEntry`: where the paper states it and its numbers,
+keyed exactly as the matching experiment's result dict, so a number and
+its reproduction sit at the same key path
 (``PAPER["fig07"].values["geomean"]["pruner_vs_ansor"]`` next to
 ``search_time_speedups(...)["geomean"]["pruner_vs_ansor"]``).
 Experiments return only what they measure; ``benchmarks/bench_paper.py``
@@ -27,34 +27,14 @@ class PaperEntry:
     """What the paper reports for one figure or table."""
 
     source: str
-    claim: str
     values: dict = field(default_factory=dict)
     note: str = ""
 
 
 PAPER: dict[str, PaperEntry] = {
-    "table01": PaperEntry(
-        "Table 1",
-        "Ansor on Jetson Orin, 2,000 trials: exploration takes ~40% of "
-        "tuning time, training the least (minutes).",
-        {
-            "measured": {
-                "resnet50": {"exploration": 35.0, "training": 5.4, "measurement": 44.4},
-                "detr": {"exploration": 30.31, "training": 5.6, "measurement": 50.61},
-                "inception_v3": {"exploration": 41.8, "training": 5.5, "measurement": 49.4},
-            },
-        },
-    ),
-    "fig06": PaperEntry(
-        "Fig. 6",
-        "Pruner variants converge to lower latency, earlier, than Ansor "
-        "(online) and than TenSetMLP / TLP (offline).",
-    ),
+    "fig06": PaperEntry("Fig. 6"),
     "fig07": PaperEntry(
         "Fig. 7 and abstract",
-        "On A100, Pruner and MoA-Pruner reach Ansor's final quality 2.6x "
-        "and 4.82x sooner; offline Pruner reaches TenSetMLP's and TLP's "
-        "4.75x and 4.05x sooner.",
         {
             "geomean": {
                 "pruner_vs_ansor": 2.6,
@@ -66,16 +46,48 @@ PAPER: dict[str, PaperEntry] = {
         note="Values are the abstract's. The former fig. 7 bench docstring "
         "quoted 2.7x / 4.18x / 4.67x / 4.05x for the same four pairs.",
     ),
+    "fig08": PaperEntry(
+        "Fig. 8",
+        {"avg_speedup": {"tlm": 1.37, "felix": 1.85, "adatune": 2.77}},
+    ),
+    "fig09": PaperEntry(
+        "Fig. 9",
+        {"avg_speedup": {"pytorch": 1.95, "triton": 2.27, "tensorrt": 1.21}},
+    ),
+    "fig10": PaperEntry(
+        "Fig. 10",
+        note="MoA-Pruner averages 1.28x over Ansor and 1.57x over Felix; "
+        "the experiment reports per-context latencies, not these averages.",
+    ),
+    "fig11": PaperEntry("Fig. 11"),
+    "fig12": PaperEntry(
+        "Fig. 12 (§6.4)",
+        {"avg_speedup_vs_metaschedule": 1.22},
+        note="Pruner also averages 1.23x over PyTorch and 1.30x over "
+        "Triton; the experiment takes no average over those two.",
+    ),
+    "fig13": PaperEntry("Fig. 13 (§6.4)"),
+    "fig14": PaperEntry("Fig. 14"),
+    "fig15": PaperEntry("Fig. 15"),
+    "fig16": PaperEntry("Fig. 16 (§6.6)"),
+    "table01": PaperEntry(
+        "Table 1 (Ansor, 2,000 trials on Jetson Orin; minutes)",
+        {
+            "measured": {
+                "resnet50": {"exploration": 35.0, "training": 5.4, "measurement": 44.4},
+                "detr": {"exploration": 30.31, "training": 5.6, "measurement": 50.61},
+                "inception_v3": {"exploration": 41.8, "training": 5.5, "measurement": 49.4},
+            },
+        },
+    ),
     "table05": PaperEntry(
         "Table 5",
-        "MoA-Pruner at 2,000 trials matches or beats Ansor with many more "
-        "trials at ~1/8 of its cost, and beats TenSet's transfer at equal "
-        "trials.",
+        note="MoA-Pruner matches or beats the quality of Ansor with 10k "
+        "trials at about 1/8 of its cost; the experiment reports rows per "
+        "network, not this ratio.",
     ),
     "table06": PaperEntry(
-        "Table 6",
-        "On TITAN V Roller tunes fast (50 trials) but misses optima; "
-        "MoA-Pruner has the lowest latency on every workload (ms).",
+        "Table 6 (TITAN V; ms)",
         {
             "rows": {
                 "resnet50_bs1": {"pytorch": 7.01, "roller": 4.72, "ansor": 2.245, "moa-pruner": 1.886},
@@ -84,73 +96,8 @@ PAPER: dict[str, PaperEntry] = {
             },
         },
     ),
-    "fig08": PaperEntry(
-        "Fig. 8",
-        "MoA-Pruner averages 1.37x / 1.85x / 2.77x over TLM / Felix / "
-        "Adatune on A100; Adatune fails on DCGAN (ConvTranspose2d), Felix "
-        "on irregular ops, TLM on subgraphs outside its pre-training corpus.",
-        {"avg_speedup": {"tlm": 1.37, "felix": 1.85, "adatune": 2.77}},
-    ),
-    "fig09": PaperEntry(
-        "Fig. 9",
-        "On A100 Pruner averages 1.95x over PyTorch, 2.27x over Triton and "
-        "1.21x over TensorRT, which wins some cases.",
-        {"avg_speedup": {"pytorch": 1.95, "triton": 2.27, "tensorrt": 1.21}},
-    ),
-    "fig10": PaperEntry(
-        "Fig. 10",
-        "Llama long-context decoding (bs 32, fp32): MoA-Pruner is "
-        "competitive with TensorRT and explores rapidly early on the "
-        "tuning curve.",
-        note="MoA-Pruner averages 1.28x over Ansor and 1.57x over Felix; "
-        "the experiment reports per-context latencies, not these averages.",
-    ),
-    "fig11": PaperEntry(
-        "Fig. 11",
-        "Single operators, no pre-training: Pruner beats Ansor within "
-        "shorter search time on most ops; PyTorch wins M-2 (splitK GEMM).",
-    ),
-    "fig12": PaperEntry(
-        "Fig. 12 (§6.4)",
-        "TensorCore fp16 LLM inference, bs 1 and 4: Pruner averages 1.22x "
-        "over MetaSchedule; hand-tuned kernels win particular cases.",
-        {"avg_speedup_vs_metaschedule": 1.22},
-        note="Pruner also averages 1.23x over PyTorch and 1.30x over "
-        "Triton; the experiment takes no average over those two.",
-    ),
-    "fig13": PaperEntry(
-        "Fig. 13 (§6.4)",
-        "Llama decode ops on TensorCore (bs 32, 1K context): cudaLib's "
-        "splitK wins the fixed linear projections with long reduction "
-        "axes; search-based compilers win the attention matmuls whose "
-        "parallel dimension is expanded by the KV heads.",
-    ),
-    "table08": PaperEntry(
-        "Table 8 (§6.4)",
-        "GPT-2 linears on A100 TensorCore (bs 1, ctx 128): Pruner wins ops "
-        "1-3; cudaLib's splitK wins op 4 (reduction axis 3072, small "
-        "parallel extent) (us).",
-        {
-            "rows": {
-                "1": {"cudalib_us": 13.17, "splitk": False, "pruner_us": 11.63},
-                "2": {"cudalib_us": 10.96, "splitk": True, "pruner_us": 9.53},
-                "3": {"cudalib_us": 14.01, "splitk": False, "pruner_us": 12.84},
-                "4": {"cudalib_us": 18.96, "splitk": True, "pruner_us": 23.46},
-            },
-        },
-    ),
-    "table09": PaperEntry(
-        "Table 9 (§6.4)",
-        "Pruner reaches MetaSchedule's final quality 4.08x sooner on "
-        "average: the draft model replaces per-candidate feature "
-        "extraction and model inference.",
-        {"geomean": 4.08},
-    ),
     "table07": PaperEntry(
-        "Table 7",
-        "Compile time at 2,000 trials on TITAN V: Pruner takes 84.1% and "
-        "MoA-Pruner 75.3% of Ansor's, by shrinking the model-evaluated set "
-        "from ~8,000 to 512 and (MoA) training less often (minutes).",
+        "Table 7 (2,000 trials on TITAN V; minutes)",
         {
             "measured": {
                 "resnet50": {"ansor": 124.63, "pruner": 102.03, "moa-pruner": 91.67},
@@ -161,14 +108,24 @@ PAPER: dict[str, PaperEntry] = {
             },
             "ratios": {"pruner": 0.841, "moa-pruner": 0.753},
         },
-        note="The five networks' minutes above sum to ratios of 0.848 "
-        "(pruner) and 0.760 (moa-pruner), not the 0.841 / 0.753 that the "
-        "experiment's and the bench's docstrings quoted.",
+        note="The five networks' minutes sum to ratios of 0.848 (pruner) "
+        "and 0.760 (moa-pruner), not the 0.841 / 0.753 that the "
+        "experiment's and the former bench's docstrings quoted.",
     ),
+    "table08": PaperEntry(
+        "Table 8 (§6.4; GPT-2 linears, A100 TensorCore, bs 1, ctx 128; us)",
+        {
+            "rows": {
+                "1": {"cudalib_us": 13.17, "splitk": False, "pruner_us": 11.63},
+                "2": {"cudalib_us": 10.96, "splitk": True, "pruner_us": 9.53},
+                "3": {"cudalib_us": 14.01, "splitk": False, "pruner_us": 12.84},
+                "4": {"cudalib_us": 18.96, "splitk": True, "pruner_us": 23.46},
+            },
+        },
+    ),
+    "table09": PaperEntry("Table 9 (§6.4)", {"geomean": 4.08}),
     "table10": PaperEntry(
-        "Table 10",
-        "Removing either penalty group degrades the drafted set's Best-1 "
-        "on TenSet T4, P_c most (0.685 vs 0.914 at size 50).",
+        "Table 10 (Best-1 of S_spec on TenSet T4)",
         {
             "best1": {
                 "w/o P_c": {50: 0.685, 128: 0.783, 256: 0.842, 512: 0.880},
@@ -181,7 +138,6 @@ PAPER: dict[str, PaperEntry] = {
     ),
     "table11": PaperEntry(
         "Table 11 (§6.5)",
-        "PaCM's Top-1 / Top-5 lead TenSetMLP's and TLP's on TenSet T4 and K80.",
         {
             "scores": {
                 "t4": {
@@ -197,22 +153,8 @@ PAPER: dict[str, PaperEntry] = {
             },
         },
     ),
-    "fig14": PaperEntry(
-        "Fig. 14",
-        "LSE@1 is near 1.0 and stays stable when the spec shrinks from 512 "
-        "to 256; random GA exploration trails badly.",
-    ),
-    "fig15": PaperEntry(
-        "Fig. 15",
-        "PaCM converges with far less data and passes fully-trained "
-        "baselines with a fraction of the corpus; TLP's sparse one-hot "
-        "features need the most data.",
-    ),
     "table12": PaperEntry(
-        "Table 12 (§6.6)",
-        "Online ablation: every removal hurts, LSE most; temporal dataflow "
-        "features matter more than statement features; MoA beats "
-        "from-scratch online training and plain online fine-tuning (ms).",
+        "Table 12 (§6.6; online tuning latency, ms)",
         {
             "latency_ms": {
                 "resnet50": {
@@ -229,8 +171,6 @@ PAPER: dict[str, PaperEntry] = {
     ),
     "table13": PaperEntry(
         "Table 13 (§6.6)",
-        "With a pre-trained cost model LSE still cuts compile time while "
-        "keeping or improving quality (perf ms, cost min).",
         {
             "rows": {
                 "resnet50": {
@@ -251,11 +191,6 @@ PAPER: dict[str, PaperEntry] = {
                 },
             },
         },
-    ),
-    "fig16": PaperEntry(
-        "Fig. 16 (§6.6)",
-        "ResNet-50 ablation curves on TITAN V: MoA-Pruner's dominates; "
-        "Ansor's converges slowest.",
     ),
 }
 
@@ -282,6 +217,5 @@ def print_against(key: str, result: dict) -> None:
     rows = [[at, value, paper.get(at, "")] for at, value in measured.items()]
     rows += [[at, "-", value] for at, value in paper.items() if at not in measured]
     print_table(f"{entry.source}: {key}", ["result", "measured", "paper"], rows)
-    print(f"paper: {entry.claim}")
     if entry.note:
         print(f"note: {entry.note}")
