@@ -136,12 +136,6 @@ DEFAULT_MANIFEST = Manifest(
         ),
         SharedClass(
             module="repro/serve/protocol.py",
-            name="RunnerRegistry",
-            node="serve.protocol.RunnerRegistry",
-            locks={"_lock": ("_runners",)},
-        ),
-        SharedClass(
-            module="repro/serve/protocol.py",
             name="EventBroker",
             node="serve.protocol.EventBroker",
             locks={"_cond": ("_events", "_next_seq", "_closed")},

@@ -216,6 +216,17 @@ class NNCostModel(CostModel):
     # predict_batch and fit stay defined on this class: the e2e tracer
     # (benchmarks/e2e/tracing.py) patches them here by name (ROADMAP 1c)
     def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
+        """Scores for a :class:`CandidateBatch` (higher = predicted faster).
+
+        A row's score depends on the batch it is predicted in: BLAS
+        blocks the matrix products by row count, so rows 5-300 of a
+        512-row batch predicted on their own differ in the last bits
+        (a few 1e-15 for trained TenSetMLP and PaCM), while rows 0-64
+        and 64-512 come out identical.  :meth:`~repro.core.analyzer.
+        SymbolBasedAnalyzer.score_batch` is row-wise and does not
+        depend on the batch.  Reusing a score across batches (say, an
+        elite's from an earlier generation) therefore moves search bits.
+        """
         if not len(batch):
             return np.zeros(0)
         return self._score(self._normalize(self.featurize_batch(batch)))

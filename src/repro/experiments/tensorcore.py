@@ -149,10 +149,9 @@ def llama_decode_ops(
         tag = f"f13-{wl.name[:24]}"
         ms = run_tuning("metaschedule", [sub], device, scale, tag)
         pr = run_tuning("pruner-tc", [sub], device, scale, tag)
+        # per-op latency: strip the task weight that run_tuning sums over
         latencies["metaschedule"] = ms.final_latency / max(1, sub.weight)
         latencies["pruner"] = pr.final_latency / max(1, sub.weight)
-        # per-op latency: strip the task weight that run_tuning sums over
-        latencies["cudalib"] *= 1.0
         out["latency_us"][wl.name] = {k: v * 1e6 for k, v in latencies.items()}
         out["normalized"][wl.name] = normalized_performance(latencies)
     return out

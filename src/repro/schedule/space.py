@@ -11,7 +11,7 @@ the paper reports for GPUs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 from repro.cache import register_lru

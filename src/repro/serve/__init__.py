@@ -17,12 +17,12 @@ Topology::
           v                                   v
     +----------------- server process ------------------+
     |  REST front end        worker protocol            |
-    |  POST /jobs            POST /runners/register     |
-    |  GET  /jobs/{id}       POST /lease                |
-    |  GET  .../result       POST /lease/{id}/heartbeat |
-    |  GET  .../events       POST /lease/{id}/complete  |
-    |  DELETE /jobs/{id}     POST /lease/{id}/fail      |
-    |  GET  /best, /healthz, /runners, /metrics         |
+    |  POST /jobs            POST /lease                |
+    |  GET  /jobs/{id}       POST /lease/{id}/heartbeat |
+    |  GET  .../result       POST /lease/{id}/complete  |
+    |  GET  .../events       POST /lease/{id}/fail      |
+    |  DELETE /jobs/{id}                                |
+    |  GET  /best, /healthz, /metrics                   |
     |  JobEngine: queue, leases, stores, ledger, events |
     +---------------------------------------------------+
 
@@ -43,11 +43,10 @@ Design notes
   result.
 * **Restart-safe** — submits, claims and finishes all flush the
   ledger; a restarted server requeues what was in flight and still
-  serves past results.  Runner registrations ride every lease poll,
-  so a restarted server re-learns its fleet's tags within one poll.
-* **Tag-aware leasing** — a runner registered with capability tags
-  (``device``/``method``/``network``) is only leased matching jobs;
-  anonymous runners stay unconstrained (:class:`RunnerRegistry`).
+  serves past results.
+* **Runners are interchangeable** — every runner simulates every
+  device in process, so any runner may lease any job and the server
+  keeps no fleet membership.
 * **Progress streams, not busy polls** — ``GET /jobs/{id}/events``
   long-polls a per-job event stream (:class:`EventBroker`) fed by
   heartbeat ingestion and every lifecycle transition;
@@ -71,8 +70,6 @@ from repro.serve.protocol import (
     EventBroker,
     Lease,
     LeaseTable,
-    RunnerInfo,
-    RunnerRegistry,
     ServeError,
 )
 from repro.serve.runner import TuningRunner, drain
@@ -88,8 +85,6 @@ __all__ = [
     "Lease",
     "LeaseTable",
     "EventBroker",
-    "RunnerInfo",
-    "RunnerRegistry",
     "TokenBucketLimiter",
     "PROTOCOL_VERSION",
     "TuningRunner",

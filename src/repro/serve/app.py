@@ -19,8 +19,6 @@ GET       ``/jobs/{id}/events``       long-poll stream of progress events
 DELETE    ``/jobs/{id}``              cancel (cooperative for running jobs)
 GET       ``/best``                   best persisted schedule of a workload
 GET       ``/healthz``                liveness + queue/lease counters
-GET       ``/runners``                registered runners + capability tags
-POST      ``/runners/register``       runner protocol: advertise tags
 POST      ``/lease``                  runner protocol: long-poll for a job
 POST      ``/lease/{id}/heartbeat``   runner protocol: keep-alive + progress
 POST      ``/lease/{id}/complete``    runner protocol: deliver results (framed)
@@ -51,6 +49,9 @@ from repro.serve.http import (
 )
 from repro.serve.protocol import PROTOCOL_VERSION, ServeError, wire_float
 from repro.service.jobs import JobState
+
+#: The fields a ``POST /lease`` body may carry.
+LEASE_FIELDS = frozenset({"runner_id", "ttl", "wait", "have"})
 
 
 class ServeApp:
@@ -104,8 +105,6 @@ class ServeApp:
             route("GET", r"/jobs/(?P<job_id>[^/]+)", self.handle_status),
             route("DELETE", r"/jobs/(?P<job_id>[^/]+)", self.handle_cancel),
             route("GET", r"/best", self.handle_best),
-            route("POST", r"/runners/register", self.handle_register),
-            route("GET", r"/runners/?", self.handle_runners),
             route("POST", r"/lease", self.handle_lease),
             route(
                 "POST", r"/lease/(?P<lease_id>[^/]+)/heartbeat", self.handle_heartbeat
@@ -220,31 +219,22 @@ class ServeApp:
     # ------------------------------------------------------------------
     # runner-protocol handlers
     # ------------------------------------------------------------------
-    def handle_register(self, match, query, body):
-        runner_id = self._require_runner_id(body)
-        return 201, self.engine.register(runner_id, body.get("tags"))
-
-    def handle_runners(self, match, query, body):
-        self.engine.reap()
-        return 200, {"runners": self.engine.registry.wire_snapshot()}
-
     def handle_lease(self, match, query, body):
+        # a field this server does not read (a v2 runner's ``tags``)
+        # is refused, not ignored: its sender expects it to matter
+        unknown = set(body) - LEASE_FIELDS
+        if unknown:
+            raise HttpError(400, f"unknown lease fields: {sorted(unknown)}")
         runner_id = self._require_runner_id(body)
-        # registration rides the lease poll when the body carries tags
-        # (an explicit null registers an unconstrained runner)
-        tags = None
-        if "tags" in body:
-            tags = {} if body["tags"] is None else body["tags"]
         # a long poll: the engine holds the request up to ``wait`` seconds
         leased = self.engine.lease(
             runner_id,
             ttl=body.get("ttl"),
-            tags=tags,
             wait=body.get("wait"),
             have=body.get("have"),
         )
         if leased is None:
-            return 204, None  # nothing matching came up during the wait
+            return 204, None  # nothing came up during the wait
         return 200, leased
 
     def handle_heartbeat(self, match, query, body):

@@ -57,29 +57,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _parse_tags(specs: list[str] | None) -> dict | None:
-    """``--tags device=a100,network=bert_tiny`` (repeatable) -> tag dict.
-
-    A key given more than once accumulates values: ``--tags
-    device=a100 --tags device=t4`` advertises both devices.
-    """
-    if not specs:
-        return None
-    tags: dict[str, list[str]] = {}
-    for spec in specs:
-        for pair in spec.split(","):
-            key, sep, value = pair.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise ReproError(
-                    f"bad --tags entry {pair!r}: expected key=value"
-                )
-            tags.setdefault(key, [])
-            if value not in tags[key]:
-                tags[key].append(value)
-    return tags
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.serve",
@@ -146,16 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--idle-exit",
         action="store_true",
         help="exit as soon as the queue is empty (CI / batch drains)",
-    )
-    runner.add_argument(
-        "--tags",
-        action="append",
-        default=None,
-        metavar="KEY=VALUE[,KEY=VALUE...]",
-        help=(
-            "capability tags to advertise (repeatable); device/method/"
-            "network tags constrain which jobs this runner is leased"
-        ),
     )
     runner.add_argument(
         "--auth-token",
@@ -273,7 +240,6 @@ def _cmd_runner(args: argparse.Namespace, out) -> int:
         poll=args.poll,
         lease_ttl=args.lease_ttl,
         log=out,
-        tags=_parse_tags(args.tags),
         auth_token=args.auth_token,
     )
     _install_stop_handlers(runner.stop)

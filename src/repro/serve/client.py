@@ -11,7 +11,7 @@
     best = client.best("bert_tiny", device="a100")
 
 The same class is the runner side of the worker protocol
-(:meth:`register` / :meth:`lease` / :meth:`heartbeat` /
+(:meth:`lease` / :meth:`heartbeat` /
 :meth:`complete` / :meth:`fail`) — one wire client, two audiences.
 ``auth_token`` (when the server requires one) rides every request as
 ``Authorization: Bearer``.  Server-reported errors raise
@@ -288,11 +288,6 @@ class ServeClient:
             if payload.get("terminal") and not batch:
                 return
 
-    def runners(self) -> list[dict]:
-        """Registered runners and their capability tags (``GET /runners``)."""
-        _, payload = self._request("GET", "/runners")
-        return (payload or {}).get("runners", [])
-
     def wait(
         self, job_id: str, timeout: float = 300.0, poll: float = 0.2
     ) -> JobStatus:
@@ -311,40 +306,22 @@ class ServeClient:
     # ------------------------------------------------------------------
     # worker protocol (used by repro.serve.runner)
     # ------------------------------------------------------------------
-    def register(self, runner_id: str, tags: dict | None = None) -> dict:
-        """Advertise a runner and its capability tags to the server.
-
-        Tags on the matching keys (device/method/network) constrain
-        which jobs the server will lease to this runner.
-        """
-        _, payload = self._request(
-            "POST",
-            "/runners/register",
-            body={"runner_id": runner_id, "tags": tags or {}},
-        )
-        return payload or {}
-
     def lease(
         self,
         runner_id: str,
         ttl: float | None = None,
-        tags: dict | None = None,
         wait: float = 0.0,
         have: str | None = None,
     ) -> dict | None:
-        """Claim a tag-compatible job; None when nothing matches (204).
+        """Claim the next pending job; None when there is none (204).
 
         ``wait`` seconds is how long the server may hold the request for
         a job to arrive (a long poll); 204 comes only once it has passed.
-        ``tags`` (when given) re-registers the runner on every poll, so
-        a restarted server re-learns the fleet without runner restarts.
         ``have`` names the checkpoint the runner holds (the digest
         :meth:`complete` returned); when it is still the stored one, the
         lease's ``checkpoint`` is ``{"ref", "trained_trials"}``.
         """
         body = {"runner_id": runner_id, "ttl": ttl, "wait": wait}
-        if tags is not None:
-            body["tags"] = tags
         if have is not None:
             body["have"] = have
         status, payload = self._request(

@@ -2,12 +2,12 @@
 
 :class:`JobEngine` owns what a tuning deployment must agree on: the
 :class:`~repro.service.jobs.JobQueue`, the leases on its running jobs,
-the runner registry, the per-job event streams, the record and model
-stores, the round-trace sink, and the ledger and result summaries that
-let all of it survive a restart.  It never tunes and never opens a
-socket: work leaves through :meth:`JobEngine.lease` and comes back
-through :meth:`JobEngine.complete` / :meth:`JobEngine.fail`, whoever
-calls them.  Refusals raise :class:`~repro.serve.protocol.ServeError`.
+the per-job event streams, the record and model stores, the
+round-trace sink, and the ledger and result summaries that let all of
+it survive a restart.  It never tunes and never opens a socket: work
+leaves through :meth:`JobEngine.lease` and comes back through
+:meth:`JobEngine.complete` / :meth:`JobEngine.fail`, whoever calls
+them.  Refusals raise :class:`~repro.serve.protocol.ServeError`.
 
 :class:`repro.serve.app.ServeApp` puts the engine on the wire; and since
 the runner-protocol methods carry :class:`~repro.serve.client.
@@ -30,10 +30,8 @@ from repro.journal import append_jsonl, iter_jsonl
 from repro.obs import MetricsRegistry, TraceSink
 from repro.serve.protocol import (
     DEFAULT_LEASE_TTL,
-    PROTOCOL_VERSION,
     EventBroker,
     LeaseTable,
-    RunnerRegistry,
     ServeError,
 )
 from repro.service.jobs import TERMINAL_STATES, JobQueue, JobState, TuneJob
@@ -143,8 +141,8 @@ class JobEngine:
         Seconds a runner may go silent before its lease expires and
         the job requeues.
     clock:
-        Injectable monotonic clock for the lease table and runner
-        registry (tests expire leases without sleeping).
+        Injectable monotonic clock for the lease table (tests expire
+        leases without sleeping).
     max_lease_ttl:
         Longest TTL a runner may request on a lease (400 above it);
         defaults to 10x ``lease_ttl``.
@@ -170,7 +168,6 @@ class JobEngine:
             clock=self.clock,
             max_ttl=max_lease_ttl,
         )
-        self.registry = RunnerRegistry(clock=self.clock)
         # Job progress fanout for events() long-polls.  Uses real wall
         # time for its waits (never the injectable clock): a frozen
         # fake clock + Condition.wait would spin forever.
@@ -348,10 +345,6 @@ class JobEngine:
         registry.gauge(
             "repro_leases_active", "Leases currently held by runners."
         ).set(self.leases.active())
-        registry.gauge(
-            "repro_runners_registered",
-            "Runners that have registered capability tags.",
-        ).set(self.registry.count())
         registry.gauge(
             "repro_lease_age_seconds_max",
             "Age of the oldest active lease (seconds since last beat).",
@@ -591,40 +584,25 @@ class JobEngine:
     # ------------------------------------------------------------------
     # runner protocol (ServeClient's signatures)
     # ------------------------------------------------------------------
-    def register(self, runner_id: str, tags: dict | None = None) -> dict:
-        """Advertise a runner and its capability tags (400 on junk)."""
-        try:
-            info = self.registry.register(runner_id, tags)
-        except ValueError as exc:
-            raise ServeError(400, str(exc)) from None
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "runner_id": info.runner_id,
-            "tags": {key: list(values) for key, values in info.tags.items()},
-        }
-
     def lease(
         self,
         runner_id: str,
         ttl: float | None = None,
-        tags: dict | None = None,
         wait: float | None = 0.0,
         have: str | None = None,
     ) -> dict | None:
-        """Claim the best tag-compatible job; None when nothing matches.
+        """Claim the highest-priority pending job; None when there is none.
 
         The payload carries the job spec, the store's seed rows for its
         workload and the freshest compatible cost-model checkpoint: the
         stored file as one base64 string (None on a cold store).
         ``have`` names the checkpoint the runner holds (the digest
         :meth:`complete` returned): when it is the stored one, the
-        payload carries ``{"ref", "trained_trials"}`` instead.  ``tags``
-        (when given) re-registers the runner, so a restarted engine
-        re-learns its fleet within one poll interval.
+        payload carries ``{"ref", "trained_trials"}`` instead.
 
         ``wait`` makes this a long poll: with nothing to claim it blocks
         up to that many seconds (clamped to :data:`MAX_LEASE_WAIT`) and
-        takes a matching job the moment one is submitted or requeued.
+        takes a job the moment one is submitted or requeued.
         It returns None when the wait ends empty or the queue closes.
         A lease that expires meanwhile is reaped by the end of the wait.
         """
@@ -646,21 +624,16 @@ class JobEngine:
         # real time, like the event broker: a frozen fake clock must not
         # turn the wait into a spin
         deadline = time.monotonic() + min(wait, MAX_LEASE_WAIT)
-        if tags is not None:
-            self.register(runner_id, tags)
-        else:
-            self.registry.touch(runner_id)
-        predicate = self.registry.predicate_for(runner_id)
         while True:
             # read before the claim: a job pushed after it ends the wait
             seen = self.queue.pushes()
             self.reap()
-            job = self.queue.claim(runner_id=runner_id, predicate=predicate)
+            job = self.queue.claim(runner_id=runner_id)
             if job is not None:
                 break
             remaining = deadline - time.monotonic()
             if remaining <= 0 or not self.queue.wait_for_push(seen, remaining):
-                return None  # nothing matching to do; poll again later
+                return None  # nothing to do; poll again later
         try:
             lease = self.leases.grant(job.job_id, runner_id, ttl=ttl)
         except ValueError:

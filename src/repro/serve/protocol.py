@@ -1,4 +1,4 @@
-"""Remote measurement-worker protocol: leases, registration, events.
+"""Remote measurement-worker protocol: leases, events, wire forms.
 
 The server hands jobs to runner processes under *leases* — time-bound
 claims (MITuna-style): a runner must heartbeat before the lease's
@@ -6,23 +6,20 @@ deadline or the server requeues the job for someone else, so a runner
 that crashes, hangs, or loses its network never strands work.  The
 full exchange:
 
-1. ``POST /runners/register`` — the runner advertises its identity and
-   capability tags (device/arch/labels); tags on the *matching keys*
-   (:attr:`RunnerRegistry.MATCH_KEYS`) constrain which jobs the server
-   will ever lease to it.  Registration also rides every lease poll,
-   so a restarted server re-learns its fleet within one poll interval.
-2. ``POST /lease`` — the runner asks for work; the server pops the
-   highest-priority *tag-compatible* job, grants a lease, and ships
-   the job spec plus warm-start seed rows from the record store and
-   the freshest compatible cost-model checkpoint from the model store:
-   the stored file as one base64 string, or ``{"ref",
-   "trained_trials"}`` when the runner's ``have`` names its digest.
-3. ``POST /lease/{id}/heartbeat`` — keep-alive, carrying the latest
+1. ``POST /lease`` — the runner asks for work; the server pops the
+   highest-priority pending job, grants a lease, and ships the job
+   spec plus warm-start seed rows from the record store and the
+   freshest compatible cost-model checkpoint from the model store: the
+   stored file as one base64 string, or ``{"ref", "trained_trials"}``
+   when the runner's ``have`` names its digest.  Runners are
+   interchangeable — every runner simulates every device in process —
+   so the lease names no capabilities.
+2. ``POST /lease/{id}/heartbeat`` — keep-alive, carrying the latest
    per-round progress *to* the server and the job's cancellation flag
    *back* (cancellation piggybacks on the beat — no extra channel).
    Fresh rounds fan out to ``GET /jobs/{id}/events`` long-pollers
    through the :class:`EventBroker`.
-4. ``POST /lease/{id}/complete`` / ``.../fail`` — terminal: fresh
+3. ``POST /lease/{id}/complete`` / ``.../fail`` — terminal: fresh
    record rows, a result summary, and the runner's trained model
    checkpoint, or the error.  A ``complete`` that carries a checkpoint
    is *framed* (:data:`FRAMED_CONTENT_TYPE`): one JSON object line
@@ -34,10 +31,9 @@ full exchange:
    against its own.
 
 This module owns the lease bookkeeping (:class:`LeaseTable`), the
-fleet membership (:class:`RunnerRegistry`), the progress stream fanout
-(:class:`EventBroker`), the protocol's error type (:class:`ServeError`)
-and the JSON wire forms of results (:func:`result_to_wire` /
-:func:`fresh_rows`); :mod:`repro.serve.engine` drives them as one state
+progress stream fanout (:class:`EventBroker`), the protocol's error
+type (:class:`ServeError`) and the JSON wire forms of results
+(:func:`result_to_wire` / :func:`fresh_rows`); :mod:`repro.serve.engine` drives them as one state
 machine and the HTTP surface lives in :mod:`repro.serve.app`.
 """
 
@@ -49,7 +45,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.errors import CostModelError, ReproError
 from repro.search.tuner import TuneResult
@@ -58,8 +54,9 @@ from repro.service.models import state_from_wire, state_to_wire
 #: Version of the runner wire protocol, echoed by ``GET /healthz`` —
 #: bump when a message shape changes incompatibly.  2: checkpoints
 #: travel as blobs (a base64 string on the lease, raw bytes in a framed
-#: ``complete``).
-PROTOCOL_VERSION = 2
+#: ``complete``).  3: runners do not register, and a lease body that
+#: carries ``tags`` is refused.
+PROTOCOL_VERSION = 3
 
 #: Content type of a framed request body: one JSON object line, ``\n``,
 #: then raw bytes, which the handler sees under the object's ``"blob"``
@@ -275,158 +272,6 @@ class LeaseTable:
                 max(0.0, now - (lease.deadline - lease.ttl))
                 for lease in self._leases.values()
             )
-
-
-# ----------------------------------------------------------------------
-# runner registration
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class RunnerInfo:
-    """One registered runner: identity, capability tags, liveness."""
-
-    runner_id: str
-    tags: dict  # normalized: {key: tuple of accepted values}
-    registered_at: float  # clock() timestamp of first registration
-    last_seen: float  # clock() timestamp of the latest register/poll
-
-    def to_wire(self, now: float) -> dict:
-        return {
-            "runner_id": self.runner_id,
-            "tags": {key: list(values) for key, values in self.tags.items()},
-            "registered_s": round(max(0.0, now - self.registered_at), 3),
-            "idle_s": round(max(0.0, now - self.last_seen), 3),
-        }
-
-
-class RunnerRegistry:
-    """Thread-safe registry of runners and their capability tags.
-
-    Tags are free-form ``{key: value-or-values}`` strings; the keys in
-    :attr:`MATCH_KEYS` (the ones that name job-spec fields) additionally
-    *constrain leasing*: a runner advertising ``{"device": "a100"}`` is
-    never handed a job whose spec says ``t4``.  Unregistered runners
-    carry no constraints — the anonymous protocol of earlier versions
-    keeps working — and registration is idempotent, so runners refresh
-    it on every lease poll and survive server restarts.
-    """
-
-    #: Tag keys that must match the job spec for a lease to be granted.
-    MATCH_KEYS = ("device", "method", "network")
-    #: Hostile-input bounds: a registration request is operator input,
-    #: not tuning data, so anything past these is a 400, not a truncate.
-    MAX_RUNNERS = 4096
-    MAX_TAG_KEYS = 32
-    MAX_TAG_VALUES = 16
-    MAX_TAG_LENGTH = 128
-
-    def __init__(self, clock=time.monotonic) -> None:
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._runners: dict[str, RunnerInfo] = {}
-
-    @classmethod
-    def normalize_tags(cls, tags: object) -> dict:
-        """Validated ``{key: tuple of values}`` form; ValueError on junk."""
-        if tags is None:
-            return {}
-        if not isinstance(tags, dict):
-            raise ValueError(f"tags must be an object, got {type(tags).__name__}")
-        if len(tags) > cls.MAX_TAG_KEYS:
-            raise ValueError(f"too many tag keys ({len(tags)} > {cls.MAX_TAG_KEYS})")
-        normalized: dict[str, tuple[str, ...]] = {}
-        for key, raw in tags.items():
-            if not isinstance(key, str) or not key:
-                raise ValueError(f"tag keys must be non-empty strings, got {key!r}")
-            values = raw if isinstance(raw, (list, tuple)) else [raw]
-            if not values or len(values) > cls.MAX_TAG_VALUES:
-                raise ValueError(
-                    f"tag {key!r} needs 1..{cls.MAX_TAG_VALUES} values"
-                )
-            for value in values:
-                if not isinstance(value, str) or not value:
-                    raise ValueError(
-                        f"tag {key!r} values must be non-empty strings,"
-                        f" got {value!r}"
-                    )
-                if len(value) > cls.MAX_TAG_LENGTH or len(key) > cls.MAX_TAG_LENGTH:
-                    raise ValueError(
-                        f"tag {key!r} exceeds {cls.MAX_TAG_LENGTH} chars"
-                    )
-            normalized[key] = tuple(str(v) for v in values)
-        return normalized
-
-    def register(self, runner_id: str, tags: object) -> RunnerInfo:
-        """Add or refresh a runner; idempotent.  ValueError on bad input."""
-        if not isinstance(runner_id, str) or not runner_id:
-            raise ValueError("registration needs a non-empty runner_id string")
-        normalized = self.normalize_tags(tags)
-        now = self._clock()
-        with self._lock:
-            existing = self._runners.get(runner_id)
-            if existing is None and len(self._runners) >= self.MAX_RUNNERS:
-                raise ValueError(
-                    f"runner registry is full ({self.MAX_RUNNERS} runners)"
-                )
-            registered_at = now if existing is None else existing.registered_at
-            info = RunnerInfo(
-                runner_id=runner_id,
-                tags=normalized,
-                registered_at=registered_at,
-                last_seen=now,
-            )
-            self._runners[runner_id] = info
-            return info
-
-    def touch(self, runner_id: str) -> None:
-        """Refresh a registered runner's liveness (no-op for anonymous)."""
-        now = self._clock()
-        with self._lock:
-            info = self._runners.get(runner_id)
-            if info is not None:
-                self._runners[runner_id] = replace(info, last_seen=now)
-
-    def get(self, runner_id: str) -> RunnerInfo | None:
-        with self._lock:
-            return self._runners.get(runner_id)
-
-    def predicate_for(self, runner_id: str):
-        """The job-matching predicate a runner's tags imply, or None.
-
-        None means "no constraints" (anonymous, or registered without
-        matching keys).  The returned closure captures an immutable
-        snapshot of the constraints and acquires no locks, so
-        :meth:`~repro.service.jobs.JobQueue.claim` can call it while
-        holding the queue lock.
-        """
-        info = self.get(runner_id)
-        if info is None:
-            return None
-        constraints = {
-            key: values
-            for key, values in info.tags.items()
-            if key in self.MATCH_KEYS
-        }
-        if not constraints:
-            return None
-
-        def matches(job) -> bool:
-            return all(
-                str(getattr(job, key, "")) in accepted
-                for key, accepted in constraints.items()
-            )
-
-        return matches
-
-    def count(self) -> int:
-        with self._lock:
-            return len(self._runners)
-
-    def wire_snapshot(self) -> list[dict]:
-        """Every registered runner in wire form (``GET /runners``)."""
-        now = self._clock()
-        with self._lock:
-            infos = [self._runners[key] for key in sorted(self._runners)]
-        return [info.to_wire(now) for info in infos]
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,6 @@ import time
 from repro import api
 from repro.cache import clear_caches
 from repro.obs import CAUGHT
-from repro.errors import SearchError
 from repro.hardware.device import get_device
 from repro.search.tuner import TuneResult
 from repro.serve.client import ServeClient
@@ -82,8 +81,8 @@ class TuningRunner:
         Base URL of the ``python -m repro.serve server`` process.
     client:
         What to lease from instead of ``ServeClient(server_url)``: any
-        object with ``ServeClient``'s ``register`` / ``lease`` /
-        ``heartbeat`` / ``complete`` / ``fail`` — in particular a
+        object with ``ServeClient``'s ``lease`` / ``heartbeat`` /
+        ``complete`` / ``fail`` — in particular a
         :class:`~repro.serve.engine.JobEngine`, for an in-process
         runner (see :func:`drain`).
     runner_id:
@@ -96,11 +95,6 @@ class TuningRunner:
         is asked no more than once per ``poll``.
     lease_ttl:
         Requested lease duration; None takes the server's default.
-    tags:
-        Capability tags (``{key: value-or-values}``) advertised at
-        startup and on every lease poll; the matching keys
-        (device/method/network) constrain which jobs the server leases
-        to this runner.  None keeps the runner anonymous/unconstrained.
     auth_token:
         Bearer token for a server started with ``--auth-token``.
     """
@@ -113,14 +107,12 @@ class TuningRunner:
         lease_ttl: float | None = None,
         client=None,
         log=None,
-        tags: dict | None = None,
         auth_token: str | None = None,
     ) -> None:
         self.client = client or ServeClient(server_url, auth_token=auth_token)
         self.runner_id = runner_id or default_runner_id()
         self.poll = poll
         self.lease_ttl = lease_ttl
-        self.tags = tags or None
         self._stop = threading.Event()
         self._log = log if log is not None else sys.stderr
         #: ``((network, batch, top_k_tasks), subgraphs)`` of the last job
@@ -148,7 +140,6 @@ class TuningRunner:
         ``idle_exit`` asks without waiting and exits as soon as a lease
         comes back empty (CI and tests: drain the queue, then leave).
         """
-        self._register()
         completed = 0
         wait = 0.0 if idle_exit else self.poll
         while not self._stop.is_set():
@@ -156,8 +147,7 @@ class TuningRunner:
             held = {} if self._held is None else {"have": self._held[0]}
             try:
                 leased = self.client.lease(
-                    self.runner_id, ttl=self.lease_ttl, tags=self.tags, wait=wait,
-                    **held,
+                    self.runner_id, ttl=self.lease_ttl, wait=wait, **held
                 )
             except (ServeError, OSError) as exc:
                 self._say(f"lease poll failed: {exc}")
@@ -178,29 +168,6 @@ class TuningRunner:
             if max_jobs is not None and completed >= max_jobs:
                 break
         return completed
-
-    def _register(self) -> None:
-        """Advertise identity + tags before the first lease poll.
-
-        A server-side rejection (bad tags, bad token) is fatal — the
-        runner is misconfigured and every poll would fail the same way.
-        A transport failure is not: the server may simply not be up
-        yet, and registration rides every lease poll anyway.
-        """
-        if not self.tags:
-            return
-        try:
-            self.client.register(self.runner_id, self.tags)
-            self._say(f"registered with tags {self.tags}")
-        except ServeError as exc:
-            raise SearchError(
-                f"runner registration rejected: {exc}"
-            ) from exc
-        except OSError as exc:
-            self._say(
-                f"registration deferred (server unreachable: {exc});"
-                " will retry on lease polls"
-            )
 
     # ------------------------------------------------------------------
     def _run_leased(self, leased: dict) -> bool:

@@ -211,42 +211,25 @@ class JobQueue:
         self._pushes += 1
         self._cond.notify_all()
 
-    def claim(
-        self, runner_id: str | None = None, predicate=None
-    ) -> TuneJob | None:
-        """Pop the highest-priority *matching* pending job; mark it running.
+    def claim(self, runner_id: str | None = None) -> TuneJob | None:
+        """Pop the highest-priority pending job; mark it running.
 
-        ``predicate`` (job -> bool, e.g. a runner's capability-tag
-        filter) narrows what this caller may claim; skipped jobs keep
-        their place in the schedule and stay claimable by anyone else.
-        It is called while the queue lock is held, so it must not
-        acquire locks of its own.  Returns None when nothing matches or
-        the queue was closed for draining (see :meth:`close`).
+        Returns None when nothing is pending or the queue was closed
+        for draining (see :meth:`close`).
         """
         with self._cond:
             if self._closed:
                 return None
-            skipped: list[_QueueEntry] = []
-            claimed: TuneJob | None = None
             while self._heap:
                 entry = heapq.heappop(self._heap)
                 job = self._jobs.get(entry.job_id)
                 if job is None or job.state is not JobState.PENDING:
                     continue  # stale heap entry (job was requeued/finished)
-                if predicate is not None and not predicate(job):
-                    skipped.append(entry)  # not this runner's work
-                    continue
                 job.state = JobState.RUNNING
                 job.attempts += 1
                 job.runner_id = runner_id
-                claimed = job
-                break
-            # put back what this caller could not take, unchanged, so the
-            # schedule other runners see is too; not a push — it must not
-            # wake a waiting lease whose tags just refused it
-            for entry in skipped:
-                heapq.heappush(self._heap, entry)
-            return claimed
+                return job
+            return None
 
     def pushes(self) -> int:
         """How many times a job has become claimable so far.
@@ -262,9 +245,7 @@ class JobQueue:
         """Block until a job is pushed after the ``seen``-th push, or for
         ``timeout`` seconds; False once the queue is closed.
 
-        A push is a submit, a retry or a released lease.  Jobs a caller's
-        predicate skipped are not pushed again, so a waiter whose tags
-        refuse the queue's jobs sleeps instead of spinning.
+        A push is a submit, a retry or a released lease.
         """
         deadline = time.monotonic() + timeout
         with self._cond:

@@ -2,8 +2,9 @@
 
 * Submit validation is one table, checked through all three.
 * A lease is a long poll: ``lease(wait=)`` takes a job submitted or
-  requeued during the wait, wakes on shutdown, does not spin on jobs
-  its tags refuse, and the runner never polls faster than ``poll``.
+  requeued during the wait, wakes on shutdown, does not spin when
+  another runner took the job that woke it, and the runner never polls
+  faster than ``poll``.
 * Transport equivalence: the same three jobs (cold pruner, cold ansor,
   then a warm pruner over the first one's rows and checkpoint) drained
   in process with 1 and 4 workers and by a runner over a socket give
@@ -373,9 +374,8 @@ class TestLongPollLease:
         assert drain(engine) == 0  # idle_exit asks without waiting
         assert time.monotonic() - start < 0.25
 
-    def test_a_refused_submit_neither_hands_over_nor_spins(self, tmp_path):
+    def test_a_job_another_runner_took_does_not_make_a_waiter_spin(self, tmp_path):
         engine = JobEngine(tmp_path)
-        engine.register("t4-box", {"device": "t4"})
         claims = []
         claim = engine.queue.claim
 
@@ -384,14 +384,20 @@ class TestLongPollLease:
             return claim(**kwargs)
 
         engine.queue.claim = counted
-        thread, outcome = _lease_in_thread(engine, "t4-box", wait=1.0)
+        waiters = {rid: _lease_in_thread(engine, rid, wait=1.0) for rid in ("r1", "r2")}
         time.sleep(SETTLE)
-        job_id = engine.submit(**VALID)  # an a100 job: not this runner's
-        thread.join(timeout=10)
-        assert outcome["leased"] is None and outcome["took"] >= 0.9
-        # the first look, the one the submit woke, the one at the deadline
-        assert len(claims) <= 4
-        assert engine.status(job_id)["state"] == "pending"
+        job_id = engine.submit(**VALID)  # one job, two waiters: one misses
+        for thread, _ in waiters.values():
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        winner = engine.status(job_id)["runner"]
+        (loser,) = set(waiters) - {winner}
+        assert waiters[winner][1]["leased"]["job"]["job_id"] == job_id
+        missed = waiters[loser][1]
+        assert missed["leased"] is None and missed["took"] >= 0.9
+        # the loser's first look, the one the submit woke, the one at
+        # the deadline
+        assert claims.count(loser) <= 4
 
     def test_a_lease_expiring_mid_wait_is_claimed_by_its_end(self, tmp_path):
         clock = FakeClock()
@@ -431,7 +437,7 @@ class EmptyLeases:
     def __init__(self) -> None:
         self.waits: list[float] = []
 
-    def lease(self, runner_id, ttl=None, tags=None, wait=0.0):
+    def lease(self, runner_id, ttl=None, wait=0.0):
         self.waits.append(wait)
         return None
 

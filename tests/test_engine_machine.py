@@ -2,7 +2,7 @@
 
 A Hypothesis ``RuleBasedStateMachine`` drives one engine — no sockets,
 no tuning, an injectable lease clock — through random interleavings of
-submit, (tagged) lease, heartbeat, clock advance, reap, complete, fail,
+submit, lease, heartbeat, clock advance, reap, complete, fail,
 cancel and crash-restart from the cache dir, next to a plain-dict model
 of what every job's state must be.  After every step:
 
@@ -11,7 +11,7 @@ of what every job's state must be.  After every step:
   attempt exactly once — never twice via a late heartbeat/complete);
 * no job is leased to two runners: live leases and running jobs pair up;
 * terminal states are final;
-* a lease hands out the highest-priority matching pending job, and
+* a lease hands out the highest-priority pending job, and
   among equal priorities the earliest submitted (``submit_seq``);
 * every job's event stream is gap-free: sequence numbers 1..n, n being
   the number of transitions the model saw since the last restart;
@@ -41,8 +41,8 @@ from repro.serve.protocol import ServeError
 from repro.service.jobs import TERMINAL_STATES
 
 TTL = 30.0
-#: runner id -> the device tag it registers (None: anonymous, takes anything)
-RUNNERS = {"r-a100": "a100", "r-t4": "t4", "r-any": None}
+#: runners are interchangeable: any of them may lease any job
+RUNNERS = ("r-1", "r-2", "r-3")
 
 
 class FakeClock:
@@ -61,8 +61,8 @@ class EngineMachine(RuleBasedStateMachine):
         self.tmp = tempfile.TemporaryDirectory()
         self.clock = FakeClock()
         self.engine = JobEngine(self.tmp.name, lease_ttl=TTL, clock=self.clock)
-        #: job id -> {state, attempts, cancel, runner, device, priority,
-        #: retries, seq}; seq is the submission index
+        #: job id -> {state, attempts, cancel, runner, priority, retries,
+        #: seq}; seq is the submission index
         self.jobs: dict[str, dict] = {}
         #: lease id -> {job, runner, deadline}: granted and not yet popped
         self.held: dict[str, dict] = {}
@@ -115,27 +115,24 @@ class EngineMachine(RuleBasedStateMachine):
         assert job_id not in self.jobs
         self.jobs[job_id] = dict(
             state="pending", attempts=0, cancel=False, runner=None,
-            device=device, priority=priority, retries=retries, seq=len(self.jobs),
+            priority=priority, retries=retries, seq=len(self.jobs),
         )
         self.events[job_id] = 1  # "submitted"
 
-    @rule(target=leases, runner=st.sampled_from(sorted(RUNNERS)))
+    @rule(target=leases, runner=st.sampled_from(RUNNERS))
     def lease(self, runner):
-        tag = RUNNERS[runner]
-        leased = self.engine.lease(
-            runner, tags=None if tag is None else {"device": tag}
-        )
+        leased = self.engine.lease(runner)
         self._reap()
         # priority first, then submission order (restarts included)
-        matching = sorted(
+        pending = sorted(
             (-job["priority"], job["seq"], job_id)
             for job_id, job in self.jobs.items()
-            if job["state"] == "pending" and tag in (None, job["device"])
+            if job["state"] == "pending"
         )
-        if not matching:
+        if not pending:
             assert leased is None
             return multiple()
-        job_id = matching[0][2]
+        job_id = pending[0][2]
         assert leased["job"]["job_id"] == job_id
         job = self.jobs[job_id]
         job.update(state="running", attempts=job["attempts"] + 1, runner=runner)

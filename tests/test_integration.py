@@ -18,7 +18,7 @@ import pytest
 from repro import api
 from repro.config import SearchConfig, TrainConfig
 from repro.experiments import e2e
-from repro.experiments.common import get_scale, pretrained_params, run_tuning
+from repro.experiments.common import get_scale, run_tuning
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
 from repro.timemodel import EXPLORATION
@@ -124,8 +124,6 @@ class TestDraftVerifyMechanics:
     def test_verified_measurements_beat_random_measurements(self):
         """Measuring PaCM-verified drafted candidates beats measuring
         random candidates, at equal trial counts."""
-        import numpy as np
-
         from repro.hardware.device import get_device
         from repro.hardware.simulator import GroundTruthSimulator
         from repro.schedule import generate_sketch, lower, random_config

@@ -7,6 +7,7 @@ OS processes through the ``python -m repro.serve`` CLI.
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import os
@@ -124,6 +125,42 @@ class TestHttpLayer:
         with pytest.raises(ServeError) as excinfo:
             stack.client._request("GET", "/nope")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize(
+        "method, path, body",
+        [
+            ("POST", "/runners/register", {"runner_id": "r1", "tags": {"device": "a100"}}),
+            ("GET", "/runners", None),
+            ("POST", "/lease", {"runner_id": "r1", "tags": {"device": "a100"}}),
+        ],
+        ids=["register", "list-runners", "lease-with-tags"],
+    )
+    def test_a_registering_runner_is_4xx_and_keeps_the_socket(
+        self, stack, method, path, body
+    ):
+        """Runners no longer register: an older runner's registration,
+        listing or tagged lease is refused without a grant, and the same
+        connection then still serves ``GET /healthz``."""
+        stack.engine.submit("bert_tiny", **SPEC)  # a grant would be possible
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", stack.server.server_address[1], timeout=10.0
+        )
+        try:
+            conn.connect()
+            sock = conn.sock
+            data = None if body is None else json.dumps(body).encode("utf-8")
+            conn.request(method, path, body=data)
+            response = conn.getresponse()
+            response.read()
+            assert 400 <= response.status < 500, response.status
+            assert stack.engine.leases.active() == 0
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200
+            assert conn.sock is sock  # the same kept-alive connection
+        finally:
+            conn.close()
 
     def test_non_json_body_400(self, stack):
         request = urllib.request.Request(
@@ -581,8 +618,8 @@ _EDGES = st.sampled_from([NAN, INF, -INF, -1, 0, True, False, "5", None, [], {}]
 
 
 def _field(plausible):
-    """Half the time ``plausible``, so that leases do get granted (and
-    refused by tags); else an edge value, else any JSON at all."""
+    """Half the time ``plausible``, so that leases do get granted; else
+    an edge value, else any JSON at all."""
     return st.one_of(plausible, plausible, _EDGES, _JSON)
 
 
@@ -591,6 +628,7 @@ LEASE_BODIES = st.fixed_dictionaries(
     optional={
         "ttl": _field(st.floats(0.5, 200.0)),
         "wait": _field(st.floats(0.0, 1.0)),
+        # an older runner's capability tags: always refused now
         "tags": _field(
             st.fixed_dictionaries({"device": _field(st.sampled_from(["a100", "t4"]))})
         ),
@@ -599,8 +637,9 @@ LEASE_BODIES = st.fixed_dictionaries(
 
 
 class TestLeaseFuzz:
-    """Arbitrary JSON in ``POST /lease``: never a 5xx, never a lease
-    that outlives ``max_ttl`` (ROADMAP 4c's slice for this route)."""
+    """Arbitrary JSON in ``POST /lease``: never a 5xx, never a grant to
+    a body carrying ``tags``, never a lease that outlives ``max_ttl``
+    (ROADMAP 4c's slice for this route)."""
 
     @pytest.fixture(scope="class")
     def fuzzed(self, tmp_path_factory):
@@ -623,6 +662,8 @@ class TestLeaseFuzz:
             engine.submit("bert_tiny", **SPEC)
         status = _post(stack.url + "/lease", body)
         assert status in (200, 204) or 400 <= status < 500, (status, body)
+        if "tags" in body:
+            assert 400 <= status < 500, (status, body)
         granted = engine.leases.active()
         assert granted == (1 if status == 200 else 0)
         clock.advance(engine.leases.max_ttl + 1.0)

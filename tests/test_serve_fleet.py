@@ -1,5 +1,5 @@
-"""Fleet control plane tests: runner registration + tag-aware leasing,
-bearer auth, per-client rate limits, and job event streams.
+"""Fleet control plane tests: bearer auth, per-client rate limits, and
+job event streams.
 
 Everything socket-facing runs over real ephemeral-port HTTP servers
 (the ``Stack`` helper from ``test_serve``); the unit classes at the top
@@ -12,14 +12,13 @@ import re
 import threading
 import time
 import urllib.request
-from types import SimpleNamespace
 
 import pytest
 from test_serve import SPEC, FakeClock, Stack, run_runner_thread
 
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.http import TokenBucketLimiter
-from repro.serve.protocol import EventBroker, RunnerRegistry
+from repro.serve.protocol import EventBroker
 from repro.service.jobs import JobState
 
 
@@ -45,74 +44,9 @@ def metric_value(text: str, name: str) -> float:
     return float(match.group(1))
 
 
-def _job(**fields) -> SimpleNamespace:
-    defaults = dict(network="bert_tiny", device="a100", method="pruner")
-    return SimpleNamespace(**{**defaults, **fields})
-
-
 # ----------------------------------------------------------------------
 # units
 # ----------------------------------------------------------------------
-class TestRunnerRegistry:
-    def test_match_keys_constrain_others_do_not(self):
-        registry = RunnerRegistry(clock=FakeClock())
-        registry.register("r1", {"device": ["a100", "t4"], "zone": "us-east"})
-        predicate = registry.predicate_for("r1")
-        assert predicate(_job(device="a100"))
-        assert predicate(_job(device="t4", zone="mars"))  # zone never matches
-        assert not predicate(_job(device="h100"))
-
-    def test_anonymous_and_unconstrained_runners_have_no_predicate(self):
-        registry = RunnerRegistry(clock=FakeClock())
-        assert registry.predicate_for("never-registered") is None
-        registry.register("r1", {"zone": "us-east"})  # no matching keys
-        assert registry.predicate_for("r1") is None
-
-    def test_normalize_rejects_junk(self):
-        for bad in (
-            "a100",  # not an object
-            {1: "a100"},  # non-string key
-            {"": "a100"},  # empty key
-            {"device": []},  # no values
-            {"device": [1]},  # non-string value
-            {"device": ""},  # empty value
-            {"device": "x" * 200},  # oversized value
-            {f"k{i}": "v" for i in range(40)},  # too many keys
-        ):
-            with pytest.raises(ValueError):
-                RunnerRegistry.normalize_tags(bad)
-        assert RunnerRegistry.normalize_tags(None) == {}
-        assert RunnerRegistry.normalize_tags({"device": "a100"}) == {
-            "device": ("a100",)
-        }
-
-    def test_reregistration_is_idempotent_and_refreshes(self):
-        clock = FakeClock()
-        registry = RunnerRegistry(clock=clock)
-        registry.register("r1", {"device": "a100"})
-        clock.advance(5.0)
-        info = registry.register("r1", {"device": "t4"})  # tags replace
-        assert info.registered_at == 0.0  # first registration sticks
-        assert info.last_seen == 5.0
-        assert registry.count() == 1
-        assert not registry.predicate_for("r1")(_job(device="a100"))
-        clock.advance(2.0)
-        (wire,) = registry.wire_snapshot()
-        assert wire["idle_s"] == 2.0
-        assert wire["registered_s"] == 7.0
-
-    def test_touch_refreshes_only_registered(self):
-        clock = FakeClock()
-        registry = RunnerRegistry(clock=clock)
-        registry.register("r1", {"device": "a100"})
-        clock.advance(9.0)
-        registry.touch("r1")
-        registry.touch("ghost")  # no-op, no crash
-        (wire,) = registry.wire_snapshot()
-        assert wire["idle_s"] == 0.0
-        assert registry.count() == 1
-
-
 class TestTokenBucketLimiter:
     def test_burst_then_refill(self):
         clock = FakeClock()
@@ -186,72 +120,6 @@ class TestEventBroker:
 
 
 # ----------------------------------------------------------------------
-# registration + tag-aware leasing over the wire
-# ----------------------------------------------------------------------
-class TestRegistrationOverHttp:
-    def test_register_list_and_gauge(self, stack):
-        client = stack.client
-        reply = client.register("gpu-a", {"device": "a100", "zone": "us"})
-        assert reply["runner_id"] == "gpu-a"
-        assert reply["tags"] == {"device": ["a100"], "zone": ["us"]}
-        client.register("gpu-b", {"device": ["t4", "a100"]})
-        runners = client.runners()
-        assert [r["runner_id"] for r in runners] == ["gpu-a", "gpu-b"]
-        assert metric_value(scrape(stack.url), "repro_runners_registered") == 2
-
-    def test_bad_registrations_400(self, stack):
-        client = stack.client
-        for body in (
-            {},  # no runner_id
-            {"runner_id": ""},
-            {"runner_id": "r1", "tags": "a100"},
-            {"runner_id": "r1", "tags": {"device": []}},
-        ):
-            with pytest.raises(ServeError) as excinfo:
-                client._request("POST", "/runners/register", body=body)
-            assert excinfo.value.status == 400, body
-
-    def test_a100_runner_never_gets_t4_job(self, stack):
-        """Acceptance: a runner advertising only a100 must never be
-        leased a t4 job — it polls empty while the job stays pending,
-        and an unconstrained runner picks the job up untouched."""
-        client = stack.client
-        job_id = client.submit("bert_tiny", device="t4", **SPEC)
-        for _ in range(3):
-            assert client.lease("gpu-a", tags={"device": "a100"}) is None
-        status = client.status(job_id)
-        assert status.state is JobState.PENDING
-        assert status.attempts == 0  # skipping burned nothing
-        leased = client.lease("anonymous")
-        assert leased is not None and leased["job"]["job_id"] == job_id
-
-    def test_matching_tags_get_the_job(self, stack):
-        client = stack.client
-        job_id = client.submit("bert_tiny", device="a100", **SPEC)
-        leased = client.lease("gpu-a", tags={"device": ["t4", "a100"]})
-        assert leased is not None and leased["job"]["job_id"] == job_id
-
-    def test_register_endpoint_constrains_later_plain_leases(self, stack):
-        """Constraints persist: tags from /runners/register bind leases
-        that do not re-send tags."""
-        client = stack.client
-        client.register("gpu-a", {"device": "a100"})
-        job_id = client.submit("bert_tiny", device="t4", **SPEC)
-        assert client.lease("gpu-a") is None
-        assert client.status(job_id).state is JobState.PENDING
-
-    def test_tagged_runner_takes_matching_job_past_mismatched_one(self, stack):
-        """A constrained runner claims the best *matching* job even when
-        a higher-priority non-matching one is ahead in the queue."""
-        client = stack.client
-        t4_id = client.submit("bert_tiny", device="t4", priority=9, **SPEC)
-        a100_id = client.submit("bert_tiny", device="a100", **SPEC)
-        leased = client.lease("gpu-a", tags={"device": "a100"})
-        assert leased is not None and leased["job"]["job_id"] == a100_id
-        assert client.status(t4_id).state is JobState.PENDING
-
-
-# ----------------------------------------------------------------------
 # auth + rate limits
 # ----------------------------------------------------------------------
 ALL_ENDPOINTS = [
@@ -264,8 +132,6 @@ ALL_ENDPOINTS = [
     ("GET", "/jobs/x/events"),
     ("DELETE", "/jobs/x"),
     ("GET", "/best"),
-    ("GET", "/runners"),
-    ("POST", "/runners/register"),
     ("POST", "/lease"),
     ("POST", "/lease/x/heartbeat"),
     ("POST", "/lease/x/complete"),
@@ -302,7 +168,7 @@ class TestAuth:
         try:
             client = stack.client
             job_id = client.submit("bert_tiny", **SPEC)
-            leased = client.lease("r1", tags={"device": "a100"})
+            leased = client.lease("r1")
             assert leased["job"]["job_id"] == job_id
             done = client.complete(
                 leased["lease_id"], "r1", job_id,
@@ -337,7 +203,6 @@ class TestRateLimit:
         text = scrape(stack.url)
         assert metric_value(text, "repro_http_unauthorized_total") == 0
         assert metric_value(text, "repro_http_throttled_total") == 0
-        assert metric_value(text, "repro_runners_registered") == 0
 
 
 # ----------------------------------------------------------------------
@@ -452,19 +317,15 @@ class TestEventsOverHttp:
 # the whole control plane at once
 # ----------------------------------------------------------------------
 class TestFleetEndToEnd:
-    def test_auth_tags_and_event_stream_with_a_real_runner(self, tmp_path):
-        """Acceptance: a tagged, authenticated TuningRunner completes a
+    def test_auth_and_event_stream_with_a_real_runner(self, tmp_path):
+        """Acceptance: an authenticated TuningRunner completes a
         job while a client follows it end to end over the event stream
         on a real socket."""
         stack = Stack(tmp_path / "cache", auth_token="fleet-secret")
         try:
             client = stack.client
             job_id = client.submit("bert_tiny", **SPEC)
-            thread = run_runner_thread(
-                stack.url,
-                tags={"device": ["a100"]},
-                auth_token="fleet-secret",
-            )
+            thread = run_runner_thread(stack.url, auth_token="fleet-secret")
             events = list(client.events(job_id, poll_timeout=2.0))
             thread.join(timeout=10)
             types = [e["type"] for e in events]
@@ -476,7 +337,5 @@ class TestFleetEndToEnd:
                 e["seq"] for e in events
             )
             assert client.status(job_id).state is JobState.DONE
-            (runner,) = client.runners()
-            assert runner["tags"]["device"] == ["a100"]
         finally:
             stack.close()

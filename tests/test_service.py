@@ -495,32 +495,6 @@ class TestJobQueue:
         assert queue.claim().network == "llama"
         assert queue.claim() is None
 
-    def test_claim_predicate_skips_non_matching(self):
-        """Tag-aware leasing: a constrained claim skips jobs it cannot
-        take; the skipped jobs keep their place and stay claimable."""
-        queue = JobQueue()
-        t4 = queue.submit(TuneJob("bert_tiny", device="t4", priority=5))
-        a100 = queue.submit(TuneJob("gpt2", device="a100"))
-        only_a100 = lambda job: job.device == "a100"  # noqa: E731
-        job = queue.claim(runner_id="gpu-a", predicate=only_a100)
-        assert job.job_id == a100  # the higher-priority t4 job was skipped
-        assert queue.claim(runner_id="gpu-a", predicate=only_a100) is None
-        skipped = queue.get(t4)
-        assert skipped.state is JobState.PENDING
-        assert skipped.attempts == 0  # skipping is not an attempt
-        assert queue.claim(runner_id="anyone").job_id == t4
-
-    def test_claim_predicate_preserves_priority_order(self):
-        queue = JobQueue()
-        low = queue.submit(TuneJob("bert_tiny", device="t4", priority=0))
-        high = queue.submit(TuneJob("gpt2", device="t4", priority=9))
-        other = queue.submit(TuneJob("llama", device="a100", priority=5))
-        only_t4 = lambda job: job.device == "t4"  # noqa: E731
-        assert queue.claim(predicate=only_t4).job_id == high
-        assert queue.claim(predicate=only_t4).job_id == low
-        assert queue.claim(predicate=only_t4) is None
-        assert queue.claim().job_id == other  # unconstrained sees the rest
-
     def test_retry_then_fail(self):
         queue = JobQueue()
         job_id = queue.submit(TuneJob("bert_tiny", max_retries=1))
