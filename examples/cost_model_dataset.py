@@ -68,7 +68,7 @@ def main() -> None:
         result = lse.explore(space, make_rng(1))
         spec_lat[key] = sim.latency_batch(lower_batch(space, result.spec)).tolist()
         pool_best = task.latency[np.isfinite(task.latency)].min()
-        spec_best = min(l for l in spec_lat[key] if math.isfinite(l))
+        spec_best = min(lat for lat in spec_lat[key] if math.isfinite(lat))
         optimal[key] = min(pool_best, spec_best)
         weights[key] = task.weight
     for k in (1, 5):

@@ -8,13 +8,10 @@ siamese update adapts it online without a target-platform dataset.
     python examples/cross_platform_moa.py
 """
 
-import numpy as np
-
 from repro.core.moa import MomentumAdapter
 from repro.costmodel import PaCM
 from repro.dataset import tenset_dataset, top_k_score
 from repro.experiments.common import get_scale, pretrained_params
-from repro.rng import make_rng
 from repro.workloads import network_tasks
 from repro import api
 
@@ -24,9 +21,7 @@ def main() -> None:
     subgraphs = network_tasks("bert_base", top_k=scale.tasks_per_network)
 
     # 1. pre-train PaCM on the source platform (K80)
-    source_params = pretrained_params(
-        "pacm", "k80", subgraphs, scale, corpus_tag="example-moa"
-    )
+    source_params = pretrained_params("pacm", "k80", subgraphs, scale)
 
     # 2. the cross-platform gap: evaluate the K80 model on A100 data
     a100_data = tenset_dataset(

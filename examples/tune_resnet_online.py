@@ -24,9 +24,7 @@ def main() -> None:
         pretrained = None
         if method == "moa-pruner":
             # cross-platform siamese, pre-trained on the simulated K80
-            pretrained = pretrained_params(
-                "pacm", "k80", subgraphs, scale, corpus_tag="example-r50"
-            )
+            pretrained = pretrained_params("pacm", "k80", subgraphs, scale)
         tuner = api.build_tuner(
             method,
             subgraphs,

@@ -175,7 +175,7 @@ DEFAULT_MANIFEST = Manifest(
             module="repro/cache.py",
             name="_GUARD",
             node="repro.cache._GUARD",
-            guards=("_REGISTRY", "_STATS_HOOKS"),
+            guards=("_REGISTRY",),
         ),
         # serializes append_jsonl's render-then-append (ledger, results)
         ModuleLock(
@@ -213,7 +213,6 @@ DEFAULT_MANIFEST = Manifest(
         # every repro.cache entry point takes the module guard
         "register_cache": ("repro.cache._GUARD",),
         "register_lru": ("repro.cache._GUARD",),
-        "cache_stats": ("repro.cache._GUARD",),
         "clear_caches": ("repro.cache._GUARD",),
         "registered_caches": ("repro.cache._GUARD",),
     },

@@ -6,9 +6,7 @@ repository registers a *clear hook* here, and the service calls
 :func:`clear_caches` between jobs so a long-running multi-job process
 does not pin workload and schedule objects it will never use again.
 The registry neither owns the cached data nor changes lookup semantics;
-it only makes "drop everything cached" a single call, and
-:func:`cache_stats` one place to read every cache's counters
-(``GET /metrics``, the end-to-end benchmark).
+it only makes "drop everything cached" a single call.
 
 Usage::
 
@@ -34,24 +32,16 @@ class _LruLike(Protocol):  # what functools.lru_cache exposes
 
 
 _REGISTRY: dict[str, Callable[[], None]] = {}
-_STATS_HOOKS: dict[str, Callable[[], dict]] = {}
 _GUARD = threading.Lock()
 
 
-def register_cache(
-    name: str, clear: Callable[[], None], stats: Callable[[], dict] | None = None
-) -> None:
+def register_cache(name: str, clear: Callable[[], None]) -> None:
     """Register a clear hook under a unique dotted name.
 
-    ``stats`` (optional) reports the cache's counters — a dict with any
-    of ``hits`` / ``misses`` / ``evictions`` / ``rows`` — so the cache
-    surfaces a hit rate on ``GET /metrics`` (see :mod:`repro.obs`).
-    Re-registering the same name replaces the hooks (module reloads).
+    Re-registering the same name replaces the hook (module reloads).
     """
     with _GUARD:
         _REGISTRY[name] = clear
-        if stats is not None:
-            _STATS_HOOKS[name] = stats
 
 
 def register_lru(name: str, fn: _LruLike):
@@ -66,11 +56,18 @@ def registered_caches() -> list[str]:
         return sorted(_REGISTRY)
 
 
+# benchmarks/e2e/workloads.py indexes hits / misses / evictions / rows
+# under these two names (ROADMAP item 1c); no cache stands behind them.
+_ROW_CACHE_NAMES = ("schedule.memo.LOWERED_ROWS", "features.cache.FEATURE_ROWS")
+
+
 def cache_stats() -> dict[str, dict]:
-    """Current counters of every cache with a stats hook, keyed by name."""
-    with _GUARD:
-        hooks = sorted(_STATS_HOOKS.items())
-    return {name: dict(fn()) for name, fn in hooks}
+    """The four counters under each name the end-to-end benchmark reads:
+    always zero, since candidate rows are not cached."""
+    return {
+        name: {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
+        for name in _ROW_CACHE_NAMES
+    }
 
 
 def clear_caches() -> int:
@@ -86,9 +83,6 @@ def clear_caches() -> int:
     return len(hooks)
 
 
-# benchmarks/e2e/workloads.py indexes hits / misses / evictions / rows
-# under these two names (ROADMAP item 1c); no cache stands behind them,
-# so every counter reads zero.
-_NO_ROWS = {"hits": 0, "misses": 0, "evictions": 0, "rows": 0}
-for _name in ("schedule.memo.LOWERED_ROWS", "features.cache.FEATURE_ROWS"):
-    register_cache(_name, lambda: None, stats=_NO_ROWS.copy)
+# the two names stay listed by registered_caches(); there is nothing to clear
+for _name in _ROW_CACHE_NAMES:
+    register_cache(_name, lambda: None)

@@ -45,11 +45,6 @@ class MomentumAdapter:
         self.momentum = momentum
         self._phi_s: ParamDict = {k: v.copy() for k, v in siamese_params.items()}
 
-    @classmethod
-    def from_model(cls, model: SupportsParams, momentum: float = MOA_MOMENTUM) -> "MomentumAdapter":
-        """Build an adapter whose siamese weights snapshot ``model``."""
-        return cls(model.get_params(), momentum=momentum)
-
     # ------------------------------------------------------------------
     @property
     def siamese_params(self) -> ParamDict:

@@ -15,10 +15,6 @@ class ScheduleError(ReproError):
     """Raised for invalid schedule configurations (e.g. bad tile factors)."""
 
 
-class LoweringError(ReproError):
-    """Raised when a schedule cannot be lowered to a program."""
-
-
 class WorkloadError(ReproError):
     """Raised for malformed workload definitions."""
 

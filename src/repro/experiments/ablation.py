@@ -30,7 +30,7 @@ def online_ablation(
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         row = {}
         for label, method in ONLINE_VARIANTS.items():
-            result = run_tuning(method, subs, device, scale, corpus_tag=f"t12-{net}")
+            result = run_tuning(method, subs, device, scale)
             row[label] = result.final_latency * 1e3
         out["latency_ms"][net] = row
     return out
@@ -52,9 +52,8 @@ def offline_ablation(
     out: dict = {"scale": scale.name, "rows": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
-        tag = f"t13-{net}"
-        no_lse = run_tuning("pruner-offline-no-lse", subs, device, scale, tag)
-        offline = run_tuning("pruner-offline", subs, device, scale, tag)
+        no_lse = run_tuning("pruner-offline-no-lse", subs, device, scale)
+        offline = run_tuning("pruner-offline", subs, device, scale)
         out["rows"][net] = {
             "w/o LSE": {
                 "perf_ms": no_lse.final_latency * 1e3,
@@ -80,7 +79,7 @@ def ablation_curve(
     out: dict = {"scale": scale.name, "curves": {}, "final_ms": {}}
     for label in variants:
         method = ONLINE_VARIANTS[label]
-        result = run_tuning(method, subs, device, scale, corpus_tag=f"f16-{network}")
+        result = run_tuning(method, subs, device, scale)
         out["curves"][label] = [
             [p.sim_time, p.latency * 1e3]
             for p in result.curve

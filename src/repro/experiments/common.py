@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import api
+from repro.cache import register_cache
 from repro.config import (
     LITE_SEARCH,
     OFFLINE_TRAIN,
@@ -100,32 +101,35 @@ _MEM_CACHE: dict[str, dict[str, np.ndarray]] = {}
 PRETRAIN_REVISION = 2
 
 
-def _cache_path(key: str) -> Path:
-    safe = key.replace("/", "_").replace("|", "_").replace("@", "_")
-    return RESULTS_DIR / "cache" / f"{safe}.npz"
-
-
 def pretrained_params(
     model_kind: str,
     device_name: str,
     subgraphs: list[SubgraphTask],
     scale: Scale,
-    corpus_tag: str,
     seed: int = 0,
 ) -> dict[str, np.ndarray]:
     """Pre-train (or load cached) cost-model parameters.
 
-    ``corpus_tag`` names the corpus so distinct experiments don't share
-    stale caches; the cache key also covers model, device, scale and
-    what trained the file: sample count, the offline ``TrainConfig`` and
-    :data:`PRETRAIN_REVISION`.
+    The cache key is everything :func:`repro.api.pretrain_model` computes
+    from: model kind, device, the subgraphs' workloads *in order* (the
+    rng stream follows them), the scale's recipe (sample count and
+    offline ``TrainConfig``), the seed and :data:`PRETRAIN_REVISION`.
+    Equal inputs share one file whichever experiment asks.
     """
-    recipe = (scale.pretrain_samples, astuple(scale.offline_train), PRETRAIN_REVISION)
-    trained_by = hashlib.sha256(repr(recipe).encode()).hexdigest()[:8]
-    key = f"{model_kind}-{device_name}-{corpus_tag}-{scale.name}-s{seed}-{trained_by}"
+    inputs = (
+        model_kind,
+        device_name,
+        [sub.workload for sub in subgraphs],
+        scale.pretrain_samples,
+        astuple(scale.offline_train),
+        seed,
+        PRETRAIN_REVISION,
+    )
+    digest = hashlib.sha256(repr(inputs).encode()).hexdigest()[:16]
+    key = f"{model_kind}-{device_name}-s{seed}-{digest}"
     if key in _MEM_CACHE:
         return _MEM_CACHE[key]
-    path = _cache_path(key)
+    path = RESULTS_DIR / "cache" / f"{key}.npz"
     if path.exists():
         with np.load(path) as data:
             params = {name: data[name] for name in data.files}
@@ -150,18 +154,29 @@ def pretrained_params(
 #: cross-platform pre-training platform for MoA (paper: TenSet K80-6M)
 MOA_SOURCE_DEVICE = "k80"
 
+#: One result per distinct run, keyed by every input that fixes it.
+#: Callers only read a ``TuneResult``, so equal calls share one object.
+_RUNS: dict[tuple, TuneResult] = {}
+register_cache("experiments.common._RUNS", _RUNS.clear)
+
 
 def run_tuning(
     method: str,
     subgraphs: list[SubgraphTask],
     device: str,
     scale: Scale,
-    corpus_tag: str,
     rounds: int | None = None,
     tensorcore: bool = False,
     seed: int = 0,
 ) -> TuneResult:
-    """Run one tuning method end to end, handling pre-training needs."""
+    """Run one tuning method end to end, handling pre-training needs.
+
+    A repeated call with equal inputs returns the first call's result.
+    """
+    rounds = scale.rounds if rounds is None else rounds
+    key = (method, tuple(subgraphs), device, scale, rounds, tensorcore, seed)
+    if key in _RUNS:
+        return _RUNS[key]
     pretrained = None
     if method in api.PRETRAINED_METHODS:
         # MoA / finetune: cross-platform siamese; offline: target platform.
@@ -171,7 +186,7 @@ def run_tuning(
             else device
         )
         pretrained = pretrained_params(
-            api.model_kind(method), source, subgraphs, scale, corpus_tag, seed=seed
+            api.model_kind(method), source, subgraphs, scale, seed=seed
         )
     tuner = api.build_tuner(
         method,
@@ -183,7 +198,8 @@ def run_tuning(
         tensorcore=tensorcore,
         seed=seed,
     )
-    return tuner.tune(rounds if rounds is not None else scale.rounds)
+    _RUNS[key] = tuner.tune(rounds)
+    return _RUNS[key]
 
 
 # ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ def versus_more_compilers(
             latencies["tlm"] = lat
         except TuningFailure:
             latencies["tlm"] = math.inf
-        moa = run_tuning("moa-pruner", subs, device, scale, corpus_tag=f"f8-{net}")
+        moa = run_tuning("moa-pruner", subs, device, scale)
         latencies["moa-pruner"] = moa.final_latency
 
         out["latency_ms"][net] = {k: v * 1e3 for k, v in latencies.items()}
@@ -100,12 +100,10 @@ def versus_roller(
         row = {
             "pytorch": framework_latency("pytorch", subs, dev) * 1e3,
             "roller": roller.tune_subgraphs(subs).latency * 1e3,
-            "ansor": run_tuning("ansor", subs, device, scale, f"t6-{name}").final_latency
-            * 1e3,
-            "moa-pruner": run_tuning(
-                "moa-pruner", subs, device, scale, f"t6-{name}"
-            ).final_latency
-            * 1e3,
+            "ansor": run_tuning("ansor", subs, device, scale).final_latency * 1e3,
+            "moa-pruner": (
+                run_tuning("moa-pruner", subs, device, scale).final_latency * 1e3
+            ),
         }
         out["rows"][name] = row
     return out

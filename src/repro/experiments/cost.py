@@ -16,7 +16,7 @@ def tuning_cost_breakdown(
     out: dict = {"measured": {}, "scale": scale.name}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
-        result = run_tuning("ansor", subs, device, scale, corpus_tag=f"t1-{net}")
+        result = run_tuning("ansor", subs, device, scale)
         breakdown = result.clock.breakdown()
         out["measured"][net] = {
             "exploration": breakdown["exploration"] / 60.0,
@@ -40,7 +40,7 @@ def compilation_time(
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         per_method = {}
         for method in methods:
-            result = run_tuning(method, subs, device, scale, corpus_tag=f"t7-{net}")
+            result = run_tuning(method, subs, device, scale)
             per_method[method] = result.clock.total / 60.0
         out["measured"][net] = per_method
     ansor_total = sum(out["measured"][n]["ansor"] for n in networks)

@@ -39,9 +39,7 @@ def tuning_curves(
         subs = network_tasks(net, top_k=scale.tasks_per_network)
         for device in devices:
             for method in tuple(online) + tuple(offline):
-                result = run_tuning(
-                    method, subs, device, scale, corpus_tag=f"f6-{net}"
-                )
+                result = run_tuning(method, subs, device, scale)
                 key = f"{net}/{device}/{method}"
                 out["curves"][key] = _curve_points(result)
                 out["final_ms"][key] = result.final_latency * 1e3
@@ -70,16 +68,15 @@ def search_time_speedups(
     out: dict = {"scale": scale.name, "speedups": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
-        tag = f"f7-{net}"
         baselines = {
-            "ansor": run_tuning("ansor", subs, device, scale, tag),
-            "tensetmlp": run_tuning("tensetmlp", subs, device, scale, tag),
-            "tlp": run_tuning("tlp", subs, device, scale, tag),
+            "ansor": run_tuning("ansor", subs, device, scale),
+            "tensetmlp": run_tuning("tensetmlp", subs, device, scale),
+            "tlp": run_tuning("tlp", subs, device, scale),
         }
         fast = {
-            "pruner": run_tuning("pruner", subs, device, scale, tag),
-            "moa-pruner": run_tuning("moa-pruner", subs, device, scale, tag),
-            "pruner-offline": run_tuning("pruner-offline", subs, device, scale, tag),
+            "pruner": run_tuning("pruner", subs, device, scale),
+            "moa-pruner": run_tuning("moa-pruner", subs, device, scale),
+            "pruner-offline": run_tuning("pruner-offline", subs, device, scale),
         }
         out["speedups"][net] = {
             f"{method}_vs_{base}": speedup_to_reach(fast[method], baselines[base])
@@ -106,12 +103,11 @@ def pruner_vs_more_trials(
     out: dict = {"scale": scale.name, "rows": {}}
     for net in networks:
         subs = network_tasks(net, top_k=scale.tasks_per_network)
-        tag = f"t5-{net}"
         ansor = run_tuning(
-            "ansor", subs, device, scale, tag, rounds=scale.rounds * trial_multiplier
+            "ansor", subs, device, scale, rounds=scale.rounds * trial_multiplier
         )
-        tenset = run_tuning("tensetmlp", subs, device, scale, tag)
-        moa = run_tuning("moa-pruner", subs, device, scale, tag)
+        tenset = run_tuning("tensetmlp", subs, device, scale)
+        moa = run_tuning("moa-pruner", subs, device, scale)
         out["rows"][net] = {
             "ansor_more_trials": {
                 "trials": ansor.total_trials,

@@ -41,7 +41,7 @@ def versus_frameworks(
             fw: framework_latency(fw, subs, dev)
             for fw in ("pytorch", "triton", "tensorrt")
         }
-        moa = run_tuning("moa-pruner", subs, device, scale, corpus_tag=f"f9-{net}")
+        moa = run_tuning("moa-pruner", subs, device, scale)
         latencies["moa-pruner"] = moa.final_latency
         out["latency_ms"][net] = {k: v * 1e3 for k, v in latencies.items()}
         out["normalized"][net] = normalized_performance(latencies)
@@ -78,15 +78,14 @@ def llama_long_context(
             fw: framework_latency(fw, subs, dev)
             for fw in ("pytorch", "triton", "tensorrt")
         }
-        tag = f"f10-ctx{ctx}"
-        ansor = run_tuning("ansor", subs, device, scale, tag)
+        ansor = run_tuning("ansor", subs, device, scale)
         latencies["ansor"] = ansor.final_latency
         try:
             felix = FelixTuner(dev)
             latencies["felix"] = felix.tune(subs, scale.rounds).final_latency
         except TuningFailure:
             latencies["felix"] = math.inf
-        moa = run_tuning("moa-pruner", subs, device, scale, tag)
+        moa = run_tuning("moa-pruner", subs, device, scale)
         latencies["moa-pruner"] = moa.final_latency
 
         key = f"ctx{ctx}"

@@ -35,8 +35,8 @@ def single_operator_bench(
         latencies = {
             "pytorch": framework_op_latency("pytorch", sub, dev),
         }
-        ansor = run_tuning("ansor", [sub], device, scale, corpus_tag=f"f11-{name}")
-        pruner = run_tuning("pruner", [sub], device, scale, corpus_tag=f"f11-{name}")
+        ansor = run_tuning("ansor", [sub], device, scale)
+        pruner = run_tuning("pruner", [sub], device, scale)
         latencies["ansor"] = ansor.final_latency
         latencies["pruner"] = pruner.final_latency
         out["latency_us"][name] = {k: v * 1e6 for k, v in latencies.items()}

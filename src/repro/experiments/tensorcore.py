@@ -40,9 +40,8 @@ def versus_metaschedule(
                 "pytorch": framework_latency("pytorch", subs, dev, tensorcore=True),
                 "triton": framework_latency("triton", subs, dev, tensorcore=True),
             }
-            tag = f"f12-{net}-b{batch}"
-            ms = run_tuning("metaschedule", subs, device, scale, tag)
-            pr = run_tuning("pruner-tc", subs, device, scale, tag)
+            ms = run_tuning("metaschedule", subs, device, scale)
+            pr = run_tuning("pruner-tc", subs, device, scale)
             latencies["metaschedule"] = ms.final_latency
             latencies["pruner"] = pr.final_latency
             key = f"{net}/bs{batch}"
@@ -75,9 +74,8 @@ def search_speedup(
         for net in models:
             subs = network_tasks(net, batch=batch, dtype="float16",
                                  top_k=scale.tasks_per_network)
-            tag = f"t9-{net}-b{batch}"
-            ms = run_tuning("metaschedule", subs, device, scale, tag)
-            pr = run_tuning("pruner-tc", subs, device, scale, tag)
+            ms = run_tuning("metaschedule", subs, device, scale)
+            pr = run_tuning("pruner-tc", subs, device, scale)
             target = ms.final_latency * (1.0 + tolerance)
             t = pr.time_to(target)
             s = ms.clock.total / t if math.isfinite(t) and t > 0 else float("nan")
@@ -105,13 +103,7 @@ def gpt2_linear_ops(scale: str | Scale = "lite", device: str = "a100") -> dict:
     for op_id, (m, n, k) in shapes.items():
         wl = ops.matmul(m, n, k, dtype="float16")
         kernel = lib.kernel(wl, tensorcore=True)
-        pruner = run_tuning(
-            "pruner-tc",
-            [SubgraphTask(wl, 1)],
-            device,
-            scale,
-            corpus_tag=f"t8-{op_id}",
-        )
+        pruner = run_tuning("pruner-tc", [SubgraphTask(wl, 1)], device, scale)
         out["rows"][op_id] = {
             "shape": f"({m},{n},{k})",
             "cudalib_us": kernel.latency * 1e6,
@@ -146,9 +138,8 @@ def llama_decode_ops(
             "cudalib": framework_op_latency("pytorch", sub, dev, tensorcore=True),
             "triton": framework_op_latency("triton", sub, dev, tensorcore=True),
         }
-        tag = f"f13-{wl.name[:24]}"
-        ms = run_tuning("metaschedule", [sub], device, scale, tag)
-        pr = run_tuning("pruner-tc", [sub], device, scale, tag)
+        ms = run_tuning("metaschedule", [sub], device, scale)
+        pr = run_tuning("pruner-tc", [sub], device, scale)
         # per-op latency: strip the task weight that run_tuning sums over
         latencies["metaschedule"] = ms.final_latency / max(1, sub.weight)
         latencies["pruner"] = pr.final_latency / max(1, sub.weight)

@@ -82,10 +82,6 @@ class AccessPattern:
             elems *= self.dim_extent(dim, tile)
         return elems
 
-    def footprint_bytes(self, tile: Mapping[str, int]) -> int:
-        """Footprint in bytes."""
-        return self.footprint(tile) * self.dtype_bytes
-
     def innermost_span(self, tile: Mapping[str, int]) -> int:
         """Contiguous span along the tensor's last (fastest) dimension.
 

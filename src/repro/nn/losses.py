@@ -95,8 +95,8 @@ def pairwise_rank_accuracy(
     """Fraction of correctly ordered pairs (reporting metric)."""
     correct = total = 0
     for idx in groups:
-        s, l = scores[idx], labels[idx]
-        diff_l = l[:, None] - l[None, :]
+        s, y = scores[idx], labels[idx]
+        diff_l = y[:, None] - y[None, :]
         diff_s = s[:, None] - s[None, :]
         mask = diff_l > 0
         total += int(mask.sum())

@@ -5,8 +5,7 @@ stages, so this package makes the shape of that shift observable:
 
 * :data:`METRICS` — the process-wide :class:`MetricsRegistry`.  The
   tuning hot path records into it (stage histograms, funnel counters,
-  measured-candidate totals), the cache layer reports hit/miss/eviction
-  stats into it at scrape time, and ``GET /metrics`` on the serve layer
+  measured-candidate totals), and ``GET /metrics`` on the serve layer
   renders it in Prometheus text format.
 * :func:`span` — times a pipeline stage into the
   ``repro_stage_seconds`` histogram and the current
@@ -27,7 +26,6 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 
-from repro.cache import cache_stats
 from repro.obs.registry import (
     DEFAULT_BUCKETS,
     PROM_CONTENT_TYPE,
@@ -130,42 +128,6 @@ def funnel(stage: str, n: int) -> None:
     if trace is not None:
         trace.add_count(stage, n)
 
-
-# ----------------------------------------------------------------------
-# cache hit-rate collector: every cache registered with a stats hook in
-# repro.cache reports uniformly at scrape time (no hot-path coupling).
-# ----------------------------------------------------------------------
-def _collect_caches(registry: MetricsRegistry) -> None:
-    hits = registry.counter(
-        "repro_cache_hits_total", "Cache hits per registered cache", ("cache",)
-    )
-    misses = registry.counter(
-        "repro_cache_misses_total", "Cache misses per registered cache", ("cache",)
-    )
-    evictions = registry.counter(
-        "repro_cache_evictions_total",
-        "Rows evicted per registered cache",
-        ("cache",),
-    )
-    rows = registry.gauge(
-        "repro_cache_rows", "Rows currently held per registered cache", ("cache",)
-    )
-    ratio = registry.gauge(
-        "repro_cache_hit_ratio",
-        "hits / (hits + misses) per registered cache (0 before any lookup)",
-        ("cache",),
-    )
-    for name, stats in cache_stats().items():
-        h = float(stats.get("hits", 0))
-        m = float(stats.get("misses", 0))
-        hits.labels(cache=name).set_total(h)
-        misses.labels(cache=name).set_total(m)
-        evictions.labels(cache=name).set_total(float(stats.get("evictions", 0)))
-        rows.labels(cache=name).set(float(stats.get("rows", 0)))
-        ratio.labels(cache=name).set(h / (h + m) if (h + m) > 0 else 0.0)
-
-
-METRICS.add_collector(_collect_caches)
 
 __all__ = [
     "DEFAULT_BUCKETS",

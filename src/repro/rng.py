@@ -34,9 +34,3 @@ def stable_hash(*parts: object, bits: int = 64) -> int:
 def rng_for(*parts: object) -> np.random.Generator:
     """Create a Generator seeded stably from the given parts."""
     return np.random.default_rng(stable_hash(*parts))
-
-
-def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split a generator into ``n`` independent child generators."""
-    seeds = rng.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]

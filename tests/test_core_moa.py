@@ -38,7 +38,7 @@ class TestMomentumAdapter:
 
     def test_update_does_not_alias_target(self):
         target = FakeModel(np.array([1.0]))
-        adapter = MomentumAdapter.from_model(target)
+        adapter = MomentumAdapter(target.get_params())
         adapter.update_from(target)
         target.params["w"][0] = 99.0
         assert adapter.siamese_params["w"][0] != 99.0

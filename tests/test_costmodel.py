@@ -330,7 +330,7 @@ class TestTrainingPath:
         model = PaCM(seed=0)
         features = _features(model, train)
         model.fit(features, lats, keys, self.FIT, rng=make_rng(0))
-        adapter = MomentumAdapter.from_model(model, momentum=0.5)
+        adapter = MomentumAdapter(model.get_params(), momentum=0.5)
         for round_seed in (1, 2):
             siamese = adapter.siamese_params
             adapter.load_into(model)

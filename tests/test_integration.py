@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -17,7 +18,7 @@ import pytest
 
 from repro import api
 from repro.config import SearchConfig, TrainConfig
-from repro.experiments import e2e
+from repro.experiments import common, e2e
 from repro.experiments.common import get_scale, run_tuning
 from repro.ir import ops
 from repro.ir.partition import SubgraphTask
@@ -39,9 +40,7 @@ def results(r50_subs):
     scale = get_scale("smoke")
     out = {}
     for method in ("ansor", "pruner", "moa-pruner"):
-        out[method] = run_tuning(
-            method, r50_subs, "a100", scale, corpus_tag="integ", rounds=10
-        )
+        out[method] = run_tuning(method, r50_subs, "a100", scale, rounds=10)
     return out
 
 
@@ -89,8 +88,8 @@ class TestHeadlineClaims:
         final latency is a miss: listed, and the pair's geomean is NaN
         rather than a mean over the networks that did reach it."""
 
-        def fake_run(method, subgraphs, device, scale, corpus_tag, **kwargs):
-            never = method == "pruner" and corpus_tag == "f7-vit"
+        def fake_run(method, subgraphs, device, scale, **kwargs):
+            never = method == "pruner" and subgraphs == ["vit"]
             return SimpleNamespace(
                 final_latency=1.0,
                 clock=SimpleNamespace(total=100.0),
@@ -98,7 +97,7 @@ class TestHeadlineClaims:
             )
 
         with mock.patch.object(e2e, "run_tuning", fake_run), mock.patch.object(
-            e2e, "network_tasks", lambda net, top_k: []
+            e2e, "network_tasks", lambda net, top_k: [net]
         ):
             out = e2e.search_time_speedups("smoke", ("resnet50", "vit"))
         assert math.isnan(out["geomean"]["pruner_vs_ansor"])
@@ -107,12 +106,41 @@ class TestHeadlineClaims:
         assert out["missed"]["moa-pruner_vs_ansor"] == []
 
 
+class TestRunMemo:
+    """A run is fixed by its inputs, so each distinct run happens once."""
+
+    @pytest.fixture
+    def build_tuner(self, monkeypatch):
+        monkeypatch.setattr(common, "_RUNS", {})
+        with mock.patch.object(api, "build_tuner", wraps=api.build_tuner) as build:
+            yield build
+
+    def test_equal_inputs_build_one_tuner(self, build_tuner):
+        subs, scale = network_tasks("bert_tiny", top_k=1), get_scale("smoke")
+        first = run_tuning("ansor", subs, "a100", scale, rounds=1)
+        again = run_tuning("ansor", list(subs), "a100", scale, rounds=1)
+        assert again is first
+        assert build_tuner.call_count == 1
+
+    def test_a_scale_is_keyed_by_value_not_name(self, build_tuner):
+        """Two scales may share a name (the paper bench has three
+        ``lite-wide`` ones); a different search is a different run."""
+        subs, smoke = network_tasks("bert_tiny", top_k=1), get_scale("smoke")
+        narrow, wide = (
+            replace(smoke, name="lite-wide", search=replace(SEARCH, population=p))
+            for p in (16, 32)
+        )
+        run_tuning("ansor", subs, "a100", narrow, rounds=1)
+        run_tuning("ansor", subs, "a100", wide, rounds=1)
+        assert build_tuner.call_count == 2
+
+
 class TestCrossPlatform:
     def test_moa_beats_online_early(self, r50_subs):
         """Section 4.3: MoA's siamese init pays off in early rounds."""
         scale = get_scale("smoke")
-        online = run_tuning("pruner", r50_subs, "a100", scale, "integ2", rounds=10)
-        moa = run_tuning("moa-pruner", r50_subs, "a100", scale, "integ2", rounds=10)
+        online = run_tuning("pruner", r50_subs, "a100", scale, rounds=10)
+        moa = run_tuning("moa-pruner", r50_subs, "a100", scale, rounds=10)
         half = len(online.curve) // 2
         online_half = online.curve[half].latency
         moa_half = moa.curve[half].latency

@@ -49,10 +49,6 @@ class TestAccessPattern:
         a = self._matmul_a()
         assert a.innermost_span({"i": 8, "k": 4}) == 4
 
-    def test_footprint_bytes_respects_dtype(self):
-        a16 = AccessPattern("A", ((("i", 1),),), dtype_bytes=2)
-        assert a16.footprint_bytes({"i": 10}) == 20
-
     def test_reuse_counts_points_per_element(self):
         # B[k, j] inside an (i, j, k) tile: each element read i times.
         b = AccessPattern("B", ((("k", 1),), (("j", 1),)))

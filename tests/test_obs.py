@@ -435,8 +435,6 @@ REQUIRED_FAMILIES = (
     "repro_rounds_per_second",
     "repro_http_request_seconds",
     "repro_http_requests_total",
-    "repro_cache_hits_total",
-    "repro_cache_hit_ratio",
     "repro_stage_seconds",
 )
 

@@ -12,7 +12,7 @@ default arguments:
 * ``speedups`` — per network, how much sooner Pruner / MoA-Pruner /
   offline Pruner reach each baseline's final latency;
 * ``geomean`` — those speedups' geometric mean per pair;
-* ``runs`` — every tuning run behind them (``<corpus tag>/<method>``):
+* ``runs`` — every tuning run behind them (``f7-<network>/<method>``):
   its final latency and ``clock.total``;
 * ``table12`` — per network, each online ablation variant's final
   latency in ms;
@@ -38,6 +38,7 @@ from pathlib import Path
 from unittest import mock
 
 from repro.experiments import ablation, common, dataset_metrics, e2e
+from repro.workloads import network_tasks
 
 FIXTURE = Path(__file__).parent / "fixtures" / "paper_golden.json"
 SCALE = "smoke"
@@ -46,11 +47,11 @@ NETWORKS = ("bert_tiny", "resnet50")
 
 @contextmanager
 def _cold_cache():
-    """Pre-train every model afresh: no memory or disk cache hits."""
+    """Pre-train and tune afresh: no memory or disk cache hits."""
     with tempfile.TemporaryDirectory() as tmp:
         with mock.patch.object(common, "RESULTS_DIR", Path(tmp)), mock.patch.object(
             common, "_MEM_CACHE", {}
-        ):
+        ), mock.patch.object(common, "_RUNS", {}):
             yield
 
 
@@ -58,10 +59,12 @@ def paper_golden() -> dict:
     """What ``fixtures/paper_golden.json`` holds (module docstring)."""
     runs: dict[str, list[str]] = {}
     run_tuning = e2e.run_tuning
+    top_k = common.get_scale(SCALE).tasks_per_network
+    networks = {tuple(network_tasks(net, top_k=top_k)): net for net in NETWORKS}
 
-    def recorded(method, subgraphs, device, scale, corpus_tag, **kwargs):
-        result = run_tuning(method, subgraphs, device, scale, corpus_tag, **kwargs)
-        runs[f"{corpus_tag}/{method}"] = [
+    def recorded(method, subgraphs, device, scale, **kwargs):
+        result = run_tuning(method, subgraphs, device, scale, **kwargs)
+        runs[f"f7-{networks[tuple(subgraphs)]}/{method}"] = [
             result.final_latency.hex(),
             result.clock.total.hex(),
         ]

@@ -493,7 +493,7 @@ class TestTuner:
         rows = lower_batch(task.space, [random_config(task.space, rng) for _ in range(8)])
         features = model.featurize_batch(rows)
         model.fit(features, np.full(8, 1e-3), [task.key] * 8, train=TrainConfig(epochs=1))
-        adapter = MomentumAdapter.from_model(model)
+        adapter = MomentumAdapter(model.get_params())
         start = adapter.siamese_params
         tuner = self._build(two_tasks, a100, mode="moa", model=model, adapter=adapter)
         tuner.tune(4)

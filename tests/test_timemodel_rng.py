@@ -14,7 +14,7 @@ from repro.experiments.common import (
     save_results,
 )
 from repro.errors import ReproError
-from repro.rng import make_rng, rng_for, spawn, stable_hash
+from repro.rng import rng_for, stable_hash
 from repro.timemodel import (
     EXPLORATION,
     MEASUREMENT,
@@ -22,6 +22,7 @@ from repro.timemodel import (
     CostTable,
     SimClock,
 )
+from repro.workloads import network_tasks
 
 
 class TestSimClock:
@@ -78,11 +79,6 @@ class TestRng:
         b = rng_for("x", "y").random(4)
         assert np.array_equal(a, b)
 
-    def test_spawn_children_independent(self):
-        children = spawn(make_rng(0), 3)
-        values = [c.random() for c in children]
-        assert len(set(values)) == 3
-
 
 class TestExperimentCommon:
     def test_scales_resolve(self):
@@ -108,8 +104,10 @@ class TestExperimentCommon:
         assert path.exists()
 
     def test_pretrained_cache_key_covers_what_trained_the_file(self, tmp_path, monkeypatch):
-        """A file from another recipe or revision is not served: the
-        ``.npz`` of PR 0 outlived two changes of the training code."""
+        """A file is served only to the inputs that trained it: another
+        recipe, revision or subgraph list trains anew (an old ``.npz``
+        once outlived two changes of the training code), and equal
+        inputs train once whichever experiment asks."""
         import repro.experiments.common as common
 
         calls = []
@@ -122,13 +120,14 @@ class TestExperimentCommon:
         monkeypatch.setattr(common, "_MEM_CACHE", {})
         monkeypatch.setattr(common.api, "pretrain_model", fake_pretrain)
         smoke = get_scale("smoke")
-        stale = tmp_path / "cache" / "pacm-k80-unit-smoke-s0.npz"  # the old key
+        stale = tmp_path / "cache" / "pacm-k80-unit-smoke-s0.npz"  # an old key
         stale.parent.mkdir()
         np.savez(stale, w=np.zeros(2))
 
-        def load(scale):
+        def load(scale, subgraphs=()):
             common._MEM_CACHE.clear()  # a new process
-            return common.pretrained_params("pacm", "k80", [], scale, "unit")["w"][0]
+            params = common.pretrained_params("pacm", "k80", list(subgraphs), scale)
+            return params["w"][0]
 
         assert load(smoke) == 1.0  # trained, not the stale zeros
         assert load(smoke) == 1.0 and len(calls) == 1  # served from disk
@@ -139,6 +138,19 @@ class TestExperimentCommon:
         assert load(smoke) == 4.0
         assert calls == [(60, 10), (60, 11), (61, 10), (60, 10)]
         assert len(list(stale.parent.glob("*.npz"))) == 5
+
+        # two subgraph lists train separately
+        resnet = network_tasks("resnet50", top_k=smoke.tasks_per_network)
+        bert = network_tasks("bert_tiny", top_k=smoke.tasks_per_network)
+        assert load(smoke, resnet) == 5.0
+        assert load(smoke, bert) == 6.0
+        # one list in two orders trains twice: the rng follows the order
+        assert load(smoke, resnet[::-1]) == 7.0
+        # fig. 6 and fig. 7 partition resnet50 alike: one training serves both
+        fig6 = network_tasks("resnet50", top_k=smoke.tasks_per_network)
+        fig7 = network_tasks("resnet50", top_k=smoke.tasks_per_network)
+        assert load(smoke, fig6) == load(smoke, fig7) == 5.0
+        assert len(calls) == 7
 
     def test_print_table_smoke(self, capsys):
         print_table("t", ["a", "b"], [["x", 1.5], ["y", float("inf")]])
