@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import pytest
 
@@ -36,7 +36,7 @@ from repro.experiments import (
     single_op,
     tensorcore,
 )
-from repro.experiments.common import SCALES, save_results
+from repro.experiments.common import SCALES, prune_pretrained_cache, save_results
 
 
 def _lite_wide(population: int, spec_size: int, rounds: int, **changes):
@@ -393,9 +393,17 @@ BENCHES: dict[str, Bench] = {
 }
 
 @pytest.fixture(scope="session")
-def results() -> dict[str, dict]:
-    """Each experiment's result by key, run once however many checks read it."""
-    return {}
+def results() -> Iterator[dict[str, dict]]:
+    """Each experiment's result by key, run once however many checks read it.
+
+    After a session that ran every entry, the pre-training files no
+    experiment used (older keys) are deleted; a ``-k`` run deletes none.
+    """
+    out: dict[str, dict] = {}
+    yield out
+    if out.keys() == BENCHES.keys():
+        for name in prune_pretrained_cache():
+            print(f"pruned benchmarks/results/cache/{name}")
 
 
 @pytest.mark.parametrize(

@@ -3,8 +3,8 @@
 A draft-then-verify pass for the codebase itself: cheap static rules
 prune whole classes of concurrency and determinism bugs before they
 reach the expensive test/bench/fleet layers (the same shape PrediPrune
-gives the candidate funnel).  Three rule families, all driven by the
-declared facts in :mod:`repro.analysis.manifest`:
+gives the candidate funnel).  Four rule families, the first three
+driven by the declared facts in :mod:`repro.analysis.manifest`:
 
 * **locks** — unguarded access to declared thread-shared state, helpers
   called without their assumed lock, re-acquisition deadlocks, and
@@ -13,6 +13,8 @@ declared facts in :mod:`repro.analysis.manifest`:
   packages (``schedule/``, ``search/``, ``costmodel/``, ``features/``).
 * **hygiene** — no silent broad excepts, no generic raises at API
   boundaries, every module-level cache registered in :mod:`repro.cache`.
+* **imports** — module-level imports the module never reads (ruff's
+  F401, so the check needs no ruff).
 
 Run it with ``python -m repro.analysis src/repro`` (text or
 ``--format=json``); CI gates on exit 0.  The runtime companion

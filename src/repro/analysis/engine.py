@@ -197,12 +197,13 @@ RuleFn = Callable[[list[ModuleInfo], Manifest], list[Finding]]
 
 def default_rules() -> dict[str, RuleFn]:
     """The shipped rule families, keyed by family name."""
-    from repro.analysis import determinism, hygiene, locks
+    from repro.analysis import determinism, hygiene, imports, locks
 
     return {
         "locks": locks.check,
         "determinism": determinism.check,
         "hygiene": hygiene.check,
+        "imports": imports.check,
     }
 
 
@@ -213,7 +214,7 @@ def analyze_paths(
 ) -> Report:
     """Run the analysis over ``paths`` and return the report.
 
-    ``rules`` filters the rule families by name (default: all three).
+    ``rules`` filters the rule families by name (default: all of them).
     """
     manifest = DEFAULT_MANIFEST if manifest is None else manifest
     modules = load_modules(paths)

@@ -30,6 +30,7 @@ Methods (paper Section 5/6):
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from repro.rng import make_rng
 from repro.schedule.batch import lower_batch
 from repro.schedule.sampler import random_config
 from repro.schedule.sketch import generate_sketch
-from repro.search import AnsorPolicy, PrunerPolicy, Tuner, make_tasks
+from repro.search import AnsorPolicy, PrunerPolicy, SearchPolicy, Tuner, make_tasks
 from repro.search.records import RecordLog
 from repro.search.task import TuningTask
 from repro.search.tuner import ProgressFn, TuneResult
@@ -65,35 +66,74 @@ SCALES: dict[str, SearchConfig] = {
     "smoke": SMOKE_SEARCH,
 }
 
-_OFFLINE_MODES = {"tensetmlp", "tlp", "pruner-offline", "pruner-offline-no-lse"}
+#: cross-platform pre-training platform for MoA (paper: TenSet K80-6M)
+MOA_SOURCE_DEVICE = "k80"
 
-#: Every tuning method this facade knows (the table above).
-KNOWN_METHODS = frozenset(
-    {
-        "ansor",
-        "tensetmlp",
-        "tlp",
-        "pruner",
-        "moa-pruner",
-        "pruner-offline",
-        "pruner-offline-no-lse",
-        "pruner-finetune",
-        "metaschedule",
-        "pruner-tc",
-        "pruner-no-lse",
-        "pruner-no-sf",
-        "pruner-no-tdf",
-    }
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """What one method tunes with: a row of the table above.
+
+    ``policy`` explores and selects each task's candidates.  ``model``
+    is the cost-model class, built with ``model_kwargs`` by
+    :meth:`new_model`.  ``mode`` is the tuner's cost-model mode; every
+    mode but ``online`` needs ``pretrained=`` parameters, trained on
+    ``pretrain_source`` (``None``: the tuning target itself).
+    ``tensorcore`` asks for TensorCore sketches.
+    """
+
+    policy: type[SearchPolicy]
+    model: type[CostModel]
+    model_kwargs: dict = field(default_factory=dict)
+    mode: str = "online"
+    tensorcore: bool = False
+    pretrain_source: str | None = None
+
+    def new_model(self, seed: int) -> CostModel:
+        """A fresh cost model for one tuner (the boosted trees take no seed)."""
+        if self.model is GBDTModel:
+            return GBDTModel(**self.model_kwargs)
+        return self.model(**self.model_kwargs, seed=seed)
+
+
+#: Every tuning method this facade knows (the table above), by name.
+METHODS: dict[str, MethodSpec] = {
+    "ansor": MethodSpec(AnsorPolicy, GBDTModel),
+    "tensetmlp": MethodSpec(AnsorPolicy, TenSetMLP, mode="offline"),
+    "tlp": MethodSpec(AnsorPolicy, TLPModel, mode="offline"),
+    "pruner": MethodSpec(PrunerPolicy, PaCM),
+    "moa-pruner": MethodSpec(
+        PrunerPolicy, PaCM, mode="moa", pretrain_source=MOA_SOURCE_DEVICE
+    ),
+    "pruner-offline": MethodSpec(PrunerPolicy, PaCM, mode="offline"),
+    "pruner-finetune": MethodSpec(
+        PrunerPolicy, PaCM, mode="finetune", pretrain_source=MOA_SOURCE_DEVICE
+    ),
+    "metaschedule": MethodSpec(AnsorPolicy, TenSetMLP, tensorcore=True),
+    "pruner-tc": MethodSpec(PrunerPolicy, PaCM, tensorcore=True),
+    "pruner-no-lse": MethodSpec(AnsorPolicy, PaCM),
+    "pruner-offline-no-lse": MethodSpec(AnsorPolicy, PaCM, mode="offline"),
+    "pruner-no-sf": MethodSpec(PrunerPolicy, PaCM, {"use_statement": False}),
+    "pruner-no-tdf": MethodSpec(PrunerPolicy, PaCM, {"use_dataflow": False}),
+}
+
+KNOWN_METHODS = frozenset(METHODS)
+
+#: Methods that need ``pretrained=`` parameters: :func:`build_tuner`
+#: raises without them, and callers that cannot supply them (e.g. the
+#: tuning service) reject these names up front.
+PRETRAINED_METHODS = frozenset(
+    name for name, spec in METHODS.items() if spec.mode != "online"
 )
 
 
 def resolve_method(method: str) -> str:
     """Validate a method name; unknown names raise SearchError.
 
-    Without this check a typo'd method would silently fall through the
-    default branches of the dispatch helpers and tune as plain Pruner.
+    The one refusal every door shows: ``POST /jobs`` answers it as a
+    400 and the serve CLI prints it.
     """
-    if method not in KNOWN_METHODS:
+    if method not in METHODS:
         raise SearchError(
             f"unknown method {method!r}; valid methods: {sorted(KNOWN_METHODS)}"
         )
@@ -121,22 +161,11 @@ def tasks_for(
     Shared by :func:`build_tuner` and the record store (the store keys
     persisted records by exactly these tasks, so both sides must agree).
     """
-    use_tc = tensorcore or method in ("metaschedule", "pruner-tc")
+    use_tc = tensorcore or METHODS[resolve_method(method)].tensorcore
     tasks = make_tasks(subgraphs, device, tensorcore=use_tc)
     if not tasks:
         raise SearchError("no tiled subgraphs to tune")
     return tasks
-
-
-def _model_class(method: str) -> type[CostModel]:
-    """The cost-model class a method tunes with."""
-    if method == "ansor":
-        return GBDTModel
-    if method in ("tensetmlp", "metaschedule"):
-        return TenSetMLP
-    if method == "tlp":
-        return TLPModel
-    return PaCM  # every pruner variant verifies with PaCM
 
 
 def model_kind(method: str) -> str:
@@ -147,51 +176,7 @@ def model_kind(method: str) -> str:
     and where a returned one is stored.  A class-attribute read — no
     model is constructed.
     """
-    return _model_class(resolve_method(method)).kind
-
-
-def _default_model(method: str, seed: int) -> CostModel:
-    cls = _model_class(method)
-    if cls is GBDTModel:
-        return GBDTModel()
-    if cls is PaCM:
-        return PaCM(
-            use_statement=method != "pruner-no-sf",
-            use_dataflow=method != "pruner-no-tdf",
-            seed=seed,
-        )
-    return cls(seed=seed)
-
-
-def _mode_for(method: str) -> str:
-    if method in _OFFLINE_MODES:
-        return "offline"
-    if method == "moa-pruner":
-        return "moa"
-    if method == "pruner-finetune":
-        return "finetune"
-    return "online"
-
-
-#: Methods that need ``pretrained=`` parameters — everything whose
-#: cost-model mode is not plain online training.  Derived from
-#: :func:`_mode_for` so the sets cannot drift: :func:`build_tuner`
-#: raises without parameters for exactly these, and callers that cannot
-#: supply them (e.g. the tuning service) reject them up front.
-PRETRAINED_METHODS = frozenset(m for m in KNOWN_METHODS if _mode_for(m) != "online")
-
-
-def _policy_class(method: str):
-    if method in (
-        "ansor",
-        "tensetmlp",
-        "tlp",
-        "metaschedule",
-        "pruner-no-lse",
-        "pruner-offline-no-lse",
-    ):
-        return AnsorPolicy
-    return PrunerPolicy
+    return METHODS[resolve_method(method)].model.kind
 
 
 def elementwise_latency(subgraphs: list[SubgraphTask], device: DeviceSpec) -> float:
@@ -244,20 +229,15 @@ def build_tuner(
     """
     if isinstance(device, str):
         device = get_device(device)
-    resolve_method(method)
+    spec = METHODS[resolve_method(method)]
     search = search or LITE_SEARCH
     train = train or ONLINE_TRAIN
-    mode = _mode_for(method)
-    model = _default_model(method, seed)
+    model = spec.new_model(seed)
 
-    adapter = None
-    if mode == "moa":
-        if pretrained is None:
-            raise SearchError("moa-pruner needs pretrained siamese parameters")
-        adapter = MomentumAdapter(pretrained)
-    elif mode in ("offline", "finetune"):
-        if pretrained is None:
-            raise SearchError(f"{method} needs pretrained model parameters")
+    if spec.mode != "online" and pretrained is None:
+        raise SearchError(f"{method} needs pretrained model parameters")
+    adapter = MomentumAdapter(pretrained) if spec.mode == "moa" else None
+    if spec.mode in ("offline", "finetune"):
         model.set_params(pretrained)
     if pretrained is not None:
         initial_model_state = None  # explicitly supplied parameters win
@@ -267,9 +247,8 @@ def build_tuner(
 
     clock = SimClock()
     runner = MeasureRunner(device, clock=clock, rng=make_rng(seed))
-    policy_cls = _policy_class(method)
     policies = {
-        t.key: policy_cls(t, model, search=search, clock=clock) for t in tasks
+        t.key: spec.policy(t, model, search=search, clock=clock) for t in tasks
     }
     return Tuner(
         tasks,
@@ -277,7 +256,7 @@ def build_tuner(
         model,
         runner,
         clock,
-        mode=mode,
+        mode=spec.mode,
         adapter=adapter,
         train=train,
         fixed_latency=elementwise_latency(subgraphs, device),

@@ -14,7 +14,7 @@ benchmark suite completes quickly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SPEC_SIZE = 512
 MEASURE_PER_ROUND = 10
@@ -56,14 +56,6 @@ class SearchConfig:
     measure_per_round: int = MEASURE_PER_ROUND
     eps_greedy: float = 0.05
     mutation_prob: float = 0.85
-
-    def scaled(self, factor: float) -> "SearchConfig":
-        """Return a copy with population/spec sizes scaled by ``factor``."""
-        return replace(
-            self,
-            population=max(8, int(self.population * factor)),
-            spec_size=max(8, int(self.spec_size * factor)),
-        )
 
 
 @dataclass(frozen=True)

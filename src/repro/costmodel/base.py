@@ -131,8 +131,8 @@ class CostModel(ABC):
 
         The result round-trips through :meth:`load_state` on a freshly
         constructed model of the same architecture with bit-identical
-        predictions.  Models without learned state (e.g. RandomModel)
-        raise :class:`~repro.errors.CostModelError`.
+        predictions.  Models without learned state raise
+        :class:`~repro.errors.CostModelError`.
         """
         return {
             "state_v": MODEL_STATE_VERSION,
@@ -315,21 +315,3 @@ class NNCostModel(CostModel):
         if mu is not None and sigma is not None:
             self._feature_norm = (mu.copy(), sigma.copy())
 
-
-class RandomModel(CostModel):
-    """Scores at random — the 'no learned model' ablation baseline."""
-
-    kind = "random"
-    feature_kind = "statement"
-
-    def __init__(self, seed: int = 0) -> None:
-        self._rng = make_rng(seed)
-
-    def featurize_batch(self, batch: CandidateBatch) -> np.ndarray:
-        return np.zeros((len(batch), 0))  # reads nothing
-
-    def predict_batch(self, batch: CandidateBatch) -> np.ndarray:
-        return self._rng.random(len(batch))
-
-    def fit(self, features, latencies, group_keys, train=None, rng=None) -> None:
-        pass  # nothing to learn

@@ -20,7 +20,6 @@ from repro.config import (
     SearchConfig,
     TrainConfig,
 )
-from repro.costmodel import PaCM, TenSetMLP, TLPModel
 from repro.errors import ReproError
 from repro.ir.partition import SubgraphTask
 from repro.search.tuner import TuneResult
@@ -100,6 +99,9 @@ _MEM_CACHE: dict[str, dict[str, np.ndarray]] = {}
 #: revision stop being served.  1 = before the key covered the recipe.
 PRETRAIN_REVISION = 2
 
+#: The cost-model classes the methods tune with, by kind.
+_MODEL_CLASSES = {spec.model.kind: spec.model for spec in api.METHODS.values()}
+
 
 def pretrained_params(
     model_kind: str,
@@ -136,7 +138,7 @@ def pretrained_params(
         _MEM_CACHE[key] = params
         return params
 
-    model = {"pacm": PaCM, "mlp": TenSetMLP, "tlp": TLPModel}[model_kind]()
+    model = _MODEL_CLASSES[model_kind]()
     params = api.pretrain_model(
         model,
         subgraphs,
@@ -151,8 +153,22 @@ def pretrained_params(
     return params
 
 
-#: cross-platform pre-training platform for MoA (paper: TenSet K80-6M)
-MOA_SOURCE_DEVICE = "k80"
+def prune_pretrained_cache() -> list[str]:
+    """Delete every cached pre-training file this process did not use.
+
+    A file is used when :func:`pretrained_params` read or wrote it here
+    (its key is in the in-process memo).  Call it only after a run that
+    asked for everything it will ever ask for, e.g. the whole paper
+    bench module; files of older keys are never read again.  Returns the
+    removed file names.
+    """
+    removed = []
+    for path in sorted((RESULTS_DIR / "cache").glob("*.npz")):
+        if path.stem not in _MEM_CACHE:
+            path.unlink()
+            removed.append(path.name)
+    return removed
+
 
 #: One result per distinct run, keyed by every input that fixes it.
 #: Callers only read a ``TuneResult``, so equal calls share one object.
@@ -179,14 +195,10 @@ def run_tuning(
         return _RUNS[key]
     pretrained = None
     if method in api.PRETRAINED_METHODS:
-        # MoA / finetune: cross-platform siamese; offline: target platform.
-        source = (
-            MOA_SOURCE_DEVICE
-            if method in ("moa-pruner", "pruner-finetune")
-            else device
-        )
+        spec = api.METHODS[method]
+        source = spec.pretrain_source or device
         pretrained = pretrained_params(
-            api.model_kind(method), source, subgraphs, scale, seed=seed
+            spec.model.kind, source, subgraphs, scale, seed=seed
         )
     tuner = api.build_tuner(
         method,

@@ -46,13 +46,6 @@ class MeasureResultBatch:
     def __len__(self) -> int:
         return len(self.latency)
 
-    def throughput(self) -> np.ndarray:
-        """FLOP/s achieved per trial (0 for invalid programs)."""
-        out = np.zeros(len(self), dtype=np.float64)
-        ok = self.valid & np.isfinite(self.latency)
-        out[ok] = self.batch.flops[ok] / self.latency[ok]
-        return out
-
 
 class MeasureRunner:
     """Measures programs on a simulated device, charging simulated time."""

@@ -342,8 +342,9 @@ class Tuner:
         — re-saving it (worse: re-ranking it with this run's record
         count) could make staleness arbitration reject genuinely
         better-trained checkpoints.  Also None when the model has no
-        serializable state at all (e.g. RandomModel).  Callers pair the
-        state with :attr:`model_trained_on` as its staleness rank.
+        serializable state at all (its ``save_state`` raises).  Callers
+        pair the state with :attr:`model_trained_on` as its staleness
+        rank.
         """
         if not self._model_trained:
             return None

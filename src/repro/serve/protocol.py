@@ -338,11 +338,6 @@ class EventBroker:
                     return []
                 self._cond.wait(remaining)
 
-    def latest(self, topic: str) -> int:
-        """The topic's newest sequence number (0 when nothing published)."""
-        with self._cond:
-            return self._next_seq.get(topic, 0)
-
     def close(self) -> None:
         """Wake every waiter and make future waits return immediately."""
         with self._cond:

@@ -228,11 +228,56 @@ def test_cli_exit_codes(tmp_path):
     assert main([str(bad), "--rules", "nonsense"]) == 2
     assert main([str(bad), "--rules", "locks,determinism"]) == 0
     # the inline marker is the one escape hatch: no baseline file, no flags
-    assert sorted(default_rules()) == ["determinism", "hygiene", "locks"]
+    assert sorted(default_rules()) == ["determinism", "hygiene", "imports", "locks"]
     for gone in ("--baseline=x.json", "--no-baseline", "--write-baseline"):
         with pytest.raises(SystemExit) as exc:
             main([str(bad), gone])
         assert exc.value.code == 2
+
+
+def test_unused_imports_are_found_where_ruff_finds_them(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("from pkg.mod import helper\n")  # re-export
+    (pkg / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import os\n"  # 2: unused
+        "import sys\n"
+        "import json  # noqa: F401\n"
+        "import re  # noqa: E402\n"  # 5: another code's noqa
+        "import os.path as osp\n"  # 6: unused alias
+        "from typing import TYPE_CHECKING, Any\n"
+        "from collections import (\n"
+        "    OrderedDict,  # noqa: F401\n"
+        "    deque,\n"  # 10: the noqa above covers one alias
+        ")\n"
+        "if TYPE_CHECKING:\n"
+        "    from pathlib import Path\n"
+        "try:\n"
+        "    import numpy as np\n"  # 15: rebound, never read
+        "except ImportError:\n"
+        "    np = None\n"
+        "__all__ = ['Any']\n"
+        "def helper(x: 'Path') -> int:\n"
+        "    import shutil\n"  # function scope: not this rule's
+        "    return sys.maxsize\n"
+    )
+    report = analyze_paths([pkg], rules=["imports"])
+    assert [(Path(f.path).name, f.line, f.symbol) for f in report.findings] == [
+        ("mod.py", 2, "os"),
+        ("mod.py", 5, "re"),
+        ("mod.py", 6, "osp"),
+        ("mod.py", 10, "deque"),
+        ("mod.py", 15, "np"),
+    ]
+    assert {f.rule for f in report.findings} == {"imp-unused"}
+
+
+def test_whole_tree_has_no_unused_imports():
+    roots = [REPO / name for name in ("src", "tests", "examples", "benchmarks")]
+    report = analyze_paths(roots, rules=["imports"])
+    assert report.findings == []
+    assert report.files > 150
 
 
 def test_analyze_paths_rejects_syntax_errors(tmp_path):

@@ -45,6 +45,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from doubles import RandomModel
 
 from repro.config import SearchConfig
 from repro.core.analyzer import (
@@ -55,7 +56,6 @@ from repro.core.analyzer import (
 from repro.core.penalty import Penalties, compute_penalties
 from repro.core.symbols import Symbols, extract_symbols, extract_symbols_batch
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel
-from repro.costmodel.base import RandomModel
 from repro.features.dataflow import dataflow_features, dataflow_tensor_batch
 from repro.features.primitives import primitive_features, primitive_tensor_batch
 from repro.features.statement import statement_features, statement_matrix_batch

@@ -11,12 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from doubles import RandomModel
 
 from repro import api
 from repro.config import TrainConfig
 from repro.core.moa import MomentumAdapter
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel, make_labels
-from repro.costmodel.base import RandomModel
 from repro.errors import CostModelError
 from repro.features.dataflow import DATAFLOW_BLOCKS, DATAFLOW_DIM
 from repro.features.primitives import PRIMITIVE_DIM, PRIMITIVE_SEQ
@@ -431,9 +431,9 @@ class TestNoCyclicGarbage:
         its record log held and the cost model's parameter arrays:
         reference counting alone lets go of what a job measured."""
         models = []
-        make = api._default_model
+        make = api.MethodSpec.new_model
         monkeypatch.setattr(
-            api, "_default_model", lambda *args: models.append(make(*args)) or models[-1]
+            api.MethodSpec, "new_model", lambda *args: models.append(make(*args)) or models[-1]
         )
         subs = network_tasks("bert_tiny", top_k=1)
         gc.collect()

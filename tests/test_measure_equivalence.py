@@ -199,9 +199,6 @@ class TestMeasureBatch:
         want_lat, want_valid, want_clock = self._scalar_reference(dev, progs, seed=7)
         np.testing.assert_array_equal(out.latency, want_lat)
         np.testing.assert_array_equal(out.valid, want_valid)
-        np.testing.assert_array_equal(
-            out.throughput(), np.where(want_valid, batch.flops / want_lat, 0.0)
-        )
         assert clock.total == pytest.approx(want_clock.total, rel=1e-12, abs=0.0)
         assert runner.count == len(progs)
 

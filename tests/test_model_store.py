@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from doubles import RandomModel
 
 from repro import api
 from repro.config import TrainConfig
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel
-from repro.costmodel.base import MODEL_STATE_VERSION, RandomModel
+from repro.costmodel.base import MODEL_STATE_VERSION
 from repro.errors import CostModelError
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from doubles import RandomModel
 
 from repro.config import SearchConfig, TrainConfig
 from repro.core.analyzer import is_launchable
 from repro.costmodel import GBDTModel, PaCM
-from repro.costmodel.base import RandomModel
 from repro.hardware.device import get_device
 from repro.hardware.measure import MeasureRunner
 from repro.ir import ops
@@ -583,11 +583,11 @@ class TestTrainingMatrix:
         from repro import api
 
         spies = []
-        make = api._default_model
+        make = api.MethodSpec.new_model
         training_data = RecordLog.training_data
 
-        def default_model(method, seed):
-            model = make(method, seed)
+        def new_model(spec, seed):
+            model = make(spec, seed)
             spies.append(_TrainingSpy(model))
             return model
 
@@ -596,7 +596,7 @@ class TestTrainingMatrix:
             spies[-1].logged.append(len(lats))
             return lats, keys
 
-        monkeypatch.setattr(api, "_default_model", default_model)
+        monkeypatch.setattr(api.MethodSpec, "new_model", new_model)
         monkeypatch.setattr(RecordLog, "training_data", logged_training_data)
         return spies
 

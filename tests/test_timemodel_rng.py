@@ -152,6 +152,32 @@ class TestExperimentCommon:
         assert load(smoke, fig6) == load(smoke, fig7) == 5.0
         assert len(calls) == 7
 
+    def test_prune_keeps_exactly_the_files_this_process_used(self, tmp_path, monkeypatch):
+        import repro.experiments.common as common
+
+        def fake_pretrain(model, subgraphs, device, samples_per_task, train, seed):
+            return {"w": np.zeros(2)}
+
+        monkeypatch.setattr(common, "RESULTS_DIR", tmp_path)
+        monkeypatch.setattr(common, "_MEM_CACHE", {})
+        monkeypatch.setattr(common.api, "pretrain_model", fake_pretrain)
+        cache = tmp_path / "cache"
+        assert common.prune_pretrained_cache() == []  # no cache dir yet
+        smoke = get_scale("smoke")
+        common.pretrained_params("pacm", "a100", [], smoke)  # written here
+        common.pretrained_params("mlp", "a100", [], smoke)
+        (written,) = {p.name for p in cache.glob("pacm-*.npz")}
+        common._MEM_CACHE.clear()  # a new process ...
+        common.pretrained_params("mlp", "a100", [], smoke)  # ... reads one file
+        (read,) = {p.name for p in cache.glob("mlp-*.npz")}
+        np.savez(cache / "pacm-k80-unit-smoke-s0.npz", w=np.zeros(2))  # an old key
+        (cache / "notes.txt").write_text("not a parameter file")
+
+        stale = sorted([written, "pacm-k80-unit-smoke-s0.npz"])
+        assert common.prune_pretrained_cache() == stale
+        assert sorted(p.name for p in cache.iterdir()) == [read, "notes.txt"]
+        assert common.prune_pretrained_cache() == []
+
     def test_print_table_smoke(self, capsys):
         print_table("t", ["a", "b"], [["x", 1.5], ["y", float("inf")]])
         out = capsys.readouterr().out

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from doubles import RandomModel
 
 from repro.core.analyzer import is_launchable_mask
 from repro.costmodel import TenSetMLP
-from repro.costmodel.base import RandomModel
 from repro.dataset import best_k_score, top_k_score
 from repro.dataset.tenset import generate_for_tasks
 from repro.errors import DatasetError, WorkloadError
