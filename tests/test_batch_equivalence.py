@@ -875,8 +875,8 @@ class TestClearCaches:
 
 
 if __name__ == "__main__":
-    # Rewrites the frozen files from today's one-row doors: only for a
+    # Rewrites the frozen files from today's batch pipeline: only for a
     # deliberate change of the lowering or the draft formula.
     for name, golden in (("lowering", lowering_golden), ("draft", draft_golden)):
-        text = json.dumps(golden(_one_by_one), sort_keys=True, separators=(",", ":"))
+        text = json.dumps(golden(lower_batch), sort_keys=True, separators=(",", ":"))
         (FIXTURES / f"{name}_golden.json").write_text(text + "\n")
