@@ -20,7 +20,6 @@ from repro.core import (
     MomentumAdapter,
     SymbolBasedAnalyzer,
     compute_penalties,
-    extract_symbols,
 )
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel
 from repro.hardware import DeviceSpec, GroundTruthSimulator, get_device
@@ -34,7 +33,6 @@ __all__ = [
     "SymbolBasedAnalyzer",
     "LatentScheduleExplorer",
     "MomentumAdapter",
-    "extract_symbols",
     "compute_penalties",
     "PaCM",
     "TenSetMLP",

@@ -9,7 +9,7 @@
 * :mod:`repro.core.moa`      — Momentum online Adaptation (Section 4.3).
 """
 
-from repro.core.symbols import Symbols, extract_symbols
+from repro.core.symbols import Symbols
 from repro.core.penalty import Penalties, compute_penalties
 from repro.core.analyzer import SymbolBasedAnalyzer
 from repro.core.lse import LatentScheduleExplorer, LSEResult
@@ -17,7 +17,6 @@ from repro.core.moa import MomentumAdapter
 
 __all__ = [
     "Symbols",
-    "extract_symbols",
     "Penalties",
     "compute_penalties",
     "SymbolBasedAnalyzer",

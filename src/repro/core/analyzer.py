@@ -13,8 +13,8 @@ to pick S_spec.  The class exposes ablation switches used by Table 10
 (``w/o P_{l_i,c}`` and ``w/o P_{l_i,m}``).
 
 Eq. 1 is written once, over a :class:`~repro.schedule.batch.
-CandidateBatch` (:meth:`SymbolBasedAnalyzer.latency_batch`); ``latency``
-/ ``score`` of one program read its one-row batch, ``prog.row``.
+CandidateBatch` (:meth:`SymbolBasedAnalyzer.latency_batch`); one
+program is its one-row batch, ``prog.row``.
 ``tests/fixtures/draft_golden.json`` pins latency and score on four
 devices under both switches.
 """
@@ -103,7 +103,7 @@ def distinct_launchable(
 
 @dataclass
 class SymbolBasedAnalyzer:
-    """Draft model: maps a lowered program to an estimated cost.
+    """Draft model: maps lowered candidates to an estimated cost.
 
     Parameters
     ----------
@@ -119,21 +119,10 @@ class SymbolBasedAnalyzer:
     use_compute_penalty: bool = True
     use_memory_penalty: bool = True
 
-    def latency(self, prog: LoweredProgram) -> float:
-        """Estimated total latency L_total (seconds; ranking-grade only)."""
-        return float(self.latency_batch(prog.row)[0])
-
-    def score(self, prog: LoweredProgram) -> float:
-        """Hardware-fitness score (higher is better): negated latency.
-
-        Programs that violate hard launch constraints score ``-inf`` so
-        that the GA and PriorFilter never keep them.
-        """
-        return float(self.score_batch(prog.row)[0])
-
     def latency_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """L_total of every candidate (one GA generation = a handful of
-        numpy ops)."""
+        """Estimated total latency L_total of every candidate (seconds;
+        ranking-grade only).  One GA generation is a handful of numpy
+        ops."""
         symbols = extract_symbols_batch(batch)
         pen = compute_penalties(symbols, self.device, batch.dtype_bytes)
 
@@ -155,7 +144,9 @@ class SymbolBasedAnalyzer:
         return l_c + l_m
 
     def score_batch(self, batch: CandidateBatch) -> np.ndarray:
-        """``-latency`` per candidate, ``-inf`` where unlaunchable."""
+        """Hardware fitness (higher is better): ``-latency`` per
+        candidate, ``-inf`` where unlaunchable, so that the GA and
+        PriorFilter never keep such a row."""
         scores = -self.latency_batch(batch)
         scores[~is_launchable_mask(batch, self.device)] = -math.inf
         return scores

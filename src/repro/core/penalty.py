@@ -16,10 +16,9 @@ verbatim:
 TensorCore programs additionally multiply the compute penalties by the
 fragment-alignment symbol S9.
 
-Each formula is written once, in numpy ufuncs, over values that are
-floats for one program and ``(N,)`` arrays for a batch (see
-:class:`~repro.core.symbols.Symbols`); ``tests/fixtures/
-draft_golden.json`` pins every term.
+Each formula is written once, in numpy ufuncs, over the ``(N,)`` symbol
+columns of a batch (see :class:`~repro.core.symbols.Symbols`);
+``tests/fixtures/draft_golden.json`` pins every term.
 """
 
 from __future__ import annotations
@@ -37,19 +36,18 @@ if TYPE_CHECKING:  # runtime-free to avoid a core <-> hardware import cycle
 
 @dataclass(frozen=True)
 class Penalties:
-    """Penalty terms on one device: floats for one program, one ``(N,)``
-    array per term for a batch."""
+    """Penalty terms on one device: one ``(N,)`` array per term."""
 
-    p_l0_m: float | np.ndarray
-    p_l0_c: float | np.ndarray
-    p_l1_m: float | np.ndarray
-    p_l1_c: float | np.ndarray
-    alpha_l1: float | np.ndarray
-    p_l2_c: float | np.ndarray
-    p_l2_m: float | np.ndarray
-    p_tc: float | np.ndarray = 1.0
+    p_l0_m: np.ndarray
+    p_l0_c: np.ndarray
+    p_l1_m: np.ndarray
+    p_l1_c: np.ndarray
+    alpha_l1: np.ndarray
+    p_l2_c: np.ndarray
+    p_l2_m: np.ndarray
+    p_tc: np.ndarray
 
-    def density(self) -> float | np.ndarray:
+    def density(self) -> np.ndarray:
         """P_l0_c folded into a (0, 1] utilization factor.
 
         The paper's ``P_l0_c = 1 + S2/S1`` is unbounded ("the bigger the
@@ -60,11 +58,11 @@ class Penalties:
         """
         return 1.0 - 1.0 / self.p_l0_c
 
-    def compute_product(self) -> float | np.ndarray:
+    def compute_product(self) -> np.ndarray:
         """Product of the compute-side penalties (drives U_p)."""
         return self.density() * self.p_l1_c * self.alpha_l1 * self.p_l2_c * self.p_tc
 
-    def memory_product(self) -> float | np.ndarray:
+    def memory_product(self) -> np.ndarray:
         """Product of the memory-side penalties (drives U_m)."""
         return self.p_l0_m * self.p_l1_m * self.p_l2_m
 

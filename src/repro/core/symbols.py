@@ -21,11 +21,12 @@ thread-tile maps onto WMMA 16x16x16 fragments (the symbol the paper
 introduces when integrating Pruner into MetaSchedule, Section 6.4).
 
 Symbols are pure functions of the lowered candidates; all the products
-over tile factors (Figure 3) already happened during lowering.  There is
-one :class:`Symbols` type: its fields are floats for one program and
-``(N,)`` arrays for a :class:`~repro.schedule.batch.CandidateBatch`, and
-the penalty and latency formulas built on it are written once over
-either.  ``tests/fixtures/draft_golden.json`` pins the values.
+over tile factors (Figure 3) already happened during lowering.  A
+:class:`Symbols` holds one ``(N,)`` column per symbol of a
+:class:`~repro.schedule.batch.CandidateBatch` (one program is a one-row
+batch), and the penalty and latency formulas built on it are written
+once, over columns.  ``tests/fixtures/draft_golden.json`` pins the
+values.
 """
 
 from __future__ import annotations
@@ -35,43 +36,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.schedule.batch import CandidateBatch
-from repro.schedule.lower import LoweredProgram
 
 
 @dataclass(frozen=True)
 class Symbols:
-    """The S1..S8 (+S9) symbol vector: floats for one scheduled program,
-    one ``(N,)`` array per symbol for a whole candidate batch."""
+    """The S1..S8 (+S9) symbol vector: one ``(N,)`` column per symbol of
+    a candidate batch."""
 
-    s1_l0_alloc: float | np.ndarray
-    s2_l0_compute: float | np.ndarray
-    s3_l1_alloc: float | np.ndarray
-    s4_l1_para: float | np.ndarray
-    s5_l2_traffic: float | np.ndarray
-    s6_l2_para: float | np.ndarray
-    s7_l2_trans: float | np.ndarray
-    s8_l2_compute: float | np.ndarray
-    s9_tc_align: float | np.ndarray = 1.0  # 1.0 = perfectly fragment-aligned / not TC
-
-    def as_tuple(self) -> tuple[float | np.ndarray, ...]:
-        """Symbols in S1..S9 order."""
-        return (
-            self.s1_l0_alloc,
-            self.s2_l0_compute,
-            self.s3_l1_alloc,
-            self.s4_l1_para,
-            self.s5_l2_traffic,
-            self.s6_l2_para,
-            self.s7_l2_trans,
-            self.s8_l2_compute,
-            self.s9_tc_align,
-        )
-
-
-def extract_symbols(prog: LoweredProgram) -> Symbols:
-    """The symbol vector of one lowered program, as floats."""
-    batch = extract_symbols_batch(prog.row)
-    return Symbols(*(float(column[0]) for column in batch.as_tuple()))
+    s1_l0_alloc: np.ndarray
+    s2_l0_compute: np.ndarray
+    s3_l1_alloc: np.ndarray
+    s4_l1_para: np.ndarray
+    s5_l2_traffic: np.ndarray
+    s6_l2_para: np.ndarray
+    s7_l2_trans: np.ndarray
+    s8_l2_compute: np.ndarray
+    s9_tc_align: np.ndarray  # 1.0 = perfectly fragment-aligned / not TC
 
 
 def extract_symbols_batch(batch: CandidateBatch) -> Symbols:

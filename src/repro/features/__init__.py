@@ -12,31 +12,20 @@ Three views of a scheduled program, mirroring the paper's comparison:
   one-hot factor buckets (TLP style; intentionally sparse, which is why
   TLP needs large pre-training corpora — Section 2.3(2)).
 
-Each view has a batched entry point (``*_batch``) consuming a
+Each view has one batched entry point (``*_batch``) consuming a
 :class:`~repro.schedule.batch.CandidateBatch` and returning the stacked
-feature array in one shot.  The one-row ``statement_features`` /
-``dataflow_features`` of a program run the same encoder on its
-one-row batch, ``prog.row``; ``primitive_features`` is the per-program
-reference ``primitive_tensor_batch`` is tested against.  There is no
-program-list door: callers hold lowered rows (:func:`~repro.schedule.
-batch.lower_batch` output, or takes and concatenations of it), one
-batch per space.
+feature array in one shot; one program is its one-row batch,
+``prog.row``.  ``primitive_features`` is the per-program reference
+``primitive_tensor_batch`` is tested against.  Callers hold lowered
+rows (:func:`~repro.schedule.batch.lower_batch` output, or takes and
+concatenations of it), one batch per space.
 Every row asked for is encoded: no row store sits in front of the
 encoders (a row's features are a pure function of its lowered arrays,
 and the same rows almost never come back across rounds).
 """
 
-from repro.features.statement import (
-    STATEMENT_DIM,
-    statement_features,
-    statement_matrix_batch,
-)
-from repro.features.dataflow import (
-    DATAFLOW_BLOCKS,
-    DATAFLOW_DIM,
-    dataflow_features,
-    dataflow_tensor_batch,
-)
+from repro.features.statement import STATEMENT_DIM, statement_matrix_batch
+from repro.features.dataflow import DATAFLOW_BLOCKS, DATAFLOW_DIM, dataflow_tensor_batch
 from repro.features.primitives import (
     PRIMITIVE_DIM,
     PRIMITIVE_SEQ,
@@ -46,11 +35,9 @@ from repro.features.primitives import (
 
 __all__ = [
     "STATEMENT_DIM",
-    "statement_features",
     "statement_matrix_batch",
     "DATAFLOW_BLOCKS",
     "DATAFLOW_DIM",
-    "dataflow_features",
     "dataflow_tensor_batch",
     "PRIMITIVE_DIM",
     "PRIMITIVE_SEQ",

@@ -32,8 +32,7 @@ diversity the paper contrasts with TLP's sparse one-hots.
 
 Encoding is batched: :func:`dataflow_tensor_batch` turns the packed
 block arrays of a :class:`~repro.schedule.batch.CandidateBatch` into
-one ``(N, 10, 23)`` tensor; the one-row :func:`dataflow_features`
-runs the same encoder on its program's row.
+one ``(N, 10, 23)`` tensor.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.schedule.batch import BLOCK_KINDS, CandidateBatch
-from repro.schedule.lower import LoweredProgram
 
 DATAFLOW_BLOCKS = 10
 DATAFLOW_DIM = 23
@@ -82,8 +80,3 @@ def _encode(batch: CandidateBatch) -> np.ndarray:
 def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     """Batch dataflow sequences: shape ``(N, DATAFLOW_BLOCKS, DATAFLOW_DIM)``."""
     return _encode(batch)
-
-
-def dataflow_features(prog: LoweredProgram) -> np.ndarray:
-    """Temporal dataflow sequence of shape ``(DATAFLOW_BLOCKS, DATAFLOW_DIM)``."""
-    return _encode(prog.row)[0]

@@ -13,9 +13,7 @@ count, so instruction-level-parallelism effects are not separable from
 these features alone.
 
 Extraction is batched: :func:`statement_matrix_batch` encodes a whole
-:class:`~repro.schedule.batch.CandidateBatch` as one ``(N, 40)`` array;
-the one-row :func:`statement_features` reads its program's row and runs the
-same encoder.
+:class:`~repro.schedule.batch.CandidateBatch` as one ``(N, 40)`` array.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.schedule.batch import BK_LOAD, CandidateBatch, TAG_ORDER
-from repro.schedule.lower import LoweredProgram
 
 STATEMENT_DIM = 40
 
@@ -91,8 +88,3 @@ def _encode(batch: CandidateBatch) -> np.ndarray:
 def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
     """Batch statement features: shape ``(N, STATEMENT_DIM)``."""
     return _encode(batch)
-
-
-def statement_features(prog: LoweredProgram) -> np.ndarray:
-    """Feature vector of shape ``(STATEMENT_DIM,)`` for one program."""
-    return _encode(prog.row)[0]

@@ -7,7 +7,7 @@ checks: each figure's and table's shape claim, at the ``lite`` scale.
 """
 
 from repro.hardware.device import DeviceSpec, get_device, list_devices
-from repro.hardware.simulator import GroundTruthSimulator, SimulationResult
+from repro.hardware.simulator import GroundTruthSimulator
 from repro.hardware.measure import MeasureRunner
 from repro.hardware.library import LibrarySurrogate
 
@@ -16,7 +16,6 @@ __all__ = [
     "get_device",
     "list_devices",
     "GroundTruthSimulator",
-    "SimulationResult",
     "MeasureRunner",
     "LibrarySurrogate",
 ]

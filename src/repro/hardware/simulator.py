@@ -35,13 +35,12 @@ device); :mod:`repro.hardware.measure` adds it.
 
 The implementation is array-native: :meth:`GroundTruthSimulator.run_batch`
 evaluates a whole :class:`~repro.schedule.batch.CandidateBatch` in a
-handful of numpy ops (one einsum for the residual net), and the scalar
-:meth:`~GroundTruthSimulator.run` is a thin wrapper over a one-row
-batch.  The residual net deliberately uses ``einsum`` rather than
-``@``: BLAS gemm picks different accumulation orders for different
-batch shapes, while einsum keeps every row's dot products
-shape-independent — which is what makes ``run_batch`` bit-identical to
-``run`` regardless of batch size.
+handful of numpy ops (one einsum for the residual net); one program is
+its one-row batch.  The residual net deliberately uses ``einsum``
+rather than ``@``: BLAS gemm picks different accumulation orders for
+different batch shapes, while einsum keeps every row's dot products
+shape-independent — which is what makes a row's result the same in a
+batch of any size.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ _RESIDUAL_FEATURES = 14
 _RESIDUAL_HIDDEN = 10
 
 #: Invalidity reason codes of :class:`SimulationResultBatch` (0 = valid);
-#: precedence mirrors the scalar check order: threads > smem > empty > occ.
+#: precedence: threads > smem > empty > occ.
 REASON_OK = 0
 REASON_THREADS = 1
 REASON_SMEM = 2
@@ -72,26 +71,13 @@ REASON_EMPTY = 3
 REASON_OCCUPANCY = 4
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Outcome of running one program on the simulated device."""
-
-    latency: float  # seconds (math.inf when invalid)
-    valid: bool
-    compute_time: float = 0.0
-    memory_time: float = 0.0
-    occupancy: float = 0.0
-    reason: str = ""
-
-
 @dataclass
 class SimulationResultBatch:
     """Outcomes of a whole candidate batch, one array per field.
 
-    ``reason_code`` holds the ``REASON_*`` codes; the human-readable
-    strings of the scalar path are materialized lazily by
-    :meth:`reason` / :meth:`row` (only invalid candidates that someone
-    actually inspects pay for string formatting).
+    ``reason_code`` holds the ``REASON_*`` codes; :meth:`reason` formats
+    one candidate's human-readable string on demand (only invalid
+    candidates that someone actually inspects pay for formatting).
     """
 
     device: DeviceSpec
@@ -108,7 +94,7 @@ class SimulationResultBatch:
         return len(self.latency)
 
     def reason(self, i: int) -> str:
-        """Scalar-identical invalidity reason of candidate ``i``."""
+        """Invalidity reason of candidate ``i`` ("" when valid)."""
         code = int(self.reason_code[i])
         if code == REASON_OK:
             return ""
@@ -125,17 +111,6 @@ class SimulationResultBatch:
         if code == REASON_EMPTY:
             return "empty launch configuration"
         return "zero occupancy"
-
-    def row(self, i: int) -> SimulationResult:
-        """Scalar :class:`SimulationResult` view of candidate ``i``."""
-        return SimulationResult(
-            latency=float(self.latency[i]),
-            valid=bool(self.valid[i]),
-            compute_time=float(self.compute_time[i]),
-            memory_time=float(self.memory_time[i]),
-            occupancy=float(self.occupancy[i]),
-            reason=self.reason(i),
-        )
 
 
 @lru_cache(maxsize=32)
@@ -183,11 +158,6 @@ def residual_features_batch(batch: CandidateBatch) -> np.ndarray:
     )
 
 
-def residual_features(prog: LoweredProgram) -> np.ndarray:
-    """Structural feature vector of one program (one-row batch view)."""
-    return residual_features_batch(prog.row)[0]
-
-
 class GroundTruthSimulator:
     """Deterministic latency oracle for one device."""
 
@@ -195,25 +165,22 @@ class GroundTruthSimulator:
         self.device = device
 
     # ------------------------------------------------------------------
-    def run(self, prog: LoweredProgram) -> SimulationResult:
-        """Simulate one program; deterministic for a given (device, program)."""
-        return self.run_batch(prog.row).row(0)
-
     def run_batch(self, batch: CandidateBatch) -> SimulationResultBatch:
-        """Simulate a whole batch in a few numpy ops.
+        """Simulate a whole batch in a few numpy ops; deterministic for a
+        given (device, row).
 
-        Bit-identical, per candidate, to the scalar :meth:`run` (the
-        measurement-equivalence suite asserts this): every arithmetic
-        step keeps the scalar path's operation order, invalid rows are
+        A row's result does not depend on the rest of the batch (the
+        measurement-equivalence suite asserts this): invalid rows are
         masked out after the fact rather than branched around, and the
         residual net runs as a shape-independent einsum.
+        ``tests/fixtures/simulator_golden.json`` pins the values.
         """
         d = self.device
         n = len(batch)
         threads = batch.threads
         smem_bytes = batch.smem_elems * batch.dtype_bytes
 
-        # -- validity (assignment order = reversed scalar precedence) --
+        # -- validity (assignment order = reversed precedence) --
         reason = np.zeros(n, dtype=np.int64)
         reason[(batch.grid < 1) | (threads < 1)] = REASON_EMPTY
         reason[smem_bytes > d.smem_per_block] = REASON_SMEM
@@ -308,8 +275,8 @@ class GroundTruthSimulator:
         )
 
     def latency(self, prog: LoweredProgram) -> float:
-        """Shorthand: latency in seconds (inf when invalid)."""
-        return self.run(prog).latency
+        """Latency of one program in seconds (inf when invalid)."""
+        return float(self.latency_batch(prog.row)[0])
 
     def latency_batch(self, batch: CandidateBatch) -> np.ndarray:
         """Latencies of a whole batch in seconds (inf when invalid)."""

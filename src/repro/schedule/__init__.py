@@ -17,9 +17,9 @@ constrains thread tiles to WMMA 16x16x16 fragments.
 * :mod:`repro.schedule.evolve` — the evolutionary search minus its
   fitness: seeded population, generation step, best-first pool.
 * :mod:`repro.schedule.lower`  — :class:`LoweredProgram`, the scalar
-  view of one candidate (tile structure + dataflow blocks used by
-  symbols, features and the device simulator), and :func:`lower`, row 0
-  of a one-row :func:`lower_batch`.
+  view of one candidate (its tile structure and dataflow blocks, and
+  its one-row batch as ``row``), and :func:`lower`, row 0 of a one-row
+  :func:`lower_batch`.
 * :mod:`repro.schedule.batch`  — the structure-of-arrays pipeline and
   the one lowering: :class:`ConfigBatch`, :func:`lower_batch` and
   :class:`CandidateBatch` (packed per-candidate arrays the whole search
@@ -31,8 +31,7 @@ constrains thread tiles to WMMA 16x16x16 fragments.
 
 from repro.schedule.space import ScheduleConfig, ScheduleSpace, count_factorizations
 from repro.schedule.sketch import generate_sketch
-from repro.schedule.sampler import random_config, random_population, sample_factorization
-from repro.schedule.mutate import crossover, mutate
+from repro.schedule.sampler import random_config, random_population
 from repro.schedule.lower import DataflowBlock, LoweredProgram, lower, lowered_count
 from repro.schedule.batch import CandidateBatch, ConfigBatch, lower_batch
 from repro.schedule.memo import lower_batch_memo
@@ -44,9 +43,6 @@ __all__ = [
     "generate_sketch",
     "random_config",
     "random_population",
-    "sample_factorization",
-    "mutate",
-    "crossover",
     "lower",
     "lower_batch",
     "lower_batch_memo",

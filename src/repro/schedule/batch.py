@@ -19,7 +19,7 @@ array math:
 * :meth:`CandidateBatch.program` — unpacks one row into a scalar
   :class:`~repro.schedule.lower.LoweredProgram` (field copies, no
   lowering) that keeps its one-row batch as ``row``, for callers outside
-  the tuning loop (a task's best record, the scalar one-row doors).
+  the tuning loop (a task's best record).
 
 :func:`lower_batch` is the only origin of a :class:`CandidateBatch`:
 every other batch is a :meth:`~CandidateBatch.take` or
@@ -544,7 +544,9 @@ class CandidateBatch:
 
         The program keeps row ``i`` as a one-row batch in ``row`` — the
         batch itself when it has one row, as :func:`~repro.schedule.lower.
-        lower`'s does — which its one-program doors read.
+        lower`'s does — which
+        :meth:`~repro.hardware.simulator.GroundTruthSimulator.latency`
+        and the models' ``featurize`` read.
         """
         # BlockArrays declares its columns in DataflowBlock's field order
         block_rows = zip(*(col[i].tolist() for col in vars(self.blocks).values()))

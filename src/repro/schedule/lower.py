@@ -1,20 +1,18 @@
 """Lowered programs: the scalar view of one scheduled candidate.
 
-The :class:`LoweredProgram` is the analogue of TVM's lowered tensor IR:
-it exposes everything downstream consumers need —
-
-* the paper's hardware-aware symbols S1..S9 (:mod:`repro.core.symbols`),
-* statement-level and temporal-dataflow features (:mod:`repro.features`),
-* the device simulator's inputs (:mod:`repro.hardware.simulator`).
+The :class:`LoweredProgram` is the analogue of TVM's lowered tensor IR
+for one candidate: its tile structure and dataflow blocks as fields.
+Symbols, features and the device simulator read
+:class:`~repro.schedule.batch.CandidateBatch` columns, not programs.
 
 The tile math of the paper's Figures 3 / 4 lives once, in
 :func:`repro.schedule.batch.lower_batch`; a program is one row of the
 :class:`~repro.schedule.batch.CandidateBatch` it returns
 (:meth:`~repro.schedule.batch.CandidateBatch.program` unpacks it) and
 :func:`lower` is row 0 of a one-row batch.  A program keeps that row as
-:attr:`LoweredProgram.row`, so the one-program doors (draft score,
-symbols, features, simulator) read it instead of packing the program
-again.  ``tests/fixtures/lowering_golden.json`` holds what the former
+:attr:`LoweredProgram.row`, so code holding one program passes that
+row to the batch functions instead of packing the program again.
+``tests/fixtures/lowering_golden.json`` holds what the former
 per-program implementation produced; both entry points are compared to
 it.
 """
@@ -119,16 +117,6 @@ class LoweredProgram:
     def smem_bytes(self) -> int:
         """Shared memory per block in bytes."""
         return self.smem_elems * self.workload.dtype_bytes
-
-    @property
-    def traffic_bytes(self) -> float:
-        """Global memory traffic in bytes."""
-        return self.traffic_elems * self.workload.dtype_bytes
-
-    @property
-    def key(self) -> str:
-        """Stable identity of (workload, schedule)."""
-        return f"{self.workload.key}#{self.config.key}"
 
 
 def lower(space: ScheduleSpace, config: ScheduleConfig) -> LoweredProgram:

@@ -19,9 +19,6 @@ in this order, axes ascending within a kind):
 * swap two factors within an axis,
 * move a prime factor between tile levels of an axis,
 * flip the unroll / vectorize / splitK annotation.
-
-The scalar :func:`mutate` / :func:`crossover` remain as thin wrappers
-delegating to the batch path with ``n == 1``.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import numpy as np
 from repro.cache import register_lru
 from repro.schedule.batch import ConfigBatch, space_plan, tensorcore_ok
 from repro.schedule.sampler import sample_axis_batch, sorted_runs
-from repro.schedule.space import ScheduleConfig, ScheduleSpace
+from repro.schedule.space import ScheduleSpace
 
 
 @lru_cache(maxsize=8)
@@ -211,26 +208,3 @@ def crossover_pairs(
     vector = np.where(vector_left, batch.vector[left], batch.vector[right])
     splitk = np.where(splitk_left, batch.splitk[left], batch.splitk[right])
     return ConfigBatch(space, factors, unroll, vector, splitk)
-
-
-# ----------------------------------------------------------------------
-# scalar wrappers (delegate to the batch path with n == 1)
-# ----------------------------------------------------------------------
-def mutate(
-    config: ScheduleConfig, space: ScheduleSpace, rng: np.random.Generator
-) -> ScheduleConfig:
-    """Return a mutated copy of ``config`` that is still inside ``space``."""
-    return mutate_batch(ConfigBatch.from_configs(space, [config]), space, rng).config(0)
-
-
-def crossover(
-    a: ScheduleConfig,
-    b: ScheduleConfig,
-    space: ScheduleSpace,
-    rng: np.random.Generator,
-) -> ScheduleConfig:
-    """Uniform crossover: each axis / annotation inherited from either parent."""
-    parents = ConfigBatch.from_configs(space, [a, b])
-    return crossover_pairs(
-        parents, np.array([0]), np.array([1]), space, rng
-    ).config(0)

@@ -11,9 +11,9 @@ whole ``(n, parts)`` factor matrix at once (one stable argsort of the
 remaining quotients and one bounded draw per tile level, divisors
 looked up in a padded per-extent table), and :func:`random_batch`
 assembles entire populations as
-:class:`~repro.schedule.batch.ConfigBatch` factor tensors.  The scalar
-entry points (:func:`sample_factorization`, :func:`random_config`) are
-thin wrappers over the batch path with ``n == 1``.
+:class:`~repro.schedule.batch.ConfigBatch` factor tensors.
+:func:`random_config` draws one config through the same path with
+``n == 1``.
 """
 
 from __future__ import annotations
@@ -172,10 +172,3 @@ def random_population(
 def random_config(space: ScheduleSpace, rng: np.random.Generator) -> ScheduleConfig:
     """Sample one uniformly random schedule configuration from ``space``."""
     return _draw_batch(space, rng, 1).config(0)
-
-
-def sample_factorization(
-    rng: np.random.Generator, extent: int, parts: int
-) -> tuple[int, ...]:
-    """Sample one ordered factorization of ``extent`` into ``parts`` factors."""
-    return tuple(int(f) for f in sample_factorizations(rng, extent, parts, 1)[0])

@@ -55,7 +55,6 @@ class CostTable:
             "mlp": 4.0e-4,
             "tlp": 2.5e-3,
             "pacm": 1.2e-3,
-            "random": 1.0e-6,
         }
     )
     model_train: dict[str, float] = field(
@@ -64,7 +63,6 @@ class CostTable:
             "mlp": 1.5e-4,
             "tlp": 8.0e-4,
             "pacm": 4.0e-4,
-            "random": 0.0,
         }
     )
     sa_eval: float = 2.0e-5

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.costmodel.base import CostModel
 from repro.rng import make_rng
 from repro.schedule.batch import CandidateBatch
+from repro.timemodel import CostTable, SimClock
 
 
 class RandomModel(CostModel):
@@ -26,3 +29,16 @@ class RandomModel(CostModel):
 
     def fit(self, features, latencies, group_keys, train=None, rng=None) -> None:
         pass  # nothing to learn
+
+
+def random_model_clock() -> SimClock:
+    """A clock whose cost table also prices :class:`RandomModel`'s kind:
+    inference nearly free, training free."""
+    costs = CostTable()
+    return SimClock(
+        replace(
+            costs,
+            model_infer={**costs.model_infer, RandomModel.kind: 1.0e-6},
+            model_train={**costs.model_train, RandomModel.kind: 0.0},
+        )
+    )

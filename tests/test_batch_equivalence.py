@@ -1,32 +1,33 @@
 """Equivalence suite: the batched pipeline against frozen references.
 
 A program is a row of a :class:`~repro.schedule.batch.CandidateBatch`:
-``lower()``, ``extract_symbols()``, ``SymbolBasedAnalyzer.latency()`` /
-``score()`` are one-row doors onto ``lower_batch`` / ``score_batch``,
-so comparing the two would compare the code with itself.  What pins
-them instead:
+``lower()`` is row 0 of a one-row ``lower_batch``, and symbols, the
+draft score, features and the simulator take only batches, so comparing
+the scalar and batch paths would compare the code with itself.  What
+pins them instead:
 
 * **Data.**  ``fixtures/lowering_golden.json`` (every
   ``LoweredProgram`` and ``DataflowBlock`` field) and
   ``fixtures/draft_golden.json`` (S1..S9, the penalties, ``density``,
   both products, PSA latency / score on four devices under both Table 10
-  switches) were written by :func:`lowering_golden` /
-  :func:`draft_golden` over ``_one_by_one`` on the last commit that
-  still carried the independent scalar ``_lower_tiled`` / ``_lower_flat``
-  / ``compute_penalties`` / ``SymbolBasedAnalyzer.latency`` (where the
-  batch functions reproduced them bit for bit too).  Both the batch
-  functions and the one-row doors must reproduce the files; the first
-  ``GOLDEN_ROWS`` rows of a population (a quarter of that in each of the
-  four per-device blocks) are stored in full, floats as ``float.hex()``,
-  the rest as one SHA-256 over the packed columns.
+  switches) were first written on the last commit that still carried
+  the independent scalar ``_lower_tiled`` / ``_lower_flat`` /
+  ``compute_penalties`` / ``SymbolBasedAnalyzer.latency`` (where the
+  batch functions reproduced them bit for bit too);
+  :func:`lowering_golden` / :func:`draft_golden` over ``lower_batch``
+  rewrite them byte for byte.  ``lower_batch`` and ``lower()`` one
+  config at a time (its rows concatenated, for the draft) must
+  reproduce both files; the first ``GOLDEN_ROWS`` rows of a population (a quarter of that in each
+  of the four per-device blocks) are stored in full, floats as
+  ``float.hex()``, the rest as one SHA-256 over the packed columns.
   A TensorCore program on k80 is left out: the scalar twin raised
   there, ``test_tensorcore_without_tensorcores_scores_minus_inf`` pins
   what is kept.
 * **Properties** that need no reference: unpacking a batch into
   programs and concatenating their rows again gives the same arrays,
   rows do not depend on their neighbours (``TestRowsAreIndependent``),
-  and every one-program door reads its program's own row
-  (``TestScalarDoors``).
+  and the one-program doors the end-to-end benchmark still calls read
+  their program's own row (``TestScalarDoors``).
 * **Independent comparisons** that remain: the feature encoders and
   ``predict_batch`` against programs lowered one by one, the GA
   operators against ``ScheduleSpace.validate``, and the Pruner policy
@@ -45,7 +46,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from doubles import RandomModel
+from doubles import RandomModel, random_model_clock
 
 from repro.config import SearchConfig
 from repro.core.analyzer import (
@@ -54,17 +55,13 @@ from repro.core.analyzer import (
     is_launchable_mask,
 )
 from repro.core.penalty import Penalties, compute_penalties
-from repro.core.symbols import Symbols, extract_symbols, extract_symbols_batch
+from repro.core.symbols import Symbols, extract_symbols_batch
 from repro.costmodel import GBDTModel, PaCM, TenSetMLP, TLPModel
-from repro.features.dataflow import dataflow_features, dataflow_tensor_batch
+from repro.features.dataflow import dataflow_tensor_batch
 from repro.features.primitives import primitive_features, primitive_tensor_batch
-from repro.features.statement import statement_features, statement_matrix_batch
+from repro.features.statement import statement_matrix_batch
 from repro.hardware.device import get_device
-from repro.hardware.simulator import (
-    GroundTruthSimulator,
-    residual_features,
-    residual_features_batch,
-)
+from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.schedule import generate_sketch, lower
@@ -162,6 +159,11 @@ def _one_by_one(space, configs):
     return [lower(space, c) for c in configs]
 
 
+def _rows_one_by_one(space, configs):
+    """The rows of :func:`_one_by_one`'s programs, concatenated."""
+    return CandidateBatch.concat([p.row for p in _one_by_one(space, configs)])
+
+
 def _ints(values) -> np.ndarray:
     return np.array(list(values), dtype=np.int64)
 
@@ -202,41 +204,23 @@ def _lowering_columns(lowered) -> dict[str, np.ndarray]:
     return cols
 
 
-def _symbol_columns(lowered) -> dict[str, np.ndarray]:
-    if isinstance(lowered, CandidateBatch):
-        symbols = extract_symbols_batch(lowered)
-        return {name: getattr(symbols, name) for name in _SYMBOLS}
-    rows = [extract_symbols(p) for p in lowered]
-    return {name: _floats(getattr(s, name) for s in rows) for name in _SYMBOLS}
+def _symbol_columns(batch: CandidateBatch) -> dict[str, np.ndarray]:
+    symbols = extract_symbols_batch(batch)
+    return {name: getattr(symbols, name) for name in _SYMBOLS}
 
 
-def _draft_columns(lowered, device: str) -> dict[str, np.ndarray]:
+def _draft_columns(batch: CandidateBatch, device: str) -> dict[str, np.ndarray]:
     """Penalties, products, launch mask and PSA latency / score under
     the three switch settings on one device."""
     dev = get_device(device)
-    analyzers = {
-        suffix: SymbolBasedAnalyzer(dev, use_compute_penalty=c, use_memory_penalty=m)
-        for suffix, (c, m) in _SWITCHES.items()
-    }
-    if isinstance(lowered, CandidateBatch):
-        pen = compute_penalties(extract_symbols_batch(lowered), dev, lowered.dtype_bytes)
-        cols = {name: getattr(pen, name) for name in _PENALTIES}
-        cols |= {name: getattr(pen, name)() for name in _PRODUCTS}
-        cols["launchable"] = is_launchable_mask(lowered, dev).astype(np.int64)
-        for suffix, analyzer in analyzers.items():
-            cols["latency" + suffix] = analyzer.latency_batch(lowered)
-            cols["score" + suffix] = analyzer.score_batch(lowered)
-        return cols
-    pens = [
-        compute_penalties(extract_symbols(p), dev, p.workload.dtype_bytes)
-        for p in lowered
-    ]
-    cols = {name: _floats(getattr(p, name) for p in pens) for name in _PENALTIES}
-    cols |= {name: _floats(getattr(p, name)() for p in pens) for name in _PRODUCTS}
-    cols["launchable"] = _ints(is_launchable(p, dev) for p in lowered)
-    for suffix, analyzer in analyzers.items():
-        cols["latency" + suffix] = _floats(analyzer.latency(p) for p in lowered)
-        cols["score" + suffix] = _floats(analyzer.score(p) for p in lowered)
+    pen = compute_penalties(extract_symbols_batch(batch), dev, batch.dtype_bytes)
+    cols = {name: getattr(pen, name) for name in _PENALTIES}
+    cols |= {name: getattr(pen, name)() for name in _PRODUCTS}
+    cols["launchable"] = is_launchable_mask(batch, dev).astype(np.int64)
+    for suffix, (c, m) in _SWITCHES.items():
+        analyzer = SymbolBasedAnalyzer(dev, use_compute_penalty=c, use_memory_penalty=m)
+        cols["latency" + suffix] = analyzer.latency_batch(batch)
+        cols["score" + suffix] = analyzer.score_batch(batch)
     return cols
 
 
@@ -302,6 +286,10 @@ def frozen_draft():
 BOTH_WAYS = pytest.mark.parametrize(
     "lower_all", [lower_batch, _one_by_one], ids=["batch", "door"]
 )
+#: the same two ways, each as one batch for the batch-only draft code
+BOTH_WAYS_AS_ROWS = pytest.mark.parametrize(
+    "lower_all", [lower_batch, _rows_one_by_one], ids=["batch", "door"]
+)
 
 
 class TestLowerBatch:
@@ -354,18 +342,19 @@ class TestAnalyzerBatch:
     @pytest.mark.parametrize("device", ["a100", "orin", "t4"])
     def test_scores_bit_identical(self, cls, device, frozen_draft):
         """Penalties, launch mask, latency and score (incl. -inf) of the
-        frozen scalar analyzer, from ``score_batch`` and from the door."""
+        frozen scalar analyzer, from ``lower_batch`` rows and from
+        ``lower()``'s rows."""
         want = frozen_draft[f"{cls}-60"]["devices"][device]
-        for lower_all in (lower_batch, _one_by_one):
+        for lower_all in (lower_batch, _rows_one_by_one):
             got = _draft_case(f"{cls}-60", lower_all, devices=(device,))
             assert got["devices"] == {device: want}
 
-    @BOTH_WAYS
+    @BOTH_WAYS_AS_ROWS
     @pytest.mark.parametrize("case", list(_EXTRA_CASES))
     def test_more_operator_classes_match_frozen_draft(self, case, lower_all, frozen_draft):
         assert _draft_case(case, lower_all) == frozen_draft[case]
 
-    @BOTH_WAYS
+    @BOTH_WAYS_AS_ROWS
     @pytest.mark.parametrize("cls", CLASSES)
     def test_k80_matches_frozen_draft(self, cls, lower_all, frozen_draft):
         """The tight device: most rows unlaunchable, no TensorCores."""
@@ -381,29 +370,27 @@ class TestAnalyzerBatch:
             space, configs = _space_and_configs(wl, False)
             scores = analyzer.score_batch(lower_batch(space, configs))
             assert np.isfinite(scores).any()
-            assert scores.tolist() == [analyzer.score(lower(space, c)) for c in configs]
+            rows = [analyzer.score_batch(p.row)[0] for p in _one_by_one(space, configs)]
+            assert scores.tolist() == rows
 
     @pytest.mark.filterwarnings("error")
     def test_tensorcore_without_tensorcores_scores_minus_inf(self):
         """A TensorCore program on k80 has peak 0: infinite latency and
-        ``-inf`` from the door and from the batch, with no numpy warning
-        (the scalar twin raised ``DeviceError`` here; the batch answer is
-        the one kept)."""
+        ``-inf`` for a population and for a one-row batch, with no numpy
+        warning (the scalar twin raised ``DeviceError`` here; the batch
+        answer is the one kept)."""
         analyzer = SymbolBasedAnalyzer(get_device("k80"))
         wl, tc = WORKLOADS[CLASSES.index("tensorcore")].values
         space, configs = _space_and_configs(wl, tc)
-        batch = lower_batch(space, configs)
-        assert (analyzer.latency_batch(batch) == math.inf).all()
-        assert (analyzer.score_batch(batch) == -math.inf).all()
-        prog = lower(space, configs[0])
-        assert analyzer.latency(prog) == math.inf
-        assert analyzer.score(prog) == -math.inf
+        for batch in (lower_batch(space, configs), lower(space, configs[0]).row):
+            assert (analyzer.latency_batch(batch) == math.inf).all()
+            assert (analyzer.score_batch(batch) == -math.inf).all()
 
     def test_symbols_match(self, frozen_draft):
         """S1..S9 of the 30 seed-1 matmul configs, and of every class."""
         for case, spec in DRAFT_CASES.items():
             space, configs, _ = _case_inputs(spec)
-            for lower_all in (lower_batch, _one_by_one):
+            for lower_all in (lower_batch, _rows_one_by_one):
                 got = _frozen(_symbol_columns(lower_all(space, configs)))
                 assert got == frozen_draft[case]["symbols"], case
 
@@ -412,7 +399,7 @@ class TestAnalyzerBatch:
         ``*_no_compute`` / ``*_no_memory`` columns are part of every
         frozen device block, and they differ from the full model."""
         for case in ("matmul128-seed1-30", "matmul128-seed2-30"):
-            for lower_all in (lower_batch, _one_by_one):
+            for lower_all in (lower_batch, _rows_one_by_one):
                 assert _draft_case(case, lower_all) == frozen_draft[case]
         head = frozen_draft["matmul128-seed2-30"]["devices"]["a100"]["head"]
         assert head["score"] != head["score_no_compute"]
@@ -481,7 +468,8 @@ class TestRowsAreIndependent:
 
 
 class TestScalarDoors:
-    """Each one-program door reads its program's own row of the batch."""
+    """Each one-program door the end-to-end benchmark still calls reads
+    its program's own row of the batch."""
 
     @pytest.mark.parametrize("wl,tc", ALL_CLASSES)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 12), device=st.sampled_from(DEVICES))
@@ -494,24 +482,15 @@ class TestScalarDoors:
         dev = get_device(device)
         analyzer, sim = SymbolBasedAnalyzer(dev), GroundTruthSimulator(dev)
         pacm, mlp = PaCM(), TenSetMLP()
-        symbols = extract_symbols_batch(batch).as_tuple()
         doors = {
-            "latency": (analyzer.latency, analyzer.latency_batch(batch)),
-            "score": (analyzer.score, analyzer.score_batch(batch)),
-            "statement": (statement_features, statement_matrix_batch(batch)),
-            "dataflow": (dataflow_features, dataflow_tensor_batch(batch)),
-            "residual": (residual_features, residual_features_batch(batch)),
             "sim.latency": (sim.latency, sim.latency_batch(batch)),
             "PaCM.featurize": (lambda p: pacm.featurize([p])[0], pacm.featurize_batch(batch)),
             "TenSetMLP.featurize": (lambda p: mlp.featurize([p])[0], mlp.featurize_batch(batch)),
         }
-        run = sim.run_batch(batch)
         for i in range(len(batch)):
             prog = batch.program(i)
             for name, (door, rows) in doors.items():
                 np.testing.assert_array_equal(door(prog), rows[i], err_msg=name)
-            assert extract_symbols(prog).as_tuple() == tuple(float(c[i]) for c in symbols)
-            assert sim.run(prog) == run.row(i)
 
 
 class TestFeatureBatch:
@@ -522,7 +501,7 @@ class TestFeatureBatch:
         rows = statement_matrix_batch(batch)
         for i, cfg in enumerate(configs):
             np.testing.assert_array_equal(
-                rows[i], statement_features(lower(space, cfg))
+                rows[i], statement_matrix_batch(lower(space, cfg).row)[0]
             )
 
     @pytest.mark.parametrize("wl,tc", WORKLOADS)
@@ -532,7 +511,7 @@ class TestFeatureBatch:
         rows = dataflow_tensor_batch(batch)
         for i, cfg in enumerate(configs):
             np.testing.assert_array_equal(
-                rows[i], dataflow_features(lower(space, cfg))
+                rows[i], dataflow_tensor_batch(lower(space, cfg).row)[0]
             )
 
     @pytest.mark.parametrize("wl,tc", WORKLOADS)
@@ -596,28 +575,6 @@ class TestGAOperatorProperties:
         children = crossover_pairs(batch, left, right, space, rng)
         for cfg in children.configs():
             space.validate(cfg)
-
-    def test_scalar_wrappers_delegate_to_batch(self, matmul_space):
-        """mutate/crossover(config) == the batch path with n == 1."""
-        from repro.schedule.mutate import crossover, mutate
-
-        configs = random_population(matmul_space, make_rng(13), 2)
-        one = mutate(configs[0], matmul_space, make_rng(14))
-        via_batch = mutate_batch(
-            ConfigBatch.from_configs(matmul_space, [configs[0]]),
-            matmul_space,
-            make_rng(14),
-        ).config(0)
-        assert one.key == via_batch.key
-        child = crossover(configs[0], configs[1], matmul_space, make_rng(15))
-        via_batch = crossover_pairs(
-            ConfigBatch.from_configs(matmul_space, configs),
-            np.array([0]),
-            np.array([1]),
-            matmul_space,
-            make_rng(15),
-        ).config(0)
-        assert child.key == via_batch.key
 
     def test_random_batch_unique_and_valid(self, matmul_space):
         batch = random_batch(matmul_space, make_rng(16), 64)
@@ -723,7 +680,9 @@ class TestPolicyEquivalence:
         task = self._task()
         runs = []
         for _ in range(2):
-            policy = PrunerPolicy(task, RandomModel(seed=1), search=search)
+            policy = PrunerPolicy(
+                task, RandomModel(seed=1), search=search, clock=random_model_clock()
+            )
             batch = policy.propose_batch(RecordLog(), make_rng(4))
             runs.append([c.key for c in batch.configs.configs()])
         assert runs[0] == runs[1]
@@ -747,7 +706,7 @@ class TestSelectTopEpsilon:
         )
         # int(round(4 * 0.05)) == 0 before the fix
         task = TuningTask.create(ops.matmul(128, 128, 128), a100)
-        policy = PrunerPolicy(task, RandomModel(), search=search)
+        policy = PrunerPolicy(task, RandomModel(), search=search, clock=random_model_clock())
         configs = random_population(task.space, make_rng(20), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
@@ -767,7 +726,7 @@ class TestSelectTopEpsilon:
             population=24, ga_steps=2, spec_size=16, measure_per_round=4, eps_greedy=0.0
         )
         task = TuningTask.create(ops.matmul(128, 128, 128), a100)
-        policy = PrunerPolicy(task, RandomModel(), search=search)
+        policy = PrunerPolicy(task, RandomModel(), search=search, clock=random_model_clock())
         configs = random_population(task.space, make_rng(22), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
@@ -786,7 +745,7 @@ class TestSelectTopEpsilon:
             eps_greedy=0.3,
         )
         task = TuningTask.create(ops.matmul(128, 128, 128), a100)
-        policy = PrunerPolicy(task, RandomModel(), search=search)
+        policy = PrunerPolicy(task, RandomModel(), search=search, clock=random_model_clock())
         configs = random_population(task.space, make_rng(24), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
@@ -811,7 +770,7 @@ class TestSelectTopEpsilon:
             eps_greedy=0.6,
         )
         task = TuningTask.create(ops.matmul(128, 128, 128), a100)
-        policy = PrunerPolicy(task, RandomModel(), search=search)
+        policy = PrunerPolicy(task, RandomModel(), search=search, clock=random_model_clock())
         configs = random_population(task.space, make_rng(26), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)
@@ -833,7 +792,7 @@ class TestSelectTopEpsilon:
             eps_greedy=1.0,
         )
         task = TuningTask.create(ops.matmul(128, 128, 128), a100)
-        policy = PrunerPolicy(task, RandomModel(), search=search)
+        policy = PrunerPolicy(task, RandomModel(), search=search, clock=random_model_clock())
         configs = random_population(task.space, make_rng(25), 64)
         batch = policy._lower_valid_batch(configs)
         scores = np.arange(len(batch), dtype=float)

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from repro.config import SearchConfig
-from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable
+from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable, is_launchable_mask
 from repro.core.lse import LatentScheduleExplorer
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
@@ -22,7 +22,8 @@ class TestAnalyzer:
     def test_latency_positive_and_finite(self, matmul_space, a100, rng):
         sa = SymbolBasedAnalyzer(a100)
         for _ in range(20):
-            lat = sa.latency(lower(matmul_space, random_config(matmul_space, rng)))
+            prog = lower(matmul_space, random_config(matmul_space, rng))
+            (lat,) = sa.latency_batch(prog.row)
             assert math.isfinite(lat) and lat > 0
 
     def test_unlaunchable_scores_minus_inf(self, a100):
@@ -33,18 +34,18 @@ class TestAnalyzer:
         )
         prog = lower(space, cfg)
         assert not is_launchable(prog, a100)
-        assert SymbolBasedAnalyzer(a100).score(prog) == -math.inf
+        assert SymbolBasedAnalyzer(a100).score_batch(prog.row).tolist() == [-math.inf]
 
     def test_ablations_change_ranking(self, a100, rng):
         space = generate_sketch(ops.matmul(256, 256, 256))
-        progs = [lower(space, random_config(space, rng)) for _ in range(40)]
-        progs = [p for p in progs if is_launchable(p, a100)]
+        batch = lower_batch(space, [random_config(space, rng) for _ in range(40)])
+        batch = batch.take(np.flatnonzero(is_launchable_mask(batch, a100)))
         full = SymbolBasedAnalyzer(a100)
         no_c = SymbolBasedAnalyzer(a100, use_compute_penalty=False)
         no_m = SymbolBasedAnalyzer(a100, use_memory_penalty=False)
-        r_full = np.argsort([full.latency(p) for p in progs])
-        r_noc = np.argsort([no_c.latency(p) for p in progs])
-        r_nom = np.argsort([no_m.latency(p) for p in progs])
+        r_full = np.argsort(full.latency_batch(batch))
+        r_noc = np.argsort(no_c.latency_batch(batch))
+        r_nom = np.argsort(no_m.latency_batch(batch))
         assert not np.array_equal(r_full, r_noc) or not np.array_equal(r_full, r_nom)
 
     def test_analyzer_correlates_with_ground_truth(self, a100):
@@ -53,13 +54,9 @@ class TestAnalyzer:
         sim = GroundTruthSimulator(a100)
         sa = SymbolBasedAnalyzer(a100)
         rng = make_rng(0)
-        true, draft = [], []
-        for _ in range(300):
-            prog = lower(space, random_config(space, rng))
-            r = sim.run(prog)
-            if r.valid:
-                true.append(r.latency)
-                draft.append(sa.latency(prog))
+        batch = lower_batch(space, [random_config(space, rng) for _ in range(300)])
+        r = sim.run_batch(batch)
+        true, draft = r.latency[r.valid], sa.latency_batch(batch)[r.valid]
         rho = spearmanr(true, draft).statistic
         assert rho > 0.7, f"draft model rank correlation too low: {rho:.3f}"
 

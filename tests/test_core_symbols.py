@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.penalty import compute_penalties
-from repro.core.symbols import extract_symbols
+from repro.core.symbols import extract_symbols_batch
 from repro.hardware.device import get_device
 from repro.ir import ops
 from repro.rng import make_rng
@@ -25,65 +25,66 @@ def gemm_prog():
     return lower(space, cfg)
 
 
+def _symbols(prog):
+    """The symbols of one program: its one-row batch's columns."""
+    return extract_symbols_batch(prog.row)
+
+
 class TestSymbols:
     def test_symbol_values_match_lowering(self, gemm_prog):
-        s = extract_symbols(gemm_prog)
-        assert s.s1_l0_alloc == gemm_prog.reg_elems
-        assert s.s2_l0_compute == gemm_prog.thread_compute
-        assert s.s3_l1_alloc == gemm_prog.smem_elems
-        assert s.s4_l1_para == gemm_prog.threads_per_block
-        assert s.s5_l2_traffic == gemm_prog.traffic_elems
-        assert s.s6_l2_para == gemm_prog.grid
-        assert s.s7_l2_trans == gemm_prog.trans_span
-        assert s.s8_l2_compute == gemm_prog.flops
+        s = _symbols(gemm_prog)
+        assert s.s1_l0_alloc[0] == gemm_prog.reg_elems
+        assert s.s2_l0_compute[0] == gemm_prog.thread_compute
+        assert s.s3_l1_alloc[0] == gemm_prog.smem_elems
+        assert s.s4_l1_para[0] == gemm_prog.threads_per_block
+        assert s.s5_l2_traffic[0] == gemm_prog.traffic_elems
+        assert s.s6_l2_para[0] == gemm_prog.grid
+        assert s.s7_l2_trans[0] == gemm_prog.trans_span
+        assert s.s8_l2_compute[0] == gemm_prog.flops
 
     def test_non_tensorcore_alignment_is_one(self, gemm_prog):
-        assert extract_symbols(gemm_prog).s9_tc_align == 1.0
+        assert _symbols(gemm_prog).s9_tc_align[0] == 1.0
 
     def test_tensorcore_alignment_perfect_for_multiples(self):
         wl = ops.matmul(256, 256, 256, dtype="float16")
         space = generate_sketch(wl, tensorcore=True)
         cfg = random_config(space, make_rng(0))
-        assert extract_symbols(lower(space, cfg)).s9_tc_align == 1.0
-
-    def test_as_tuple_order(self, gemm_prog):
-        s = extract_symbols(gemm_prog)
-        assert s.as_tuple()[0] == s.s1_l0_alloc
-        assert s.as_tuple()[-1] == s.s9_tc_align
+        assert _symbols(lower(space, cfg)).s9_tc_align[0] == 1.0
 
 
 class TestPenalties:
     def test_paper_formulas(self, gemm_prog):
         dev = get_device("a100")
-        s = extract_symbols(gemm_prog)
+        s = _symbols(gemm_prog)
         p = compute_penalties(s, dev)
+        s1, s2 = s.s1_l0_alloc[0], s.s2_l0_compute[0]
         # P_l0_m = min(m_l0/S1, 1)
-        assert p.p_l0_m == pytest.approx(min(255 / s.s1_l0_alloc, 1.0))
+        assert p.p_l0_m[0] == pytest.approx(min(255 / s1, 1.0))
         # P_l0_c = 1 + S2/S1
-        assert p.p_l0_c == pytest.approx(1 + s.s2_l0_compute / s.s1_l0_alloc)
+        assert p.p_l0_c[0] == pytest.approx(1 + s2 / s1)
         # warp alignment: 16 threads -> sch_l1 = 1 -> 1/(1*4) = 0.25
-        assert p.p_l1_c == pytest.approx(1 / 4)
+        assert p.p_l1_c[0] == pytest.approx(1 / 4)
         # alpha: 16/(1*32) = 0.5
-        assert p.alpha_l1 == pytest.approx(0.5)
+        assert p.alpha_l1[0] == pytest.approx(0.5)
         # grid 4 on 108 SMs: 4 / 108
-        assert p.p_l2_c == pytest.approx(4 / 108)
+        assert p.p_l2_c[0] == pytest.approx(4 / 108)
         # span 32 == transaction length -> 1.0
-        assert p.p_l2_m == pytest.approx(1.0)
+        assert p.p_l2_m[0] == pytest.approx(1.0)
 
     def test_density_bounded(self, gemm_prog):
         dev = get_device("a100")
-        p = compute_penalties(extract_symbols(gemm_prog), dev)
-        assert 0.0 < p.density() <= 1.0
+        p = compute_penalties(_symbols(gemm_prog), dev)
+        assert 0.0 < p.density()[0] <= 1.0
 
     def test_full_warp_gets_full_alpha(self):
         space = generate_sketch(ops.matmul(128, 128, 128))
         cfg = ScheduleConfig.from_map(
             {"i": (1, 8, 1, 4, 4), "j": (4, 4, 1, 2, 4), "k": (4, 4, 8)}
         )
-        s = extract_symbols(lower(space, cfg))
+        s = _symbols(lower(space, cfg))
         p = compute_penalties(s, get_device("a100"))
-        assert s.s4_l1_para == 32
-        assert p.alpha_l1 == pytest.approx(1.0)
+        assert s.s4_l1_para[0] == 32
+        assert p.alpha_l1[0] == pytest.approx(1.0)
 
     @given(seed=st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)
@@ -92,11 +93,11 @@ class TestPenalties:
         wl = ops.conv2d(1, 32, 28, 28, 64, 3)
         space = generate_sketch(wl)
         cfg = random_config(space, make_rng(seed))
-        p = compute_penalties(extract_symbols(lower(space, cfg)), get_device("t4"))
+        p = compute_penalties(_symbols(lower(space, cfg)), get_device("t4"))
         for value in (p.p_l0_m, p.p_l1_m, p.p_l1_c, p.alpha_l1, p.p_l2_c, p.p_l2_m):
-            assert 0.0 < value <= 1.0
-        assert p.p_l0_c >= 1.0
+            assert 0.0 < value[0] <= 1.0
+        assert p.p_l0_c[0] >= 1.0
 
     def test_memory_product_uses_capacity_terms(self, gemm_prog):
-        p = compute_penalties(extract_symbols(gemm_prog), get_device("a100"))
-        assert p.memory_product() == pytest.approx(p.p_l0_m * p.p_l1_m * p.p_l2_m)
+        p = compute_penalties(_symbols(gemm_prog), get_device("a100"))
+        assert p.memory_product()[0] == pytest.approx((p.p_l0_m * p.p_l1_m * p.p_l2_m)[0])

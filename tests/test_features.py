@@ -12,9 +12,9 @@ from repro.features import (
     PRIMITIVE_DIM,
     PRIMITIVE_SEQ,
     STATEMENT_DIM,
-    dataflow_features,
+    dataflow_tensor_batch,
     primitive_features,
-    statement_features,
+    statement_matrix_batch,
 )
 from repro.features.primitives import sparsity
 from repro.ir import ops
@@ -31,19 +31,19 @@ def _progs(wl, n=20, seed=0):
 class TestStatementFeatures:
     def test_shape_and_dtype(self, matmul_space, rng):
         prog = lower(matmul_space, random_config(matmul_space, rng))
-        f = statement_features(prog)
+        f = statement_matrix_batch(prog.row)[0]
         assert f.shape == (STATEMENT_DIM,)
         assert f.dtype == np.float64
 
     def test_finite_and_bounded(self):
         for prog in _progs(ops.conv2d(1, 64, 56, 56, 128, 3)):
-            f = statement_features(prog)
+            f = statement_matrix_batch(prog.row)[0]
             assert np.all(np.isfinite(f))
             assert np.all(np.abs(f) < 10)
 
     def test_distinct_schedules_distinct_features(self):
         progs = _progs(ops.matmul(256, 256, 256), n=30)
-        feats = {statement_features(p).tobytes() for p in progs}
+        feats = {statement_matrix_batch(p.row)[0].tobytes() for p in progs}
         assert len(feats) > len(progs) * 0.8
 
     def test_warp_fraction_feature(self):
@@ -54,31 +54,31 @@ class TestStatementFeatures:
         cfg = ScheduleConfig.from_map(
             {"i": (1, 8, 1, 4, 4), "j": (4, 4, 1, 2, 4), "k": (4, 4, 8)}
         )
-        f = statement_features(lower(space, cfg))
+        f = statement_matrix_batch(lower(space, cfg).row)[0]
         assert 1.0 in f  # 32 threads -> exactly one full warp
 
     def test_elementwise_supported(self):
         prog = _progs(ops.elementwise((512, 512)), n=1)[0]
-        assert statement_features(prog).shape == (STATEMENT_DIM,)
+        assert statement_matrix_batch(prog.row)[0].shape == (STATEMENT_DIM,)
 
 
 class TestDataflowFeatures:
     def test_shape_matches_paper(self, matmul_space, rng):
         """Figure 4: Dim(10, 23)."""
         prog = lower(matmul_space, random_config(matmul_space, rng))
-        assert dataflow_features(prog).shape == (DATAFLOW_BLOCKS, DATAFLOW_DIM)
+        assert dataflow_tensor_batch(prog.row)[0].shape == (DATAFLOW_BLOCKS, DATAFLOW_DIM)
         assert (DATAFLOW_BLOCKS, DATAFLOW_DIM) == (10, 23)
 
     def test_elementwise_zero_padded(self):
         prog = _progs(ops.elementwise((256, 256)), n=1)[0]
-        f = dataflow_features(prog)
+        f = dataflow_tensor_batch(prog.row)[0]
         # one stream block, rest zero padding (paper Section 4.2)
         assert np.any(f[0] != 0)
         assert np.all(f[2:] == 0)
 
     def test_block_rows_track_block_count(self, matmul_space, rng):
         prog = lower(matmul_space, random_config(matmul_space, rng))
-        f = dataflow_features(prog)
+        f = dataflow_tensor_batch(prog.row)[0]
         n_blocks = len(prog.blocks)
         assert np.all(f[n_blocks:] == 0)
         for i in range(n_blocks):
@@ -87,14 +87,14 @@ class TestDataflowFeatures:
     def test_values_tied_to_tiles(self):
         """Different tile factors virtually always change the features."""
         progs = _progs(ops.matmul(512, 512, 512), n=30)
-        feats = {dataflow_features(p).tobytes() for p in progs}
+        feats = {dataflow_tensor_batch(p.row)[0].tobytes() for p in progs}
         assert len(feats) == len({p.config.key for p in progs})
 
     def test_tensorcore_fragment_block_encoded(self):
         wl = ops.matmul(256, 256, 256, dtype="float16")
         space = generate_sketch(wl, tensorcore=True)
         prog = lower(space, random_config(space, make_rng(0)))
-        f = dataflow_features(prog)
+        f = dataflow_tensor_batch(prog.row)[0]
         kinds_onehot = f[:, 1:7]
         assert kinds_onehot[:, 2].sum() == 1  # exactly one 'fragment' row
 

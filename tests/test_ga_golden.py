@@ -28,6 +28,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from doubles import random_model_clock
 
 from repro.config import SearchConfig
 from repro.core.analyzer import SymbolBasedAnalyzer
@@ -44,7 +45,6 @@ from repro.search.policy import AnsorPolicy
 from repro.search.pruner_policy import PrunerPolicy
 from repro.search.records import RecordLog
 from repro.search.task import TuningTask
-from repro.timemodel import SimClock
 
 FIXTURE = Path(__file__).parent / "fixtures" / "ga_golden.json"
 GOLDEN_ROWS = 12
@@ -148,7 +148,7 @@ class RowHashModel(CostModel):
     """Scores a row by an exact integer hash of it: no BLAS, no ties to
     speak of, so what the policies pick is the same on every machine."""
 
-    kind = "random"  # the clock's cheapest entry; nothing is learned
+    kind = "random"  # priced by random_model_clock; nothing is learned
     feature_kind = "statement"
     WEIGHTS = np.array([2654435761, 40503, 2246822519, 3266489917, 668265263], dtype=np.int64)
 
@@ -177,7 +177,7 @@ def policy_case(case: str) -> dict:
     out = {}
     for name, policy_cls in (("ansor", AnsorPolicy), ("pruner", PrunerPolicy)):
         for state, records in (("cold", RecordLog()), ("warm", warm)):
-            rng, clock = make_rng(seed), SimClock()
+            rng, clock = make_rng(seed), random_model_clock()
             policy = policy_cls(task, RowHashModel(), search=search, clock=clock)
             picked = policy.propose_batch(records, rng)
             assert picked is not None and len(picked)

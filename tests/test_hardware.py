@@ -11,7 +11,7 @@ from repro.errors import DeviceError
 from repro.hardware.device import DeviceSpec, get_device, list_devices
 from repro.hardware.library import LibrarySurrogate
 from repro.hardware.measure import MeasureRunner
-from repro.hardware.simulator import GroundTruthSimulator, residual_features
+from repro.hardware.simulator import GroundTruthSimulator, residual_features_batch
 from repro.ir import ops
 from repro.rng import make_rng
 from repro.schedule import generate_sketch, lower, lower_batch, random_config
@@ -60,9 +60,9 @@ class TestSimulator:
         )
         for _ in range(60):
             prog = lower(matmul_space, random_config(matmul_space, rng))
-            res = a100_sim.run(prog)
-            if res.valid:
-                assert res.latency > roofline * 0.7
+            res = a100_sim.run_batch(prog.row)
+            if res.valid[0]:
+                assert res.latency[0] > roofline * 0.7
 
     def test_invalid_when_threads_exceed_limit(self, a100_sim):
         from repro.schedule.space import ScheduleConfig
@@ -71,8 +71,8 @@ class TestSimulator:
         cfg = ScheduleConfig.from_map(
             {"i": (1, 64, 1, 1, 64), "j": (1, 64, 1, 64, 1), "k": (1, 1, 64)}
         )
-        res = a100_sim.run(lower(space, cfg))
-        assert not res.valid and math.isinf(res.latency)
+        res = a100_sim.run_batch(lower(space, cfg).row)
+        assert not res.valid[0] and math.isinf(res.latency[0])
 
     def test_devices_disagree_on_ranking(self):
         """The cross-platform gap MoA addresses: rankings differ by device."""
@@ -93,7 +93,7 @@ class TestSimulator:
 
     def test_residual_features_shape(self, matmul_space, rng):
         prog = lower(matmul_space, random_config(matmul_space, rng))
-        assert residual_features(prog).shape == (14,)
+        assert residual_features_batch(prog.row).shape == (1, 14)
 
     def test_bigger_device_is_faster_on_big_op(self):
         wl = ops.matmul(2048, 2048, 2048)

@@ -1,16 +1,16 @@
-"""Equivalence suite: the batched measurement path vs the scalar one.
+"""Equivalence suite: the batched measurement path vs one row at a time.
 
 ``GroundTruthSimulator.run_batch`` and ``MeasureRunner.measure_batch``
-are the one measurement path; the scalar ``run`` reads its program's
-one-row batch.  These tests
-pin the contract that batching changes *nothing*: latencies, validity,
-reason strings, noise draws and clock charges are bit-identical to a
-scalar reference loop across devices and workload classes — including
-invalid programs, splitK overheads, register spill and TensorCore
-fragments.
+are the one measurement path; one program is its one-row batch,
+``prog.row``.  These tests pin the contract that batching changes
+*nothing*: latencies, validity, reason strings, noise draws and clock
+charges are bit-identical to a per-program reference loop across
+devices and workload classes — including invalid programs, splitK
+overheads, register spill and TensorCore fragments.
 
-``run`` is ``run_batch`` of one row, so that comparison alone would pin
-the simulator to itself.  ``fixtures/simulator_golden.json`` holds the
+A one-row ``run_batch`` is the same code as a whole batch, so that
+comparison alone would pin the simulator to itself.
+``fixtures/simulator_golden.json`` holds the
 latencies :func:`simulator_golden` produced on the last commit that
 still carried an independent per-program copy of the simulator math
 (``benchmarks/bench_throughput.py::_scalar_simulate``, which agreed with
@@ -94,7 +94,8 @@ class TestRunBatch:
     @pytest.mark.parametrize("device", DEVICES)
     @pytest.mark.parametrize("wl,tc,sk", WORKLOADS)
     def test_bit_identical_to_scalar_run(self, wl, tc, sk, device):
-        """run_batch == run, field for field, on every device."""
+        """A row of run_batch == the run_batch of that program alone,
+        field for field, on every device."""
         if tc and device == "k80":
             pytest.skip("no TensorCore path on k80 (covered separately)")
         dev = get_device(device)
@@ -102,13 +103,11 @@ class TestRunBatch:
         batch, progs = _batch_and_progs(wl, tc, sk)
         out = sim.run_batch(batch)
         for i, prog in enumerate(progs):
-            want = sim.run(prog)
-            assert bool(out.valid[i]) == want.valid, f"row {i}"
-            assert out.reason(i) == want.reason, f"row {i}"
+            want = sim.run_batch(prog.row)
+            assert out.valid[i] == want.valid[0], f"row {i}"
+            assert out.reason(i) == want.reason(0), f"row {i}"
             for name in _RESULT_FIELDS:
-                assert float(getattr(out, name)[i]) == getattr(want, name), (
-                    f"row {i}: {name}"
-                )
+                assert getattr(out, name)[i] == getattr(want, name)[0], f"row {i}: {name}"
 
     def test_covers_valid_and_invalid_rows(self):
         """The random population exercises both sides of the validity
@@ -134,13 +133,13 @@ class TestRunBatch:
 
     def test_tensorcore_on_k80_raises_both_paths(self):
         """A TC batch consults tc_peak_flops, which k80 does not have:
-        scalar and batched paths must fail identically."""
+        one program and a whole batch must fail identically."""
         sim = GroundTruthSimulator(get_device("k80"))
         batch, progs = _batch_and_progs(
             ops.matmul(128, 128, 128, dtype="float16"), True, True, n=10
         )
         with pytest.raises(DeviceError):
-            sim.run(progs[0])
+            sim.latency(progs[0])
         with pytest.raises(DeviceError):
             sim.run_batch(batch)
 
@@ -172,15 +171,15 @@ class TestMeasureBatch:
         clock = SimClock()
         latencies, valids = [], []
         for prog in progs:
-            res = sim.run(prog)
-            lat = res.latency
-            if res.valid:
+            res = sim.run_batch(prog.row)
+            lat, valid = float(res.latency[0]), bool(res.valid[0])
+            if valid:
                 lat = lat * float(np.exp(rng.normal(0.0, 0.015)))
                 clock.charge_measurement([lat])
             else:
                 clock.charge("measurement", clock.costs.measure_overhead)
             latencies.append(lat)
-            valids.append(res.valid)
+            valids.append(valid)
         return np.array(latencies), np.array(valids), clock
 
     @pytest.mark.parametrize("device", ["a100", "t4", "k80"])

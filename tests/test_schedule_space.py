@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,15 +12,9 @@ from hypothesis import strategies as st
 from repro.errors import ScheduleError
 from repro.ir import ops
 from repro.rng import make_rng
-from repro.schedule import (
-    count_factorizations,
-    crossover,
-    generate_sketch,
-    mutate,
-    random_config,
-    sample_factorization,
-)
-from repro.schedule.sampler import random_population
+from repro.schedule import ConfigBatch, count_factorizations, generate_sketch, random_config
+from repro.schedule.mutate import crossover_pairs, mutate_batch
+from repro.schedule.sampler import random_population, sample_factorizations
 from repro.schedule.space import divisors
 
 
@@ -58,7 +53,7 @@ class TestSampling:
     )
     @settings(max_examples=60)
     def test_sampled_factorization_is_valid(self, extent, parts, seed):
-        f = sample_factorization(make_rng(seed), extent, parts)
+        f = sample_factorizations(make_rng(seed), extent, parts, 1)[0]
         assert len(f) == parts
         assert math.prod(f) == extent
         assert all(x >= 1 for x in f)
@@ -110,22 +105,26 @@ class TestMutation:
         wl = ops.matmul(128, 128, 128)
         space = generate_sketch(wl)
         rng = make_rng(seed)
-        cfg = random_config(space, rng)
+        batch = ConfigBatch.from_configs(space, [random_config(space, rng)])
         for _ in range(5):
-            cfg = mutate(cfg, space, rng)
-            space.validate(cfg)
+            batch = mutate_batch(batch, space, rng)
+            space.validate(batch.config(0))
 
     def test_crossover_stays_in_space(self, matmul_space):
         rng = make_rng(1)
         a = random_config(matmul_space, rng)
         b = random_config(matmul_space, rng)
-        child = crossover(a, b, matmul_space, rng)
-        matmul_space.validate(child)
+        parents = ConfigBatch.from_configs(matmul_space, [a, b])
+        child = crossover_pairs(parents, np.array([0]), np.array([1]), matmul_space, rng)
+        matmul_space.validate(child.config(0))
 
     def test_mutation_changes_something_eventually(self, matmul_space):
         rng = make_rng(7)
         cfg = random_config(matmul_space, rng)
-        assert any(mutate(cfg, matmul_space, rng).key != cfg.key for _ in range(10))
+        batch = ConfigBatch.from_configs(matmul_space, [cfg])
+        assert any(
+            mutate_batch(batch, matmul_space, rng).config(0).key != cfg.key for _ in range(10)
+        )
 
 
 class TestTensorCoreSpace:
@@ -149,10 +148,10 @@ class TestTensorCoreSpace:
         wl = ops.matmul(256, 256, 256, dtype="float16")
         space = generate_sketch(wl, tensorcore=True)
         rng = make_rng(5)
-        cfg = random_config(space, rng)
+        batch = ConfigBatch.from_configs(space, [random_config(space, rng)])
         for _ in range(20):
-            cfg = mutate(cfg, space, rng)
-            space.validate(cfg)
+            batch = mutate_batch(batch, space, rng)
+            space.validate(batch.config(0))
 
     def test_non_multiple_extent_rejected(self):
         wl = ops.matmul(100, 128, 128, dtype="float16")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from doubles import RandomModel
+from doubles import RandomModel, random_model_clock
 
 from repro.config import SearchConfig, TrainConfig
 from repro.core.analyzer import is_launchable
@@ -284,10 +284,9 @@ def _propose(policy, records, rng):
 class TestPolicies:
     @pytest.mark.parametrize("policy_cls", [AnsorPolicy, PrunerPolicy])
     def test_proposals_are_launchable_and_unique(self, policy_cls, two_tasks, a100):
-        clock = SimClock()
         model = RandomModel()
         task = two_tasks[0]
-        policy = policy_cls(task, model, search=SEARCH, clock=clock)
+        policy = policy_cls(task, model, search=SEARCH, clock=random_model_clock())
         records = RecordLog()
         progs = _propose(policy, records, make_rng(0))
         assert 0 < len(progs) <= SEARCH.measure_per_round
@@ -297,7 +296,9 @@ class TestPolicies:
 
     def test_no_remeasure(self, two_tasks, a100):
         task = two_tasks[0]
-        policy = PrunerPolicy(task, RandomModel(), search=SEARCH)
+        policy = PrunerPolicy(
+            task, RandomModel(), search=SEARCH, clock=random_model_clock()
+        )
         records = RecordLog()
         batch = policy.propose_batch(records, make_rng(0))
         records.add(task.key, batch, 1e-3, 0.0, 0)
@@ -346,9 +347,8 @@ class TestSeededPopulation:
 
         monkeypatch.setattr(evolve_module, "mutate_batch", counting)
         search = SearchConfig(population=population)
-        got = AnsorPolicy(task, RandomModel(), search=search)._seeded_population(
-            records, make_rng(51)
-        )
+        policy = AnsorPolicy(task, RandomModel(), search=search, clock=random_model_clock())
+        got = policy._seeded_population(records, make_rng(51))
 
         # the loop this replaced: population // 16 batches, then the cap
         rng = make_rng(51)
