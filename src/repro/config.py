@@ -4,7 +4,6 @@ The numbers mirror the paper's experimental settings (Section 5):
 
 * ``SPEC_SIZE`` — size of the drafted candidate set S_spec (512).
 * ``MEASURE_PER_ROUND`` — programs measured per tuning round (10).
-* ``MAX_ROUNDS`` — maximum tuning rounds (200; 200 x 10 = 2,000 trials).
 * ``MOA_MOMENTUM`` — momentum for the MoA siamese update (0.99).
 
 Search-scale knobs (population sizes, GA steps) default to paper scale;
@@ -18,7 +17,6 @@ from dataclasses import dataclass
 
 SPEC_SIZE = 512
 MEASURE_PER_ROUND = 10
-MAX_ROUNDS = 200
 MOA_MOMENTUM = 0.99
 
 
@@ -31,10 +29,13 @@ class SearchConfig:
     population:
         Evolutionary-search population size per GA step.
     ga_steps:
-        GA steps per tuning round.  Ansor scores ``ga_steps`` generations
-        (their launchable rows) with the learned cost model; Pruner's
-        draft scores ``ga_steps + 1`` whole generations with the draft
-        model — the last step's offspring too, like TVM's ``num_iters + 1``.
+        GA steps per tuning round: the generations that breed the next
+        one in the single evolutionary loop
+        (:func:`repro.schedule.evolve.explore`) both policies run.
+        Ansor scores ``ga_steps`` generations (their launchable rows)
+        with the learned cost model; Pruner's draft scores
+        ``ga_steps + 1`` whole generations with the draft model — the
+        last step's offspring too, like TVM's ``num_iters + 1``.
     spec_size:
         Size of the drafted candidate set (|S_spec|, paper: 512).
     random_fraction:

@@ -3,8 +3,9 @@
 LSE casts exploration as *hardware-fitness maximisation*: a genetic
 algorithm over tile factorizations whose fitness is the Symbol-based
 Analyzer score — no feature extraction, no learned-model inference.
-The GA itself is the one Ansor runs (:mod:`repro.schedule.evolve`).
-Across ``ga_steps + 1`` scored generations (Ansor's loop scores
+The GA itself is the one loop Ansor runs too
+(:func:`repro.schedule.evolve.explore`); LSE supplies the fitness and
+the data.  Across ``ga_steps + 1`` scored generations (Ansor scores
 ``ga_steps``) it maintains
 
 * the working population ``S_x`` (mutated/crossed each step), and
@@ -29,8 +30,8 @@ import numpy as np
 
 from repro.config import SearchConfig
 from repro.core.analyzer import SymbolBasedAnalyzer
+from repro.schedule import evolve
 from repro.schedule.batch import ConfigBatch, lower_batch
-from repro.schedule.evolve import BestPool, next_generation, seeded_population
 from repro.schedule.space import ScheduleSpace
 
 
@@ -74,19 +75,17 @@ class LatentScheduleExplorer:
         later tuning rounds refine around known-good regions.
         """
         cfg = self.search
-        population = seeded_population(space, rng, cfg.population, seeds, 3)
-        spec = BestPool(cfg.spec_size)
-        n_evals = 0
+        population = evolve.seeded_population(space, rng, cfg.population, seeds, 3)
+        spec = evolve.BestPool(cfg.spec_size)
 
-        for step in range(cfg.ga_steps + 1):
-            # Algorithm 2 evaluates (CSA: one array op chain) at the top
-            # of each step; the extra pass keeps the last offspring too.
+        def fitness(population: ConfigBatch):
+            # Algorithm 2 evaluates the whole population (CSA: one array
+            # op chain); unlaunchable rows score -inf and still breed.
             scores = self.analyzer.score_batch(lower_batch(space, population))
-            n_evals += len(population)
-            spec.merge(population, scores)
-            if step < cfg.ga_steps:
-                best_first = np.argsort(scores)[::-1]
-                population = next_generation(
-                    space, population, best_first, len(population), cfg.mutation_prob, rng
-                )
+            return population, scores, np.argsort(scores)[::-1]
+
+        # the extra generation scores the last offspring too
+        n_evals = evolve.explore(
+            space, rng, population, fitness, cfg.ga_steps + 1, len(population), cfg, spec
+        )
         return LSEResult(*spec.ranked(), n_evals)

@@ -68,11 +68,12 @@ class Penalties:
 
 
 def compute_penalties(
-    symbols: Symbols, device: DeviceSpec, dtype_bytes: int | np.ndarray = 4
+    symbols: Symbols, device: DeviceSpec, dtype_bytes: int | np.ndarray
 ) -> Penalties:
     """Evaluate all penalty terms for symbols on ``device``.
 
-    ``dtype_bytes`` is one width, or one per candidate of a batch.
+    ``dtype_bytes`` is one width, or one per candidate of a batch; it has
+    no default, so an fp16 row's shared memory is never priced as fp32.
     """
     s = symbols
 

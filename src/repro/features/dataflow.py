@@ -52,8 +52,8 @@ def _lg(x: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + np.maximum(0.0, x)) / 16.0
 
 
-def _encode(batch: CandidateBatch) -> np.ndarray:
-    """The (N, DATAFLOW_BLOCKS, DATAFLOW_DIM) tensor of a batch."""
+def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
+    """Batch dataflow sequences: shape ``(N, DATAFLOW_BLOCKS, DATAFLOW_DIM)``."""
     bl = batch.blocks
     n, b_total = bl.kind.shape
     b = min(b_total, DATAFLOW_BLOCKS)
@@ -75,8 +75,3 @@ def _encode(batch: CandidateBatch) -> np.ndarray:
     enc[..., 21] = bl.dtype_bytes[:, :b] / 4.0
     enc[..., 22] = _lg(bl.alloc[:, :b] * bl.dtype_bytes[:, :b])
     return out
-
-
-def dataflow_tensor_batch(batch: CandidateBatch) -> np.ndarray:
-    """Batch dataflow sequences: shape ``(N, DATAFLOW_BLOCKS, DATAFLOW_DIM)``."""
-    return _encode(batch)

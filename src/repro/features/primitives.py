@@ -82,10 +82,6 @@ def primitive_tensor_batch(batch: CandidateBatch) -> np.ndarray:
     one-program :func:`primitive_features` is the reference it is
     tested against.
     """
-    return _encode_batch(batch)
-
-
-def _encode_batch(batch: CandidateBatch) -> np.ndarray:
     cb = batch.configs
     plan = space_plan(cb.space)
     n = len(batch)

@@ -34,8 +34,8 @@ def _lg(x: np.ndarray) -> np.ndarray:
     return np.log2(1.0 + np.maximum(0.0, x)) / 16.0
 
 
-def _encode(batch: CandidateBatch) -> np.ndarray:
-    """The (N, STATEMENT_DIM) statement-feature matrix of a batch."""
+def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
+    """Batch statement features: shape ``(N, STATEMENT_DIM)``."""
     n = len(batch)
     threads = batch.threads
     warps = -(-threads // 32)  # warp size is universal across CUDA GPUs
@@ -83,8 +83,3 @@ def _encode(batch: CandidateBatch) -> np.ndarray:
             feats[has, col + 2] = _lg(batch.blocks.span[rows, idx])[has]
             col += 3
     return feats  # remaining columns stay zero-padded
-
-
-def statement_matrix_batch(batch: CandidateBatch) -> np.ndarray:
-    """Batch statement features: shape ``(N, STATEMENT_DIM)``."""
-    return _encode(batch)

@@ -1,21 +1,26 @@
-"""The evolutionary search both explorers run — everything but the fitness.
+"""The evolutionary search both explorers run: one loop, any fitness.
 
 Pruner's draft stage (Algorithm 2) is Ansor's evolutionary search with
-the Symbol-based Analyzer in place of the learned model, so what the two
-share exists once, here, and sees scores only as an order.  The *loops*
-stay with their owners and differ on purpose:
+the Symbol-based Analyzer in place of the learned model, so the search
+exists once, here — seeded population, generation step, best-first pool
+and the loop over generations, :func:`explore` — and sees scores only
+through the caller's fitness.  What differs between the callers is data
+at the call site:
 :class:`~repro.core.lse.LatentScheduleExplorer` scores whole populations
-(unlaunchable rows at ``-inf``) and the last generation too —
-``ga_steps + 1`` evaluations, like TVM's ``num_iters + 1``;
-:class:`~repro.search.policy.AnsorPolicy` evolves launchable rows only,
-re-randomises a generation with none, charges the clock per generation
-and stops after ``ga_steps`` evaluations (one fewer: ROADMAP item 2).
+(unlaunchable rows at ``-inf``) over ``ga_steps + 1`` generations, like
+TVM's ``num_iters + 1``, into a capped pool of configs;
+:class:`~repro.search.policy.AnsorPolicy` scores the launchable rows of
+``ga_steps`` generations (one fewer: ROADMAP item 2), charging the
+clock per generation, into an uncapped pool of lowered rows.
 """
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
+from repro.config import SearchConfig
 from repro.schedule.batch import CandidateBatch, ConfigBatch
 from repro.schedule.mutate import crossover_pairs, mutate_batch
 from repro.schedule.sampler import random_batch
@@ -86,6 +91,47 @@ def next_generation(
     return ConfigBatch.concat([elite, children])
 
 
+def explore(
+    space: ScheduleSpace,
+    rng: np.random.Generator,
+    population: ConfigBatch,
+    fitness: Callable[[ConfigBatch], tuple],
+    generations: int,
+    size: int,
+    search: SearchConfig,
+    pool: BestPool,
+) -> int:
+    """Evolve ``population`` for ``generations`` scored generations into
+    ``pool``; return how many rows were scored.
+
+    ``fitness(population)`` returns ``(rows, scores, best_first)``: the
+    rows the pool keeps (the population itself, or its lowered
+    launchable rows), their scores, and ``rows``' indices best first —
+    the parents' order, so the tie-break is the caller's.  Each
+    generation is scored and merged into the pool; each of the first
+    ``search.ga_steps`` then breeds ``size`` rows from the kept rows,
+    or, when the fitness kept none, draws ``size`` random ones.
+    """
+    n_scored = 0
+    for generation in range(generations):
+        rows, scores, best_first = fitness(population)
+        n_scored += len(population)
+        pool.merge(rows, scores)
+        if generation >= search.ga_steps:
+            break
+        if len(rows):
+            population = next_generation(
+                space, _configs(rows), best_first, size, search.mutation_prob, rng
+            )
+        else:
+            population = random_batch(space, rng, size)
+    return n_scored
+
+
+def _configs(batch: ConfigBatch | CandidateBatch) -> ConfigBatch:
+    return batch.configs if isinstance(batch, CandidateBatch) else batch
+
+
 class BestPool:
     """PriorFilter: the distinct finite-scored candidates merged so far,
     as parallel arrays — all of them, or with ``cap`` the best ``cap``
@@ -122,8 +168,7 @@ class BestPool:
         if self._unsettled:
             batch = type(self._parts[0][0]).concat([batch for batch, _ in self._parts])
             scores = np.concatenate([scores for _, scores in self._parts])
-            configs = batch.configs if isinstance(batch, CandidateBatch) else batch
-            first = configs.first_rows()
+            first = _configs(batch).first_rows()
             batch, scores = batch.take(first), scores[first]
             if self.cap is not None and len(batch) > self.cap:
                 top = np.sort(np.argsort(-scores, kind="stable")[: self.cap])

@@ -6,6 +6,11 @@ explored candidate each generation.  That inference volume is exactly
 the "Exploration" cost of the paper's Table 1 — and what Pruner's
 draft-then-verify policy (:mod:`repro.search.pruner_policy`) eliminates.
 
+Both policies search with one evolutionary loop,
+:func:`repro.schedule.evolve.explore`: Ansor's fitness is the learned
+model, Pruner's draft (:class:`~repro.core.lse.LatentScheduleExplorer`)
+the Symbol-based Analyzer.
+
 Both policies run on the batched candidate pipeline: populations are
 :class:`~repro.schedule.batch.ConfigBatch` factor tensors, lowering and
 scoring are single array calls (``lower_batch`` / ``predict_batch``),
@@ -23,10 +28,9 @@ from repro import obs
 from repro.config import SearchConfig
 from repro.core.analyzer import is_launchable_mask
 from repro.costmodel.base import CostModel
+from repro.schedule import evolve
 from repro.schedule.batch import CandidateBatch, ConfigBatch
-from repro.schedule.evolve import BestPool, next_generation, seeded_population
 from repro.schedule.memo import lower_batch_memo
-from repro.schedule.sampler import random_batch
 from repro.schedule.space import ScheduleConfig
 from repro.search.records import RecordLog
 from repro.search.task import TuningTask
@@ -79,18 +83,18 @@ class SearchPolicy(ABC):
         obs.funnel("gated", len(kept))
         return kept
 
-    def _select_indices(
+    def _select_top_batch(
         self,
-        keys: list[bytes],
+        batch: CandidateBatch,
         scores: np.ndarray,
         records: RecordLog,
         rng: np.random.Generator,
-    ) -> list[int]:
-        """Pick measurement-batch indices: greedy top + epsilon random.
+    ) -> CandidateBatch | None:
+        """Pick the measurement batch: greedy top + epsilon random rows.
 
-        ``keys`` are the candidates' ``row_keys()``; rows that repeat in
-        the batch or that ``records`` already holds for this task are
-        never picked.
+        Rows that repeat in the batch (by ``row_keys()``) or that
+        ``records`` already holds for this task are never picked; the
+        picks come back as a sub-batch, or None when there are none.
 
         With ``eps_greedy > 0`` exploration never silently shuts off:
         small measurement rounds used to round the epsilon share down
@@ -109,6 +113,7 @@ class SearchPolicy(ABC):
             n_random = max(0, int(round(k * eps)))
             if eps > 0 and n_random == 0:
                 n_random = 1
+        keys = batch.row_keys()
         measured = records.measured_rows(self.task.key)
         picked: list[int] = []
         seen: set[bytes] = set()
@@ -131,28 +136,9 @@ class SearchPolicy(ABC):
             if pool:
                 extra = rng.choice(len(pool), size=min(n_random, len(pool)), replace=False)
                 picked += [pool[int(i)] for i in extra]
-        return picked[:k]
-
-    def _select_top_batch(
-        self,
-        batch: CandidateBatch,
-        scores: np.ndarray,
-        records: RecordLog,
-        rng: np.random.Generator,
-    ) -> CandidateBatch | None:
-        """Array-native selection: the picked rows as a sub-batch."""
-        picked = self._select_indices(batch.row_keys(), scores, records, rng)
         if not picked:
             return None
-        return batch.take(np.array(picked, dtype=np.int64))
-
-    def _seeded_population(
-        self, records: RecordLog, rng: np.random.Generator
-    ) -> ConfigBatch:
-        """Initial GA population, seeded from the log's best eight."""
-        seeds = records.best_configs(self.task.key, k=8)
-        size = self.search.population
-        return seeded_population(self.task.space, rng, size, seeds, max(1, size // 16))
+        return batch.take(np.array(picked[:k], dtype=np.int64))
 
 
 class AnsorPolicy(SearchPolicy):
@@ -162,15 +148,19 @@ class AnsorPolicy(SearchPolicy):
     full population; all scored candidates accumulate into the selection
     pool.  With the paper's settings this means thousands of model
     inferences per tuning round.  The GA is the one LSE runs
-    (:mod:`repro.schedule.evolve`); this loop scores ``ga_steps``
-    generations where LSE's scores ``ga_steps + 1``.
+    (:func:`repro.schedule.evolve.explore`) under this policy's model
+    fitness, over ``ga_steps`` generations where LSE's scores
+    ``ga_steps + 1``.
     """
 
     def propose_batch(
         self, records: RecordLog, rng: np.random.Generator
     ) -> CandidateBatch | None:
         space, search = self.task.space, self.search
-        population = self._seeded_population(records, rng)
+        seeds = records.best_configs(self.task.key, k=8)  # the log's best eight
+        population = evolve.seeded_population(
+            space, rng, search.population, seeds, max(1, search.population // 16)
+        )
 
         if len(records) == 0:
             # Cold start: no trained model; measure random candidates.
@@ -179,33 +169,26 @@ class AnsorPolicy(SearchPolicy):
             scores = rng.random(len(batch))
             return self._select_top_batch(batch, scores, records, rng)
 
-        pool = BestPool()
-        for _ in range(search.ga_steps):
+        def fitness(population: ConfigBatch):
             # Every generation's population enters the funnel: Ansor
             # "drafts" (and scores) far more candidates per round than
             # Pruner — the asymmetry the funnel counters exist to show.
             obs.funnel("drafted", len(population))
             batch = self._lower_valid_batch(population)
             if not len(batch):
-                population = random_batch(space, rng, search.population)
-                continue
+                return batch, np.empty(0), np.empty(0, dtype=np.int64)
             # Ansor applies the learned model to *all* explored candidates.
             self.clock.charge_inference(
                 self.model.feature_kind, self.model.kind, len(batch)
             )
             with obs.span("score"):
                 scores = self.model.predict_batch(batch)
-            assert batch.configs is not None
-            pool.merge(batch, scores)
-            population = next_generation(
-                space,
-                batch.configs,
-                np.argsort(-scores),
-                search.population,
-                search.mutation_prob,
-                rng,
-            )
+            return batch, scores, np.argsort(-scores)
 
+        pool = evolve.BestPool()
+        evolve.explore(
+            space, rng, population, fitness, search.ga_steps, search.population, search, pool
+        )
         if not pool:
             return None
         # The pool holds the lowered, launchable rows of the generations

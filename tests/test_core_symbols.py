@@ -56,7 +56,7 @@ class TestPenalties:
     def test_paper_formulas(self, gemm_prog):
         dev = get_device("a100")
         s = _symbols(gemm_prog)
-        p = compute_penalties(s, dev)
+        p = compute_penalties(s, dev, gemm_prog.row.dtype_bytes)
         s1, s2 = s.s1_l0_alloc[0], s.s2_l0_compute[0]
         # P_l0_m = min(m_l0/S1, 1)
         assert p.p_l0_m[0] == pytest.approx(min(255 / s1, 1.0))
@@ -73,7 +73,7 @@ class TestPenalties:
 
     def test_density_bounded(self, gemm_prog):
         dev = get_device("a100")
-        p = compute_penalties(_symbols(gemm_prog), dev)
+        p = compute_penalties(_symbols(gemm_prog), dev, gemm_prog.row.dtype_bytes)
         assert 0.0 < p.density()[0] <= 1.0
 
     def test_full_warp_gets_full_alpha(self):
@@ -81,8 +81,9 @@ class TestPenalties:
         cfg = ScheduleConfig.from_map(
             {"i": (1, 8, 1, 4, 4), "j": (4, 4, 1, 2, 4), "k": (4, 4, 8)}
         )
-        s = _symbols(lower(space, cfg))
-        p = compute_penalties(s, get_device("a100"))
+        prog = lower(space, cfg)
+        s = _symbols(prog)
+        p = compute_penalties(s, get_device("a100"), prog.row.dtype_bytes)
         assert s.s4_l1_para[0] == 32
         assert p.alpha_l1[0] == pytest.approx(1.0)
 
@@ -93,11 +94,12 @@ class TestPenalties:
         wl = ops.conv2d(1, 32, 28, 28, 64, 3)
         space = generate_sketch(wl)
         cfg = random_config(space, make_rng(seed))
-        p = compute_penalties(_symbols(lower(space, cfg)), get_device("t4"))
+        prog = lower(space, cfg)
+        p = compute_penalties(_symbols(prog), get_device("t4"), prog.row.dtype_bytes)
         for value in (p.p_l0_m, p.p_l1_m, p.p_l1_c, p.alpha_l1, p.p_l2_c, p.p_l2_m):
             assert 0.0 < value[0] <= 1.0
         assert p.p_l0_c[0] >= 1.0
 
     def test_memory_product_uses_capacity_terms(self, gemm_prog):
-        p = compute_penalties(_symbols(gemm_prog), get_device("a100"))
+        p = compute_penalties(_symbols(gemm_prog), get_device("a100"), gemm_prog.row.dtype_bytes)
         assert p.memory_product()[0] == pytest.approx((p.p_l0_m * p.p_l1_m * p.p_l2_m)[0])

@@ -16,7 +16,9 @@ The ``policy/`` cases were appended by the last commit on which
 copy of the GA (seeding, generation step, best-first pool), before
 :mod:`repro.schedule.evolve` replaced both: they pin what
 ``AnsorPolicy.propose_batch`` and ``PrunerPolicy.propose_batch`` pick,
-cold and from a warm log, and the simulated exploration charge.
+cold and from a warm log, and the simulated exploration charge.  Both
+policies now run one loop, ``evolve.explore``, under their own fitness,
+so these cases and the ``explore.*`` rows above pin that loop for each.
 """
 
 from __future__ import annotations

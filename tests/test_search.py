@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -327,11 +328,34 @@ class TestPolicies:
             results[name] = clock.elapsed(EXPLORATION) - clock_before
         assert results["pruner"] < results["ansor"]
 
+    def test_a_generation_with_nothing_launchable_is_redrawn(self, a100):
+        """A warm Ansor round on a device that launches no row breeds
+        nothing: each of its ``ga_steps`` generations is a fresh random
+        batch, and no candidate is left to propose."""
+        device = dataclasses.replace(a100, name="no-threads", max_threads_per_block=0)
+        task = TuningTask.create(ops.matmul(256, 256, 256), device)
+        records = RecordLog()
+        measured = lower_batch(task.space, random_batch(task.space, make_rng(60), 4))
+        records.add(task.key, measured, 1e-3 * np.arange(1, 5), 0.0, 0)
+        policy = AnsorPolicy(task, RandomModel(), search=SEARCH, clock=random_model_clock())
+        rng = make_rng(61)
+        assert policy.propose_batch(records, rng) is None
+
+        # by hand: the seeded population, then one random batch a generation
+        hand = make_rng(61)
+        size = SEARCH.population
+        seeds = records.best_configs(task.key, k=8)
+        evolve_module.seeded_population(task.space, hand, size, seeds, max(1, size // 16))
+        for _ in range(SEARCH.ga_steps):
+            random_batch(task.space, hand, size)
+        assert rng.integers(2**63) == hand.integers(2**63)
+
 
 class TestSeededPopulation:
-    """``SearchPolicy._seeded_population`` (one call of
-    ``schedule.evolve.seeded_population``) draws only the mutation
-    batches of which a row survives the cap."""
+    """``schedule.evolve.seeded_population`` with the arguments
+    ``AnsorPolicy`` passes (the log's best eight, ``population // 16``
+    mutation batches) draws only the mutation batches of which a row
+    survives the cap."""
 
     @staticmethod
     def _setup(monkeypatch, a100, workload, population, n_seeds):
@@ -346,9 +370,13 @@ class TestSeededPopulation:
             return drawn[-1]
 
         monkeypatch.setattr(evolve_module, "mutate_batch", counting)
-        search = SearchConfig(population=population)
-        policy = AnsorPolicy(task, RandomModel(), search=search, clock=random_model_clock())
-        got = policy._seeded_population(records, make_rng(51))
+        got = evolve_module.seeded_population(
+            task.space,
+            make_rng(51),
+            population,
+            records.best_configs(task.key, k=8),
+            max(1, population // 16),
+        )
 
         # the loop this replaced: population // 16 batches, then the cap
         rng = make_rng(51)
