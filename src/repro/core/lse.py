@@ -20,6 +20,13 @@ generation is ``lower_batch`` + ``score_batch`` + array-level
 selection/crossover/mutation, and S_spec is maintained — and handed to
 the verify stage — as parallel arrays; the draft never materializes a
 :class:`~repro.schedule.space.ScheduleConfig`.
+
+The draft pays only for what the Symbol-based Analyzer reads: it lowers
+the symbol columns only (no dataflow block is ever built for a drafted
+row; :attr:`~repro.schedule.batch.CandidateBatch.blocks` builds them when
+a feature encoder reads them), and the elites that lead a generation
+carry the score they already have, so only the children are lowered and
+scored.  ``n_evals`` still counts every generation whole.
 """
 
 from __future__ import annotations
@@ -78,10 +85,16 @@ class LatentScheduleExplorer:
         population = evolve.seeded_population(space, rng, cfg.population, seeds, 3)
         spec = evolve.BestPool(cfg.spec_size)
 
-        def fitness(population: ConfigBatch):
+        def fitness(population: ConfigBatch, carried: np.ndarray):
             # Algorithm 2 evaluates the whole population (CSA: one array
             # op chain); unlaunchable rows score -inf and still breed.
-            scores = self.analyzer.score_batch(lower_batch(space, population))
+            # A row's score depends on that row alone, so the elites
+            # leading the population keep theirs: only children are
+            # lowered and scored (they are still counted, in n_evals).
+            children = population.slice(len(carried), len(population))
+            scores = np.concatenate(
+                [carried, self.analyzer.score_batch(lower_batch(space, children))]
+            )
             return population, scores, np.argsort(scores)[::-1]
 
         # the extra generation scores the last offspring too

@@ -13,9 +13,14 @@ array math:
   and consume these directly.
 * :func:`lower_batch` — the lowering: one :class:`CandidateBatch` with
   packed arrays for threads / grid / smem / registers / traffic / flops
-  plus per-dataflow-block arrays.  The only implementation of the tile
-  math of the paper's Figures 3 / 4; :func:`repro.schedule.lower.lower`
-  is row 0 of a one-row call.
+  (the symbol columns the draft reads) plus the per-read tile quantities
+  the dataflow blocks need (:class:`LoadArrays`).  The only
+  implementation of the tile math of the paper's Figures 3 / 4;
+  :func:`repro.schedule.lower.lower` is row 0 of a one-row call.
+* :func:`build_blocks` — the per-dataflow-block arrays, assembled from a
+  batch's columns when :attr:`CandidateBatch.blocks` is first read: only
+  for rows whose features are read, never for a row the draft only
+  scores, and without running a row's tile math twice.
 * :meth:`CandidateBatch.program` — unpacks one row into a scalar
   :class:`~repro.schedule.lower.LoweredProgram` (field copies, no
   lowering) that keeps its one-row batch as ``row``, for callers outside
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import index
 
 import numpy as np
@@ -84,29 +89,35 @@ _F64 = np.float64
 class ReadPlan:
     """Vectorization plan for one input access pattern.
 
-    ``dims`` holds, per tensor index dimension, the ``(axis positions,
-    coefficients)`` arrays of its linear terms, so a footprint over any
-    per-axis tile matrix ``T (N, A)`` is a handful of gathers and sums.
+    ``coeffs`` holds, per tensor index dimension, the coefficients of its
+    linear terms over the space's axes, so the spans of every dimension
+    over a per-axis tile matrix ``T (N, A)`` are one integer matrix
+    product.
     """
 
     tensor: str
-    reg_mask: np.ndarray  # (n_spatial,) bool — spatial axes this read touches
-    dims: tuple[tuple[np.ndarray, np.ndarray], ...]
-
-    def spans(self, tiles: np.ndarray) -> np.ndarray:
-        """Per-dimension extents over tiles: shape ``(n_dims, N)``."""
-        out = np.empty((len(self.dims), tiles.shape[0]), dtype=_I64)
-        for d, (pos, coeff) in enumerate(self.dims):
-            out[d] = 1 + ((tiles[:, pos] - 1) * coeff).sum(axis=1)
-        return out
+    reg_axes: np.ndarray  # spatial axes this read touches
+    coeffs: np.ndarray  # (n_dims, A)
 
     def footprint(self, tiles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(footprint, innermost span)`` arrays over a tile matrix."""
-        spans = self.spans(tiles)
-        if not len(self.dims):
+        if not len(self.coeffs):
             ones = np.ones(tiles.shape[0], dtype=_I64)
             return ones, ones
+        spans = 1 + self.coeffs @ (tiles - 1).T  # (n_dims, N)
         return spans.prod(axis=0), spans[-1]
+
+
+def _prod_last(x: np.ndarray) -> np.ndarray:
+    """``x.prod(axis=-1)`` of an integer array as one multiply per entry
+    of the last axis, which numpy does several times faster than
+    reducing a short last axis."""
+    if not x.shape[-1]:
+        return np.ones(x.shape[:-1], dtype=x.dtype)
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        out *= x[..., j]
+    return out
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,14 @@ class SpacePlan:
     # TensorCore constraint targets (indices into ``axes``; empty if not TC)
     tc_matrix_axes: tuple[int, ...]
     tc_reduction_axis: int  # -1 when absent
+    # workload constants every lowered row carries
+    flops: float
+    output_elems: int
+    arith_intensity: float
+    tag_code: int  # index into TAG_ORDER
+    epilogue_reads: float  # output elements the fused add / residual ops read
+    stream_traffic: float  # a flat (untiled) program's whole traffic, in elements
+    reduction_points: int  # reduction iterations per output element
 
     @property
     def n_axes(self) -> int:
@@ -149,15 +168,15 @@ def space_plan(space: ScheduleSpace) -> SpacePlan:
     reads = []
     for read in wl.reads:
         touched = read.loops()
-        reg_mask = np.array([a in touched for a in spatial_axes], dtype=bool)
-        dims = tuple(
-            (
-                np.array([pos[name] for name, _ in dim if name in pos], dtype=_I64),
-                np.array([c for name, c in dim if name in pos], dtype=_I64),
-            )
-            for dim in read.index
+        reg_axes = np.array(
+            [i for i, a in enumerate(spatial_axes) if a in touched], dtype=np.intp
         )
-        reads.append(ReadPlan(tensor=read.tensor, reg_mask=reg_mask, dims=dims))
+        coeffs = np.zeros((len(read.index), len(axes)), dtype=_I64)
+        for d, dim in enumerate(read.index):
+            for name, c in dim:
+                if name in pos:
+                    coeffs[d, pos[name]] += c
+        reads.append(ReadPlan(tensor=read.tensor, reg_axes=reg_axes, coeffs=coeffs))
 
     tc_matrix: tuple[int, ...] = ()
     tc_red = -1
@@ -166,6 +185,7 @@ def space_plan(space: ScheduleSpace) -> SpacePlan:
         if space.reduction_splits:
             tc_red = pos[space.reduction_splits[0].axis]
 
+    full = wl.loop_extents()
     return SpacePlan(
         space=space,
         axes=axes,
@@ -179,6 +199,14 @@ def space_plan(space: ScheduleSpace) -> SpacePlan:
         splitk_options=np.array(space.splitk_options, dtype=_I64),
         tc_matrix_axes=tc_matrix,
         tc_reduction_axis=tc_red,
+        flops=wl.flops,
+        output_elems=wl.output_elems,
+        arith_intensity=wl.arithmetic_intensity(),
+        tag_code=TAG_ORDER.index(wl.tag),
+        epilogue_reads=float(wl.output_elems)
+        * sum(1 for op in wl.fused_ops if op in ("add", "residual")),
+        stream_traffic=float(sum(r.footprint(full) for r in wl.reads) + wl.output_elems),
+        reduction_points=math.prod(d.extent for d in wl.reduction),
     )
 
 
@@ -419,10 +447,9 @@ class ConfigBatch:
 def validate_batch(space: ScheduleSpace, batch: ConfigBatch) -> None:
     """Vectorized :meth:`ScheduleSpace.validate` over a whole batch."""
     plan = space_plan(space)
-    if (batch.factors < 1).any():
+    if len(batch) and batch.factors.min() < 1:
         raise ScheduleError("factors must be >= 1")
-    prods = batch.factors.prod(axis=2)
-    bad = prods != plan.extents[None, :]
+    bad = _prod_last(batch.factors) != plan.extents[None, :]
     if bad.any():
         i, a = np.argwhere(bad)[0]
         raise ScheduleError(
@@ -434,10 +461,11 @@ def validate_batch(space: ScheduleSpace, batch: ConfigBatch) -> None:
         ("vector", batch.vector, plan.vector_options),
         ("splitk", batch.splitk, plan.splitk_options),
     ):
-        ok = np.isin(values, options)
+        ok = np.zeros(len(values), dtype=bool)
+        for option in options.tolist():  # a few options: one compare each
+            ok |= values == option
         if not ok.all():
-            bad_value = values[~ok][0]
-            raise ScheduleError(f"{name} {bad_value} not in {tuple(options)}")
+            raise ScheduleError(f"{name} {values[~ok][0]} not in {tuple(options)}")
     if space.tensorcore:
         bad = ~tensorcore_ok(plan, batch.factors)
         if bad.any():
@@ -486,6 +514,22 @@ class BlockArrays:
 
 
 @dataclass
+class LoadArrays:
+    """What the dataflow blocks read of a row's tile math beyond its columns.
+
+    One column per input read of the space, in ``SpacePlan.reads`` order
+    (none on a flat space): quantities the lowering computes on the way
+    to S3, S5 and S7 and keeps, so :func:`build_blocks` assembles the
+    blocks without running the tile math again.
+    """
+
+    traffic: np.ndarray  # (N, R) global elements a read loads
+    alloc: np.ndarray  # (N, R) its shared-tile footprint
+    span: np.ndarray  # (N, R) its shared tile's innermost span
+    points: np.ndarray  # (N,) iteration points of a block's shared tile
+
+
+@dataclass
 class CandidateBatch:
     """N lowered candidates as packed arrays (the SoA of the pipeline).
 
@@ -493,7 +537,8 @@ class CandidateBatch:
     (``threads`` ~ ``threads_per_block``, ``grid`` ~ ``grid``, ...); all
     per-candidate quantities are ``(N,)`` arrays.  Built by
     :func:`lower_batch` from a :class:`ConfigBatch` of one space, or
-    taken / concatenated from such batches.
+    taken / concatenated from such batches.  The dataflow blocks are not
+    a field: :attr:`blocks` builds them on first read.
     """
 
     configs: ConfigBatch
@@ -524,11 +569,23 @@ class CandidateBatch:
     n_fused: np.ndarray
     n_reduction: np.ndarray
     tag_code: np.ndarray  # index into TAG_ORDER
-    # dataflow blocks
-    blocks: BlockArrays
+    # the tile math the dataflow blocks read
+    loads: LoadArrays
 
     def __len__(self) -> int:
         return len(self.threads)
+
+    @cached_property
+    def blocks(self) -> BlockArrays:
+        """The dataflow blocks, built by :func:`build_blocks` on first
+        read and kept.
+
+        Only the feature encoders read them: rows the draft only scores,
+        and rows that are only taken, concatenated or measured, never
+        build them.  :meth:`take` and :meth:`concat` carry ``loads``,
+        not built blocks.
+        """
+        return build_blocks(self)
 
     @property
     def smem_bytes(self) -> np.ndarray:
@@ -546,10 +603,11 @@ class CandidateBatch:
         batch itself when it has one row, as :func:`~repro.schedule.lower.
         lower`'s does — which
         :meth:`~repro.hardware.simulator.GroundTruthSimulator.latency`
-        and the models' ``featurize`` read.
+        and the models' ``featurize`` read.  Its blocks are that row's.
         """
+        row = self if len(self) == 1 else self.take([i])
         # BlockArrays declares its columns in DataflowBlock's field order
-        block_rows = zip(*(col[i].tolist() for col in vars(self.blocks).values()))
+        block_rows = zip(*(col[0].tolist() for col in vars(row.blocks).values()))
         return LoweredProgram(
             workload=self.configs.space.workload,
             config=self.configs.config(i),
@@ -573,7 +631,7 @@ class CandidateBatch:
                 DataflowBlock(BLOCK_KINDS[kind], *rest)
                 for kind, *rest in block_rows
             ),
-            row=self if len(self) == 1 else self.take([i]),
+            row=row,
         )
 
     def take(self, idx: np.ndarray) -> "CandidateBatch":
@@ -582,7 +640,7 @@ class CandidateBatch:
         return CandidateBatch(
             self.configs.take(idx),
             *(getattr(self, name)[idx] for name in _COLUMNS),
-            BlockArrays(*(getattr(self.blocks, name)[idx] for name in _BLOCK_COLUMNS)),
+            LoadArrays(*(getattr(self.loads, name)[idx] for name in _LOAD_COLUMNS)),
         )
 
     @classmethod
@@ -595,19 +653,106 @@ class CandidateBatch:
         return cls(
             ConfigBatch.concat([p.configs for p in parts]),
             *(np.concatenate([getattr(p, name) for p in parts]) for name in _COLUMNS),
-            BlockArrays(
+            LoadArrays(
                 *(
-                    np.concatenate([getattr(p.blocks, name) for p in parts])
-                    for name in _BLOCK_COLUMNS
+                    np.concatenate([getattr(p.loads, name) for p in parts])
+                    for name in _LOAD_COLUMNS
                 )
             ),
         )
 
 
 #: The per-row arrays of a batch in field order: every field of
-#: :class:`CandidateBatch` between ``configs`` and ``blocks``.
+#: :class:`CandidateBatch` between ``configs`` and ``loads``.
 _COLUMNS = tuple(f.name for f in fields(CandidateBatch))[1:-1]
-_BLOCK_COLUMNS = tuple(f.name for f in fields(BlockArrays))
+_LOAD_COLUMNS = tuple(f.name for f in fields(LoadArrays))
+
+
+def build_blocks(batch: CandidateBatch) -> BlockArrays:
+    """The dataflow blocks of every row of ``batch``, from its columns
+    and :class:`LoadArrays` (no tile math runs here).
+
+    Every row of a space has the same layout: a flat program one stream
+    block; a tiled one init, a load per input read, a fragment stage on
+    TensorCores, compute and store.
+    """
+    plan = space_plan(batch.configs.space)
+    wl = plan.workload
+    n = len(batch)
+    if not wl.is_tiled:
+        return BlockArrays(
+            kind=np.full((n, 1), BK_STREAM, dtype=_I64),
+            src=np.full((n, 1), L2, dtype=_I64),
+            dst=np.full((n, 1), L2, dtype=_I64),
+            traffic=np.full((n, 1), plan.stream_traffic, dtype=_F64),
+            alloc=batch.vector[:, None].astype(_F64),
+            reuse=np.full((n, 1), float(plan.reduction_points), dtype=_F64),
+            span=batch.trans_span[:, None],
+            compute=np.full((n, 1), plan.flops, dtype=_F64),
+            vector=batch.vector[:, None].copy(),
+            dtype_bytes=np.full((n, 1), wl.dtype_bytes, dtype=_I64),
+        )
+
+    tensorcore = plan.space.tensorcore
+    n_loads = len(plan.reads)
+    layout = [BK_INIT] + [BK_LOAD] * n_loads
+    src = [L0] + [L2] * n_loads
+    dst = [L0] + [L1] * n_loads
+    if tensorcore:
+        layout += [BK_FRAGMENT]
+        src += [L1]
+        dst += [FRAGMENT]
+    layout += [BK_COMPUTE, BK_STORE]
+    src += [FRAGMENT if tensorcore else L1, L0]
+    dst += [L0, L2]
+    nb = len(layout)
+    blocks = BlockArrays(
+        kind=np.broadcast_to(np.array(layout, dtype=_I64), (n, nb)).copy(),
+        src=np.broadcast_to(np.array(src, dtype=_I64), (n, nb)).copy(),
+        dst=np.broadcast_to(np.array(dst, dtype=_I64), (n, nb)).copy(),
+        traffic=np.zeros((n, nb), dtype=_F64),
+        alloc=np.zeros((n, nb), dtype=_F64),
+        reuse=np.zeros((n, nb), dtype=_F64),
+        span=np.zeros((n, nb), dtype=_I64),
+        compute=np.zeros((n, nb), dtype=_F64),
+        vector=np.broadcast_to(batch.vector[:, None], (n, nb)).copy(),
+        dtype_bytes=np.full((n, nb), wl.dtype_bytes, dtype=_I64),
+    )
+    acc_regs = batch.acc_regs
+    operand_regs = batch.reg_elems - acc_regs  # S1 is their sum
+    # init
+    blocks.alloc[:, 0] = acc_regs
+    blocks.reuse[:, 0] = batch.vthreads
+    blocks.span[:, 0] = batch.vector
+    # loads
+    loads = batch.loads
+    col = slice(1, 1 + n_loads)
+    blocks.traffic[:, col] = loads.traffic
+    blocks.alloc[:, col] = loads.alloc
+    blocks.reuse[:, col] = loads.points[:, None] / np.maximum(1, loads.alloc)
+    blocks.span[:, col] = loads.span
+    col = 1 + n_loads
+    if tensorcore:
+        frag = operand_regs.astype(_F64)
+        blocks.traffic[:, col] = frag * batch.threads
+        blocks.alloc[:, col] = frag
+        blocks.reuse[:, col] = 1.0
+        blocks.span[:, col] = 16
+        col += 1
+    # compute
+    blocks.traffic[:, col] = operand_regs.astype(_F64) * batch.threads
+    blocks.alloc[:, col] = acc_regs
+    blocks.reuse[:, col] = acc_regs.astype(_F64) / np.maximum(1.0, operand_regs)
+    blocks.span[:, col] = np.maximum(1, batch.unroll)
+    blocks.compute[:, col] = plan.flops
+    # store
+    col += 1
+    blocks.traffic[:, col] = float(plan.output_elems) * batch.splitk
+    blocks.alloc[:, col] = acc_regs
+    blocks.reuse[:, col] = 1.0
+    blocks.span[:, col] = batch.vector
+    blocks.compute[:, col] = float(plan.output_elems) * len(wl.fused_ops)
+    return blocks
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +765,10 @@ def lower_batch(
 
     Rows do not depend on their neighbours: lowering them one at a time
     or together gives the same bits (the equivalence suite asserts this
-    and compares both to frozen references).  Raises
+    and compares both to frozen references).  The lowering computes the
+    symbol columns and what the dataflow blocks need of the tile math
+    (:class:`LoadArrays`); the blocks themselves are built only when a
+    feature encoder reads them (:attr:`CandidateBatch.blocks`).  Raises
     :class:`~repro.errors.ScheduleError` when a candidate lies outside
     the space.
     """
@@ -631,9 +779,22 @@ def lower_batch(
     return impl(space, configs)
 
 
+def _workload_columns(plan: SpacePlan, n: int) -> dict[str, np.ndarray]:
+    """The per-row copies of the space's workload constants."""
+    wl = plan.workload
+    return dict(
+        flops=np.full(n, plan.flops, dtype=_F64),
+        dtype_bytes=np.full(n, wl.dtype_bytes, dtype=_I64),
+        output_elems=np.full(n, plan.output_elems, dtype=_I64),
+        arith_intensity=np.full(n, plan.arith_intensity, dtype=_F64),
+        n_fused=np.full(n, len(wl.fused_ops), dtype=_I64),
+        n_reduction=np.full(n, len(wl.reduction), dtype=_I64),
+        tag_code=np.full(n, plan.tag_code, dtype=_I64),
+    )
+
+
 def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
     plan = space_plan(space)
-    wl = plan.workload
     n = len(cb)
     note_lowered(n)
     n_s = plan.n_spatial
@@ -641,9 +802,9 @@ def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
     fr = cb.factors[:, n_s:, :]
     splitk = cb.splitk
 
-    f0 = fs[:, :, 0].prod(axis=1)
-    threads = fs[:, :, 1].prod(axis=1)
-    vthreads = fs[:, :, 2].prod(axis=1)
+    f0 = _prod_last(fs[:, :, 0])
+    threads = _prod_last(fs[:, :, 1])
+    vthreads = _prod_last(fs[:, :, 2])
     thread_tile = fs[:, :, 2] * fs[:, :, 3] * fs[:, :, 4]  # (N, n_s)
     block_tile = fs[:, :, 1] * thread_tile
     n_blocks = f0 * splitk
@@ -655,47 +816,39 @@ def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
     )
 
     # ----- L0: registers -----
-    acc_regs = thread_tile.prod(axis=1)
-    input_regs = [
-        np.where(r.reg_mask[None, :], thread_tile, 1).prod(axis=1) for r in plan.reads
-    ]
+    acc_regs = _prod_last(thread_tile)
     operand_regs = np.zeros(n, dtype=_I64)
-    for regs in input_regs:
-        operand_regs = operand_regs + regs
+    for r in plan.reads:
+        operand_regs = operand_regs + _prod_last(thread_tile[:, r.reg_axes])
     reg_elems = acc_regs + operand_regs
-    thread_compute = (acc_regs * red_per_block.prod(axis=1)).astype(_F64)
+    thread_compute = (acc_regs * _prod_last(red_per_block)).astype(_F64)
 
     # ----- L1: shared tiles -----
+    n_reads = len(plan.reads)
     shared_tiles = np.concatenate([block_tile, chunk], axis=1)  # (N, A)
-    block_points = block_tile.prod(axis=1) * chunk.prod(axis=1)
-    shared_fp, shared_span, shared_reuse = [], [], []
-    for read in plan.reads:
-        fp, span = read.footprint(shared_tiles)
-        shared_fp.append(fp)
-        shared_span.append(span)
-        shared_reuse.append(block_points / np.maximum(1, fp))
-    if space.use_shared and plan.reads:
-        smem_elems = np.sum(shared_fp, axis=0)
+    loads = LoadArrays(
+        traffic=np.empty((n, n_reads), dtype=_F64),
+        alloc=np.empty((n, n_reads), dtype=_I64),
+        span=np.empty((n, n_reads), dtype=_I64),
+        points=_prod_last(shared_tiles),
+    )
+    for t, read in enumerate(plan.reads):
+        loads.alloc[:, t], loads.span[:, t] = read.footprint(shared_tiles)
+    if space.use_shared and n_reads:
+        smem_elems = loads.alloc.sum(axis=1)
     else:
         smem_elems = np.zeros(n, dtype=_I64)
 
     # ----- L2: global traffic -----
     traffic_tiles = np.concatenate([block_tile, red_per_block], axis=1)
-    input_traffic = []
     traffic_elems = np.zeros(n, dtype=_F64)
-    for read in plan.reads:
+    for t, read in enumerate(plan.reads):
         fp, _ = read.footprint(traffic_tiles)
-        t = fp.astype(_F64) * n_blocks
-        input_traffic.append(t)
-        traffic_elems = traffic_elems + t
-    store_traffic = float(wl.output_elems) * splitk
-    epilogue_reads = float(wl.output_elems) * sum(
-        1 for op in wl.fused_ops if op in ("add", "residual")
-    )
-    traffic_elems = traffic_elems + store_traffic + epilogue_reads
-    trans_span = (
-        np.minimum.reduce(shared_span) if shared_span else np.ones(n, dtype=_I64)
-    )
+        loads.traffic[:, t] = fp.astype(_F64) * n_blocks
+        traffic_elems = traffic_elems + loads.traffic[:, t]
+    store_traffic = float(plan.output_elems) * splitk
+    traffic_elems = traffic_elems + store_traffic + plan.epilogue_reads
+    trans_span = loads.span.min(axis=1) if n_reads else np.ones(n, dtype=_I64)
 
     # ----- S9 fragment alignment: fraction of issued WMMA lanes doing useful
     # work — thread tiles that are multiples of the fragment edge score 1.0,
@@ -706,64 +859,6 @@ def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
             tt = cb.factors[:, a, 2] * cb.factors[:, a, 3] * cb.factors[:, a, 4]
             waves = -(-tt // WMMA_LANE)
             tc_align = tc_align * (tt / (waves * WMMA_LANE))
-
-    # ----- dataflow blocks (fixed layout: init, loads, [frag], compute, store)
-    n_loads = len(plan.reads)
-    layout = [BK_INIT] + [BK_LOAD] * n_loads
-    src = [L0] + [L2] * n_loads
-    dst = [L0] + [L1] * n_loads
-    if space.tensorcore:
-        layout += [BK_FRAGMENT]
-        src += [L1]
-        dst += [FRAGMENT]
-    layout += [BK_COMPUTE, BK_STORE]
-    src += [FRAGMENT if space.tensorcore else L1, L0]
-    dst += [L0, L2]
-    nb = len(layout)
-    blocks = BlockArrays(
-        kind=np.broadcast_to(np.array(layout, dtype=_I64), (n, nb)).copy(),
-        src=np.broadcast_to(np.array(src, dtype=_I64), (n, nb)).copy(),
-        dst=np.broadcast_to(np.array(dst, dtype=_I64), (n, nb)).copy(),
-        traffic=np.zeros((n, nb), dtype=_F64),
-        alloc=np.zeros((n, nb), dtype=_F64),
-        reuse=np.zeros((n, nb), dtype=_F64),
-        span=np.zeros((n, nb), dtype=_I64),
-        compute=np.zeros((n, nb), dtype=_F64),
-        vector=np.broadcast_to(cb.vector[:, None], (n, nb)).copy(),
-        dtype_bytes=np.full((n, nb), wl.dtype_bytes, dtype=_I64),
-    )
-    # init
-    blocks.alloc[:, 0] = acc_regs
-    blocks.reuse[:, 0] = vthreads
-    blocks.span[:, 0] = cb.vector
-    # loads
-    for t in range(n_loads):
-        col = 1 + t
-        blocks.traffic[:, col] = input_traffic[t]
-        blocks.alloc[:, col] = shared_fp[t]
-        blocks.reuse[:, col] = shared_reuse[t]
-        blocks.span[:, col] = shared_span[t]
-    col = 1 + n_loads
-    if space.tensorcore:
-        frag = operand_regs.astype(_F64)
-        blocks.traffic[:, col] = frag * threads
-        blocks.alloc[:, col] = frag
-        blocks.reuse[:, col] = 1.0
-        blocks.span[:, col] = 16
-        col += 1
-    # compute
-    blocks.traffic[:, col] = operand_regs.astype(_F64) * threads
-    blocks.alloc[:, col] = acc_regs
-    blocks.reuse[:, col] = acc_regs.astype(_F64) / np.maximum(1.0, operand_regs)
-    blocks.span[:, col] = np.maximum(1, cb.unroll)
-    blocks.compute[:, col] = wl.flops
-    # store
-    col += 1
-    blocks.traffic[:, col] = store_traffic
-    blocks.alloc[:, col] = acc_regs
-    blocks.reuse[:, col] = 1.0
-    blocks.span[:, col] = cb.vector
-    blocks.compute[:, col] = float(wl.output_elems) * len(wl.fused_ops)
 
     return CandidateBatch(
         configs=cb,
@@ -778,73 +873,39 @@ def _lower_tiled_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
         traffic_elems=traffic_elems,
         grid=n_blocks,
         trans_span=trans_span,
-        flops=np.full(n, wl.flops, dtype=_F64),
         tc_align=tc_align,
         unroll=cb.unroll,
         vector=cb.vector,
         splitk=splitk,
-        dtype_bytes=np.full(n, wl.dtype_bytes, dtype=_I64),
-        output_elems=np.full(n, wl.output_elems, dtype=_I64),
-        arith_intensity=np.full(n, wl.arithmetic_intensity(), dtype=_F64),
-        n_fused=np.full(n, len(wl.fused_ops), dtype=_I64),
-        n_reduction=np.full(n, len(wl.reduction), dtype=_I64),
-        tag_code=np.full(n, TAG_ORDER.index(wl.tag), dtype=_I64),
-        blocks=blocks,
+        loads=loads,
+        **_workload_columns(plan, n),
     )
 
 
 def _lower_flat_batch(space: ScheduleSpace, cb: ConfigBatch) -> CandidateBatch:
     plan = space_plan(space)
-    wl = plan.workload
     n = len(cb)
     note_lowered(n)
-    n_s = plan.n_spatial
-    fs = cb.factors[:, :n_s, :]
-
-    n_blocks = fs[:, :, 0].prod(axis=1)
-    threads = fs[:, :, 1].prod(axis=1)
-    red_points = math.prod(d.extent for d in wl.reduction) if wl.reduction else 1
-
-    full = wl.loop_extents()
-    input_elems = sum(r.footprint(full) for r in wl.reads)
-    traffic = float(input_elems + wl.output_elems)
-    span = fs[:, n_s - 1, 1] * cb.vector
-
-    blocks = BlockArrays(
-        kind=np.full((n, 1), BK_STREAM, dtype=_I64),
-        src=np.full((n, 1), L2, dtype=_I64),
-        dst=np.full((n, 1), L2, dtype=_I64),
-        traffic=np.full((n, 1), traffic, dtype=_F64),
-        alloc=cb.vector[:, None].astype(_F64),
-        reuse=np.full((n, 1), float(red_points), dtype=_F64),
-        span=span[:, None],
-        compute=np.full((n, 1), wl.flops, dtype=_F64),
-        vector=cb.vector[:, None].copy(),
-        dtype_bytes=np.full((n, 1), wl.dtype_bytes, dtype=_I64),
-    )
+    fs = cb.factors[:, : plan.n_spatial, :]
+    n_blocks = _prod_last(fs[:, :, 0])
+    no_loads = np.empty((n, 0), dtype=_I64)
     return CandidateBatch(
         configs=cb,
         tensorcore=np.zeros(n, dtype=bool),
         n_blocks=n_blocks,
-        threads=threads,
+        threads=_prod_last(fs[:, :, 1]),
         vthreads=np.ones(n, dtype=_I64),
         acc_regs=cb.vector,
         reg_elems=cb.vector * 2,
-        thread_compute=float(red_points) * cb.vector,
+        thread_compute=float(plan.reduction_points) * cb.vector,
         smem_elems=np.zeros(n, dtype=_I64),
-        traffic_elems=np.full(n, traffic, dtype=_F64),
+        traffic_elems=np.full(n, plan.stream_traffic, dtype=_F64),
         grid=n_blocks,
-        trans_span=span,
-        flops=np.full(n, wl.flops, dtype=_F64),
+        trans_span=fs[:, -1, 1] * cb.vector,
         tc_align=np.ones(n, dtype=_F64),
         unroll=cb.unroll,
         vector=cb.vector,
         splitk=np.ones(n, dtype=_I64),
-        dtype_bytes=np.full(n, wl.dtype_bytes, dtype=_I64),
-        output_elems=np.full(n, wl.output_elems, dtype=_I64),
-        arith_intensity=np.full(n, wl.arithmetic_intensity(), dtype=_F64),
-        n_fused=np.full(n, len(wl.fused_ops), dtype=_I64),
-        n_reduction=np.full(n, len(wl.reduction), dtype=_I64),
-        tag_code=np.full(n, TAG_ORDER.index(wl.tag), dtype=_I64),
-        blocks=blocks,
+        loads=LoadArrays(no_loads.astype(_F64), no_loads, no_loads, np.zeros(n, dtype=_I64)),
+        **_workload_columns(plan, n),
     )

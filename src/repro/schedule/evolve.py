@@ -12,6 +12,11 @@ TVM's ``num_iters + 1``, into a capped pool of configs;
 :class:`~repro.search.policy.AnsorPolicy` scores the launchable rows of
 ``ga_steps`` generations (one fewer: ROADMAP item 2), charging the
 clock per generation, into an uncapped pool of lowered rows.
+
+The elites leading a generation carry their scores into the fitness
+call: LSE's row-wise PSA score reuses them and lowers and scores only
+the children; Ansor's model fitness scores them again, since a
+predicted score depends on the batch it is predicted in.
 """
 
 from __future__ import annotations
@@ -64,12 +69,15 @@ def next_generation(
     """SchMutation: ``size`` rows bred from ``population``.
 
     ``order`` lists the rows best first (the caller's fitness and
-    tie-break).  The best ``max(2, n // 8)`` survive as elites; the rest
-    are crossed from parents drawn with softmax weights over *ranks*
-    (robust to score scale) and mutated with ``mutation_prob``.
+    tie-break).  The best :func:`elite_count` survive as elites and lead
+    the generation; the rest are crossed from parents drawn with softmax
+    weights over *ranks* (robust to score scale) and mutated with
+    ``mutation_prob``.  The parents are drawn as ``rng.choice(n, p=)``
+    draws them, written out (ROADMAP item 3c) without its per-call
+    checks of ``p``: a CDF, one uniform per parent, a right-sided search.
     """
     n = len(population)
-    elite = population.take(order[: max(2, n // 8)])
+    elite = population.take(order[: elite_count(n)])
     n_children = size - len(elite)
     if n_children <= 0:
         return elite
@@ -77,7 +85,9 @@ def next_generation(
     ranks[order] = np.arange(n)
     weights = np.exp(-ranks / max(1.0, n / 4.0))
     weights /= weights.sum()
-    parents = rng.choice(n, size=(n_children, 2), p=weights)
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    parents = cdf.searchsorted(rng.random((n_children, 2)), side="right")
     children = crossover_pairs(population, parents[:, 0], parents[:, 1], space, rng)
     mutate = np.flatnonzero(rng.random(n_children) < mutation_prob)
     if len(mutate):
@@ -91,11 +101,16 @@ def next_generation(
     return ConfigBatch.concat([elite, children])
 
 
+def elite_count(n: int) -> int:
+    """Rows of an ``n``-row scored generation that survive unchanged."""
+    return max(2, n // 8)
+
+
 def explore(
     space: ScheduleSpace,
     rng: np.random.Generator,
     population: ConfigBatch,
-    fitness: Callable[[ConfigBatch], tuple],
+    fitness: Callable[[ConfigBatch, np.ndarray], tuple],
     generations: int,
     size: int,
     search: SearchConfig,
@@ -104,17 +119,23 @@ def explore(
     """Evolve ``population`` for ``generations`` scored generations into
     ``pool``; return how many rows were scored.
 
-    ``fitness(population)`` returns ``(rows, scores, best_first)``: the
-    rows the pool keeps (the population itself, or its lowered
-    launchable rows), their scores, and ``rows``' indices best first —
-    the parents' order, so the tie-break is the caller's.  Each
-    generation is scored and merged into the pool; each of the first
-    ``search.ga_steps`` then breeds ``size`` rows from the kept rows,
-    or, when the fitness kept none, draws ``size`` random ones.
+    ``fitness(population, carried)`` returns ``(rows, scores,
+    best_first)``: the rows the pool keeps (the population itself, or
+    its lowered launchable rows), their scores, and ``rows``' indices
+    best first — the parents' order, so the tie-break is the caller's.
+    ``carried`` holds the scores the fitness gave the elites that lead
+    ``population`` (none in the first generation): a fitness that
+    scores each row on its own reuses them and scores only the
+    children; one whose score depends on the batch scores every row.
+    Each generation is scored and merged into the pool; each of the
+    first ``search.ga_steps`` then breeds ``size`` rows from the kept
+    rows, or, when the fitness kept none, draws ``size`` random ones.
+    Every generation counts whole, elites included, in the rows scored.
     """
     n_scored = 0
+    carried = np.empty(0)
     for generation in range(generations):
-        rows, scores, best_first = fitness(population)
+        rows, scores, best_first = fitness(population, carried)
         n_scored += len(population)
         pool.merge(rows, scores)
         if generation >= search.ga_steps:
@@ -123,8 +144,10 @@ def explore(
             population = next_generation(
                 space, _configs(rows), best_first, size, search.mutation_prob, rng
             )
+            carried = scores[best_first[: elite_count(len(rows))]]
         else:
             population = random_batch(space, rng, size)
+            carried = np.empty(0)
     return n_scored
 
 

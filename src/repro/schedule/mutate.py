@@ -7,13 +7,15 @@ same operators serve both Ansor's evolutionary search and Pruner's LSE
 
 Both operators are batched: they take and return
 :class:`~repro.schedule.batch.ConfigBatch` factor tensors and apply
-each mutation kind to its whole sub-group with numpy fancy indexing, so
-a GA generation costs a handful of array ops instead of ``population``
-Python calls.  The sub-groups — rows sharing a mutation kind and an
-axis — come from one stable sort of the population
+each mutation kind with numpy fancy indexing, so a GA generation costs
+a handful of array ops instead of ``population`` Python calls.  The
+sub-groups — rows sharing a mutation kind and an axis — come from one
+stable sort of the population
 (:func:`~repro.schedule.sampler.sorted_runs`), not from a mask per
-kind and axis.  Mutation kinds (chosen per candidate at random, applied
-in this order, axes ascending within a kind):
+kind and axis; only resampling loops over them (one divisor table per
+axis), while all swap groups are one array op over one merged draw,
+and so are all move groups.  Mutation kinds (chosen per candidate at
+random, applied in this order, axes ascending within a kind):
 
 * resample one axis factorization from scratch,
 * swap two factors within an axis,
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.cache import register_lru
-from repro.schedule.batch import ConfigBatch, space_plan, tensorcore_ok
+from repro.schedule.batch import ConfigBatch, SpacePlan, space_plan, tensorcore_ok
 from repro.schedule.sampler import sample_axis_batch, sorted_runs
 from repro.schedule.space import ScheduleSpace
 
@@ -92,12 +94,16 @@ def mutate_batch(
     """Return a mutated copy of every candidate, all still inside ``space``.
 
     Rows are grouped by (mutation kind, axis) with one sort
-    (:func:`~repro.schedule.sampler.sorted_runs`) and each group is
-    mutated by array ops, kinds in the order listed in the module
-    docstring and axes ascending within a kind.  TensorCore candidates
-    whose swap/move broke the fragment constraint are repaired like the
-    scalar operator: revert to the original row and resample one random
-    axis with the constraint-preserving sampler.
+    (:func:`~repro.schedule.sampler.sorted_runs`) and mutated by array
+    ops, kinds in the order listed in the module docstring and axes
+    ascending within a kind.  Resampling runs per axis (each axis draws
+    from its own divisor table); every swap group is one array op over
+    one merged draw, and so is every move group: the groups' bounds laid
+    out in group order, which draws what one call per group would
+    (``tests/test_draw_merging.py``).  TensorCore candidates whose
+    swap/move broke the fragment constraint are repaired like the scalar
+    operator: revert to the original row and resample one random axis
+    with the constraint-preserving sampler.
     """
     plan = space_plan(space)
     splits = space.splits
@@ -118,55 +124,55 @@ def mutate_batch(
     axis_choice = rng.integers(0, plan.n_axes, size=n)
     axis_choice[kind == _ANNOTATE] = 0
     order, runs = sorted_runs(kind * plan.n_axes + axis_choice)
-    for key, start, stop in runs:
-        rows = order[start:stop]
-        k, a = divmod(key, plan.n_axes)
-        parts = splits[a].parts
-        if k == _RESAMPLE:  # one axis from scratch
-            resample(rows, a)
-        elif k == _ANNOTATE:  # flip unroll / vectorize / splitK
-            choice = rng.random(len(rows))
-            flips = (
-                (unroll, plan.unroll_options, rows[choice < 0.5]),
-                (vector, plan.vector_options, rows[(choice >= 0.5) & (choice < 0.8)]),
-                (splitk, plan.splitk_options, rows[choice >= 0.8]),
-            )
-            # each column's option draw, in column order, as one call
-            picks = rng.integers(
-                0, np.repeat([len(o) for _, o, _ in flips], [len(f) for *_, f in flips])
-            )
-            at = 0
-            for column, options, flipped in flips:
-                column[flipped] = options[picks[at : at + len(flipped)]]
-                at += len(flipped)
-        elif parts < 2:
-            continue  # nothing to swap, no destination level to move to
-        elif k == _SWAP:  # two factors within the axis (product-preserving)
-            m = len(rows)
-            # ``i``, then the offset to ``j`` in 1 .. parts - 1, as one call
-            draws = rng.integers(0, np.repeat([parts, parts - 1], m))
-            i = draws[:m]
-            j = (i + 1 + draws[m:]) % parts
-            fi = factors[rows, a, i]
-            factors[rows, a, i] = factors[rows, a, j]
-            factors[rows, a, j] = fi
-        else:  # _MOVE: a smallest-prime factor between levels
-            sub = factors[rows, a, :parts]
-            donors = sub > 1
-            counts = donors.sum(axis=1)
-            has = counts > 0
-            if not has.any():
-                continue
-            rows, sub, donors = rows[has], sub[has], donors[has]
-            m = len(rows)
-            # which donor position (by rank), then the destination, as one call
-            draws = rng.integers(0, np.concatenate([counts[has], np.full(m, parts - 1)]))
-            pick, dest = draws[:m], draws[m:]
-            donor = np.argmax(donors.cumsum(axis=1) == (pick + 1)[:, None], axis=1)
-            dest = dest + (dest >= donor)  # uniform over positions != donor
-            p = _spf_array(sub[np.arange(len(rows)), donor])
-            factors[rows, a, donor] //= p
-            factors[rows, a, dest] *= p
+    swaps, moves, annotates = np.searchsorted(kind[order], [_SWAP, _MOVE, _ANNOTATE])
+    for a, start, stop in runs:
+        if start >= swaps:
+            break
+        resample(order[start:stop], a)  # one axis from scratch
+
+    # two factors within the axis (product-preserving)
+    rows, axes, parts = _groups_with_levels(order[swaps:moves], axis_choice, plan)
+    if len(rows):
+        # per group: ``i``, then the offset to ``j`` in 1 .. parts - 1
+        i, offset = _merged_draw(rng, axes, parts, parts - 1)
+        j = (i + 1 + offset) % parts
+        fi = factors[rows, axes, i]
+        factors[rows, axes, i] = factors[rows, axes, j]
+        factors[rows, axes, j] = fi
+
+    # a smallest-prime factor between levels
+    rows, axes, parts = _groups_with_levels(order[moves:annotates], axis_choice, plan)
+    sub = factors[rows, axes]
+    donors = (sub > 1) & (np.arange(sub.shape[1]) < parts[:, None])
+    counts = donors.sum(axis=1)
+    has = counts > 0
+    if has.any():
+        rows, axes, parts, sub, donors = rows[has], axes[has], parts[has], sub[has], donors[has]
+        # per group: which donor position (by rank), then the destination
+        pick, dest = _merged_draw(rng, axes, counts[has], parts - 1)
+        donor = np.argmax(donors.cumsum(axis=1) == (pick + 1)[:, None], axis=1)
+        dest = dest + (dest >= donor)  # uniform over positions != donor
+        p = _spf_array(sub[np.arange(len(rows)), donor])
+        factors[rows, axes, donor] //= p
+        factors[rows, axes, dest] *= p
+
+    # flip unroll / vectorize / splitK
+    rows = order[annotates:]
+    if len(rows):
+        choice = rng.random(len(rows))
+        flips = (
+            (unroll, plan.unroll_options, rows[choice < 0.5]),
+            (vector, plan.vector_options, rows[(choice >= 0.5) & (choice < 0.8)]),
+            (splitk, plan.splitk_options, rows[choice >= 0.8]),
+        )
+        # each column's option draw, in column order, as one call
+        picks = rng.integers(
+            0, np.repeat([len(o) for _, o, _ in flips], [len(f) for *_, f in flips])
+        )
+        at = 0
+        for column, options, flipped in flips:
+            column[flipped] = options[picks[at : at + len(flipped)]]
+            at += len(flipped)
 
     # ----- TensorCore repair (swap/move can break fragment alignment) -----
     if space.tensorcore:
@@ -178,6 +184,37 @@ def mutate_batch(
                 resample(bad[order[start:stop]], a)
 
     return ConfigBatch(space, factors, unroll, vector, splitk)
+
+
+def _groups_with_levels(
+    rows: np.ndarray, axis_choice: np.ndarray, plan: SpacePlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One kind's rows (axes ascending), their axes and factor counts,
+    without the rows of one-level axes: nothing to swap, no destination
+    level to move to."""
+    axes = axis_choice[rows]
+    parts = plan.parts[axes]
+    keep = parts >= 2
+    return rows[keep], axes[keep], parts[keep]
+
+
+def _merged_draw(
+    rng: np.random.Generator, axes: np.ndarray, first: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two bounded draws per row, as one call: the values and generator
+    position of one ``integers(0, [*first, *second])`` call per group of
+    equal ``axes`` (ascending), groups in order."""
+    m = len(axes)
+    at = np.searchsorted(axes, axes)  # each row's group start
+    size = np.searchsorted(axes, axes, side="right") - at
+    # a group's rows from its start: ``first``'s bounds, then ``second``'s
+    head = at + np.arange(m)
+    tail = head + size
+    bounds = np.empty(2 * m, dtype=np.int64)
+    bounds[head] = first
+    bounds[tail] = second
+    draws = rng.integers(0, bounds)
+    return draws[head], draws[tail]
 
 
 def crossover_pairs(

@@ -169,10 +169,12 @@ class AnsorPolicy(SearchPolicy):
             scores = rng.random(len(batch))
             return self._select_top_batch(batch, scores, records, rng)
 
-        def fitness(population: ConfigBatch):
+        def fitness(population: ConfigBatch, carried: np.ndarray):
             # Every generation's population enters the funnel: Ansor
             # "drafts" (and scores) far more candidates per round than
             # Pruner — the asymmetry the funnel counters exist to show.
+            # The elites' carried scores are not reused: a predicted score
+            # depends on its batch (NNCostModel.predict_batch).
             obs.funnel("drafted", len(population))
             batch = self._lower_valid_batch(population)
             if not len(batch):

@@ -407,11 +407,12 @@ class TestAnalyzerBatch:
 
 
 def _assert_same_arrays(got: CandidateBatch, want: CandidateBatch) -> None:
-    """Every packed array equal, dtype included (not ``configs`` / ``programs``)."""
+    """Every per-row array equal, dtype included, and the dataflow blocks
+    as ``batch.blocks`` reads them, however a batch keeps them."""
     pairs = [
         (f.name, getattr(got, f.name), getattr(want, f.name))
         for f in fields(CandidateBatch)
-        if f.name not in ("configs", "programs", "blocks")
+        if isinstance(getattr(want, f.name), np.ndarray)
     ]
     pairs += [
         (f"blocks.{f.name}", getattr(got.blocks, f.name), getattr(want.blocks, f.name))
@@ -465,6 +466,31 @@ class TestRowsAreIndependent:
                 np.concatenate([analyzer.score_batch(piece) for piece in pieces]),
                 scores[order],
             )
+
+
+class TestBlocksOnDemand:
+    """The dataflow blocks are built on first read from what the lowering
+    kept: rows of a draft-lowered batch, taken and concatenated before any
+    block was read, read the blocks a fresh lowering of those rows reads."""
+
+    @pytest.mark.parametrize("wl,tc", ALL_CLASSES)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
+    @settings(max_examples=8, deadline=None)
+    def test_blocks_after_take_and_concat(self, wl, tc, seed, n):
+        space, configs = _space_and_configs(wl, tc, n, seed, splitk=True)
+        cb = ConfigBatch.from_configs(space, configs)
+        drafted = lower_batch(space, cb)  # no block read, as in the draft
+        read = lower_batch(space, cb)
+        assert read.blocks is read.blocks  # read before its rows are taken
+        pick = make_rng(seed).integers(0, len(cb), size=len(cb))
+        half = len(cb) // 2
+        every = np.arange(len(cb))
+        for got, rows in (
+            (drafted.take(pick), pick),
+            (CandidateBatch.concat([drafted.take(pick[:half]), read.take(pick[half:])]), pick),
+            (CandidateBatch.concat([drafted, drafted.take(every[::-1])]), [*every, *every[::-1]]),
+        ):
+            _assert_same_arrays(got, lower_batch(space, cb.take(rows)))
 
 
 class TestScalarDoors:

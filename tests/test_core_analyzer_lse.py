@@ -5,15 +5,17 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from scipy.stats import spearmanr
 
-from repro.config import SearchConfig
+from repro.config import LITE_SEARCH, SearchConfig
 from repro.core.analyzer import SymbolBasedAnalyzer, is_launchable, is_launchable_mask
 from repro.core.lse import LatentScheduleExplorer
 from repro.hardware.device import get_device
 from repro.hardware.simulator import GroundTruthSimulator
 from repro.ir import ops
 from repro.rng import make_rng
+from repro.schedule import batch as batch_module
 from repro.schedule import generate_sketch, lower, lower_batch, random_config
 from repro.schedule.space import ScheduleConfig
 
@@ -131,3 +133,43 @@ class TestLSE:
         b = lse.explore(space, make_rng(9))
         assert a.spec.row_keys() == b.spec.row_keys()
         assert a.scores.tolist() == b.scores.tolist()
+
+
+class TestDraftWork:
+    """What one draft pays for: every generation is charged whole, but the
+    elites leading a generation keep the scores they already have, and no
+    row's dataflow blocks are built."""
+
+    @pytest.mark.parametrize("search", [LITE_SEARCH, SearchConfig()], ids=["lite", "paper"])
+    def test_elites_are_scored_once_and_charged_every_generation(self, monkeypatch, search):
+        scored = []
+        real = SymbolBasedAnalyzer.score_batch
+
+        def spy(analyzer, batch):
+            scored.append(len(batch))
+            return real(analyzer, batch)
+
+        monkeypatch.setattr(SymbolBasedAnalyzer, "score_batch", spy)
+        lse = LatentScheduleExplorer(SymbolBasedAnalyzer(get_device("a100")), search)
+        res = lse.explore(generate_sketch(ops.matmul(1024, 1024, 1024)), make_rng(0))
+        population = search.population
+        children = population - max(2, population // 8)
+        # the first population, then each later generation's children only
+        assert scored == [population] + [children] * search.ga_steps
+        assert res.n_evals == population * (search.ga_steps + 1)
+        expected = {64: (232, 256), 512: (2304, 2560)}[population]
+        assert (sum(scored), res.n_evals) == expected  # 9.4 % and 10 % fewer rows
+
+    def test_draft_builds_no_blocks(self, monkeypatch):
+        built = []
+        real = batch_module.build_blocks
+        monkeypatch.setattr(
+            batch_module, "build_blocks", lambda batch: built.append(len(batch)) or real(batch)
+        )
+        space = generate_sketch(ops.matmul(256, 256, 256))
+        lse = LatentScheduleExplorer(SymbolBasedAnalyzer(get_device("a100")), LITE_SEARCH)
+        res = lse.explore(space, make_rng(0))
+        assert res.n_evals and built == []
+        lowered = lower_batch(space, res.spec)
+        assert lowered.blocks is lowered.blocks  # built on first read, then kept
+        assert built == [len(res.spec)]

@@ -96,7 +96,9 @@ class TestLoweredRowCache:
         round lowered, not by those plus one more lowering per measured
         candidate (recording a trial unpacks its row).  Pruner's draft
         lowers every generation it scores on top of that, outside the
-        funnel: ``(ga_steps + 1) * population`` rows on a cold start."""
+        funnel, except the elites leading a later generation, which keep
+        their scores: ``population`` rows, then ``population - max(2,
+        population // 8)`` per GA step on a cold start."""
         from repro import api
         from repro.config import SearchConfig
         from repro.ir.partition import SubgraphTask
@@ -105,7 +107,8 @@ class TestLoweredRowCache:
         tuner = api.build_tuner(
             method, [SubgraphTask(ops.matmul(128, 128, 128), 1)], "a100", search=search
         )
-        draft = (search.ga_steps + 1) * search.population if method == "pruner" else 0
+        children = search.population - max(2, search.population // 8)
+        draft = search.population + search.ga_steps * children if method == "pruner" else 0
         before = lowered_count()
         tuner.step()
         funnel = tuner.last_trace.funnel

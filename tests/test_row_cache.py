@@ -41,11 +41,12 @@ ENCODERS = (statement_matrix_batch, dataflow_tensor_batch, primitive_tensor_batc
 
 
 def _arrays(rows) -> list[np.ndarray]:
-    """Every packed array of a ``CandidateBatch`` (config bytes included)."""
-    skip = ("configs", "programs", "blocks")
+    """Every per-row array of a ``CandidateBatch`` (config bytes included)
+    and its dataflow blocks as ``rows.blocks`` reads them."""
+    columns = [getattr(rows, f.name) for f in fields(rows)]
     return (
         [rows.configs.row_ids()]
-        + [getattr(rows, f.name) for f in fields(rows) if f.name not in skip]
+        + [column for column in columns if isinstance(column, np.ndarray)]
         + [getattr(rows.blocks, f.name) for f in fields(rows.blocks)]
     )
 
